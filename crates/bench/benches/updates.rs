@@ -4,7 +4,7 @@
 //! batched scripts, nested deletion targets, and the blow-up control
 //! (shared-first negation chains + simplification) contrasted against the
 //! naive Appendix A expansion via size counters asserted outside the timed
-//! regions.
+//! regions, and region-scoped document commits at growing document sizes.
 //!
 //! Set `PXML_BENCH_QUICK=1` (as CI's `bench-smoke` job does) for a fast
 //! smoke run with small iteration budgets.
@@ -15,8 +15,10 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use pxml_bench::{rng, scaling_probtree, SCALING_SIZES};
 use pxml_core::semantics::possible_worlds;
-use pxml_core::update::{ProbabilisticUpdate, UpdateEngine, UpdateEngineConfig, UpdateOperation};
-use pxml_core::{PatternQuery, ProbTree};
+use pxml_core::update::{
+    ProbabilisticUpdate, StepScope, UpdateEngine, UpdateEngineConfig, UpdateOperation,
+};
+use pxml_core::{Document, PatternQuery, ProbTree};
 use pxml_events::{Condition, Literal};
 use pxml_tree::DataTree;
 use pxml_workloads::paper::{d0_deletion, theorem3_tree};
@@ -316,6 +318,57 @@ fn bench_update_scripts(c: &mut Criterion) {
     group.finish();
 }
 
+/// Region-scoped commits: one-fact retractions into `skeleton`-shaped
+/// documents at the ROADMAP probe sizes. Untimed counters first: a fresh
+/// document's first commit runs whole-tree, every later one in region
+/// scope, visiting at most `REGION_VISITS_PER_DELTA_NODE` nodes per node
+/// of its delta however large the document. Then one commit per size is
+/// timed, each on an O(1) fork of the settled document (forks inherit its
+/// fixpoint status); what remains O(|T|) is the tree clone, the matcher
+/// and the compaction behind the full node map.
+fn bench_region_commits(c: &mut Criterion) {
+    const REGION_VISITS_PER_DELTA_NODE: usize = 8;
+    let engine = UpdateEngine::new();
+    let retract = {
+        let mut q = PatternQuery::new(Some("keyword"));
+        let fact = q.root();
+        q.add_child(fact, "fact0");
+        ProbabilisticUpdate::new(UpdateOperation::delete(q, fact), 0.9)
+    };
+    let mut group = c.benchmark_group("updates_region_commit");
+    for nodes in [2_011usize, 20_011, 100_011] {
+        // `skeleton(s)` has 1 + 2s nodes; one keyword fact adds two.
+        let mut tree = skeleton((nodes - 3) / 2);
+        let service = tree.tree().children(tree.tree().root())[0];
+        let keyword = tree.add_child(service, "keyword", Condition::always());
+        tree.add_child(keyword, "fact0", Condition::always());
+        assert_eq!(tree.num_nodes(), nodes);
+        let mut doc = Document::new(tree);
+        let first = engine.apply_doc(&mut doc, &retract);
+        assert_eq!(first.report.scope, StepScope::Whole);
+        for _ in 0..3 {
+            let delta = engine.apply_doc(&mut doc, &retract);
+            let report = &delta.report;
+            assert_eq!(report.scope, StepScope::Region);
+            assert_eq!(
+                report.nodes_after, nodes,
+                "a retraction keeps one survivor copy"
+            );
+            let delta_nodes = delta.nodes_removed + delta.nodes_inserted + delta.rewritten.len();
+            assert_eq!(delta_nodes, 4, "the keyword fact out, its survivor copy in");
+            let visited = report.simplify_visited + report.delta_visited;
+            assert!(
+                visited <= REGION_VISITS_PER_DELTA_NODE * delta_nodes,
+                "{nodes} nodes: visited {visited} for a delta of {delta_nodes}"
+            );
+        }
+        group.bench_with_input(BenchmarkId::from_parameter(nodes), &doc, |b, doc| {
+            b.iter(|| engine.apply_doc(&mut doc.fork(), &retract));
+        });
+    }
+    group.finish();
+}
+
 fn config() -> Criterion {
     if quick() {
         Criterion::default()
@@ -336,6 +389,6 @@ criterion_group! {
     targets = bench_insertions, bench_theorem3_deletion,
         bench_theorem3_insertion_contrast, bench_deletion_blowup_control,
         bench_dedup_memory, bench_nested_target_deletion,
-        bench_update_scripts
+        bench_update_scripts, bench_region_commits
 }
 criterion_main!(benches);

@@ -12,9 +12,7 @@
 //! Cleaning preserves structural equivalence and is the first step of the
 //! Figure 3 randomized equivalence algorithm.
 
-use std::collections::HashMap;
-
-use pxml_events::{Condition, Literal, Probability, Semiring};
+use pxml_events::{Condition, EventTable, Literal, Probability, Semiring};
 use pxml_tree::NodeId;
 
 use crate::probtree::ProbTree;
@@ -23,62 +21,75 @@ use crate::probtree::ProbTree;
 /// materialized first: cleaning rewrites conditions in place, which the
 /// immutable stored shapes do not support.
 pub fn clean(tree: &ProbTree) -> ProbTree {
-    clean_traced(tree).0
+    let mut work = tree.expanded().into_owned();
+    let root = work.tree().root();
+    let walked = clean_below(&mut work, root, Condition::always());
+    for node in walked.dropped {
+        work.detach(node);
+    }
+    work.compact().0
 }
 
-/// [`clean`] plus the node mapping from ids in `tree` (after expansion —
-/// expansion appends, so pre-existing arena ids are stable) to ids in the
-/// returned tree. `None` means the identity mapping; nodes absent from the
-/// map were pruned. The update engine threads these maps through its
-/// simplification chain to build the ground-truth [`crate::UpdateDelta`].
-pub fn clean_traced(tree: &ProbTree) -> (ProbTree, Option<HashMap<NodeId, NodeId>>) {
-    let mut work = tree.expanded().into_owned();
-    let mut to_detach: Vec<NodeId> = Vec::new();
+/// What one top-down cleaning or pruning walk did. Conditions are
+/// rewritten in place; dropped nodes are left attached for the caller to
+/// detach, and their subtrees are not walked.
+#[derive(Debug, Default)]
+pub(crate) struct Walked {
+    /// Nodes the walk examined.
+    pub(crate) visited: usize,
+    /// Nodes whose condition lost literals.
+    pub(crate) rewritten: Vec<NodeId>,
+    /// Nodes that can never be present, to be detached with their
+    /// subtrees.
+    pub(crate) dropped: Vec<NodeId>,
+}
 
-    // Pre-order walk guarantees ancestors are processed before descendants,
-    // so ancestor conditions read below are already cleaned.
-    let nodes: Vec<NodeId> = work.tree().iter().collect();
-    for node in nodes {
-        if node == work.tree().root() {
-            continue;
-        }
-        let ancestor = work.ancestor_condition(node);
-        if !ancestor.is_consistent() {
-            // An ancestor is already impossible; this node can never exist.
-            to_detach.push(node);
-            continue;
-        }
-        let own = work.condition(node);
-        let mut kept: Vec<Literal> = Vec::new();
-        let mut inconsistent = !own.is_consistent();
-        for &literal in own.literals() {
-            if ancestor.literals().contains(&literal.negated()) {
-                // Contradicts an ancestor: the node can never be present.
-                inconsistent = true;
-                break;
-            }
-            if ancestor.literals().contains(&literal) {
-                // Superfluous: already guaranteed by the ancestor.
+/// Cleans the subtree rooted at `top`, whose strict ancestors' conditions
+/// union to `ancestors`. Each node's cleaning depends only on its own
+/// condition and that union, and cleaning keeps every path's union
+/// unchanged, so the walk carries the union down and visits each node
+/// once. The tree root, which carries no condition, is walked through.
+pub(crate) fn clean_below(tree: &mut ProbTree, top: NodeId, ancestors: Condition) -> Walked {
+    let mut walked = Walked::default();
+    let root = tree.tree().root();
+    let mut stack = vec![(top, ancestors)];
+    while let Some((node, ancestors)) = stack.pop() {
+        let own = if node == root {
+            Condition::always()
+        } else {
+            walked.visited += 1;
+            let own = tree.condition(node);
+            if !ancestors.is_consistent() || !own.is_consistent() {
+                walked.dropped.push(node);
                 continue;
             }
-            kept.push(literal);
-        }
-        if inconsistent {
-            to_detach.push(node);
-        } else {
-            work.set_condition(node, Condition::from_literals(kept));
+            let mut kept: Vec<Literal> = Vec::with_capacity(own.len());
+            let mut contradicts = false;
+            for &literal in own.literals() {
+                if ancestors.literals().contains(&literal.negated()) {
+                    contradicts = true;
+                    break;
+                }
+                if !ancestors.literals().contains(&literal) {
+                    kept.push(literal);
+                }
+            }
+            if contradicts {
+                walked.dropped.push(node);
+                continue;
+            }
+            if kept.len() != own.len() {
+                tree.set_condition(node, Condition::from_literals(kept));
+                walked.rewritten.push(node);
+            }
+            own
+        };
+        let below = ancestors.and(&own);
+        for &child in tree.tree().children(node).iter().rev() {
+            stack.push((child, below.clone()));
         }
     }
-    for node in to_detach {
-        // A node may already hang below a previously detached ancestor; the
-        // arena detach is idempotent enough for our purposes (detaching a
-        // node whose parent was detached is harmless).
-        if work.tree().parent(node).is_some() {
-            work.detach(node);
-        }
-    }
-    let (compacted, mapping) = work.compact();
-    (compacted, Some(mapping))
+    walked
 }
 
 /// Prunes the branches a **certain** event makes impossible and drops the
@@ -94,15 +105,7 @@ pub fn clean_traced(tree: &ProbTree) -> (ProbTree, Option<HashMap<NodeId, NodeId
 /// it is part of the update engine's simplification chain, whose contract
 /// is agreement with `apply_to_pw_set` up to normalization.
 pub fn prune_certain(tree: &ProbTree) -> ProbTree {
-    prune_certain_traced(tree).0
-}
-
-/// [`prune_certain`] plus the node mapping, with the same contract as
-/// [`clean_traced`]. The no-certain-event early return yields `None`
-/// (identity) without scanning. Equivalent to [`prune_certain_traced_in`]
-/// under the [`Probability`] semiring.
-pub fn prune_certain_traced(tree: &ProbTree) -> (ProbTree, Option<HashMap<NodeId, NodeId>>) {
-    prune_certain_traced_in(tree, &Probability)
+    prune_certain_in(tree, &Probability)
 }
 
 /// [`prune_certain`] generalized over a [`Semiring`]: a literal is dropped
@@ -113,62 +116,65 @@ pub fn prune_certain_traced(tree: &ProbTree) -> (ProbTree, Option<HashMap<NodeId
 /// keeps its historical behavior); under `Counting` or `Lineage` no
 /// literal is ever certain and the pass is the identity.
 pub fn prune_certain_in<S: Semiring>(tree: &ProbTree, semiring: &S) -> ProbTree {
-    prune_certain_traced_in(tree, semiring).0
-}
-
-/// [`prune_certain_in`] plus the node mapping, with the same contract as
-/// [`clean_traced`].
-pub fn prune_certain_traced_in<S: Semiring>(
-    tree: &ProbTree,
-    semiring: &S,
-) -> (ProbTree, Option<HashMap<NodeId, NodeId>>) {
-    // Fresh confidence events are always < 1, so most trees have no
-    // certain event at all — skip the scan-and-compact entirely. (Under
-    // `Probability` only positive literals on π = 1 events are certain and
-    // only their negations are impossible, so checking both polarities per
-    // event reduces to the historical `π < 1 for all events` early
-    // return.)
-    let events = tree.events();
-    if events.iter().all(|e| {
-        !semiring.literal_certain(Literal::pos(e), events)
-            && !semiring.literal_certain(Literal::neg(e), events)
-    }) {
-        return (tree.clone(), None);
+    if !has_certain_literals(tree.events(), semiring) {
+        return tree.clone();
     }
     let mut work = tree.expanded().into_owned();
-    let mut to_detach: Vec<NodeId> = Vec::new();
-    let nodes: Vec<NodeId> = work.tree().iter().collect();
-    for node in nodes {
-        if node == work.tree().root() {
-            continue;
-        }
-        let own = work.condition(node);
-        let mut kept: Vec<Literal> = Vec::new();
-        let mut impossible = false;
-        for &literal in own.literals() {
-            if semiring.literal_certain(literal, work.events()) {
-                continue; // certainly true: superfluous
-            }
-            if semiring.is_zero(&semiring.literal(literal, work.events())) {
-                impossible = true; // certainly false: dead branch
-                break;
-            }
-            kept.push(literal);
-        }
-        if impossible {
-            to_detach.push(node);
-        } else if kept.len() != own.len() {
-            work.set_condition(node, Condition::from_literals(kept));
-        }
+    let root = work.tree().root();
+    let walked = prune_below(&mut work, root, semiring);
+    for node in walked.dropped {
+        work.detach(node);
     }
-    for node in to_detach {
-        // Guard as in `clean`: an ancestor may already be detached.
-        if work.tree().parent(node).is_some() {
-            work.detach(node);
+    work.compact().0
+}
+
+/// Whether any literal over `events` is certain (or, equivalently, its
+/// negation impossible) in the semiring's sense. Fresh confidence events
+/// are always < 1, so most trees have none and pruning has nothing to do.
+/// (Under `Probability` only positive literals on π = 1 events are
+/// certain and only their negations are impossible.)
+pub(crate) fn has_certain_literals<S: Semiring>(events: &EventTable, semiring: &S) -> bool {
+    events.iter().any(|e| {
+        semiring.literal_certain(Literal::pos(e), events)
+            || semiring.literal_certain(Literal::neg(e), events)
+    })
+}
+
+/// Prunes the subtree rooted at `top` under certain events, with the
+/// contract of [`clean_below`]. Each node's pruning depends only on its
+/// own literals. The tree root is walked through.
+pub(crate) fn prune_below<S: Semiring>(tree: &mut ProbTree, top: NodeId, semiring: &S) -> Walked {
+    let mut walked = Walked::default();
+    let root = tree.tree().root();
+    let mut stack = vec![top];
+    while let Some(node) = stack.pop() {
+        if node != root {
+            walked.visited += 1;
+            let own = tree.condition(node);
+            let mut kept: Vec<Literal> = Vec::with_capacity(own.len());
+            let mut impossible = false;
+            for &literal in own.literals() {
+                if semiring.literal_certain(literal, tree.events()) {
+                    continue; // certainly true: superfluous
+                }
+                if semiring.is_zero(&semiring.literal(literal, tree.events())) {
+                    impossible = true; // certainly false: dead branch
+                    break;
+                }
+                kept.push(literal);
+            }
+            if impossible {
+                walked.dropped.push(node);
+                continue;
+            }
+            if kept.len() != own.len() {
+                tree.set_condition(node, Condition::from_literals(kept));
+                walked.rewritten.push(node);
+            }
         }
+        stack.extend(tree.tree().children(node).iter().rev());
     }
-    let (compacted, mapping) = work.compact();
-    (compacted, Some(mapping))
+    walked
 }
 
 /// `true` if `tree` is already clean: no node condition repeats or

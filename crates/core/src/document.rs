@@ -5,9 +5,7 @@
 //! and stamps every state with a monotone [`Epoch`]. Each
 //! [`UpdateEngine::apply_doc`](crate::UpdateEngine::apply_doc) step
 //! commits a new epoch together with an [`UpdateDelta`] — the ground
-//! truth of what the step did to the tree, reconstructed from the node
-//! mapping the engine threads through its compaction and simplification
-//! chain:
+//! truth of what the step did to the tree:
 //!
 //! * **removed** — nodes of the old frame with no image in the new frame
 //!   (deletion targets, pruned branches, merged sibling copies), reported
@@ -18,12 +16,22 @@
 //! * **rewritten** — surviving nodes whose root condition `γ` changed
 //!   (deletion splits, cleaning, certain-event pruning).
 //!
-//! Because the delta is *diffed from the result* rather than predicted
-//! from the step, it is exact no matter which simplification passes
-//! fired. [`PreparedQuery::maintain`](crate::PreparedQuery::maintain)
-//! consumes the log to patch prepared state in place, falling back to a
-//! full re-prepare only when a delta's label footprint intersects the
-//! query's spine labels.
+//! A document remembers whether its frame is a fixpoint of the committing
+//! engine's simplification. While it is, a step runs in
+//! [`StepScope::Region`](crate::update::engine::StepScope::Region): the
+//! engine simplifies only the subtrees the step touched and derives the
+//! delta from those same nodes — removed and inserted subtrees, and no
+//! rewrites, since cleaning an untouched node changes nothing. Otherwise
+//! (a fresh document's first commit, or after a simplify that did not
+//! converge) the step runs over the whole tree and the delta is diffed
+//! from the two frames through the node mapping the engine threads
+//! through its single compaction; the property suites keep that diff as
+//! the oracle of the region's delta. Either way the delta is exact no
+//! matter which simplification passes fired.
+//! [`PreparedQuery::maintain`](crate::PreparedQuery::maintain) consumes
+//! the log to patch prepared state in place, falling back to a full
+//! re-prepare only when a delta's label footprint intersects the query's
+//! spine labels.
 //!
 //! Snapshots are cheap ([`Document::snapshot`] clones an `Arc`), so
 //! readers hold on to the exact epoch they prepared against while the
@@ -37,7 +45,7 @@ use pxml_tree::NodeId;
 
 use crate::probtree::ProbTree;
 use crate::update::engine::StepReport;
-use crate::update::simplify::NodeMapping;
+use crate::update::simplify::{Census, SimplifyConfig};
 
 /// Monotone version stamp of a [`Document`] state. Epoch 0 is the state
 /// the document was created with; every committed update step adds 1.
@@ -107,19 +115,20 @@ impl UpdateDelta {
         }
     }
 
-    /// Diffs two consecutive frames given the engine's composed node
-    /// mapping. Both frames must be fully expanded (the [`Document`]
-    /// invariant), so arena iteration covers every logical node.
-    fn diff(
+    /// Diffs two consecutive frames given the engine's node mapping. Both
+    /// frames must be fully expanded (the [`Document`] invariant), so
+    /// arena iteration covers every logical node. The whole-scope delta,
+    /// and the oracle the region-scope delta is tested against.
+    pub(crate) fn diff(
         old: &ProbTree,
         new: &ProbTree,
-        mapping: &NodeMapping,
+        node_map: Option<HashMap<NodeId, NodeId>>,
         epoch: Epoch,
         report: StepReport,
     ) -> Self {
         let mut delta = UpdateDelta {
             epoch,
-            node_map: mapping.clone(),
+            node_map,
             removed_labels: BTreeSet::new(),
             inserted_labels: BTreeSet::new(),
             rewritten: BTreeSet::new(),
@@ -127,11 +136,13 @@ impl UpdateDelta {
             nodes_inserted: 0,
             report,
         };
-        let Some(map) = mapping else {
+        let Some(map) = &delta.node_map else {
             return delta; // identity: the step had no matches
         };
         let mut image: HashSet<NodeId> = HashSet::with_capacity(map.len());
+        let mut visited = 0;
         for old_node in old.tree().iter() {
+            visited += 1;
             let Some(&new_node) = map.get(&old_node) else {
                 delta
                     .removed_labels
@@ -150,6 +161,7 @@ impl UpdateDelta {
             }
         }
         for new_node in new.tree().iter() {
+            visited += 1;
             if !image.contains(&new_node) {
                 delta
                     .inserted_labels
@@ -157,7 +169,29 @@ impl UpdateDelta {
                 delta.nodes_inserted += 1;
             }
         }
+        delta.report.delta_visited += visited;
         delta
+    }
+
+    /// The region-scope delta: the removed and inserted nodes were counted
+    /// over the touched subtrees, and no surviving node's condition
+    /// changed (cleaning and pruning only rewrite nodes the step added).
+    pub(crate) fn from_census(
+        epoch: Epoch,
+        node_map: Option<HashMap<NodeId, NodeId>>,
+        census: Census,
+        report: StepReport,
+    ) -> Self {
+        UpdateDelta {
+            epoch,
+            node_map,
+            removed_labels: census.removed_labels,
+            inserted_labels: census.inserted_labels,
+            rewritten: BTreeSet::new(),
+            nodes_removed: census.removed_nodes,
+            nodes_inserted: census.inserted_nodes,
+            report,
+        }
     }
 }
 
@@ -270,23 +304,48 @@ impl DeltaWindow {
 /// re-prepare.
 pub const DEFAULT_DELTA_LOG_CAPACITY: usize = 256;
 
-/// A fully-applied but not-yet-committed update step: the new tree, the
-/// engine telemetry and the traced node mapping, stamped with the
-/// document identity and epoch it was staged against.
+/// A fully-applied but not-yet-committed update step: the new tree and
+/// the delta it commits with, stamped with the document identity and
+/// epoch it was staged against.
 ///
 /// Produced by [`UpdateEngine::stage_doc`](crate::UpdateEngine::stage_doc)
-/// — which does the expensive work (matching, grafting, simplification)
-/// against the current snapshot — and committed by
-/// [`Document::commit_staged`], which only diffs and swaps the `Arc`.
-/// The split is what lets the warehouse server stage steps under a
-/// *read* lock and keep its writer lock to the cheap commit.
+/// — which does all the work (matching, grafting, simplification, the
+/// delta) against the current snapshot — and committed by
+/// [`Document::commit_staged`], which only checks the stamp, swaps the
+/// `Arc` and appends the delta to the log. The split is what lets the
+/// warehouse server stage steps under a *read* lock and keep its writer
+/// lock to the cheap commit.
 #[derive(Debug)]
 pub struct StagedStep {
     pub(crate) doc: DocumentId,
     pub(crate) base_epoch: Epoch,
     pub(crate) tree: ProbTree,
-    pub(crate) report: StepReport,
-    pub(crate) mapping: NodeMapping,
+    pub(crate) delta: UpdateDelta,
+    pub(crate) next: NextFrame,
+}
+
+/// A document frame known to be a simplify fixpoint, with its logical
+/// size: what a region-scoped step needs to know about its base.
+#[derive(Clone, Debug)]
+pub(crate) struct Fixpoint {
+    /// The configuration under which no simplify pass changes the frame.
+    pub(crate) config: SimplifyConfig,
+    /// Logical nodes of the frame.
+    pub(crate) nodes: usize,
+    /// Literals of the frame.
+    pub(crate) literals: usize,
+}
+
+/// What committing a [`StagedStep`] tells the document about its next
+/// frame.
+#[derive(Debug)]
+pub(crate) enum NextFrame {
+    /// The step matched nothing: the frame is the same tree.
+    Unchanged,
+    /// The step's simplify converged.
+    Fixpoint(Fixpoint),
+    /// The step's simplify did not run or did not converge.
+    Unknown,
 }
 
 impl StagedStep {
@@ -355,6 +414,8 @@ pub struct Document {
     log: VecDeque<Arc<UpdateDelta>>,
     base_epoch: Epoch,
     log_capacity: usize,
+    /// Set while `tree` is a simplify fixpoint (see the module docs).
+    fixpoint: Option<Fixpoint>,
 }
 
 impl Document {
@@ -377,6 +438,7 @@ impl Document {
             log: VecDeque::new(),
             base_epoch: 0,
             log_capacity,
+            fixpoint: None,
         }
     }
 
@@ -393,6 +455,11 @@ impl Document {
     /// The current tree.
     pub fn tree(&self) -> &ProbTree {
         &self.tree
+    }
+
+    /// The current frame's simplify-fixpoint record, if any.
+    pub(crate) fn fixpoint(&self) -> Option<&Fixpoint> {
+        self.fixpoint.as_ref()
     }
 
     /// A cheap owning snapshot of the current tree (an `Arc` clone).
@@ -428,7 +495,8 @@ impl Document {
     /// 0, empty delta log, **sharing** the current snapshot `Arc` — the
     /// tree is never mutated in place (commits swap in a new `Arc`), so a
     /// fork is O(1) and copy-on-write falls out: the branches' trees only
-    /// diverge when one of them commits.
+    /// diverge when one of them commits. The fork inherits whether the
+    /// frame is a simplify fixpoint.
     pub fn fork(&self) -> Document {
         Document {
             id: DocumentId::fresh(),
@@ -437,6 +505,7 @@ impl Document {
             log: VecDeque::new(),
             base_epoch: 0,
             log_capacity: self.log_capacity,
+            fixpoint: self.fixpoint.clone(),
         }
     }
 
@@ -456,34 +525,24 @@ impl Document {
                 current: self.epoch,
             });
         }
-        Ok(self.commit(staged.tree, staged.report, staged.mapping))
-    }
-
-    /// Commits the result of one engine step as the next epoch, diffing
-    /// the structured delta out of the traced node mapping.
-    pub(crate) fn commit(
-        &mut self,
-        new_tree: ProbTree,
-        report: StepReport,
-        mapping: NodeMapping,
-    ) -> Arc<UpdateDelta> {
-        let mut new_tree = new_tree;
-        // Survivor grafting may have introduced handles; restore the
-        // fully-expanded invariant. Expansion appends arena nodes without
-        // renaming, so the traced mapping stays valid and the faulted-in
-        // copies are picked up as insertions by the diff.
-        new_tree.expand_all();
         self.epoch += 1;
-        let delta = Arc::new(UpdateDelta::diff(
-            &self.tree, &new_tree, &mapping, self.epoch, report,
-        ));
-        self.tree = Arc::new(new_tree);
+        debug_assert_eq!(staged.delta.epoch, self.epoch);
+        let delta = Arc::new(staged.delta);
+        // The replaced frame is dropped here unless a snapshot still holds
+        // it (the warehouse keeps one so the drop happens outside its
+        // exclusive lock).
+        self.tree = Arc::new(staged.tree);
         self.log.push_back(Arc::clone(&delta));
         while self.log.len() > self.log_capacity {
             self.log.pop_front();
             self.base_epoch += 1;
         }
-        delta
+        match staged.next {
+            NextFrame::Unchanged => {}
+            NextFrame::Fixpoint(fixpoint) => self.fixpoint = Some(fixpoint),
+            NextFrame::Unknown => self.fixpoint = None,
+        }
+        Ok(delta)
     }
 }
 

@@ -445,9 +445,10 @@ impl ProbTree {
     /// mapping.
     pub fn compact(&self) -> (ProbTree, HashMap<NodeId, NodeId>) {
         let (tree, mapping) = self.tree.compact();
-        let mut conditions = HashMap::new();
-        for (old, new) in &mapping {
-            if let Some(c) = self.conditions.get(old) {
+        // Conditions and handles are sparse: walk them, not the mapping.
+        let mut conditions = HashMap::with_capacity(self.conditions.len());
+        for (old, c) in &self.conditions {
+            if let Some(new) = mapping.get(old) {
                 if !c.is_empty() {
                     conditions.insert(*new, c.clone());
                 }
@@ -456,8 +457,8 @@ impl ProbTree {
         let mut store = NodeStore::new();
         let mut memo: HashMap<ShapeId, ShapeId> = HashMap::new();
         let mut handles: HashMap<NodeId, Vec<SharedChild>> = HashMap::new();
-        for (old, new) in &mapping {
-            if let Some(entries) = self.handles.get(old) {
+        for (old, entries) in &self.handles {
+            if let Some(new) = mapping.get(old) {
                 if entries.is_empty() {
                     continue;
                 }
@@ -499,11 +500,14 @@ impl ProbTree {
         &self.store
     }
 
-    /// Whether any reachable node has shared children.
+    /// Whether any reachable node has shared children. O(1) on a tree
+    /// without handles (every document frame).
     pub fn has_shared(&self) -> bool {
-        self.tree
-            .iter()
-            .any(|n| self.handles.get(&n).is_some_and(|hs| !hs.is_empty()))
+        !self.handles.is_empty()
+            && self
+                .tree
+                .iter()
+                .any(|n| self.handles.get(&n).is_some_and(|hs| !hs.is_empty()))
     }
 
     /// Materializes the shared children of `node` as arena nodes (in
@@ -540,7 +544,11 @@ impl ProbTree {
     }
 
     /// Fully materializes the tree: faults in every reachable handle.
+    /// O(1) on a tree without handles.
     pub fn expand_all(&mut self) {
+        if self.handles.is_empty() {
+            return;
+        }
         let root = self.tree.root();
         self.fault_in_subtree(root);
     }
@@ -588,22 +596,31 @@ impl ProbTree {
 
     /// Memory accounting of the shared representation: logical size
     /// versus physically stored nodes, and the resulting dedup ratio.
+    /// One walk over the arena.
     pub fn memory_stats(&self) -> MemoryStats {
         let mut arena_nodes = 0usize;
+        let mut logical_nodes = 0usize;
+        let mut logical_literals = 0usize;
         let mut shared_occurrences = 0usize;
         let mut roots: Vec<ShapeId> = Vec::new();
         for n in self.tree.iter() {
             arena_nodes += 1;
+            logical_nodes += 1;
+            logical_literals += self.conditions.get(&n).map_or(0, Condition::len);
             if let Some(entries) = self.handles.get(&n) {
                 shared_occurrences += entries.len();
-                roots.extend(entries.iter().map(|h| h.shape));
+                for h in entries {
+                    logical_nodes += self.store.size(h.shape);
+                    logical_literals += h.condition.len() + self.store.weight(h.shape);
+                    roots.push(h.shape);
+                }
             }
         }
         let distinct_shapes = self.store.reachable_from(roots).len();
         MemoryStats {
-            logical_nodes: self.num_nodes(),
+            logical_nodes,
             distinct_nodes: arena_nodes + distinct_shapes,
-            logical_literals: self.num_literals(),
+            logical_literals,
             shared_occurrences,
             store_live_shapes: self.store.num_live(),
         }

@@ -27,16 +27,17 @@
 //!    pass re-covers what the ordering alone cannot.
 
 use std::cmp::Reverse;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
-use pxml_events::{Condition, EventId, Literal};
+use pxml_events::{Condition, EventId, Literal, Probability};
 use pxml_tree::{DataTree, NodeId};
 
+use crate::document::{Fixpoint, NextFrame};
 use crate::probtree::ProbTree;
 use crate::query::pattern::{PatternMatch, PatternNodeId, PatternQuery};
 
 use super::script::{ScriptReport, UpdateScript};
-use super::simplify::{compose_mappings, simplify_traced, NodeMapping, SimplifyConfig};
+use super::simplify::{simplify_scoped, Census, Scope, SimplifyConfig, Touched};
 use super::{ProbabilisticUpdate, UpdateAction};
 
 /// Configuration of an [`UpdateEngine`].
@@ -231,6 +232,34 @@ pub struct StepReport {
     /// provably cannot reach inside any stored shape, so matching on the
     /// arena alone is exact and the input DAG stays compact across steps.
     pub entry_expansion_skipped: bool,
+    /// Which part of the tree the step's simplification, sizes and delta
+    /// covered.
+    pub scope: StepScope,
+    /// Nodes the simplification visited: cleaned or pruned, scanned as
+    /// children of a parent whose sibling-cover merge ran, or interned for
+    /// a shape code (0 when simplification is off or nothing matched).
+    pub simplify_visited: usize,
+    /// Nodes the step's sizes and [`UpdateDelta`](crate::UpdateDelta) were
+    /// derived from: the touched subtrees in [`StepScope::Region`], both
+    /// frames of the two-frame diff on a document in
+    /// [`StepScope::Whole`], 0 outside a document.
+    pub delta_visited: usize,
+}
+
+/// The part of the tree an update step's simplification, sizes and delta
+/// covered; see [`StepReport::scope`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum StepScope {
+    /// The whole tree: one-shot [`UpdateEngine::apply`], and any document
+    /// commit whose base frame is not known to be a simplify fixpoint
+    /// under the engine's [`SimplifyConfig`] (a fresh document's first
+    /// commit, or the commit after one whose simplify did not converge).
+    Whole,
+    /// Only what the step touched, on a document frame that is a simplify
+    /// fixpoint: the subtrees it grafted, the parents it grafted under or
+    /// detached from, and their ancestors. Gives exactly the whole scope's
+    /// result.
+    Region,
 }
 
 impl StepReport {
@@ -290,20 +319,14 @@ impl UpdateEngine {
     /// copies this step grafts are shared in the output (unless
     /// [`UpdateEngineConfig::survivor_sharing`] is off).
     pub fn apply(&self, tree: &ProbTree, update: &ProbabilisticUpdate) -> (ProbTree, StepReport) {
-        let (updated, report, _) = self.apply_traced(tree, update, false);
-        (updated, report)
+        let step = self.run(tree, update, None);
+        (step.tree, step.report)
     }
 
-    /// [`UpdateEngine::apply`] plus, when `trace` is set, the composed node
-    /// mapping from ids of the (expanded) input to ids of the output —
-    /// the raw material [`crate::Document::commit`] diffs into an
-    /// [`crate::UpdateDelta`]. With `trace` off no mapping is collected.
-    pub(crate) fn apply_traced(
-        &self,
-        tree: &ProbTree,
-        update: &ProbabilisticUpdate,
-        trace: bool,
-    ) -> (ProbTree, StepReport, NodeMapping) {
+    /// One step in the given scope: the whole tree, or — given the logical
+    /// size of a `base` frame that is a fully expanded simplify fixpoint
+    /// under this engine's configuration — only the touched region.
+    fn run(&self, tree: &ProbTree, update: &ProbabilisticUpdate, base: Option<&Fixpoint>) -> Step {
         // Satellite of the cross-step sharing gap: when no query label can
         // occur inside any stored shape, arena-only matching is exact and
         // the input's sharing survives the step.
@@ -316,25 +339,52 @@ impl UpdateEngine {
             expanded.as_ref()
         };
         let matches = update.operation.query.matches(tree.tree());
+        // (logical nodes, literals, distinct nodes) in one walk.
+        let measure = |tree: &ProbTree| {
+            let stats = tree.memory_stats();
+            (
+                stats.logical_nodes,
+                stats.logical_literals,
+                stats.distinct_nodes,
+            )
+        };
+        let (nodes_before, literals_before, distinct_before) = match base {
+            Some(base) => (base.nodes, base.literals, base.nodes),
+            None => measure(tree),
+        };
         let mut report = StepReport {
             matches: matches.len(),
             targets: 0,
             new_event: None,
-            nodes_before: tree.num_nodes(),
-            literals_before: tree.num_literals(),
-            nodes_raw: tree.num_nodes(),
-            literals_raw: tree.num_literals(),
-            nodes_after: tree.num_nodes(),
-            literals_after: tree.num_literals(),
+            nodes_before,
+            literals_before,
+            nodes_raw: nodes_before,
+            literals_raw: literals_before,
+            nodes_after: nodes_before,
+            literals_after: literals_before,
             survivor_copies: 0,
-            distinct_nodes_raw: tree.num_nodes(),
-            distinct_nodes_after: tree.num_nodes(),
+            distinct_nodes_raw: distinct_before,
+            distinct_nodes_after: distinct_before,
             entry_expansion_skipped: skip_entry,
+            scope: if base.is_some() {
+                StepScope::Region
+            } else {
+                StepScope::Whole
+            },
+            simplify_visited: 0,
+            delta_visited: 0,
         };
         if matches.is_empty() {
-            return (tree.clone(), report, None);
+            return Step {
+                tree: tree.clone(),
+                report,
+                mapping: None,
+                census: None,
+                converged: None,
+            };
         }
         let mut out = tree.clone();
+        let mut touched = Touched::new(out.tree().arena_len());
         let new_event = if update.confidence < 1.0 {
             Some(out.events_mut().fresh(update.confidence))
         } else {
@@ -343,35 +393,78 @@ impl UpdateEngine {
         report.new_event = new_event;
         match &update.operation.action {
             UpdateAction::Insert { at, subtree } => {
-                report.targets =
-                    self.apply_insertion(&mut out, tree, &matches, *at, subtree, new_event);
+                report.targets = Self::apply_insertion(
+                    &mut out,
+                    tree,
+                    &matches,
+                    *at,
+                    subtree,
+                    new_event,
+                    &mut touched,
+                );
             }
             UpdateAction::Delete { at } => {
                 let (targets, survivors) =
-                    self.apply_deletion(&mut out, tree, &matches, *at, new_event);
+                    self.apply_deletion(&mut out, tree, &matches, *at, new_event, &mut touched);
                 report.targets = targets;
                 report.survivor_copies = survivors;
             }
         }
-        let (raw, compact_mapping) = out.compact();
-        let mut mapping: NodeMapping = trace.then_some(compact_mapping);
-        report.nodes_raw = raw.num_nodes();
-        report.literals_raw = raw.num_literals();
-        report.distinct_nodes_raw = raw.memory_stats().distinct_nodes;
-        let updated = if self.config.simplify {
-            let (simplified, _, simplify_mapping) =
-                simplify_traced(&raw, &self.config.simplify_config);
-            if trace {
-                mapping = compose_mappings(mapping, simplify_mapping);
-            }
-            simplified
-        } else {
-            raw
+        // Ids the step allocated; later ones are simplification's.
+        let step_len = out.tree().arena_len();
+        let grown = |census: &Census| {
+            (
+                nodes_before - census.removed_nodes + census.inserted_nodes,
+                literals_before - census.removed_literals + census.inserted_literals,
+                nodes_before - census.removed_nodes
+                    + census.inserted_arena
+                    + census.inserted_shapes,
+            )
         };
-        report.nodes_after = updated.num_nodes();
-        report.literals_after = updated.num_literals();
-        report.distinct_nodes_after = updated.memory_stats().distinct_nodes;
-        (updated, report, mapping)
+        let raw = if base.is_some() {
+            let census = touched.census(&out);
+            report.delta_visited += census.visited;
+            grown(&census)
+        } else {
+            measure(&out)
+        };
+        (
+            report.nodes_raw,
+            report.literals_raw,
+            report.distinct_nodes_raw,
+        ) = raw;
+        let (updated, mapping, census, converged) = if self.config.simplify {
+            let scope = if base.is_some() {
+                Scope::Region(touched)
+            } else {
+                Scope::Whole
+            };
+            let run = simplify_scoped(out, scope, &self.config.simplify_config, &Probability);
+            report.simplify_visited = run.visited;
+            (run.tree, run.mapping, run.census, Some(run.converged))
+        } else {
+            let (compacted, mapping) = out.compact();
+            (compacted, mapping, None, None)
+        };
+        let after = match &census {
+            Some(census) => {
+                report.delta_visited += census.visited;
+                grown(census)
+            }
+            None => measure(&updated),
+        };
+        (
+            report.nodes_after,
+            report.literals_after,
+            report.distinct_nodes_after,
+        ) = after;
+        Step {
+            tree: updated,
+            report,
+            mapping: Some((mapping, step_len)),
+            census,
+            converged,
+        }
     }
 
     /// Like [`UpdateEngine::apply`], but enforces the configured
@@ -467,7 +560,7 @@ impl UpdateEngine {
     }
 
     /// Applies one update to a [`Document`](crate::Document), committing
-    /// the result as the document's next epoch together with the diffed
+    /// the result as the document's next epoch together with the
     /// [`UpdateDelta`](crate::UpdateDelta) that prepared queries consume
     /// via [`PreparedQuery::maintain`](crate::PreparedQuery::maintain).
     pub fn apply_doc(
@@ -482,25 +575,59 @@ impl UpdateEngine {
 
     /// The first half of [`UpdateEngine::apply_doc`], split off: applies
     /// `update` against the document's current snapshot **without
-    /// committing**. All the expensive work (matching, grafting,
-    /// simplification) happens here under shared access; the returned
+    /// committing**. All the work (matching, grafting, simplification,
+    /// the delta) happens here under shared access; the returned
     /// [`StagedStep`](crate::StagedStep) carries the document identity
     /// and base epoch and commits — cheaply — via
     /// [`Document::commit_staged`](crate::Document::commit_staged). A
     /// commit that lands in between is detected there as an epoch
     /// conflict, so staging is safe to run optimistically.
+    ///
+    /// While the document's frame is a simplify fixpoint under this
+    /// engine's configuration, the step runs in [`StepScope::Region`]:
+    /// simplification, the step's sizes and the delta cover only what the
+    /// step touched. Otherwise it runs in [`StepScope::Whole`] and the
+    /// delta is diffed from the two frames.
     pub fn stage_doc(
         &self,
         doc: &crate::Document,
         update: &ProbabilisticUpdate,
     ) -> crate::StagedStep {
-        let (tree, report, mapping) = self.apply_traced(doc.tree(), update, true);
+        let base = doc
+            .fixpoint()
+            .filter(|f| self.config.simplify && f.config == self.config.simplify_config);
+        let step = self.run(doc.tree(), update, base);
+        let next = match (&step.mapping, step.converged) {
+            (None, _) => NextFrame::Unchanged,
+            (Some(_), Some(true)) => NextFrame::Fixpoint(Fixpoint {
+                config: self.config.simplify_config.clone(),
+                nodes: step.report.nodes_after,
+                literals: step.report.literals_after,
+            }),
+            (Some(_), _) => NextFrame::Unknown,
+        };
+        let mut tree = step.tree;
+        // Documents hold fully expanded frames. Expansion appends arena
+        // nodes without renaming, so the node map stays valid.
+        tree.expand_all();
+        let node_map = step.mapping.map(|(mut mapping, step_len)| {
+            mapping.retain(|old, _| old.index() < step_len);
+            // The compaction sized the map for the whole working arena;
+            // the delta log keeps it for as long as it keeps the delta.
+            mapping.shrink_to_fit();
+            mapping
+        });
+        let epoch = doc.epoch() + 1;
+        let delta = match step.census {
+            Some(census) => crate::UpdateDelta::from_census(epoch, node_map, census, step.report),
+            None => crate::UpdateDelta::diff(doc.tree(), &tree, node_map, epoch, step.report),
+        };
         crate::StagedStep {
             doc: doc.id(),
             base_epoch: doc.epoch(),
             tree,
-            report,
-            mapping,
+            delta,
+            next,
         }
     }
 
@@ -521,13 +648,13 @@ impl UpdateEngine {
     /// Appendix A insertion: one grafted copy of `subtree` per match.
     /// Returns the number of distinct insertion parents.
     fn apply_insertion(
-        &self,
         out: &mut ProbTree,
         original: &ProbTree,
         matches: &[PatternMatch],
         at: PatternNodeId,
         subtree: &DataTree,
         new_event: Option<EventId>,
+        touched: &mut Touched,
     ) -> usize {
         let mut targets: Vec<NodeId> = Vec::new();
         for m in matches {
@@ -541,7 +668,9 @@ impl UpdateEngine {
             if let Some(w) = new_event {
                 root_cond = root_cond.and_literal(Literal::pos(w));
             }
-            out.graft_data_tree(target, subtree, root_cond);
+            touched
+                .grafted
+                .push(out.graft_data_tree(target, subtree, root_cond));
         }
         targets.sort();
         targets.dedup();
@@ -560,6 +689,7 @@ impl UpdateEngine {
         matches: &[PatternMatch],
         at: PatternNodeId,
         new_event: Option<EventId>,
+        touched: &mut Touched,
     ) -> (usize, usize) {
         let by_target = deletion_conditions(original, matches, at, new_event);
         let targets = deletion_order(original, &by_target);
@@ -581,12 +711,15 @@ impl UpdateEngine {
             if self.config.survivor_sharing {
                 // One interned shape chain, k O(1) handles.
                 out.duplicate_subtree_n(parent, target, &root_conditions);
+                touched.shared_under.push(parent);
             } else {
                 for condition in root_conditions {
-                    out.duplicate_subtree_deep(parent, target, condition);
+                    let copy = out.duplicate_subtree_deep(parent, target, condition);
+                    touched.grafted.push(copy);
                 }
             }
             out.detach(target);
+            touched.detached.push((parent, target));
         }
         (targets.len(), survivor_copies)
     }
@@ -636,6 +769,24 @@ impl UpdateEngine {
         }
         survivors
     }
+}
+
+/// What [`UpdateEngine::run`] produced for one step.
+struct Step {
+    /// The updated tree, compacted (it may hold shared children).
+    tree: ProbTree,
+    report: StepReport,
+    /// The final compaction's mapping into `tree`, with the arena length
+    /// after the step's own grafts: keys below it are ids of the
+    /// (expanded) input or of nodes the step grafted; keys at or above it
+    /// were faulted in or copied by simplification. `None` when nothing
+    /// matched.
+    mapping: Option<(HashMap<NodeId, NodeId>, usize)>,
+    /// Region scope: what the step removed and inserted.
+    census: Option<Census>,
+    /// Whether simplification ran and converged; `None` when it did not
+    /// run.
+    converged: Option<bool>,
 }
 
 /// `true` when arena-only matching of `query` on `tree` is exact — the

@@ -36,7 +36,8 @@ pub mod script;
 pub mod simplify;
 
 pub use engine::{
-    DeletionForecast, StepReport, SurvivorBudgetExceeded, UpdateEngine, UpdateEngineConfig,
+    DeletionForecast, StepReport, StepScope, SurvivorBudgetExceeded, UpdateEngine,
+    UpdateEngineConfig,
 };
 pub use script::{ScriptReport, UpdateScript};
 pub use simplify::{simplify, simplify_with, simplify_with_in, SimplifyConfig, SimplifyReport};

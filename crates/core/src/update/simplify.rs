@@ -19,40 +19,29 @@
 //!    valuation produces the same multiset of child instances — this step
 //!    preserves structural equivalence, which is exactly why the survivor
 //!    copies a deletion scatters under one parent are its natural prey.
+//!
+//! One run visits only what can change. In the *whole* scope the first
+//! pass cleans, prunes and merges everywhere; every later pass revisits
+//! only the copies the previous pass's merges grafted and the parents
+//! whose children those merges changed. The *region* scope applies the
+//! same rule from the first pass on: on a tree that was already a
+//! fixpoint, an update step changes nothing outside the subtrees it
+//! grafted and the parents it grafted under or detached from. Cleaning a
+//! node depends only on its own condition and its ancestors', pruning only
+//! on its own, and the merge at a parent only on that parent's children;
+//! [`SimplifyConfig::max_merge_group`] states the one rule that keeps the
+//! merge exact.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
-use pxml_events::{Condition, Dnf, Probability, Semiring};
-use pxml_tree::{AnnotatedCanonInterner, NodeId};
+use pxml_events::{Condition, Dnf, Literal, Probability, Semiring};
+use pxml_tree::{AnnotatedCanonInterner, NodeId, ShapeId};
 
-use crate::clean::{clean_traced, prune_certain_traced_in};
+use crate::clean::{clean_below, has_certain_literals, prune_below, Walked};
 use crate::probtree::ProbTree;
 
-/// A node mapping across one rewrite, as threaded through the
-/// simplification chain: `None` is the identity, `Some(map)` sends each
-/// surviving pre-rewrite id to its post-rewrite id (absent ids were
-/// pruned). Rewrites only ever *append* arena nodes before compacting, so
-/// pre-existing ids are stable until the final compaction and maps compose
-/// by straight lookup.
-pub(crate) type NodeMapping = Option<HashMap<NodeId, NodeId>>;
-
-/// Composes two node mappings: `first` (old → mid) then `second`
-/// (mid → new).
-pub(crate) fn compose_mappings(first: NodeMapping, second: NodeMapping) -> NodeMapping {
-    match (first, second) {
-        (None, second) => second,
-        (first, None) => first,
-        (Some(first), Some(second)) => Some(
-            first
-                .into_iter()
-                .filter_map(|(old, mid)| second.get(&mid).map(|&new| (old, new)))
-                .collect(),
-        ),
-    }
-}
-
 /// Configuration of the [`simplify`] pass.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SimplifyConfig {
     /// Run [`clean`](crate::clean::clean) each pass (default: `true`).
     pub clean: bool,
@@ -64,9 +53,14 @@ pub struct SimplifyConfig {
     /// Shannon expansion is exponential in the support in the worst case;
     /// default: 20).
     pub max_merge_support: usize,
-    /// Skip cover merging for sibling groups larger than this (the
-    /// pairwise disjointness test is quadratic in the group; default:
-    /// 1024).
+    /// Skip cover merging for sibling groups with more merge candidates
+    /// than this (the pairwise disjointness test is quadratic in the
+    /// group; default: 1024). A *candidate* is a child with a same-label
+    /// sibling holding the complement of one of its literals; no other
+    /// child can join a clique of mutually exclusive conditions, so only
+    /// candidates are grouped and counted. Children without a condition
+    /// are never candidates, which is what lets the region scope skip a
+    /// parent whose only changed children are unconditioned.
     pub max_merge_group: usize,
     /// Upper bound on chained passes (default: 4 — merging children can
     /// make their parents mergeable in turn).
@@ -122,8 +116,7 @@ pub fn simplify(tree: &ProbTree) -> ProbTree {
 /// to it whenever `prune_certain` is disabled or no `π(w) = 1` event
 /// exists).
 pub fn simplify_with(tree: &ProbTree, config: &SimplifyConfig) -> (ProbTree, SimplifyReport) {
-    let (tree, report, _) = simplify_traced(tree, config);
-    (tree, report)
+    simplify_with_in(tree, config, &Probability)
 }
 
 /// [`simplify_with`] generalized over a [`Semiring`]: the prune-certain
@@ -139,113 +132,512 @@ pub fn simplify_with_in<S: Semiring>(
     config: &SimplifyConfig,
     semiring: &S,
 ) -> (ProbTree, SimplifyReport) {
-    let (tree, report, _) = simplify_traced_in(tree, config, semiring);
-    (tree, report)
+    let before = tree.memory_stats();
+    let run = simplify_scoped(tree.clone(), Scope::Whole, config, semiring);
+    let after = run.tree.memory_stats();
+    let report = SimplifyReport {
+        nodes_before: before.logical_nodes,
+        literals_before: before.logical_literals,
+        nodes_after: after.logical_nodes,
+        literals_after: after.logical_literals,
+        merged_groups: run.merged_groups,
+        passes: run.passes,
+    };
+    (run.tree, report)
 }
 
-/// [`simplify_with`] plus the composed node mapping from ids in `tree` to
-/// ids in the result (`None` = identity; absent ids were pruned). This is
-/// how the update engine reconstructs, after the fact, exactly which nodes
-/// the whole simplification chain removed or rewrote.
-pub(crate) fn simplify_traced(
-    tree: &ProbTree,
-    config: &SimplifyConfig,
-) -> (ProbTree, SimplifyReport, NodeMapping) {
-    simplify_traced_in(tree, config, &Probability)
+/// Where a simplify run starts.
+pub(crate) enum Scope {
+    /// Clean, prune and merge everywhere on the first pass.
+    Whole,
+    /// Only what an update step changed on a tree that was a simplify
+    /// fixpoint under the same configuration.
+    Region(Touched),
 }
 
-/// [`simplify_traced`] over an arbitrary [`Semiring`] (see
-/// [`simplify_with_in`]).
-fn simplify_traced_in<S: Semiring>(
-    tree: &ProbTree,
+/// What an update step changed in its working tree, recorded as it
+/// grafts and detaches. Node ids are those of the working tree, which is
+/// a clone of the step's base: ids below `base_len` are base nodes.
+#[derive(Debug)]
+pub(crate) struct Touched {
+    /// Arena length of the base frame.
+    pub(crate) base_len: usize,
+    /// Roots of the arena subtrees the step grafted (insertions, deep
+    /// survivor copies).
+    pub(crate) grafted: Vec<NodeId>,
+    /// Nodes the step hung shared survivor copies under.
+    pub(crate) shared_under: Vec<NodeId>,
+    /// Roots of the subtrees the step detached, each with its parent.
+    pub(crate) detached: Vec<(NodeId, NodeId)>,
+}
+
+impl Touched {
+    /// Nothing touched yet on a base of `base_len` arena nodes.
+    pub(crate) fn new(base_len: usize) -> Self {
+        Touched {
+            base_len,
+            grafted: Vec::new(),
+            shared_under: Vec::new(),
+            detached: Vec::new(),
+        }
+    }
+
+    /// The census of what the step alone removed and inserted.
+    pub(crate) fn census(&self, tree: &ProbTree) -> Census {
+        let detached: Vec<NodeId> = self.detached.iter().map(|&(_, root)| root).collect();
+        Census::of(
+            tree,
+            self.base_len,
+            &detached,
+            &self.grafted,
+            &self.shared_under,
+        )
+    }
+}
+
+/// What a region-scoped step removed from its base frame and inserted
+/// into its result, counted over the touched subtrees alone. Logical
+/// counts see through shared children.
+#[derive(Debug, Default)]
+pub(crate) struct Census {
+    /// Base nodes no longer reachable.
+    pub(crate) removed_nodes: usize,
+    /// Literals on those nodes.
+    pub(crate) removed_literals: usize,
+    /// Labels of those nodes.
+    pub(crate) removed_labels: BTreeSet<String>,
+    /// Reachable logical nodes that are not base nodes.
+    pub(crate) inserted_nodes: usize,
+    /// Literals on those nodes.
+    pub(crate) inserted_literals: usize,
+    /// Labels of those nodes.
+    pub(crate) inserted_labels: BTreeSet<String>,
+    /// Of the inserted nodes, those stored as arena nodes.
+    pub(crate) inserted_arena: usize,
+    /// Distinct stored shapes behind the inserted shared children.
+    pub(crate) inserted_shapes: usize,
+    /// Arena nodes and stored shapes the census walked.
+    pub(crate) visited: usize,
+}
+
+impl Census {
+    /// Counts the base nodes below the `detached` roots, the arena
+    /// subtrees below the still-reachable `added` roots, and the shared
+    /// children of the still-reachable `shared_under` nodes.
+    fn of(
+        tree: &ProbTree,
+        base_len: usize,
+        detached: &[NodeId],
+        added: &[NodeId],
+        shared_under: &[NodeId],
+    ) -> Census {
+        let mut census = Census::default();
+        let mut seen: HashSet<NodeId> = HashSet::new();
+        let walk = |root: NodeId, seen: &mut HashSet<NodeId>, visit: &mut dyn FnMut(NodeId)| {
+            let mut stack = vec![root];
+            while let Some(node) = stack.pop() {
+                if seen.insert(node) {
+                    visit(node);
+                    stack.extend_from_slice(tree.tree().children(node));
+                }
+            }
+        };
+        for &root in detached {
+            walk(root, &mut seen, &mut |node| {
+                census.visited += 1;
+                if node.index() < base_len {
+                    census.removed_nodes += 1;
+                    census.removed_literals += tree.condition_ref(node).map_or(0, Condition::len);
+                    census
+                        .removed_labels
+                        .insert(tree.tree().label(node).to_owned());
+                }
+            });
+        }
+        for &root in added {
+            if !tree.tree().is_attached(root) {
+                continue;
+            }
+            walk(root, &mut seen, &mut |node| {
+                census.visited += 1;
+                census.inserted_nodes += 1;
+                census.inserted_arena += 1;
+                census.inserted_literals += tree.condition_ref(node).map_or(0, Condition::len);
+                census
+                    .inserted_labels
+                    .insert(tree.tree().label(node).to_owned());
+            });
+        }
+        let mut shapes: Vec<ShapeId> = Vec::new();
+        let mut parents: HashSet<NodeId> = HashSet::new();
+        for &parent in shared_under {
+            if !parents.insert(parent) || !tree.tree().is_attached(parent) {
+                continue;
+            }
+            for handle in tree.shared_children(parent) {
+                census.inserted_nodes += tree.store().size(handle.shape);
+                census.inserted_literals +=
+                    handle.condition.len() + tree.store().weight(handle.shape);
+                shapes.push(handle.shape);
+            }
+        }
+        let store = tree.store();
+        let reachable = store.reachable_from(shapes);
+        census.visited += reachable.len();
+        census.inserted_shapes = reachable.len();
+        census
+            .inserted_labels
+            .extend(reachable.iter().map(|&shape| store.label(shape).to_owned()));
+        census
+    }
+}
+
+/// The outcome of [`simplify_scoped`].
+pub(crate) struct Simplified {
+    /// The simplified tree, compacted once.
+    pub(crate) tree: ProbTree,
+    /// The compaction's mapping from ids of the input to ids of `tree`;
+    /// ids absent from it were removed.
+    pub(crate) mapping: HashMap<NodeId, NodeId>,
+    /// Sibling groups replaced by a smaller cover.
+    pub(crate) merged_groups: usize,
+    /// Passes run, including the final no-change pass.
+    pub(crate) passes: usize,
+    /// Whether the last pass changed nothing within `max_passes`: the
+    /// result is then a fixpoint of the configuration.
+    pub(crate) converged: bool,
+    /// Nodes the passes visited: cleaned or pruned, scanned as children
+    /// of a parent whose merge ran, or interned for a shape code.
+    pub(crate) visited: usize,
+    /// Region scope: what the step and the passes removed and inserted.
+    pub(crate) census: Option<Census>,
+}
+
+/// Runs the simplification chain over `work` from `scope`, compacting
+/// once at the end. Node ids of `work` stay stable until then, so the
+/// returned mapping covers every pass.
+pub(crate) fn simplify_scoped<S: Semiring>(
+    work: ProbTree,
+    scope: Scope,
     config: &SimplifyConfig,
     semiring: &S,
-) -> (ProbTree, SimplifyReport, NodeMapping) {
-    let mut report = SimplifyReport {
-        nodes_before: tree.num_nodes(),
-        literals_before: tree.num_literals(),
-        ..SimplifyReport::default()
+) -> Simplified {
+    let root = work.tree().root();
+    let prune = config.prune_certain && has_certain_literals(work.events(), semiring);
+    // With no sub-pass to run, shared children stay shared in both scopes.
+    let expands = config.clean || config.merge_siblings || prune;
+    let mut run = Run {
+        work,
+        config,
+        semiring,
+        fresh: Vec::new(),
+        pending: Vec::new(),
+        dirty: HashSet::new(),
+        propagated: HashSet::new(),
+        sweep_all: false,
+        region: None,
+        visited: 0,
+        merged_groups: 0,
     };
-    let mut work = tree.clone();
-    let mut mapping: NodeMapping = None;
+    match scope {
+        Scope::Whole => {
+            if expands {
+                run.work.expand_all();
+            }
+            run.fresh.push(root);
+            run.sweep_all = true;
+        }
+        Scope::Region(touched) => run.start_region(touched),
+    }
+    let mut passes = 0;
+    let mut converged = false;
     for _ in 0..config.max_passes.max(1) {
-        report.passes += 1;
-        let fingerprint = (work.num_nodes(), work.num_literals());
+        passes += 1;
+        if expands {
+            run.fault_in_pending();
+        }
+        let fresh = std::mem::take(&mut run.fresh);
+        let mut changed = false;
         if config.clean {
-            let (next, step) = clean_traced(&work);
-            work = next;
-            mapping = compose_mappings(mapping, step);
+            for &top in &fresh {
+                if run.work.tree().is_attached(top) {
+                    let ancestors = run.work.ancestor_condition(top);
+                    let walked = clean_below(&mut run.work, top, ancestors);
+                    changed |= run.settle(walked);
+                }
+            }
         }
-        if config.prune_certain {
-            let (next, step) = prune_certain_traced_in(&work, semiring);
-            work = next;
-            mapping = compose_mappings(mapping, step);
+        if prune {
+            for &top in &fresh {
+                if run.work.tree().is_attached(top) {
+                    let walked = prune_below(&mut run.work, top, semiring);
+                    changed |= run.settle(walked);
+                }
+            }
         }
-        let mut merged = false;
         if config.merge_siblings {
-            let (next, groups, step) = merge_sibling_covers_traced(&work, config, semiring);
-            merged = groups > 0;
-            report.merged_groups += groups;
-            work = next;
-            mapping = compose_mappings(mapping, step);
+            changed |= run.sweep() > 0;
         }
-        if !merged && (work.num_nodes(), work.num_literals()) == fingerprint {
+        if !changed {
+            converged = true;
             break;
         }
     }
-    report.nodes_after = work.num_nodes();
-    report.literals_after = work.num_literals();
-    (work, report, mapping)
+    let census = run.region.take().map(|region| {
+        Census::of(
+            &run.work,
+            region.base_len,
+            &region.detached,
+            &region.added,
+            &run.pending,
+        )
+    });
+    let (tree, mapping) = run.work.compact();
+    Simplified {
+        tree,
+        mapping,
+        merged_groups: run.merged_groups,
+        passes,
+        converged,
+        visited: run.visited,
+        census,
+    }
 }
 
-/// One merging sweep over every parent node; returns the rewritten tree
-/// and the number of sibling groups replaced. Shared children are
-/// materialized first: grouping and replacement address arena nodes.
-///
-/// When `config.prune_certain` is set, synthesized cover disjuncts are
-/// post-processed with the semiring's notion of certainty — exactly what
-/// the next pass's prune-certain would do to them. Under [`Probability`]
-/// after a prune pass this is a no-op (no certain-event literal survives
-/// pruning, and the Shannon expansion only branches on mentioned events).
-fn merge_sibling_covers_traced<S: Semiring>(
-    tree: &ProbTree,
-    config: &SimplifyConfig,
-    semiring: &S,
-) -> (ProbTree, usize, NodeMapping) {
-    let tree = tree.expanded();
-    let tree = tree.as_ref();
-    let mut work = tree.clone();
-    let mut merged_groups = 0usize;
-    // Bare shape codes for every node of the pre-sweep tree, computed once
-    // bottom-up; only pre-sweep nodes are ever grouped (copies introduced
-    // by a merge are revisited by the next pass).
-    let shapes = bare_shape_codes(tree);
-    let parents: Vec<NodeId> = work.tree().iter().collect();
-    for parent in parents {
-        // A parent may itself have been detached by a merge higher up the
-        // list (its whole group was replaced by fresh copies).
-        if !work.tree().is_attached(parent) {
-            continue;
+/// The region scope's record of every subtree added and removed.
+struct Region {
+    base_len: usize,
+    added: Vec<NodeId>,
+    detached: Vec<NodeId>,
+}
+
+/// The working state of one [`simplify_scoped`] run.
+struct Run<'a, S> {
+    work: ProbTree,
+    config: &'a SimplifyConfig,
+    semiring: &'a S,
+    /// Roots of the subtrees the next pass cleans and prunes.
+    fresh: Vec<NodeId>,
+    /// Parents whose shared children the next pass faults in when a
+    /// sub-pass can run; the census counts what is left shared.
+    pending: Vec<NodeId>,
+    /// Parents whose sibling-cover merge the next sweep runs.
+    dirty: HashSet<NodeId>,
+    /// Nodes whose ancestors are already marked in `dirty`.
+    propagated: HashSet<NodeId>,
+    /// The next sweep visits every parent, so nothing needs marking.
+    sweep_all: bool,
+    region: Option<Region>,
+    visited: usize,
+    merged_groups: usize,
+}
+
+impl<S: Semiring> Run<'_, S> {
+    /// Turns an update step's changes into the first pass's work: the
+    /// grafted subtrees are fresh, the shared copies are queued for
+    /// fault-in, and the parents the step grafted under or detached from
+    /// are marked.
+    fn start_region(&mut self, touched: Touched) {
+        let mut region = Region {
+            base_len: touched.base_len,
+            added: Vec::new(),
+            detached: Vec::new(),
+        };
+        for &(parent, root) in &touched.detached {
+            region.detached.push(root);
+            if self.work.tree().is_attached(parent) {
+                let conditioned = self.work.condition_ref(root).is_some();
+                self.mark_child(parent, conditioned);
+            }
         }
-        // Group the children by the shape of everything *except* their own
-        // root condition — label, structure and the conditions below.
-        let children: Vec<NodeId> = work.tree().children(parent).to_vec();
-        if children.len() < 2 {
-            continue;
+        for &root in &touched.grafted {
+            if self.work.tree().is_attached(root) {
+                region.added.push(root);
+                self.note_added(root);
+            }
         }
-        let mut groups: BTreeMap<u32, Vec<NodeId>> = BTreeMap::new();
-        for &child in &children {
-            groups.entry(shapes[&child]).or_default().push(child);
-        }
-        for group in groups.values() {
-            if group.len() < 2 || group.len() > config.max_merge_group {
+        self.pending = touched.shared_under;
+        self.region = Some(region);
+    }
+
+    /// Materializes the shared children queued by the step or by the
+    /// previous pass's merges; each expansion is a fresh subtree.
+    fn fault_in_pending(&mut self) {
+        let mut seen: HashSet<NodeId> = HashSet::new();
+        for parent in std::mem::take(&mut self.pending) {
+            if !seen.insert(parent) || !self.work.tree().is_attached(parent) {
                 continue;
             }
-            // Split the group into greedy cliques of pairwise mutually
-            // exclusive root conditions (identical copies — e.g. two
-            // equal-condition duplicates — are *not* disjoint and stay
-            // untouched, as the multiset semantics requires).
-            let conditions: Vec<Condition> = group.iter().map(|&c| work.condition(c)).collect();
+            let before = self.work.tree().children(parent).len();
+            self.work.fault_in(parent);
+            let added = self.work.tree().children(parent)[before..].to_vec();
+            for root in added {
+                if let Some(region) = &mut self.region {
+                    region.added.push(root);
+                }
+                self.note_added(root);
+            }
+        }
+    }
+
+    /// A new subtree hangs at `root`: clean and prune it this pass, and
+    /// mark its parent and its own inner parents for the sweep.
+    fn note_added(&mut self, root: NodeId) {
+        self.fresh.push(root);
+        if self.sweep_all {
+            return;
+        }
+        let parent = self
+            .work
+            .tree()
+            .parent(root)
+            .expect("an added subtree hangs under a parent");
+        let conditioned = self.work.condition_ref(root).is_some();
+        self.mark_child(parent, conditioned);
+        let mut stack = vec![root];
+        while let Some(node) = stack.pop() {
+            let children = self.work.tree().children(node);
+            self.visited += children.len();
+            if children
+                .iter()
+                .any(|&child| self.work.condition_ref(child).is_some())
+            {
+                self.dirty.insert(node);
+            }
+            stack.extend_from_slice(children);
+        }
+    }
+
+    /// Applies a cleaning or pruning walk's verdicts: marks the parents
+    /// of rewritten nodes and detaches the dropped ones. Returns whether
+    /// anything changed.
+    fn settle(&mut self, walked: Walked) -> bool {
+        self.visited += walked.visited;
+        let changed = !walked.rewritten.is_empty() || !walked.dropped.is_empty();
+        for node in walked.rewritten {
+            let parent = self
+                .work
+                .tree()
+                .parent(node)
+                .expect("only non-root nodes are rewritten");
+            self.mark_child(parent, true);
+        }
+        for node in walked.dropped {
+            let parent = self
+                .work
+                .tree()
+                .parent(node)
+                .expect("only non-root nodes are dropped");
+            self.detach(parent, node);
+        }
+        changed
+    }
+
+    /// Detaches `node` from `parent`, recording and marking the removal.
+    fn detach(&mut self, parent: NodeId, node: NodeId) {
+        let conditioned = self.work.condition_ref(node).is_some();
+        self.work.detach(node);
+        if let Some(region) = &mut self.region {
+            region.detached.push(node);
+        }
+        self.mark_child(parent, conditioned);
+    }
+
+    /// Records that a child of `parent` was added, removed or changed:
+    /// `parent`'s merge must run again if that child carries a condition
+    /// (an unconditioned child is never a merge candidate), and every
+    /// ancestor's must run again if the changed subtree hangs below one
+    /// of its conditioned children.
+    fn mark_child(&mut self, parent: NodeId, conditioned: bool) {
+        if self.sweep_all {
+            return;
+        }
+        if conditioned {
+            self.dirty.insert(parent);
+        }
+        let mut node = parent;
+        while self.propagated.insert(node) {
+            let Some(up) = self.work.tree().parent(node) else {
+                break;
+            };
+            if self.work.condition_ref(node).is_some() {
+                self.dirty.insert(up);
+            }
+            node = up;
+        }
+    }
+
+    /// One merging sweep, ancestors before descendants: a merge only
+    /// rewrites its parent's child list, so a parent's children still
+    /// have the shapes they had when the sweep began. Returns the number
+    /// of groups replaced.
+    fn sweep(&mut self) -> usize {
+        let order: Vec<NodeId> = if self.sweep_all {
+            self.work.tree().iter().collect()
+        } else {
+            let mut marked: Vec<(usize, NodeId)> = self
+                .dirty
+                .drain()
+                .map(|node| (self.work.tree().depth(node), node))
+                .collect();
+            marked.sort_unstable();
+            marked.into_iter().map(|(_, node)| node).collect()
+        };
+        self.sweep_all = false;
+        self.dirty.clear();
+        self.propagated.clear();
+        let mut codes = ShapeCodes::default();
+        let mut merged = 0;
+        for parent in order {
+            // A merge higher up may have replaced this parent's subtree.
+            if self.work.tree().is_attached(parent) {
+                merged += self.merge_at(parent, &mut codes);
+            }
+        }
+        self.merged_groups += merged;
+        merged
+    }
+
+    /// The sibling-cover merge at one parent: groups its merge candidates
+    /// by the shape of everything except their own root condition, splits
+    /// each group into greedy cliques of pairwise mutually exclusive root
+    /// conditions, and replaces each clique whose disjunction has a
+    /// strictly smaller disjoint cover by shared copies of one member, one
+    /// per cover disjunct. Groups are taken in the order of their first
+    /// member. Returns the number of cliques replaced.
+    ///
+    /// When `config.prune_certain` is set, synthesized cover disjuncts are
+    /// post-processed with the semiring's notion of certainty — exactly what
+    /// the next pass's prune-certain would do to them. Under [`Probability`]
+    /// after a prune pass this is a no-op (no certain-event literal survives
+    /// pruning, and the Shannon expansion only branches on mentioned events).
+    fn merge_at(&mut self, parent: NodeId, codes: &mut ShapeCodes) -> usize {
+        let children: Vec<NodeId> = self.work.tree().children(parent).to_vec();
+        self.visited += children.len();
+        let candidates = merge_candidates(&self.work, &children);
+        if candidates.len() < 2 {
+            return 0;
+        }
+        let mut groups: Vec<Vec<NodeId>> = Vec::new();
+        let mut by_code: HashMap<u32, usize> = HashMap::new();
+        for child in candidates {
+            let code = codes.bare(&self.work, child, &mut self.visited);
+            let slot = *by_code.entry(code).or_insert_with(|| {
+                groups.push(Vec::new());
+                groups.len() - 1
+            });
+            groups[slot].push(child);
+        }
+        let mut merged = 0;
+        for group in groups {
+            if group.len() < 2 || group.len() > self.config.max_merge_group {
+                continue;
+            }
+            // Identical copies — e.g. two equal-condition duplicates — are
+            // *not* disjoint and stay untouched, as the multiset semantics
+            // requires.
+            let conditions: Vec<Condition> =
+                group.iter().map(|&c| self.work.condition(c)).collect();
             let mut cliques: Vec<Vec<usize>> = Vec::new();
             for (i, cond) in conditions.iter().enumerate() {
                 let home = cliques.iter_mut().find(|clique| {
@@ -263,85 +655,138 @@ fn merge_sibling_covers_traced<S: Semiring>(
                     continue;
                 }
                 let dnf = Dnf::from_disjuncts(clique.iter().map(|&i| conditions[i].clone()));
-                let Some(cover) = dnf.minimized_disjoint_cover(config.max_merge_support) else {
+                let Some(cover) = dnf.minimized_disjoint_cover(self.config.max_merge_support)
+                else {
                     continue;
                 };
-                // Replace the clique: fresh copies of the (identical)
-                // subtree, one per cover disjunct, then drop the originals.
-                // With prune-certain enabled, apply its literal-level
-                // rewrite to each fresh disjunct up front: drop disjuncts
-                // containing a semiring-impossible literal, strip
-                // semiring-certain literals from the rest.
                 let template = group[clique[0]];
-                let disjuncts: Vec<Condition> = if config.prune_certain {
-                    let events = work.events();
-                    cover
-                        .disjuncts()
-                        .iter()
-                        .filter(|d| {
-                            !d.literals()
-                                .iter()
-                                .any(|&l| semiring.is_zero(&semiring.literal(l, events)))
-                        })
-                        .map(|d| {
-                            Condition::from_literals(
-                                d.literals()
-                                    .iter()
-                                    .copied()
-                                    .filter(|&l| !semiring.literal_certain(l, events)),
-                            )
-                        })
-                        .collect()
-                } else {
-                    cover.disjuncts().to_vec()
-                };
-                for disjunct in disjuncts {
-                    work.duplicate_subtree(parent, template, disjunct);
+                for disjunct in self.cover_disjuncts(&cover) {
+                    self.work.duplicate_subtree(parent, template, disjunct);
                 }
+                self.pending.push(parent);
                 for &i in &clique {
-                    work.detach(group[i]);
+                    self.detach(parent, group[i]);
                 }
-                merged_groups += 1;
+                merged += 1;
             }
         }
+        merged
     }
-    if merged_groups > 0 {
-        let (compacted, mapping) = work.compact();
-        (compacted, merged_groups, Some(mapping))
-    } else {
-        // No clique merged, so `work` was never mutated.
-        (work, 0, None)
+
+    /// The disjuncts of a synthesized cover, with prune-certain's
+    /// literal-level rewrite applied up front when it is enabled: drop
+    /// disjuncts containing a semiring-impossible literal, strip
+    /// semiring-certain literals from the rest.
+    fn cover_disjuncts(&self, cover: &Dnf) -> Vec<Condition> {
+        if !self.config.prune_certain {
+            return cover.disjuncts().to_vec();
+        }
+        let (semiring, events) = (self.semiring, self.work.events());
+        cover
+            .disjuncts()
+            .iter()
+            .filter(|d| {
+                !d.literals()
+                    .iter()
+                    .any(|&l| semiring.is_zero(&semiring.literal(l, events)))
+            })
+            .map(|d| {
+                Condition::from_literals(
+                    d.literals()
+                        .iter()
+                        .copied()
+                        .filter(|&l| !semiring.literal_certain(l, events)),
+                )
+            })
+            .collect()
     }
 }
 
-/// Bare shape codes for every reachable node, computed in one bottom-up
-/// sweep over the shared [`AnnotatedCanonInterner`] of `pxml_tree` — the
-/// same interner the hash-consed [`pxml_tree::NodeStore`] uses for its
-/// canonical codes, so one annotation convention serves both: inner
-/// nodes intern under `Some(γ)`, the node itself under `None` (the *bare*
-/// variant). Two nodes share a full code iff their subtrees are identical
-/// including every condition, and share a bare code iff they are
-/// identical except for their own root condition — which is what the
-/// merge rewrites, so children are grouped by bare code. Two children
-/// with equal bare codes produce identical world contents whenever their
-/// root conditions hold.
-fn bare_shape_codes(tree: &ProbTree) -> HashMap<NodeId, u32> {
-    let mut interner: AnnotatedCanonInterner<Condition> = AnnotatedCanonInterner::new();
-    let mut full: HashMap<NodeId, u32> = HashMap::new();
-    let mut bare: HashMap<NodeId, u32> = HashMap::new();
-    // Reverse pre-order visits children before their parents.
-    let order: Vec<NodeId> = tree.tree().iter().collect();
-    for &node in order.iter().rev() {
-        let child_codes: Vec<u32> = tree.tree().children(node).iter().map(|c| full[c]).collect();
-        let label = tree.tree().label(node);
-        let condition = tree.condition(node);
-        full.insert(
-            node,
-            interner.intern(label, Some(&condition), child_codes.clone()),
-        );
-        bare.insert(node, interner.intern(label, None, child_codes));
+/// The children that could join a clique of pairwise mutually exclusive
+/// root conditions, in child order: those with a literal whose complement
+/// a same-label sibling holds. Two conditions are disjoint only through
+/// such a pair, so every other child would form a clique of its own.
+fn merge_candidates(tree: &ProbTree, children: &[NodeId]) -> Vec<NodeId> {
+    let mut holders: HashMap<(&str, Literal), usize> = HashMap::new();
+    for &child in children {
+        if let Some(condition) = tree.condition_ref(child) {
+            let label = tree.tree().label(child);
+            for &literal in condition.literals() {
+                *holders.entry((label, literal)).or_insert(0) += 1;
+            }
+        }
     }
-    bare
+    if holders.len() < 2 {
+        return Vec::new();
+    }
+    children
+        .iter()
+        .copied()
+        .filter(|&child| {
+            tree.condition_ref(child).is_some_and(|condition| {
+                let label = tree.tree().label(child);
+                condition.literals().iter().any(|&literal| {
+                    let complement = literal.negated();
+                    let own = usize::from(condition.contains(complement));
+                    holders.get(&(label, complement)).copied().unwrap_or(0) > own
+                })
+            })
+        })
+        .collect()
+}
+
+/// Shape codes of subtrees, interned on demand over the shared
+/// [`AnnotatedCanonInterner`] of `pxml_tree` — the same interner the
+/// hash-consed [`pxml_tree::NodeStore`] uses for its canonical codes, so
+/// one annotation convention serves both: inner nodes intern under
+/// `Some(γ)`, the node itself under `None` (the *bare* variant). Two nodes
+/// share a full code iff their subtrees are identical including every
+/// condition, and share a bare code iff they are identical except for
+/// their own root condition — which is what the merge rewrites, so
+/// candidates are grouped by bare code. Full codes are memoized for one
+/// sweep, during which a node's subtree only changes after its parent's
+/// merge ran.
+#[derive(Default)]
+struct ShapeCodes {
+    interner: AnnotatedCanonInterner<Condition>,
+    full: HashMap<NodeId, u32>,
+}
+
+impl ShapeCodes {
+    fn bare(&mut self, tree: &ProbTree, node: NodeId, visited: &mut usize) -> u32 {
+        let child_codes: Vec<u32> = tree
+            .tree()
+            .children(node)
+            .iter()
+            .map(|&child| self.full(tree, child, visited))
+            .collect();
+        *visited += 1;
+        self.interner
+            .intern(tree.tree().label(node), None, child_codes)
+    }
+
+    fn full(&mut self, tree: &ProbTree, node: NodeId, visited: &mut usize) -> u32 {
+        let mut stack = vec![(node, false)];
+        while let Some((n, ready)) = stack.pop() {
+            if self.full.contains_key(&n) {
+                continue;
+            }
+            let children = tree.tree().children(n);
+            if ready {
+                *visited += 1;
+                let child_codes: Vec<u32> = children.iter().map(|c| self.full[c]).collect();
+                let condition = tree.condition(n);
+                let code =
+                    self.interner
+                        .intern(tree.tree().label(n), Some(&condition), child_codes);
+                self.full.insert(n, code);
+            } else {
+                stack.push((n, true));
+                stack.extend(children.iter().map(|&c| (c, false)));
+            }
+        }
+        self.full[&node]
+    }
 }
 
 #[cfg(test)]

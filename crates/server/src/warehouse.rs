@@ -9,9 +9,11 @@
 //! 1. a **writer mutex** serializing committers (so optimistic staging
 //!    never loses a race inside one warehouse);
 //! 2. a **document `RwLock`**: readers (snapshots, view serves) hold it
-//!    shared; a commit holds it shared while *staging* the expensive
-//!    engine step and exclusively only for the cheap diff-and-swap of
-//!    [`pxml_core::Document::commit_staged`];
+//!    shared; a commit holds it shared while *staging* the engine step
+//!    (matching, grafting, simplification and the delta) and exclusively
+//!    only for [`pxml_core::Document::commit_staged`], which bumps the
+//!    epoch, swaps the tree `Arc` and appends the delta to the log. The
+//!    replaced tree is freed after the exclusive lock is released;
 //! 3. the hub's internal per-view locks (see [`crate::hub`]).
 //!
 //! Because every committed epoch is an immutable `Arc<ProbTree>`, a
@@ -208,10 +210,10 @@ impl Warehouse {
 
     /// Commits one probabilistic update to `name` as its next epoch.
     ///
-    /// The expensive engine work (matching, grafting, simplification) is
+    /// The engine work (matching, grafting, simplification, the delta) is
     /// *staged* while readers proceed; the exclusive document lock is
-    /// held only for the diff-and-swap commit. Writers to the same
-    /// document are serialized, so staging never loses a race.
+    /// held only to swap in the staged tree and log its delta. Writers to
+    /// the same document are serialized, so staging never loses a race.
     pub fn commit(
         &self,
         name: &str,
@@ -219,14 +221,18 @@ impl Warehouse {
     ) -> Result<Arc<UpdateDelta>, ServerError> {
         let cell = self.cell(name)?;
         let _writer = cell.write.lock().expect("writer lock poisoned");
-        let staged = {
+        // `replaced` pins the pre-commit frame, so the swap under the
+        // exclusive lock only drops a reference; the frame itself is
+        // freed when `replaced` goes out of scope, after the lock.
+        let (staged, replaced) = {
             let doc = cell.doc.read().expect("document lock poisoned");
-            self.update_engine.stage_doc(&doc, update)
+            (self.update_engine.stage_doc(&doc, update), doc.snapshot())
         };
         let delta = {
             let mut doc = cell.doc.write().expect("document lock poisoned");
             doc.commit_staged(staged).map_err(ServerError::Conflict)?
         };
+        drop(replaced);
         cell.hub.observe_commit();
         Ok(delta)
     }

@@ -256,18 +256,28 @@ impl DataTree {
     /// [`crate::subtree::SubDataTree`]), together with the mapping from old
     /// to new node ids.
     pub fn extract(&self, keep: &dyn Fn(NodeId) -> bool) -> (DataTree, HashMap<NodeId, NodeId>) {
+        self.extract_sized(keep, 0)
+    }
+
+    /// [`DataTree::extract`] with room reserved for `capacity` kept nodes.
+    fn extract_sized(
+        &self,
+        keep: &dyn Fn(NodeId) -> bool,
+        capacity: usize,
+    ) -> (DataTree, HashMap<NodeId, NodeId>) {
         assert!(keep(self.root), "extraction must keep the root");
         let mut out = DataTree::new(self.label(self.root));
-        let mut mapping = HashMap::new();
+        out.nodes.reserve(capacity.saturating_sub(1));
+        let mut mapping = HashMap::with_capacity(capacity);
         mapping.insert(self.root, out.root());
-        let mut stack = vec![self.root];
-        while let Some(node) = stack.pop() {
-            let new_parent = mapping[&node];
+        // Each entry carries its copy's id, so no mapping lookup is needed.
+        let mut stack = vec![(self.root, out.root())];
+        while let Some((node, copy)) = stack.pop() {
             for &child in self.children(node) {
                 if keep(child) {
-                    let new_child = out.add_child(new_parent, self.label(child));
-                    mapping.insert(child, new_child);
-                    stack.push(child);
+                    let child_copy = out.add_child(copy, self.label(child));
+                    mapping.insert(child, child_copy);
+                    stack.push((child, child_copy));
                 }
             }
         }
@@ -277,7 +287,7 @@ impl DataTree {
     /// Rebuilds the arena keeping only reachable nodes. Returns the new tree
     /// and the old-id → new-id mapping.
     pub fn compact(&self) -> (DataTree, HashMap<NodeId, NodeId>) {
-        self.extract(&|_| true)
+        self.extract_sized(&|_| true, self.nodes.len())
     }
 
     /// Deep structural clone of the subtree rooted at `node`, as an

@@ -1,0 +1,364 @@
+//! Region ≡ whole-tree property suite.
+//!
+//! While a `Document`'s frame is a simplify fixpoint, `stage_doc` runs a
+//! step in region scope: it simplifies, sizes and diffs only what the
+//! step touched. This suite commits random scripts through a document
+//! and, at every step, stages the same update on a fresh document holding
+//! the same frame — which runs the whole-tree scope and its two-frame
+//! diff — and requires the same tree (rendering, arena labels and
+//! conditions), node map, step telemetry and delta. Every region-scoped
+//! commit's base, and every frame the document trusts at the end, must
+//! also be a fixpoint that one more whole-tree simplify leaves alone.
+//! Deterministic cases pin the merges random scripts rarely reach and
+//! the fixpoint status's life cycle.
+
+mod common;
+
+use std::sync::Arc;
+
+use proptest::prelude::*;
+
+use pxml_core::update::{
+    simplify_with, ProbabilisticUpdate, SimplifyConfig, StepReport, StepScope, UpdateEngine,
+    UpdateEngineConfig, UpdateOperation,
+};
+use pxml_core::{Document, PatternQuery, ProbTree, UpdateDelta};
+use pxml_events::{Condition, Literal};
+use pxml_tree::DataTree;
+
+use common::{build_probtree, probtree_strategy, update_strategy, ProbTreeSpec};
+
+/// Commits `update` to `doc` and, on a fresh document holding the same
+/// frame, in the whole-tree scope; asserts both commits agree, and that a
+/// region-scoped commit started from a fixpoint. Returns `doc`'s delta.
+fn commit_checked(
+    engine: &UpdateEngine,
+    doc: &mut Document,
+    update: &ProbabilisticUpdate,
+) -> Arc<UpdateDelta> {
+    let base = doc.snapshot();
+    let mut oracle = Document::new(ProbTree::clone(&base));
+    let delta = engine.apply_doc(doc, update);
+    let expected = engine.apply_doc(&mut oracle, update);
+    assert_eq!(expected.report.scope, StepScope::Whole);
+    if delta.report.scope == StepScope::Region {
+        assert_fixpoint(engine, &base);
+    }
+    assert_same_frame(doc.tree(), oracle.tree());
+    assert_same_delta(&delta, &expected);
+    delta
+}
+
+/// One more whole-tree simplify under `engine`'s configuration leaves
+/// `frame` alone: its first pass changes nothing.
+fn assert_fixpoint(engine: &UpdateEngine, frame: &ProbTree) {
+    let (simplified, report) = simplify_with(frame, &engine.config().simplify_config);
+    assert_eq!(report.merged_groups, 0, "{}", frame.to_ascii());
+    assert_eq!(report.passes, 1, "{}", frame.to_ascii());
+    assert_eq!(
+        (report.nodes_after, report.literals_after),
+        (report.nodes_before, report.literals_before)
+    );
+    assert_eq!(simplified.to_ascii(), frame.to_ascii());
+}
+
+/// Checks the status `doc` ends with: a certain insertion under the root
+/// of a fork (which inherits the status) runs in region scope exactly
+/// when the document trusts its frame, and [`commit_checked`] then
+/// requires that frame to be a fixpoint.
+fn probe_final_frame(engine: &UpdateEngine, doc: &Document) -> StepScope {
+    let mut fork = doc.fork();
+    commit_checked(engine, &mut fork, &insert_leaf(root_query(), "Z"))
+        .report
+        .scope
+}
+
+fn assert_same_frame(got: &ProbTree, expected: &ProbTree) {
+    assert_eq!(got.to_ascii(), expected.to_ascii());
+    assert_eq!(got.tree().arena_len(), expected.tree().arena_len());
+    let arena = |t: &ProbTree| -> Vec<_> {
+        t.tree()
+            .iter()
+            .map(|n| (n, t.tree().label(n).to_owned(), t.condition(n)))
+            .collect()
+    };
+    assert_eq!(arena(got), arena(expected));
+    assert_eq!(got.events().len(), expected.events().len());
+    got.validate_invariants().expect("valid frame");
+}
+
+fn assert_same_delta(got: &UpdateDelta, expected: &UpdateDelta) {
+    assert_eq!(got.node_map, expected.node_map);
+    assert_eq!(got.removed_labels, expected.removed_labels);
+    assert_eq!(got.inserted_labels, expected.inserted_labels);
+    assert_eq!(got.rewritten, expected.rewritten);
+    assert_eq!(got.nodes_removed, expected.nodes_removed);
+    assert_eq!(got.nodes_inserted, expected.nodes_inserted);
+    assert_same_report(&got.report, &expected.report);
+}
+
+/// Every telemetry field but the scope and its visit counters.
+fn assert_same_report(got: &StepReport, expected: &StepReport) {
+    let fields = |r: &StepReport| {
+        (
+            (r.matches, r.targets, r.new_event, r.survivor_copies),
+            (
+                r.nodes_before,
+                r.literals_before,
+                r.nodes_raw,
+                r.literals_raw,
+            ),
+            (r.nodes_after, r.literals_after),
+            (r.distinct_nodes_raw, r.distinct_nodes_after),
+            r.entry_expansion_skipped,
+        )
+    };
+    assert_eq!(fields(got), fields(expected));
+}
+
+/// `spec`'s tree, with a certain event (`π = 1`) folded into every third
+/// node's condition when `certain` is set — the first commit's prune has
+/// something to drop, and the region's prune runs over fresh subtrees.
+fn base_tree(spec: &ProbTreeSpec, certain: bool) -> ProbTree {
+    let mut tree = build_probtree(spec);
+    if certain {
+        let sure = tree.events_mut().insert("sure", 1.0);
+        let nodes: Vec<_> = tree.tree().iter().skip(1).collect();
+        for (i, node) in nodes.into_iter().enumerate().filter(|(i, _)| i % 3 == 0) {
+            let literal = Literal {
+                event: sure,
+                positive: i % 2 == 0,
+            };
+            let condition = tree.condition(node).and_literal(literal);
+            tree.set_condition(node, condition);
+        }
+    }
+    tree
+}
+
+/// The simplify configurations the suite commits under: the default, and
+/// with cleaning, merging, or every sub-pass off. With every sub-pass off
+/// the simplify is the identity and shared survivor copies stay shared.
+fn simplify_config(variant: usize) -> SimplifyConfig {
+    let (clean, merge_siblings, prune_certain) = [
+        (true, true, true),
+        (false, true, true),
+        (true, false, true),
+        (false, false, true),
+        (false, false, false),
+    ][variant];
+    SimplifyConfig {
+        clean,
+        merge_siblings,
+        prune_certain,
+        ..SimplifyConfig::default()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Random 1–8-step scripts (nested and multi-match targets, certain
+    /// events, confidence-1 deletions, unmatched steps, shared and deep
+    /// survivor copies, sub-passes switched off): every commit agrees with
+    /// the whole-tree scope on the same base, commits up to the first
+    /// matched one run whole-tree, and the frame the document ends with
+    /// is a fixpoint whenever the document trusts it.
+    #[test]
+    fn region_commits_equal_whole_tree_commits(
+        spec in probtree_strategy(),
+        certain in any::<bool>(),
+        updates in prop::collection::vec(update_strategy(), 1..=8),
+        sharing in any::<bool>(),
+        variant in 0usize..5,
+    ) {
+        let engine = UpdateEngine::with_config(UpdateEngineConfig {
+            survivor_sharing: sharing,
+            simplify_config: simplify_config(variant),
+            ..UpdateEngineConfig::default()
+        });
+        let mut doc = Document::new(base_tree(&spec, certain));
+        let mut matched = false;
+        for update in &updates {
+            let delta = commit_checked(&engine, &mut doc, update);
+            if !matched {
+                prop_assert_eq!(delta.report.scope, StepScope::Whole);
+            }
+            matched |= delta.report.matches > 0;
+        }
+        // Every default-pass-budget commit converges on these small trees.
+        let expected = if matched { StepScope::Region } else { StepScope::Whole };
+        prop_assert_eq!(probe_final_frame(&engine, &doc), expected);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Deterministic cases
+// ---------------------------------------------------------------------------
+
+/// A certain insertion of a `label` leaf under every match of `query`'s
+/// root.
+fn insert_leaf(query: PatternQuery, label: &str) -> ProbabilisticUpdate {
+    let at = query.root();
+    ProbabilisticUpdate::new(
+        UpdateOperation::insert(query, at, DataTree::new(label)),
+        1.0,
+    )
+}
+
+fn delete_label(label: &str, confidence: f64) -> ProbabilisticUpdate {
+    let q = PatternQuery::new(Some(label));
+    let at = q.root();
+    ProbabilisticUpdate::new(UpdateOperation::delete(q, at), confidence)
+}
+
+fn root_query() -> PatternQuery {
+    PatternQuery::new(Some("R"))
+}
+
+/// Commits an unrelated certain insertion under the root, so the frame
+/// becomes a fixpoint through one whole-tree commit.
+fn settle(engine: &UpdateEngine, doc: &mut Document) {
+    let delta = engine.apply_doc(doc, &insert_leaf(root_query(), "Z"));
+    assert_eq!(delta.report.scope, StepScope::Whole);
+}
+
+/// `R → P → {B[x] → C, B[¬x] → X, D[y] → E, D[¬y] → X}`: no merge until
+/// the `X` leaves go.
+fn two_groups_base() -> ProbTree {
+    let mut t = ProbTree::new("R");
+    let x = t.events_mut().insert("x", 0.5);
+    let y = t.events_mut().insert("y", 0.5);
+    let root = t.tree().root();
+    let p = t.add_child(root, "P", Condition::always());
+    for (label, event, inner) in [("B", x, "C"), ("D", y, "E")] {
+        let kept = t.add_child(p, label, Condition::of(Literal::pos(event)));
+        t.add_child(kept, inner, Condition::always());
+        let other = t.add_child(p, label, Condition::of(Literal::neg(event)));
+        t.add_child(other, inner, Condition::always());
+        t.add_child(other, "X", Condition::always());
+    }
+    t
+}
+
+/// Deleting the `X` leaves makes both sibling pairs complementary copies:
+/// two groups merge under one parent, in the order of their first member.
+#[test]
+fn two_merging_groups_under_one_parent() {
+    let engine = UpdateEngine::new();
+    let mut doc = Document::new(two_groups_base());
+    settle(&engine, &mut doc);
+    let delta = commit_checked(&engine, &mut doc, &delete_label("X", 1.0));
+    assert_eq!(delta.report.scope, StepScope::Region);
+    let text = doc.tree().to_ascii();
+    assert_eq!(text.matches('B').count(), 1, "{text}");
+    assert_eq!(text.matches('D').count(), 1, "{text}");
+    assert_eq!(doc.tree().num_literals(), 0, "{text}");
+}
+
+/// `R → P → {B[x] → C, B[¬x] → D}`: a certain insertion at `P` through
+/// both `B`s grafts `new[x]` and `new[¬x]`, complementary copies that
+/// merge into one unconditioned `new`.
+#[test]
+fn complementary_insertions_merge() {
+    let mut t = ProbTree::new("R");
+    let x = t.events_mut().insert("x", 0.5);
+    let root = t.tree().root();
+    let p = t.add_child(root, "P", Condition::always());
+    let b = t.add_child(p, "B", Condition::of(Literal::pos(x)));
+    t.add_child(b, "C", Condition::always());
+    let b = t.add_child(p, "B", Condition::of(Literal::neg(x)));
+    t.add_child(b, "D", Condition::always());
+    let engine = UpdateEngine::new();
+    let mut doc = Document::new(t);
+    settle(&engine, &mut doc);
+    let mut q = PatternQuery::new(Some("P"));
+    q.add_child(q.root(), "B");
+    let delta = commit_checked(&engine, &mut doc, &insert_leaf(q, "new"));
+    assert_eq!(delta.report.scope, StepScope::Region);
+    assert_eq!(delta.report.matches, 2);
+    assert_eq!(delta.nodes_inserted, 1, "the two copies merged into one");
+    assert_eq!(doc.tree().to_ascii().matches("new").count(), 1);
+}
+
+/// `R → A → {S[u] → {B[w], B[¬w] → X}, S[¬u] → B}`: deleting `X` lets the
+/// `B` pair merge (pass 1), which makes the `S` pair identical, so it
+/// merges at `A` on pass 2.
+fn cascade_base() -> ProbTree {
+    let mut t = ProbTree::new("R");
+    let u = t.events_mut().insert("u", 0.5);
+    let w = t.events_mut().insert("w", 0.5);
+    let root = t.tree().root();
+    let a = t.add_child(root, "A", Condition::always());
+    let s1 = t.add_child(a, "S", Condition::of(Literal::pos(u)));
+    t.add_child(s1, "B", Condition::of(Literal::pos(w)));
+    let b = t.add_child(s1, "B", Condition::of(Literal::neg(w)));
+    t.add_child(b, "X", Condition::always());
+    let s2 = t.add_child(a, "S", Condition::of(Literal::neg(u)));
+    t.add_child(s2, "B", Condition::always());
+    t
+}
+
+#[test]
+fn a_merge_cascades_to_the_parent_merge() {
+    let engine = UpdateEngine::new();
+    let mut doc = Document::new(cascade_base());
+    settle(&engine, &mut doc);
+    let delta = commit_checked(&engine, &mut doc, &delete_label("X", 1.0));
+    assert_eq!(delta.report.scope, StepScope::Region);
+    assert_eq!(doc.tree().num_nodes(), 5, "R → {{Z, A → S → B}}");
+    assert_eq!(doc.tree().num_literals(), 0);
+}
+
+/// A fresh document's first commit runs whole-tree; a commit whose
+/// simplify ran out of passes leaves the frame unknown, so the next one
+/// runs whole-tree too; an engine with another simplify configuration
+/// never runs in the region of a fixpoint it did not reach.
+#[test]
+fn fixpoint_status_follows_convergence() {
+    let one_pass = UpdateEngine::with_config(UpdateEngineConfig {
+        simplify_config: SimplifyConfig {
+            max_passes: 1,
+            ..SimplifyConfig::default()
+        },
+        ..UpdateEngineConfig::default()
+    });
+    let mut doc = Document::new(cascade_base());
+    settle(&one_pass, &mut doc);
+    // The cascade needs two passes: this commit runs in region scope but
+    // does not converge, and still equals the whole-tree commit (whose
+    // output keeps the pass-1 merge copies as handles until expansion).
+    let delta = commit_checked(&one_pass, &mut doc, &delete_label("X", 1.0));
+    assert_eq!(delta.report.scope, StepScope::Region);
+    let delta = commit_checked(&one_pass, &mut doc, &delete_label("Q", 1.0));
+    assert_eq!(delta.report.matches, 0);
+    // An unmatched step leaves the unknown status unknown; this commit
+    // finishes the cascade, so it does not converge either.
+    let delta = commit_checked(&one_pass, &mut doc, &insert_leaf(root_query(), "Y"));
+    assert_eq!(delta.report.scope, StepScope::Whole);
+    assert!(delta.report.simplification_savings() > 0);
+    let delta = commit_checked(&one_pass, &mut doc, &insert_leaf(root_query(), "Y"));
+    assert_eq!(delta.report.scope, StepScope::Whole);
+    // That commit changed nothing in its one pass: a fixpoint.
+    let delta = commit_checked(&one_pass, &mut doc, &delete_label("B", 0.5));
+    assert_eq!(delta.report.scope, StepScope::Region);
+    // Another configuration does not trust this engine's fixpoint.
+    let delta = commit_checked(&UpdateEngine::new(), &mut doc, &delete_label("B", 0.5));
+    assert_eq!(delta.report.scope, StepScope::Whole);
+}
+
+/// Forks inherit the status: a fork of a fresh document starts
+/// whole-tree, a fork of a settled one starts in region scope.
+#[test]
+fn forks_inherit_the_fixpoint_status() {
+    let engine = UpdateEngine::new();
+    let fresh = Document::new(two_groups_base());
+    let mut branch = fresh.fork();
+    let delta = commit_checked(&engine, &mut branch, &delete_label("X", 0.5));
+    assert_eq!(delta.report.scope, StepScope::Whole);
+    let mut settled = Document::new(two_groups_base());
+    settle(&engine, &mut settled);
+    let mut branch = settled.fork();
+    let delta = commit_checked(&engine, &mut branch, &delete_label("X", 0.5));
+    assert_eq!(delta.report.scope, StepScope::Region);
+}
