@@ -149,7 +149,7 @@ impl StaticAnalyzer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pxml_core::{MonotonicityCertificate, QueryEngine};
+    use pxml_core::{MonotonicityCertificate, QueryEngine, QueryEngineConfig};
     use pxml_workloads::paper::{figure1, theorem1_query_battery};
 
     #[test]
@@ -179,7 +179,11 @@ mod tests {
         let analysis = analyzer.analyze_pattern(&query);
         assert!(analysis.hints().statically_empty);
         let tree = pxml_workloads::warehouse::skeleton(3);
-        let prepared = QueryEngine::new().prepare_with_hints(&tree, &query, &analysis.hints());
+        let engine = QueryEngine::with_config(QueryEngineConfig {
+            hints: analysis.hints(),
+            ..QueryEngineConfig::default()
+        });
+        let prepared = engine.prepare(&tree, &query);
         assert!(prepared.is_empty());
     }
 }

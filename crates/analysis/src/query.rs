@@ -61,8 +61,8 @@ pub struct QueryAnalysis {
 }
 
 impl QueryAnalysis {
-    /// The hints this analysis justifies passing to
-    /// [`pxml_core::QueryEngine::prepare_with_hints`].
+    /// The hints this analysis justifies setting on
+    /// [`pxml_core::QueryEngineConfig::hints`].
     pub fn hints(&self) -> QueryHints {
         QueryHints {
             statically_empty: self.satisfiability.is_statically_empty(),

@@ -452,7 +452,8 @@ mod tests {
         let mut doc = Document::new(skeleton(2));
         let engine = UpdateEngine::new();
         let query_engine = QueryEngine::new();
-        let mut prepared = query_engine.prepare_doc(&doc, &query);
+        let mut prepared =
+            query_engine.prepare_doc_shared(&doc, std::sync::Arc::new(query.clone()));
         let mut outcomes = Vec::new();
         for update in script.steps() {
             engine.apply_doc(&mut doc, update);
@@ -462,7 +463,7 @@ mod tests {
         assert!(matches!(outcomes[1], MaintainOutcome::Fallback { .. }));
         // Whatever path step 3 took, the maintained state serves exactly
         // what a fresh prepare serves.
-        let fresh = query_engine.prepare_doc(&doc, &query);
+        let fresh = query_engine.prepare(doc.tree(), &query);
         assert_eq!(prepared.len(), fresh.len());
         for index in 0..prepared.len() {
             assert_eq!(prepared.probability(index), fresh.probability(index));

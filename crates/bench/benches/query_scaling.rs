@@ -6,8 +6,8 @@
 //!
 //! * `e3_query_data_tree` — the query on the bare data tree (the
 //!   `time(Q(t))` term);
-//! * `e3_query_probtree` — the same query on the prob-tree via the
-//!   one-shot wrapper (adds the condition unions and probability
+//! * `e3_query_probtree` — the same query on the prob-tree, prepared and
+//!   drained once (adds the condition unions and probability
 //!   evaluation);
 //! * `e3_prepared_vs_unprepared` — a top-10 request served from a reused
 //!   `PreparedQuery` vs paying `prepare` on every call: the prepared path
@@ -37,6 +37,7 @@
 //! Set `PXML_BENCH_QUICK=1` (as CI's bench-smoke job does) for a fast
 //! smoke run over the two smallest tree sizes.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -195,10 +196,10 @@ fn maintenance_fixture(services: usize, rounds: usize) -> (Document, Vec<Probabi
 /// 5x fewer condition unions than re-preparing every round would.
 fn assert_maintenance_counters(services: usize, rounds: usize) {
     let (mut doc, script) = maintenance_fixture(services, rounds);
-    let query = services_with_endpoint_and_contact();
+    let query: Arc<dyn Query> = Arc::new(services_with_endpoint_and_contact());
     let query_engine = QueryEngine::new();
     let update_engine = UpdateEngine::new();
-    let mut prepared = query_engine.prepare_doc(&doc, &query);
+    let mut prepared = query_engine.prepare_doc_shared(&doc, Arc::clone(&query));
     assert!(!prepared.is_empty(), "the seeded warehouse has answers");
     let mut reprepare_union_work = 0usize;
     for update in &script {
@@ -209,7 +210,9 @@ fn assert_maintenance_counters(services: usize, rounds: usize) {
             "keyword rounds are off-footprint and must patch, got {outcome:?}"
         );
         // A fresh prepare recomputes one condition union per answer.
-        reprepare_union_work += query_engine.prepare_doc(&doc, &query).len();
+        reprepare_union_work += query_engine
+            .prepare_doc_shared(&doc, Arc::clone(&query))
+            .len();
     }
     let stats = prepared.maintenance_stats();
     assert_eq!(stats.fallbacks, 0, "no silent fallback on keyword rounds");
@@ -235,7 +238,7 @@ fn bench_maintenance(c: &mut Criterion) {
     let (services, rounds) = if quick() { (8, 4) } else { (24, 10) };
     assert_maintenance_counters(services, rounds);
 
-    let query = services_with_endpoint_and_contact();
+    let query: Arc<dyn Query> = Arc::new(services_with_endpoint_and_contact());
     let query_engine = QueryEngine::new();
     let update_engine = UpdateEngine::new();
     let mut group = c.benchmark_group("e14_maintain_vs_reprepare");
@@ -245,7 +248,9 @@ fn bench_maintenance(c: &mut Criterion) {
             let mut total = 0.0f64;
             for update in &script {
                 update_engine.apply_doc(&mut doc, update);
-                total += query_engine.prepare_doc(&doc, &query).expected_matches();
+                total += query_engine
+                    .prepare_doc_shared(&doc, Arc::clone(&query))
+                    .expected_matches();
             }
             total
         });
@@ -253,7 +258,7 @@ fn bench_maintenance(c: &mut Criterion) {
     group.bench_function(format!("maintain_across_rounds/{services}"), |b| {
         b.iter(|| {
             let (mut doc, script) = maintenance_fixture(services, rounds);
-            let mut prepared = query_engine.prepare_doc(&doc, &query);
+            let mut prepared = query_engine.prepare_doc_shared(&doc, Arc::clone(&query));
             let mut total = 0.0f64;
             for update in &script {
                 update_engine.apply_doc(&mut doc, update);

@@ -121,7 +121,7 @@ fn hub_sharing_invariants(services: usize) -> Warehouse {
         engine.apply_doc(&mut doc, update);
     }
     let mut views: Vec<_> = (0..VIEWS)
-        .map(|_| queries.prepare_doc(&doc, &query))
+        .map(|_| queries.prepare_doc_shared(&doc, Arc::new(query.clone())))
         .collect();
     for _ in 0..ROUNDS {
         for _ in 0..DELTAS_PER_ROUND {

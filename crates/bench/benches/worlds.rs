@@ -1,22 +1,20 @@
 //! Relevant-event world engine: dense vs sparse event usage.
 //!
-//! The legacy `possible_worlds` baseline enumerates all `2^{|W|}`
-//! valuations of the *declared* event table; the `WorldEngine` enumerates
-//! only the `2^{|relevant|}` partial valuations of the events the tree's
-//! conditions actually mention. On a 200-node tree with 40 declared but
-//! only 10 mentioned events the legacy path is infeasible (`2^40`
-//! valuations — it refuses at the default `2^24` guard) while the engine
-//! answers in milliseconds; on a dense tree (every declared event
-//! mentioned) the two do the same amount of enumeration and the engine's
-//! streamed canonical-form accumulator still avoids the second
-//! normalization pass.
+//! The legacy `possible_worlds` oracle enumerates all `2^{|W|}`
+//! valuations of the *declared* event table; `possible_worlds_normalized`
+//! runs the factorized `WorldEngine`, which only enumerates the events
+//! the tree's conditions actually mention, one co-occurrence component at
+//! a time. On a 200-node tree with 40 declared but only 10 mentioned
+//! events the legacy path is infeasible (`2^40` valuations — it refuses
+//! at the default `2^24` guard) while the engine answers in milliseconds;
+//! on a dense tree (every declared event mentioned) the engine's
+//! canonical-form accumulator still avoids the second normalization pass.
 //!
-//! Two further scenarios exercise the *factorized* shard executor: a
+//! Two further scenarios exercise the shard executor directly: a
 //! many-small-components tree (24 events in 8 co-occurrence components of
 //! 3) where `Σ_c 2^{|C_i|} = 64` shard states replace the infeasible
 //! `2^24` joint walk (asserted via the enumeration counter), and a joint
-//! drain at feasible sizes comparing the shard-combine against the
-//! streamed engine.
+//! drain at feasible sizes, checked against the legacy oracle.
 //!
 //! Set `PXML_BENCH_QUICK=1` (as CI does) for a fast smoke run with small
 //! iteration budgets.
@@ -25,7 +23,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use pxml_core::semantics::possible_worlds;
+use pxml_core::semantics::{possible_worlds, possible_worlds_normalized};
 use pxml_core::worlds::{WorldEngine, WorldEngineConfig};
 use pxml_core::ProbTree;
 use pxml_events::{Condition, Literal};
@@ -73,16 +71,14 @@ fn bench_engine_sparse(c: &mut Criterion) {
             "legacy full enumeration must refuse 2^40 valuations"
         );
         group.bench_with_input(BenchmarkId::from_parameter(mentioned), &tree, |b, tree| {
-            let engine = WorldEngine::new(tree);
-            b.iter(|| engine.normalized_worlds(24).unwrap());
+            b.iter(|| possible_worlds_normalized(tree, 24).unwrap());
         });
     }
     group.finish();
 }
 
 /// Dense trees (every declared event mentioned): legacy enumeration +
-/// two-pass normalization vs the engine's streamed accumulator, at equal
-/// `2^k` enumeration work.
+/// two-pass normalization vs the factorized engine's accumulator.
 fn bench_dense_legacy_vs_engine(c: &mut Criterion) {
     let sizes: &[usize] = if quick() { &[6] } else { &[6, 8, 10] };
     let mut group = c.benchmark_group("worlds_dense_legacy");
@@ -98,8 +94,7 @@ fn bench_dense_legacy_vs_engine(c: &mut Criterion) {
     for &events in sizes {
         let tree = sparse_tree(events, events);
         group.bench_with_input(BenchmarkId::from_parameter(events), &tree, |b, tree| {
-            let engine = WorldEngine::new(tree);
-            b.iter(|| engine.normalized_worlds(24).unwrap());
+            b.iter(|| possible_worlds_normalized(tree, 24).unwrap());
         });
     }
     group.finish();
@@ -131,9 +126,9 @@ fn bench_factorized_many_components(c: &mut Criterion) {
         ratio >= 1000,
         "factorized enumeration must be ≥1000× fewer assignments than joint (got {ratio}×)"
     );
-    // The streamed (PR-2) engine refuses this tree outright at the same
-    // budget: 24 relevant events > 20.
-    assert!(engine.normalized_worlds(20).is_err());
+    // The legacy enumeration refuses this tree outright at the same
+    // budget: 24 events > 20.
+    assert!(possible_worlds(&tree, 20).is_err());
     // Shard-fold cross-check against the analytic product.
     let first_component: Vec<_> = engine.components()[0].clone();
     let condition = Condition::from_literals(first_component.iter().map(|&e| Literal::pos(e)));
@@ -149,23 +144,22 @@ fn bench_factorized_many_components(c: &mut Criterion) {
 }
 
 /// Joint drain at feasible sizes: the factorized combine (shards, then the
-/// cross product of the deduplicated classes) vs the streamed PR-2 engine
-/// vs the legacy full enumeration, producing the same normalized PW set.
+/// cross product of the deduplicated classes), checked against the legacy
+/// full enumeration's normalized PW set.
 fn bench_factorized_vs_joint_drain(c: &mut Criterion) {
     let sizes: &[usize] = if quick() { &[3] } else { &[3, 4] };
     let config = WorldEngineConfig::sequential();
     for &components in sizes {
         let tree = many_components_probtree(components, 3);
         let engine = WorldEngine::new(&tree);
-        // All three engines agree (asserted once, untimed).
+        // The factorized combine agrees with the oracle (asserted once,
+        // untimed).
         let factorized = engine
             .sharded(&config, 16)
             .unwrap()
             .normalized_worlds()
             .unwrap();
-        let streamed = engine.normalized_worlds(16).unwrap();
         let legacy = possible_worlds(&tree, 16).unwrap().normalized();
-        assert!(factorized.isomorphic(&streamed));
         assert!(factorized.isomorphic(&legacy));
 
         let mut group = c.benchmark_group("worlds_joint_factorized");
@@ -181,17 +175,6 @@ fn bench_factorized_vs_joint_drain(c: &mut Criterion) {
                         .normalized_worlds()
                         .unwrap()
                 });
-            },
-        );
-        group.finish();
-
-        let mut group = c.benchmark_group("worlds_joint_streamed");
-        group.bench_with_input(
-            BenchmarkId::from_parameter(components * 3),
-            &tree,
-            |b, tree| {
-                let engine = WorldEngine::new(tree);
-                b.iter(|| engine.normalized_worlds(16).unwrap());
             },
         );
         group.finish();

@@ -882,15 +882,14 @@ fn e16_warehouse_server() {
     );
 
     let us = |d: std::time::Duration| d.as_secs_f64() * 1e6;
-    let row = |label: &str, s: &LatencySummary, elapsed: std::time::Duration| {
+    let row = |label: &str, s: &LatencySummary| {
         println!(
-            "{label:>8} | {:>6} {:>12.1} {:>12.1} {:>12.1} {:>12.1} | {:>10.0}",
+            "{label:>8} | {:>6} {:>12.1} {:>12.1} {:>12.1} {:>12.1}",
             s.count,
             us(s.p50),
             us(s.p95),
             us(s.p99),
-            us(s.max),
-            s.throughput(elapsed)
+            us(s.max)
         );
     };
 
@@ -905,11 +904,11 @@ fn e16_warehouse_server() {
             config.tenants, config.rounds, config.reads_per_round, threads
         );
         println!(
-            "{:>8} | {:>6} {:>12} {:>12} {:>12} {:>12} | {:>10}",
-            "op", "count", "p50 (us)", "p95 (us)", "p99 (us)", "max (us)", "ops/s"
+            "{:>8} | {:>6} {:>12} {:>12} {:>12} {:>12}",
+            "op", "count", "p50 (us)", "p95 (us)", "p99 (us)", "max (us)"
         );
-        row("commit", &report.commits, report.elapsed);
-        row("read", &report.reads, report.elapsed);
+        row("commit", &report.commits);
+        row("read", &report.reads);
         let hub = report.hub;
         println!(
             "   hub: {} deltas observed, {} flags fanned, {} windows composed, {} view maintains",

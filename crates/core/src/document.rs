@@ -28,10 +28,10 @@
 //! through its single compaction; the property suites keep that diff as
 //! the oracle of the region's delta. Either way the delta is exact no
 //! matter which simplification passes fired.
-//! [`PreparedQuery::maintain`](crate::PreparedQuery::maintain) consumes
-//! the log to patch prepared state in place, falling back to a full
-//! re-prepare only when a delta's label footprint intersects the query's
-//! spine labels.
+//! [`PreparedQuery::maintain`](crate::PreparedQuery::maintain) composes
+//! the pending log into one [`DeltaWindow`] to patch prepared state in
+//! place, falling back to a full re-prepare only when the window's label
+//! footprint intersects the query's spine labels.
 //!
 //! Snapshots are cheap ([`Document::snapshot`] clones an `Arc`), so
 //! readers hold on to the exact epoch they prepared against while the
@@ -200,13 +200,17 @@ impl UpdateDelta {
 /// `from_epoch → to_epoch` span, so prepared state can be threaded to the
 /// current epoch in a **single** pass instead of once per delta.
 ///
-/// The warehouse server's maintenance hub composes each span once and
-/// shares it across every registered view
-/// ([`PreparedQuery::maintain_windowed`](crate::PreparedQuery::maintain_windowed)):
-/// `N` views behind the same epoch no longer re-thread the same deltas
-/// `N` times.
+/// Built only by [`Document::window_since`], which stamps the window with
+/// the composing document's identity: node ids are per-document, so
+/// [`PreparedQuery::maintain_windowed`](crate::PreparedQuery::maintain_windowed)
+/// refuses a window from any other document. The warehouse server's
+/// maintenance hub composes each span once and shares it across every
+/// registered view: `N` views behind the same epoch no longer re-thread
+/// the same deltas `N` times.
 #[derive(Clone, Debug)]
 pub struct DeltaWindow {
+    /// The document whose log was composed.
+    document: DocumentId,
     /// The epoch a consumer must currently be at to apply this window.
     pub from_epoch: Epoch,
     /// The epoch the window advances to.
@@ -229,13 +233,18 @@ pub struct DeltaWindow {
 }
 
 impl DeltaWindow {
-    /// Composes consecutive deltas (oldest first, starting right after
-    /// `from_epoch`) into one window.
+    /// Composes consecutive deltas of `document`'s log (oldest first,
+    /// starting right after `from_epoch`) into one window.
     ///
     /// # Panics
     /// Panics if the deltas are not consecutive from `from_epoch`.
-    pub fn compose(from_epoch: Epoch, deltas: &[Arc<UpdateDelta>]) -> DeltaWindow {
+    pub(crate) fn compose(
+        document: DocumentId,
+        from_epoch: Epoch,
+        deltas: &[Arc<UpdateDelta>],
+    ) -> DeltaWindow {
         let mut window = DeltaWindow {
+            document,
             from_epoch,
             to_epoch: from_epoch,
             node_map: None,
@@ -278,6 +287,11 @@ impl DeltaWindow {
             }
         }
         window
+    }
+
+    /// The document whose delta log the window composes.
+    pub fn document(&self) -> DocumentId {
+        self.document
     }
 
     /// The spine-intersection test of [`UpdateDelta::touches`], over the
@@ -395,8 +409,8 @@ impl std::error::Error for StageConflict {}
 /// A versioned prob-tree handle: the current tree behind an [`Arc`]
 /// snapshot, an [`Epoch`] stamp, and the log of [`UpdateDelta`]s that
 /// produced it. Both engines speak it —
-/// [`QueryEngine::prepare_doc`](crate::QueryEngine::prepare_doc) stamps
-/// prepared state with the document's identity and epoch, and
+/// [`QueryEngine::prepare_doc_shared`](crate::QueryEngine::prepare_doc_shared)
+/// stamps prepared state with the document's identity and epoch, and
 /// [`UpdateEngine::apply_doc`](crate::UpdateEngine::apply_doc) commits
 /// new epochs.
 ///
@@ -488,7 +502,7 @@ impl Document {
     /// covers `epoch`.
     pub fn window_since(&self, epoch: Epoch) -> Option<DeltaWindow> {
         let deltas = self.deltas_since(epoch)?;
-        Some(DeltaWindow::compose(epoch, &deltas))
+        Some(DeltaWindow::compose(self.id, epoch, &deltas))
     }
 
     /// Forks the current state into a fresh document: new identity, epoch

@@ -215,8 +215,8 @@ mod tests {
     }
 
     /// Semantic equivalence through the factorized expansion, on trees
-    /// whose 18 relevant events exceed the streamed guard at this budget
-    /// (6 components of 3 events): adding a node guarded by a
+    /// whose 18 events exceed the exhaustive guard at this budget (6
+    /// components of 3 events): adding a node guarded by a
     /// contradictory condition changes the syntax but not the semantics,
     /// and a genuinely different tree is still distinguished.
     #[test]
@@ -246,7 +246,7 @@ mod tests {
             Condition::from_literals([Literal::pos(e), Literal::neg(e)]),
         );
         assert_eq!(a.events().len(), 18);
-        assert!(WorldEngine::new(&a).normalized_worlds(16).is_err());
+        assert!(crate::semantics::possible_worlds(&a, 16).is_err());
         assert!(semantic_equivalent(&a, &b, 16).unwrap());
         let (mut c, _) = build();
         let root = c.tree().root();

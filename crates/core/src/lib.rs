@@ -48,7 +48,6 @@ pub mod clean;
 pub mod config;
 pub mod document;
 pub mod equivalence;
-pub mod prelude;
 pub mod probtree;
 pub mod proxml;
 pub mod pwset;

@@ -1,13 +1,11 @@
 //! The prepared, streaming query engine.
 //!
-//! The free functions of [`prob`](super::prob) and [`ranked`](super::ranked)
-//! each re-run the match from scratch, materialize every answer eagerly and
-//! fully sort before truncating — the wrong shape for ranked retrieval,
-//! where an application prepares a query once and then asks for the top
-//! few answers, a threshold slice, or an aggregate, over and over.
-//! [`QueryEngine::prepare`] instead evaluates the match set and the
-//! per-answer condition unions of Definition 8 **exactly once** and returns
-//! a [`PreparedQuery`] that serves every consumer from that shared state:
+//! [`QueryEngine::prepare`] evaluates the match set and the per-answer
+//! condition unions of Definition 8 **exactly once** and returns a
+//! [`PreparedQuery`] that serves every consumer from that shared state —
+//! the shape ranked retrieval needs, where an application prepares a query
+//! once and then asks for the top few answers, a threshold slice, or an
+//! aggregate, over and over:
 //!
 //! * [`PreparedQuery::answers`] — a lazy stream; answer trees and
 //!   probabilities are only computed for the answers actually pulled;
@@ -21,6 +19,11 @@
 //! * [`PreparedQuery::theorem1_check`] — the Theorem 1 cross-check through
 //!   the factorized world engine, honoring the engine's world budget and
 //!   parallelism configuration.
+//!
+//! There are two entry points: [`QueryEngine::prepare`] borrows a tree
+//! and a query, and [`QueryEngine::prepare_doc_shared`] snapshots a
+//! [`Document`] epoch and shares the query, so the state can be kept
+//! current with [`PreparedQuery::maintain`] as the document commits.
 //!
 //! Condition unions are **interned**: distinct answers sharing the same
 //! union (common in fan-out-heavy trees where siblings inherit one
@@ -60,9 +63,8 @@ use super::{MonotonicityCertificate, Query, Theorem1Error};
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum TieBreak {
     /// Order ties by the canonical form of the answer tree under multiset
-    /// semantics (the default, and the policy of the legacy
-    /// [`top_k`](super::ranked::top_k)): deterministic across runs and
-    /// independent of node identities.
+    /// semantics (the default): deterministic across runs and independent
+    /// of node identities.
     #[default]
     Canonical,
     /// Like [`TieBreak::Canonical`] but under set semantics (duplicate
@@ -99,6 +101,9 @@ pub struct QueryEngineConfig {
     pub worlds: WorldEngineConfig,
     /// Tie-break policy of ranked selection.
     pub tie_break: TieBreak,
+    /// Static-analysis hints preparation consults before matching; a
+    /// maintenance fallback re-prepare replays them.
+    pub hints: QueryHints,
 }
 
 impl Default for QueryEngineConfig {
@@ -118,6 +123,7 @@ impl QueryEngineConfig {
             max_events,
             worlds: WorldEngineConfig::for_event_budget(max_events),
             tie_break: TieBreak::default(),
+            hints: QueryHints::default(),
         }
     }
 
@@ -128,9 +134,8 @@ impl QueryEngineConfig {
     }
 }
 
-/// Static-analysis hints a caller may pass to
-/// [`QueryEngine::prepare_with_hints`], typically produced by the
-/// `pxml_analysis` static analyzer.
+/// Static-analysis hints carried on [`QueryEngineConfig::hints`],
+/// typically produced by the `pxml_analysis` static analyzer.
 #[derive(Clone, Debug, Default)]
 pub struct QueryHints {
     /// The query was statically proven to have an empty answer set on
@@ -141,12 +146,9 @@ pub struct QueryHints {
 }
 
 /// The query engine: a reusable configuration from which
-/// [`PreparedQuery`] states are built.
-///
-/// The legacy free functions ([`super::prob::query_probtree`],
-/// [`super::ranked::top_k`], …) are thin wrappers over a default engine,
-/// mirroring how [`crate::update::ProbabilisticUpdate::apply_to_probtree`]
-/// wraps the [`crate::update::UpdateEngine`].
+/// [`PreparedQuery`] states are built, through one of two entry points —
+/// [`QueryEngine::prepare`] over a borrowed tree, or
+/// [`QueryEngine::prepare_doc_shared`] over a [`Document`] snapshot.
 #[derive(Clone, Debug, Default)]
 pub struct QueryEngine {
     config: QueryEngineConfig,
@@ -180,113 +182,55 @@ impl QueryEngine {
     /// unions share one condition and one lazily-computed probability.
     /// Cost: `time(Q(t)) + O(|Q(t)| · |T|)` (Proposition 2) — with no
     /// probability evaluation, tree materialization or sorting until a
-    /// consumer asks.
+    /// consumer asks. A query the configured [`QueryHints`] mark as
+    /// statically empty skips the matcher and serves an empty state.
     pub fn prepare<'a>(&self, tree: &'a ProbTree, query: &'a dyn Query) -> PreparedQuery<'a> {
-        self.prepare_with_hints(tree, query, &QueryHints::default())
-    }
-
-    /// Like [`QueryEngine::prepare`], but consults static-analysis
-    /// [`QueryHints`] first: a query hinted as statically empty
-    /// short-circuits to an empty prepared state without running the
-    /// matcher at all.
-    pub fn prepare_with_hints<'a>(
-        &self,
-        tree: &'a ProbTree,
-        query: &'a dyn Query,
-        hints: &QueryHints,
-    ) -> PreparedQuery<'a> {
         // Pattern matching and answer materialization address arena nodes,
         // so a tree with shared (stored) children is expanded once here;
         // trees without handles are borrowed as-is.
         build_prepared(
             self.config.clone(),
-            TreeSlot::Borrowed(Box::new(tree.expanded())),
-            QuerySlot::Borrowed(query),
-            hints,
-            None,
+            Source::Borrowed {
+                tree: Box::new(tree.expanded()),
+                query,
+            },
         )
     }
 
-    /// Prepares against the current epoch of a [`Document`]. The returned
-    /// state holds a cheap owning snapshot of the document's tree and is
-    /// stamped with the document's identity and epoch, so it stays
-    /// servable while the document moves on — and can be brought back up
-    /// to date in place with [`PreparedQuery::maintain`].
-    pub fn prepare_doc<'a>(&self, doc: &Document, query: &'a dyn Query) -> PreparedQuery<'a> {
-        self.prepare_doc_with_hints(doc, query, &QueryHints::default())
-    }
-
-    /// [`QueryEngine::prepare_doc`] with static-analysis [`QueryHints`]
-    /// (replayed on every maintenance fallback re-prepare).
-    pub fn prepare_doc_with_hints<'a>(
-        &self,
-        doc: &Document,
-        query: &'a dyn Query,
-        hints: &QueryHints,
-    ) -> PreparedQuery<'a> {
-        build_prepared(
-            self.config.clone(),
-            TreeSlot::Shared(doc.snapshot()),
-            QuerySlot::Borrowed(query),
-            hints,
-            Some((doc.id(), doc.epoch())),
-        )
-    }
-
-    /// [`QueryEngine::prepare_doc`] from a shared owning query handle:
-    /// the returned state borrows nothing (`PreparedQuery<'static>`), so
-    /// it can be stored in long-lived registries and moved or shared
-    /// across threads — the shape the warehouse server keeps per
-    /// registered view. `Query` is `Send + Sync` by supertrait, so the
-    /// state stays shareable.
+    /// Prepares against the current epoch of a [`Document`], from a
+    /// shared owning query handle. The returned state holds a cheap
+    /// owning snapshot of the document's tree and is stamped with the
+    /// document's identity and epoch, so it stays servable while the
+    /// document moves on — and can be brought back up to date in place
+    /// with [`PreparedQuery::maintain`]. It borrows nothing
+    /// (`PreparedQuery<'static>`), so it can be stored in long-lived
+    /// registries and moved or shared across threads — the shape the
+    /// warehouse server keeps per registered view. `Query` is
+    /// `Send + Sync` by supertrait, so the state stays shareable.
     pub fn prepare_doc_shared(
         &self,
         doc: &Document,
         query: Arc<dyn Query>,
     ) -> PreparedQuery<'static> {
-        self.prepare_doc_shared_with_hints(doc, query, &QueryHints::default())
-    }
-
-    /// [`QueryEngine::prepare_doc_shared`] with static-analysis
-    /// [`QueryHints`] (replayed on every maintenance fallback).
-    pub fn prepare_doc_shared_with_hints(
-        &self,
-        doc: &Document,
-        query: Arc<dyn Query>,
-        hints: &QueryHints,
-    ) -> PreparedQuery<'static> {
-        build_prepared(
-            self.config.clone(),
-            TreeSlot::Shared(doc.snapshot()),
-            QuerySlot::Shared(query),
-            hints,
-            Some((doc.id(), doc.epoch())),
-        )
+        build_prepared(self.config.clone(), Source::document(doc, query))
     }
 }
 
-/// The one place prepared state is built — shared by borrow-based and
-/// document-based preparation and by the maintenance fallback, so all
-/// three produce byte-identical layouts (answer order, interning order,
-/// empty caches).
-fn build_prepared<'a>(
-    config: QueryEngineConfig,
-    tree: TreeSlot<'a>,
-    query: QuerySlot<'a>,
-    hints: &QueryHints,
-    doc: Option<(DocumentId, Epoch)>,
-) -> PreparedQuery<'a> {
-    let subtrees = if hints.statically_empty {
+/// The one place prepared state is built — shared by both entry points
+/// and by the maintenance fallback, so all three produce byte-identical
+/// layouts (answer order, interning order, empty caches).
+fn build_prepared(config: QueryEngineConfig, source: Source<'_>) -> PreparedQuery<'_> {
+    let tree = source.tree();
+    let subtrees = if config.hints.statically_empty {
         Vec::new()
     } else {
-        query.get().evaluate(tree.get().tree())
+        source.query().evaluate(tree.tree())
     };
     let mut intern: HashMap<Condition, usize> = HashMap::new();
     let mut conditions: Vec<Condition> = Vec::new();
     let mut answers: Vec<AnswerState> = Vec::with_capacity(subtrees.len());
     for subtree in subtrees {
-        let union =
-            Condition::union_of(subtree.nodes().filter_map(|n| tree.get().condition_ref(n)));
+        let union = Condition::union_of(subtree.nodes().filter_map(|n| tree.condition_ref(n)));
         let condition = match intern.entry(union) {
             Entry::Occupied(slot) => *slot.get(),
             Entry::Vacant(slot) => {
@@ -304,13 +248,10 @@ fn build_prepared<'a>(
     let tie_keys = std::iter::repeat_with(OnceLock::new)
         .take(answers.len())
         .collect();
-    let footprint = query.get().label_footprint();
+    let footprint = source.query().label_footprint();
     PreparedQuery {
-        tree,
-        query,
+        source,
         footprint,
-        hints: hints.clone(),
-        doc,
         maint: MaintainStats::default(),
         config,
         answers,
@@ -330,43 +271,50 @@ struct AnswerState {
     condition: usize,
 }
 
-/// How a [`PreparedQuery`] holds its tree: borrowed (the legacy
-/// `prepare(&tree, …)` entry points — possibly an owned expansion of a
-/// shared-children input) or an owning [`Document`] snapshot, which keeps
-/// serving after the document commits further epochs.
-enum TreeSlot<'a> {
-    /// Borrow-based preparation ([`QueryEngine::prepare`]). Boxed so the
-    /// possibly-owned expansion doesn't dominate the enum's size.
-    Borrowed(Box<Cow<'a, ProbTree>>),
-    /// Document-based preparation ([`QueryEngine::prepare_doc`]).
-    Shared(Arc<ProbTree>),
+/// Where a [`PreparedQuery`]'s tree and query come from — one variant per
+/// entry point.
+enum Source<'a> {
+    /// [`QueryEngine::prepare`]: a borrowed query over the borrowed tree,
+    /// or over an owned expansion of a tree with shared children. Boxed
+    /// so the possibly-owned expansion doesn't dominate the enum's size.
+    Borrowed {
+        tree: Box<Cow<'a, ProbTree>>,
+        query: &'a dyn Query,
+    },
+    /// [`QueryEngine::prepare_doc_shared`]: an owning snapshot of one
+    /// [`Document`] epoch, which keeps serving after the document commits
+    /// further epochs, a shared query, and the document's identity and
+    /// epoch the snapshot was taken at.
+    Document {
+        tree: Arc<ProbTree>,
+        query: Arc<dyn Query>,
+        id: DocumentId,
+        epoch: Epoch,
+    },
 }
 
-impl TreeSlot<'_> {
-    fn get(&self) -> &ProbTree {
-        match self {
-            TreeSlot::Borrowed(tree) => (**tree).as_ref(),
-            TreeSlot::Shared(tree) => tree,
+impl Source<'_> {
+    /// The current epoch of `doc`, queried by `query`.
+    fn document(doc: &Document, query: Arc<dyn Query>) -> Self {
+        Source::Document {
+            tree: doc.snapshot(),
+            query,
+            id: doc.id(),
+            epoch: doc.epoch(),
         }
     }
-}
 
-/// How a [`PreparedQuery`] holds its query: a borrow for the legacy
-/// entry points, or a shared owning handle so the state can outlive the
-/// caller and cross threads ([`QueryEngine::prepare_doc_shared`]).
-#[derive(Clone)]
-enum QuerySlot<'a> {
-    /// Borrow-based preparation.
-    Borrowed(&'a dyn Query),
-    /// Owning preparation; `'static` states are built from this.
-    Shared(Arc<dyn Query>),
-}
-
-impl QuerySlot<'_> {
-    fn get(&self) -> &dyn Query {
+    fn tree(&self) -> &ProbTree {
         match self {
-            QuerySlot::Borrowed(query) => *query,
-            QuerySlot::Shared(query) => &**query,
+            Source::Borrowed { tree, .. } => (**tree).as_ref(),
+            Source::Document { tree, .. } => tree,
+        }
+    }
+
+    fn query(&self) -> &dyn Query {
+        match self {
+            Source::Borrowed { query, .. } => *query,
+            Source::Document { query, .. } => &**query,
         }
     }
 }
@@ -404,8 +352,7 @@ type CachedSemiringValue = Option<Box<dyn Any + Send>>;
 /// prepare's one-union-per-answer).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MaintainStats {
-    /// Deltas patched in place across all [`PreparedQuery::maintain`]
-    /// calls.
+    /// Deltas patched in place across all maintenance calls.
     pub steps_patched: usize,
     /// Full re-prepares forced by a fallback.
     pub fallbacks: usize,
@@ -417,10 +364,11 @@ pub struct MaintainStats {
     pub unions_carried: usize,
     /// Answers remapped to new-frame node ids by patching.
     pub answers_remapped: usize,
-    /// Patches applied through a composed [`DeltaWindow`]
-    /// ([`PreparedQuery::maintain_windowed`]): the span's deltas counted
-    /// once in [`steps_patched`](MaintainStats::steps_patched) but
-    /// threaded in a single pass.
+    /// Patch passes: every patched [`PreparedQuery::maintain`] or
+    /// [`PreparedQuery::maintain_windowed`] call threads its pending span
+    /// through one composed [`DeltaWindow`] in a single pass (the span's
+    /// deltas still count one each in
+    /// [`steps_patched`](MaintainStats::steps_patched)).
     pub windows_applied: usize,
 }
 
@@ -466,10 +414,11 @@ pub enum FallbackReason {
 /// [`MaintainOutcome::Fallback`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MaintainError {
-    /// The state came from a borrow-based `prepare`, which has no
+    /// The state came from [`QueryEngine::prepare`], which has no
     /// document identity or epoch to maintain against.
     NotDocumentBacked,
-    /// The state was prepared against a different [`Document`].
+    /// The state was prepared against a different [`Document`], or the
+    /// [`DeltaWindow`] passed in was composed by another document.
     DocumentMismatch,
     /// The document's epoch is *behind* the prepared state's — the handle
     /// passed in is not the one the state was prepared against.
@@ -501,18 +450,11 @@ impl std::error::Error for MaintainError {}
 /// and cached where re-use pays (probabilities per interned condition,
 /// tie-break keys per answer).
 pub struct PreparedQuery<'a> {
-    /// The queried tree — a borrow/owned-expansion for the legacy entry
-    /// points, an owning snapshot for document-backed preparation.
-    tree: TreeSlot<'a>,
-    query: QuerySlot<'a>,
+    /// The queried tree and the query, borrowed or document-backed.
+    source: Source<'a>,
     /// The query's label footprint, computed once at prepare time — the
     /// label set [`PreparedQuery::maintain`] checks deltas against.
     footprint: Option<BTreeSet<String>>,
-    /// The hints preparation ran under, replayed by fallback re-prepares.
-    hints: QueryHints,
-    /// Identity and epoch of the backing document (`None` for the legacy
-    /// borrow-based entry points).
-    doc: Option<(DocumentId, Epoch)>,
     /// Cumulative maintenance counters.
     maint: MaintainStats,
     config: QueryEngineConfig,
@@ -540,13 +482,16 @@ impl<'a> PreparedQuery<'a> {
     /// the input tree had shared children; the stamped epoch's snapshot
     /// when document-backed).
     pub fn tree(&self) -> &ProbTree {
-        self.tree.get()
+        self.source.tree()
     }
 
-    /// Identity and epoch of the backing [`Document`], `None` for
-    /// borrow-based preparation.
+    /// Identity and epoch of the backing [`Document`], `None` for state
+    /// built by [`QueryEngine::prepare`].
     pub fn document_stamp(&self) -> Option<(DocumentId, Epoch)> {
-        self.doc
+        match self.source {
+            Source::Borrowed { .. } => None,
+            Source::Document { id, epoch, .. } => Some((id, epoch)),
+        }
     }
 
     /// The label footprint maintenance checks deltas against (`None` =
@@ -560,16 +505,16 @@ impl<'a> PreparedQuery<'a> {
         self.maint
     }
 
-    /// Brings document-backed prepared state up to date with `doc`,
-    /// patching the match set, interned condition unions, probability
-    /// cache and document stamp in place — answer by answer through the
-    /// pending [`crate::UpdateDelta`]s — whenever every pending delta's
-    /// inserted/removed labels avoid the query's
-    /// [footprint](Query::label_footprint). Falls back to a full
-    /// re-prepare (against the current epoch, replaying the original
-    /// [`QueryHints`]) when the footprint is unbounded, a delta touches
-    /// it, or the delta log was trimmed; the state is up to date on
-    /// return either way.
+    /// Brings document-backed prepared state up to date with `doc`:
+    /// composes the pending deltas into one [`DeltaWindow`]
+    /// ([`Document::window_since`]) and patches the match set, interned
+    /// condition unions, probability cache and document stamp in place
+    /// through it, whenever the window's inserted/removed labels avoid
+    /// the query's [footprint](Query::label_footprint). Falls back to a
+    /// full re-prepare (against the current epoch, replaying the
+    /// configured [`QueryHints`]) when the footprint is unbounded, the
+    /// window touches it, or the delta log was trimmed; the state is up
+    /// to date on return either way.
     ///
     /// Patched state is **indistinguishable** from a fresh prepare on the
     /// document's current tree: same answers in the same order, the same
@@ -577,69 +522,43 @@ impl<'a> PreparedQuery<'a> {
     /// [`SelectionStats`] on every subsequent selection (property-tested
     /// against the fresh-prepare oracle).
     pub fn maintain(&mut self, doc: &Document) -> Result<MaintainOutcome, MaintainError> {
-        let Some((id, epoch)) = self.doc else {
-            return Err(MaintainError::NotDocumentBacked);
-        };
-        if id != doc.id() {
-            return Err(MaintainError::DocumentMismatch);
-        }
-        if doc.epoch() < epoch {
-            return Err(MaintainError::EpochRewound);
-        }
-        if doc.epoch() == epoch {
+        let Some(epoch) = self.pending_since(doc)? else {
             return Ok(MaintainOutcome::UpToDate);
-        }
-        let Some(deltas) = doc.deltas_since(epoch) else {
-            return Ok(self.reprepare(doc, FallbackReason::LogTrimmed));
         };
-        let Some(footprint) = self.footprint.clone() else {
-            return Ok(self.reprepare(doc, FallbackReason::UnboundedFootprint));
-        };
-        // Phase 1 — plan: thread every answer's node set through every
-        // pending delta, tracking which answers had a condition rewritten
-        // along the way. Nothing is mutated yet, so a fallback mid-plan
-        // leaves the state consistent for `reprepare` to replace.
-        let mut node_sets: Vec<Vec<NodeId>> = self
-            .answers
-            .iter()
-            .map(|a| a.subtree.nodes().collect())
-            .collect();
-        let mut dirty = vec![false; self.answers.len()];
-        let mut steps = 0usize;
-        for delta in &deltas {
-            if delta.touches(&footprint) {
-                return Ok(self.reprepare(doc, FallbackReason::SpineTouched));
-            }
-            for (index, nodes) in node_sets.iter_mut().enumerate() {
-                for node in nodes.iter_mut() {
-                    match delta.map_node(*node) {
-                        Some(mapped) => *node = mapped,
-                        None => return Ok(self.reprepare(doc, FallbackReason::AnswerDisplaced)),
-                    }
-                }
-                if nodes.iter().any(|n| delta.rewritten.contains(n)) {
-                    dirty[index] = true;
-                }
-            }
-            steps += 1;
-        }
-        Ok(self.commit_patch(id, doc, node_sets, dirty, steps))
+        Ok(match doc.window_since(epoch) {
+            Some(window) => self.patch(doc, &window),
+            None => self.reprepare(doc, FallbackReason::LogTrimmed),
+        })
     }
 
-    /// Like [`PreparedQuery::maintain`], but threads the answers through a
-    /// single pre-composed [`DeltaWindow`] instead of every pending delta
-    /// in turn — the warehouse hub composes each document's pending span
-    /// once and every registered view pays one pass, not one per delta.
-    /// Equivalent to `maintain` (per-delta node maps are injective, so a
-    /// window-composed map reaches the same node sets, and displaced or
-    /// dirty answers are classified identically); delegates to `maintain`
-    /// when the window does not span exactly this state's epoch range.
+    /// [`PreparedQuery::maintain`] through a window the caller already
+    /// composed — the warehouse hub composes each document's pending span
+    /// once and every registered view pays one pass over it. A window
+    /// composed by another document is refused with
+    /// [`MaintainError::DocumentMismatch`], leaving the state untouched;
+    /// one that does not span exactly this state's epoch range is ignored
+    /// in favour of [`PreparedQuery::maintain`].
     pub fn maintain_windowed(
         &mut self,
         doc: &Document,
         window: &DeltaWindow,
     ) -> Result<MaintainOutcome, MaintainError> {
-        let Some((id, epoch)) = self.doc else {
+        if window.document() != doc.id() {
+            return Err(MaintainError::DocumentMismatch);
+        }
+        let Some(epoch) = self.pending_since(doc)? else {
+            return Ok(MaintainOutcome::UpToDate);
+        };
+        if window.from_epoch != epoch || window.to_epoch != doc.epoch() {
+            return self.maintain(doc);
+        }
+        Ok(self.patch(doc, window))
+    }
+
+    /// The validation both maintenance calls share: the epoch this state
+    /// must be brought forward from, or `None` when it is current.
+    fn pending_since(&self, doc: &Document) -> Result<Option<Epoch>, MaintainError> {
+        let Some((id, epoch)) = self.document_stamp() else {
             return Err(MaintainError::NotDocumentBacked);
         };
         if id != doc.id() {
@@ -648,17 +567,20 @@ impl<'a> PreparedQuery<'a> {
         if doc.epoch() < epoch {
             return Err(MaintainError::EpochRewound);
         }
-        if doc.epoch() == epoch {
-            return Ok(MaintainOutcome::UpToDate);
-        }
-        if window.from_epoch != epoch || window.to_epoch != doc.epoch() {
-            return self.maintain(doc);
-        }
-        let Some(footprint) = self.footprint.clone() else {
-            return Ok(self.reprepare(doc, FallbackReason::UnboundedFootprint));
+        Ok((doc.epoch() > epoch).then_some(epoch))
+    }
+
+    /// Patches the state through a window spanning its epoch to `doc`'s.
+    /// Phase 1 — plan: thread every answer's node set through the window,
+    /// tracking which answers had a condition rewritten. Nothing is
+    /// mutated until the plan completes, so a fallback leaves the state
+    /// consistent for `reprepare` to replace; phase 2 commits the plan.
+    fn patch(&mut self, doc: &Document, window: &DeltaWindow) -> MaintainOutcome {
+        let Some(footprint) = &self.footprint else {
+            return self.reprepare(doc, FallbackReason::UnboundedFootprint);
         };
-        if window.touches(&footprint) {
-            return Ok(self.reprepare(doc, FallbackReason::SpineTouched));
+        if window.touches(footprint) {
+            return self.reprepare(doc, FallbackReason::SpineTouched);
         }
         let mut node_sets: Vec<Vec<NodeId>> = self
             .answers
@@ -670,7 +592,7 @@ impl<'a> PreparedQuery<'a> {
             for node in nodes.iter_mut() {
                 match window.map_node(*node) {
                     Some(mapped) => *node = mapped,
-                    None => return Ok(self.reprepare(doc, FallbackReason::AnswerDisplaced)),
+                    None => return self.reprepare(doc, FallbackReason::AnswerDisplaced),
                 }
             }
             if nodes.iter().any(|n| window.rewritten.contains(n)) {
@@ -678,7 +600,7 @@ impl<'a> PreparedQuery<'a> {
             }
         }
         self.maint.windows_applied += 1;
-        Ok(self.commit_patch(id, doc, node_sets, dirty, window.steps))
+        self.commit_patch(doc, node_sets, dirty, window.steps)
     }
 
     /// Phase 2 of maintenance — commit a remap plan: rebuild each answer
@@ -689,7 +611,6 @@ impl<'a> PreparedQuery<'a> {
     /// answers recompute the union from the new tree.
     fn commit_patch(
         &mut self,
-        id: DocumentId,
         doc: &Document,
         node_sets: Vec<Vec<NodeId>>,
         dirty: Vec<bool>,
@@ -777,7 +698,7 @@ impl<'a> PreparedQuery<'a> {
         // events, every carried value is stale and the caches are cleared
         // instead.
         {
-            let events_grew = snapshot.events().len() != self.tree.get().events().len();
+            let events_grew = snapshot.events().len() != self.tree().events().len();
             let caches = self.semiring.get_mut().expect("semiring cache poisoned");
             for slots in caches.slots.values_mut() {
                 if events_grew {
@@ -801,8 +722,10 @@ impl<'a> PreparedQuery<'a> {
         self.conditions = conditions;
         self.probabilities = probabilities;
         self.by_subtree = OnceLock::new();
-        self.tree = TreeSlot::Shared(snapshot);
-        self.doc = Some((id, doc.epoch()));
+        if let Source::Document { tree, epoch, .. } = &mut self.source {
+            *tree = snapshot;
+            *epoch = doc.epoch();
+        }
         MaintainOutcome::Patched { steps }
     }
 
@@ -817,13 +740,12 @@ impl<'a> PreparedQuery<'a> {
             .get_mut()
             .expect("semiring cache poisoned")
             .stats;
-        let hints = self.hints.clone();
+        let Source::Document { query, .. } = &self.source else {
+            unreachable!("only document-backed state is maintained");
+        };
         *self = build_prepared(
             self.config.clone(),
-            TreeSlot::Shared(doc.snapshot()),
-            self.query.clone(),
-            &hints,
-            Some((doc.id(), doc.epoch())),
+            Source::document(doc, Arc::clone(query)),
         );
         self.maint = maint;
         self.semiring
@@ -835,7 +757,7 @@ impl<'a> PreparedQuery<'a> {
 
     /// The prepared query.
     pub fn query(&self) -> &dyn Query {
-        self.query.get()
+        self.source.query()
     }
 
     /// Number of answers in the match set (including zero-probability
@@ -898,7 +820,7 @@ impl<'a> PreparedQuery<'a> {
 
     fn condition_probability(&self, condition: usize) -> f64 {
         *self.probabilities[condition]
-            .get_or_init(|| self.conditions[condition].probability(self.tree.get().events()))
+            .get_or_init(|| self.conditions[condition].probability(self.tree().events()))
     }
 
     /// Materializes the `index`-th answer (tree, node set, probability).
@@ -908,7 +830,7 @@ impl<'a> PreparedQuery<'a> {
     pub fn materialize(&self, index: usize) -> ProbAnswer {
         let state = &self.answers[index];
         ProbAnswer {
-            tree: state.subtree.to_tree(self.tree.get().tree()),
+            tree: state.subtree.to_tree(self.tree().tree()),
             probability: self.condition_probability(state.condition),
             subtree: state.subtree.clone(),
         }
@@ -956,13 +878,13 @@ impl<'a> PreparedQuery<'a> {
     /// # Panics
     /// Panics if `index ≥ len()`.
     pub fn value_in<S: Semiring>(&self, semiring: &S, index: usize) -> S::Value {
-        self.conditions[self.answers[index].condition].eval_in(semiring, self.tree.get().events())
+        self.conditions[self.answers[index].condition].eval_in(semiring, self.tree().events())
     }
 
     /// Evaluates every **distinct** interned condition union once under
     /// `semiring`, indexed by condition slot.
     fn condition_values_in<S: Semiring>(&self, semiring: &S) -> Vec<S::Value> {
-        let events = self.tree.get().events();
+        let events = self.tree().events();
         self.conditions
             .iter()
             .map(|c| c.eval_in(semiring, events))
@@ -1009,7 +931,7 @@ impl<'a> PreparedQuery<'a> {
         S: Semiring + 'static,
         S::Value: Send + 'static,
     {
-        let events = self.tree.get().events();
+        let events = self.tree().events();
         let mut caches = self.semiring.lock().expect("semiring cache poisoned");
         let caches = &mut *caches;
         let slots = caches
@@ -1191,7 +1113,7 @@ impl<'a> PreparedQuery<'a> {
                 .set(counters.tie_keys_built.get() + 1);
             self.answers[index]
                 .subtree
-                .canonical_string(self.tree.get().tree(), semantics)
+                .canonical_string(self.tree().tree(), semantics)
         })
     }
 
@@ -1203,7 +1125,7 @@ impl<'a> PreparedQuery<'a> {
             let probability = self.probability(index);
             (probability > 0.0).then(|| {
                 (
-                    self.answers[index].subtree.to_tree(self.tree.get().tree()),
+                    self.answers[index].subtree.to_tree(self.tree().tree()),
                     probability,
                 )
             })
@@ -1223,16 +1145,13 @@ impl<'a> PreparedQuery<'a> {
     /// enumerated. `Certified` and `Unknown` queries proceed to the
     /// cross-check.
     pub fn theorem1_check(&self) -> Result<bool, Theorem1Error> {
-        if let MonotonicityCertificate::Rejected { reason } = self.query.get().monotonicity() {
+        if let MonotonicityCertificate::Rejected { reason } = self.query().monotonicity() {
             return Err(Theorem1Error::NotCertifiedMonotone { reason });
         }
         let direct = self.as_pw_set();
-        let worlds = possible_worlds_factorized(
-            self.tree.get(),
-            self.config.max_events,
-            &self.config.worlds,
-        )?;
-        let via_worlds = query_pw_set(self.query.get(), &worlds);
+        let worlds =
+            possible_worlds_factorized(self.tree(), self.config.max_events, &self.config.worlds)?;
+        let via_worlds = query_pw_set(self.query(), &worlds);
         Ok(direct.normalized().isomorphic(&via_worlds.normalized()))
     }
 }
@@ -1688,10 +1607,13 @@ mod tests {
             inner: &q,
             evaluations: AtomicUsize::new(0),
         };
-        let hints = QueryHints {
-            statically_empty: true,
-        };
-        let prepared = QueryEngine::new().prepare_with_hints(&tree, &counting, &hints);
+        let engine = QueryEngine::with_config(QueryEngineConfig {
+            hints: QueryHints {
+                statically_empty: true,
+            },
+            ..QueryEngineConfig::default()
+        });
+        let prepared = engine.prepare(&tree, &counting);
         assert_eq!(
             counting.evaluations.load(Ordering::Relaxed),
             0,
@@ -1723,6 +1645,131 @@ mod tests {
         assert_eq!(set.into_vec().len(), 3);
     }
 
+    /// A root with three children of the same label but different
+    /// probabilities, so ranking is non-trivial.
+    fn catalog() -> ProbTree {
+        let mut t = ProbTree::new("catalog");
+        let root = t.tree().root();
+        for (name, p) in [("high", 0.9), ("mid", 0.5), ("low", 0.2)] {
+            let w = t.events_mut().insert(name, p);
+            let item = t.add_child(root, "item", Condition::of(Literal::pos(w)));
+            t.add_child(item, format!("sku_{name}"), Condition::always());
+        }
+        t
+    }
+
+    #[test]
+    fn top_k_orders_by_probability() {
+        let t = catalog();
+        let q = PatternQuery::new(Some("item"));
+        let prepared = QueryEngine::new().prepare(&t, &q);
+        let top = prepared.top_k(2);
+        assert_eq!(top.len(), 2);
+        assert!(prob_eq(top[0].probability, 0.9));
+        assert!(prob_eq(top[1].probability, 0.5));
+        let all = prepared.top_k(10);
+        assert_eq!(all.len(), 3);
+        assert!(prob_eq(all[2].probability, 0.2));
+    }
+
+    #[test]
+    fn above_threshold_filters() {
+        let t = catalog();
+        let q = PatternQuery::new(Some("item"));
+        let prepared = QueryEngine::new().prepare(&t, &q);
+        assert_eq!(prepared.above(0.4).len(), 2);
+        assert_eq!(prepared.above(0.95).len(), 0);
+        assert_eq!(prepared.above(0.0).len(), 3);
+    }
+
+    /// Regression test for deterministic tie handling: many
+    /// equal-probability answers must come back in canonical-key order,
+    /// identically across fresh engines, across `k` values at the tie
+    /// boundary, and between the bounded-heap and full-sort paths.
+    #[test]
+    fn top_k_is_deterministic_under_ties() {
+        use pxml_tree::canon::canonical_string;
+        let mut tree = ProbTree::new("r");
+        let root = tree.tree().root();
+        // Eight x-items, all with probability 0.5, pairwise distinct
+        // shapes (leaf labels) so the canonical tie-break is total.
+        for i in 0..8 {
+            let w = tree.events_mut().insert(format!("w{i}"), 0.5);
+            let x = tree.add_child(root, "x", Condition::of(Literal::pos(w)));
+            tree.add_child(x, format!("leaf{i}"), Condition::always());
+        }
+        let q = PatternQuery::new(Some("x"));
+        let keys_of = |answers: &[ProbAnswer]| -> Vec<String> {
+            answers
+                .iter()
+                .map(|a| canonical_string(&a.tree, Semantics::MultiSet))
+                .collect()
+        };
+        let top_k = |k: usize| QueryEngine::new().prepare(&tree, &q).top_k(k);
+        let keys = keys_of(&top_k(8));
+        // Equal probabilities everywhere, so the order IS the sorted
+        // canonical-key order.
+        let mut sorted = keys.clone();
+        sorted.sort();
+        assert_eq!(keys, sorted, "ties must follow the canonical order");
+        // Repeated fresh engines agree byte for byte.
+        assert_eq!(keys_of(&top_k(8)), keys);
+        // Every k slices the same ranking, even through the tie block.
+        for k in 1..8 {
+            assert_eq!(keys_of(&top_k(k)), keys[..k].to_vec());
+        }
+        // The heap path agrees with the full-sort reference.
+        let prepared = QueryEngine::new().prepare(&tree, &q);
+        assert_eq!(keys_of(&prepared.ranked()), keys);
+        assert_eq!(keys_of(&prepared.top_k(3)), keys[..3].to_vec());
+    }
+
+    #[test]
+    fn zero_probability_answers_are_dropped() {
+        let mut t = ProbTree::new("A");
+        let w = t.events_mut().insert("w", 0.5);
+        let root = t.tree().root();
+        t.add_child(root, "B", Condition::of(Literal::pos(w)));
+        t.add_child(root, "C", Condition::of(Literal::neg(w)));
+        // A query needing both B and C has an answer whose condition set is
+        // inconsistent.
+        let mut q = PatternQuery::anchored(Some("A"));
+        q.add_child(q.root(), "B");
+        q.add_child(q.root(), "C");
+        let prepared = QueryEngine::new().prepare(&t, &q);
+        assert_eq!(prepared.len(), 1);
+        assert!(prepared.top_k(10).is_empty());
+        assert!(prepared.above(0.0).is_empty());
+    }
+
+    #[test]
+    fn expected_matches_agrees_with_world_expansion() {
+        // Expected number of //C/D matches on Figure 1: only the 0.70 world
+        // has one, so the expectation is 0.70.
+        let t = figure1_example();
+        let mut q = PatternQuery::new(Some("C"));
+        q.add_child(q.root(), "D");
+        let direct = QueryEngine::new().prepare(&t, &q).expected_matches();
+        let mut via_worlds = 0.0;
+        for (world, p) in crate::semantics::possible_worlds(&t, 20)
+            .unwrap()
+            .normalized()
+            .iter()
+        {
+            via_worlds += p * q.evaluate(world).len() as f64;
+        }
+        assert!(prob_eq(direct, via_worlds));
+        assert!(prob_eq(direct, 0.70));
+    }
+
+    #[test]
+    fn expected_matches_counts_multiplicities() {
+        let t = catalog();
+        let q = PatternQuery::new(Some("item"));
+        let expected = QueryEngine::new().prepare(&t, &q).expected_matches();
+        assert!(prob_eq(expected, 0.9 + 0.5 + 0.2));
+    }
+
     // ------------------------------------------------------------------
     // Incremental maintenance (`PreparedQuery::maintain`)
     // ------------------------------------------------------------------
@@ -1744,11 +1791,16 @@ mod tests {
         ProbabilisticUpdate::new(UpdateOperation::delete(q, at), confidence)
     }
 
+    /// A default engine's document-backed state for a pattern.
+    fn doc_view(doc: &Document, q: &PatternQuery) -> PreparedQuery<'static> {
+        QueryEngine::new().prepare_doc_shared(doc, Arc::new(q.clone()))
+    }
+
     /// The maintained state must be indistinguishable from a fresh
     /// prepare against the same document epoch: same answers, same
     /// ranking order, bit-identical probabilities.
     fn assert_agrees_with_fresh(maintained: &PreparedQuery<'_>, doc: &Document, q: &PatternQuery) {
-        let fresh = QueryEngine::new().prepare_doc(doc, q);
+        let fresh = doc_view(doc, q);
         assert_eq!(maintained.len(), fresh.len());
         for i in 0..fresh.len() {
             assert_eq!(maintained.subtree(i), fresh.subtree(i), "answer #{i} nodes");
@@ -1768,7 +1820,7 @@ mod tests {
     fn maintain_patches_off_footprint_insertions_in_place() {
         let q = PatternQuery::new(Some("item"));
         let mut doc = Document::new(ladder(6));
-        let mut prepared = QueryEngine::new().prepare_doc(&doc, &q);
+        let mut prepared = doc_view(&doc, &q);
         assert_eq!(prepared.document_stamp(), Some((doc.id(), 0)));
         assert_eq!(
             prepared.footprint().map(std::collections::BTreeSet::len),
@@ -1803,7 +1855,7 @@ mod tests {
     fn certain_deletion_of_the_matched_label_falls_back_to_empty() {
         let q = PatternQuery::new(Some("item"));
         let mut doc = Document::new(ladder(3));
-        let mut prepared = QueryEngine::new().prepare_doc(&doc, &q);
+        let mut prepared = doc_view(&doc, &q);
         assert_eq!(prepared.len(), 3);
         UpdateEngine::new().apply_doc(&mut doc, &doc_delete("item", 1.0));
         let outcome = prepared.maintain(&doc).unwrap();
@@ -1824,7 +1876,7 @@ mod tests {
     fn footprint_label_insertion_falls_back_and_surfaces_the_new_answer() {
         let q = PatternQuery::new(Some("item"));
         let mut doc = Document::new(ladder(3));
-        let mut prepared = QueryEngine::new().prepare_doc(&doc, &q);
+        let mut prepared = doc_view(&doc, &q);
         assert_eq!(prepared.len(), 3);
         UpdateEngine::new().apply_doc(&mut doc, &doc_insert("catalog", "item", 0.85));
         let outcome = prepared.maintain(&doc).unwrap();
@@ -1864,7 +1916,7 @@ mod tests {
         tree.add_child(root, "item", Condition::of(Literal::pos(w2)));
         let q = PatternQuery::new(Some("item"));
         let mut doc = Document::new(tree);
-        let mut prepared = QueryEngine::new().prepare_doc(&doc, &q);
+        let mut prepared = doc_view(&doc, &q);
         prepared.expected_matches(); // cache every probability
         UpdateEngine::new().apply_doc(&mut doc, &doc_insert("catalog", "note", 0.9));
         let deltas = doc.deltas_since(0).unwrap();
@@ -1889,7 +1941,7 @@ mod tests {
         use pxml_events::semiring::{Counting, TopKProofs};
         let q = PatternQuery::new(Some("item"));
         let mut doc = Document::new(ladder(6));
-        let mut prepared = QueryEngine::new().prepare_doc(&doc, &q);
+        let mut prepared = doc_view(&doc, &q);
         let n = prepared.num_distinct_conditions() as u64;
         assert_eq!(
             prepared.semiring_cache_stats(),
@@ -1947,9 +1999,7 @@ mod tests {
         assert_eq!(after, prepared.answers_in(&Counting));
         assert_eq!(
             after,
-            QueryEngine::new()
-                .prepare_doc(&doc, &q)
-                .answers_in(&Counting),
+            doc_view(&doc, &q).answers_in(&Counting),
             "cached drain agrees with a fresh prepare"
         );
         // A sub-1-confidence step introduces a fresh event, which changes
@@ -1968,9 +2018,7 @@ mod tests {
         );
         assert_eq!(
             prepared.answers_in_cached(&Counting),
-            QueryEngine::new()
-                .prepare_doc(&doc, &q)
-                .answers_in(&Counting),
+            doc_view(&doc, &q).answers_in(&Counting),
             "re-folded values agree with a fresh prepare"
         );
     }
@@ -1995,7 +2043,7 @@ mod tests {
         tree.add_child(root, "item", Condition::of(Literal::pos(w2)));
         let q = PatternQuery::new(Some("item"));
         let mut doc = Document::new(tree);
-        let mut prepared = QueryEngine::new().prepare_doc(&doc, &q);
+        let mut prepared = doc_view(&doc, &q);
         prepared.answers_in_cached(&Lineage);
         assert_eq!(prepared.num_cached_semiring_values(&Lineage), 2);
         // A *certain* insert: no fresh event, so carried values stay
@@ -2022,20 +2070,15 @@ mod tests {
             },
             "exactly the dirty slot was re-folded"
         );
-        assert_eq!(
-            drained,
-            QueryEngine::new()
-                .prepare_doc(&doc, &q)
-                .answers_in(&Lineage)
-        );
+        assert_eq!(drained, doc_view(&doc, &q).answers_in(&Lineage));
     }
 
     #[test]
     fn windowed_maintenance_matches_the_per_delta_path() {
         let q = PatternQuery::new(Some("item"));
         let mut doc = Document::new(ladder(6));
-        let mut windowed = QueryEngine::new().prepare_doc(&doc, &q);
-        let mut stepped = QueryEngine::new().prepare_doc(&doc, &q);
+        let mut windowed = doc_view(&doc, &q);
+        let mut stepped = doc_view(&doc, &q);
         windowed.expected_matches();
         stepped.expected_matches();
         let engine = UpdateEngine::new();
@@ -2053,7 +2096,11 @@ mod tests {
         let wstats = windowed.maintenance_stats();
         assert_eq!(wstats.windows_applied, 1);
         assert_eq!(wstats.steps_patched, 2, "the window's span counts once");
-        assert_eq!(stepped.maintenance_stats().windows_applied, 0);
+        assert_eq!(
+            stepped.maintenance_stats(),
+            wstats,
+            "`maintain` composes the same window and patches through it"
+        );
         assert_eq!(
             windowed.num_cached_probabilities(),
             stepped.num_cached_probabilities(),
@@ -2061,18 +2108,15 @@ mod tests {
         );
         assert_agrees_with_fresh(&windowed, &doc, &q);
         assert_agrees_with_fresh(&stepped, &doc, &q);
-        // A window that does not span this state's epoch range delegates
-        // to the per-delta path instead of mis-applying.
+        // A window that does not span this state's epoch range is not
+        // applied: `maintain` composes the current span instead.
         engine.apply_doc(&mut doc, &doc_insert("sku1", "memo", 0.6));
         assert_eq!(
             windowed.maintain_windowed(&doc, &window),
             Ok(MaintainOutcome::Patched { steps: 1 })
         );
-        assert_eq!(
-            windowed.maintenance_stats().windows_applied,
-            1,
-            "the stale window was not applied as a window"
-        );
+        assert_eq!(windowed.maintenance_stats().windows_applied, 2);
+        assert_eq!(windowed.maintenance_stats().steps_patched, 3);
         assert_agrees_with_fresh(&windowed, &doc, &q);
         // Spine-touching windows fall back exactly like spine-touching
         // deltas.
@@ -2101,19 +2145,41 @@ mod tests {
             Err(MaintainError::NotDocumentBacked)
         );
         let other = Document::new(ladder(2));
-        let mut prepared = QueryEngine::new().prepare_doc(&doc, &q);
+        let mut prepared = doc_view(&doc, &q);
         assert_eq!(
             prepared.maintain(&other),
             Err(MaintainError::DocumentMismatch)
         );
         assert_eq!(prepared.maintain(&doc), Ok(MaintainOutcome::UpToDate));
+
+        // A window composed by another document is refused even when its
+        // epochs line up: two forks of one catalog share their epoch-0
+        // node ids, but fork B's deletion renumbers the nodes fork A's
+        // view would be threaded through.
+        let base = Document::new(ladder(4));
+        let (mut a, mut b) = (base.fork(), base.fork());
+        let sku3 = PatternQuery::new(Some("sku3"));
+        let mut view = doc_view(&a, &sku3);
+        let engine = UpdateEngine::new();
+        engine.apply_doc(&mut a, &doc_insert("catalog", "note", 0.9));
+        engine.apply_doc(&mut b, &doc_delete("sku0", 1.0));
+        let foreign = b.window_since(0).unwrap();
+        assert_eq!(foreign.document(), b.id());
+        assert_eq!(
+            view.maintain_windowed(&a, &foreign),
+            Err(MaintainError::DocumentMismatch)
+        );
+        assert_eq!(view.document_stamp(), Some((a.id(), 0)), "stamp untouched");
+        assert_eq!(view.maintenance_stats(), MaintainStats::default());
+        assert_eq!(view.maintain(&a), Ok(MaintainOutcome::Patched { steps: 1 }));
+        assert_agrees_with_fresh(&view, &a, &sku3);
     }
 
     #[test]
     fn trimmed_delta_logs_force_a_fallback_reprepare() {
         let q = PatternQuery::new(Some("item"));
         let mut doc = Document::with_log_capacity(ladder(3), 0);
-        let mut prepared = QueryEngine::new().prepare_doc(&doc, &q);
+        let mut prepared = doc_view(&doc, &q);
         UpdateEngine::new().apply_doc(&mut doc, &doc_insert("catalog", "note", 0.9));
         let outcome = prepared.maintain(&doc).unwrap();
         assert_eq!(
@@ -2129,7 +2195,7 @@ mod tests {
     fn wildcard_patterns_always_fall_back_with_unbounded_footprint() {
         let q = PatternQuery::new(None);
         let mut doc = Document::new(ladder(2));
-        let mut prepared = QueryEngine::new().prepare_doc(&doc, &q);
+        let mut prepared = doc_view(&doc, &q);
         assert!(
             prepared.footprint().is_none(),
             "wildcards have no footprint"

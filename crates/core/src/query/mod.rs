@@ -13,14 +13,13 @@
 //! [`engine::QueryEngine::prepare`] computes the match set and per-answer
 //! condition unions once, and the returned [`engine::PreparedQuery`]
 //! serves streaming, top-k, threshold, aggregate and Theorem 1 consumers
-//! from that shared state. The free functions of [`prob`] and [`ranked`]
-//! are thin one-shot wrappers over a default engine.
+//! from that shared state. [`prob`] holds the answer type and the
+//! possible-world side of Theorem 1.
 
 pub mod engine;
 pub mod monotone;
 pub mod pattern;
 pub mod prob;
-pub mod ranked;
 
 pub use engine::{
     AnswerSet, FallbackReason, MaintainError, MaintainOutcome, MaintainStats, PreparedQuery,

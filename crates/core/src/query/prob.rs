@@ -2,29 +2,29 @@
 //! (Definitions 7–8 and Theorem 1 of the paper).
 //!
 //! * On a PW set, a query is applied world by world; each answer keeps the
-//!   probability of its world (Definition 7). The resulting collection does
-//!   not sum to 1 — it is a weighted answer multiset compared with the same
-//!   `∼` notion as PW sets.
+//!   probability of its world (Definition 7, [`query_pw_set`]). The
+//!   resulting collection does not sum to 1 — it is a weighted answer
+//!   multiset compared with the same `∼` notion as PW sets.
 //! * On a prob-tree, a **locally monotone** query is evaluated directly on
 //!   the underlying data tree; each answer sub-datatree `u` is weighted by
 //!   `eval(⋃_{n ∈ u} γ(n))` — the probability of the conjunction of the
-//!   conditions of its nodes (Definition 8). Theorem 1 states the two
-//!   agree: `Q(T) ∼ Q(JT K)`.
+//!   conditions of its nodes (Definition 8). The
+//!   [`QueryEngine`](super::engine::QueryEngine) evaluates it into
+//!   [`ProbAnswer`]s. Theorem 1 states the two agree: `Q(T) ∼ Q(JT K)`
+//!   ([`PreparedQuery::theorem1_check`](super::engine::PreparedQuery::theorem1_check)).
 //!
 //! The `eval` in Definition 8 is one instance of a semiring fold: the
 //! prepared engine generalizes it to any [`pxml_events::Semiring`]
 //! (possibility, counting, lineage, top-k proofs) via
-//! [`super::engine::PreparedQuery::answers_in`], with the f64 path here
+//! [`super::engine::PreparedQuery::answers_in`], with the f64 path
 //! remaining the bit-identical [`pxml_events::Probability`] instance.
 
 use pxml_tree::subtree::SubDataTree;
 use pxml_tree::DataTree;
 
-use crate::probtree::ProbTree;
 use crate::pwset::PossibleWorldSet;
 
-use super::engine::{QueryEngine, QueryEngineConfig};
-use super::{Query, Theorem1Error};
+use super::Query;
 
 /// One answer of a query over a prob-tree: the answer tree (materialized),
 /// the node-set it came from, and its probability.
@@ -50,60 +50,22 @@ pub fn query_pw_set(query: &dyn Query, pw: &PossibleWorldSet) -> PossibleWorldSe
     out
 }
 
-/// Evaluates a locally monotone query on a prob-tree (Definition 8): run
-/// the query on the underlying data tree, then weight every answer by the
-/// probability of the conjunction of the conditions of its nodes.
-///
-/// The cost is `time(Q(t)) + O(|Q(t)| · |T|)` (Proposition 2).
-///
-/// One-shot wrapper over a default [`QueryEngine`]: prepares the query
-/// and drains the full answer stream. Repeated consumers should call
-/// [`QueryEngine::prepare`] themselves and reuse the
-/// [`PreparedQuery`](super::engine::PreparedQuery).
-#[deprecated(note = "use QueryEngine / Document")]
-pub fn query_probtree(query: &dyn Query, tree: &ProbTree) -> Vec<ProbAnswer> {
-    QueryEngine::new().prepare(tree, query).answers().collect()
-}
-
-/// The answers of [`query_probtree`] repackaged as a weighted world set, so
-/// they can be compared (`∼`) against [`query_pw_set`] answers — this is
-/// exactly the statement of Theorem 1.
-pub fn query_probtree_as_pw(query: &dyn Query, tree: &ProbTree) -> PossibleWorldSet {
-    QueryEngine::new().prepare(tree, query).as_pw_set()
-}
-
-/// Checks Theorem 1 on a concrete prob-tree and query by exhaustive
-/// expansion of the possible worlds: returns `true` iff
-/// `Q(T) ∼ Q(JT K)`. Exponential in the worst case (guarded by
-/// `max_events`): the expansion runs on the factorized normalized world
-/// set — per-component shards whose event-probability aggregation
-/// recombines by product of the class masses — which is `∼`-equal to the
-/// raw Definition 4 enumeration, and querying world-by-world commutes
-/// with merging isomorphic worlds.
-///
-/// Wrapper over
-/// [`PreparedQuery::theorem1_check`](super::engine::PreparedQuery::theorem1_check)
-/// on an engine budgeted at `max_events`.
-#[deprecated(note = "use QueryEngine / Document")]
-pub fn check_theorem1(
-    query: &dyn Query,
-    tree: &ProbTree,
-    max_events: usize,
-) -> Result<bool, Theorem1Error> {
-    QueryEngine::with_config(QueryEngineConfig::for_event_budget(max_events))
-        .prepare(tree, query)
-        .theorem1_check()
-}
-
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // the deprecated one-shot wrappers are the units under test
-
     use super::*;
-    use crate::probtree::figure1_example;
+    use crate::probtree::{figure1_example, ProbTree};
+    use crate::query::engine::{QueryEngine, QueryEngineConfig};
     use crate::query::pattern::PatternQuery;
-    use crate::semantics::possible_worlds_normalized;
+    use crate::semantics::{possible_worlds, possible_worlds_normalized};
     use pxml_events::prob_eq;
+
+    /// Theorem 1 through an engine budgeted at `max_events`.
+    fn theorem1(query: &dyn Query, tree: &ProbTree, max_events: usize) -> bool {
+        QueryEngine::with_config(QueryEngineConfig::for_event_budget(max_events))
+            .prepare(tree, query)
+            .theorem1_check()
+            .unwrap()
+    }
 
     #[test]
     fn query_on_figure1_probtree() {
@@ -111,7 +73,7 @@ mod tests {
         // //C/D : C nodes with a D child, keeping the path to the root.
         let mut q = PatternQuery::new(Some("C"));
         q.add_child(q.root(), "D");
-        let answers = query_probtree(&q, &t);
+        let answers: Vec<ProbAnswer> = QueryEngine::new().prepare(&t, &q).answers().collect();
         assert_eq!(answers.len(), 1);
         // The answer is A→C→D with probability π(w2) = 0.7.
         assert_eq!(answers[0].tree.len(), 3);
@@ -122,7 +84,7 @@ mod tests {
     fn query_answers_keep_path_to_root() {
         let t = figure1_example();
         let q = PatternQuery::new(Some("D"));
-        let answers = query_probtree(&q, &t);
+        let answers: Vec<ProbAnswer> = QueryEngine::new().prepare(&t, &q).answers().collect();
         assert_eq!(answers.len(), 1);
         assert_eq!(answers[0].tree.label(answers[0].tree.root()), "A");
     }
@@ -147,16 +109,16 @@ mod tests {
         ];
         for q in &queries {
             assert!(
-                check_theorem1(q, &t, 20).unwrap(),
+                theorem1(q, &t, 20),
                 "Theorem 1 violated for {}",
                 q.describe()
             );
         }
     }
 
-    /// Theorem 1 checked on a tree the streamed engine refuses at this
-    /// budget (18 relevant events > 16) but the factorized expansion
-    /// handles: 6 components of 3 events, 64 joint classes.
+    /// Theorem 1 checked on a tree the exhaustive Definition 4 guard
+    /// refuses at this budget (18 events > 16) but the factorized
+    /// expansion handles: 6 components of 3 events, 64 joint classes.
     #[test]
     fn theorem1_via_factorized_expansion_beyond_streamed_guard() {
         let mut t = ProbTree::new("A");
@@ -173,11 +135,9 @@ mod tests {
             t.add_child(c, format!("D{i}"), pxml_events::Condition::always());
         }
         assert_eq!(t.events().len(), 18);
-        assert!(crate::worlds::WorldEngine::new(&t)
-            .normalized_worlds(16)
-            .is_err());
+        assert!(possible_worlds(&t, 16).is_err());
         let q = PatternQuery::new(Some("B"));
-        assert!(check_theorem1(&q, &t, 16).unwrap());
+        assert!(theorem1(&q, &t, 16));
     }
 
     #[test]
@@ -211,11 +171,12 @@ mod tests {
         let mut q = PatternQuery::anchored(Some("A"));
         q.add_child(q.root(), "B");
         q.add_child(q.root(), "C");
-        let answers = query_probtree(&q, &t);
+        let prepared = QueryEngine::new().prepare(&t, &q);
+        let answers: Vec<ProbAnswer> = prepared.answers().collect();
         assert_eq!(answers.len(), 1);
         assert_eq!(answers[0].probability, 0.0);
-        assert!(query_probtree_as_pw(&q, &t).is_empty());
-        assert!(check_theorem1(&q, &t, 20).unwrap());
+        assert!(prepared.as_pw_set().is_empty());
+        assert!(theorem1(&q, &t, 20));
     }
 
     #[test]
@@ -225,6 +186,6 @@ mod tests {
         let c1 = q.add_node(q.root(), crate::query::pattern::Axis::Child, None);
         let c2 = q.add_node(q.root(), crate::query::pattern::Axis::Child, None);
         q.add_join(vec![c1, c2]);
-        assert!(check_theorem1(&q, &t, 20).unwrap());
+        assert!(theorem1(&q, &t, 20));
     }
 }

@@ -348,16 +348,16 @@ mod tests {
         assert!(fast.isomorphic(&legacy));
     }
 
-    /// A tree the streamed relevant-event guard refuses (18 relevant
-    /// events > `max_events` = 16) but the factorized path handles: 6
-    /// components of 3 events, each carrying a single 3-literal condition,
-    /// so every shard collapses to 2 signature classes and the joint walk
-    /// visits 2^6 = 64 states.
+    /// A tree the exhaustive Definition 4 guard refuses (15 events >
+    /// `max_events` = 12) but the factorized path handles at the same
+    /// budget: 5 components of 3 events, each carrying a single 3-literal
+    /// condition, so every shard collapses to 2 signature classes and the
+    /// joint walk visits 2^5 = 32 states.
     #[test]
     fn factorization_extends_the_tractable_frontier() {
         let mut t = ProbTree::new("A");
         let root = t.tree().root();
-        for i in 0..6 {
+        for i in 0..5 {
             let w: Vec<_> = (0..3).map(|_| t.events_mut().fresh(0.5)).collect();
             t.add_child(
                 root,
@@ -365,18 +365,17 @@ mod tests {
                 Condition::from_literals(w.iter().map(|&e| Literal::pos(e))),
             );
         }
-        let engine = WorldEngine::new(&t);
-        assert_eq!(engine.num_relevant(), 18);
-        // The streamed engine refuses: 18 > 16.
-        assert!(engine.normalized_worlds(16).is_err());
-        // The factorized path answers: Σ 2^3 = 48 shard states, 64 joint
-        // classes — and matches the unguarded streamed enumeration.
-        let fast = possible_worlds_normalized(&t, 16).unwrap();
-        let reference = engine.normalized_worlds(18).unwrap();
+        assert_eq!(WorldEngine::new(&t).num_relevant(), 15);
+        // The exhaustive enumeration refuses: 15 > 12.
+        assert!(possible_worlds(&t, 12).is_err());
+        // The factorized path answers: Σ 2^3 = 40 shard states, 32 joint
+        // classes — and matches the exhaustive enumeration given room.
+        let fast = possible_worlds_normalized(&t, 12).unwrap();
+        let reference = possible_worlds(&t, 15).unwrap().normalized();
         assert!(fast.isomorphic(&reference));
         assert!(prob_eq(fast.total_probability(), 1.0));
-        // 2^6 distinct worlds: each component's C_i child present or not.
-        assert_eq!(fast.len(), 1 << 6);
+        // 2^5 distinct worlds: each component's C_i child present or not.
+        assert_eq!(fast.len(), 1 << 5);
     }
 
     /// Regression test for the selector-probability fabrication bug: 50

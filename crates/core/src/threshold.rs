@@ -165,7 +165,7 @@ mod tests {
     }
 
     /// 18 relevant events in 6 components of 3 (one 3-literal condition
-    /// each) exceed a `max_events = 16` budget for the streamed engine,
+    /// each) exceed a `max_events = 16` budget for any joint enumeration,
     /// but factorize into `Σ 2^3 = 48` shard states and 64 joint classes:
     /// the restriction answers, and exactly, at the class probabilities.
     #[test]

@@ -13,8 +13,8 @@
 //! 1. **Relevant events.** It computes the union of the condition supports
 //!    over the tree. Flipping an event no condition mentions never changes
 //!    `V(T)`, so such events can be marginalized analytically (their true
-//!    and false branches sum to 1) and only `2^{|relevant|}` partial
-//!    valuations need to be materialized.
+//!    and false branches sum to 1) and only valuations of the relevant
+//!    events need to be materialized.
 //! 2. **Streaming normalization.** Instead of collecting one cloned world
 //!    per valuation and canonicalizing in a second pass, worlds are
 //!    streamed into an interned canonical-form accumulator
@@ -22,13 +22,12 @@
 //!    produced directly with one retained tree per isomorphism class.
 //! 3. **Connected components & zero-probability pruning.** Relevant events
 //!    are partitioned into connected components induced by co-occurrence
-//!    in conditions, and enumeration proceeds component-major. Events with
-//!    `π(w) = 1` have a zero-probability false branch; in probability-
-//!    weighted enumeration they are pinned true, pruning the whole
-//!    component subtree of assignments below the dead branch. Components
-//!    are ordered by a total criterion (length, then event ids), so shard
-//!    iteration order is identical no matter in which order conditions
-//!    were inserted.
+//!    in conditions. Events with `π(w) = 1` have a zero-probability false
+//!    branch; in probability-weighted enumeration they are pinned true,
+//!    pruning the whole component subtree of assignments below the dead
+//!    branch. Components are ordered by a total criterion (length, then
+//!    event ids), so shard iteration order is identical no matter in
+//!    which order conditions were inserted.
 //! 4. **Factorized per-component shards.** Because co-occurrence drives
 //!    the partition, *every condition's support lies inside exactly one
 //!    component*. [`ShardExecutor`] exploits that: each component is
@@ -81,16 +80,16 @@
 //! — must keep using the exact enumerations
 //! ([`WorldEngine::all_valuations`]).
 //!
-//! All engines are exact: their output is isomorphic (`∼`) to the
+//! The factorized engine is exact: its output is isomorphic (`∼`) to the
 //! normalized output of the full enumeration — a property-tested
-//! invariant asserting legacy `possible_worlds` ≡ the streamed engine ≡
-//! the factorized shard executor.
+//! invariant asserting the factorized shard executor ≡ legacy
+//! [`crate::semantics::possible_worlds`], the single exhaustive oracle.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use pxml_events::valuation::TooManyValuations;
-use pxml_events::{Condition, EventId, EventTable, Semiring, Valuation};
+use pxml_events::{Condition, EventId, Semiring, Valuation};
 use pxml_tree::canon::{canonical_string, Semantics};
 use pxml_tree::DataTree;
 
@@ -140,7 +139,8 @@ impl<'a> WorldEngine<'a> {
     /// Panics if the two trees do not declare the same event distribution
     /// (structural equivalence is only defined in that case — callers that
     /// cannot guarantee it should check
-    /// [`EventTable::same_distribution`] first and short-circuit).
+    /// [`EventTable::same_distribution`](pxml_events::EventTable::same_distribution)
+    /// first and short-circuit).
     pub fn for_pair(a: &'a ProbTree, b: &ProbTree) -> Self {
         assert!(
             a.events().same_distribution(b.events()),
@@ -271,107 +271,36 @@ impl<'a> WorldEngine<'a> {
         ShardPlan { free_sizes }
     }
 
-    /// Probability-weighted enumeration of the relevant partial valuations
-    /// (`JT K`-style semantics): yields `(valuation, p)` where `p` is the
-    /// marginal probability of the partial assignment. Zero-probability
-    /// branches are pruned — events with `π(w) = 1` are pinned true, so the
-    /// enumeration drops to `2^{|{w relevant : π(w) < 1}|}` states.
+    /// Enumeration of **all** `2^{|relevant|}` relevant partial valuations,
+    /// component-major, including zero-probability branches. Structural
+    /// equivalence (Definition 9) and event independence quantify over
+    /// every valuation `V ⊆ W` regardless of probability, so they must not
+    /// prune — and they never read probabilities, so none are computed on
+    /// this path.
     ///
     /// Fails when the relevant set exceeds `max_events` (the same
-    /// exponential-work guard as the legacy full enumeration, now counting
+    /// exponential-work guard as the legacy full enumeration, counting
     /// only events that actually matter).
-    pub fn valuations(
-        &self,
-        max_events: usize,
-    ) -> Result<WeightedValuations<'_>, TooManyValuations> {
-        Ok(WeightedValuations {
-            inner: self.enumerate(max_events, true)?,
-        })
-    }
-
-    /// Enumeration of **all** `2^{|relevant|}` relevant partial valuations,
-    /// including zero-probability branches. Structural equivalence
-    /// (Definition 9) and event independence quantify over every valuation
-    /// `V ⊆ W` regardless of probability, so they must not prune — and
-    /// they never read probabilities, so none are computed on this path.
     pub fn all_valuations(
         &self,
         max_events: usize,
-    ) -> Result<RelevantValuations<'_>, TooManyValuations> {
-        self.enumerate(max_events, false)
-    }
-
-    fn enumerate(
-        &self,
-        max_events: usize,
-        prune_zero_probability: bool,
-    ) -> Result<RelevantValuations<'_>, TooManyValuations> {
+    ) -> Result<RelevantValuations, TooManyValuations> {
         if self.relevant.len() > max_events {
             return Err(TooManyValuations {
                 num_events: self.relevant.len(),
                 max_events,
             });
         }
-        let events = self.tree.events();
-        let mut start = Valuation::empty(self.valuation_len);
-        // Component-major enumeration order; in weighted mode, pin π = 1
-        // events true instead of enumerating their dead false branch.
-        let mut free = Vec::with_capacity(self.relevant.len());
-        for component in &self.components {
-            for &e in component {
-                if prune_zero_probability && events.prob(e) >= 1.0 {
-                    start.set(e, true);
-                } else {
-                    free.push(e);
-                }
-            }
-        }
         Ok(RelevantValuations {
-            events,
-            free,
-            next: Some(start),
+            free: self.components.concat(),
+            next: Some(Valuation::empty(self.valuation_len)),
         })
-    }
-
-    /// The normalized possible-world semantics `JT K` of the tree,
-    /// accumulated directly: worlds are streamed into an interned
-    /// canonical-form accumulator, so exactly one tree per isomorphism
-    /// class is retained and no second normalization pass (or
-    /// clone-per-valuation buffer) is needed.
-    pub fn normalized_worlds(
-        &self,
-        max_events: usize,
-    ) -> Result<PossibleWorldSet, TooManyValuations> {
-        self.normalized_worlds_with(max_events, Semantics::MultiSet)
-    }
-
-    /// [`WorldEngine::normalized_worlds`] under an explicit data-tree
-    /// semantics (the Section 5 set-semantics variant uses
-    /// [`Semantics::Set`]).
-    pub fn normalized_worlds_with(
-        &self,
-        max_events: usize,
-        semantics: Semantics,
-    ) -> Result<PossibleWorldSet, TooManyValuations> {
-        let mut slots: HashMap<String, usize> = HashMap::new();
-        let mut worlds: Vec<(DataTree, f64)> = Vec::new();
-        for (valuation, p) in self.valuations(max_events)? {
-            let world = self.tree.value_in_world(&valuation);
-            match slots.entry(canonical_string(&world, semantics)) {
-                Entry::Occupied(slot) => worlds[*slot.get()].1 += p,
-                Entry::Vacant(slot) => {
-                    slot.insert(worlds.len());
-                    worlds.push((world, p));
-                }
-            }
-        }
-        Ok(PossibleWorldSet::from_worlds(worlds))
     }
 
     /// Probability-weighted enumeration of a *single* component's partial
     /// valuations (all other events left false), in binary-counter order.
     /// With `prune_zero_probability`, events with `π(w) = 1` are pinned
-    /// true exactly as in the joint enumeration.
+    /// true.
     ///
     /// This is the raw, un-deduplicated per-component stream behind the
     /// factorized shard accumulators — `2^{|C_i|}` states for component
@@ -380,7 +309,7 @@ impl<'a> WorldEngine<'a> {
         &self,
         component: usize,
         prune_zero_probability: bool,
-    ) -> RelevantValuations<'_> {
+    ) -> RelevantValuations {
         let events = self.tree.events();
         let mut start = Valuation::empty(self.valuation_len);
         let mut free = Vec::new();
@@ -392,7 +321,6 @@ impl<'a> WorldEngine<'a> {
             }
         }
         RelevantValuations {
-            events,
             free,
             next: Some(start),
         }
@@ -434,13 +362,12 @@ impl<'a> WorldEngine<'a> {
 /// computed; the ∀-quantified consumers (equivalence, independence,
 /// brute-force DTD checks) never need them.
 #[derive(Debug)]
-pub struct RelevantValuations<'e> {
-    events: &'e EventTable,
+pub struct RelevantValuations {
     free: Vec<EventId>,
     next: Option<Valuation>,
 }
 
-impl Iterator for RelevantValuations<'_> {
+impl Iterator for RelevantValuations {
     type Item = Valuation;
 
     fn next(&mut self) -> Option<Valuation> {
@@ -462,24 +389,6 @@ impl Iterator for RelevantValuations<'_> {
             self.next = Some(succ);
         }
         Some(current)
-    }
-}
-
-/// [`RelevantValuations`] paired with the marginal probability of each
-/// relevant partial assignment — the probability-weighted, zero-branch-
-/// pruned enumeration behind [`WorldEngine::valuations`].
-#[derive(Debug)]
-pub struct WeightedValuations<'e> {
-    inner: RelevantValuations<'e>,
-}
-
-impl Iterator for WeightedValuations<'_> {
-    type Item = (Valuation, f64);
-
-    fn next(&mut self) -> Option<(Valuation, f64)> {
-        let valuation = self.inner.next()?;
-        let p = valuation.probability_over(self.inner.events, self.inner.free.iter().copied());
-        Some((valuation, p))
     }
 }
 
@@ -539,8 +448,8 @@ impl WorldEngineConfig {
     /// The environment-aware configuration for consumers whose public
     /// contract is an event-count guard (`max_events`): the joint cap
     /// defaults to exactly `2^{max_events}` — the enumeration budget the
-    /// caller already granted, so every input the streamed `2^{|relevant|}`
-    /// guard accepted stays accepted — while `PXML_WORLDS_PARALLELISM` and
+    /// caller already granted, so every input with at most `max_events`
+    /// relevant events is accepted — while `PXML_WORLDS_PARALLELISM` and
     /// an explicitly set `PXML_WORLDS_MAX_JOINT` still override their
     /// knobs.
     pub fn for_event_budget(max_events: usize) -> Self {
@@ -1118,12 +1027,12 @@ impl<'a> FactorizedWorlds<'a> {
     }
 
     /// The normalized possible-world semantics `JT K` assembled from the
-    /// shards: the joint classes are streamed into the same interned
-    /// canonical-form accumulator as [`WorldEngine::normalized_worlds`],
-    /// but each joint state carries a whole class of valuations (its
+    /// shards: the joint classes are streamed into an interned
+    /// canonical-form accumulator (one retained tree per isomorphism
+    /// class). Each joint state carries a whole class of valuations (its
     /// probability is the product of class masses), so the walk visits
     /// `Π_c |classes_c|` states — never more, and usually far fewer, than
-    /// the `2^{|free|}` of the streamed engine.
+    /// the `2^{|free|}` valuations of the free events.
     pub fn normalized_worlds_with(
         &self,
         semantics: Semantics,
@@ -1255,7 +1164,7 @@ impl Iterator for JointValuations<'_> {
 mod tests {
     use super::*;
     use crate::probtree::figure1_example;
-    use crate::semantics::possible_worlds;
+    use crate::semantics::{possible_worlds, possible_worlds_normalized};
     use pxml_events::{prob_eq, Condition, Literal};
 
     #[test]
@@ -1263,7 +1172,7 @@ mod tests {
         let t = figure1_example();
         let engine = WorldEngine::new(&t);
         assert_eq!(engine.num_relevant(), 2);
-        let fast = engine.normalized_worlds(20).unwrap();
+        let fast = possible_worlds_normalized(&t, 20).unwrap();
         let legacy = possible_worlds(&t, 20).unwrap().normalized();
         assert_eq!(fast.len(), 3);
         assert!(fast.isomorphic(&legacy));
@@ -1294,7 +1203,7 @@ mod tests {
         let engine = WorldEngine::new(&t);
         assert_eq!(engine.num_relevant(), 10);
         assert_eq!(engine.components().len(), 10, "one singleton per child");
-        let pw = engine.normalized_worlds(24).unwrap();
+        let pw = possible_worlds_normalized(&t, 24).unwrap();
         assert_eq!(pw.len(), 1 << 10);
         assert!(prob_eq(pw.total_probability(), 1.0));
     }
@@ -1381,6 +1290,9 @@ mod tests {
         assert_eq!(ca, vec![vec![w[4]], vec![w[0], w[3]], vec![w[1], w[2]]]);
     }
 
+    /// The sequential shard executor on Figure 1 agrees with the legacy
+    /// oracle, and its joint walk visits no more states than streaming
+    /// every valuation of the free events would.
     #[test]
     fn factorized_matches_streamed_and_legacy_on_figure1() {
         let t = figure1_example();
@@ -1388,10 +1300,9 @@ mod tests {
         let factorized = engine
             .sharded(&WorldEngineConfig::sequential(), 20)
             .unwrap();
+        assert!(factorized.num_joint_assignments() <= 1 << factorized.num_free_events());
         let fast = factorized.normalized_worlds().unwrap();
-        let streamed = engine.normalized_worlds(20).unwrap();
         let legacy = possible_worlds(&t, 20).unwrap().normalized();
-        assert!(fast.isomorphic(&streamed));
         assert!(fast.isomorphic(&legacy));
         assert!(prob_eq(fast.total_probability(), 1.0));
     }
@@ -1502,7 +1413,8 @@ mod tests {
         // The contract regression the joint cap must not introduce: a
         // consumer guarded by `max_events` grants the joint walk exactly
         // `2^{max_events}`, even above the standalone default of `2^24` —
-        // so every input the streamed engine accepted stays accepted.
+        // so every input with at most `max_events` relevant events stays
+        // accepted.
         assert_eq!(
             WorldEngineConfig::for_event_budget(26).max_joint_worlds,
             1 << 26
@@ -1671,8 +1583,8 @@ mod tests {
 
     #[test]
     fn weighted_enumeration_prunes_certain_events() {
-        // π(w) = 1: the false branch has probability 0 and is pruned, so a
-        // single valuation remains and the node is always present.
+        // π(w) = 1: the false branch has probability 0 and is pruned, so
+        // two joint valuations remain and the node is always present.
         let mut t = ProbTree::new("A");
         let certain = t.events_mut().insert("certain", 1.0);
         let w = t.events_mut().insert("w", 0.5);
@@ -1680,16 +1592,19 @@ mod tests {
         t.add_child(root, "B", Condition::of(Literal::pos(certain)));
         t.add_child(root, "C", Condition::of(Literal::pos(w)));
         let engine = WorldEngine::new(&t);
-        let weighted: Vec<_> = engine.valuations(10).unwrap().collect();
-        assert_eq!(weighted.len(), 2, "certain event pinned true");
-        assert!(weighted.iter().all(|(v, _)| v.get(certain)));
-        let total: f64 = weighted.iter().map(|(_, p)| p).sum();
+        let weighted = engine
+            .sharded(&WorldEngineConfig::sequential(), 10)
+            .unwrap();
+        let joint: Vec<_> = weighted.joint_valuations().unwrap().collect();
+        assert_eq!(joint.len(), 2, "certain event pinned true");
+        assert!(joint.iter().all(|(v, _)| v.get(certain)));
+        let total: f64 = joint.iter().map(|(_, p)| p).sum();
         assert!(prob_eq(total, 1.0));
         // ∀-enumeration must keep the zero-probability branch.
         let all: Vec<_> = engine.all_valuations(10).unwrap().collect();
         assert_eq!(all.len(), 4);
         // Worlds: B always present, C half the time.
-        let pw = engine.normalized_worlds(10).unwrap();
+        let pw = weighted.normalized_worlds().unwrap();
         assert_eq!(pw.len(), 2);
         assert!(pw
             .iter()
@@ -1707,7 +1622,7 @@ mod tests {
         let engine = WorldEngine::new(&t);
         assert_eq!(engine.num_relevant(), 0);
         // 30 declared events would be 2^30 valuations for the legacy path.
-        let pw = engine.normalized_worlds(0).unwrap();
+        let pw = possible_worlds_normalized(&t, 0).unwrap();
         assert_eq!(pw.len(), 1);
         assert!(prob_eq(pw.total_probability(), 1.0));
     }
@@ -1720,11 +1635,14 @@ mod tests {
             let w = t.events_mut().fresh(0.5);
             t.add_child(root, format!("C{i}"), Condition::of(Literal::pos(w)));
         }
-        let engine = WorldEngine::new(&t);
-        let err = engine.normalized_worlds(10).unwrap_err();
+        // 8 declared events no condition mentions do not count.
+        for _ in 0..8 {
+            t.events_mut().fresh(0.5);
+        }
+        let err = possible_worlds_normalized(&t, 10).unwrap_err();
         assert_eq!(err.num_events, 12);
         assert_eq!(err.max_events, 10);
-        assert!(engine.normalized_worlds(12).is_ok());
+        assert!(possible_worlds_normalized(&t, 12).is_ok());
     }
 
     #[test]
@@ -1766,7 +1684,12 @@ mod tests {
         let engine = WorldEngine::new(&t);
         assert_eq!(engine.num_relevant(), n);
         assert_eq!(engine.components().len(), 1);
-        assert!(engine.normalized_worlds(24).is_err(), "still guarded");
+        assert!(
+            engine
+                .sharded(&WorldEngineConfig::sequential(), 24)
+                .is_err(),
+            "still guarded"
+        );
     }
 
     #[test]
@@ -1780,17 +1703,14 @@ mod tests {
 
     #[test]
     fn streamed_accumulator_keeps_one_tree_per_class() {
-        // Both valuations of w produce the same world (the condition is on
-        // a node that doesn't exist — no, simpler: two children with
-        // complementary conditions and the same label produce isomorphic
-        // worlds for both valuations).
+        // Two children with complementary conditions and the same label
+        // produce isomorphic worlds for both valuations of w.
         let mut t = ProbTree::new("A");
         let w = t.events_mut().insert("w", 0.3);
         let root = t.tree().root();
         t.add_child(root, "B", Condition::of(Literal::pos(w)));
         t.add_child(root, "B", Condition::of(Literal::neg(w)));
-        let engine = WorldEngine::new(&t);
-        let pw = engine.normalized_worlds(10).unwrap();
+        let pw = possible_worlds_normalized(&t, 10).unwrap();
         assert_eq!(pw.len(), 1, "both valuations land in one class");
         assert!(prob_eq(pw.total_probability(), 1.0));
     }

@@ -139,9 +139,10 @@ mod tests {
         assert_eq!(rep.num_nodes(), 1);
     }
 
-    /// DTD restriction on 18 relevant events in 6 components of 3 — a
-    /// budget (`max_events = 16`) the streamed engine refuses: 64 joint
-    /// classes, of which the DTD keeps the worlds with at most one C.
+    /// DTD restriction on 18 relevant events in 6 components of 3 — more
+    /// than a joint enumeration may walk at this budget
+    /// (`max_events = 16`): 64 joint classes, of which the DTD keeps the
+    /// worlds with at most one C.
     #[test]
     fn factorized_restriction_handles_many_small_components() {
         let mut t = ProbTree::new("A");

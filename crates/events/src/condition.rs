@@ -144,8 +144,7 @@ impl Condition {
     ///
     /// Both literal lists are already sorted and deduplicated (a class
     /// invariant), so this is a linear merge — no re-sort, which would make
-    /// repeated unions (e.g. the per-answer condition union of
-    /// `query_probtree`) quadratic.
+    /// repeated unions quadratic.
     pub fn and(&self, other: &Condition) -> Condition {
         if self.is_empty() {
             return other.clone();

@@ -119,15 +119,6 @@ impl LatencySummary {
             max: samples.last().copied().unwrap_or(Duration::ZERO),
         }
     }
-
-    /// Operations per second, were this class served back to back for
-    /// `elapsed` — i.e. `count / elapsed`.
-    pub fn throughput(&self, elapsed: Duration) -> f64 {
-        if elapsed.is_zero() {
-            return 0.0;
-        }
-        self.count as f64 / elapsed.as_secs_f64()
-    }
 }
 
 /// What one traffic run did and how fast. The `checksum` (a sum of every

@@ -20,11 +20,10 @@ use rand::Rng;
 
 use pxml_core::probtree::ProbTree;
 use pxml_core::query::pattern::PatternQuery;
-use pxml_core::query::{AnswerSet, MaintainOutcome, MaintainStats, PreparedQuery, QueryEngine};
+use pxml_core::query::{AnswerSet, QueryEngine};
 use pxml_core::update::{
     ProbabilisticUpdate, ScriptReport, UpdateEngine, UpdateOperation, UpdateScript,
 };
-use pxml_core::Document;
 use pxml_dtd::{ChildConstraint, Dtd};
 use pxml_events::{Condition, EventId, Lineage, Possibility};
 use pxml_tree::DataTree;
@@ -170,26 +169,15 @@ pub fn services_with_endpoint_and_contact() -> PatternQuery {
 
 /// The warehouse's ranked analysis report: the `k` most probable answers
 /// of the canonical query, the threshold slice of answers at least
-/// `min_confidence` likely, and the expected number of fully-described
-/// services — all served from **one** prepared state (the warehouse is
-/// queried repeatedly between update rounds; re-matching per consumer is
-/// exactly the access pattern the query engine exists to avoid).
+/// `min_confidence` likely, the expected number of fully-described
+/// services, and the [`Possibility`] and [`Lineage`] provenance views —
+/// all served from **one** prepared state (the warehouse is queried
+/// repeatedly between update rounds; re-matching per consumer or per
+/// semiring is exactly the access pattern the query engine exists to
+/// avoid).
 pub fn analyze(warehouse: &Warehouse, k: usize, min_confidence: f64) -> WarehouseAnalysis {
     let query = services_with_endpoint_and_contact();
     let prepared = QueryEngine::new().prepare(&warehouse.tree, &query);
-    analysis_views(&prepared, k, min_confidence)
-}
-
-/// Builds every view of [`WarehouseAnalysis`] from one prepared state:
-/// the ranked/threshold/aggregate probability views, plus the
-/// [`Possibility`] and [`Lineage`] provenance views served by the same
-/// match set through [`PreparedQuery::answers_in`] — no re-matching per
-/// semiring.
-fn analysis_views(
-    prepared: &PreparedQuery<'_>,
-    k: usize,
-    min_confidence: f64,
-) -> WarehouseAnalysis {
     let top = prepared.top_k(k);
     let top_lineage = top
         .iter()
@@ -241,82 +229,6 @@ pub struct WarehouseAnalysis {
     /// Number of matched services that are possible at all — present in
     /// some positive-probability world ([`Possibility`] semiring view).
     pub possible_services: usize,
-}
-
-/// One extraction round of [`run_scenario_live`]: the analysis served
-/// right after the round's update, and how the prepared state was brought
-/// current (patched in place, or re-prepared because the update touched
-/// the query's spine labels).
-#[derive(Clone, Debug)]
-pub struct LiveRound {
-    /// The post-round analysis, served from the maintained prepared state.
-    pub analysis: WarehouseAnalysis,
-    /// How `maintain` brought the state up to date for this round.
-    pub outcome: MaintainOutcome,
-}
-
-/// The outcome of [`run_scenario_live`]: the final warehouse plus the
-/// per-round analyses and the maintenance telemetry of the one prepared
-/// query that served them all.
-#[derive(Clone, Debug)]
-pub struct LiveScenario {
-    /// The final warehouse (same contents as [`run_scenario`]).
-    pub warehouse: Warehouse,
-    /// One entry per extraction round, in order.
-    pub rounds: Vec<LiveRound>,
-    /// Cumulative maintenance counters of the prepared analysis query.
-    pub maintenance: MaintainStats,
-}
-
-/// Runs the extraction pipeline **live**: the warehouse is wrapped in a
-/// versioned [`Document`], the canonical analysis query is prepared once
-/// ([`QueryEngine::prepare_doc`]), and after every update round the
-/// prepared state is brought current with
-/// [`pxml_core::PreparedQuery::maintain`] instead of being re-prepared —
-/// the access pattern the motivating application (Section 1 of the paper)
-/// actually has: extractors keep updating the warehouse while the same
-/// analyses are served between rounds.
-///
-/// Rounds whose update only touches labels outside the query's footprint
-/// (e.g. `keyword` facts, for the endpoint-and-contact query) are patched
-/// in place; rounds inserting or deleting `endpoint`/`contact` facts fall
-/// back to a full re-prepare. Both cases serve answers identical to
-/// [`analyze`] on the round's tree.
-pub fn run_scenario_live<R: Rng + ?Sized>(
-    config: &WarehouseConfig,
-    rng: &mut R,
-    k: usize,
-    min_confidence: f64,
-) -> LiveScenario {
-    let (script, log) = scenario_script(config, rng);
-    let mut doc = Document::new(skeleton(config.services));
-    let query = services_with_endpoint_and_contact();
-    let query_engine = QueryEngine::new();
-    let update_engine = UpdateEngine::new();
-    let mut prepared = query_engine.prepare_doc(&doc, &query);
-    let mut rounds = Vec::with_capacity(script.len());
-    let mut steps = Vec::with_capacity(script.len());
-    for update in script.steps() {
-        let delta = update_engine.apply_doc(&mut doc, update);
-        steps.push(delta.report.clone());
-        let outcome = prepared
-            .maintain(&doc)
-            .expect("prepared against this document");
-        rounds.push(LiveRound {
-            analysis: analysis_views(&prepared, k, min_confidence),
-            outcome,
-        });
-    }
-    let maintenance = prepared.maintenance_stats();
-    LiveScenario {
-        warehouse: Warehouse {
-            tree: doc.snapshot().as_ref().clone(),
-            log,
-            report: ScriptReport { steps },
-        },
-        rounds,
-        maintenance,
-    }
 }
 
 #[cfg(test)]
@@ -400,11 +312,8 @@ mod tests {
         }
     }
 
-    // The one-shot wrappers are deprecated but must stay semantically
-    // identical to the prepared views while they exist.
-    #[allow(deprecated)]
     #[test]
-    fn analysis_report_views_agree_with_the_free_functions() {
+    fn analysis_report_views_agree_with_the_full_ranking() {
         let mut rng = StdRng::seed_from_u64(0x77);
         let config = WarehouseConfig {
             services: 3,
@@ -414,14 +323,16 @@ mod tests {
         let warehouse = run_scenario(&config, &mut rng);
         let analysis = analyze(&warehouse, 2, 0.5);
         let query = services_with_endpoint_and_contact();
-        // The prepared views agree with the one-shot wrappers.
-        let reference = pxml_core::query::ranked::top_k(&query, &warehouse.tree, 2);
-        assert_eq!(analysis.top.len(), reference.len());
-        for (a, b) in analysis.top.iter().zip(&reference) {
+        // The top-k view is the head of the full-sort ranking, and the
+        // expectation sums the streamed answers' probabilities.
+        let prepared = QueryEngine::new().prepare(&warehouse.tree, &query);
+        let reference = prepared.ranked();
+        assert_eq!(analysis.top.len(), reference.len().min(2));
+        for (a, b) in analysis.top.iter().zip(reference.iter()) {
             assert_eq!(a.probability, b.probability);
             assert_eq!(a.subtree, b.subtree);
         }
-        let expected = pxml_core::query::ranked::expected_matches(&query, &warehouse.tree);
+        let expected: f64 = prepared.answers().map(|a| a.probability).sum();
         assert!((analysis.expected_services - expected).abs() < 1e-12);
         // Every confident answer clears the threshold and ranks best-first.
         assert!(analysis.confident.iter().all(|a| a.probability >= 0.5));
@@ -458,69 +369,6 @@ mod tests {
         let positive = prepared.answers().filter(|a| a.probability > 0.0).count();
         assert_eq!(analysis.possible_services, positive);
         assert!(analysis.possible_services > 0);
-    }
-
-    #[test]
-    fn live_scenario_agrees_with_batch_reanalysis_every_round() {
-        let config = WarehouseConfig {
-            services: 3,
-            extraction_rounds: 10,
-            deletion_ratio: 0.2,
-        };
-        let seed = 0xBEEF;
-        let live = run_scenario_live(&config, &mut StdRng::seed_from_u64(seed), 2, 0.5);
-        assert_eq!(live.rounds.len(), 10);
-
-        // Replay the same script through the batch engine, re-preparing
-        // from scratch after every round: the maintained prepared state
-        // must serve the exact same analyses.
-        let (script, _) = scenario_script(&config, &mut StdRng::seed_from_u64(seed));
-        let engine = UpdateEngine::new();
-        let mut tree = skeleton(config.services);
-        for (round, update) in script.steps().iter().enumerate() {
-            let (next, _) = engine.apply(&tree, update);
-            tree = next;
-            let fresh = analyze(
-                &Warehouse {
-                    tree: tree.clone(),
-                    log: Vec::new(),
-                    report: ScriptReport { steps: Vec::new() },
-                },
-                2,
-                0.5,
-            );
-            let served = &live.rounds[round].analysis;
-            assert_eq!(served.top.len(), fresh.top.len(), "round {round}");
-            for (a, b) in served.top.iter().zip(fresh.top.iter()) {
-                assert_eq!(a.probability, b.probability, "round {round}");
-            }
-            assert_eq!(served.confident.len(), fresh.confident.len());
-            assert!((served.expected_services - fresh.expected_services).abs() < 1e-12);
-        }
-
-        // The scenario mixes keyword-only rounds (patched in place) with
-        // endpoint/contact rounds (spine-touching fallbacks); the
-        // cumulative counters must reflect both paths.
-        let fallbacks = live
-            .rounds
-            .iter()
-            .filter(|r| matches!(r.outcome, MaintainOutcome::Fallback { .. }))
-            .count();
-        assert_eq!(live.maintenance.fallbacks, fallbacks);
-        assert!(
-            live.maintenance.steps_patched > 0,
-            "some rounds must be patched in place: {:?}",
-            live.maintenance
-        );
-
-        // Same final warehouse as the batch pipeline.
-        let batch = run_scenario(&config, &mut StdRng::seed_from_u64(seed));
-        assert_eq!(live.warehouse.tree.num_nodes(), batch.tree.num_nodes());
-        assert_eq!(
-            live.warehouse.tree.num_literals(),
-            batch.tree.num_literals()
-        );
-        assert_eq!(live.warehouse.report.steps.len(), batch.report.steps.len());
     }
 
     #[test]

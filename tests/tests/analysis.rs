@@ -11,7 +11,7 @@ use pxml_analysis::{Satisfiability, StaticAnalyzer};
 use pxml_core::query::monotone::{is_locally_monotone_on, NegationQuery};
 use pxml_core::update::UpdateEngine;
 use pxml_core::worlds::{ShardExecutor, WorldEngine, WorldEngineConfig};
-use pxml_core::{MonotonicityCertificate, QueryEngine, Theorem1Error};
+use pxml_core::{MonotonicityCertificate, QueryEngine, QueryEngineConfig, Theorem1Error};
 use pxml_workloads::random::{
     random_pattern_query, random_probtree, random_tree, ProbTreeConfig, TreeConfig,
 };
@@ -128,7 +128,11 @@ proptest! {
         let prepared = QueryEngine::new().prepare(&tree, &query);
         if analysis.satisfiability.is_statically_empty() {
             prop_assert!(prepared.is_empty());
-            let hinted = QueryEngine::new().prepare_with_hints(&tree, &query, &analysis.hints());
+            let engine = QueryEngine::with_config(QueryEngineConfig {
+                hints: analysis.hints(),
+                ..QueryEngineConfig::default()
+            });
+            let hinted = engine.prepare(&tree, &query);
             prop_assert!(hinted.is_empty());
             prop_assert_eq!(hinted.ranked().stats().enumerated, 0);
         } else {

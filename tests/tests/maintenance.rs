@@ -15,10 +15,14 @@
 //! 2. **No silent fallback** — when the query has a bounded footprint
 //!    and a delta provably misses it, the patch path *must* be taken;
 //!    conversely spine-touching and unbounded cases must re-prepare.
+//!
+//! A deterministic case replays the warehouse scenario of Section 1
+//! round by round against the same fresh-prepare oracle.
 
 mod common;
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
@@ -76,10 +80,15 @@ fn build_pattern(spec: &PatternSpec) -> PatternQuery {
 // Cross-check helper
 // ---------------------------------------------------------------------------
 
+/// A default engine's document-backed state for a pattern.
+fn doc_view(doc: &Document, query: &PatternQuery) -> PreparedQuery<'static> {
+    QueryEngine::new().prepare_doc_shared(doc, Arc::new(query.clone()))
+}
+
 /// The maintained state must be indistinguishable from a fresh prepare
 /// against the same document epoch.
 fn assert_matches_fresh(maintained: &PreparedQuery<'_>, doc: &Document, query: &PatternQuery) {
-    let fresh = QueryEngine::new().prepare_doc(doc, query);
+    let fresh = doc_view(doc, query);
     prop_assert_eq!(maintained.len(), fresh.len());
     for i in 0..fresh.len() {
         prop_assert_eq!(maintained.subtree(i), fresh.subtree(i));
@@ -124,9 +133,8 @@ proptest! {
         let tree = build_probtree(&spec);
         let query = build_pattern(&pattern);
         let mut doc = Document::new(tree);
-        let query_engine = QueryEngine::new();
         let update_engine = UpdateEngine::new();
-        let mut prepared = query_engine.prepare_doc(&doc, &query);
+        let mut prepared = doc_view(&doc, &query);
         let footprint: Option<BTreeSet<String>> = prepared.footprint().cloned();
         for update in &updates {
             let delta = update_engine.apply_doc(&mut doc, update);
@@ -164,9 +172,8 @@ proptest! {
         let tree = build_probtree(&spec);
         let query = build_pattern(&pattern);
         let mut doc = Document::new(tree);
-        let query_engine = QueryEngine::new();
         let update_engine = UpdateEngine::new();
-        let mut prepared = query_engine.prepare_doc(&doc, &query);
+        let mut prepared = doc_view(&doc, &query);
         let footprint: Option<BTreeSet<String>> = prepared.footprint().cloned();
         for update in &updates {
             update_engine.apply_doc(&mut doc, update);
@@ -184,4 +191,49 @@ proptest! {
         assert_matches_fresh(&prepared, &doc, &query);
         prop_assert_eq!(prepared.maintain(&doc).unwrap(), MaintainOutcome::UpToDate);
     }
+}
+
+/// The warehouse scenario served live: the extraction script is committed
+/// round by round through a `Document`, and one document-backed view of
+/// the canonical analysis query is maintained after every round. Rounds
+/// that only claim or retract `keyword` facts patch in place; rounds that
+/// touch `endpoint` or `contact` facts fall back to a re-prepare. Either
+/// way the view must equal a fresh prepare after every round.
+#[test]
+fn warehouse_view_matches_a_fresh_prepare_after_every_round() {
+    use pxml_workloads::warehouse::{
+        scenario_script, services_with_endpoint_and_contact, skeleton, WarehouseConfig,
+    };
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    let config = WarehouseConfig {
+        services: 3,
+        extraction_rounds: 10,
+        deletion_ratio: 0.2,
+    };
+    let (script, _) = scenario_script(&config, &mut StdRng::seed_from_u64(0xBEEF));
+    let query = services_with_endpoint_and_contact();
+    let mut doc = Document::new(skeleton(config.services));
+    let update_engine = UpdateEngine::new();
+    let mut view = doc_view(&doc, &query);
+    let mut outcomes = Vec::new();
+    for update in script.steps() {
+        update_engine.apply_doc(&mut doc, update);
+        outcomes.push(view.maintain(&doc).unwrap());
+        assert_matches_fresh(&view, &doc, &query);
+    }
+    assert_eq!(outcomes.len(), 10);
+    let fallbacks = outcomes
+        .iter()
+        .filter(|o| matches!(o, MaintainOutcome::Fallback { .. }))
+        .count();
+    assert!(fallbacks > 0, "no round fell back: {outcomes:?}");
+    assert!(
+        outcomes
+            .iter()
+            .any(|o| matches!(o, MaintainOutcome::Patched { .. })),
+        "no round was patched: {outcomes:?}"
+    );
+    assert_eq!(view.maintenance_stats().fallbacks, fallbacks);
 }

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use pxml_core::clean::{clean, is_clean};
 use pxml_core::equivalence::structural_equivalent_exhaustive;
 use pxml_core::probtree::ProbTree;
-use pxml_core::semantics::{possible_worlds, pw_set_to_probtree};
+use pxml_core::semantics::{possible_worlds, possible_worlds_normalized, pw_set_to_probtree};
 use pxml_core::update::{ProbabilisticUpdate, UpdateOperation};
 use pxml_core::worlds::{WorldEngine, WorldEngineConfig};
 use pxml_core::PatternQuery;
@@ -221,16 +221,17 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The relevant-event engine's normalized world set is isomorphic to
-    /// the legacy full-enumeration semantics on random prob-trees built by
-    /// the hand-rolled strategy.
+    /// The production world path (`possible_worlds_normalized`, the
+    /// factorized relevant-event engine) is isomorphic to the legacy
+    /// full-enumeration semantics on random prob-trees built by the
+    /// hand-rolled strategy.
     #[test]
     fn world_engine_matches_legacy_enumeration(spec in probtree_strategy()) {
         let tree = build_probtree(&spec);
         let legacy = possible_worlds(&tree, 16).unwrap().normalized();
         let engine = WorldEngine::new(&tree);
         prop_assert!(engine.num_relevant() <= tree.events().len());
-        let fast = engine.normalized_worlds(16).unwrap();
+        let fast = possible_worlds_normalized(&tree, 16).unwrap();
         prop_assert!(fast.isomorphic(&legacy));
         prop_assert!((fast.total_probability() - 1.0).abs() < 1e-9);
     }
@@ -267,7 +268,7 @@ proptest! {
         prop_assert_eq!(component_total, engine.num_relevant());
 
         let legacy = possible_worlds(&tree, 12).unwrap().normalized();
-        let fast = engine.normalized_worlds(6).unwrap();
+        let fast = possible_worlds_normalized(&tree, 6).unwrap();
         prop_assert!(fast.isomorphic(&legacy));
     }
 }
@@ -279,21 +280,20 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Three-way agreement: the legacy full enumeration, the streamed
-    /// (PR-2) engine and the factorized shard executor produce isomorphic
-    /// normalized PW sets on random prob-trees.
+    /// The sequential shard executor's normalized PW set is isomorphic to
+    /// the legacy full enumeration on random prob-trees, and its joint
+    /// walk never visits more states than streaming every valuation of
+    /// the free events would (`2^{free}`).
     #[test]
     fn factorized_matches_streamed_and_legacy(spec in probtree_strategy()) {
         let tree = build_probtree(&spec);
         let legacy = possible_worlds(&tree, 16).unwrap().normalized();
         let engine = WorldEngine::new(&tree);
-        let streamed = engine.normalized_worlds(16).unwrap();
-        let factorized = engine
+        let fw = engine
             .sharded(&WorldEngineConfig::sequential(), 16)
-            .unwrap()
-            .normalized_worlds()
             .unwrap();
-        prop_assert!(factorized.isomorphic(&streamed));
+        prop_assert!(fw.num_joint_assignments() <= 1u128 << fw.num_free_events());
+        let factorized = fw.normalized_worlds().unwrap();
         prop_assert!(factorized.isomorphic(&legacy));
         prop_assert!((factorized.total_probability() - 1.0).abs() < 1e-9);
     }

@@ -236,10 +236,6 @@ proptest! {
         let engine: Vec<ProbAnswer> =
             QueryEngine::new().prepare(&tree, &query).answers().collect();
         assert_same_answers(&engine, &legacy);
-        // The (deprecated) wrapper is the engine.
-        #[allow(deprecated)]
-        let wrapper = pxml_core::query::prob::query_probtree(&query, &tree);
-        assert_same_answers(&wrapper, &legacy);
     }
 
     /// Bounded-heap top-k equals the legacy full-sort-then-truncate
