@@ -42,7 +42,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use pxml_bench::{rng, scaling_probtree, scaling_query, SCALING_SIZES};
+use pxml_bench::{quick, rng, scaling_probtree, scaling_query, SCALING_SIZES};
 use pxml_core::query::pattern::PatternQuery;
 use pxml_core::query::Query;
 use pxml_core::update::{ProbabilisticUpdate, UpdateEngine, UpdateOperation};
@@ -50,10 +50,6 @@ use pxml_core::{Document, MaintainOutcome, QueryEngine};
 use pxml_events::{Lineage, Possibility, Probability};
 use pxml_tree::DataTree;
 use pxml_workloads::warehouse::{services_with_endpoint_and_contact, skeleton};
-
-fn quick() -> bool {
-    pxml_core::config::env::flag(pxml_core::config::env::BENCH_QUICK)
-}
 
 /// Untimed sanity assertions on the selection counters: the bounded heap
 /// must do fewer rank comparisons than the full sort, and a selective

@@ -9,12 +9,9 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
+use pxml_bench::quick;
 use pxml_core::threshold::{restrict_to_threshold, restriction_as_probtree};
 use pxml_workloads::paper::{theorem4_tree, theorem4_world_probability};
-
-fn quick() -> bool {
-    pxml_core::config::env::flag(pxml_core::config::env::BENCH_QUICK)
-}
 
 fn bench_threshold_restriction(c: &mut Criterion) {
     let mut group = c.benchmark_group("e7_threshold_restriction");

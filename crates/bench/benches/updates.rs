@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use pxml_bench::{rng, scaling_probtree, SCALING_SIZES};
+use pxml_bench::{quick, rng, scaling_probtree, SCALING_SIZES};
 use pxml_core::semantics::possible_worlds;
 use pxml_core::update::{
     ProbabilisticUpdate, StepScope, UpdateEngine, UpdateEngineConfig, UpdateOperation,
@@ -25,10 +25,6 @@ use pxml_workloads::paper::{d0_deletion, theorem3_tree};
 use pxml_workloads::warehouse::{scenario_script, skeleton, WarehouseConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-fn quick() -> bool {
-    pxml_core::config::env::flag(pxml_core::config::env::BENCH_QUICK)
-}
 
 /// E4: insertion scaling on random prob-trees (insert an `E` child under
 /// every `L0` node, confidence 0.9).

@@ -21,15 +21,12 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
+use pxml_bench::quick;
 use pxml_core::update::{ProbabilisticUpdate, UpdateEngine, UpdateOperation};
 use pxml_core::{Document, PatternQuery, QueryEngine};
 use pxml_server::Warehouse;
 use pxml_tree::DataTree;
 use pxml_workloads::warehouse::{services_with_endpoint_and_contact, skeleton};
-
-fn quick() -> bool {
-    pxml_core::config::env::flag(pxml_core::config::env::BENCH_QUICK)
-}
 
 /// Views registered per document.
 const VIEWS: usize = 4;

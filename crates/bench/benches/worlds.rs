@@ -23,6 +23,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
+use pxml_bench::quick;
 use pxml_core::semantics::{possible_worlds, possible_worlds_normalized};
 use pxml_core::worlds::{WorldEngine, WorldEngineConfig};
 use pxml_core::ProbTree;
@@ -32,10 +33,6 @@ use pxml_workloads::random::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-fn quick() -> bool {
-    pxml_core::config::env::flag(pxml_core::config::env::BENCH_QUICK)
-}
 
 /// A 200-node tree mentioning `mentioned` events in its conditions, with
 /// `declared - mentioned` additional events that no condition uses.

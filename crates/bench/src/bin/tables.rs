@@ -1,6 +1,6 @@
 //! The experiment table generator.
 //!
-//! Prints, for every experiment E1–E11 of `EXPERIMENTS.md`, the table of
+//! Prints, for every experiment E1–E13 of `EXPERIMENTS.md`, the table of
 //! measured sizes/counts/times that reproduces the *shape* of the
 //! corresponding result of the paper. Sizes matter as much as times here:
 //! Theorems 3–5 are statements about representation size.
@@ -95,9 +95,6 @@ fn main() {
     }
     if run("e13") {
         e13_dedup_storage();
-    }
-    if run("e16") {
-        e16_warehouse_server();
     }
 }
 
@@ -869,59 +866,4 @@ fn e11_set_semantics_and_semantic_equivalence() {
         );
     }
     println!();
-}
-
-/// E16: the warehouse server — multi-tenant traffic throughput, latency
-/// order statistics, and the maintenance hub's sharing counters.
-fn e16_warehouse_server() {
-    use pxml_server::{run_traffic, LatencySummary, TrafficConfig};
-
-    header(
-        "E16",
-        "Warehouse server — multi-tenant traffic, latency percentiles, hub sharing",
-    );
-
-    let us = |d: std::time::Duration| d.as_secs_f64() * 1e6;
-    let row = |label: &str, s: &LatencySummary| {
-        println!(
-            "{label:>8} | {:>6} {:>12.1} {:>12.1} {:>12.1} {:>12.1}",
-            s.count,
-            us(s.p50),
-            us(s.p95),
-            us(s.p99),
-            us(s.max)
-        );
-    };
-
-    for threads in [1usize, 2, 4] {
-        let config = TrafficConfig {
-            threads,
-            ..TrafficConfig::from_env()
-        };
-        let report = run_traffic(&config);
-        println!(
-            "{} tenants x {} rounds x (1 commit + {} reads), {} threads:",
-            config.tenants, config.rounds, config.reads_per_round, threads
-        );
-        println!(
-            "{:>8} | {:>6} {:>12} {:>12} {:>12} {:>12}",
-            "op", "count", "p50 (us)", "p95 (us)", "p99 (us)", "max (us)"
-        );
-        row("commit", &report.commits);
-        row("read", &report.reads);
-        let hub = report.hub;
-        println!(
-            "   hub: {} deltas observed, {} flags fanned, {} windows composed, {} view maintains",
-            hub.deltas_observed, hub.flags_fanned, hub.windows_composed, hub.view_maintains
-        );
-        println!(
-            "   checksum {:.6} (deterministic per seed), total {:.0} ops/s\n",
-            report.checksum,
-            report.ops_per_second()
-        );
-    }
-    println!(
-        "(reads are served from hub-maintained views: maintenance passes scale with read \
-         rounds, not with views x deltas)\n"
-    );
 }

@@ -12,6 +12,8 @@
 
 #![forbid(unsafe_code)]
 
+use std::ffi::OsStr;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -57,10 +59,53 @@ pub fn scaling_query() -> PatternQuery {
 /// Node counts used by the scaling experiments.
 pub const SCALING_SIZES: [usize; 4] = [100, 500, 2_000, 8_000];
 
+/// Whether `PXML_BENCH_QUICK` asks the benches for their smoke-test
+/// shapes and iteration budgets, as CI's `bench-smoke` job does. This is
+/// the workspace's one environment read; the libraries take every setting
+/// from their callers.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the bench-smoke switch is the one setting read from the environment"
+)]
+pub fn quick() -> bool {
+    is_truthy(std::env::var_os("PXML_BENCH_QUICK").as_deref())
+}
+
+/// A flag's value read as a boolean: unset, `0`, `false`, `off` and `no`
+/// (case-insensitive) are `false`, anything else is `true`, including a
+/// value that is not Unicode.
+fn is_truthy(value: Option<&OsStr>) -> bool {
+    value.is_some_and(|value| {
+        !value.to_str().is_some_and(|value| {
+            matches!(
+                value.to_ascii_lowercase().as_str(),
+                "0" | "false" | "off" | "no"
+            )
+        })
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use pxml_core::QueryEngine;
+
+    #[test]
+    fn flag_recognizes_falsy_spellings() {
+        assert!(!is_truthy(None));
+        for falsy in ["0", "false", "OFF", "No"] {
+            assert!(
+                !is_truthy(Some(OsStr::new(falsy))),
+                "{falsy} should be falsy"
+            );
+        }
+        for truthy in ["1", "true", "yes", "quick"] {
+            assert!(
+                is_truthy(Some(OsStr::new(truthy))),
+                "{truthy} should be truthy"
+            );
+        }
+    }
 
     #[test]
     fn scaling_fixtures_are_generated_deterministically() {

@@ -45,7 +45,6 @@
 #![forbid(unsafe_code)]
 
 pub mod clean;
-pub mod config;
 pub mod document;
 pub mod equivalence;
 pub mod probtree;
@@ -68,7 +67,7 @@ pub use query::pattern::PatternQuery;
 pub use query::{
     AnswerSet, FallbackReason, MaintainError, MaintainOutcome, MaintainStats,
     MonotonicityCertificate, PreparedQuery, QueryEngine, QueryEngineConfig, QueryHints,
-    SemiringCacheStats, Theorem1Error, TieBreak,
+    SemiringCacheStats, Theorem1Error,
 };
 pub use update::{
     DeletionForecast, ProbabilisticUpdate, SurvivorBudgetExceeded, UpdateAction, UpdateEngine,

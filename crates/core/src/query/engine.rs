@@ -54,40 +54,6 @@ use crate::worlds::WorldEngineConfig;
 use super::prob::{query_pw_set, ProbAnswer};
 use super::{MonotonicityCertificate, Query, Theorem1Error};
 
-/// How equal-probability answers are ordered in ranked selection.
-///
-/// Every policy is refined by the answer's position in the
-/// [`Query::evaluate`] output as a final discriminator, so the induced
-/// order is **total**: the bounded-heap [`PreparedQuery::top_k`] and a
-/// full-sort reference select exactly the same answers in the same order.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum TieBreak {
-    /// Order ties by the canonical form of the answer tree under multiset
-    /// semantics (the default): deterministic across runs and independent
-    /// of node identities.
-    #[default]
-    Canonical,
-    /// Like [`TieBreak::Canonical`] but under set semantics (duplicate
-    /// siblings collapse to one canonical child).
-    CanonicalSet,
-    /// Keep ties in match order (the [`Query::evaluate`] output order).
-    /// Skips canonical-string construction entirely; deterministic for
-    /// deterministic queries, but sensitive to node numbering.
-    MatchOrder,
-}
-
-impl TieBreak {
-    /// The canonicalization semantics of the policy, or `None` when ties
-    /// are kept in match order.
-    fn semantics(self) -> Option<Semantics> {
-        match self {
-            TieBreak::Canonical => Some(Semantics::MultiSet),
-            TieBreak::CanonicalSet => Some(Semantics::Set),
-            TieBreak::MatchOrder => None,
-        }
-    }
-}
-
 /// Configuration of a [`QueryEngine`].
 #[derive(Clone, Debug)]
 pub struct QueryEngineConfig {
@@ -95,12 +61,9 @@ pub struct QueryEngineConfig {
     /// co-occurrence component (and, as `2^max_events`, the total shard
     /// and joint work) the factorized expansion may enumerate.
     pub max_events: usize,
-    /// Passthrough to the factorized world engine (worker threads, joint
-    /// cross-product cap; the environment switches
-    /// `PXML_WORLDS_PARALLELISM` / `PXML_WORLDS_MAX_JOINT` apply).
+    /// Passthrough to the factorized world engine: worker threads and the
+    /// joint cross-product cap.
     pub worlds: WorldEngineConfig,
-    /// Tie-break policy of ranked selection.
-    pub tie_break: TieBreak,
     /// Static-analysis hints preparation consults before matching; a
     /// maintenance fallback re-prepare replays them.
     pub hints: QueryHints,
@@ -122,15 +85,8 @@ impl QueryEngineConfig {
         QueryEngineConfig {
             max_events,
             worlds: WorldEngineConfig::for_event_budget(max_events),
-            tie_break: TieBreak::default(),
             hints: QueryHints::default(),
         }
-    }
-
-    /// Returns the configuration with the given tie-break policy.
-    pub fn with_tie_break(mut self, tie_break: TieBreak) -> Self {
-        self.tie_break = tie_break;
-        self
     }
 }
 
@@ -1006,9 +962,9 @@ impl<'a> PreparedQuery<'a> {
     /// The `k` most probable answers, best first, selected with a bounded
     /// binary heap: `O(n log k)` rank comparisons instead of a full
     /// `O(n log n)` sort, and only the `k` winners are materialized.
-    /// Zero-probability answers are dropped; ties follow the configured
-    /// [`TieBreak`] policy, whose canonical keys are built at most once
-    /// per answer and cached across calls.
+    /// Zero-probability answers are dropped; ties are broken by the
+    /// answer's canonical form, then by match order, with canonical keys
+    /// built at most once per answer and cached across calls.
     pub fn top_k(&self, k: usize) -> AnswerSet {
         let counters = SelectionCounters::default();
         let mut heap: BinaryHeap<HeapEntry<'_, 'a>> = BinaryHeap::with_capacity(k.min(self.len()));
@@ -1080,40 +1036,31 @@ impl<'a> PreparedQuery<'a> {
         }
     }
 
-    /// Rank order: probability descending, then the tie-break policy,
-    /// then match order (a total order — see [`TieBreak`]).
+    /// Rank order: probability descending, then the canonical form of the
+    /// answer tree under multiset semantics (deterministic across runs and
+    /// independent of node identities), then match order — the
+    /// [`Query::evaluate`] output position. The order is **total**, so the
+    /// bounded-heap [`PreparedQuery::top_k`] and the full-sort
+    /// [`PreparedQuery::ranked`] select exactly the same answers in the
+    /// same order.
     fn rank_cmp(&self, a: (usize, f64), b: (usize, f64), counters: &SelectionCounters) -> Ordering {
         counters.comparisons.set(counters.comparisons.get() + 1);
-        match b
-            .1
-            .partial_cmp(&a.1)
+        b.1.partial_cmp(&a.1)
             .expect("answer probabilities are finite")
-        {
-            Ordering::Equal => {}
-            order => return order,
-        }
-        if let Some(semantics) = self.config.tie_break.semantics() {
-            match self
-                .tie_key(a.0, semantics, counters)
-                .cmp(self.tie_key(b.0, semantics, counters))
-            {
-                Ordering::Equal => {}
-                order => return order,
-            }
-        }
-        a.0.cmp(&b.0)
+            .then_with(|| self.tie_key(a.0, counters).cmp(self.tie_key(b.0, counters)))
+            .then_with(|| a.0.cmp(&b.0))
     }
 
     /// The canonical tie-break key of an answer, built on first use and
     /// cached — the legacy sort recomputed it inside **every** comparison.
-    fn tie_key(&self, index: usize, semantics: Semantics, counters: &SelectionCounters) -> &str {
+    fn tie_key(&self, index: usize, counters: &SelectionCounters) -> &str {
         self.tie_keys[index].get_or_init(|| {
             counters
                 .tie_keys_built
                 .set(counters.tie_keys_built.get() + 1);
             self.answers[index]
                 .subtree
-                .canonical_string(self.tree().tree(), semantics)
+                .canonical_string(self.tree().tree(), Semantics::MultiSet)
         })
     }
 
@@ -1513,31 +1460,6 @@ mod tests {
         let keys: Vec<&str> = first.iter().map(|a| a.tree.label(a.tree.root())).collect();
         let keys2: Vec<&str> = second.iter().map(|a| a.tree.label(a.tree.root())).collect();
         assert_eq!(keys, keys2);
-    }
-
-    #[test]
-    fn match_order_tie_break_skips_key_construction() {
-        let mut tree = ProbTree::new("r");
-        let root = tree.tree().root();
-        for i in 0..4 {
-            let w = tree.events_mut().insert(format!("w{i}"), 0.5);
-            tree.add_child(root, format!("x{i}"), Condition::of(Literal::pos(w)));
-        }
-        let q = PatternQuery::new(None);
-        let engine = QueryEngine::with_config(
-            QueryEngineConfig::default().with_tie_break(TieBreak::MatchOrder),
-        );
-        let prepared = engine.prepare(&tree, &q);
-        let ranked = prepared.ranked();
-        assert_eq!(ranked.stats().tie_keys_built, 0);
-        assert_eq!(prepared.num_cached_tie_keys(), 0);
-        // Equal-probability answers stay in match order.
-        let equal: Vec<usize> = ranked
-            .iter()
-            .filter(|a| prob_eq(a.probability, 0.5))
-            .map(|a| a.tree.len())
-            .collect();
-        assert!(!equal.is_empty());
     }
 
     #[test]

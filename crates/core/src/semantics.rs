@@ -56,10 +56,10 @@ pub fn possible_worlds(
 /// `2^{max_events}`) the total shard work and the joint combine, so
 /// everything the legacy relevant-event guard accepted is still accepted —
 /// and trees whose relevant events split into many small components are
-/// now tractable far beyond it. The executor honors the
-/// `PXML_WORLDS_PARALLELISM` / `PXML_WORLDS_MAX_JOINT` environment
-/// switches via [`WorldEngineConfig::for_event_budget`], whose joint cap
-/// defaults to exactly the `2^{max_events}` budget granted here.
+/// now tractable far beyond it. The executor runs under
+/// [`WorldEngineConfig::for_event_budget`]: the default thread budget and
+/// a joint cap of exactly the `2^{max_events}` granted here, so the result
+/// depends on the tree and `max_events` alone.
 pub fn possible_worlds_normalized(
     tree: &ProbTree,
     max_events: usize,

@@ -142,6 +142,27 @@ impl UpdateOperation {
         out.compact().0
     }
 
+    /// Whether the operation deletes the root of `tree`, which neither
+    /// [`UpdateOperation::apply_to_data_tree`] nor the prob-tree
+    /// algorithms support. Only the pattern root can bind the tree root,
+    /// so the matcher runs only for a deletion at the pattern root whose
+    /// label is the root's label or a wildcard.
+    pub fn deletes_root(&self, tree: &DataTree) -> bool {
+        let UpdateAction::Delete { at } = self.action else {
+            return false;
+        };
+        let root = tree.root();
+        if at != self.query.root()
+            || self
+                .query
+                .label(at)
+                .is_some_and(|label| label != tree.label(root))
+        {
+            return false;
+        }
+        self.query.matches(tree).iter().any(|m| m.node(at) == root)
+    }
+
     /// Whether the query selects `tree` (has at least one match).
     pub fn selects(&self, tree: &DataTree) -> bool {
         !self.query.matches(tree).is_empty()

@@ -29,8 +29,8 @@
 //! grafted and the parents it grafted under or detached from. Cleaning a
 //! node depends only on its own condition and its ancestors', pruning only
 //! on its own, and the merge at a parent only on that parent's children;
-//! [`SimplifyConfig::max_merge_group`] states the one rule that keeps the
-//! merge exact.
+//! the merge-group limit (`MAX_MERGE_GROUP`) states the one rule that
+//! keeps the merge exact.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 
@@ -49,19 +49,6 @@ pub struct SimplifyConfig {
     pub prune_certain: bool,
     /// Merge sibling covers each pass (default: `true`).
     pub merge_siblings: bool,
-    /// Skip cover merging for condition supports larger than this (the
-    /// Shannon expansion is exponential in the support in the worst case;
-    /// default: 20).
-    pub max_merge_support: usize,
-    /// Skip cover merging for sibling groups with more merge candidates
-    /// than this (the pairwise disjointness test is quadratic in the
-    /// group; default: 1024). A *candidate* is a child with a same-label
-    /// sibling holding the complement of one of its literals; no other
-    /// child can join a clique of mutually exclusive conditions, so only
-    /// candidates are grouped and counted. Children without a condition
-    /// are never candidates, which is what lets the region scope skip a
-    /// parent whose only changed children are unconditioned.
-    pub max_merge_group: usize,
     /// Upper bound on chained passes (default: 4 — merging children can
     /// make their parents mergeable in turn).
     pub max_passes: usize,
@@ -73,12 +60,24 @@ impl Default for SimplifyConfig {
             clean: true,
             prune_certain: true,
             merge_siblings: true,
-            max_merge_support: 20,
-            max_merge_group: 1024,
             max_passes: 4,
         }
     }
 }
+
+/// Cover merging skips condition supports larger than this: the Shannon
+/// expansion is exponential in the support in the worst case.
+const MAX_MERGE_SUPPORT: usize = 20;
+
+/// Cover merging skips sibling groups with more merge candidates than
+/// this: the pairwise disjointness test is quadratic in the group. A
+/// *candidate* is a child with a same-label sibling holding the
+/// complement of one of its literals; no other child can join a clique of
+/// mutually exclusive conditions, so only candidates are grouped and
+/// counted. Children without a condition are never candidates, which is
+/// what lets the region scope skip a parent whose only changed children
+/// are unconditioned.
+const MAX_MERGE_GROUP: usize = 1024;
 
 /// Telemetry of one [`simplify_with`] run.
 #[derive(Clone, Debug, Default)]
@@ -630,7 +629,7 @@ impl<S: Semiring> Run<'_, S> {
         }
         let mut merged = 0;
         for group in groups {
-            if group.len() < 2 || group.len() > self.config.max_merge_group {
+            if group.len() < 2 || group.len() > MAX_MERGE_GROUP {
                 continue;
             }
             // Identical copies — e.g. two equal-condition duplicates — are
@@ -655,8 +654,7 @@ impl<S: Semiring> Run<'_, S> {
                     continue;
                 }
                 let dnf = Dnf::from_disjuncts(clique.iter().map(|&i| conditions[i].clone()));
-                let Some(cover) = dnf.minimized_disjoint_cover(self.config.max_merge_support)
-                else {
+                let Some(cover) = dnf.minimized_disjoint_cover(MAX_MERGE_SUPPORT) else {
                     continue;
                 };
                 let template = group[clique[0]];

@@ -40,7 +40,9 @@
 //!    scoped thread pool (plain `std` threads) when
 //!    [`WorldEngineConfig::parallelism`] allows, with a sequential
 //!    fallback; shards are reassembled in component order either way, so
-//!    the result is deterministic.
+//!    the result is deterministic. The configuration is always the
+//!    caller's: nothing is read from the environment, so the output is a
+//!    function of the prob-tree and the budget passed in.
 //!
 //! ## The shard-combine contract
 //!
@@ -89,7 +91,7 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use pxml_events::valuation::TooManyValuations;
-use pxml_events::{Condition, EventId, Semiring, Valuation};
+use pxml_events::{Condition, EventId, Valuation};
 use pxml_tree::canon::{canonical_string, Semantics};
 use pxml_tree::DataTree;
 
@@ -396,10 +398,11 @@ impl Iterator for RelevantValuations {
 /// enumerate components concurrently, and how large a joint cross product
 /// a shard-combining consumer may materialize.
 ///
-/// The environment can override both knobs (`PXML_WORLDS_PARALLELISM`,
-/// `PXML_WORLDS_MAX_JOINT`) via [`WorldEngineConfig::from_env`], which the
-/// production call sites ([`crate::semantics::possible_worlds_normalized`]
-/// and the DTD sweeps) use.
+/// The production call sites ([`crate::semantics::possible_worlds_normalized`]
+/// and the DTD sweeps) use [`WorldEngineConfig::for_event_budget`]; callers
+/// that want another thread budget or joint cap build the value
+/// explicitly ([`WorldEngineConfig::sequential`],
+/// [`WorldEngineConfig::with_joint_cap_bits`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WorldEngineConfig {
     /// Maximum number of worker threads enumerating components
@@ -437,37 +440,16 @@ impl WorldEngineConfig {
         }
     }
 
-    /// The default configuration with environment overrides applied:
-    /// `PXML_WORLDS_PARALLELISM` (worker-thread cap, `1` disables the
-    /// thread pool) and `PXML_WORLDS_MAX_JOINT` (joint cross-product cap).
-    /// Unparsable or missing values fall back to the defaults.
-    pub fn from_env() -> Self {
-        Self::apply_env(WorldEngineConfig::default())
-    }
-
-    /// The environment-aware configuration for consumers whose public
-    /// contract is an event-count guard (`max_events`): the joint cap
-    /// defaults to exactly `2^{max_events}` — the enumeration budget the
+    /// The configuration for consumers whose public contract is an
+    /// event-count guard (`max_events`): the default parallelism and a
+    /// joint cap of exactly `2^{max_events}` — the enumeration budget the
     /// caller already granted, so every input with at most `max_events`
-    /// relevant events is accepted — while `PXML_WORLDS_PARALLELISM` and
-    /// an explicitly set `PXML_WORLDS_MAX_JOINT` still override their
-    /// knobs.
+    /// relevant events is accepted.
     pub fn for_event_budget(max_events: usize) -> Self {
-        Self::apply_env(WorldEngineConfig {
+        WorldEngineConfig {
             max_joint_worlds: pow2_saturating(max_events),
             ..WorldEngineConfig::default()
-        })
-    }
-
-    fn apply_env(mut config: WorldEngineConfig) -> Self {
-        use crate::config::env;
-        if let Some(parallelism) = env::parse_lenient(env::WORLDS_PARALLELISM) {
-            config.parallelism = parallelism;
         }
-        if let Some(max_joint) = env::parse_lenient(env::WORLDS_MAX_JOINT) {
-            config.max_joint_worlds = max_joint;
-        }
-        config
     }
 
     /// Caps `max_joint_worlds` at `2^bits` — used by consumers whose
@@ -497,30 +479,23 @@ fn pow2_saturating(bits: usize) -> u128 {
 /// component's conditions — two assignments that satisfy exactly the same
 /// conditions produce the same world contribution, so only their mass
 /// matters downstream.
-///
-/// The mass type defaults to `f64` — the probability-semiring
-/// instantiation every pre-semiring consumer was written against; a
-/// generic run ([`ShardExecutor::run_in`]) accumulates whatever
-/// `S::Value` its semiring produces.
 #[derive(Clone, Debug)]
-pub struct ShardAssignment<V = f64> {
+pub struct ShardAssignment {
     /// Representative valuation of the class (the first one enumerated, in
     /// binary-counter order over the component's free events).
     pub valuation: Valuation,
-    /// Total marginal semiring mass of the class under the component's
-    /// events (under the probability semiring, masses of one shard sum
-    /// to 1).
-    pub probability: V,
+    /// Total marginal probability of the class under the component's
+    /// events (the masses of one weighted shard sum to 1).
+    pub probability: f64,
     /// Number of raw component assignments merged into this class.
     pub merged: u64,
 }
 
 /// The per-component accumulator produced by the [`ShardExecutor`]: the
 /// component's events, its deduplicated assignment classes, and the raw
-/// enumeration count (`2^{|free|}`) that produced them. Generic over the
-/// class-mass type like [`ShardAssignment`] (default `f64`).
+/// enumeration count (`2^{|free|}`) that produced them.
 #[derive(Clone, Debug)]
-pub struct ComponentShard<V = f64> {
+pub struct ComponentShard {
     /// The component's events, sorted by id.
     pub events: Vec<EventId>,
     /// Events actually enumerated (`π(w) = 1` events are pinned true in
@@ -528,7 +503,7 @@ pub struct ComponentShard<V = f64> {
     pub free: Vec<EventId>,
     /// Deduplicated assignment classes, in first-seen (binary-counter)
     /// order.
-    pub assignments: Vec<ShardAssignment<V>>,
+    pub assignments: Vec<ShardAssignment>,
     /// Raw assignments enumerated to build this shard: exactly
     /// `2^{|free|}`.
     pub states_enumerated: u64,
@@ -683,36 +658,6 @@ impl ShardExecutor {
             max_joint_worlds: self.config.max_joint_worlds,
         })
     }
-
-    /// [`ShardExecutor::run`] generalized over a [`Semiring`]: every class
-    /// accumulates `S::Value` mass instead of `f64` probability. The same
-    /// budget guards apply; the generic path enumerates sequentially (the
-    /// probability fast path keeps the parallel executor to itself).
-    ///
-    /// `weighted` pins `π(w) = 1` events exactly as in the probability
-    /// run; semirings that weigh unmentioned events (e.g. `Counting`)
-    /// usually want `weighted = false` so every component event is
-    /// enumerated.
-    pub fn run_in<'a, S: Semiring>(
-        &self,
-        engine: &WorldEngine<'a>,
-        semiring: &S,
-        weighted: bool,
-        max_events: usize,
-    ) -> Result<FactorizedWorlds<'a, S::Value>, TooManyValuations> {
-        let plan = engine.shard_plan(weighted);
-        plan.check_budget(max_events)?;
-        let conditions = conditions_by_component(engine);
-        let shards = (0..engine.components.len())
-            .map(|i| enumerate_component_in(engine, i, &conditions[i], weighted, semiring))
-            .collect();
-        Ok(FactorizedWorlds {
-            engine: engine.clone(),
-            shards,
-            weighted,
-            max_joint_worlds: self.config.max_joint_worlds,
-        })
-    }
 }
 
 /// Groups the tree's distinct non-empty conditions by the component their
@@ -747,46 +692,24 @@ fn conditions_by_component(engine: &WorldEngine<'_>) -> Vec<Vec<Condition>> {
 }
 
 /// Enumerates one component's `2^{|free|}` partial assignments and folds
-/// them into signature-keyed classes. The probability-semiring
-/// instantiation of [`enumerate_component_in`] — the parallel executor's
-/// worker, kept monomorphic so the fast path's codegen (and its
-/// bit-exact accumulation order) is pinned.
+/// them into signature-keyed classes. Each class sums its raw
+/// assignments' [`Valuation::probability_over`] masses in binary-counter
+/// enumeration order, so every class mass is bit-identical across runs
+/// and thread counts.
 fn enumerate_component(
     engine: &WorldEngine<'_>,
     component: usize,
     conditions: &[Condition],
     weighted: bool,
 ) -> ComponentShard {
-    enumerate_component_in(
-        engine,
-        component,
-        conditions,
-        weighted,
-        &pxml_events::Probability,
-    )
-}
-
-/// [`enumerate_component`] over an arbitrary [`Semiring`]: each class
-/// accumulates the `add`-fold of its raw assignments'
-/// [`Valuation::weight_over_in`] masses, in binary-counter enumeration
-/// order (under the probability semiring this is exactly the historical
-/// `class.probability += probability`).
-fn enumerate_component_in<S: Semiring>(
-    engine: &WorldEngine<'_>,
-    component: usize,
-    conditions: &[Condition],
-    weighted: bool,
-    semiring: &S,
-) -> ComponentShard<S::Value> {
     let events = engine.tree.events();
     let component_events = engine.components[component].clone();
     let mut classes: HashMap<Vec<u64>, usize> = HashMap::new();
-    let mut assignments: Vec<ShardAssignment<S::Value>> = Vec::new();
+    let mut assignments: Vec<ShardAssignment> = Vec::new();
     let mut states = 0u64;
     for valuation in engine.component_valuations(component, weighted) {
         states += 1;
-        let probability =
-            valuation.weight_over_in(semiring, events, component_events.iter().copied());
+        let probability = valuation.probability_over(events, component_events.iter().copied());
         let mut signature = vec![0u64; conditions.len().div_ceil(64)];
         for (i, condition) in conditions.iter().enumerate() {
             if condition.eval(&valuation) {
@@ -796,7 +719,7 @@ fn enumerate_component_in<S: Semiring>(
         match classes.entry(signature) {
             Entry::Occupied(slot) => {
                 let class = &mut assignments[*slot.get()];
-                class.probability = semiring.add(class.probability.clone(), probability);
+                class.probability += probability;
                 class.merged += 1;
             }
             Entry::Vacant(slot) => {
@@ -869,23 +792,17 @@ fn run_parallel(
 /// [`ComponentShard`] per co-occurrence component, combinable by product
 /// only where a consumer genuinely needs joint worlds (see the
 /// *shard-combine contract* in the module docs).
-///
-/// Generic over the shard class-mass type `V` (default `f64`, the
-/// probability semiring): [`ShardExecutor::run`] produces the classic
-/// `FactorizedWorlds<'a>` with the full joint/normalization API, while
-/// [`ShardExecutor::run_in`] produces a `FactorizedWorlds<'a, S::Value>`
-/// whose shard-local folds carry arbitrary semiring values.
 #[derive(Clone, Debug)]
-pub struct FactorizedWorlds<'a, V = f64> {
+pub struct FactorizedWorlds<'a> {
     engine: WorldEngine<'a>,
-    shards: Vec<ComponentShard<V>>,
+    shards: Vec<ComponentShard>,
     weighted: bool,
     max_joint_worlds: u128,
 }
 
-impl<'a, V> FactorizedWorlds<'a, V> {
+impl<'a> FactorizedWorlds<'a> {
     /// The per-component shards, in the engine's (total) component order.
-    pub fn shards(&self) -> &[ComponentShard<V>] {
+    pub fn shards(&self) -> &[ComponentShard] {
         &self.shards
     }
 
@@ -909,86 +826,13 @@ impl<'a, V> FactorizedWorlds<'a, V> {
         })
     }
 
-    /// Semiring value of an arbitrary conjunction of literals, computed as
-    /// a `mul` of per-component `add`-folds over the raw shard
-    /// enumerations — the generic form of
-    /// [`FactorizedWorlds::condition_probability`] (which is its
-    /// probability-semiring instantiation). Involved components are folded
-    /// in component order; literals over events outside every component
-    /// multiply in directly; an event constrained by both polarities
-    /// yields the semiring's zero. When the semiring weighs unmentioned
-    /// events ([`Semiring::constrains_unmentioned`], e.g. `Counting`),
-    /// every table event not covered by an involved component or an
-    /// out-of-component literal contributes its [`Semiring::unmentioned`]
-    /// factor, so the fold ranges over the full event universe.
-    pub fn condition_value_in<S: Semiring<Value = V>>(
-        &self,
-        semiring: &S,
-        condition: &Condition,
-    ) -> V {
-        let events = self.engine.tree.events();
-        let mut component_of: HashMap<EventId, usize> = HashMap::new();
-        for (i, shard) in self.shards.iter().enumerate() {
-            for &e in &shard.events {
-                component_of.insert(e, i);
-            }
-        }
-        // Group the literals by component (detecting contradictions on the
-        // way); iterate involved components in sorted order so generic
-        // accumulation is deterministic.
-        let mut per_component: std::collections::BTreeMap<usize, Vec<pxml_events::Literal>> =
-            std::collections::BTreeMap::new();
-        let mut polarity: HashMap<EventId, bool> = HashMap::new();
-        let mut acc = semiring.one();
-        for &literal in condition.literals() {
-            if let Some(&prev) = polarity.get(&literal.event) {
-                if prev != literal.positive {
-                    return semiring.zero(); // w ∧ ¬w
-                }
-                continue; // duplicate literal
-            }
-            polarity.insert(literal.event, literal.positive);
-            match component_of.get(&literal.event) {
-                Some(&component) => per_component.entry(component).or_default().push(literal),
-                None => acc = semiring.mul(acc, semiring.literal(literal, events)),
-            }
-        }
-        for (&component, literals) in &per_component {
-            let component_events = &self.shards[component].events;
-            let mut fold = semiring.zero();
-            for v in self
-                .engine
-                .component_valuations(component, self.weighted)
-                .filter(|v| literals.iter().all(|l| l.eval(v)))
-            {
-                fold = semiring.add(
-                    fold,
-                    v.weight_over_in(semiring, events, component_events.iter().copied()),
-                );
-            }
-            acc = semiring.mul(acc, fold);
-        }
-        if semiring.constrains_unmentioned() {
-            for e in events.iter() {
-                let in_involved_component = component_of
-                    .get(&e)
-                    .is_some_and(|c| per_component.contains_key(c));
-                if !in_involved_component && !polarity.contains_key(&e) {
-                    acc = semiring.mul(acc, semiring.unmentioned(e, events));
-                }
-            }
-        }
-        acc
-    }
-}
-
-impl<'a> FactorizedWorlds<'a> {
     /// Probability of an arbitrary conjunction of literals over the
     /// engine's event table, computed as a product of per-component folds
     /// over the raw shard enumerations — the cross product is never
-    /// materialized. Literals over events outside every component (events
-    /// no tree condition mentions) are folded analytically; an event
-    /// constrained by both polarities yields 0.
+    /// materialized. Involved components are folded in component order;
+    /// literals over events outside every component (events no tree
+    /// condition mentions) are folded analytically; an event constrained
+    /// by both polarities yields 0.
     ///
     /// This is the *independent cross-check* of the shard decomposition:
     /// because events are mutually independent, the production path for a
@@ -1002,7 +846,46 @@ impl<'a> FactorizedWorlds<'a> {
     ///
     /// Only meaningful on weighted shards ([`WorldEngine::sharded`]).
     pub fn condition_probability(&self, condition: &Condition) -> f64 {
-        self.condition_value_in(&pxml_events::Probability, condition)
+        let events = self.engine.tree.events();
+        let mut component_of: HashMap<EventId, usize> = HashMap::new();
+        for (i, shard) in self.shards.iter().enumerate() {
+            for &e in &shard.events {
+                component_of.insert(e, i);
+            }
+        }
+        // Group the literals by component (detecting contradictions on the
+        // way); iterate involved components in sorted order so the
+        // accumulation is deterministic.
+        let mut per_component: std::collections::BTreeMap<usize, Vec<pxml_events::Literal>> =
+            std::collections::BTreeMap::new();
+        let mut polarity: HashMap<EventId, bool> = HashMap::new();
+        let mut acc = 1.0;
+        for &literal in condition.literals() {
+            if let Some(&prev) = polarity.get(&literal.event) {
+                if prev != literal.positive {
+                    return 0.0; // w ∧ ¬w
+                }
+                continue; // duplicate literal
+            }
+            polarity.insert(literal.event, literal.positive);
+            match component_of.get(&literal.event) {
+                Some(&component) => per_component.entry(component).or_default().push(literal),
+                None => acc *= literal.prob(events),
+            }
+        }
+        for (&component, literals) in &per_component {
+            let component_events = &self.shards[component].events;
+            let mut fold = 0.0;
+            for v in self
+                .engine
+                .component_valuations(component, self.weighted)
+                .filter(|v| literals.iter().all(|l| l.eval(v)))
+            {
+                fold += v.probability_over(events, component_events.iter().copied());
+            }
+            acc *= fold;
+        }
+        acc
     }
 
     /// Lazily walks the cross product of the shard classes, yielding the
@@ -1032,16 +915,14 @@ impl<'a> FactorizedWorlds<'a> {
     /// class). Each joint state carries a whole class of valuations (its
     /// probability is the product of class masses), so the walk visits
     /// `Π_c |classes_c|` states — never more, and usually far fewer, than
-    /// the `2^{|free|}` valuations of the free events.
-    pub fn normalized_worlds_with(
-        &self,
-        semantics: Semantics,
-    ) -> Result<PossibleWorldSet, JointTooLarge> {
+    /// the `2^{|free|}` valuations of the free events. Worlds are grouped
+    /// under the paper's default multiset semantics.
+    pub fn normalized_worlds(&self) -> Result<PossibleWorldSet, JointTooLarge> {
         let mut slots: HashMap<String, usize> = HashMap::new();
         let mut worlds: Vec<(DataTree, f64)> = Vec::new();
         for (valuation, p) in self.joint_valuations()? {
             let world = self.engine.tree.value_in_world(&valuation);
-            match slots.entry(canonical_string(&world, semantics)) {
+            match slots.entry(canonical_string(&world, Semantics::MultiSet)) {
                 Entry::Occupied(slot) => worlds[*slot.get()].1 += p,
                 Entry::Vacant(slot) => {
                     slot.insert(worlds.len());
@@ -1050,12 +931,6 @@ impl<'a> FactorizedWorlds<'a> {
             }
         }
         Ok(PossibleWorldSet::from_worlds(worlds))
-    }
-
-    /// [`FactorizedWorlds::normalized_worlds_with`] under the paper's
-    /// default multiset semantics.
-    pub fn normalized_worlds(&self) -> Result<PossibleWorldSet, JointTooLarge> {
-        self.normalized_worlds_with(Semantics::MultiSet)
     }
 
     /// Consumes the factorized computation into an *owning* joint walk —

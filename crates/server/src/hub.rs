@@ -21,6 +21,7 @@
 //! pair, and `windows_composed` stays at one per distinct span.
 
 use std::collections::BTreeMap;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -153,6 +154,11 @@ impl MaintenanceHub {
     /// `doc` must be the document the view was prepared against, held so
     /// its epoch cannot advance during the call (the warehouse passes it
     /// under its reader lock).
+    ///
+    /// A panic in `f` reaches the caller, but it does not poison the view:
+    /// maintenance has finished before `f` runs and `f` only reads the
+    /// prepared state, so the view stays whole and later reads serve it.
+    /// A panic inside maintenance still poisons the view's lock.
     pub fn serve<T>(
         &self,
         doc: &Document,
@@ -170,7 +176,12 @@ impl MaintenanceHub {
         if cell.dirty.swap(false, Ordering::AcqRel) || behind {
             self.maintain_view(doc, &mut prepared);
         }
-        Some(f(&prepared))
+        let served = panic::catch_unwind(AssertUnwindSafe(|| f(&prepared)));
+        drop(prepared);
+        match served {
+            Ok(value) => Some(value),
+            Err(payload) => panic::resume_unwind(payload),
+        }
     }
 
     /// Brings one view current through the shared composed window.

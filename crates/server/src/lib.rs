@@ -19,22 +19,18 @@
 //!   single pass, instead of `views × deltas` independent re-threads;
 //! * **scenario branches** ([`warehouse::Warehouse::branch`]) — O(1)
 //!   copy-on-write forks for what-if update scripts, with answer-level
-//!   [diff analyses](warehouse::Warehouse::diff) between branches;
-//! * a multi-tenant **traffic driver** ([`driver`]) — a deterministic
-//!   seeded workload mix over a scoped-thread worker pool, reporting
-//!   throughput and p50/p95/p99 latencies.
+//!   [diff analyses](warehouse::Warehouse::diff) between branches.
 //!
-//! Tunables come from typed `PXML_SERVER_*` environment switches parsed
-//! by [`pxml_core::config::env`]: `PXML_SERVER_THREADS`,
-//! `PXML_SERVER_TENANTS` and `PXML_SERVER_LOG_CAPACITY`.
+//! The one setting is the per-document delta-log capacity
+//! ([`Warehouse::with_log_capacity`]); nothing is read from the
+//! environment. The repository's `perfbench` package measures the serving
+//! path (its `serve` workload) at fixed work.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod driver;
 pub mod hub;
 pub mod warehouse;
 
-pub use driver::{run_traffic, LatencySummary, TrafficConfig, TrafficReport};
 pub use hub::HubStats;
 pub use warehouse::{BranchDiff, ServerError, Snapshot, Warehouse};

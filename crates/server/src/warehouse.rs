@@ -45,6 +45,9 @@ pub enum ServerError {
     UnknownView(String),
     /// The document already has a view registered under this name.
     DuplicateView(String),
+    /// The update would delete the document's root, which prob-tree
+    /// updates do not support; the commit was refused before staging.
+    RootDeletion,
     /// A staged step lost a commit race (should not happen through the
     /// warehouse's own serialized write path; surfaced for completeness).
     Conflict(StageConflict),
@@ -59,6 +62,7 @@ impl std::fmt::Display for ServerError {
             }
             ServerError::UnknownView(name) => write!(f, "unknown view {name:?}"),
             ServerError::DuplicateView(name) => write!(f, "view {name:?} is already registered"),
+            ServerError::RootDeletion => write!(f, "the update would delete the document root"),
             ServerError::Conflict(conflict) => write!(f, "commit conflict: {conflict}"),
         }
     }
@@ -141,16 +145,6 @@ impl Warehouse {
         }
     }
 
-    /// A warehouse configured from the environment:
-    /// `PXML_SERVER_LOG_CAPACITY` overrides the delta-log capacity
-    /// (best-effort, like the world engine's `from_env`).
-    pub fn from_env() -> Self {
-        let capacity =
-            pxml_core::config::env::parse_lenient(pxml_core::config::env::SERVER_LOG_CAPACITY)
-                .unwrap_or(DEFAULT_DELTA_LOG_CAPACITY);
-        Warehouse::with_log_capacity(capacity)
-    }
-
     /// Registers `tree` as a fresh document under `name`.
     pub fn register(&self, name: &str, tree: ProbTree) -> Result<(), ServerError> {
         self.register_document(name, Document::with_log_capacity(tree, self.log_capacity))
@@ -214,6 +208,10 @@ impl Warehouse {
     /// *staged* while readers proceed; the exclusive document lock is
     /// held only to swap in the staged tree and log its delta. Writers to
     /// the same document are serialized, so staging never loses a race.
+    ///
+    /// An update that would delete the document root is refused with
+    /// [`ServerError::RootDeletion`] before staging: the epoch, the delta
+    /// log and the views stay as they were.
     pub fn commit(
         &self,
         name: &str,
@@ -226,6 +224,9 @@ impl Warehouse {
         // freed when `replaced` goes out of scope, after the lock.
         let (staged, replaced) = {
             let doc = cell.doc.read().expect("document lock poisoned");
+            if update.operation.deletes_root(doc.tree().tree()) {
+                return Err(ServerError::RootDeletion);
+            }
             (self.update_engine.stage_doc(&doc, update), doc.snapshot())
         };
         let delta = {

@@ -15,19 +15,29 @@
 //!    suffix is equivalent to building the two documents independently
 //!    from scratch: the canonical answer diff of the branched pair equals
 //!    the diff of the independently built pair.
+//!
+//! Deterministic cases then cover the serving boundary: concurrent
+//! readers, writers committing to several documents at once, a refused
+//! root deletion and a panicking reader.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 use pxml_core::probtree::ProbTree;
 use pxml_core::query::pattern::{Axis, PatternQuery};
-use pxml_core::update::{ProbabilisticUpdate, UpdateOperation};
+use pxml_core::update::{ProbabilisticUpdate, UpdateOperation, UpdateScript};
 use pxml_core::QueryEngine;
 use pxml_events::{Condition, EventId, Literal};
 use pxml_server::{ServerError, Warehouse};
 use pxml_tree::builder::TreeSpec;
 use pxml_tree::DataTree;
 use pxml_tree::SubDataTree;
-use std::sync::Arc;
+use pxml_workloads::warehouse::{
+    scenario_script, services_with_endpoint_and_contact, skeleton, WarehouseConfig,
+};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::{Arc, Barrier};
 
 /// Node labels used below the root (the root is always `R`, so label
 /// patterns can never select it for deletion).
@@ -379,4 +389,169 @@ fn concurrent_readers_never_block_or_tear() {
         warehouse.expected_matches("missing", "q"),
         Err(ServerError::UnknownDocument(_))
     ));
+}
+
+/// The hub views each tenant of the multi-writer case registers, one per
+/// read kind.
+const TENANT_VIEWS: [&str; 4] = ["top", "above", "expected", "possible"];
+
+/// Registers `tenants` documents, each a 4-service skeleton with the four
+/// tenant views, and returns each tenant's seeded 4-round script.
+fn tenant_warehouse(tenants: u64) -> (Warehouse, Vec<UpdateScript>) {
+    let warehouse = Warehouse::new();
+    let scenario = WarehouseConfig {
+        services: 4,
+        extraction_rounds: 4,
+        deletion_ratio: 0.25,
+    };
+    let scripts = (0..tenants)
+        .map(|t| {
+            let name = format!("tenant{t}");
+            warehouse.register(&name, skeleton(4)).unwrap();
+            for view in TENANT_VIEWS {
+                warehouse
+                    .register_view(&name, view, Arc::new(services_with_endpoint_and_contact()))
+                    .unwrap();
+            }
+            let mut rng = StdRng::seed_from_u64(0x2007_0611 + t);
+            scenario_script(&scenario, &mut rng).0
+        })
+        .collect();
+    (warehouse, scripts)
+}
+
+/// One tenant's lane: commit one step, then read each view once, for
+/// every step. Returns the bits of everything read.
+fn run_lane(warehouse: &Warehouse, name: &str, script: &UpdateScript) -> Vec<u64> {
+    let mut reads = Vec::new();
+    for update in script.steps() {
+        warehouse.commit(name, update).unwrap();
+        let top = warehouse.top_k(name, "top", 3).unwrap();
+        reads.extend(top.iter().map(|a| a.probability.to_bits()));
+        let above = warehouse.above(name, "above", 0.5).unwrap();
+        reads.extend(above.iter().map(|a| a.probability.to_bits()));
+        reads.push(
+            warehouse
+                .expected_matches(name, "expected")
+                .unwrap()
+                .to_bits(),
+        );
+        reads.push(warehouse.possible_count(name, "possible").unwrap() as u64);
+    }
+    reads
+}
+
+/// Writers committing to different documents of one warehouse at once
+/// see exactly what they see one after another: every tenant's reads
+/// agree bit for bit, and so do its hub counters.
+#[test]
+fn concurrent_writers_to_different_documents_match_a_sequential_run() {
+    const TENANTS: u64 = 3;
+
+    let (concurrent, scripts) = tenant_warehouse(TENANTS);
+    let start = Barrier::new(TENANTS as usize);
+    let concurrent_reads: Vec<Vec<u64>> = std::thread::scope(|scope| {
+        let lanes: Vec<_> = scripts
+            .iter()
+            .enumerate()
+            .map(|(t, script)| {
+                let (warehouse, start) = (&concurrent, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    run_lane(warehouse, &format!("tenant{t}"), script)
+                })
+            })
+            .collect();
+        lanes.into_iter().map(|lane| lane.join().unwrap()).collect()
+    });
+
+    let (sequential, scripts) = tenant_warehouse(TENANTS);
+    for (t, script) in scripts.iter().enumerate() {
+        let name = format!("tenant{t}");
+        let reads = run_lane(&sequential, &name, script);
+        assert_eq!(reads, concurrent_reads[t], "{name} read differently");
+        let stats = sequential.hub_stats(&name).unwrap();
+        assert_eq!(stats, concurrent.hub_stats(&name).unwrap(), "{name} hub");
+        assert_eq!(stats.deltas_observed, 4);
+        assert_eq!(stats.flags_fanned, 16);
+    }
+    assert!(
+        concurrent.expected_matches("tenant0", "expected").unwrap() > 0.0,
+        "the reads observed live answers"
+    );
+}
+
+/// An update that would delete the document root is refused before
+/// staging: the commit returns a typed error, nothing about the document
+/// changes, and the next valid commit lands as epoch 1.
+#[test]
+fn root_deletion_is_refused_and_leaves_the_document_untouched() {
+    let warehouse = Warehouse::new();
+    warehouse.register("doc", skeleton(2)).unwrap();
+    warehouse
+        .register_view("doc", "q", Arc::new(services_with_endpoint_and_contact()))
+        .unwrap();
+
+    // The root by its label, and by a wildcard that also matches every
+    // other node.
+    for root_label in [Some("warehouse"), None] {
+        let q = PatternQuery::new(root_label);
+        let at = q.root();
+        let update = ProbabilisticUpdate::new(UpdateOperation::delete(q, at), 0.5);
+        assert_eq!(
+            warehouse.commit("doc", &update).unwrap_err(),
+            ServerError::RootDeletion
+        );
+    }
+    assert_eq!(warehouse.epoch("doc").unwrap(), 0);
+    assert_eq!(warehouse.hub_stats("doc").unwrap().deltas_observed, 0);
+
+    // A wildcard deletion whose pattern the root cannot match is valid.
+    let mut q = PatternQuery::new(None);
+    let at = q.root();
+    q.add_child(at, "name");
+    let update = ProbabilisticUpdate::new(UpdateOperation::delete(q, at), 0.5);
+    let delta = warehouse.commit("doc", &update).unwrap();
+    assert_eq!(delta.epoch, 1);
+    assert_eq!(warehouse.epoch("doc").unwrap(), 1);
+    assert_eq!(warehouse.hub_stats("doc").unwrap().deltas_observed, 1);
+}
+
+/// A reader whose closure panics gets its panic back, but the view it
+/// read stays usable: later reads equal a fresh prepare bit for bit, and
+/// the document's hub counters can still be read.
+#[test]
+fn a_panicking_reader_does_not_brick_its_view() {
+    let warehouse = Warehouse::new();
+    warehouse.register("doc", skeleton(3)).unwrap();
+    let query = services_with_endpoint_and_contact();
+    warehouse
+        .register_view("doc", "q", Arc::new(query.clone()))
+        .unwrap();
+    for (label, confidence) in [("endpoint", 0.8), ("contact", 0.7)] {
+        let q = PatternQuery::new(Some("service"));
+        let at = q.root();
+        let update = ProbabilisticUpdate::new(
+            UpdateOperation::insert(q, at, DataTree::new(label)),
+            confidence,
+        );
+        warehouse.commit("doc", &update).unwrap();
+    }
+
+    let read = panic::catch_unwind(AssertUnwindSafe(|| {
+        warehouse.with_view("doc", "q", |_| -> usize { panic!("reader bug") })
+    }));
+    assert!(read.is_err(), "the reader's panic reaches the caller");
+
+    let served = warehouse.expected_matches("doc", "q").unwrap();
+    let snapshot = warehouse.snapshot("doc").unwrap();
+    let fresh = QueryEngine::new()
+        .prepare(&snapshot.tree, &query)
+        .expected_matches();
+    assert_eq!(served.to_bits(), fresh.to_bits());
+    let stats = warehouse.hub_stats("doc").unwrap();
+    assert_eq!(
+        stats.view_maintains, 1,
+        "maintenance ran once, before the panicking read"
+    );
 }
