@@ -18,9 +18,8 @@
 //!   executor's exact `states_enumerated` counter, a tractability
 //!   verdict against an event budget, and condition lints (π = 1
 //!   pinnable events, Possibility-semiring-zero conditions).
-//! - [`semiring`]: per-query/script provenance-semiring facts — lineage
-//!   width bounds, `TopKProofs` exactness, and which semirings make
-//!   certainty pruning a non-identity.
+//! - [`semiring`]: per-query provenance-semiring facts — the supported
+//!   instances and lineage width bounds.
 //!
 //! Every prediction is property-tested against the corresponding engine
 //! counter; the [`StaticAnalyzer`] is the front door and the
@@ -41,10 +40,7 @@ pub use report::AnalysisReport;
 pub use script::{
     predict_maintenance, MaintenancePrediction, ScriptAnalysis, StepAnalysis, StepFootprint,
 };
-pub use semiring::{
-    query_semiring_support, script_semiring_support, QuerySemiringSupport, ScriptSemiringSupport,
-    SUPPORTED_SEMIRINGS,
-};
+pub use semiring::{query_semiring_support, QuerySemiringSupport, SUPPORTED_SEMIRINGS};
 
 use pxml_core::query::pattern::PatternQuery;
 use pxml_core::query::Query;
@@ -52,12 +48,12 @@ use pxml_core::update::{UpdateEngine, UpdateEngineConfig, UpdateScript};
 use pxml_core::{ProbTree, DEFAULT_MAX_EXHAUSTIVE_EVENTS};
 use pxml_dtd::Dtd;
 
-/// The front door: holds the ambient knowledge (DTD, event budget,
-/// update-engine configuration) and produces [`AnalysisReport`]s.
+/// The front door: holds the ambient knowledge (DTD, update-engine
+/// configuration) and produces [`AnalysisReport`]s. The world census is
+/// computed against [`DEFAULT_MAX_EXHAUSTIVE_EVENTS`].
 #[derive(Clone, Debug)]
 pub struct StaticAnalyzer {
     dtd: Option<Dtd>,
-    max_events: usize,
     update_config: UpdateEngineConfig,
 }
 
@@ -68,12 +64,11 @@ impl Default for StaticAnalyzer {
 }
 
 impl StaticAnalyzer {
-    /// An analyzer with no DTD, the default event budget and the default
-    /// (shared-first) update configuration.
+    /// An analyzer with no DTD and the default (shared-first) update
+    /// configuration.
     pub fn new() -> Self {
         StaticAnalyzer {
             dtd: None,
-            max_events: DEFAULT_MAX_EXHAUSTIVE_EVENTS,
             update_config: UpdateEngineConfig::default(),
         }
     }
@@ -82,13 +77,6 @@ impl StaticAnalyzer {
     /// satisfiability and deletion footprints become available.
     pub fn with_dtd(mut self, dtd: Dtd) -> Self {
         self.dtd = Some(dtd);
-        self
-    }
-
-    /// Sets the event budget the tractability verdict is computed
-    /// against.
-    pub fn with_max_events(mut self, max_events: usize) -> Self {
-        self.max_events = max_events;
         self
     }
 
@@ -121,9 +109,10 @@ impl StaticAnalyzer {
         script::analyze_script(&engine, tree, script, self.dtd.as_ref())
     }
 
-    /// Computes the world census of a prob-tree.
+    /// Computes the world census of a prob-tree against
+    /// [`DEFAULT_MAX_EXHAUSTIVE_EVENTS`].
     pub fn analyze_worlds(&self, tree: &ProbTree) -> WorldsAnalysis {
-        census::analyze_worlds(tree, self.max_events)
+        census::analyze_worlds(tree, DEFAULT_MAX_EXHAUSTIVE_EVENTS)
     }
 
     /// Builds the combined report: pattern analyses for `queries`, a
@@ -149,7 +138,7 @@ impl StaticAnalyzer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pxml_core::{MonotonicityCertificate, QueryEngine, QueryEngineConfig};
+    use pxml_core::{MonotonicityCertificate, QueryEngine};
     use pxml_workloads::paper::{figure1, theorem1_query_battery};
 
     #[test]
@@ -171,19 +160,14 @@ mod tests {
     }
 
     #[test]
-    fn hints_flow_from_the_analyzer_into_the_engine() {
+    fn statically_empty_verdict_agrees_with_the_engine() {
         let analyzer = StaticAnalyzer::new().with_dtd(pxml_workloads::warehouse::warehouse_dtd());
         // A service below a service is impossible under the DTD.
         let mut query = PatternQuery::new(Some("service"));
         query.add_child(query.root(), "service");
         let analysis = analyzer.analyze_pattern(&query);
-        assert!(analysis.hints().statically_empty);
+        assert!(analysis.satisfiability.is_statically_empty());
         let tree = pxml_workloads::warehouse::skeleton(3);
-        let engine = QueryEngine::with_config(QueryEngineConfig {
-            hints: analysis.hints(),
-            ..QueryEngineConfig::default()
-        });
-        let prepared = engine.prepare(&tree, &query);
-        assert!(prepared.is_empty());
+        assert!(QueryEngine::new().prepare(&tree, &query).is_empty());
     }
 }

@@ -8,7 +8,7 @@
 use std::collections::BTreeSet;
 
 use pxml_core::query::pattern::{Axis, PatternNodeId, PatternQuery};
-use pxml_core::query::{MonotonicityCertificate, Query, QueryHints};
+use pxml_core::query::{MonotonicityCertificate, Query};
 use pxml_dtd::Dtd;
 
 /// Whether a pattern query can have answers at all under the DTD.
@@ -17,8 +17,7 @@ pub enum Satisfiability {
     /// No static obstruction was found (the answer set may still be empty
     /// on a particular document).
     Satisfiable,
-    /// Every DTD-valid document has an empty answer set; the engines can
-    /// skip matching entirely.
+    /// Every DTD-valid document has an empty answer set.
     StaticallyEmpty {
         /// The pattern edge that can never match.
         reason: String,
@@ -61,14 +60,6 @@ pub struct QueryAnalysis {
 }
 
 impl QueryAnalysis {
-    /// The hints this analysis justifies setting on
-    /// [`pxml_core::QueryEngineConfig::hints`].
-    pub fn hints(&self) -> QueryHints {
-        QueryHints {
-            statically_empty: self.satisfiability.is_statically_empty(),
-        }
-    }
-
     /// The set of concrete labels mentioned anywhere on a spine.
     ///
     /// Wildcards are silently skipped, so this set is useful for
@@ -311,9 +302,8 @@ mod tests {
         // …but a service can never hold another service.
         let verdict = pattern_satisfiable(&service_fact("service"), &dtd);
         assert!(verdict.is_statically_empty());
-        // The analysis exposes the verdict as an engine hint.
         let analysis = analyze_pattern(&service_fact("service"), Some(&dtd));
-        assert!(analysis.hints().statically_empty);
+        assert!(analysis.satisfiability.is_statically_empty());
     }
 
     #[test]

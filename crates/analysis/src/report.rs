@@ -9,7 +9,7 @@ use pxml_core::MonotonicityCertificate;
 use crate::census::{WorldsAnalysis, WorldsLint};
 use crate::query::{QueryAnalysis, Satisfiability};
 use crate::script::{predict_maintenance, MaintenancePrediction, ScriptAnalysis};
-use crate::semiring::{query_semiring_support, script_semiring_support, SUPPORTED_SEMIRINGS};
+use crate::semiring::{query_semiring_support, SUPPORTED_SEMIRINGS};
 
 /// Everything the static analyzer can say about a workload before any
 /// engine runs: the query-side certificates, the script-side forecasts
@@ -118,21 +118,6 @@ impl AnalysisReport {
                 None => "unbounded".to_owned(),
             };
             lines.push(format!("semiring.query[{i}].lineage_width_bound={width}"));
-            lines.push(format!(
-                "semiring.query[{i}].topk_exact={}",
-                support.topk_exact()
-            ));
-            lines.push(format!(
-                "semiring.query[{i}].topk_proofs_needed={}",
-                support.topk_proofs_needed
-            ));
-        }
-        if self.script.is_some() {
-            let support = script_semiring_support(self.worlds.as_ref());
-            lines.push(format!(
-                "semiring.script.prune_semirings={}",
-                support.prune_semirings()
-            ));
         }
         if let Some(worlds) = &self.worlds {
             lines.push(format!("worlds.events={}", worlds.num_events));
@@ -205,11 +190,7 @@ impl fmt::Display for AnalysisReport {
                 Some(n) => format!("<= {n}"),
                 None => "unbounded".to_owned(),
             };
-            writeln!(
-                f,
-                "  semirings: all supported; lineage width {width}; top-k exact ({} proof(s) needed)",
-                support.topk_proofs_needed
-            )?;
+            writeln!(f, "  semirings: all supported; lineage width {width}")?;
         }
         if let Some(script) = &self.script {
             writeln!(f, "script: {} steps", script.steps.len())?;
@@ -310,7 +291,6 @@ mod tests {
             "semiring.query[0].supported={}",
             crate::semiring::SUPPORTED_SEMIRINGS.join(",")
         )));
-        assert!(lines.contains(&"semiring.query[0].topk_exact=true".to_owned()));
         assert!(lines
             .iter()
             .any(|l| l.starts_with("semiring.query[0].lineage_width_bound=")));

@@ -49,7 +49,7 @@ fn bench_insertions(c: &mut Criterion) {
                     UpdateOperation::insert(q, at, DataTree::new("E")),
                     0.9,
                 );
-                update.apply_to_probtree(tree)
+                UpdateEngine::new().apply(tree, &update)
             });
         });
     }
@@ -92,7 +92,7 @@ fn bench_theorem3_insertion_contrast(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(n), &tree, |b, tree| {
             b.iter(|| {
                 let (update, _) = pxml_workloads::paper::d0_insertion(1.0);
-                update.apply_to_probtree(tree)
+                UpdateEngine::new().apply(tree, &update)
             });
         });
     }

@@ -243,6 +243,9 @@ fn e4_insertion_scaling() {
         "{:>8} {:>12} {:>12} {:>12} {:>12}",
         "|T|", "size before", "size after", "growth", "time (ms)"
     );
+    // Raw engine: the default one would also simplify the random input,
+    // and "size after" would count that cleaning beside the insertion.
+    let appendix_a = UpdateEngine::with_config(UpdateEngineConfig::raw());
     let mut r = rng();
     for nodes in [100usize, 500, 2_000, 8_000] {
         let tree = scaling_probtree(nodes, &mut r);
@@ -252,14 +255,19 @@ fn e4_insertion_scaling() {
             ProbabilisticUpdate::new(UpdateOperation::insert(q, at, DataTree::new("E")), 0.9);
         let before = tree.size();
         let start = Instant::now();
-        let (updated, _) = update.apply_to_probtree(&tree);
+        let (updated, _) = appendix_a.apply(&tree, &update);
         let elapsed = start.elapsed();
+        let after = updated.size();
+        assert!(
+            after >= before,
+            "an insertion never shrinks the tree: {before} -> {after}"
+        );
         println!(
             "{:>8} {:>12} {:>12} {:>12} {:>12.3}",
             nodes,
             before,
-            updated.size(),
-            updated.size() - before,
+            after,
+            after - before,
             ms(elapsed)
         );
     }
@@ -293,7 +301,7 @@ fn e5_deletion_blowup() {
             .count();
         let (insertion, _) = d0_insertion(1.0);
         let start = Instant::now();
-        let (inserted, _) = insertion.apply_to_probtree(&tree);
+        let (inserted, _) = UpdateEngine::new().apply(&tree, &insertion);
         let ins_time = start.elapsed();
         println!(
             "{n:>3} {:>10} | {:>12} {:>12} {:>12.3} | {:>12} {:>12.3}",
@@ -630,7 +638,7 @@ fn e10_formula_variant() {
         let (conj_text_size, conj_text_time) = if n <= 14 {
             let tree = theorem3_tree(n);
             let start = Instant::now();
-            let (deleted, _) = d0_deletion(1.0).apply_to_probtree(&tree);
+            let (deleted, _) = UpdateEngine::new().apply(&tree, &d0_deletion(1.0));
             (
                 format!("{:>14}", deleted.size()),
                 format!("{:>14.3}", ms(start.elapsed())),

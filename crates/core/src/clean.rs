@@ -12,7 +12,7 @@
 //! Cleaning preserves structural equivalence and is the first step of the
 //! Figure 3 randomized equivalence algorithm.
 
-use pxml_events::{Condition, EventTable, Literal, Probability, Semiring};
+use pxml_events::{Condition, EventId, EventTable, Literal};
 use pxml_tree::NodeId;
 
 use crate::probtree::ProbTree;
@@ -105,45 +105,34 @@ pub(crate) fn clean_below(tree: &mut ProbTree, top: NodeId, ancestors: Condition
 /// it is part of the update engine's simplification chain, whose contract
 /// is agreement with `apply_to_pw_set` up to normalization.
 pub fn prune_certain(tree: &ProbTree) -> ProbTree {
-    prune_certain_in(tree, &Probability)
-}
-
-/// [`prune_certain`] generalized over a [`Semiring`]: a literal is dropped
-/// when it is *certain* in the semiring's sense
-/// ([`Semiring::literal_certain`]: its negation annihilates), and a branch
-/// is detached when its literal's interpretation is the semiring's zero.
-/// Under [`Probability`] this is exactly the π ≥ 1 pass ([`prune_certain`]
-/// keeps its historical behavior); under `Counting` or `Lineage` no
-/// literal is ever certain and the pass is the identity.
-pub fn prune_certain_in<S: Semiring>(tree: &ProbTree, semiring: &S) -> ProbTree {
-    if !has_certain_literals(tree.events(), semiring) {
+    if !has_certain_events(tree.events()) {
         return tree.clone();
     }
     let mut work = tree.expanded().into_owned();
     let root = work.tree().root();
-    let walked = prune_below(&mut work, root, semiring);
+    let walked = prune_below(&mut work, root);
     for node in walked.dropped {
         work.detach(node);
     }
     work.compact().0
 }
 
-/// Whether any literal over `events` is certain (or, equivalently, its
-/// negation impossible) in the semiring's sense. Fresh confidence events
-/// are always < 1, so most trees have none and pruning has nothing to do.
-/// (Under `Probability` only positive literals on π = 1 events are
-/// certain and only their negations are impossible.)
-pub(crate) fn has_certain_literals<S: Semiring>(events: &EventTable, semiring: &S) -> bool {
-    events.iter().any(|e| {
-        semiring.literal_certain(Literal::pos(e), events)
-            || semiring.literal_certain(Literal::neg(e), events)
-    })
+/// Whether `event` is certain: `π(w) = 1`, so `w` holds in every world and
+/// `¬w` in none.
+fn is_certain(events: &EventTable, event: EventId) -> bool {
+    events.prob(event) == 1.0
+}
+
+/// Whether any event has `π(w) = 1`. Fresh confidence events are always
+/// < 1, so most trees have none and pruning has nothing to do.
+pub(crate) fn has_certain_events(events: &EventTable) -> bool {
+    events.iter().any(|e| is_certain(events, e))
 }
 
 /// Prunes the subtree rooted at `top` under certain events, with the
 /// contract of [`clean_below`]. Each node's pruning depends only on its
 /// own literals. The tree root is walked through.
-pub(crate) fn prune_below<S: Semiring>(tree: &mut ProbTree, top: NodeId, semiring: &S) -> Walked {
+pub(crate) fn prune_below(tree: &mut ProbTree, top: NodeId) -> Walked {
     let mut walked = Walked::default();
     let root = tree.tree().root();
     let mut stack = vec![top];
@@ -151,30 +140,35 @@ pub(crate) fn prune_below<S: Semiring>(tree: &mut ProbTree, top: NodeId, semirin
         if node != root {
             walked.visited += 1;
             let own = tree.condition(node);
-            let mut kept: Vec<Literal> = Vec::with_capacity(own.len());
-            let mut impossible = false;
-            for &literal in own.literals() {
-                if semiring.literal_certain(literal, tree.events()) {
-                    continue; // certainly true: superfluous
+            match prune_condition(&own, tree.events()) {
+                None => {
+                    walked.dropped.push(node);
+                    continue;
                 }
-                if semiring.is_zero(&semiring.literal(literal, tree.events())) {
-                    impossible = true; // certainly false: dead branch
-                    break;
+                Some(kept) if kept.len() != own.len() => {
+                    tree.set_condition(node, kept);
+                    walked.rewritten.push(node);
                 }
-                kept.push(literal);
-            }
-            if impossible {
-                walked.dropped.push(node);
-                continue;
-            }
-            if kept.len() != own.len() {
-                tree.set_condition(node, Condition::from_literals(kept));
-                walked.rewritten.push(node);
+                Some(_) => {}
             }
         }
         stack.extend(tree.tree().children(node).iter().rev());
     }
     walked
+}
+
+/// Drops the literals a certain event makes superfluous (`w`), or returns
+/// `None` when the condition can never hold (`¬w`).
+pub(crate) fn prune_condition(condition: &Condition, events: &EventTable) -> Option<Condition> {
+    let mut kept: Vec<Literal> = Vec::with_capacity(condition.len());
+    for &literal in condition.literals() {
+        if !is_certain(events, literal.event) {
+            kept.push(literal);
+        } else if !literal.positive {
+            return None;
+        }
+    }
+    Some(Condition::from_literals(kept))
 }
 
 /// `true` if `tree` is already clean: no node condition repeats or

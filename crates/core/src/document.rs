@@ -16,18 +16,18 @@
 //! * **rewritten** — surviving nodes whose root condition `γ` changed
 //!   (deletion splits, cleaning, certain-event pruning).
 //!
-//! A document remembers whether its frame is a fixpoint of the committing
-//! engine's simplification. While it is, a step runs in
-//! [`StepScope::Region`](crate::update::engine::StepScope::Region): the
+//! A document remembers whether its frame is a fixpoint of the update
+//! engine's simplification. While it is, a simplifying engine's step runs
+//! in [`StepScope::Region`](crate::update::engine::StepScope::Region): the
 //! engine simplifies only the subtrees the step touched and derives the
 //! delta from those same nodes — removed and inserted subtrees, and no
 //! rewrites, since cleaning an untouched node changes nothing. Otherwise
-//! (a fresh document's first commit, or after a simplify that did not
-//! converge) the step runs over the whole tree and the delta is diffed
-//! from the two frames through the node mapping the engine threads
-//! through its single compaction; the property suites keep that diff as
-//! the oracle of the region's delta. Either way the delta is exact no
-//! matter which simplification passes fired.
+//! (a fresh document's first commit, or after a commit whose simplify did
+//! not run or did not converge) the step runs over the whole tree and the
+//! delta is diffed from the two frames through the node mapping the
+//! engine threads through its single compaction; the property suites keep
+//! that diff as the oracle of the region's delta. Either way the delta is
+//! exact no matter which simplification passes fired.
 //! [`PreparedQuery::maintain`](crate::PreparedQuery::maintain) composes
 //! the pending log into one [`DeltaWindow`] to patch prepared state in
 //! place, falling back to a full re-prepare only when the window's label
@@ -45,7 +45,7 @@ use pxml_tree::NodeId;
 
 use crate::probtree::ProbTree;
 use crate::update::engine::StepReport;
-use crate::update::simplify::{Census, SimplifyConfig};
+use crate::update::simplify::Census;
 
 /// Monotone version stamp of a [`Document`] state. Epoch 0 is the state
 /// the document was created with; every committed update step adds 1.
@@ -342,8 +342,6 @@ pub struct StagedStep {
 /// size: what a region-scoped step needs to know about its base.
 #[derive(Clone, Debug)]
 pub(crate) struct Fixpoint {
-    /// The configuration under which no simplify pass changes the frame.
-    pub(crate) config: SimplifyConfig,
     /// Logical nodes of the frame.
     pub(crate) nodes: usize,
     /// Literals of the frame.
@@ -486,22 +484,15 @@ impl Document {
         self.log.len()
     }
 
-    /// The deltas moving `epoch` to the current epoch, oldest first —
-    /// `Some(&[])` when already current, `None` when the log has been
-    /// trimmed past `epoch` (or `epoch` is from the future).
-    pub fn deltas_since(&self, epoch: Epoch) -> Option<Vec<Arc<UpdateDelta>>> {
+    /// The deltas moving `epoch` to the current epoch, composed into one
+    /// [`DeltaWindow`] covering `epoch → current`; `None` when the log has
+    /// been trimmed past `epoch` (or `epoch` is from the future).
+    pub fn window_since(&self, epoch: Epoch) -> Option<DeltaWindow> {
         if epoch > self.epoch || epoch < self.base_epoch {
             return None;
         }
         let skip = (epoch - self.base_epoch) as usize;
-        Some(self.log.iter().skip(skip).cloned().collect())
-    }
-
-    /// [`Document::deltas_since`] composed into one [`DeltaWindow`]
-    /// covering `epoch → current`, or `None` when the log no longer
-    /// covers `epoch`.
-    pub fn window_since(&self, epoch: Epoch) -> Option<DeltaWindow> {
-        let deltas = self.deltas_since(epoch)?;
+        let deltas: Vec<Arc<UpdateDelta>> = self.log.iter().skip(skip).cloned().collect();
         Some(DeltaWindow::compose(self.id, epoch, &deltas))
     }
 
@@ -590,8 +581,8 @@ mod tests {
         assert_ne!(a.id(), b.id());
         assert_eq!(a.epoch(), 0);
         assert_eq!(a.log_len(), 0);
-        assert_eq!(a.deltas_since(0).map(|d| d.len()), Some(0));
-        assert!(a.deltas_since(1).is_none(), "future epochs are rejected");
+        assert_eq!(a.window_since(0).map(|w| w.steps), Some(0));
+        assert!(a.window_since(1).is_none(), "future epochs are rejected");
     }
 
     #[test]
@@ -683,12 +674,11 @@ mod tests {
         }
         assert_eq!(doc.epoch(), 3);
         assert_eq!(doc.log_len(), 2);
-        assert!(doc.deltas_since(0).is_none(), "epoch 0 was trimmed away");
-        let pending = doc.deltas_since(1).expect("epoch 1 still covered");
-        assert_eq!(pending.len(), 2);
-        assert_eq!(pending[0].epoch, 2);
-        assert_eq!(pending[1].epoch, 3);
-        assert_eq!(doc.deltas_since(3).map(|d| d.len()), Some(0));
+        assert!(doc.window_since(0).is_none(), "epoch 0 was trimmed away");
+        let pending = doc.window_since(1).expect("epoch 1 still covered");
+        assert_eq!((pending.from_epoch, pending.to_epoch), (1, 3));
+        assert_eq!(pending.steps, 2);
+        assert_eq!(doc.window_since(3).map(|w| w.steps), Some(0));
     }
 
     #[test]
@@ -723,9 +713,10 @@ mod tests {
         let mut doc = Document::new(figure1_example());
         let before = doc.snapshot();
         let engine = UpdateEngine::new();
-        engine.apply_doc(&mut doc, &insert_under("C", "E", 0.9));
-        engine.apply_doc(&mut doc, &delete_at("B", 0.5));
-        let deltas = doc.deltas_since(0).unwrap();
+        let deltas = [
+            engine.apply_doc(&mut doc, &insert_under("C", "E", 0.9)),
+            engine.apply_doc(&mut doc, &delete_at("B", 0.5)),
+        ];
         let window = doc.window_since(0).expect("epoch 0 still covered");
         assert_eq!((window.from_epoch, window.to_epoch), (0, 2));
         assert_eq!(window.steps, 2);

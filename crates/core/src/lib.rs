@@ -66,8 +66,7 @@ pub use pwset::PossibleWorldSet;
 pub use query::pattern::PatternQuery;
 pub use query::{
     AnswerSet, FallbackReason, MaintainError, MaintainOutcome, MaintainStats,
-    MonotonicityCertificate, PreparedQuery, QueryEngine, QueryEngineConfig, QueryHints,
-    SemiringCacheStats, Theorem1Error,
+    MonotonicityCertificate, PreparedQuery, QueryEngine, SemiringCacheStats, Theorem1Error,
 };
 pub use update::{
     DeletionForecast, ProbabilisticUpdate, SurvivorBudgetExceeded, UpdateAction, UpdateEngine,

@@ -56,11 +56,6 @@ impl PossibleWorldSet {
         self.worlds.iter()
     }
 
-    /// Consumes the set and returns its worlds.
-    pub fn into_worlds(self) -> Vec<(DataTree, f64)> {
-        self.worlds
-    }
-
     /// Sum of the probabilities (1 for a full PW set, less for subsets).
     pub fn total_probability(&self) -> f64 {
         self.worlds.iter().map(|(_, p)| p).sum()

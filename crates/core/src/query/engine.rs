@@ -17,8 +17,8 @@
 //! * [`PreparedQuery::expected_matches`], [`PreparedQuery::probability_of`]
 //!   — aggregates and point lookups;
 //! * [`PreparedQuery::theorem1_check`] — the Theorem 1 cross-check through
-//!   the factorized world engine, honoring the engine's world budget and
-//!   parallelism configuration.
+//!   the factorized world engine, within the default world budget
+//!   ([`DEFAULT_MAX_EXHAUSTIVE_EVENTS`](crate::DEFAULT_MAX_EXHAUSTIVE_EVENTS)).
 //!
 //! There are two entry points: [`QueryEngine::prepare`] borrows a tree
 //! and a query, and [`QueryEngine::prepare_doc_shared`] snapshots a
@@ -54,76 +54,17 @@ use crate::worlds::WorldEngineConfig;
 use super::prob::{query_pw_set, ProbAnswer};
 use super::{MonotonicityCertificate, Query, Theorem1Error};
 
-/// Configuration of a [`QueryEngine`].
-#[derive(Clone, Debug)]
-pub struct QueryEngineConfig {
-    /// World budget of [`PreparedQuery::theorem1_check`]: the largest
-    /// co-occurrence component (and, as `2^max_events`, the total shard
-    /// and joint work) the factorized expansion may enumerate.
-    pub max_events: usize,
-    /// Passthrough to the factorized world engine: worker threads and the
-    /// joint cross-product cap.
-    pub worlds: WorldEngineConfig,
-    /// Static-analysis hints preparation consults before matching; a
-    /// maintenance fallback re-prepare replays them.
-    pub hints: QueryHints,
-}
-
-impl Default for QueryEngineConfig {
-    fn default() -> Self {
-        QueryEngineConfig::for_event_budget(crate::DEFAULT_MAX_EXHAUSTIVE_EVENTS)
-    }
-}
-
-impl QueryEngineConfig {
-    /// The configuration for consumers whose public contract is an
-    /// event-count guard: the Theorem 1 cross-check refuses components
-    /// larger than `max_events` and the world engine's joint cap defaults
-    /// to the `2^{max_events}` budget granted here (mirroring
-    /// [`WorldEngineConfig::for_event_budget`]).
-    pub fn for_event_budget(max_events: usize) -> Self {
-        QueryEngineConfig {
-            max_events,
-            worlds: WorldEngineConfig::for_event_budget(max_events),
-            hints: QueryHints::default(),
-        }
-    }
-}
-
-/// Static-analysis hints carried on [`QueryEngineConfig::hints`],
-/// typically produced by the `pxml_analysis` static analyzer.
+/// The query engine, from which [`PreparedQuery`] states are built
+/// through one of two entry points — [`QueryEngine::prepare`] over a
+/// borrowed tree, or [`QueryEngine::prepare_doc_shared`] over a
+/// [`Document`] snapshot.
 #[derive(Clone, Debug, Default)]
-pub struct QueryHints {
-    /// The query was statically proven to have an empty answer set on
-    /// every document valid under the warehouse's DTD (e.g. its pattern
-    /// is unsatisfiable under the schema): preparation skips the match
-    /// entirely and serves an empty prepared state.
-    pub statically_empty: bool,
-}
-
-/// The query engine: a reusable configuration from which
-/// [`PreparedQuery`] states are built, through one of two entry points —
-/// [`QueryEngine::prepare`] over a borrowed tree, or
-/// [`QueryEngine::prepare_doc_shared`] over a [`Document`] snapshot.
-#[derive(Clone, Debug, Default)]
-pub struct QueryEngine {
-    config: QueryEngineConfig,
-}
+pub struct QueryEngine;
 
 impl QueryEngine {
-    /// An engine with the default configuration.
+    /// A query engine.
     pub fn new() -> Self {
-        QueryEngine::default()
-    }
-
-    /// An engine with an explicit configuration.
-    pub fn with_config(config: QueryEngineConfig) -> Self {
-        QueryEngine { config }
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> &QueryEngineConfig {
-        &self.config
+        QueryEngine
     }
 
     /// Evaluates the match set and the per-answer condition unions of
@@ -138,19 +79,15 @@ impl QueryEngine {
     /// unions share one condition and one lazily-computed probability.
     /// Cost: `time(Q(t)) + O(|Q(t)| · |T|)` (Proposition 2) — with no
     /// probability evaluation, tree materialization or sorting until a
-    /// consumer asks. A query the configured [`QueryHints`] mark as
-    /// statically empty skips the matcher and serves an empty state.
+    /// consumer asks.
     pub fn prepare<'a>(&self, tree: &'a ProbTree, query: &'a dyn Query) -> PreparedQuery<'a> {
         // Pattern matching and answer materialization address arena nodes,
         // so a tree with shared (stored) children is expanded once here;
         // trees without handles are borrowed as-is.
-        build_prepared(
-            self.config.clone(),
-            Source::Borrowed {
-                tree: Box::new(tree.expanded()),
-                query,
-            },
-        )
+        build_prepared(Source::Borrowed {
+            tree: Box::new(tree.expanded()),
+            query,
+        })
     }
 
     /// Prepares against the current epoch of a [`Document`], from a
@@ -168,20 +105,16 @@ impl QueryEngine {
         doc: &Document,
         query: Arc<dyn Query>,
     ) -> PreparedQuery<'static> {
-        build_prepared(self.config.clone(), Source::document(doc, query))
+        build_prepared(Source::document(doc, query))
     }
 }
 
 /// The one place prepared state is built — shared by both entry points
 /// and by the maintenance fallback, so all three produce byte-identical
 /// layouts (answer order, interning order, empty caches).
-fn build_prepared(config: QueryEngineConfig, source: Source<'_>) -> PreparedQuery<'_> {
+fn build_prepared(source: Source<'_>) -> PreparedQuery<'_> {
     let tree = source.tree();
-    let subtrees = if config.hints.statically_empty {
-        Vec::new()
-    } else {
-        source.query().evaluate(tree.tree())
-    };
+    let subtrees = source.query().evaluate(tree.tree());
     let mut intern: HashMap<Condition, usize> = HashMap::new();
     let mut conditions: Vec<Condition> = Vec::new();
     let mut answers: Vec<AnswerState> = Vec::with_capacity(subtrees.len());
@@ -209,7 +142,6 @@ fn build_prepared(config: QueryEngineConfig, source: Source<'_>) -> PreparedQuer
         source,
         footprint,
         maint: MaintainStats::default(),
-        config,
         answers,
         conditions,
         probabilities,
@@ -286,13 +218,13 @@ pub struct SemiringCacheStats {
     pub hits: u64,
 }
 
-/// Cached per-condition semiring values, keyed by semiring type and
-/// [`Semiring::cache_token`]: one slot per interned condition, `None`
-/// until computed — and back to `None` when maintenance rebuilds the
-/// union (the same dirty flags that drop the cached `f64`).
+/// Cached per-condition semiring values, keyed by semiring type: one
+/// slot per interned condition, `None` until computed — and back to
+/// `None` when maintenance rebuilds the union (the same dirty flags that
+/// drop the cached `f64`).
 #[derive(Default)]
 struct SemiringCaches {
-    slots: HashMap<(TypeId, u64), Vec<CachedSemiringValue>>,
+    slots: HashMap<TypeId, Vec<CachedSemiringValue>>,
     stats: SemiringCacheStats,
 }
 
@@ -413,7 +345,6 @@ pub struct PreparedQuery<'a> {
     footprint: Option<BTreeSet<String>>,
     /// Cumulative maintenance counters.
     maint: MaintainStats,
-    config: QueryEngineConfig,
     answers: Vec<AnswerState>,
     /// Distinct condition unions, in first-occurrence order.
     conditions: Vec<Condition>,
@@ -425,7 +356,7 @@ pub struct PreparedQuery<'a> {
     /// point lookup, so one-shot consumers never pay for the sort.
     by_subtree: OnceLock<Vec<usize>>,
     /// Lazily-computed per-condition values of non-`f64` semirings,
-    /// keyed by semiring type and token (see
+    /// keyed by semiring type (see
     /// [`PreparedQuery::answers_in_cached`]). A `Mutex` rather than a
     /// `RefCell` so the state stays `Sync` for the warehouse server's
     /// shared views; the lock is only held for the duration of one cache
@@ -467,10 +398,9 @@ impl<'a> PreparedQuery<'a> {
     /// condition unions, probability cache and document stamp in place
     /// through it, whenever the window's inserted/removed labels avoid
     /// the query's [footprint](Query::label_footprint). Falls back to a
-    /// full re-prepare (against the current epoch, replaying the
-    /// configured [`QueryHints`]) when the footprint is unbounded, the
-    /// window touches it, or the delta log was trimmed; the state is up
-    /// to date on return either way.
+    /// full re-prepare against the current epoch when the footprint is
+    /// unbounded, the window touches it, or the delta log was trimmed;
+    /// the state is up to date on return either way.
     ///
     /// Patched state is **indistinguishable** from a fresh prepare on the
     /// document's current tree: same answers in the same order, the same
@@ -561,9 +491,10 @@ impl<'a> PreparedQuery<'a> {
 
     /// Phase 2 of maintenance — commit a remap plan: rebuild each answer
     /// against the new snapshot. Clean answers keep their condition union
-    /// (and its cached probability — the union is over unchanged node
-    /// conditions, and the event table only ever grows, so the value is
-    /// bit-identical to what a fresh prepare would compute); dirty
+    /// and its cached values — the union is over unchanged node
+    /// conditions, every semiring's value depends only on the events the
+    /// condition mentions, and the event table only ever grows, so each
+    /// value is identical to what a fresh prepare would compute. Dirty
     /// answers recompute the union from the new tree.
     fn commit_patch(
         &mut self,
@@ -646,28 +577,13 @@ impl<'a> PreparedQuery<'a> {
         // move their computed values to the new layout, dirty or fresh
         // slots start empty. `take` is sound because equal conditions
         // intern to one slot, so `carry` is injective on its `Some`s.
-        //
-        // Unlike the `f64` cache, a generic semiring value can depend on
-        // the *size* of the event table even for an unchanged condition
-        // (e.g. `Counting` doubles per unmentioned event, where
-        // probability multiplies by 1) — so when the step introduced new
-        // events, every carried value is stale and the caches are cleared
-        // instead.
-        {
-            let events_grew = snapshot.events().len() != self.tree().events().len();
-            let caches = self.semiring.get_mut().expect("semiring cache poisoned");
-            for slots in caches.slots.values_mut() {
-                if events_grew {
-                    slots.clear();
-                    slots.resize_with(carry.len(), || None);
-                } else {
-                    let mut old = std::mem::take(slots);
-                    *slots = carry
-                        .iter()
-                        .map(|from| from.and_then(|i| old.get_mut(i).and_then(Option::take)))
-                        .collect();
-                }
-            }
+        let caches = self.semiring.get_mut().expect("semiring cache poisoned");
+        for slots in caches.slots.values_mut() {
+            let mut old = std::mem::take(slots);
+            *slots = carry
+                .iter()
+                .map(|from| from.and_then(|i| old.get_mut(i).and_then(Option::take)))
+                .collect();
         }
         self.maint.steps_patched += steps;
         self.maint.answers_remapped += answers.len();
@@ -699,10 +615,7 @@ impl<'a> PreparedQuery<'a> {
         let Source::Document { query, .. } = &self.source else {
             unreachable!("only document-backed state is maintained");
         };
-        *self = build_prepared(
-            self.config.clone(),
-            Source::document(doc, Arc::clone(query)),
-        );
+        *self = build_prepared(Source::document(doc, Arc::clone(query)));
         self.maint = maint;
         self.semiring
             .get_mut()
@@ -862,11 +775,10 @@ impl<'a> PreparedQuery<'a> {
     }
 
     /// [`PreparedQuery::answers_in`] with a **persistent** per-condition
-    /// value cache, keyed by the semiring's type and
-    /// [token](Semiring::cache_token): repeated drains under the same
-    /// semiring reuse the stored per-slot values instead of re-folding
-    /// each condition, and [`PreparedQuery::maintain`] carries clean
-    /// slots' values across epochs exactly as it carries the `f64`
+    /// value cache, keyed by the semiring's type: repeated drains under
+    /// the same semiring reuse the stored per-slot values instead of
+    /// re-folding each condition, and [`PreparedQuery::maintain`] carries
+    /// clean slots' values across epochs exactly as it carries the `f64`
     /// probability cache (dirty slots are invalidated by the same flags).
     pub fn answers_in_cached<S>(&self, semiring: &S) -> Vec<(&SubDataTree, S::Value)>
     where
@@ -890,10 +802,7 @@ impl<'a> PreparedQuery<'a> {
         let events = self.tree().events();
         let mut caches = self.semiring.lock().expect("semiring cache poisoned");
         let caches = &mut *caches;
-        let slots = caches
-            .slots
-            .entry((TypeId::of::<S>(), semiring.cache_token()))
-            .or_default();
+        let slots = caches.slots.entry(TypeId::of::<S>()).or_default();
         slots.resize_with(self.conditions.len(), || None);
         self.conditions
             .iter()
@@ -921,9 +830,10 @@ impl<'a> PreparedQuery<'a> {
         self.semiring.lock().expect("semiring cache poisoned").stats
     }
 
-    /// Number of cached values currently held for `semiring` (telemetry:
-    /// shows what maintenance carried across an epoch).
-    pub fn num_cached_semiring_values<S>(&self, semiring: &S) -> usize
+    /// Number of cached values currently held for the semiring type of
+    /// `semiring` (telemetry: shows what maintenance carried across an
+    /// epoch).
+    pub fn num_cached_semiring_values<S>(&self, _semiring: &S) -> usize
     where
         S: Semiring + 'static,
     {
@@ -931,7 +841,7 @@ impl<'a> PreparedQuery<'a> {
             .lock()
             .expect("semiring cache poisoned")
             .slots
-            .get(&(TypeId::of::<S>(), semiring.cache_token()))
+            .get(&TypeId::of::<S>())
             .map_or(0, |slots| slots.iter().flatten().count())
     }
 
@@ -1081,9 +991,11 @@ impl<'a> PreparedQuery<'a> {
 
     /// Checks Theorem 1 (`Q(T) ∼ Q(JT K)`) on the prepared state by
     /// exhaustive expansion through the **factorized** world engine,
-    /// under the engine's world budget (`max_events`) and executor
-    /// configuration (parallelism, joint cap). Exponential in the worst
-    /// case; returns an error instead of exceeding the budget.
+    /// within a budget of
+    /// [`DEFAULT_MAX_EXHAUSTIVE_EVENTS`](crate::DEFAULT_MAX_EXHAUSTIVE_EVENTS)
+    /// events per co-occurrence component (and `2^` that many shard and
+    /// joint states). Exponential in the worst case; returns an error
+    /// instead of exceeding the budget.
     ///
     /// Theorem 1 only holds for locally monotone queries, so the static
     /// [`MonotonicityCertificate`] is consulted first: a
@@ -1096,8 +1008,12 @@ impl<'a> PreparedQuery<'a> {
             return Err(Theorem1Error::NotCertifiedMonotone { reason });
         }
         let direct = self.as_pw_set();
-        let worlds =
-            possible_worlds_factorized(self.tree(), self.config.max_events, &self.config.worlds)?;
+        let max_events = crate::DEFAULT_MAX_EXHAUSTIVE_EVENTS;
+        let worlds = possible_worlds_factorized(
+            self.tree(),
+            max_events,
+            &WorldEngineConfig::for_event_budget(max_events),
+        )?;
         let via_worlds = query_pw_set(self.query(), &worlds);
         Ok(direct.normalized().isomorphic(&via_worlds.normalized()))
     }
@@ -1491,20 +1407,23 @@ mod tests {
 
     #[test]
     fn theorem1_check_honors_the_world_budget() {
-        let mut tree = ProbTree::new("A");
-        let root = tree.tree().root();
-        // One 6-event component: a budget of 4 must refuse.
-        let events: Vec<_> = (0..6).map(|_| tree.events_mut().fresh(0.5)).collect();
-        tree.add_child(
-            root,
-            "B",
-            Condition::from_literals(events.iter().map(|&e| Literal::pos(e))),
-        );
+        // One condition over `n` events: a single `n`-event component.
+        let component = |n: usize| {
+            let mut tree = ProbTree::new("A");
+            let root = tree.tree().root();
+            let events: Vec<_> = (0..n).map(|_| tree.events_mut().fresh(0.5)).collect();
+            tree.add_child(
+                root,
+                "B",
+                Condition::from_literals(events.iter().map(|&e| Literal::pos(e))),
+            );
+            tree
+        };
         let q = PatternQuery::new(Some("B"));
-        let tight = QueryEngine::with_config(QueryEngineConfig::for_event_budget(4));
-        assert!(tight.prepare(&tree, &q).theorem1_check().is_err());
-        let roomy = QueryEngine::with_config(QueryEngineConfig::for_event_budget(8));
-        assert!(roomy.prepare(&tree, &q).theorem1_check().unwrap());
+        let engine = QueryEngine::new();
+        let too_wide = component(crate::DEFAULT_MAX_EXHAUSTIVE_EVENTS + 1);
+        assert!(engine.prepare(&too_wide, &q).theorem1_check().is_err());
+        assert!(engine.prepare(&component(6), &q).theorem1_check().unwrap());
     }
 
     #[test]
@@ -1518,34 +1437,6 @@ mod tests {
         assert!(prepared.above(0.0).is_empty());
         assert_eq!(prepared.expected_matches(), 0.0);
         assert!(prepared.as_pw_set().is_empty());
-        assert!(prepared.theorem1_check().unwrap());
-    }
-
-    #[test]
-    fn statically_empty_hint_skips_the_matcher() {
-        let tree = figure1_example();
-        let q = PatternQuery::new(Some("nope"));
-        let counting = CountingQuery {
-            inner: &q,
-            evaluations: AtomicUsize::new(0),
-        };
-        let engine = QueryEngine::with_config(QueryEngineConfig {
-            hints: QueryHints {
-                statically_empty: true,
-            },
-            ..QueryEngineConfig::default()
-        });
-        let prepared = engine.prepare(&tree, &counting);
-        assert_eq!(
-            counting.evaluations.load(Ordering::Relaxed),
-            0,
-            "matcher never ran"
-        );
-        assert!(prepared.is_empty());
-        assert_eq!(prepared.ranked().stats().enumerated, 0);
-        assert_eq!(prepared.expected_matches(), 0.0);
-        // The Theorem 1 cross-check still runs the expansion, doubling as
-        // a validation of the hint: an *honest* hint passes.
         assert!(prepared.theorem1_check().unwrap());
     }
 
@@ -1840,10 +1731,9 @@ mod tests {
         let mut doc = Document::new(tree);
         let mut prepared = doc_view(&doc, &q);
         prepared.expected_matches(); // cache every probability
-        UpdateEngine::new().apply_doc(&mut doc, &doc_insert("catalog", "note", 0.9));
-        let deltas = doc.deltas_since(0).unwrap();
+        let delta = UpdateEngine::new().apply_doc(&mut doc, &doc_insert("catalog", "note", 0.9));
         assert!(
-            !deltas[0].rewritten.is_empty(),
+            !delta.rewritten.is_empty(),
             "prune-certain rewrote the surviving item in place"
         );
         let outcome = prepared.maintain(&doc).unwrap();
@@ -1860,7 +1750,7 @@ mod tests {
 
     #[test]
     fn semiring_value_caches_hit_on_redrains_and_survive_maintenance() {
-        use pxml_events::semiring::{Counting, TopKProofs};
+        use pxml_events::{Lineage, Possibility};
         let q = PatternQuery::new(Some("item"));
         let mut doc = Document::new(ladder(6));
         let mut prepared = doc_view(&doc, &q);
@@ -1869,7 +1759,7 @@ mod tests {
             prepared.semiring_cache_stats(),
             SemiringCacheStats::default()
         );
-        let first = prepared.answers_in_cached(&Counting);
+        let first = prepared.answers_in_cached(&Lineage);
         assert_eq!(
             prepared.semiring_cache_stats(),
             SemiringCacheStats {
@@ -1878,7 +1768,7 @@ mod tests {
             },
             "first drain folds every distinct condition"
         );
-        let second = prepared.answers_in_cached(&Counting);
+        let second = prepared.answers_in_cached(&Lineage);
         assert_eq!(
             prepared.semiring_cache_stats(),
             SemiringCacheStats {
@@ -1888,60 +1778,78 @@ mod tests {
             "second drain is all hits"
         );
         assert_eq!(first, second);
-        assert_eq!(first, prepared.answers_in(&Counting));
-        // Parameterized semirings cache per token: top-1 and top-2 proofs
-        // are different values for the same conditions.
-        let top1 = prepared.answers_in_cached(&TopKProofs::new(1));
-        let top2 = prepared.answers_in_cached(&TopKProofs::new(2));
+        assert_eq!(first, prepared.answers_in(&Lineage));
+        // Each semiring type caches in its own slots.
+        let possible = prepared.answers_in_cached(&Possibility);
         assert_eq!(
-            prepared.num_cached_semiring_values(&TopKProofs::new(1)),
+            prepared.num_cached_semiring_values(&Possibility),
             n as usize
         );
-        assert_eq!(
-            prepared.num_cached_semiring_values(&TopKProofs::new(2)),
-            n as usize
-        );
-        assert_eq!(top1, prepared.answers_in(&TopKProofs::new(1)));
-        assert_eq!(top2, prepared.answers_in(&TopKProofs::new(2)));
-        // Off-footprint *certain* maintenance (no fresh event) carries
-        // every clean slot's value, so the next drain recomputes nothing.
+        assert_eq!(prepared.num_cached_semiring_values(&Lineage), n as usize);
+        assert_eq!(possible, prepared.answers_in(&Possibility));
+        // Off-footprint maintenance carries every clean slot's value, so
+        // the next drain recomputes nothing.
         UpdateEngine::new().apply_doc(&mut doc, &doc_insert("catalog", "annex", 1.0));
         assert_eq!(
             prepared.maintain(&doc),
             Ok(MaintainOutcome::Patched { steps: 1 })
         );
-        assert_eq!(prepared.num_cached_semiring_values(&Counting), n as usize);
+        assert_eq!(prepared.num_cached_semiring_values(&Lineage), n as usize);
         let stats_before = prepared.semiring_cache_stats();
-        let after = prepared.answers_in_cached(&Counting);
+        let after = prepared.answers_in_cached(&Lineage);
         assert_eq!(
             prepared.semiring_cache_stats().computed,
             stats_before.computed,
             "carried values are not recomputed"
         );
-        assert_eq!(after, prepared.answers_in(&Counting));
         assert_eq!(
             after,
-            doc_view(&doc, &q).answers_in(&Counting),
+            doc_view(&doc, &q).answers_in(&Lineage),
             "cached drain agrees with a fresh prepare"
         );
-        // A sub-1-confidence step introduces a fresh event, which changes
-        // every Counting value (each unmentioned event doubles the world
-        // count) even though no condition was rewritten — maintenance
-        // must drop the carried values, not serve stale ones.
-        UpdateEngine::new().apply_doc(&mut doc, &doc_insert("catalog", "memo", 0.4));
+    }
+
+    #[test]
+    fn semiring_values_carry_across_commits_that_add_events() {
+        use pxml_events::{Lineage, Possibility};
+        // A confidence-0.9 insertion off the footprint adds a fresh event
+        // and rewrites no answer's condition. A Possibility or Lineage
+        // value depends only on the events its condition mentions, so
+        // every clean slot keeps its value.
+        let q = PatternQuery::new(Some("item"));
+        let mut doc = Document::new(ladder(6));
+        let mut prepared = doc_view(&doc, &q);
+        let n = prepared.num_distinct_conditions();
+        prepared.answers_in_cached(&Possibility);
+        prepared.answers_in_cached(&Lineage);
+        let events_before = doc.tree().events().len();
+        UpdateEngine::new().apply_doc(&mut doc, &doc_insert("catalog", "memo", 0.9));
+        assert_eq!(doc.tree().events().len(), events_before + 1);
         assert_eq!(
             prepared.maintain(&doc),
             Ok(MaintainOutcome::Patched { steps: 1 })
         );
+        assert_eq!(prepared.maintenance_stats().unions_rebuilt, 0);
         assert_eq!(
-            prepared.num_cached_semiring_values(&Counting),
-            0,
-            "event growth invalidates the whole cache"
+            prepared.num_cached_semiring_values(&Possibility),
+            n,
+            "clean slots stay cached"
+        );
+        assert_eq!(prepared.num_cached_semiring_values(&Lineage), n);
+        let computed = prepared.semiring_cache_stats().computed;
+        let fresh = doc_view(&doc, &q);
+        assert_eq!(
+            prepared.answers_in_cached(&Possibility),
+            fresh.answers_in(&Possibility)
         );
         assert_eq!(
-            prepared.answers_in_cached(&Counting),
-            doc_view(&doc, &q).answers_in(&Counting),
-            "re-folded values agree with a fresh prepare"
+            prepared.answers_in_cached(&Lineage),
+            fresh.answers_in(&Lineage)
+        );
+        assert_eq!(
+            prepared.semiring_cache_stats().computed,
+            computed,
+            "both drains are served from the carried values"
         );
     }
 
@@ -1968,8 +1876,7 @@ mod tests {
         let mut prepared = doc_view(&doc, &q);
         prepared.answers_in_cached(&Lineage);
         assert_eq!(prepared.num_cached_semiring_values(&Lineage), 2);
-        // A *certain* insert: no fresh event, so carried values stay
-        // valid and only the rewritten answer's slot is dropped.
+        // Only the rewritten answer's slot is dropped.
         UpdateEngine::new().apply_doc(&mut doc, &doc_insert("catalog", "note", 1.0));
         let window = doc.window_since(0).unwrap();
         assert!(!window.rewritten.is_empty(), "prune-certain rewrote a node");

@@ -23,7 +23,7 @@ pub mod prob;
 
 pub use engine::{
     AnswerSet, FallbackReason, MaintainError, MaintainOutcome, MaintainStats, PreparedQuery,
-    QueryEngine, QueryEngineConfig, QueryHints, SelectionStats, SemiringCacheStats,
+    QueryEngine, SelectionStats, SemiringCacheStats,
 };
 
 use pxml_events::valuation::TooManyValuations;

@@ -170,11 +170,6 @@ impl PatternQuery {
         &self.joins
     }
 
-    /// Whether the pattern root must match the data root.
-    pub fn is_anchored(&self) -> bool {
-        self.anchored
-    }
-
     /// Computes all matches `µ_Q` of the pattern in `tree`.
     pub fn matches(&self, tree: &DataTree) -> Vec<PatternMatch> {
         // One pre-order index for the whole evaluation: descendant-axis

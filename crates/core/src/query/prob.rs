@@ -15,7 +15,7 @@
 //!
 //! The `eval` in Definition 8 is one instance of a semiring fold: the
 //! prepared engine generalizes it to any [`pxml_events::Semiring`]
-//! (possibility, counting, lineage, top-k proofs) via
+//! (possibility, lineage) via
 //! [`super::engine::PreparedQuery::answers_in`], with the f64 path
 //! remaining the bit-identical [`pxml_events::Probability`] instance.
 
@@ -54,14 +54,14 @@ pub fn query_pw_set(query: &dyn Query, pw: &PossibleWorldSet) -> PossibleWorldSe
 mod tests {
     use super::*;
     use crate::probtree::{figure1_example, ProbTree};
-    use crate::query::engine::{QueryEngine, QueryEngineConfig};
+    use crate::query::engine::QueryEngine;
     use crate::query::pattern::PatternQuery;
     use crate::semantics::{possible_worlds, possible_worlds_normalized};
     use pxml_events::prob_eq;
 
-    /// Theorem 1 through an engine budgeted at `max_events`.
-    fn theorem1(query: &dyn Query, tree: &ProbTree, max_events: usize) -> bool {
-        QueryEngine::with_config(QueryEngineConfig::for_event_budget(max_events))
+    /// Theorem 1 through the engine's world budget.
+    fn theorem1(query: &dyn Query, tree: &ProbTree) -> bool {
+        QueryEngine::new()
             .prepare(tree, query)
             .theorem1_check()
             .unwrap()
@@ -108,11 +108,7 @@ mod tests {
             PatternQuery::new(Some("Z")), // no match
         ];
         for q in &queries {
-            assert!(
-                theorem1(q, &t, 20),
-                "Theorem 1 violated for {}",
-                q.describe()
-            );
+            assert!(theorem1(q, &t), "Theorem 1 violated for {}", q.describe());
         }
     }
 
@@ -137,7 +133,7 @@ mod tests {
         assert_eq!(t.events().len(), 18);
         assert!(possible_worlds(&t, 16).is_err());
         let q = PatternQuery::new(Some("B"));
-        assert!(theorem1(&q, &t, 16));
+        assert!(theorem1(&q, &t));
     }
 
     #[test]
@@ -176,7 +172,7 @@ mod tests {
         assert_eq!(answers.len(), 1);
         assert_eq!(answers[0].probability, 0.0);
         assert!(prepared.as_pw_set().is_empty());
-        assert!(theorem1(&q, &t, 20));
+        assert!(theorem1(&q, &t));
     }
 
     #[test]
@@ -186,6 +182,6 @@ mod tests {
         let c1 = q.add_node(q.root(), crate::query::pattern::Axis::Child, None);
         let c2 = q.add_node(q.root(), crate::query::pattern::Axis::Child, None);
         q.add_join(vec![c1, c2]);
-        assert!(theorem1(&q, &t, 20));
+        assert!(theorem1(&q, &t));
     }
 }

@@ -29,7 +29,7 @@
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, HashMap};
 
-use pxml_events::{Condition, EventId, Literal, Probability};
+use pxml_events::{Condition, EventId, Literal};
 use pxml_tree::{DataTree, NodeId};
 
 use crate::document::{Fixpoint, NextFrame};
@@ -37,7 +37,7 @@ use crate::probtree::ProbTree;
 use crate::query::pattern::{PatternMatch, PatternNodeId, PatternQuery};
 
 use super::script::{ScriptReport, UpdateScript};
-use super::simplify::{simplify_scoped, Census, Scope, SimplifyConfig, Touched};
+use super::simplify::{simplify_scoped, Census, Scope, Touched};
 use super::{ProbabilisticUpdate, UpdateAction};
 
 /// Configuration of an [`UpdateEngine`].
@@ -46,8 +46,6 @@ pub struct UpdateEngineConfig {
     /// Run the [`simplify`](mod@super::simplify) pass after every step
     /// (default: `true`).
     pub simplify: bool,
-    /// Configuration of that pass.
-    pub simplify_config: SimplifyConfig,
     /// Order negation-chain literals so that literals shared by many
     /// deletion conditions come first (default: `true`). Disable to
     /// reproduce the naive Appendix A expansion (used by the blow-up
@@ -72,7 +70,6 @@ impl Default for UpdateEngineConfig {
     fn default() -> Self {
         UpdateEngineConfig {
             simplify: true,
-            simplify_config: SimplifyConfig::default(),
             shared_first_chains: true,
             max_survivor_copies: None,
             survivor_sharing: true,
@@ -88,7 +85,6 @@ impl UpdateEngineConfig {
     pub fn raw() -> Self {
         UpdateEngineConfig {
             simplify: false,
-            simplify_config: SimplifyConfig::default(),
             shared_first_chains: false,
             max_survivor_copies: None,
             survivor_sharing: true,
@@ -250,10 +246,11 @@ pub struct StepReport {
 /// covered; see [`StepReport::scope`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StepScope {
-    /// The whole tree: one-shot [`UpdateEngine::apply`], and any document
-    /// commit whose base frame is not known to be a simplify fixpoint
-    /// under the engine's [`SimplifyConfig`] (a fresh document's first
-    /// commit, or the commit after one whose simplify did not converge).
+    /// The whole tree: one-shot [`UpdateEngine::apply`], any commit by an
+    /// engine that does not simplify, and any document commit whose base
+    /// frame is not known to be a simplify fixpoint (a fresh document's
+    /// first commit, or the commit after one whose simplify did not run
+    /// or did not converge).
     Whole,
     /// Only what the step touched, on a document frame that is a simplify
     /// fixpoint: the subtrees it grafted, the parents it grafted under or
@@ -303,11 +300,6 @@ impl UpdateEngine {
         UpdateEngine { config }
     }
 
-    /// The engine's configuration.
-    pub fn config(&self) -> &UpdateEngineConfig {
-        &self.config
-    }
-
     /// Applies one probabilistic update, returning the updated prob-tree
     /// and the step telemetry.
     ///
@@ -324,8 +316,8 @@ impl UpdateEngine {
     }
 
     /// One step in the given scope: the whole tree, or — given the logical
-    /// size of a `base` frame that is a fully expanded simplify fixpoint
-    /// under this engine's configuration — only the touched region.
+    /// size of a `base` frame that is a fully expanded simplify fixpoint —
+    /// only the touched region.
     fn run(&self, tree: &ProbTree, update: &ProbabilisticUpdate, base: Option<&Fixpoint>) -> Step {
         // Satellite of the cross-step sharing gap: when no query label can
         // occur inside any stored shape, arena-only matching is exact and
@@ -439,7 +431,7 @@ impl UpdateEngine {
             } else {
                 Scope::Whole
             };
-            let run = simplify_scoped(out, scope, &self.config.simplify_config, &Probability);
+            let run = simplify_scoped(out, scope);
             report.simplify_visited = run.visited;
             (run.tree, run.mapping, run.census, Some(run.converged))
         } else {
@@ -583,8 +575,8 @@ impl UpdateEngine {
     /// commit that lands in between is detected there as an epoch
     /// conflict, so staging is safe to run optimistically.
     ///
-    /// While the document's frame is a simplify fixpoint under this
-    /// engine's configuration, the step runs in [`StepScope::Region`]:
+    /// While the document's frame is a simplify fixpoint and this engine
+    /// simplifies, the step runs in [`StepScope::Region`]:
     /// simplification, the step's sizes and the delta cover only what the
     /// step touched. Otherwise it runs in [`StepScope::Whole`] and the
     /// delta is diffed from the two frames.
@@ -593,14 +585,11 @@ impl UpdateEngine {
         doc: &crate::Document,
         update: &ProbabilisticUpdate,
     ) -> crate::StagedStep {
-        let base = doc
-            .fixpoint()
-            .filter(|f| self.config.simplify && f.config == self.config.simplify_config);
+        let base = doc.fixpoint().filter(|_| self.config.simplify);
         let step = self.run(doc.tree(), update, base);
         let next = match (&step.mapping, step.converged) {
             (None, _) => NextFrame::Unchanged,
             (Some(_), Some(true)) => NextFrame::Fixpoint(Fixpoint {
-                config: self.config.simplify_config.clone(),
                 nodes: step.report.nodes_after,
                 literals: step.report.literals_after,
             }),

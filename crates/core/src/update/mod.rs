@@ -26,10 +26,9 @@
 //! sequences are applied through an [`UpdateScript`] ([`script`]) with
 //! per-step size/literal telemetry, and each step can run the [`simplify`](mod@simplify)
 //! pass (cleaning, certain-event pruning, disjoint sibling-cover merging)
-//! to shrink deletion output. The methods on [`ProbabilisticUpdate`] below
-//! are thin compatibility wrappers over a default engine, cross-checked
-//! against the possible-world semantics by the `pxml_integration` property
-//! suite.
+//! to shrink deletion output. The `pxml_integration` property suite
+//! cross-checks [`UpdateEngine::apply`] against
+//! [`ProbabilisticUpdate::apply_to_pw_set`].
 
 pub mod engine;
 pub mod script;
@@ -40,12 +39,10 @@ pub use engine::{
     UpdateEngineConfig,
 };
 pub use script::{ScriptReport, UpdateScript};
-pub use simplify::{simplify, simplify_with, simplify_with_in, SimplifyConfig, SimplifyReport};
+pub use simplify::{simplify, SimplifyReport};
 
-use pxml_events::EventId;
 use pxml_tree::{DataTree, NodeId};
 
-use crate::probtree::ProbTree;
 use crate::pwset::PossibleWorldSet;
 use crate::query::pattern::{PatternNodeId, PatternQuery};
 
@@ -202,32 +199,12 @@ impl ProbabilisticUpdate {
         }
         out
     }
-
-    /// Applies the probabilistic update to a prob-tree (the Appendix A
-    /// algorithm, generalized to queries with several matches). Returns the
-    /// updated prob-tree and the fresh event variable introduced (if the
-    /// confidence is below 1).
-    ///
-    /// Compatibility wrapper over a default [`UpdateEngine`] (deepest-first
-    /// nested-target handling, deterministic output, simplification on).
-    /// Note that the default simplification includes
-    /// [`prune_certain`](crate::clean::prune_certain): when the input
-    /// carries `π(w) = 1` events, zero-probability branches anywhere in
-    /// the tree are pruned — the result agrees with
-    /// [`apply_to_pw_set`](Self::apply_to_pw_set) up to normalization but
-    /// is not necessarily *structurally* equivalent to what the naive
-    /// algorithm would produce. Use
-    /// [`UpdateEngine::with_config`] to opt out.
-    pub fn apply_to_probtree(&self, tree: &ProbTree) -> (ProbTree, Option<EventId>) {
-        let (updated, report) = UpdateEngine::new().apply(tree, self);
-        (updated, report.new_event)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::probtree::figure1_example;
+    use crate::probtree::{figure1_example, ProbTree};
     use crate::semantics::possible_worlds;
     use pxml_events::{prob_eq, Condition, Literal};
     use pxml_tree::builder::TreeSpec;
@@ -336,8 +313,8 @@ mod tests {
     fn probtree_insertion_matches_pw_semantics() {
         let t = figure1_example();
         let update = insert_e_under_c(0.9);
-        let (updated, new_event) = update.apply_to_probtree(&t);
-        assert!(new_event.is_some());
+        let (updated, report) = UpdateEngine::new().apply(&t, &update);
+        assert!(report.new_event.is_some());
         assert_eq!(updated.events().len(), 3);
         let direct = possible_worlds(&updated, 20).unwrap().normalized();
         let via_pw = update
@@ -354,8 +331,8 @@ mod tests {
     fn probtree_insertion_with_full_confidence_adds_no_event() {
         let t = figure1_example();
         let update = insert_e_under_c(1.0);
-        let (updated, new_event) = update.apply_to_probtree(&t);
-        assert!(new_event.is_none());
+        let (updated, report) = UpdateEngine::new().apply(&t, &update);
+        assert!(report.new_event.is_none());
         assert_eq!(updated.events().len(), 2);
         let direct = possible_worlds(&updated, 20).unwrap().normalized();
         let via_pw = update
@@ -371,7 +348,7 @@ mod tests {
         let mut q = PatternQuery::new(Some("C"));
         let d = q.add_child(q.root(), "D");
         let update = ProbabilisticUpdate::new(UpdateOperation::delete(q, d), 0.6);
-        let (updated, _) = update.apply_to_probtree(&t);
+        let (updated, _) = UpdateEngine::new().apply(&t, &update);
         let direct = possible_worlds(&updated, 20).unwrap().normalized();
         let via_pw = update
             .apply_to_pw_set(&possible_worlds(&t, 20).unwrap())
@@ -402,7 +379,7 @@ mod tests {
                 );
             }
             let update = d0(1.0);
-            let (updated, _) = update.apply_to_probtree(&t);
+            let (updated, _) = UpdateEngine::new().apply(&t, &update);
             // The B node is replaced by 2^n copies.
             let b_copies = updated
                 .tree()
@@ -431,7 +408,7 @@ mod tests {
                 );
             }
             let update = d0(1.0);
-            let (updated, _) = update.apply_to_probtree(&t);
+            let (updated, _) = UpdateEngine::new().apply(&t, &update);
             let direct = possible_worlds(&updated, 20).unwrap().normalized();
             let via_pw = update
                 .apply_to_pw_set(&possible_worlds(&t, 20).unwrap())
@@ -446,8 +423,8 @@ mod tests {
         let q = PatternQuery::new(Some("B"));
         let b = q.root();
         let update = ProbabilisticUpdate::new(UpdateOperation::delete(q, b), 0.5);
-        let (updated, new_event) = update.apply_to_probtree(&t);
-        assert!(new_event.is_some());
+        let (updated, report) = UpdateEngine::new().apply(&t, &update);
+        assert!(report.new_event.is_some());
         let direct = possible_worlds(&updated, 20).unwrap().normalized();
         let via_pw = update
             .apply_to_pw_set(&possible_worlds(&t, 20).unwrap())
@@ -467,7 +444,7 @@ mod tests {
         }
         let before = t.size();
         let update = insert_e_under_c(0.9);
-        let (updated, _) = update.apply_to_probtree(&t);
+        let (updated, _) = UpdateEngine::new().apply(&t, &update);
         assert_eq!(updated.num_nodes(), t.num_nodes() + 10);
         assert!(updated.size() <= before + 2 * 10);
     }

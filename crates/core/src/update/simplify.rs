@@ -2,7 +2,7 @@
 //!
 //! Deletions blow prob-trees up (Theorem 3); this pass claws back what is
 //! recoverable without changing the (normalized) possible-world semantics,
-//! by chaining three reductions until a fixpoint (or `max_passes`):
+//! by chaining three reductions until a fixpoint (or `MAX_PASSES`):
 //!
 //! 1. [`clean`](crate::clean::clean) — drop literals implied by ancestors, prune inconsistent
 //!    branches (Section 3; preserves structural equivalence);
@@ -34,36 +34,15 @@
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 
-use pxml_events::{Condition, Dnf, Literal, Probability, Semiring};
+use pxml_events::{Condition, Dnf, Literal};
 use pxml_tree::{AnnotatedCanonInterner, NodeId, ShapeId};
 
-use crate::clean::{clean_below, has_certain_literals, prune_below, Walked};
+use crate::clean::{clean_below, has_certain_events, prune_below, prune_condition, Walked};
 use crate::probtree::ProbTree;
 
-/// Configuration of the [`simplify`] pass.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SimplifyConfig {
-    /// Run [`clean`](crate::clean::clean) each pass (default: `true`).
-    pub clean: bool,
-    /// Run [`prune_certain`](crate::clean::prune_certain) each pass (default: `true`).
-    pub prune_certain: bool,
-    /// Merge sibling covers each pass (default: `true`).
-    pub merge_siblings: bool,
-    /// Upper bound on chained passes (default: 4 — merging children can
-    /// make their parents mergeable in turn).
-    pub max_passes: usize,
-}
-
-impl Default for SimplifyConfig {
-    fn default() -> Self {
-        SimplifyConfig {
-            clean: true,
-            prune_certain: true,
-            merge_siblings: true,
-            max_passes: 4,
-        }
-    }
-}
+/// Upper bound on chained passes: merging children can make their parents
+/// mergeable in turn.
+const MAX_PASSES: usize = 4;
 
 /// Cover merging skips condition supports larger than this: the Shannon
 /// expansion is exponential in the support in the worst case.
@@ -79,7 +58,7 @@ const MAX_MERGE_SUPPORT: usize = 20;
 /// are unconditioned.
 const MAX_MERGE_GROUP: usize = 1024;
 
-/// Telemetry of one [`simplify_with`] run.
+/// Telemetry of one [`simplify`] run.
 #[derive(Clone, Debug, Default)]
 pub struct SimplifyReport {
     /// Nodes before / after.
@@ -104,35 +83,12 @@ impl SimplifyReport {
     }
 }
 
-/// [`simplify_with`] under the default configuration, returning just the
-/// simplified tree.
-pub fn simplify(tree: &ProbTree) -> ProbTree {
-    simplify_with(tree, &SimplifyConfig::default()).0
-}
-
 /// Runs the simplification chain. The result has the same normalized
 /// possible-world semantics as the input (and is structurally equivalent
-/// to it whenever `prune_certain` is disabled or no `π(w) = 1` event
-/// exists).
-pub fn simplify_with(tree: &ProbTree, config: &SimplifyConfig) -> (ProbTree, SimplifyReport) {
-    simplify_with_in(tree, config, &Probability)
-}
-
-/// [`simplify_with`] generalized over a [`Semiring`]: the prune-certain
-/// pass drops literals that are certain *in the semiring's sense*
-/// ([`Semiring::literal_certain`]) and the sibling-cover merge strips the
-/// same certain literals (and drops semiring-impossible disjuncts) from
-/// the covers it synthesizes. Under [`Probability`] this is exactly
-/// [`simplify_with`]; under a semiring with no certain literals (e.g.
-/// `Counting` or `Lineage`) the prune pass is the identity and covers are
-/// kept verbatim.
-pub fn simplify_with_in<S: Semiring>(
-    tree: &ProbTree,
-    config: &SimplifyConfig,
-    semiring: &S,
-) -> (ProbTree, SimplifyReport) {
+/// to it whenever no `π(w) = 1` event exists).
+pub fn simplify(tree: &ProbTree) -> (ProbTree, SimplifyReport) {
     let before = tree.memory_stats();
-    let run = simplify_scoped(tree.clone(), Scope::Whole, config, semiring);
+    let run = simplify_scoped(tree.clone(), Scope::Whole);
     let after = run.tree.memory_stats();
     let report = SimplifyReport {
         nodes_before: before.logical_nodes,
@@ -150,7 +106,7 @@ pub(crate) enum Scope {
     /// Clean, prune and merge everywhere on the first pass.
     Whole,
     /// Only what an update step changed on a tree that was a simplify
-    /// fixpoint under the same configuration.
+    /// fixpoint.
     Region(Touched),
 }
 
@@ -302,8 +258,8 @@ pub(crate) struct Simplified {
     pub(crate) merged_groups: usize,
     /// Passes run, including the final no-change pass.
     pub(crate) passes: usize,
-    /// Whether the last pass changed nothing within `max_passes`: the
-    /// result is then a fixpoint of the configuration.
+    /// Whether the last pass changed nothing within `MAX_PASSES`: the
+    /// result is then a simplify fixpoint.
     pub(crate) converged: bool,
     /// Nodes the passes visited: cleaned or pruned, scanned as children
     /// of a parent whose merge ran, or interned for a shape code.
@@ -315,20 +271,11 @@ pub(crate) struct Simplified {
 /// Runs the simplification chain over `work` from `scope`, compacting
 /// once at the end. Node ids of `work` stay stable until then, so the
 /// returned mapping covers every pass.
-pub(crate) fn simplify_scoped<S: Semiring>(
-    work: ProbTree,
-    scope: Scope,
-    config: &SimplifyConfig,
-    semiring: &S,
-) -> Simplified {
+pub(crate) fn simplify_scoped(work: ProbTree, scope: Scope) -> Simplified {
     let root = work.tree().root();
-    let prune = config.prune_certain && has_certain_literals(work.events(), semiring);
-    // With no sub-pass to run, shared children stay shared in both scopes.
-    let expands = config.clean || config.merge_siblings || prune;
+    let prune = has_certain_events(work.events());
     let mut run = Run {
         work,
-        config,
-        semiring,
         fresh: Vec::new(),
         pending: Vec::new(),
         dirty: HashSet::new(),
@@ -340,9 +287,7 @@ pub(crate) fn simplify_scoped<S: Semiring>(
     };
     match scope {
         Scope::Whole => {
-            if expands {
-                run.work.expand_all();
-            }
+            run.work.expand_all();
             run.fresh.push(root);
             run.sweep_all = true;
         }
@@ -350,33 +295,27 @@ pub(crate) fn simplify_scoped<S: Semiring>(
     }
     let mut passes = 0;
     let mut converged = false;
-    for _ in 0..config.max_passes.max(1) {
+    for _ in 0..MAX_PASSES {
         passes += 1;
-        if expands {
-            run.fault_in_pending();
-        }
+        run.fault_in_pending();
         let fresh = std::mem::take(&mut run.fresh);
         let mut changed = false;
-        if config.clean {
-            for &top in &fresh {
-                if run.work.tree().is_attached(top) {
-                    let ancestors = run.work.ancestor_condition(top);
-                    let walked = clean_below(&mut run.work, top, ancestors);
-                    changed |= run.settle(walked);
-                }
+        for &top in &fresh {
+            if run.work.tree().is_attached(top) {
+                let ancestors = run.work.ancestor_condition(top);
+                let walked = clean_below(&mut run.work, top, ancestors);
+                changed |= run.settle(walked);
             }
         }
         if prune {
             for &top in &fresh {
                 if run.work.tree().is_attached(top) {
-                    let walked = prune_below(&mut run.work, top, semiring);
+                    let walked = prune_below(&mut run.work, top);
                     changed |= run.settle(walked);
                 }
             }
         }
-        if config.merge_siblings {
-            changed |= run.sweep() > 0;
-        }
+        changed |= run.sweep() > 0;
         if !changed {
             converged = true;
             break;
@@ -411,14 +350,12 @@ struct Region {
 }
 
 /// The working state of one [`simplify_scoped`] run.
-struct Run<'a, S> {
+struct Run {
     work: ProbTree,
-    config: &'a SimplifyConfig,
-    semiring: &'a S,
     /// Roots of the subtrees the next pass cleans and prunes.
     fresh: Vec<NodeId>,
-    /// Parents whose shared children the next pass faults in when a
-    /// sub-pass can run; the census counts what is left shared.
+    /// Parents whose shared children the next pass faults in; the census
+    /// counts what is left shared.
     pending: Vec<NodeId>,
     /// Parents whose sibling-cover merge the next sweep runs.
     dirty: HashSet<NodeId>,
@@ -431,7 +368,7 @@ struct Run<'a, S> {
     merged_groups: usize,
 }
 
-impl<S: Semiring> Run<'_, S> {
+impl Run {
     /// Turns an update step's changes into the first pass's work: the
     /// grafted subtrees are fresh, the shared copies are queued for
     /// fault-in, and the parents the step grafted under or detached from
@@ -605,11 +542,11 @@ impl<S: Semiring> Run<'_, S> {
     /// per cover disjunct. Groups are taken in the order of their first
     /// member. Returns the number of cliques replaced.
     ///
-    /// When `config.prune_certain` is set, synthesized cover disjuncts are
-    /// post-processed with the semiring's notion of certainty — exactly what
-    /// the next pass's prune-certain would do to them. Under [`Probability`]
-    /// after a prune pass this is a no-op (no certain-event literal survives
-    /// pruning, and the Shannon expansion only branches on mentioned events).
+    /// Synthesized cover disjuncts are pruned under certain events up
+    /// front — exactly what the next pass's prune-certain would do to
+    /// them. After a prune pass this is a no-op (no certain-event literal
+    /// survives pruning, and the Shannon expansion only branches on
+    /// mentioned events).
     fn merge_at(&mut self, parent: NodeId, codes: &mut ShapeCodes) -> usize {
         let children: Vec<NodeId> = self.work.tree().children(parent).to_vec();
         self.visited += children.len();
@@ -658,7 +595,12 @@ impl<S: Semiring> Run<'_, S> {
                     continue;
                 };
                 let template = group[clique[0]];
-                for disjunct in self.cover_disjuncts(&cover) {
+                let disjuncts: Vec<Condition> = cover
+                    .disjuncts()
+                    .iter()
+                    .filter_map(|d| prune_condition(d, self.work.events()))
+                    .collect();
+                for disjunct in disjuncts {
                     self.work.duplicate_subtree(parent, template, disjunct);
                 }
                 self.pending.push(parent);
@@ -669,34 +611,6 @@ impl<S: Semiring> Run<'_, S> {
             }
         }
         merged
-    }
-
-    /// The disjuncts of a synthesized cover, with prune-certain's
-    /// literal-level rewrite applied up front when it is enabled: drop
-    /// disjuncts containing a semiring-impossible literal, strip
-    /// semiring-certain literals from the rest.
-    fn cover_disjuncts(&self, cover: &Dnf) -> Vec<Condition> {
-        if !self.config.prune_certain {
-            return cover.disjuncts().to_vec();
-        }
-        let (semiring, events) = (self.semiring, self.work.events());
-        cover
-            .disjuncts()
-            .iter()
-            .filter(|d| {
-                !d.literals()
-                    .iter()
-                    .any(|&l| semiring.is_zero(&semiring.literal(l, events)))
-            })
-            .map(|d| {
-                Condition::from_literals(
-                    d.literals()
-                        .iter()
-                        .copied()
-                        .filter(|&l| !semiring.literal_certain(l, events)),
-                )
-            })
-            .collect()
     }
 }
 
@@ -814,7 +728,7 @@ mod tests {
             Condition::from_literals([Literal::pos(x), Literal::neg(w)]),
         );
         t.add_child(b2, "D", Condition::of(Literal::pos(x)));
-        let (simplified, report) = simplify_with(&t, &SimplifyConfig::default());
+        let (simplified, report) = simplify(&t);
         assert_eq!(report.merged_groups, 1);
         assert!(report.savings() > 0);
         // One B copy left... whose D child then loses the x literal to
@@ -836,7 +750,7 @@ mod tests {
         let root = t.tree().root();
         t.add_child(root, "B", Condition::of(Literal::pos(w)));
         t.add_child(root, "B", Condition::of(Literal::pos(w)));
-        let (simplified, report) = simplify_with(&t, &SimplifyConfig::default());
+        let (simplified, report) = simplify(&t);
         assert_eq!(report.merged_groups, 0);
         assert_eq!(simplified.num_nodes(), 3);
     }
@@ -851,7 +765,7 @@ mod tests {
         let b1 = t.add_child(root, "B", Condition::of(Literal::pos(w)));
         t.add_child(b1, "D", Condition::always());
         t.add_child(root, "B", Condition::of(Literal::neg(w)));
-        let (simplified, report) = simplify_with(&t, &SimplifyConfig::default());
+        let (simplified, report) = simplify(&t);
         assert_eq!(report.merged_groups, 0);
         assert_eq!(simplified.num_nodes(), t.num_nodes());
     }
@@ -871,7 +785,7 @@ mod tests {
             t.add_child(s, "B", Condition::of(Literal::pos(w)));
             t.add_child(s, "B", Condition::of(Literal::neg(w)));
         }
-        let (simplified, report) = simplify_with(&t, &SimplifyConfig::default());
+        let (simplified, report) = simplify(&t);
         // The S subtrees are already identical, so the pre-order sweep
         // merges the S pair first (into one unconditioned S); pass 2 then
         // merges the B pair inside the surviving copy.
@@ -898,31 +812,12 @@ mod tests {
         t.add_child(root, "B", Condition::of(Literal::neg(w)));
         t.add_child(root, "C", Condition::of(Literal::neg(sure)));
         let before = possible_worlds(&t, 20).unwrap().normalized();
-        let (simplified, _) = simplify_with(&t, &SimplifyConfig::default());
+        let (simplified, _) = simplify(&t);
         let after = possible_worlds(&simplified, 20).unwrap().normalized();
         assert!(before.isomorphic(&after));
         // `sure` dropped from B's condition, then the B pair merges; the
         // ¬sure branch is pruned.
         assert_eq!(simplified.num_nodes(), 2);
         assert_eq!(simplified.num_literals(), 0);
-    }
-
-    #[test]
-    fn disabled_passes_leave_the_tree_alone() {
-        let mut t = ProbTree::new("A");
-        let w = t.events_mut().insert("w", 0.5);
-        let root = t.tree().root();
-        t.add_child(root, "B", Condition::of(Literal::pos(w)));
-        t.add_child(root, "B", Condition::of(Literal::neg(w)));
-        let config = SimplifyConfig {
-            clean: false,
-            prune_certain: false,
-            merge_siblings: false,
-            ..SimplifyConfig::default()
-        };
-        let (simplified, report) = simplify_with(&t, &config);
-        assert_eq!(report.merged_groups, 0);
-        assert_eq!(report.passes, 1);
-        assert_eq!(simplified.num_nodes(), t.num_nodes());
     }
 }

@@ -67,12 +67,6 @@ impl FormulaProbTree {
         self.formulas.get(&node).cloned().unwrap_or(Formula::True)
     }
 
-    /// Sets the formula of a non-root node.
-    pub fn set_formula(&mut self, node: NodeId, formula: Formula) {
-        assert!(node != self.tree.root(), "the root carries no condition");
-        self.formulas.insert(node, formula);
-    }
-
     /// Adds a child with the given formula.
     pub fn add_child(
         &mut self,
@@ -128,16 +122,6 @@ impl FormulaProbTree {
             out.push(world, valuation.probability(&self.events));
         }
         Ok(out)
-    }
-
-    /// The formula under which `node` is present in a world: the
-    /// conjunction of its own formula and those of its strict ancestors.
-    pub fn path_formula(&self, node: NodeId) -> Formula {
-        let mut parts = vec![self.formula(node)];
-        for anc in self.tree.ancestors(node) {
-            parts.push(self.formula(anc));
-        }
-        Formula::And(parts)
     }
 
     /// **Boolean query evaluation** — "does the query match with non-zero

@@ -297,9 +297,7 @@ impl Condition {
     /// The `eval` function of Definition 8, generalized to any
     /// commutative semiring: the semiring's `zero` if the condition is
     /// inconsistent, otherwise the `mul`-fold of the literal
-    /// interpretations (in sorted literal order), times the
-    /// [`Semiring::unmentioned`] factor of every unconstrained event when
-    /// the instance asks for it (e.g. [`crate::semiring::Counting`]).
+    /// interpretations (in sorted literal order).
     ///
     /// Under [`Probability`] this monomorphizes to exactly the
     /// pre-semiring fold `literals.map(prob).product()` — same operations,
@@ -312,17 +310,10 @@ impl Condition {
         for &literal in &self.literals {
             acc = semiring.mul(acc, semiring.literal(literal, events));
             if semiring.is_zero(&acc) {
-                // `0` annihilates the rest of the fold (and the
-                // unmentioned-event sweep: `mul(0, _) = 0` is a semiring
-                // law), so the accumulator can no longer change.
+                // `0` annihilates the rest of the fold (`mul(0, _) = 0`
+                // is a semiring law), so the accumulator can no longer
+                // change.
                 return acc;
-            }
-        }
-        if semiring.constrains_unmentioned() {
-            for event in events.iter() {
-                if !self.mentions(event) {
-                    acc = semiring.mul(acc, semiring.unmentioned(event, events));
-                }
             }
         }
         acc
@@ -392,9 +383,7 @@ mod tests {
     }
 
     /// The pre-semiring probability fold, kept verbatim as the oracle the
-    /// generic [`Condition::eval_in`] path is pinned against. This is the
-    /// single surviving hand-rolled copy; the production folds in `dnf`
-    /// and the worlds engine are wrappers over the generic fold.
+    /// generic [`Condition::eval_in`] path is pinned against.
     fn probability_oracle(c: &Condition, events: &EventTable) -> f64 {
         if !c.is_consistent() {
             return 0.0;

@@ -16,7 +16,6 @@ use std::fmt;
 
 use crate::condition::{Condition, Literal};
 use crate::event::{EventId, EventTable};
-use crate::semiring::{Probability, Semiring};
 use crate::valuation::{all_valuations, TooManyValuations, Valuation};
 
 /// A propositional formula in disjunctive normal form: a disjunction of
@@ -154,35 +153,10 @@ impl Dnf {
         events: &EventTable,
         max_events: usize,
     ) -> Result<f64, TooManyValuations> {
-        self.eval_in(&Probability, events, max_events)
-    }
-
-    /// Semiring-generic value of the formula: the `add`-fold, over all
-    /// satisfying valuations in binary-counter order, of each valuation's
-    /// [`Valuation::weight_in`]. The valuations are mutually exclusive, so
-    /// this is the disjoint sum every semiring's laws cover. Exponential;
-    /// under [`Probability`] it is exactly [`Dnf::probability_naive`]
-    /// (bit-identical), and under [`crate::semiring::Counting`] it is the
-    /// number of models over the table's full event universe.
-    ///
-    /// The sweep stops as soon as the accumulator becomes
-    /// [`Semiring::is_absorbing`]: under
-    /// [`Possibility`](crate::semiring::Possibility) the first
-    /// satisfying valuation settles the answer, turning the `2^n`
-    /// enumeration into a search for one witness.
-    pub fn eval_in<S: Semiring>(
-        &self,
-        semiring: &S,
-        events: &EventTable,
-        max_events: usize,
-    ) -> Result<S::Value, TooManyValuations> {
-        let mut total = semiring.zero();
+        let mut total = 0.0;
         for v in all_valuations(events.len(), max_events)? {
             if self.eval(&v) {
-                total = semiring.add(total, v.weight_in(semiring, events));
-                if semiring.is_absorbing(&total) {
-                    break;
-                }
+                total += v.probability(events);
             }
         }
         Ok(total)
@@ -593,104 +567,5 @@ mod tests {
         let (_, a, _, _) = setup();
         let dnf = Dnf::of(Condition::of(Literal::pos(a)));
         assert!(dnf.count_equivalent_naive(&dnf, 40, 24).is_err());
-    }
-
-    /// Delegating wrapper that counts `add` applications, so tests can
-    /// observe how much of the exponential sweep actually ran.
-    struct CountingOps<S> {
-        inner: S,
-        adds: std::cell::Cell<usize>,
-    }
-
-    impl<S> CountingOps<S> {
-        fn new(inner: S) -> Self {
-            CountingOps {
-                inner,
-                adds: std::cell::Cell::new(0),
-            }
-        }
-    }
-
-    impl<S: Semiring> Semiring for CountingOps<S> {
-        type Value = S::Value;
-
-        fn zero(&self) -> S::Value {
-            self.inner.zero()
-        }
-
-        fn one(&self) -> S::Value {
-            self.inner.one()
-        }
-
-        fn add(&self, a: S::Value, b: S::Value) -> S::Value {
-            self.adds.set(self.adds.get() + 1);
-            self.inner.add(a, b)
-        }
-
-        fn mul(&self, a: S::Value, b: S::Value) -> S::Value {
-            self.inner.mul(a, b)
-        }
-
-        fn literal(&self, literal: Literal, events: &EventTable) -> S::Value {
-            self.inner.literal(literal, events)
-        }
-
-        fn is_zero(&self, value: &S::Value) -> bool {
-            self.inner.is_zero(value)
-        }
-
-        fn constrains_unmentioned(&self) -> bool {
-            self.inner.constrains_unmentioned()
-        }
-
-        fn unmentioned(&self, event: EventId, events: &EventTable) -> S::Value {
-            self.inner.unmentioned(event, events)
-        }
-
-        fn is_absorbing(&self, value: &S::Value) -> bool {
-            self.inner.is_absorbing(value)
-        }
-    }
-
-    #[test]
-    fn absorbing_accumulators_short_circuit_the_sweep() {
-        // 10 events, single-literal formula: 2^9 = 512 satisfying
-        // valuations. Probability has no absorbing value and folds all of
-        // them; Possibility stops at the first witness.
-        let mut t = EventTable::new();
-        let a = t.insert("a", 0.5);
-        for i in 1..10 {
-            t.insert(format!("pad{i}"), 0.5);
-        }
-        let dnf = Dnf::of(Condition::of(Literal::pos(a)));
-
-        let exhaustive = CountingOps::new(crate::semiring::Probability);
-        let p = dnf.eval_in(&exhaustive, &t, 16).unwrap();
-        assert!((p - 0.5).abs() < 1e-12);
-        assert_eq!(exhaustive.adds.get(), 512);
-
-        let witness = CountingOps::new(crate::semiring::Possibility);
-        assert!(dnf.eval_in(&witness, &t, 16).unwrap());
-        assert_eq!(witness.adds.get(), 1, "stops at the first witness");
-
-        // Full valuations always realize every literal, so a top-1 proof
-        // value never reaches the absorbing empty proof here — the sweep
-        // must run to completion and still rank correctly (soundness of
-        // the hook: no premature exit on non-absorbing values).
-        let top1 = CountingOps::new(crate::semiring::TopKProofs::new(1));
-        let v1 = dnf.eval_in(&top1, &t, 16).unwrap();
-        assert_eq!(top1.adds.get(), 512);
-        assert_eq!(v1.len(), 1);
-        assert_eq!(v1[0].len(), 10, "best proof realizes all ten events");
-    }
-
-    #[test]
-    fn unsatisfiable_formulas_never_absorb() {
-        let mut t = EventTable::new();
-        let a = t.insert("a", 0.5);
-        let dnf = Dnf::of(Condition::from_literals([Literal::pos(a), Literal::neg(a)]));
-        let s = CountingOps::new(crate::semiring::Possibility);
-        assert!(!dnf.eval_in(&s, &t, 16).unwrap());
-        assert_eq!(s.adds.get(), 0);
     }
 }

@@ -21,10 +21,11 @@
 //!   relation of Definition 10, with the naive exponential decision
 //!   procedure used as a baseline against the Schwartz–Zippel test of
 //!   `pxml-poly`.
-//! * [`Semiring`] — the commutative provenance semiring every condition
-//!   fold is parameterized over, with the [`Probability`] fast path plus
-//!   [`Possibility`], [`Counting`], [`TopKProofs`] and [`Lineage`]
-//!   instances (see the [`semiring`] module docs for the law table).
+//! * [`Semiring`] — the commutative provenance semiring condition
+//!   evaluation is parameterized over, with the [`Probability`] fast path
+//!   plus the [`Possibility`] and [`Lineage`] instances (see the
+//!   [`semiring`] module docs for the law table). Valuation weights and
+//!   DNF sums fold probabilities directly.
 //!
 //! ## Quick example
 //!
@@ -59,7 +60,7 @@ pub mod valuation;
 pub use condition::{Condition, Literal};
 pub use dnf::Dnf;
 pub use event::{EventId, EventTable};
-pub use semiring::{Counting, Lineage, Possibility, Probability, Proof, Semiring, TopKProofs};
+pub use semiring::{Lineage, Possibility, Probability, Semiring};
 pub use valuation::Valuation;
 
 /// Tolerance used throughout the workspace when comparing probabilities.

@@ -6,7 +6,6 @@
 
 use crate::condition::Literal;
 use crate::event::{EventId, EventTable};
-use crate::semiring::{Probability, Semiring};
 
 /// A truth assignment for the event variables of one [`EventTable`].
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -111,65 +110,34 @@ impl Valuation {
     /// contribute a factor of 1 and the result is the marginal probability
     /// of the partial assignment.
     pub fn probability(&self, events: &EventTable) -> f64 {
-        self.weight_in(&Probability, events)
-    }
-
-    /// Semiring-generic weight of the valuation: the `mul`-fold, in event
-    /// order, of the literal each covered event realizes (`w` if true,
-    /// `¬w` if false). Under [`Probability`] this is exactly
-    /// [`Valuation::probability`] — same operations, same order,
-    /// bit-identical results.
-    pub fn weight_in<S: Semiring>(&self, semiring: &S, events: &EventTable) -> S::Value {
         assert!(
             self.len <= events.len(),
             "valuation covers {} events but the table declares only {}",
             self.len,
             events.len()
         );
-        let mut acc = semiring.one();
-        for e in (0..self.len).map(EventId::from_index) {
-            let literal = if self.get(e) {
-                Literal::pos(e)
-            } else {
-                Literal::neg(e)
-            };
-            acc = semiring.mul(acc, semiring.literal(literal, events));
-        }
-        acc
+        self.probability_over(events, (0..self.len).map(EventId::from_index))
     }
 
     /// Marginal probability of the partial assignment this valuation makes
     /// to `subset` only: `Π_{w ∈ subset ∩ V} π(w) · Π_{w ∈ subset ∖ V}
-    /// (1 − π(w))`. Events outside `subset` are marginalized analytically
-    /// (factor 1). This is the workhorse of the relevant-event world
-    /// engine, which assigns truth values only to the events actually
-    /// mentioned by a prob-tree's conditions.
+    /// (1 − π(w))`, folded in `subset` order. Events outside `subset` are
+    /// marginalized analytically (factor 1). This is the workhorse of the
+    /// relevant-event world engine, which assigns truth values only to the
+    /// events actually mentioned by a prob-tree's conditions.
     pub fn probability_over<I: IntoIterator<Item = EventId>>(
         &self,
         events: &EventTable,
         subset: I,
     ) -> f64 {
-        self.weight_over_in(&Probability, events, subset)
-    }
-
-    /// Semiring-generic marginal weight of the partial assignment this
-    /// valuation makes to `subset` only (see
-    /// [`Valuation::probability_over`], which is this fold under
-    /// [`Probability`] — bit-identical).
-    pub fn weight_over_in<S: Semiring, I: IntoIterator<Item = EventId>>(
-        &self,
-        semiring: &S,
-        events: &EventTable,
-        subset: I,
-    ) -> S::Value {
-        let mut acc = semiring.one();
+        let mut acc = 1.0;
         for e in subset {
             let literal = if self.get(e) {
                 Literal::pos(e)
             } else {
                 Literal::neg(e)
             };
-            acc = semiring.mul(acc, semiring.literal(literal, events));
+            acc *= literal.prob(events);
         }
         acc
     }

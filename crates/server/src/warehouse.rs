@@ -307,7 +307,9 @@ impl Warehouse {
 
     /// Per-answer lineage of `view`: the update-confidence events each
     /// answer's presence depends on, via the cached [`Lineage`] semiring
-    /// view (repeated serves hit the per-semiring condition cache).
+    /// view (repeated serves hit the per-semiring condition cache, and
+    /// maintenance carries each unchanged condition's value across
+    /// commits, including those that add events).
     pub fn lineage(&self, doc: &str, view: &str) -> Result<Vec<BTreeSet<EventId>>, ServerError> {
         self.with_view(doc, view, |prepared| {
             prepared

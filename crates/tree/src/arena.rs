@@ -89,11 +89,6 @@ impl DataTree {
         &self.nodes[node.index()].label
     }
 
-    /// Replaces the label of `node`.
-    pub fn set_label(&mut self, node: NodeId, label: impl Into<String>) {
-        self.nodes[node.index()].label = label.into();
-    }
-
     /// The parent of `node`, or `None` for the root (and for detached
     /// subtree roots).
     #[inline]

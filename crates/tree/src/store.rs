@@ -278,11 +278,6 @@ impl<A: Clone + Eq + Hash> NodeStore<A> {
         self.live
     }
 
-    /// Total shapes ever interned, dead ones included.
-    pub fn num_interned(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Collects the set of shapes reachable from `roots` (inclusive),
     /// each counted once — the *distinct stored nodes* backing those
     /// expansions.

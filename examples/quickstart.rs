@@ -10,7 +10,7 @@ use pxml_core::probtree::ProbTree;
 use pxml_core::proxml;
 use pxml_core::query::Query as _;
 use pxml_core::semantics::possible_worlds_normalized;
-use pxml_core::update::{ProbabilisticUpdate, UpdateOperation};
+use pxml_core::update::{ProbabilisticUpdate, UpdateEngine, UpdateOperation};
 use pxml_core::PatternQuery;
 use pxml_core::QueryEngine;
 use pxml_events::{Condition, Literal};
@@ -74,10 +74,10 @@ fn main() {
         UpdateOperation::insert(insert_query, at, DataTree::new("E")),
         0.9,
     );
-    let (updated, new_event) = update.apply_to_probtree(&warehouse);
+    let (updated, report) = UpdateEngine::new().apply(&warehouse, &update);
     println!(
         "After inserting E under C with confidence 0.9 (new event {}):\n{}",
-        new_event.map_or_else(
+        report.new_event.map_or_else(
             || "none".to_string(),
             |e| updated.events().name(e).to_string()
         ),

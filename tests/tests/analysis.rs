@@ -7,11 +7,11 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use pxml_analysis::{Satisfiability, StaticAnalyzer};
+use pxml_analysis::{census, Satisfiability, StaticAnalyzer};
 use pxml_core::query::monotone::{is_locally_monotone_on, NegationQuery};
 use pxml_core::update::UpdateEngine;
 use pxml_core::worlds::{ShardExecutor, WorldEngine, WorldEngineConfig};
-use pxml_core::{MonotonicityCertificate, QueryEngine, QueryEngineConfig, Theorem1Error};
+use pxml_core::{MonotonicityCertificate, QueryEngine, Theorem1Error};
 use pxml_workloads::random::{
     random_pattern_query, random_probtree, random_tree, ProbTreeConfig, TreeConfig,
 };
@@ -41,7 +41,7 @@ proptest! {
     fn census_predicts_states_enumerated(seed in any::<u64>()) {
         let tree = small_probtree(seed);
         prop_assert!(tree.validate_invariants().is_ok());
-        let analysis = StaticAnalyzer::new().with_max_events(16).analyze_worlds(&tree);
+        let analysis = census::analyze_worlds(&tree, 16);
         let engine = WorldEngine::new(&tree);
         let executor = ShardExecutor::new(WorldEngineConfig::sequential());
         if analysis.tractable {
@@ -102,8 +102,7 @@ proptest! {
     }
 
     /// A statically-empty verdict under the warehouse DTD is confirmed by
-    /// the engine on scenario trees, and the hint makes `prepare` skip
-    /// enumeration entirely.
+    /// the engine on scenario trees: `prepare` finds no answers.
     #[test]
     fn statically_empty_verdict_matches_the_engine(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -128,13 +127,6 @@ proptest! {
         let prepared = QueryEngine::new().prepare(&tree, &query);
         if analysis.satisfiability.is_statically_empty() {
             prop_assert!(prepared.is_empty());
-            let engine = QueryEngine::with_config(QueryEngineConfig {
-                hints: analysis.hints(),
-                ..QueryEngineConfig::default()
-            });
-            let hinted = engine.prepare(&tree, &query);
-            prop_assert!(hinted.is_empty());
-            prop_assert_eq!(hinted.ranked().stats().enumerated, 0);
         } else {
             prop_assert_eq!(analysis.satisfiability, Satisfiability::Satisfiable);
         }

@@ -9,7 +9,7 @@ use pxml_core::proxml;
 use pxml_core::query::Query as _;
 use pxml_core::semantics::{possible_worlds, pw_set_to_probtree};
 use pxml_core::threshold::restrict_to_threshold;
-use pxml_core::update::{ProbabilisticUpdate, UpdateOperation};
+use pxml_core::update::{ProbabilisticUpdate, UpdateEngine, UpdateOperation};
 use pxml_core::PatternQuery;
 use pxml_core::QueryEngine;
 use pxml_dtd::satisfiability::{satisfiable_backtracking, valid_bruteforce};
@@ -56,8 +56,8 @@ fn xml_ingestion_query_update_roundtrip() {
         UpdateOperation::insert(iq, at, DataTree::new("language")),
         0.8,
     );
-    let (updated, new_event) = update.apply_to_probtree(&warehouse);
-    assert!(new_event.is_some());
+    let (updated, report) = UpdateEngine::new().apply(&warehouse, &update);
+    assert!(report.new_event.is_some());
     warehouse = updated;
 
     // The update is consistent with the possible-world semantics.
@@ -114,7 +114,7 @@ fn update_then_query_probabilities_are_consistent_with_worlds() {
     let mut dq = PatternQuery::new(Some("book"));
     let year = dq.add_child(dq.root(), "year");
     let update = ProbabilisticUpdate::new(UpdateOperation::delete(dq, year), 0.5);
-    let (updated, _) = update.apply_to_probtree(&bib);
+    let (updated, _) = UpdateEngine::new().apply(&bib, &update);
 
     // One prepared state serves the Theorem 1 check, the expectation and
     // the ranked view.

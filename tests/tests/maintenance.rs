@@ -175,10 +175,10 @@ proptest! {
         let update_engine = UpdateEngine::new();
         let mut prepared = doc_view(&doc, &query);
         let footprint: Option<BTreeSet<String>> = prepared.footprint().cloned();
-        for update in &updates {
-            update_engine.apply_doc(&mut doc, update);
-        }
-        let deltas = doc.deltas_since(0).unwrap();
+        let deltas: Vec<_> = updates
+            .iter()
+            .map(|update| update_engine.apply_doc(&mut doc, update))
+            .collect();
         let outcome = prepared.maintain(&doc).unwrap();
         let expected = match &footprint {
             None => MaintainOutcome::Fallback { reason: FallbackReason::UnboundedFootprint },

@@ -6,7 +6,7 @@ use pxml_core::clean::{clean, is_clean};
 use pxml_core::equivalence::structural_equivalent_exhaustive;
 use pxml_core::probtree::ProbTree;
 use pxml_core::semantics::{possible_worlds, possible_worlds_normalized, pw_set_to_probtree};
-use pxml_core::update::{ProbabilisticUpdate, UpdateOperation};
+use pxml_core::update::{ProbabilisticUpdate, UpdateEngine, UpdateOperation};
 use pxml_core::worlds::{WorldEngine, WorldEngineConfig};
 use pxml_core::PatternQuery;
 use pxml_events::{Condition, EventId, Literal};
@@ -163,9 +163,7 @@ proptest! {
                 q
             },
         ];
-        let engine = pxml_core::QueryEngine::with_config(
-            pxml_core::QueryEngineConfig::for_event_budget(16),
-        );
+        let engine = pxml_core::QueryEngine::new();
         for q in &queries {
             prop_assert!(engine.prepare(&tree, q).theorem1_check().unwrap());
         }
@@ -204,7 +202,7 @@ proptest! {
                 confidence,
             )
         };
-        let (updated, _) = update.apply_to_probtree(&tree);
+        let (updated, _) = UpdateEngine::new().apply(&tree, &update);
         prop_assert!(updated.validate_invariants().is_ok());
         let direct = possible_worlds(&updated, 20).unwrap().normalized();
         let via_pw = update

@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use pxml_core::probtree::ProbTree;
 use pxml_core::query::pattern::{Axis, PatternQuery};
 use pxml_core::query::prob::ProbAnswer;
-use pxml_core::query::{Query, QueryEngine, QueryEngineConfig};
+use pxml_core::query::{Query, QueryEngine};
 use pxml_events::{Condition, EventId, Literal};
 use pxml_tree::builder::TreeSpec;
 use pxml_tree::canon::{canonical_string, Semantics};
@@ -302,7 +302,7 @@ proptest! {
     ) {
         let tree = build_probtree(&tree_spec);
         let query = build_pattern(&pattern);
-        let engine = QueryEngine::with_config(QueryEngineConfig::for_event_budget(16));
+        let engine = QueryEngine::new();
         prop_assert!(engine.prepare(&tree, &query).theorem1_check().unwrap());
     }
 }

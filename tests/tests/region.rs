@@ -19,8 +19,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use pxml_core::update::{
-    simplify_with, ProbabilisticUpdate, SimplifyConfig, StepReport, StepScope, UpdateEngine,
-    UpdateEngineConfig, UpdateOperation,
+    simplify, ProbabilisticUpdate, StepReport, StepScope, UpdateEngine, UpdateEngineConfig,
+    UpdateOperation,
 };
 use pxml_core::{Document, PatternQuery, ProbTree, UpdateDelta};
 use pxml_events::{Condition, Literal};
@@ -42,17 +42,17 @@ fn commit_checked(
     let expected = engine.apply_doc(&mut oracle, update);
     assert_eq!(expected.report.scope, StepScope::Whole);
     if delta.report.scope == StepScope::Region {
-        assert_fixpoint(engine, &base);
+        assert_fixpoint(&base);
     }
     assert_same_frame(doc.tree(), oracle.tree());
     assert_same_delta(&delta, &expected);
     delta
 }
 
-/// One more whole-tree simplify under `engine`'s configuration leaves
-/// `frame` alone: its first pass changes nothing.
-fn assert_fixpoint(engine: &UpdateEngine, frame: &ProbTree) {
-    let (simplified, report) = simplify_with(frame, &engine.config().simplify_config);
+/// One more whole-tree simplify leaves `frame` alone: its first pass
+/// changes nothing.
+fn assert_fixpoint(frame: &ProbTree) {
+    let (simplified, report) = simplify(frame);
     assert_eq!(report.merged_groups, 0, "{}", frame.to_ascii());
     assert_eq!(report.passes, 1, "{}", frame.to_ascii());
     assert_eq!(
@@ -136,45 +136,24 @@ fn base_tree(spec: &ProbTreeSpec, certain: bool) -> ProbTree {
     tree
 }
 
-/// The simplify configurations the suite commits under: the default, and
-/// with cleaning, merging, or every sub-pass off. With every sub-pass off
-/// the simplify is the identity and shared survivor copies stay shared.
-fn simplify_config(variant: usize) -> SimplifyConfig {
-    let (clean, merge_siblings, prune_certain) = [
-        (true, true, true),
-        (false, true, true),
-        (true, false, true),
-        (false, false, true),
-        (false, false, false),
-    ][variant];
-    SimplifyConfig {
-        clean,
-        merge_siblings,
-        prune_certain,
-        ..SimplifyConfig::default()
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// Random 1–8-step scripts (nested and multi-match targets, certain
     /// events, confidence-1 deletions, unmatched steps, shared and deep
-    /// survivor copies, sub-passes switched off): every commit agrees with
-    /// the whole-tree scope on the same base, commits up to the first
-    /// matched one run whole-tree, and the frame the document ends with
-    /// is a fixpoint whenever the document trusts it.
+    /// survivor copies): every commit agrees with the whole-tree scope on
+    /// the same base, commits up to the first matched one run whole-tree,
+    /// and the frame the document ends with is a fixpoint whenever the
+    /// document trusts it.
     #[test]
     fn region_commits_equal_whole_tree_commits(
         spec in probtree_strategy(),
         certain in any::<bool>(),
         updates in prop::collection::vec(update_strategy(), 1..=8),
         sharing in any::<bool>(),
-        variant in 0usize..5,
     ) {
         let engine = UpdateEngine::with_config(UpdateEngineConfig {
             survivor_sharing: sharing,
-            simplify_config: simplify_config(variant),
             ..UpdateEngineConfig::default()
         });
         let mut doc = Document::new(base_tree(&spec, certain));
@@ -186,7 +165,7 @@ proptest! {
             }
             matched |= delta.report.matches > 0;
         }
-        // Every default-pass-budget commit converges on these small trees.
+        // Every commit converges on these small trees.
         let expected = if matched { StepScope::Region } else { StepScope::Whole };
         prop_assert_eq!(probe_final_frame(&engine, &doc), expected);
     }
@@ -281,70 +260,75 @@ fn complementary_insertions_merge() {
     assert_eq!(doc.tree().to_ascii().matches("new").count(), 1);
 }
 
-/// `R → A → {S[u] → {B[w], B[¬w] → X}, S[¬u] → B}`: deleting `X` lets the
-/// `B` pair merge (pass 1), which makes the `S` pair identical, so it
-/// merges at `A` on pass 2.
-fn cascade_base() -> ProbTree {
+/// `R → A → cascade(k)`, where `cascade(1) = {L1[e1] → X, L1[¬e1]}` and
+/// `cascade(j) = {Lj[ej] → cascade(j − 1), Lj[¬ej] → Lj−1 → … → L1}`:
+/// deleting `X` lets the `L1` pair merge on the first pass, which makes
+/// the `L2` pair identical for the second, and so on up to `Lk`.
+fn cascade_base(k: usize) -> ProbTree {
     let mut t = ProbTree::new("R");
-    let u = t.events_mut().insert("u", 0.5);
-    let w = t.events_mut().insert("w", 0.5);
     let root = t.tree().root();
     let a = t.add_child(root, "A", Condition::always());
-    let s1 = t.add_child(a, "S", Condition::of(Literal::pos(u)));
-    t.add_child(s1, "B", Condition::of(Literal::pos(w)));
-    let b = t.add_child(s1, "B", Condition::of(Literal::neg(w)));
-    t.add_child(b, "X", Condition::always());
-    let s2 = t.add_child(a, "S", Condition::of(Literal::neg(u)));
-    t.add_child(s2, "B", Condition::always());
+    let mut parent = a;
+    for level in (1..=k).rev() {
+        let e = t.events_mut().insert(format!("e{level}"), 0.5);
+        let label = format!("L{level}");
+        let unmerged = t.add_child(parent, label.as_str(), Condition::of(Literal::pos(e)));
+        let mut merged = t.add_child(parent, label.as_str(), Condition::of(Literal::neg(e)));
+        for below in (1..level).rev() {
+            merged = t.add_child(merged, format!("L{below}"), Condition::always());
+        }
+        parent = unmerged;
+    }
+    t.add_child(parent, "X", Condition::always());
     t
 }
 
 #[test]
 fn a_merge_cascades_to_the_parent_merge() {
     let engine = UpdateEngine::new();
-    let mut doc = Document::new(cascade_base());
+    let mut doc = Document::new(cascade_base(2));
     settle(&engine, &mut doc);
     let delta = commit_checked(&engine, &mut doc, &delete_label("X", 1.0));
     assert_eq!(delta.report.scope, StepScope::Region);
-    assert_eq!(doc.tree().num_nodes(), 5, "R → {{Z, A → S → B}}");
+    assert_eq!(doc.tree().num_nodes(), 5, "R → {{Z, A → L2 → L1}}");
     assert_eq!(doc.tree().num_literals(), 0);
 }
 
 /// A fresh document's first commit runs whole-tree; a commit whose
 /// simplify ran out of passes leaves the frame unknown, so the next one
-/// runs whole-tree too; an engine with another simplify configuration
-/// never runs in the region of a fixpoint it did not reach.
+/// runs whole-tree too; a raw engine's commit, which does not simplify,
+/// leaves it unknown as well.
 #[test]
 fn fixpoint_status_follows_convergence() {
-    let one_pass = UpdateEngine::with_config(UpdateEngineConfig {
-        simplify_config: SimplifyConfig {
-            max_passes: 1,
-            ..SimplifyConfig::default()
-        },
-        ..UpdateEngineConfig::default()
-    });
-    let mut doc = Document::new(cascade_base());
-    settle(&one_pass, &mut doc);
-    // The cascade needs two passes: this commit runs in region scope but
-    // does not converge, and still equals the whole-tree commit (whose
-    // output keeps the pass-1 merge copies as handles until expansion).
-    let delta = commit_checked(&one_pass, &mut doc, &delete_label("X", 1.0));
+    let engine = UpdateEngine::new();
+    // Five levels: one merge per pass, and a simplify stops after four
+    // passes.
+    let mut doc = Document::new(cascade_base(5));
+    settle(&engine, &mut doc);
+    // This commit runs in region scope but does not converge, and still
+    // equals the whole-tree commit.
+    let delta = commit_checked(&engine, &mut doc, &delete_label("X", 1.0));
     assert_eq!(delta.report.scope, StepScope::Region);
-    let delta = commit_checked(&one_pass, &mut doc, &delete_label("Q", 1.0));
+    assert!(doc.tree().num_literals() > 0, "the L5 pair is left");
+    let delta = commit_checked(&engine, &mut doc, &delete_label("Q", 1.0));
     assert_eq!(delta.report.matches, 0);
     // An unmatched step leaves the unknown status unknown; this commit
-    // finishes the cascade, so it does not converge either.
-    let delta = commit_checked(&one_pass, &mut doc, &insert_leaf(root_query(), "Y"));
+    // finishes the cascade.
+    let delta = commit_checked(&engine, &mut doc, &insert_leaf(root_query(), "Y"));
     assert_eq!(delta.report.scope, StepScope::Whole);
     assert!(delta.report.simplification_savings() > 0);
-    let delta = commit_checked(&one_pass, &mut doc, &insert_leaf(root_query(), "Y"));
-    assert_eq!(delta.report.scope, StepScope::Whole);
-    // That commit changed nothing in its one pass: a fixpoint.
-    let delta = commit_checked(&one_pass, &mut doc, &delete_label("B", 0.5));
+    assert_eq!(doc.tree().num_literals(), 0);
+    // That commit converged: a fixpoint.
+    let delta = commit_checked(&engine, &mut doc, &delete_label("L1", 0.5));
     assert_eq!(delta.report.scope, StepScope::Region);
-    // Another configuration does not trust this engine's fixpoint.
-    let delta = commit_checked(&UpdateEngine::new(), &mut doc, &delete_label("B", 0.5));
+    // A raw commit runs whole-tree and leaves the status unknown.
+    let raw = UpdateEngine::with_config(UpdateEngineConfig::raw());
+    let delta = commit_checked(&raw, &mut doc, &delete_label("L2", 0.5));
     assert_eq!(delta.report.scope, StepScope::Whole);
+    let delta = commit_checked(&engine, &mut doc, &insert_leaf(root_query(), "Y"));
+    assert_eq!(delta.report.scope, StepScope::Whole);
+    let delta = commit_checked(&engine, &mut doc, &insert_leaf(root_query(), "Y"));
+    assert_eq!(delta.report.scope, StepScope::Region);
 }
 
 /// Forks inherit the status: a fork of a fresh document starts

@@ -1,7 +1,7 @@
 //! Semiring-generic provenance: the algebraic laws every instance must
-//! satisfy, the bridge laws tying the exotic instances back to
-//! independent oracles (`pxml_sat` model counts, the f64 probability
-//! path), and the query-engine lineage cross-check.
+//! satisfy, the bridge laws tying the instances back to independent
+//! oracles (the f64 probability path, and through it `pxml_sat` model
+//! counts), and the query-engine lineage cross-check.
 
 use std::collections::BTreeSet;
 
@@ -9,8 +9,7 @@ use proptest::prelude::*;
 
 use pxml_core::QueryEngine;
 use pxml_events::{
-    Condition, Counting, EventId, EventTable, Lineage, Literal, Possibility, Probability, Semiring,
-    TopKProofs,
+    Condition, EventId, EventTable, Lineage, Literal, Possibility, Probability, Semiring,
 };
 use pxml_sat::brute::count_models_brute;
 use pxml_sat::{Cnf, Lit, Var};
@@ -61,7 +60,7 @@ fn build_condition(spec: &[(usize, bool)]) -> Condition {
 
 /// Realizes a value spec in a semiring: the ⊕-sum of the conjunctions'
 /// values — representative elements of each carrier (probabilities in
-/// [0, 1], booleans, model counts, event sets, proof lists).
+/// [0, 1], booleans, event sets).
 fn build_value<S: Semiring>(semiring: &S, spec: &[Vec<(usize, bool)>]) -> S::Value {
     let events = law_event_table();
     let mut acc = semiring.zero();
@@ -112,11 +111,8 @@ fn check_laws<S: Semiring>(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// All five instances satisfy the commutative-semiring laws on
-    /// values realized from random condition sums. `TopKProofs` is
-    /// checked at a bound large enough that truncation never fires —
-    /// below the bound the instance is only a "near-semiring" (the
-    /// documented trade-off of bounded proof sets).
+    /// All three instances satisfy the commutative-semiring laws on
+    /// values realized from random condition sums.
     #[test]
     fn all_instances_satisfy_the_semiring_laws(
         a in value_spec(),
@@ -133,24 +129,8 @@ proptest! {
         );
         let s = Possibility;
         check_laws(&s, &build_value(&s, &a), &build_value(&s, &b), &build_value(&s, &c), PartialEq::eq);
-        let s = Counting;
-        check_laws(&s, &build_value(&s, &a), &build_value(&s, &b), &build_value(&s, &c), PartialEq::eq);
         let s = Lineage;
         check_laws(&s, &build_value(&s, &a), &build_value(&s, &b), &build_value(&s, &c), PartialEq::eq);
-        let s = TopKProofs::new(64);
-        check_laws(
-            &s,
-            &build_value(&s, &a),
-            &build_value(&s, &b),
-            &build_value(&s, &c),
-            |x, y| {
-                x.len() == y.len()
-                    && x.iter().zip(y).all(|(p, q)| {
-                        p.literals().eq(q.literals())
-                            && (p.weight() - q.weight()).abs() < 1e-12
-                    })
-            },
-        );
     }
 }
 
@@ -174,33 +154,26 @@ proptest! {
         );
     }
 
-    /// Counting agrees with the SAT brute-force model counter: a
-    /// conjunction's count over the event universe equals the model
-    /// count of the CNF made of its unit clauses.
+    /// With every π = ½, a conjunction's probability times `2^n` is its
+    /// model count over the `n`-event universe: it equals the SAT
+    /// brute-force count of the CNF made of its unit clauses. Powers of
+    /// two are exact in `f64`.
     #[test]
     fn counting_agrees_with_sat_model_counts(spec in condition_spec()) {
-        let events = law_event_table();
+        let mut events = EventTable::new();
+        for i in 0..NUM_EVENTS {
+            events.insert(format!("e{i}"), 0.5);
+        }
         let condition = build_condition(&spec);
         let mut cnf = Cnf::new(NUM_EVENTS);
         for &(e, positive) in &spec {
             cnf.add_clause(vec![Lit { var: Var(e as u32), positive }]);
         }
-        prop_assert_eq!(condition.eval_in(&Counting, &events), count_models_brute(&cnf));
-    }
-
-    /// A single-conjunction condition carries at most one proof, whose
-    /// weight is exactly the condition's probability — `TopKProofs` is
-    /// exact at k = 1 on conjunctions.
-    #[test]
-    fn top1_proof_weight_is_the_condition_probability(spec in condition_spec()) {
-        let events = law_event_table();
-        let condition = build_condition(&spec);
-        let proofs = condition.eval_in(&TopKProofs::new(1), &events);
-        let probability = condition.probability(&events);
-        prop_assert_eq!(!proofs.is_empty(), probability > 0.0);
-        if let Some(proof) = proofs.first() {
-            prop_assert!((proof.weight() - probability).abs() < 1e-12);
-        }
+        let worlds = (1u64 << NUM_EVENTS) as f64;
+        prop_assert_eq!(
+            condition.probability(&events) * worlds,
+            count_models_brute(&cnf) as f64
+        );
     }
 
     /// Lineage of a condition is exactly the set of events its literals
@@ -272,10 +245,10 @@ fn lineage_answers_name_exactly_the_events_that_move_the_answer() {
     }
 }
 
-/// The same prepared state serves all five semirings without
+/// The same prepared state serves all three semirings without
 /// re-matching, and the views agree with each other answer by answer.
 #[test]
-fn one_prepared_state_serves_all_five_semirings_consistently() {
+fn one_prepared_state_serves_all_three_semirings_consistently() {
     let config = WarehouseConfig {
         services: 4,
         extraction_rounds: 12,
@@ -286,15 +259,10 @@ fn one_prepared_state_serves_all_five_semirings_consistently() {
     let prepared = QueryEngine::new().prepare(&warehouse.tree, &query);
     let probabilities = prepared.answers_in(&Probability);
     let possibilities = prepared.answers_in(&Possibility);
-    let counts = prepared.answers_in(&Counting);
     let lineages = prepared.answers_in(&Lineage);
-    let proofs = prepared.answers_in(&TopKProofs::new(2));
     let n = probabilities.len();
     assert_eq!(possibilities.len(), n);
-    assert_eq!(counts.len(), n);
     assert_eq!(lineages.len(), n);
-    assert_eq!(proofs.len(), n);
-    let num_events = warehouse.tree.events().len() as u32;
     for i in 0..n {
         let p = probabilities[i].1;
         // The generic Probability drain is the bit-identical fast path.
@@ -306,16 +274,9 @@ fn one_prepared_state_serves_all_five_semirings_consistently() {
                 .to_bits()
         );
         assert_eq!(possibilities[i].1, p > 0.0);
-        // Counting over the full universe: positive iff possible, and
-        // never more than the total world count.
-        assert_eq!(counts[i].1 > 0, p > 0.0);
-        assert!(counts[i].1 <= 1u64 << num_events);
-        // A possible answer has a lineage and at least one proof whose
-        // weight cannot exceed the answer probability.
+        // A possible answer has a lineage.
         if p > 0.0 {
             assert!(lineages[i].1.is_some());
-            assert!(!proofs[i].1.is_empty());
-            assert!(proofs[i].1[0].weight() <= p + 1e-12);
         }
     }
 }

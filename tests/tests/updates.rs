@@ -1,5 +1,5 @@
 //! Property tests for the update engine: prob-tree updates must commute
-//! with the possible-world semantics (`apply_to_probtree` ≡
+//! with the possible-world semantics (`UpdateEngine::apply` ≡
 //! `apply_to_pw_set`, the Appendix A consistency statement), including the
 //! nested-target and multi-match-same-target cases the pre-engine code got
 //! wrong, and the output must be run-to-run deterministic.
@@ -160,7 +160,7 @@ proptest! {
         update in update_strategy(),
     ) {
         let tree = build_probtree(&spec);
-        let (updated, _) = update.apply_to_probtree(&tree);
+        let (updated, _) = UpdateEngine::new().apply(&tree, &update);
         prop_assert!(updated.validate_invariants().is_ok());
         let direct = possible_worlds(&updated, 16).unwrap().normalized();
         let via_pw = update
@@ -199,8 +199,8 @@ proptest! {
         spec in probtree_strategy(),
         update in update_strategy(),
     ) {
-        let (first, _) = update.apply_to_probtree(&build_probtree(&spec));
-        let (second, _) = update.apply_to_probtree(&build_probtree(&spec));
+        let (first, _) = UpdateEngine::new().apply(&build_probtree(&spec), &update);
+        let (second, _) = UpdateEngine::new().apply(&build_probtree(&spec), &update);
         prop_assert_eq!(first.to_ascii(), second.to_ascii());
     }
 
@@ -248,7 +248,7 @@ fn nested_deletion_counterexample_is_fixed() {
     q.add_child(at, "C");
     for confidence in [1.0, 0.6] {
         let update = ProbabilisticUpdate::new(UpdateOperation::delete(q.clone(), at), confidence);
-        let (updated, _) = update.apply_to_probtree(&t);
+        let (updated, _) = UpdateEngine::new().apply(&t, &update);
         let direct = possible_worlds(&updated, 16).unwrap().normalized();
         let via_pw = update
             .apply_to_pw_set(&possible_worlds(&t, 16).unwrap())
@@ -279,7 +279,7 @@ fn multi_match_nested_target_regression() {
     let at = q.root();
     q.add_child(at, "C");
     let update = ProbabilisticUpdate::new(UpdateOperation::delete(q, at), 0.75);
-    let (updated, _) = update.apply_to_probtree(&t);
+    let (updated, _) = UpdateEngine::new().apply(&t, &update);
     let direct = possible_worlds(&updated, 16).unwrap().normalized();
     let via_pw = update
         .apply_to_pw_set(&possible_worlds(&t, 16).unwrap())
