@@ -14,7 +14,7 @@ use rand::SeedableRng;
 
 use pxml_analysis::StaticAnalyzer;
 use pxml_core::update::{UpdateEngine, UpdateEngineConfig, UpdateScript};
-use pxml_core::worlds::{ShardExecutor, WorldEngine, WorldEngineConfig};
+use pxml_core::worlds::{WorldEngine, WorldEngineConfig};
 use pxml_core::{MonotonicityCertificate, PatternQuery, QueryEngine};
 use pxml_workloads::paper::{d0_deletion, figure1, theorem1_query_battery, theorem3_tree};
 use pxml_workloads::warehouse::{
@@ -93,11 +93,10 @@ fn figure1_battery(lint: &mut Lint) {
         );
     }
     if !lint.quick {
-        // Cross-check: the census predicts the executor counter exactly.
+        // Cross-check: the census predicts the enumeration counter exactly.
         let worlds = report.worlds.as_ref().expect("tree was given");
         let engine = WorldEngine::new(&tree);
-        let executor = ShardExecutor::new(WorldEngineConfig::sequential());
-        match executor.run(&engine, true, 16) {
+        match engine.sharded(&WorldEngineConfig::default(), 16) {
             Ok(factorized) => lint.check(
                 "figure1 census == states_enumerated",
                 worlds.predicted_states() == u128::from(factorized.states_enumerated()),
@@ -215,9 +214,8 @@ fn warehouse_scenario(lint: &mut Lint) {
         lint.check("warehouse forecasts == measured per step", matched);
         let census = analyzer.analyze_worlds(&final_tree);
         let engine = WorldEngine::new(&final_tree);
-        let executor = ShardExecutor::new(WorldEngineConfig::sequential());
         if census.tractable {
-            match executor.run(&engine, true, census.max_events) {
+            match engine.sharded(&WorldEngineConfig::default(), census.max_events) {
                 Ok(factorized) => lint.check(
                     "warehouse census == states_enumerated",
                     census.predicted_states() == u128::from(factorized.states_enumerated()),

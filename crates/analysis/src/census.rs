@@ -116,7 +116,7 @@ pub fn analyze_worlds(tree: &ProbTree, max_events: usize) -> WorldsAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pxml_core::worlds::{ShardExecutor, WorldEngineConfig};
+    use pxml_core::worlds::WorldEngineConfig;
     use pxml_events::{Condition, Literal};
     use pxml_workloads::random::many_components_probtree;
 
@@ -127,8 +127,7 @@ mod tests {
         assert!(analysis.tractable);
         assert_eq!(analysis.weighted_plan.num_components(), 4);
         let engine = WorldEngine::new(&tree);
-        let executor = ShardExecutor::new(WorldEngineConfig::sequential());
-        let worlds = executor.run(&engine, true, 16).unwrap();
+        let worlds = engine.sharded(&WorldEngineConfig::default(), 16).unwrap();
         assert_eq!(
             analysis.predicted_states(),
             u128::from(worlds.states_enumerated())

@@ -318,10 +318,10 @@ fn bench_update_scripts(c: &mut Criterion) {
 /// documents at the ROADMAP probe sizes. Untimed counters first: a fresh
 /// document's first commit runs whole-tree, every later one in region
 /// scope, visiting at most `REGION_VISITS_PER_DELTA_NODE` nodes per node
-/// of its delta however large the document. Then one commit per size is
-/// timed, each on an O(1) fork of the settled document (forks inherit its
-/// fixpoint status); what remains O(|T|) is the tree clone, the matcher
-/// and the compaction behind the full node map.
+/// of its delta however large the document, and keeping node ids (no node
+/// map). Then one commit per size is timed, each on an O(1) fork of the
+/// settled document (forks inherit its fixpoint status); what remains
+/// O(|T|) is the tree clone, the matcher and the drop of a frame.
 fn bench_region_commits(c: &mut Criterion) {
     const REGION_VISITS_PER_DELTA_NODE: usize = 8;
     let engine = UpdateEngine::new();
@@ -346,6 +346,7 @@ fn bench_region_commits(c: &mut Criterion) {
             let delta = engine.apply_doc(&mut doc, &retract);
             let report = &delta.report;
             assert_eq!(report.scope, StepScope::Region);
+            assert!(delta.node_map.is_none(), "a settled commit keeps ids");
             assert_eq!(
                 report.nodes_after, nodes,
                 "a retraction keeps one survivor copy"

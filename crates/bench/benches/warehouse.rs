@@ -6,9 +6,8 @@
 //! rounds × `D` off-footprint commits per round × `V` registered views,
 //! the hub performs `V × R` maintenance passes (one composed window per
 //! stale view per read round) where the pre-hub pattern — every view
-//! re-threading every delta — performs `V × D × R`. The remap-work ratio
-//! is asserted (`≥ 4×` with `D = 8`, leaving slack), along with the raw
-//! hub counters.
+//! maintained after every delta — applies `V × D × R` windows. Both
+//! window counts are asserted exactly, along with the raw hub counters.
 //!
 //! The timed groups then measure the served read path as the document
 //! grows, and the O(1) epoch-snapshot pin contrasted against it.
@@ -109,7 +108,8 @@ fn hub_sharing_invariants(services: usize) -> Warehouse {
         "shared: all views lagging by the same span reuse one composed window"
     );
 
-    // Baseline (the pre-hub pattern): every view re-threads every delta.
+    // Baseline (the pre-hub pattern): every view is maintained after
+    // every delta.
     let engine = UpdateEngine::new();
     let queries = QueryEngine::new();
     let query = services_with_endpoint_and_contact();
@@ -128,16 +128,19 @@ fn hub_sharing_invariants(services: usize) -> Warehouse {
             }
         }
     }
-    let baseline_remapped: u64 = views
+    let baseline_windows: u64 = views
         .iter()
-        .map(|view| view.maintenance_stats().answers_remapped as u64)
+        .map(|view| view.maintenance_stats().windows_applied as u64)
         .sum();
-
-    assert!(
-        baseline_remapped >= 4 * hub.answers_remapped,
-        "hub shares the delta thread: baseline remapped {baseline_remapped} answers, \
-         hub only {} (D = {DELTAS_PER_ROUND} deltas per composed window)",
-        hub.answers_remapped
+    assert_eq!(
+        hub.windows_applied,
+        (VIEWS * ROUNDS) as u64,
+        "hub: one window per stale view per read round"
+    );
+    assert_eq!(
+        baseline_windows,
+        (VIEWS * ROUNDS * DELTAS_PER_ROUND) as u64,
+        "baseline: one window per view per delta"
     );
     warehouse
 }

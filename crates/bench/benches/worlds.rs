@@ -108,7 +108,7 @@ fn bench_dense_legacy_vs_engine(c: &mut Criterion) {
 fn bench_factorized_many_components(c: &mut Criterion) {
     let tree = many_components_probtree(8, 3);
     let engine = WorldEngine::new(&tree);
-    let config = WorldEngineConfig::sequential();
+    let config = WorldEngineConfig::default();
 
     // Counter assertions, outside the timed region.
     let factorized = engine.sharded(&config, 20).unwrap();
@@ -145,7 +145,7 @@ fn bench_factorized_many_components(c: &mut Criterion) {
 /// full enumeration's normalized PW set.
 fn bench_factorized_vs_joint_drain(c: &mut Criterion) {
     let sizes: &[usize] = if quick() { &[3] } else { &[3, 4] };
-    let config = WorldEngineConfig::sequential();
+    let config = WorldEngineConfig::default();
     for &components in sizes {
         let tree = many_components_probtree(components, 3);
         let engine = WorldEngine::new(&tree);

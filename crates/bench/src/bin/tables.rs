@@ -676,7 +676,7 @@ fn e10_formula_variant() {
 fn e12_static_analysis() {
     use pxml_analysis::StaticAnalyzer;
     use pxml_core::update::UpdateScript;
-    use pxml_core::worlds::{ShardExecutor, WorldEngine, WorldEngineConfig};
+    use pxml_core::worlds::{WorldEngine, WorldEngineConfig};
     use pxml_workloads::random::many_components_probtree;
 
     header(
@@ -728,13 +728,13 @@ fn e12_static_analysis() {
         "{:>12} {:>10} | {:>16} {:>16} {:>12}",
         "components", "events", "pred. states", "meas. states", "time (ms)"
     );
-    let executor = ShardExecutor::new(WorldEngineConfig::sequential());
+    let config = WorldEngineConfig::default();
     for (components, events_per) in [(1usize, 4usize), (4, 3), (8, 2), (16, 1), (2, 8)] {
         let tree = many_components_probtree(components, events_per);
         let analysis = analyzer.analyze_worlds(&tree);
         let engine = WorldEngine::new(&tree);
         let start = Instant::now();
-        let worlds = executor.run(&engine, true, 24).unwrap();
+        let worlds = engine.sharded(&config, 24).unwrap();
         let elapsed = start.elapsed();
         println!(
             "{components:>12} {:>10} | {:>16} {:>16} {:>12.3}",

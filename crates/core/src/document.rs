@@ -7,14 +7,25 @@
 //! commits a new epoch together with an [`UpdateDelta`] — the ground
 //! truth of what the step did to the tree:
 //!
-//! * **removed** — nodes of the old frame with no image in the new frame
-//!   (deletion targets, pruned branches, merged sibling copies), reported
-//!   as a label set;
-//! * **inserted** — nodes of the new frame that are nobody's image
-//!   (grafted insertion subtrees, survivor copies, merge covers), again
-//!   as labels;
+//! * **removed** — nodes of the old frame that the new frame no longer
+//!   reaches (deletion targets, pruned branches, merged sibling copies),
+//!   reported as a label set;
+//! * **inserted** — nodes the step appended to the arena (grafted
+//!   insertion subtrees, survivor copies, merge covers), again as labels;
 //! * **rewritten** — surviving nodes whose root condition `γ` changed
 //!   (deletion splits, cleaning, certain-event pruning).
+//!
+//! **Node ids are stable.** A commit keeps the id of every node it does
+//! not detach, leaves detached nodes in the arena, and appends the nodes
+//! it adds; arena slots are never reused. A frame therefore names the
+//! same node by the same id from one epoch to the next, and the deltas,
+//! the composed [`DeltaWindow`]s and the view patches need no node map.
+//! Ids change only at a *rebase*:
+//! [`UpdateEngine::stage_doc`](crate::UpdateEngine::stage_doc) compacts a
+//! matched step's output when its base frame holds more detached slots
+//! than live nodes. The rebasing delta carries the renumbering in
+//! [`UpdateDelta::node_map`], and committing it restarts the delta log,
+//! so no window ever spans a renumbering.
 //!
 //! A document remembers whether its frame is a fixpoint of the update
 //! engine's simplification. While it is, a simplifying engine's step runs
@@ -24,20 +35,20 @@
 //! rewrites, since cleaning an untouched node changes nothing. Otherwise
 //! (a fresh document's first commit, or after a commit whose simplify did
 //! not run or did not converge) the step runs over the whole tree and the
-//! delta is diffed from the two frames through the node mapping the
-//! engine threads through its single compaction; the property suites keep
-//! that diff as the oracle of the region's delta. Either way the delta is
-//! exact no matter which simplification passes fired.
+//! delta is diffed from the two frames by node id; the property suites
+//! keep that diff as the oracle of the region's delta. Either way the
+//! delta is exact no matter which simplification passes fired.
 //! [`PreparedQuery::maintain`](crate::PreparedQuery::maintain) composes
 //! the pending log into one [`DeltaWindow`] to patch prepared state in
 //! place, falling back to a full re-prepare only when the window's label
-//! footprint intersects the query's spine labels.
+//! footprint intersects the query's spine labels or the log no longer
+//! covers the prepared epoch.
 //!
 //! Snapshots are cheap ([`Document::snapshot`] clones an `Arc`), so
 //! readers hold on to the exact epoch they prepared against while the
 //! document moves on.
 
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -70,15 +81,17 @@ pub struct UpdateDelta {
     /// The epoch this delta produced (its step moved `epoch - 1` to
     /// `epoch`).
     pub epoch: Epoch,
-    /// Mapping from surviving old-frame node ids to their new-frame ids.
-    /// `None` means the step left the tree untouched (no matches); ids
-    /// absent from a `Some` map were removed.
+    /// `None` for every step but a rebase: node ids are stable, so a
+    /// surviving node keeps its id in the new frame. A rebase renumbers
+    /// the frame and maps every surviving node of the old frame to its new
+    /// id (ids absent from the map were removed); committing it restarts
+    /// the document's delta log.
     pub node_map: Option<HashMap<NodeId, NodeId>>,
     /// Labels of the removed old-frame nodes.
     pub removed_labels: BTreeSet<String>,
     /// Labels of the inserted new-frame nodes.
     pub inserted_labels: BTreeSet<String>,
-    /// New-frame ids of surviving nodes whose root condition changed.
+    /// Surviving nodes whose root condition changed, by new-frame id.
     pub rewritten: BTreeSet<NodeId>,
     /// Number of removed old-frame nodes.
     pub nodes_removed: usize,
@@ -106,67 +119,47 @@ impl UpdateDelta {
             .any(|label| footprint.contains(label))
     }
 
-    /// Sends an old-frame node id through the delta, `None` if the node
-    /// was removed.
-    pub fn map_node(&self, node: NodeId) -> Option<NodeId> {
-        match &self.node_map {
-            None => Some(node),
-            Some(map) => map.get(&node).copied(),
+    /// Diffs two consecutive frames by node id. Both frames must be fully
+    /// expanded (the [`Document`] invariant), so arena iteration covers
+    /// every logical node. A node is removed if `old` reaches it and `new`
+    /// does not, inserted if `new` reaches it and its id lies past `old`'s
+    /// arena, and rewritten if both reach it with different conditions.
+    /// The whole-scope delta, and the oracle the region-scope delta is
+    /// tested against.
+    pub(crate) fn diff(old: &ProbTree, new: &ProbTree, epoch: Epoch, report: StepReport) -> Self {
+        let mut delta = UpdateDelta::identity(epoch, report);
+        if delta.report.matches == 0 {
+            return delta; // the step left the tree untouched
         }
-    }
-
-    /// Diffs two consecutive frames given the engine's node mapping. Both
-    /// frames must be fully expanded (the [`Document`] invariant), so
-    /// arena iteration covers every logical node. The whole-scope delta,
-    /// and the oracle the region-scope delta is tested against.
-    pub(crate) fn diff(
-        old: &ProbTree,
-        new: &ProbTree,
-        node_map: Option<HashMap<NodeId, NodeId>>,
-        epoch: Epoch,
-        report: StepReport,
-    ) -> Self {
-        let mut delta = UpdateDelta {
-            epoch,
-            node_map,
-            removed_labels: BTreeSet::new(),
-            inserted_labels: BTreeSet::new(),
-            rewritten: BTreeSet::new(),
-            nodes_removed: 0,
-            nodes_inserted: 0,
-            report,
-        };
-        let Some(map) = &delta.node_map else {
-            return delta; // identity: the step had no matches
-        };
-        let mut image: HashSet<NodeId> = HashSet::with_capacity(map.len());
+        let old_len = old.tree().arena_len();
+        let mut attached = vec![false; new.tree().arena_len()];
         let mut visited = 0;
-        for old_node in old.tree().iter() {
+        for node in new.tree().iter() {
             visited += 1;
-            let Some(&new_node) = map.get(&old_node) else {
+            attached[node.index()] = true;
+            if node.index() >= old_len {
+                delta
+                    .inserted_labels
+                    .insert(new.tree().label(node).to_owned());
+                delta.nodes_inserted += 1;
+            }
+        }
+        for node in old.tree().iter() {
+            visited += 1;
+            if !attached[node.index()] {
                 delta
                     .removed_labels
-                    .insert(old.tree().label(old_node).to_owned());
+                    .insert(old.tree().label(node).to_owned());
                 delta.nodes_removed += 1;
                 continue;
-            };
-            image.insert(new_node);
-            let changed = match (old.condition_ref(old_node), new.condition_ref(new_node)) {
+            }
+            let changed = match (old.condition_ref(node), new.condition_ref(node)) {
                 (Some(before), Some(after)) => before != after,
                 (None, None) => false,
                 (Some(one), None) | (None, Some(one)) => !one.is_empty(),
             };
             if changed {
-                delta.rewritten.insert(new_node);
-            }
-        }
-        for new_node in new.tree().iter() {
-            visited += 1;
-            if !image.contains(&new_node) {
-                delta
-                    .inserted_labels
-                    .insert(new.tree().label(new_node).to_owned());
-                delta.nodes_inserted += 1;
+                delta.rewritten.insert(node);
             }
         }
         delta.report.delta_visited += visited;
@@ -176,29 +169,37 @@ impl UpdateDelta {
     /// The region-scope delta: the removed and inserted nodes were counted
     /// over the touched subtrees, and no surviving node's condition
     /// changed (cleaning and pruning only rewrite nodes the step added).
-    pub(crate) fn from_census(
-        epoch: Epoch,
-        node_map: Option<HashMap<NodeId, NodeId>>,
-        census: Census,
-        report: StepReport,
-    ) -> Self {
+    pub(crate) fn from_census(epoch: Epoch, census: Census, report: StepReport) -> Self {
         UpdateDelta {
-            epoch,
-            node_map,
             removed_labels: census.removed_labels,
             inserted_labels: census.inserted_labels,
-            rewritten: BTreeSet::new(),
             nodes_removed: census.removed_nodes,
             nodes_inserted: census.inserted_nodes,
+            ..UpdateDelta::identity(epoch, report)
+        }
+    }
+
+    /// A delta that changes nothing.
+    fn identity(epoch: Epoch, report: StepReport) -> Self {
+        UpdateDelta {
+            epoch,
+            node_map: None,
+            removed_labels: BTreeSet::new(),
+            inserted_labels: BTreeSet::new(),
+            rewritten: BTreeSet::new(),
+            nodes_removed: 0,
+            nodes_inserted: 0,
             report,
         }
     }
 }
 
-/// A composed view of consecutive [`UpdateDelta`]s: one node mapping, one
-/// label footprint and one rewritten set covering the whole
-/// `from_epoch → to_epoch` span, so prepared state can be threaded to the
-/// current epoch in a **single** pass instead of once per delta.
+/// A composed view of consecutive [`UpdateDelta`]s: one label footprint
+/// and one rewritten set covering the whole `from_epoch → to_epoch` span,
+/// so prepared state can be brought to the current epoch in a **single**
+/// pass instead of once per delta. Node ids are stable across the span (a
+/// rebase restarts the log, so no window contains one), so composing is a
+/// union and a `from_epoch` node id names the same node at `to_epoch`.
 ///
 /// Built only by [`Document::window_since`], which stamps the window with
 /// the composing document's identity: node ids are per-document, so
@@ -215,18 +216,12 @@ pub struct DeltaWindow {
     pub from_epoch: Epoch,
     /// The epoch the window advances to.
     pub to_epoch: Epoch,
-    /// Composed mapping from surviving `from_epoch`-frame node ids to
-    /// their `to_epoch`-frame ids; `None` when every composed step was an
-    /// identity. Ids absent from a `Some` map were removed somewhere in
-    /// the span.
-    pub node_map: Option<HashMap<NodeId, NodeId>>,
     /// Union of the removed labels across the span.
     pub removed_labels: BTreeSet<String>,
     /// Union of the inserted labels across the span.
     pub inserted_labels: BTreeSet<String>,
-    /// `to_epoch`-frame ids of surviving nodes whose condition changed at
-    /// any step of the span (per-step rewritten sets threaded forward
-    /// through the later mappings).
+    /// Surviving nodes whose condition changed at any step of the span.
+    /// A node a later step removed may still be listed.
     pub rewritten: BTreeSet<NodeId>,
     /// Number of deltas composed into the window.
     pub steps: usize,
@@ -247,7 +242,6 @@ impl DeltaWindow {
             document,
             from_epoch,
             to_epoch: from_epoch,
-            node_map: None,
             removed_labels: BTreeSet::new(),
             inserted_labels: BTreeSet::new(),
             rewritten: BTreeSet::new(),
@@ -259,6 +253,7 @@ impl DeltaWindow {
                 window.to_epoch + 1,
                 "windows compose consecutive deltas"
             );
+            debug_assert!(delta.node_map.is_none(), "a rebase restarts the log");
             window.to_epoch = delta.epoch;
             window.steps += 1;
             window
@@ -267,24 +262,7 @@ impl DeltaWindow {
             window
                 .inserted_labels
                 .extend(delta.inserted_labels.iter().cloned());
-            // Rewritten nodes collected so far live in the previous frame:
-            // thread the survivors forward, then add this step's own.
-            window.rewritten = window
-                .rewritten
-                .iter()
-                .filter_map(|&n| delta.map_node(n))
-                .chain(delta.rewritten.iter().copied())
-                .collect();
-            match (&mut window.node_map, &delta.node_map) {
-                (_, None) => {} // identity step: the composition is unchanged
-                (acc @ None, Some(map)) => *acc = Some(map.clone()),
-                (Some(acc), Some(map)) => {
-                    *acc = acc
-                        .iter()
-                        .filter_map(|(&old, mid)| map.get(mid).map(|&new| (old, new)))
-                        .collect();
-                }
-            }
+            window.rewritten.extend(delta.rewritten.iter().copied());
         }
         window
     }
@@ -301,15 +279,6 @@ impl DeltaWindow {
             .iter()
             .chain(self.inserted_labels.iter())
             .any(|label| footprint.contains(label))
-    }
-
-    /// Sends a `from_epoch`-frame node id through the whole span, `None`
-    /// if it was removed anywhere along the way.
-    pub fn map_node(&self, node: NodeId) -> Option<NodeId> {
-        match &self.node_map {
-            None => Some(node),
-            Some(map) => map.get(&node).copied(),
-        }
     }
 }
 
@@ -417,6 +386,12 @@ impl std::error::Error for StageConflict {}
 /// expansion is done once per commit instead of once per reader.
 /// (Keeping update-created sharing alive across steps *inside* a
 /// document is a known follow-on — see ROADMAP.)
+///
+/// Its arena may also hold detached slots: commits keep node ids stable
+/// and leave removed nodes in place (see the [module docs](self)). A
+/// commit rebases once the base frame holds more detached slots than
+/// live nodes, so before a rebase there is at most about one detached
+/// slot per live node.
 #[derive(Debug)]
 pub struct Document {
     id: DocumentId,
@@ -485,8 +460,9 @@ impl Document {
     }
 
     /// The deltas moving `epoch` to the current epoch, composed into one
-    /// [`DeltaWindow`] covering `epoch → current`; `None` when the log has
-    /// been trimmed past `epoch` (or `epoch` is from the future).
+    /// [`DeltaWindow`] covering `epoch → current`; `None` when the log no
+    /// longer covers `epoch` — it was trimmed at capacity or restarted by
+    /// a rebase — or `epoch` is from the future.
     pub fn window_since(&self, epoch: Epoch) -> Option<DeltaWindow> {
         if epoch > self.epoch || epoch < self.base_epoch {
             return None;
@@ -520,6 +496,11 @@ impl Document {
     /// concurrent commit in between surfaces as
     /// [`StageConflict::EpochConflict`] instead of silently applying a
     /// step computed from a stale snapshot.
+    ///
+    /// A delta with a [`node_map`](UpdateDelta::node_map) is a rebase:
+    /// the log restarts at the new epoch, so state prepared against an
+    /// earlier epoch re-prepares instead of patching across the
+    /// renumbering.
     pub fn commit_staged(&mut self, staged: StagedStep) -> Result<Arc<UpdateDelta>, StageConflict> {
         if staged.doc != self.id {
             return Err(StageConflict::DocumentMismatch);
@@ -537,10 +518,15 @@ impl Document {
         // it (the warehouse keeps one so the drop happens outside its
         // exclusive lock).
         self.tree = Arc::new(staged.tree);
-        self.log.push_back(Arc::clone(&delta));
-        while self.log.len() > self.log_capacity {
-            self.log.pop_front();
-            self.base_epoch += 1;
+        if delta.node_map.is_some() {
+            self.log.clear();
+            self.base_epoch = self.epoch;
+        } else {
+            self.log.push_back(Arc::clone(&delta));
+            while self.log.len() > self.log_capacity {
+                self.log.pop_front();
+                self.base_epoch += 1;
+            }
         }
         match staged.next {
             NextFrame::Unchanged => {}
@@ -574,6 +560,29 @@ mod tests {
         ProbabilisticUpdate::new(UpdateOperation::delete(q, at), confidence)
     }
 
+    /// Every node of `before` that `after` still reaches keeps its id,
+    /// label and (unless `rewritten`) condition; exactly `removed` of them
+    /// are detached, at their old ids.
+    fn assert_ids_kept(
+        before: &ProbTree,
+        after: &ProbTree,
+        removed: usize,
+        rewritten: &BTreeSet<NodeId>,
+    ) {
+        let mut detached = 0;
+        for node in before.tree().iter() {
+            if !after.tree().is_attached(node) {
+                detached += 1;
+                continue;
+            }
+            assert_eq!(before.tree().label(node), after.tree().label(node));
+            if !rewritten.contains(&node) {
+                assert_eq!(before.condition(node), after.condition(node));
+            }
+        }
+        assert_eq!(detached, removed);
+    }
+
     #[test]
     fn fresh_documents_have_distinct_ids_and_epoch_zero() {
         let a = Document::new(figure1_example());
@@ -599,12 +608,9 @@ mod tests {
         assert!(delta.removed_labels.is_empty());
         // No survivor node changed its condition.
         assert!(delta.rewritten.is_empty());
-        // Every old node survives and maps into the new frame with its
-        // label preserved.
-        for node in before.tree().iter() {
-            let mapped = delta.map_node(node).expect("insertions remove nothing");
-            assert_eq!(before.tree().label(node), doc.tree().tree().label(mapped));
-        }
+        assert!(delta.node_map.is_none(), "ids are stable");
+        // Every old node survives at its id with its label and condition.
+        assert_ids_kept(&before, doc.tree(), 0, &delta.rewritten);
         // The spine-intersection test sees exactly the inserted label.
         assert!(delta.touches(&BTreeSet::from(["E".to_owned()])));
         assert!(!delta.touches(&BTreeSet::from(["B".to_owned(), "D".to_owned()])));
@@ -657,12 +663,17 @@ mod tests {
     #[test]
     fn no_match_steps_commit_identity_deltas() {
         let mut doc = Document::new(figure1_example());
+        let before = doc.snapshot();
         let delta = UpdateEngine::new().apply_doc(&mut doc, &insert_under("Z", "E", 0.9));
         assert_eq!(doc.epoch(), 1, "identity steps still advance the epoch");
         assert!(delta.is_identity());
         assert!(delta.node_map.is_none());
-        let root = doc.tree().tree().root();
-        assert_eq!(delta.map_node(root), Some(root));
+        assert_eq!(
+            before.tree().arena_len(),
+            doc.tree().tree().arena_len(),
+            "an unmatched step appends nothing"
+        );
+        assert_ids_kept(&before, doc.tree(), 0, &delta.rewritten);
     }
 
     #[test]
@@ -727,19 +738,21 @@ mod tests {
         assert_eq!(window.removed_labels, BTreeSet::from(["B".to_owned()]));
         assert!(window.touches(&BTreeSet::from(["E".to_owned()])));
         assert!(!window.touches(&BTreeSet::from(["D".to_owned()])));
-        // The composed node map agrees with threading through each delta.
-        for node in before.tree().iter() {
-            let threaded = deltas[0].map_node(node).and_then(|n| deltas[1].map_node(n));
-            assert_eq!(window.map_node(node), threaded);
-        }
-        // Rewrites surfaced by any delta survive composition (mapped into
-        // the final frame).
-        let per_delta: usize = deltas.iter().map(|d| d.rewritten.len()).sum();
-        assert!(window.rewritten.len() <= per_delta + deltas.len());
+        // Ids are stable across the span: the deleted B is detached at its
+        // old id, and every other node of the epoch-0 frame keeps its id.
+        assert!(deltas.iter().all(|d| d.node_map.is_none()));
+        let removed: usize = deltas.iter().map(|d| d.nodes_removed).sum();
+        assert_ids_kept(&before, doc.tree(), removed, &window.rewritten);
+        // The window's rewritten set is the union of the deltas'.
+        let rewritten: BTreeSet<NodeId> = deltas
+            .iter()
+            .flat_map(|d| d.rewritten.iter().copied())
+            .collect();
+        assert_eq!(window.rewritten, rewritten);
         // A window over an empty span is the identity.
         let idle = doc.window_since(2).unwrap();
         assert_eq!(idle.steps, 0);
-        assert!(idle.node_map.is_none());
+        assert!(idle.inserted_labels.is_empty() && idle.rewritten.is_empty());
         assert!(doc.window_since(3).is_none(), "future epochs are rejected");
     }
 
@@ -784,16 +797,21 @@ mod tests {
             delete_at("B", 0.5),
             insert_under("E", "F", 1.0),
         ]);
-        let report = UpdateEngine::new().apply_script_doc(&mut doc, &script);
-        assert_eq!(report.steps.len(), 3);
+        let engine = UpdateEngine::new();
+        let reports: Vec<StepReport> = script
+            .steps()
+            .iter()
+            .map(|update| engine.apply_doc(&mut doc, update).report.clone())
+            .collect();
+        assert_eq!(reports.len(), 3);
         assert_eq!(doc.epoch(), 3);
         assert_eq!(doc.log_len(), 3);
         // The document path computes the same final tree as the borrowed
         // path.
-        let (batch, batch_report) = UpdateEngine::new().apply_script(&figure1_example(), &script);
+        let (batch, batch_report) = engine.apply_script(&figure1_example(), &script);
         assert_eq!(doc.tree().num_nodes(), batch.expanded().num_nodes());
-        assert_eq!(report.steps.len(), batch_report.steps.len());
-        for (a, b) in report.steps.iter().zip(&batch_report.steps) {
+        assert_eq!(reports.len(), batch_report.steps.len());
+        for (a, b) in reports.iter().zip(&batch_report.steps) {
             assert_eq!(a.matches, b.matches);
         }
     }

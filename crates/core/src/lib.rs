@@ -72,7 +72,7 @@ pub use update::{
     DeletionForecast, ProbabilisticUpdate, SurvivorBudgetExceeded, UpdateAction, UpdateEngine,
     UpdateEngineConfig, UpdateOperation, UpdateScript,
 };
-pub use worlds::{FactorizedWorlds, ShardExecutor, ShardPlan, WorldEngine, WorldEngineConfig};
+pub use worlds::{FactorizedWorlds, ShardPlan, WorldEngine, WorldEngineConfig};
 
 /// Default bound on the number of event variables accepted by APIs that
 /// enumerate all `2^{|W|}` possible worlds. Re-exported from `pxml-events`.

@@ -330,8 +330,9 @@ impl ProbTree {
     /// Detaches the subtree rooted at `node` (cannot be the root).
     pub fn detach(&mut self, node: NodeId) {
         self.tree.detach(node);
-        // Conditions and handles of detached nodes become garbage; they
-        // are dropped (and their shapes released) on the next `compact`.
+        // Conditions and handles of detached nodes become garbage. The
+        // next `expand_all` releases the handles' shapes; the next
+        // `compact` drops the rest.
     }
 
     /// Number of **logical** nodes: reachable arena nodes plus the full
@@ -501,7 +502,8 @@ impl ProbTree {
     }
 
     /// Whether any reachable node has shared children. O(1) on a tree
-    /// without handles (every document frame).
+    /// without handle entries, which [`ProbTree::expand_all`] leaves
+    /// behind (every document frame); otherwise a walk of the tree.
     pub fn has_shared(&self) -> bool {
         !self.handles.is_empty()
             && self
@@ -543,14 +545,19 @@ impl ProbTree {
         }
     }
 
-    /// Fully materializes the tree: faults in every reachable handle.
-    /// O(1) on a tree without handles.
+    /// Fully materializes the tree: faults in every reachable handle, then
+    /// releases the handles left under detached nodes, so no handle entry
+    /// remains and [`ProbTree::has_shared`] is O(1) afterwards. O(1) on a
+    /// tree without handles.
     pub fn expand_all(&mut self) {
         if self.handles.is_empty() {
             return;
         }
         let root = self.tree.root();
         self.fault_in_subtree(root);
+        for h in std::mem::take(&mut self.handles).into_values().flatten() {
+            self.store.release(h.shape);
+        }
     }
 
     /// A fully materialized view of this prob-tree: borrows `self` when
@@ -734,8 +741,8 @@ impl ProbTree {
             }
         }
         // DAG-store checks. Handles under detached nodes legitimately
-        // linger until `compact`, but they still hold references, so the
-        // external census covers *every* handle entry.
+        // linger until `expand_all` or `compact`, but they still hold
+        // references, so the external census covers *every* handle entry.
         let mut external: HashMap<ShapeId, usize> = HashMap::new();
         for entries in self.handles.values() {
             for h in entries {

@@ -43,7 +43,6 @@ use std::sync::{Arc, Mutex, OnceLock};
 use pxml_events::{Condition, Semiring};
 use pxml_tree::canon::Semantics;
 use pxml_tree::subtree::SubDataTree;
-use pxml_tree::NodeId;
 
 use crate::document::{DeltaWindow, Document, DocumentId, Epoch};
 use crate::probtree::ProbTree;
@@ -250,8 +249,6 @@ pub struct MaintainStats {
     /// Per-answer condition unions carried over unchanged (with their
     /// cached probabilities).
     pub unions_carried: usize,
-    /// Answers remapped to new-frame node ids by patching.
-    pub answers_remapped: usize,
     /// Patch passes: every patched [`PreparedQuery::maintain`] or
     /// [`PreparedQuery::maintain_windowed`] call threads its pending span
     /// through one composed [`DeltaWindow`] in a single pass (the span's
@@ -289,11 +286,15 @@ pub enum FallbackReason {
     /// A delta inserted or removed a label inside the query's footprint —
     /// the match set may have changed, only re-matching can tell.
     SpineTouched,
-    /// The document trimmed its delta log past this state's epoch.
+    /// The document's delta log no longer covers this state's epoch: it
+    /// was trimmed at capacity, or restarted by a rebase — a commit that
+    /// renumbered the frame, announced by its delta's
+    /// [`node_map`](crate::UpdateDelta::node_map).
     LogTrimmed,
-    /// A patched answer referenced a node the delta removed without its
-    /// label being in the footprint — defensively impossible for sound
-    /// footprints, kept as a safety net rather than a panic.
+    /// A patched answer holds a node the new frame no longer reaches,
+    /// though the window removed no footprint label — impossible for a
+    /// sound footprint, kept as a safety net for a foreign [`Query`] with
+    /// an unsound one rather than a panic.
     AnswerDisplaced,
 }
 
@@ -394,13 +395,17 @@ impl<'a> PreparedQuery<'a> {
 
     /// Brings document-backed prepared state up to date with `doc`:
     /// composes the pending deltas into one [`DeltaWindow`]
-    /// ([`Document::window_since`]) and patches the match set, interned
-    /// condition unions, probability cache and document stamp in place
+    /// ([`Document::window_since`]) and patches the state in place
     /// through it, whenever the window's inserted/removed labels avoid
-    /// the query's [footprint](Query::label_footprint). Falls back to a
-    /// full re-prepare against the current epoch when the footprint is
-    /// unbounded, the window touches it, or the delta log was trimmed;
-    /// the state is up to date on return either way.
+    /// the query's [footprint](Query::label_footprint). Node ids are
+    /// stable across a window, so the patch leaves every answer's node set
+    /// and position alone: it rebuilds only the condition unions of
+    /// answers holding a rewritten node, and swaps the snapshot and the
+    /// stamp. Falls back to a full re-prepare against the current epoch
+    /// when the footprint is unbounded, the window touches it, or the
+    /// delta log no longer covers the state's epoch (trimmed at capacity,
+    /// or restarted by a rebase); the state is up to date on return
+    /// either way.
     ///
     /// Patched state is **indistinguishable** from a fresh prepare on the
     /// document's current tree: same answers in the same order, the same
@@ -457,10 +462,15 @@ impl<'a> PreparedQuery<'a> {
     }
 
     /// Patches the state through a window spanning its epoch to `doc`'s.
-    /// Phase 1 — plan: thread every answer's node set through the window,
-    /// tracking which answers had a condition rewritten. Nothing is
-    /// mutated until the plan completes, so a fallback leaves the state
-    /// consistent for `reprepare` to replace; phase 2 commits the plan.
+    /// Node ids are stable across a window, so an answer keeps its node
+    /// set and its place in the answer order; the plan only checks each
+    /// answer against the new snapshot. An answer with a node the frame no
+    /// longer reaches falls back before anything is mutated. One with a
+    /// rewritten node is dirty: its union is rebuilt. Clean answers keep
+    /// their union and its cached values — the union is over unchanged
+    /// node conditions, every semiring's value depends only on the events
+    /// the condition mentions, and the event table only ever grows, so
+    /// each value is identical to what a fresh prepare would compute.
     fn patch(&mut self, doc: &Document, window: &DeltaWindow) -> MaintainOutcome {
         let Some(footprint) = &self.footprint else {
             return self.reprepare(doc, FallbackReason::UnboundedFootprint);
@@ -468,90 +478,73 @@ impl<'a> PreparedQuery<'a> {
         if window.touches(footprint) {
             return self.reprepare(doc, FallbackReason::SpineTouched);
         }
-        let mut node_sets: Vec<Vec<NodeId>> = self
+        let snapshot = doc.snapshot();
+        let tree = snapshot.tree();
+        let plan: Option<Vec<bool>> = self
             .answers
             .iter()
-            .map(|a| a.subtree.nodes().collect())
-            .collect();
-        let mut dirty = vec![false; self.answers.len()];
-        for (index, nodes) in node_sets.iter_mut().enumerate() {
-            for node in nodes.iter_mut() {
-                match window.map_node(*node) {
-                    Some(mapped) => *node = mapped,
-                    None => return self.reprepare(doc, FallbackReason::AnswerDisplaced),
+            .map(|answer| {
+                let mut dirty = false;
+                for node in answer.subtree.nodes() {
+                    if !tree.is_attached(node) {
+                        return None;
+                    }
+                    dirty |= window.rewritten.contains(&node);
                 }
-            }
-            if nodes.iter().any(|n| window.rewritten.contains(n)) {
-                dirty[index] = true;
-            }
-        }
+                Some(dirty)
+            })
+            .collect();
+        let Some(dirty) = plan else {
+            return self.reprepare(doc, FallbackReason::AnswerDisplaced);
+        };
+        let rebuilt = dirty.iter().filter(|&&d| d).count();
         self.maint.windows_applied += 1;
-        self.commit_patch(doc, node_sets, dirty, window.steps)
+        self.maint.steps_patched += window.steps;
+        self.maint.unions_rebuilt += rebuilt;
+        self.maint.unions_carried += self.answers.len() - rebuilt;
+        if rebuilt > 0 {
+            self.reintern(&snapshot, &dirty);
+        }
+        // A fresh prepare has no tie-break key cached.
+        self.tie_keys = std::iter::repeat_with(OnceLock::new)
+            .take(self.answers.len())
+            .collect();
+        if let Source::Document { tree, epoch, .. } = &mut self.source {
+            *tree = snapshot;
+            *epoch = doc.epoch();
+        }
+        MaintainOutcome::Patched {
+            steps: window.steps,
+        }
     }
 
-    /// Phase 2 of maintenance — commit a remap plan: rebuild each answer
-    /// against the new snapshot. Clean answers keep their condition union
-    /// and its cached values — the union is over unchanged node
-    /// conditions, every semiring's value depends only on the events the
-    /// condition mentions, and the event table only ever grows, so each
-    /// value is identical to what a fresh prepare would compute. Dirty
-    /// answers recompute the union from the new tree.
-    fn commit_patch(
-        &mut self,
-        doc: &Document,
-        node_sets: Vec<Vec<NodeId>>,
-        dirty: Vec<bool>,
-        steps: usize,
-    ) -> MaintainOutcome {
-        let snapshot = doc.snapshot();
-        struct Patched {
-            subtree: SubDataTree,
-            condition: Condition,
-            cached_probability: Option<f64>,
-            /// Old condition slot a clean answer carried its union from —
-            /// `None` for dirty answers, whose cached semiring values are
-            /// stale.
-            carried_from: Option<usize>,
-        }
-        let mut patched: Vec<Patched> = Vec::with_capacity(self.answers.len());
-        for (index, nodes) in node_sets.into_iter().enumerate() {
-            let subtree = SubDataTree::from_nodes(snapshot.tree(), nodes);
-            let (condition, cached_probability, carried_from) = if dirty[index] {
-                self.maint.unions_rebuilt += 1;
-                let union =
-                    Condition::union_of(subtree.nodes().filter_map(|n| snapshot.condition_ref(n)));
-                (union, None, None)
-            } else {
-                self.maint.unions_carried += 1;
-                let slot = self.answers[index].condition;
-                (
-                    self.conditions[slot].clone(),
-                    self.probabilities[slot].get().copied(),
-                    Some(slot),
-                )
-            };
-            patched.push(Patched {
-                subtree,
-                condition,
-                cached_probability,
-                carried_from,
-            });
-        }
-        // Re-sort and re-intern in the new answer order: `Query::evaluate`
-        // returns answers in `SubDataTree` order, so this reproduces the
-        // exact layout (answer order, interning order) of a fresh prepare.
-        // Remapping is injective, so no two answers collapse.
-        patched.sort_by(|a, b| a.subtree.cmp(&b.subtree));
+    /// Rebuilds the condition unions of the `dirty` answers against
+    /// `snapshot` and re-interns every union in answer order — the
+    /// interning layout of a fresh prepare — carrying the cached
+    /// probability and semiring values of clean slots.
+    fn reintern(&mut self, snapshot: &ProbTree, dirty: &[bool]) {
         let mut intern: HashMap<Condition, usize> = HashMap::new();
         let mut conditions: Vec<Condition> = Vec::new();
         let mut probabilities: Vec<OnceLock<f64>> = Vec::new();
-        let mut answers: Vec<AnswerState> = Vec::with_capacity(patched.len());
-        // For each *new* condition slot, the old slot its cached semiring
-        // values may be carried from (first-writer wins, mirroring the
-        // `OnceLock::set` semantics of the f64 cache below).
+        // For each *new* condition slot, the old slot its cached values
+        // may be carried from (first-writer wins, mirroring the
+        // `OnceLock::set` semantics of the f64 cache below). Dirty answers
+        // carry nothing: their cached values are stale.
         let mut carry: Vec<Option<usize>> = Vec::new();
-        for p in patched {
-            let condition = match intern.entry(p.condition) {
+        for (answer, &dirty) in self.answers.iter_mut().zip(dirty) {
+            let old = answer.condition;
+            let (union, carried_from) = if dirty {
+                let union = Condition::union_of(
+                    answer
+                        .subtree
+                        .nodes()
+                        .filter_map(|n| snapshot.condition_ref(n)),
+                );
+                (union, None)
+            } else {
+                (self.conditions[old].clone(), Some(old))
+            };
+            let slot = match intern.entry(union) {
                 Entry::Occupied(slot) => *slot.get(),
                 Entry::Vacant(slot) => {
                     let index = conditions.len();
@@ -562,21 +555,18 @@ impl<'a> PreparedQuery<'a> {
                     index
                 }
             };
-            if let Some(probability) = p.cached_probability {
-                let _ = probabilities[condition].set(probability);
+            if let Some(&probability) = carried_from.and_then(|i| self.probabilities[i].get()) {
+                let _ = probabilities[slot].set(probability);
             }
-            if carry[condition].is_none() {
-                carry[condition] = p.carried_from;
+            if carry[slot].is_none() {
+                carry[slot] = carried_from;
             }
-            answers.push(AnswerState {
-                subtree: p.subtree,
-                condition,
-            });
+            answer.condition = slot;
         }
-        // Remap the per-semiring caches along the carry map: clean slots
-        // move their computed values to the new layout, dirty or fresh
-        // slots start empty. `take` is sound because equal conditions
-        // intern to one slot, so `carry` is injective on its `Some`s.
+        // Move the per-semiring caches along the carry map: clean slots
+        // keep their computed values, dirty or fresh slots start empty.
+        // `take` is sound because equal conditions intern to one slot, so
+        // `carry` is injective on its `Some`s.
         let caches = self.semiring.get_mut().expect("semiring cache poisoned");
         for slots in caches.slots.values_mut() {
             let mut old = std::mem::take(slots);
@@ -585,20 +575,8 @@ impl<'a> PreparedQuery<'a> {
                 .map(|from| from.and_then(|i| old.get_mut(i).and_then(Option::take)))
                 .collect();
         }
-        self.maint.steps_patched += steps;
-        self.maint.answers_remapped += answers.len();
-        self.tie_keys = std::iter::repeat_with(OnceLock::new)
-            .take(answers.len())
-            .collect();
-        self.answers = answers;
         self.conditions = conditions;
         self.probabilities = probabilities;
-        self.by_subtree = OnceLock::new();
-        if let Source::Document { tree, epoch, .. } = &mut self.source {
-            *tree = snapshot;
-            *epoch = doc.epoch();
-        }
-        MaintainOutcome::Patched { steps }
     }
 
     /// The maintenance fallback: rebuild everything against the
@@ -1983,8 +1961,9 @@ mod tests {
 
         // A window composed by another document is refused even when its
         // epochs line up: two forks of one catalog share their epoch-0
-        // node ids, but fork B's deletion renumbers the nodes fork A's
-        // view would be threaded through.
+        // node ids, and each fork's commits append fresh ids from the same
+        // arena length, so the same id names different nodes in the two
+        // forks. Only the identity check tells their windows apart.
         let base = Document::new(ladder(4));
         let (mut a, mut b) = (base.fork(), base.fork());
         let sku3 = PatternQuery::new(Some("sku3"));

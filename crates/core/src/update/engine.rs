@@ -27,7 +27,7 @@
 //!    pass re-covers what the ordering alone cannot.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use pxml_events::{Condition, EventId, Literal};
 use pxml_tree::{DataTree, NodeId};
@@ -250,12 +250,15 @@ pub enum StepScope {
     /// engine that does not simplify, and any document commit whose base
     /// frame is not known to be a simplify fixpoint (a fresh document's
     /// first commit, or the commit after one whose simplify did not run
-    /// or did not converge).
+    /// or did not converge). On a document the delta is diffed from the
+    /// two frames by node id.
     Whole,
     /// Only what the step touched, on a document frame that is a simplify
     /// fixpoint: the subtrees it grafted, the parents it grafted under or
-    /// detached from, and their ancestors. Gives exactly the whole scope's
-    /// result.
+    /// detached from, and their ancestors. Gives the whole scope's tree,
+    /// sizes and delta; only the ids of the nodes a step appends may
+    /// differ, since the region faults shared copies in a different order.
+    /// Both scopes keep the ids of the base frame's surviving nodes.
     Region,
 }
 
@@ -312,7 +315,12 @@ impl UpdateEngine {
     /// [`UpdateEngineConfig::survivor_sharing`] is off).
     pub fn apply(&self, tree: &ProbTree, update: &ProbabilisticUpdate) -> (ProbTree, StepReport) {
         let step = self.run(tree, update, None);
-        (step.tree, step.report)
+        let tree = if step.report.matches == 0 {
+            step.tree
+        } else {
+            step.tree.compact().0
+        };
+        (tree, step.report)
     }
 
     /// One step in the given scope: the whole tree, or — given the logical
@@ -370,7 +378,6 @@ impl UpdateEngine {
             return Step {
                 tree: tree.clone(),
                 report,
-                mapping: None,
                 census: None,
                 converged: None,
             };
@@ -402,8 +409,6 @@ impl UpdateEngine {
                 report.survivor_copies = survivors;
             }
         }
-        // Ids the step allocated; later ones are simplification's.
-        let step_len = out.tree().arena_len();
         let grown = |census: &Census| {
             (
                 nodes_before - census.removed_nodes + census.inserted_nodes,
@@ -425,7 +430,7 @@ impl UpdateEngine {
             report.literals_raw,
             report.distinct_nodes_raw,
         ) = raw;
-        let (updated, mapping, census, converged) = if self.config.simplify {
+        let (updated, census, converged) = if self.config.simplify {
             let scope = if base.is_some() {
                 Scope::Region(touched)
             } else {
@@ -433,10 +438,9 @@ impl UpdateEngine {
             };
             let run = simplify_scoped(out, scope);
             report.simplify_visited = run.visited;
-            (run.tree, run.mapping, run.census, Some(run.converged))
+            (run.tree, run.census, Some(run.converged))
         } else {
-            let (compacted, mapping) = out.compact();
-            (compacted, mapping, None, None)
+            (out, None, None)
         };
         let after = match &census {
             Some(census) => {
@@ -453,7 +457,6 @@ impl UpdateEngine {
         Step {
             tree: updated,
             report,
-            mapping: Some((mapping, step_len)),
             census,
             converged,
         }
@@ -579,7 +582,14 @@ impl UpdateEngine {
     /// simplifies, the step runs in [`StepScope::Region`]:
     /// simplification, the step's sizes and the delta cover only what the
     /// step touched. Otherwise it runs in [`StepScope::Whole`] and the
-    /// delta is diffed from the two frames.
+    /// delta is diffed from the two frames by node id.
+    ///
+    /// This is the one place node ids change. A step keeps the id of
+    /// every node it does not detach and appends the nodes it adds; it
+    /// *rebases* — compacts its output once and reports the renumbering
+    /// in [`UpdateDelta::node_map`](crate::UpdateDelta::node_map) — when
+    /// it matched and the base frame holds more detached arena slots than
+    /// live nodes.
     pub fn stage_doc(
         &self,
         doc: &crate::Document,
@@ -587,30 +597,37 @@ impl UpdateEngine {
     ) -> crate::StagedStep {
         let base = doc.fixpoint().filter(|_| self.config.simplify);
         let step = self.run(doc.tree(), update, base);
-        let next = match (&step.mapping, step.converged) {
-            (None, _) => NextFrame::Unchanged,
-            (Some(_), Some(true)) => NextFrame::Fixpoint(Fixpoint {
+        let matched = step.report.matches > 0;
+        let next = if !matched {
+            NextFrame::Unchanged
+        } else if step.converged == Some(true) {
+            NextFrame::Fixpoint(Fixpoint {
                 nodes: step.report.nodes_after,
                 literals: step.report.literals_after,
-            }),
-            (Some(_), _) => NextFrame::Unknown,
+            })
+        } else {
+            NextFrame::Unknown
         };
         let mut tree = step.tree;
         // Documents hold fully expanded frames. Expansion appends arena
-        // nodes without renaming, so the node map stays valid.
+        // nodes without renaming.
         tree.expand_all();
-        let node_map = step.mapping.map(|(mut mapping, step_len)| {
-            mapping.retain(|old, _| old.index() < step_len);
-            // The compaction sized the map for the whole working arena;
-            // the delta log keeps it for as long as it keeps the delta.
-            mapping.shrink_to_fit();
-            mapping
-        });
         let epoch = doc.epoch() + 1;
-        let delta = match step.census {
-            Some(census) => crate::UpdateDelta::from_census(epoch, node_map, census, step.report),
-            None => crate::UpdateDelta::diff(doc.tree(), &tree, node_map, epoch, step.report),
+        let mut delta = match step.census {
+            Some(census) => crate::UpdateDelta::from_census(epoch, census, step.report),
+            None => crate::UpdateDelta::diff(doc.tree(), &tree, epoch, step.report),
         };
+        // Document frames are fully expanded, so the base's live nodes are
+        // its reachable arena nodes.
+        let base_len = doc.tree().tree().arena_len();
+        let live = delta.report.nodes_before;
+        if matched && base_len - live > live {
+            let (compacted, mut map) = tree.compact();
+            map.retain(|old, _| old.index() < base_len);
+            delta.rewritten = delta.rewritten.iter().map(|node| map[node]).collect();
+            delta.node_map = Some(map);
+            tree = compacted;
+        }
         crate::StagedStep {
             doc: doc.id(),
             base_epoch: doc.epoch(),
@@ -618,20 +635,6 @@ impl UpdateEngine {
             delta,
             next,
         }
-    }
-
-    /// Applies a batched script to a [`Document`](crate::Document), one
-    /// committed epoch (and one delta) per step.
-    pub fn apply_script_doc(
-        &self,
-        doc: &mut crate::Document,
-        script: &UpdateScript,
-    ) -> ScriptReport {
-        let mut steps = Vec::with_capacity(script.len());
-        for update in script.steps() {
-            steps.push(self.apply_doc(doc, update).report.clone());
-        }
-        ScriptReport { steps }
     }
 
     /// Appendix A insertion: one grafted copy of `subtree` per match.
@@ -762,15 +765,12 @@ impl UpdateEngine {
 
 /// What [`UpdateEngine::run`] produced for one step.
 struct Step {
-    /// The updated tree, compacted (it may hold shared children).
+    /// The updated tree, uncompacted: every node of the (expanded) input
+    /// keeps its id, detached nodes stay in the arena, and the nodes the
+    /// step and its simplification added are appended. It may hold shared
+    /// children.
     tree: ProbTree,
     report: StepReport,
-    /// The final compaction's mapping into `tree`, with the arena length
-    /// after the step's own grafts: keys below it are ids of the
-    /// (expanded) input or of nodes the step grafted; keys at or above it
-    /// were faulted in or copied by simplification. `None` when nothing
-    /// matched.
-    mapping: Option<(HashMap<NodeId, NodeId>, usize)>,
     /// Region scope: what the step removed and inserted.
     census: Option<Census>,
     /// Whether simplification ran and converged; `None` when it did not

@@ -31,6 +31,11 @@
 //! on its own, and the merge at a parent only on that parent's children;
 //! the merge-group limit (`MAX_MERGE_GROUP`) states the one rule that
 //! keeps the merge exact.
+//!
+//! A run never renumbers nodes: dropped and merged-away nodes are detached
+//! in place, and merge covers are appended to the arena. [`simplify`]
+//! compacts its result once; a document commit keeps the ids, so its
+//! frame only renumbers at a rebase (see [`crate::document`]).
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 
@@ -89,7 +94,8 @@ impl SimplifyReport {
 pub fn simplify(tree: &ProbTree) -> (ProbTree, SimplifyReport) {
     let before = tree.memory_stats();
     let run = simplify_scoped(tree.clone(), Scope::Whole);
-    let after = run.tree.memory_stats();
+    let (simplified, _) = run.tree.compact();
+    let after = simplified.memory_stats();
     let report = SimplifyReport {
         nodes_before: before.logical_nodes,
         literals_before: before.logical_literals,
@@ -98,7 +104,7 @@ pub fn simplify(tree: &ProbTree) -> (ProbTree, SimplifyReport) {
         merged_groups: run.merged_groups,
         passes: run.passes,
     };
-    (run.tree, report)
+    (simplified, report)
 }
 
 /// Where a simplify run starts.
@@ -249,11 +255,9 @@ impl Census {
 
 /// The outcome of [`simplify_scoped`].
 pub(crate) struct Simplified {
-    /// The simplified tree, compacted once.
+    /// The simplified tree, uncompacted: every node of the input keeps
+    /// its id, and what the passes added is appended.
     pub(crate) tree: ProbTree,
-    /// The compaction's mapping from ids of the input to ids of `tree`;
-    /// ids absent from it were removed.
-    pub(crate) mapping: HashMap<NodeId, NodeId>,
     /// Sibling groups replaced by a smaller cover.
     pub(crate) merged_groups: usize,
     /// Passes run, including the final no-change pass.
@@ -268,9 +272,9 @@ pub(crate) struct Simplified {
     pub(crate) census: Option<Census>,
 }
 
-/// Runs the simplification chain over `work` from `scope`, compacting
-/// once at the end. Node ids of `work` stay stable until then, so the
-/// returned mapping covers every pass.
+/// Runs the simplification chain over `work` from `scope`. Node ids of
+/// `work` stay stable: dropped nodes are detached in place, and the
+/// caller decides whether to compact.
 pub(crate) fn simplify_scoped(work: ProbTree, scope: Scope) -> Simplified {
     let root = work.tree().root();
     let prune = has_certain_events(work.events());
@@ -330,10 +334,8 @@ pub(crate) fn simplify_scoped(work: ProbTree, scope: Scope) -> Simplified {
             &run.pending,
         )
     });
-    let (tree, mapping) = run.work.compact();
     Simplified {
-        tree,
-        mapping,
+        tree: run.work,
         merged_groups: run.merged_groups,
         passes,
         converged,

@@ -30,19 +30,22 @@
 //!    which order conditions were inserted.
 //! 4. **Factorized per-component shards.** Because co-occurrence drives
 //!    the partition, *every condition's support lies inside exactly one
-//!    component*. [`ShardExecutor`] exploits that: each component is
+//!    component*. [`WorldEngine::sharded`] and
+//!    [`WorldEngine::sharded_all`] exploit that: each component is
 //!    enumerated independently (`2^{|C_i|}` partial assignments, so
 //!    `Σ_c 2^{|C_i|}` enumeration states in total instead of
 //!    `2^{|relevant|}`) into a [`ComponentShard`] accumulator — partial
 //!    valuations of the component's events keyed by the truth signature
 //!    they give the component's conditions, each carrying the marginal
-//!    probability mass of its class. Independent components run on a
-//!    scoped thread pool (plain `std` threads) when
-//!    [`WorldEngineConfig::parallelism`] allows, with a sequential
-//!    fallback; shards are reassembled in component order either way, so
-//!    the result is deterministic. The configuration is always the
-//!    caller's: nothing is read from the environment, so the output is a
-//!    function of the prob-tree and the budget passed in.
+//!    probability mass of its class. Once the plan predicts
+//!    [`PARALLEL_SHARD_THRESHOLD`] states, independent components run on
+//!    a scoped thread pool (plain `std` threads) of
+//!    `min(available_parallelism, components)` workers; smaller plans run
+//!    on the caller's thread. Shards are reassembled in component order
+//!    either way, so the result is deterministic and independent of the
+//!    thread count. Nothing is read from the environment, so the output
+//!    is a function of the prob-tree, the configuration and the budget
+//!    passed in.
 //!
 //! ## The shard-combine contract
 //!
@@ -254,7 +257,7 @@ impl<'a> WorldEngine<'a> {
     /// per-component free-event counts (after π = 1 pinning when
     /// `weighted`) and the predicted workload `Σ_c 2^{|free_c|}` —
     /// computed with cheap arithmetic, without enumerating a single
-    /// world. [`ShardExecutor::run`] takes its guards from this plan, so
+    /// world. [`WorldEngine::sharded`] takes its guards from this plan, so
     /// the prediction and the execution share one source of truth (the
     /// plan's [`ShardPlan::predicted_states`] equals the executor's
     /// [`FactorizedWorlds::states_enumerated`] exactly).
@@ -340,7 +343,7 @@ impl<'a> WorldEngine<'a> {
         config: &WorldEngineConfig,
         max_events: usize,
     ) -> Result<FactorizedWorlds<'a>, TooManyValuations> {
-        ShardExecutor::new(config.clone()).run(self, true, max_events)
+        self.run_shards(config, true, max_events, available_workers())
     }
 
     /// [`WorldEngine::sharded`] without zero-probability pruning: every
@@ -353,8 +356,47 @@ impl<'a> WorldEngine<'a> {
         config: &WorldEngineConfig,
         max_events: usize,
     ) -> Result<FactorizedWorlds<'a>, TooManyValuations> {
-        ShardExecutor::new(config.clone()).run(self, false, max_events)
+        self.run_shards(config, false, max_events, available_workers())
     }
+
+    /// Enumerates every component into a [`ComponentShard`] and wraps the
+    /// result as [`FactorizedWorlds`]. `weighted` selects zero-probability
+    /// pruning (the `JT K` semantics) vs the unpruned ∀-world sweep. The
+    /// static [`ShardPlan`] supplies the budget guards; once it predicts
+    /// [`PARALLEL_SHARD_THRESHOLD`] states, up to `workers` threads
+    /// enumerate components concurrently. Shards are reassembled in
+    /// component order, so the output does not depend on `workers`.
+    fn run_shards(
+        &self,
+        config: &WorldEngineConfig,
+        weighted: bool,
+        max_events: usize,
+        workers: usize,
+    ) -> Result<FactorizedWorlds<'a>, TooManyValuations> {
+        let plan = self.shard_plan(weighted);
+        plan.check_budget(max_events)?;
+        let num_components = self.components.len();
+        let conditions = conditions_by_component(self);
+        let workers = workers.min(num_components);
+        let shards = if workers > 1 && plan.predicted_states() >= PARALLEL_SHARD_THRESHOLD {
+            run_parallel(self, &conditions, weighted, workers)
+        } else {
+            (0..num_components)
+                .map(|i| enumerate_component(self, i, &conditions[i], weighted))
+                .collect()
+        };
+        Ok(FactorizedWorlds {
+            engine: self.clone(),
+            shards,
+            weighted,
+            max_joint_worlds: config.max_joint_worlds,
+        })
+    }
+}
+
+/// The worker threads the shard enumeration may use.
+fn available_workers() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
 }
 
 /// Iterator over the relevant partial valuations of a [`WorldEngine`], in
@@ -394,23 +436,15 @@ impl Iterator for RelevantValuations {
     }
 }
 
-/// Configuration of the factorized shard executor: how many threads may
-/// enumerate components concurrently, and how large a joint cross product
-/// a shard-combining consumer may materialize.
+/// Configuration of the factorized shard enumeration: how large a joint
+/// cross product a shard-combining consumer may materialize.
 ///
 /// The production call sites ([`crate::semantics::possible_worlds_normalized`]
 /// and the DTD sweeps) use [`WorldEngineConfig::for_event_budget`]; callers
-/// that want another thread budget or joint cap build the value
-/// explicitly ([`WorldEngineConfig::sequential`],
-/// [`WorldEngineConfig::with_joint_cap_bits`]).
+/// that want another joint cap use
+/// [`WorldEngineConfig::with_joint_cap_bits`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WorldEngineConfig {
-    /// Maximum number of worker threads enumerating components
-    /// concurrently; `0` or `1` means fully sequential on the caller's
-    /// thread. Small shard sets stay sequential regardless — the executor
-    /// only spawns when the predicted work crosses
-    /// [`PARALLEL_SHARD_THRESHOLD`] states.
-    pub parallelism: usize,
     /// Cap on the number of joint assignments (the product of the shard
     /// class counts) that [`FactorizedWorlds::joint_valuations`] and the
     /// consumers built on it may walk.
@@ -418,37 +452,27 @@ pub struct WorldEngineConfig {
 }
 
 /// Minimum predicted shard work (total `Σ_c 2^{|free_c|}` states) before
-/// the executor spawns worker threads; below it, thread setup costs more
-/// than the enumeration itself.
+/// the shard enumeration spawns worker threads; below it, thread setup
+/// costs more than the enumeration itself.
 pub const PARALLEL_SHARD_THRESHOLD: u128 = 4096;
 
 impl Default for WorldEngineConfig {
     fn default() -> Self {
         WorldEngineConfig {
-            parallelism: std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
             max_joint_worlds: 1 << 24,
         }
     }
 }
 
 impl WorldEngineConfig {
-    /// A fully sequential configuration with the default joint cap.
-    pub fn sequential() -> Self {
-        WorldEngineConfig {
-            parallelism: 1,
-            ..WorldEngineConfig::default()
-        }
-    }
-
     /// The configuration for consumers whose public contract is an
-    /// event-count guard (`max_events`): the default parallelism and a
-    /// joint cap of exactly `2^{max_events}` — the enumeration budget the
-    /// caller already granted, so every input with at most `max_events`
-    /// relevant events is accepted.
+    /// event-count guard (`max_events`): a joint cap of exactly
+    /// `2^{max_events}` — the enumeration budget the caller already
+    /// granted, so every input with at most `max_events` relevant events
+    /// is accepted.
     pub fn for_event_budget(max_events: usize) -> Self {
         WorldEngineConfig {
             max_joint_worlds: pow2_saturating(max_events),
-            ..WorldEngineConfig::default()
         }
     }
 
@@ -491,7 +515,7 @@ pub struct ShardAssignment {
     pub merged: u64,
 }
 
-/// The per-component accumulator produced by the [`ShardExecutor`]: the
+/// The per-component accumulator of the shard enumeration: the
 /// component's events, its deduplicated assignment classes, and the raw
 /// enumeration count (`2^{|free|}`) that produced them.
 #[derive(Clone, Debug)]
@@ -537,8 +561,8 @@ impl std::error::Error for JointTooLarge {}
 /// [`WorldEngine::shard_plan`]: per-component free-event counts and the
 /// predicted raw workload, all from arithmetic on the co-occurrence
 /// partition — no possible world is touched. The `pxml_analysis` census
-/// wraps this plan, and [`ShardExecutor::run`] derives its budget guards
-/// from it.
+/// wraps this plan, and [`WorldEngine::sharded`] derives its budget
+/// guards from it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ShardPlan {
     /// Free (actually enumerated) events per component, in the engine's
@@ -597,66 +621,6 @@ impl ShardPlan {
             });
         }
         Ok(())
-    }
-}
-
-/// Runs the per-component shard enumeration, on a scoped thread pool when
-/// the configuration allows and the predicted work justifies it, and
-/// reassembles the shards in component order (so the output is
-/// deterministic regardless of scheduling).
-#[derive(Clone, Debug)]
-pub struct ShardExecutor {
-    config: WorldEngineConfig,
-}
-
-impl ShardExecutor {
-    /// Creates an executor with the given configuration.
-    pub fn new(config: WorldEngineConfig) -> Self {
-        ShardExecutor { config }
-    }
-
-    /// The executor's configuration.
-    pub fn config(&self) -> &WorldEngineConfig {
-        &self.config
-    }
-
-    /// Enumerates every component of `engine` into a [`ComponentShard`]
-    /// and wraps the result as [`FactorizedWorlds`]. `weighted` selects
-    /// zero-probability pruning (the `JT K` semantics) vs the unpruned
-    /// ∀-world sweep.
-    ///
-    /// Guards: a single component with more than `max_events` free events
-    /// is refused, and so is a total shard workload `Σ_c 2^{|free_c|}`
-    /// above `2^{max_events}` — the factorized path never does more
-    /// enumeration than the caller budgeted for the joint path.
-    pub fn run<'a>(
-        &self,
-        engine: &WorldEngine<'a>,
-        weighted: bool,
-        max_events: usize,
-    ) -> Result<FactorizedWorlds<'a>, TooManyValuations> {
-        // The static shard plan supplies the guards and the parallelism
-        // decision — cheap arithmetic, no enumeration.
-        let plan = engine.shard_plan(weighted);
-        plan.check_budget(max_events)?;
-        let total_states = plan.predicted_states();
-
-        let num_components = engine.components.len();
-        let conditions = conditions_by_component(engine);
-        let workers = self.config.parallelism.min(num_components);
-        let shards = if workers > 1 && total_states >= PARALLEL_SHARD_THRESHOLD {
-            run_parallel(engine, &conditions, weighted, workers)
-        } else {
-            (0..num_components)
-                .map(|i| enumerate_component(engine, i, &conditions[i], weighted))
-                .collect()
-        };
-        Ok(FactorizedWorlds {
-            engine: engine.clone(),
-            shards,
-            weighted,
-            max_joint_worlds: self.config.max_joint_worlds,
-        })
     }
 }
 
@@ -1172,9 +1136,7 @@ mod tests {
     fn factorized_matches_streamed_and_legacy_on_figure1() {
         let t = figure1_example();
         let engine = WorldEngine::new(&t);
-        let factorized = engine
-            .sharded(&WorldEngineConfig::sequential(), 20)
-            .unwrap();
+        let factorized = engine.sharded(&WorldEngineConfig::default(), 20).unwrap();
         assert!(factorized.num_joint_assignments() <= 1 << factorized.num_free_events());
         let fast = factorized.normalized_worlds().unwrap();
         let legacy = possible_worlds(&t, 20).unwrap().normalized();
@@ -1207,9 +1169,7 @@ mod tests {
         );
         let engine = WorldEngine::new(&t);
         assert_eq!(engine.components().len(), 3);
-        let factorized = engine
-            .sharded(&WorldEngineConfig::sequential(), 20)
-            .unwrap();
+        let factorized = engine.sharded(&WorldEngineConfig::default(), 20).unwrap();
         assert_eq!(factorized.states_enumerated(), 2 + 4 + 8);
         let per_shard: Vec<u64> = factorized
             .shards()
@@ -1247,9 +1207,7 @@ mod tests {
         );
         let engine = WorldEngine::new(&t);
         assert_eq!(engine.components().len(), 1);
-        let factorized = engine
-            .sharded(&WorldEngineConfig::sequential(), 20)
-            .unwrap();
+        let factorized = engine.sharded(&WorldEngineConfig::default(), 20).unwrap();
         let shard = &factorized.shards()[0];
         assert_eq!(shard.states_enumerated, 8);
         assert_eq!(shard.assignments.len(), 4);
@@ -1274,7 +1232,7 @@ mod tests {
             t.add_child(root, format!("C{i}"), Condition::of(Literal::pos(w)));
         }
         let engine = WorldEngine::new(&t);
-        let config = WorldEngineConfig::sequential().with_joint_cap_bits(10);
+        let config = WorldEngineConfig::default().with_joint_cap_bits(10);
         let factorized = engine.sharded(&config, 10).unwrap();
         assert_eq!(factorized.states_enumerated(), 24);
         let err = factorized.joint_valuations().unwrap_err();
@@ -1317,18 +1275,18 @@ mod tests {
         );
         let engine = WorldEngine::new(&t);
         let err = engine
-            .sharded(&WorldEngineConfig::sequential(), 6)
+            .sharded(&WorldEngineConfig::default(), 6)
             .unwrap_err();
         assert_eq!(err.num_events, 8);
         assert_eq!(err.max_events, 6);
-        assert!(engine.sharded(&WorldEngineConfig::sequential(), 8).is_ok());
+        assert!(engine.sharded(&WorldEngineConfig::default(), 8).is_ok());
     }
 
     #[test]
     fn parallel_executor_matches_sequential() {
         // 4 components of 12 chained events each: 4 · 2^12 = 16384 shard
-        // states, above PARALLEL_SHARD_THRESHOLD, so parallelism > 1
-        // really engages the scoped thread pool.
+        // states, above PARALLEL_SHARD_THRESHOLD, so 4 workers really
+        // engage the scoped thread pool.
         let mut t = ProbTree::new("A");
         let root = t.tree().root();
         for i in 0..4 {
@@ -1345,14 +1303,9 @@ mod tests {
         }
         let engine = WorldEngine::new(&t);
         assert_eq!(engine.components().len(), 4);
-        let sequential = engine
-            .sharded(&WorldEngineConfig::sequential(), 14)
-            .unwrap();
-        let parallel_config = WorldEngineConfig {
-            parallelism: 4,
-            ..WorldEngineConfig::sequential()
-        };
-        let parallel = engine.sharded(&parallel_config, 14).unwrap();
+        let config = WorldEngineConfig::default();
+        let sequential = engine.run_shards(&config, true, 14, 1).unwrap();
+        let parallel = engine.run_shards(&config, true, 14, 4).unwrap();
         assert_eq!(sequential.states_enumerated(), 4 * (1 << 12));
         assert_eq!(sequential.states_enumerated(), parallel.states_enumerated());
         assert_eq!(sequential.shards().len(), parallel.shards().len());
@@ -1384,9 +1337,7 @@ mod tests {
         let unused = t.events_mut().fresh(0.25);
         t.add_child(root, "D", Condition::of(Literal::pos(w[3])));
         let engine = WorldEngine::new(&t);
-        let factorized = engine
-            .sharded(&WorldEngineConfig::sequential(), 20)
-            .unwrap();
+        let factorized = engine.sharded(&WorldEngineConfig::default(), 20).unwrap();
         // Cross-component conjunction: independent events multiply.
         let cond =
             Condition::from_literals([Literal::pos(w[0]), Literal::neg(w[1]), Literal::pos(w[2])]);
@@ -1420,9 +1371,7 @@ mod tests {
         t.add_child(root, "B", Condition::of(Literal::pos(certain)));
         t.add_child(root, "C", Condition::of(Literal::pos(w)));
         let engine = WorldEngine::new(&t);
-        let weighted = engine
-            .sharded(&WorldEngineConfig::sequential(), 10)
-            .unwrap();
+        let weighted = engine.sharded(&WorldEngineConfig::default(), 10).unwrap();
         // The certain component enumerates a single pinned state.
         assert_eq!(weighted.states_enumerated(), 1 + 2);
         assert!(weighted
@@ -1431,7 +1380,7 @@ mod tests {
             .all(|(v, _)| v.get(certain)));
         // The ∀-sweep keeps the dead branch.
         let all = engine
-            .sharded_all(&WorldEngineConfig::sequential(), 10)
+            .sharded_all(&WorldEngineConfig::default(), 10)
             .unwrap();
         assert_eq!(all.states_enumerated(), 2 + 2);
         assert_eq!(all.num_joint_assignments(), 4);
@@ -1446,7 +1395,7 @@ mod tests {
         let root = t.tree().root();
         t.add_child(root, "B", Condition::always());
         let engine = WorldEngine::new(&t);
-        let factorized = engine.sharded(&WorldEngineConfig::sequential(), 0).unwrap();
+        let factorized = engine.sharded(&WorldEngineConfig::default(), 0).unwrap();
         assert_eq!(factorized.states_enumerated(), 0);
         assert_eq!(factorized.num_joint_assignments(), 1);
         let joint: Vec<_> = factorized.joint_valuations().unwrap().collect();
@@ -1467,9 +1416,7 @@ mod tests {
         t.add_child(root, "B", Condition::of(Literal::pos(certain)));
         t.add_child(root, "C", Condition::of(Literal::pos(w)));
         let engine = WorldEngine::new(&t);
-        let weighted = engine
-            .sharded(&WorldEngineConfig::sequential(), 10)
-            .unwrap();
+        let weighted = engine.sharded(&WorldEngineConfig::default(), 10).unwrap();
         let joint: Vec<_> = weighted.joint_valuations().unwrap().collect();
         assert_eq!(joint.len(), 2, "certain event pinned true");
         assert!(joint.iter().all(|(v, _)| v.get(certain)));
@@ -1560,9 +1507,7 @@ mod tests {
         assert_eq!(engine.num_relevant(), n);
         assert_eq!(engine.components().len(), 1);
         assert!(
-            engine
-                .sharded(&WorldEngineConfig::sequential(), 24)
-                .is_err(),
+            engine.sharded(&WorldEngineConfig::default(), 24).is_err(),
             "still guarded"
         );
     }

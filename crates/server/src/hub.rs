@@ -1,10 +1,10 @@
 //! The shared maintenance hub: one delta window per committed span, fanned
 //! out to every registered view.
 //!
-//! Before the hub, N live views over one document each re-threaded the
-//! same pending [`pxml_core::UpdateDelta`]s independently — `N × deltas`
-//! node-map walks for work that is identical across views. The hub owns
-//! the views of one [`Document`] and restores the obvious sharing:
+//! Before the hub, N live views over one document each composed the same
+//! pending [`pxml_core::UpdateDelta`]s independently — `N × deltas` delta
+//! walks for work that is identical across views. The hub owns the views
+//! of one [`Document`] and restores the obvious sharing:
 //!
 //! * a **commit** is observed once ([`MaintenanceHub::observe_commit`]):
 //!   the delta counter advances and a dirty flag is fanned out to every
@@ -12,9 +12,12 @@
 //! * a **read** ([`MaintenanceHub::serve`]) lazily brings just the
 //!   requested view current. The pending span is composed into one
 //!   [`DeltaWindow`] (cached, so concurrent readers of different views
-//!   compose it once) and threaded in a single pass via
+//!   compose it once) and applied in a single pass via
 //!   [`PreparedQuery::maintain_windowed`] — a view that is `d` deltas
-//!   behind pays one composed walk, not `d`.
+//!   behind pays one composed window, not `d`. Node ids are stable
+//!   between rebases, so applying a window renumbers no answer; a view
+//!   behind a rebase finds its span gone from the log and re-prepares
+//!   once.
 //!
 //! The counters ([`MaintenanceHub::stats`]) make the sharing auditable:
 //! `view_maintains` grows per *served read batch*, not per view-delta
@@ -51,7 +54,9 @@ pub struct HubStats {
     pub unions_rebuilt: u64,
     /// Sum of the views' [`pxml_core::MaintainStats::unions_carried`].
     pub unions_carried: u64,
-    /// Sum of the views' [`pxml_core::MaintainStats::answers_remapped`].
+    /// Always 0: node ids are stable between rebases, so maintenance
+    /// renumbers no answer. Kept until the benchmark harness stops
+    /// reading it.
     pub answers_remapped: u64,
     /// Sum of the views' per-semiring cache folds
     /// ([`pxml_core::SemiringCacheStats::computed`]).
@@ -240,7 +245,6 @@ impl MaintenanceHub {
             stats.fallbacks += maint.fallbacks as u64;
             stats.unions_rebuilt += maint.unions_rebuilt as u64;
             stats.unions_carried += maint.unions_carried as u64;
-            stats.answers_remapped += maint.answers_remapped as u64;
             let caches = prepared.semiring_cache_stats();
             stats.semiring_values_computed += caches.computed;
             stats.semiring_cache_hits += caches.hits;

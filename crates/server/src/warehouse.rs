@@ -24,7 +24,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, RwLock};
 
 use pxml_core::query::Query;
-use pxml_core::update::{ProbabilisticUpdate, UpdateScript};
+use pxml_core::update::ProbabilisticUpdate;
 use pxml_core::{
     AnswerSet, Document, Epoch, ProbTree, QueryEngine, StageConflict, UpdateDelta, UpdateEngine,
     DEFAULT_DELTA_LOG_CAPACITY,
@@ -236,19 +236,6 @@ impl Warehouse {
         drop(replaced);
         cell.hub.observe_commit();
         Ok(delta)
-    }
-
-    /// Commits every step of `script` in order, returning the deltas.
-    pub fn commit_script(
-        &self,
-        name: &str,
-        script: &UpdateScript,
-    ) -> Result<Vec<Arc<UpdateDelta>>, ServerError> {
-        script
-            .steps()
-            .iter()
-            .map(|update| self.commit(name, update))
-            .collect()
     }
 
     /// Registers a prepared view of `doc` under `view`, shared through
@@ -555,19 +542,5 @@ mod tests {
         let (_, left, right) = &diff.shifted[0];
         assert!((left - 2.0).abs() < 1e-12);
         assert!((right - 2.0 * 0.6).abs() < 1e-12, "right = {right}");
-    }
-
-    #[test]
-    fn commit_script_lands_every_step_in_order() {
-        let warehouse = Warehouse::new();
-        warehouse.register("doc", skeleton(1)).unwrap();
-        let mut script = UpdateScript::new();
-        script.push(insert_under("service", "endpoint", 0.9));
-        script.push(insert_under("service", "contact", 0.9));
-        let deltas = warehouse.commit_script("doc", &script).unwrap();
-        assert_eq!(deltas.len(), 2);
-        assert_eq!(deltas[0].epoch, 1);
-        assert_eq!(deltas[1].epoch, 2);
-        assert_eq!(warehouse.epoch("doc").unwrap(), 2);
     }
 }

@@ -10,7 +10,7 @@ use rand::{Rng, SeedableRng};
 use pxml_analysis::{census, Satisfiability, StaticAnalyzer};
 use pxml_core::query::monotone::{is_locally_monotone_on, NegationQuery};
 use pxml_core::update::UpdateEngine;
-use pxml_core::worlds::{ShardExecutor, WorldEngine, WorldEngineConfig};
+use pxml_core::worlds::{WorldEngine, WorldEngineConfig};
 use pxml_core::{MonotonicityCertificate, QueryEngine, Theorem1Error};
 use pxml_workloads::random::{
     random_pattern_query, random_probtree, random_tree, ProbTreeConfig, TreeConfig,
@@ -43,16 +43,16 @@ proptest! {
         prop_assert!(tree.validate_invariants().is_ok());
         let analysis = census::analyze_worlds(&tree, 16);
         let engine = WorldEngine::new(&tree);
-        let executor = ShardExecutor::new(WorldEngineConfig::sequential());
+        let config = WorldEngineConfig::default();
         if analysis.tractable {
-            let weighted = executor.run(&engine, true, 16).unwrap();
+            let weighted = engine.sharded(&config, 16).unwrap();
             prop_assert_eq!(
                 analysis.weighted_plan.predicted_states(),
                 u128::from(weighted.states_enumerated())
             );
         }
         if analysis.unweighted_plan.check_budget(16).is_ok() {
-            let unweighted = executor.run(&engine, false, 16).unwrap();
+            let unweighted = engine.sharded_all(&config, 16).unwrap();
             prop_assert_eq!(
                 analysis.unweighted_plan.predicted_states(),
                 u128::from(unweighted.states_enumerated())

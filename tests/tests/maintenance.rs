@@ -14,10 +14,12 @@
 //!    statistics.
 //! 2. **No silent fallback** — when the query has a bounded footprint
 //!    and a delta provably misses it, the patch path *must* be taken;
-//!    conversely spine-touching and unbounded cases must re-prepare.
+//!    conversely spine-touching and unbounded cases must re-prepare, and
+//!    so must a view behind a rebase, whose delta announces it with a
+//!    node map.
 //!
-//! A deterministic case replays the warehouse scenario of Section 1
-//! round by round against the same fresh-prepare oracle.
+//! Deterministic cases replay the warehouse scenario of Section 1 round
+//! by round against the same fresh-prepare oracle, and pin the rebase.
 
 mod common;
 
@@ -121,9 +123,10 @@ proptest! {
 
     /// Step-by-step maintenance: after every committed epoch the
     /// maintained state equals a fresh prepare, and the outcome is
-    /// exactly determined by the delta/footprint intersection — a
-    /// non-touching delta on a bounded footprint MUST patch (no silent
-    /// fallback), a touching one MUST fall back.
+    /// exactly determined by the delta — a rebase restarts the log and
+    /// MUST fall back; otherwise a non-touching delta on a bounded
+    /// footprint MUST patch (no silent fallback), a touching one MUST
+    /// fall back.
     #[test]
     fn maintained_state_is_indistinguishable_from_a_fresh_prepare(
         spec in probtree_strategy(),
@@ -140,6 +143,10 @@ proptest! {
             let delta = update_engine.apply_doc(&mut doc, update);
             let outcome = prepared.maintain(&doc).unwrap();
             match &footprint {
+                _ if delta.node_map.is_some() => prop_assert_eq!(
+                    outcome,
+                    MaintainOutcome::Fallback { reason: FallbackReason::LogTrimmed }
+                ),
                 None => prop_assert_eq!(
                     outcome,
                     MaintainOutcome::Fallback { reason: FallbackReason::UnboundedFootprint }
@@ -181,6 +188,9 @@ proptest! {
             .collect();
         let outcome = prepared.maintain(&doc).unwrap();
         let expected = match &footprint {
+            _ if deltas.iter().any(|d| d.node_map.is_some()) => {
+                MaintainOutcome::Fallback { reason: FallbackReason::LogTrimmed }
+            }
             None => MaintainOutcome::Fallback { reason: FallbackReason::UnboundedFootprint },
             Some(fp) if deltas.iter().any(|d| d.touches(fp)) => {
                 MaintainOutcome::Fallback { reason: FallbackReason::SpineTouched }
@@ -236,4 +246,121 @@ fn warehouse_view_matches_a_fresh_prepare_after_every_round() {
         "no round was patched: {outcomes:?}"
     );
     assert_eq!(view.maintenance_stats().fallbacks, fallbacks);
+}
+
+/// A rebase: a one-service skeleton holds one `keyword` fact with a
+/// `value` child, and each confidence-0.5 retraction of it detaches the
+/// fact's two nodes and appends a survivor copy. Detached slots grow by
+/// two per commit while the frame keeps 5 live nodes, until the first
+/// commit whose base frame holds more detached slots than live nodes
+/// compacts it. A `service[name]` view is off every retraction's labels:
+/// it patches until the rebase, re-prepares once behind it, and patches
+/// again after it.
+#[test]
+fn a_rebase_restarts_the_log_and_a_lagging_view_reprepares_once() {
+    use pxml_core::update::{ProbabilisticUpdate, UpdateOperation};
+    use pxml_server::Warehouse;
+    use pxml_tree::DataTree;
+    use pxml_workloads::warehouse::skeleton;
+
+    let insert = {
+        let q = PatternQuery::new(Some("service"));
+        let at = q.root();
+        let mut fact = DataTree::new("keyword");
+        fact.add_child(fact.root(), "value");
+        ProbabilisticUpdate::new(UpdateOperation::insert(q, at, fact), 1.0)
+    };
+    let retract = {
+        let mut q = PatternQuery::new(Some("service"));
+        let fact = q.add_child(q.root(), "keyword");
+        ProbabilisticUpdate::new(UpdateOperation::delete(q, fact), 0.5)
+    };
+    let mut query = PatternQuery::new(Some("service"));
+    query.add_child(query.root(), "name");
+
+    let engine = UpdateEngine::new();
+    let mut doc = Document::new(skeleton(1));
+    engine.apply_doc(&mut doc, &insert);
+    let mut view = doc_view(&doc, &query);
+    let mut rebase = None;
+    for _ in 0..8 {
+        let base = doc.snapshot();
+        let live = base.num_nodes();
+        let rebases = base.tree().arena_len() - live > live;
+        let delta = engine.apply_doc(&mut doc, &retract);
+        if rebases {
+            rebase = Some((base, delta));
+            break;
+        }
+        assert!(
+            delta.node_map.is_none(),
+            "commits keep node ids until a rebase"
+        );
+        assert_eq!(
+            view.maintain(&doc),
+            Ok(MaintainOutcome::Patched { steps: 1 })
+        );
+        assert_matches_fresh(&view, &doc, &query);
+    }
+    let (base, delta) = rebase.expect("detached slots outgrow the live nodes");
+    assert_eq!(doc.epoch(), 5, "the fourth retraction rebases");
+    let map = delta
+        .node_map
+        .as_ref()
+        .expect("the rebase carries a node map");
+    let frame = doc.snapshot();
+    assert_eq!(
+        frame.tree().arena_len(),
+        frame.num_nodes(),
+        "no detached slot left"
+    );
+    assert_eq!(map.len(), base.num_nodes() - delta.nodes_removed);
+    for (&old, &new) in map {
+        assert_eq!(base.tree().label(old), frame.tree().label(new));
+        assert_eq!(base.condition(old), frame.condition(new));
+    }
+    assert_eq!(doc.log_len(), 0, "the rebase restarts the log");
+    for epoch in 0..doc.epoch() {
+        assert!(doc.window_since(epoch).is_none());
+    }
+    assert_eq!(
+        view.maintain(&doc),
+        Ok(MaintainOutcome::Fallback {
+            reason: FallbackReason::LogTrimmed
+        })
+    );
+    assert_matches_fresh(&view, &doc, &query);
+    let delta = engine.apply_doc(&mut doc, &retract);
+    assert!(delta.node_map.is_none());
+    assert_eq!(
+        view.maintain(&doc),
+        Ok(MaintainOutcome::Patched { steps: 1 })
+    );
+    assert_matches_fresh(&view, &doc, &query);
+    assert_eq!(view.maintenance_stats().fallbacks, 1);
+
+    // The same commits through a warehouse view: the hub falls back once,
+    // at the rebase, and composes no window for that span.
+    let warehouse = Warehouse::new();
+    warehouse.register("doc", skeleton(1)).unwrap();
+    warehouse.commit("doc", &insert).unwrap();
+    warehouse
+        .register_view("doc", "names", Arc::new(query.clone()))
+        .unwrap();
+    let mut rebases = 0;
+    for _ in 0..5 {
+        let before = warehouse.hub_stats("doc").unwrap();
+        let delta = warehouse.commit("doc", &retract).unwrap();
+        warehouse.expected_matches("doc", "names").unwrap();
+        let after = warehouse.hub_stats("doc").unwrap();
+        let rebased = u64::from(delta.node_map.is_some());
+        rebases += rebased;
+        assert_eq!(after.fallbacks, before.fallbacks + rebased);
+        assert_eq!(
+            after.windows_composed,
+            before.windows_composed + 1 - rebased
+        );
+        assert_eq!(after.windows_applied, before.windows_applied + 1 - rebased);
+    }
+    assert_eq!(rebases, 1);
 }

@@ -278,7 +278,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The sequential shard executor's normalized PW set is isomorphic to
+    /// The shard enumeration's normalized PW set is isomorphic to
     /// the legacy full enumeration on random prob-trees, and its joint
     /// walk never visits more states than streaming every valuation of
     /// the free events would (`2^{free}`).
@@ -288,7 +288,7 @@ proptest! {
         let legacy = possible_worlds(&tree, 16).unwrap().normalized();
         let engine = WorldEngine::new(&tree);
         let fw = engine
-            .sharded(&WorldEngineConfig::sequential(), 16)
+            .sharded(&WorldEngineConfig::default(), 16)
             .unwrap();
         prop_assert!(fw.num_joint_assignments() <= 1u128 << fw.num_free_events());
         let factorized = fw.normalized_worlds().unwrap();
@@ -308,7 +308,7 @@ proptest! {
         let tree = build_probtree(&spec);
         let engine = WorldEngine::new(&tree);
         let fw = engine
-            .sharded(&WorldEngineConfig::sequential(), 16)
+            .sharded(&WorldEngineConfig::default(), 16)
             .unwrap();
         for (i, shard) in fw.shards().iter().enumerate() {
             let raw: f64 = engine
@@ -359,7 +359,7 @@ proptest! {
         let engine = WorldEngine::new(&tree);
         prop_assert_eq!(engine.components().len(), 1);
         let fw = engine
-            .sharded(&WorldEngineConfig::sequential(), 16)
+            .sharded(&WorldEngineConfig::default(), 16)
             .unwrap();
         prop_assert_eq!(fw.shards().len(), 1);
         prop_assert_eq!(fw.states_enumerated(), 1u64 << probs.len());
@@ -407,7 +407,7 @@ proptest! {
         let engine = WorldEngine::new(&tree);
         prop_assert_eq!(engine.components().len(), events.len());
         let fw = engine
-            .sharded(&WorldEngineConfig::sequential(), 16)
+            .sharded(&WorldEngineConfig::default(), 16)
             .unwrap();
         prop_assert_eq!(fw.states_enumerated(), 2 * events.len() as u64);
         prop_assert_eq!(fw.num_joint_assignments(), 1u128 << events.len());
@@ -432,7 +432,7 @@ proptest! {
         let tree = build_probtree(&spec);
         let engine = WorldEngine::new(&tree);
         let fw = engine
-            .sharded(&WorldEngineConfig::sequential(), 16)
+            .sharded(&WorldEngineConfig::default(), 16)
             .unwrap();
         let num_events = tree.events().len();
         let condition = Condition::from_literals(literal_spec.iter().map(|&(e, positive)| {

@@ -6,7 +6,11 @@
 //! and, at every step, stages the same update on a fresh document holding
 //! the same frame — which runs the whole-tree scope and its two-frame
 //! diff — and requires the same tree (rendering, arena labels and
-//! conditions), node map, step telemetry and delta. Every region-scoped
+//! conditions once both frames are compacted, since the scopes may number
+//! the nodes they append differently), the same fate for every node of
+//! the base frame, and the same node map, step telemetry and delta. Both
+//! scopes rebase on the same commits, since the rule reads only the base
+//! frame. Every region-scoped
 //! commit's base, and every frame the document trusts at the end, must
 //! also be a fixpoint that one more whole-tree simplify leaves alone.
 //! Deterministic cases pin the merges random scripts rarely reach and
@@ -24,7 +28,8 @@ use pxml_core::update::{
 };
 use pxml_core::{Document, PatternQuery, ProbTree, UpdateDelta};
 use pxml_events::{Condition, Literal};
-use pxml_tree::DataTree;
+use pxml_tree::{DataTree, NodeId};
+use pxml_workloads::warehouse::skeleton;
 
 use common::{build_probtree, probtree_strategy, update_strategy, ProbTreeSpec};
 
@@ -44,9 +49,28 @@ fn commit_checked(
     if delta.report.scope == StepScope::Region {
         assert_fixpoint(&base);
     }
-    assert_same_frame(doc.tree(), oracle.tree());
     assert_same_delta(&delta, &expected);
+    for node in base.tree().iter() {
+        let got = survivor(doc.tree(), &delta, node);
+        let want = survivor(oracle.tree(), &expected, node);
+        assert_eq!(got.is_some(), want.is_some(), "{node:?} survives in both");
+        if let (Some(got), Some(want)) = (got, want) {
+            assert_eq!(doc.tree().condition(got), oracle.tree().condition(want));
+        }
+    }
+    doc.tree().validate_invariants().expect("valid frame");
+    assert_same_frame(&doc.tree().compact().0, &oracle.tree().compact().0);
     delta
+}
+
+/// Where the base frame's `node` sits in a committed frame: at its own id
+/// while ids are stable, at its rebased id after a rebase, and nowhere
+/// once removed.
+fn survivor(frame: &ProbTree, delta: &UpdateDelta, node: NodeId) -> Option<NodeId> {
+    match &delta.node_map {
+        None => frame.tree().is_attached(node).then_some(node),
+        Some(map) => map.get(&node).copied(),
+    }
 }
 
 /// One more whole-tree simplify leaves `frame` alone: its first pass
@@ -84,7 +108,6 @@ fn assert_same_frame(got: &ProbTree, expected: &ProbTree) {
     };
     assert_eq!(arena(got), arena(expected));
     assert_eq!(got.events().len(), expected.events().len());
-    got.validate_invariants().expect("valid frame");
 }
 
 fn assert_same_delta(got: &UpdateDelta, expected: &UpdateDelta) {
@@ -345,4 +368,66 @@ fn forks_inherit_the_fixpoint_status() {
     let mut branch = settled.fork();
     let delta = commit_checked(&engine, &mut branch, &delete_label("X", 0.5));
     assert_eq!(delta.report.scope, StepScope::Region);
+}
+
+/// Node ids stay put: a whole-scope insertion, a region-scope retraction
+/// and an unmatched step each keep every surviving node of the frame
+/// before them at its id, with its label and condition, and detach the
+/// removed ones in place. `skeleton` numbers each service's `name` right
+/// after the service, unlike a compaction's order, so a commit that
+/// renumbered the frame would show.
+#[test]
+fn ids_survive_commits_until_a_rebase() {
+    let engine = UpdateEngine::new();
+    let mut doc = Document::new(skeleton(3));
+    let steps = [
+        insert_leaf(PatternQuery::new(Some("service")), "keyword"),
+        delete_label("keyword", 0.5),
+        delete_label("nothing", 0.5),
+    ];
+    let mut scopes = Vec::new();
+    for update in &steps {
+        let before = doc.snapshot();
+        let delta = commit_checked(&engine, &mut doc, update);
+        let after = doc.tree();
+        let mut detached = 0;
+        for node in before.tree().iter() {
+            if !after.tree().is_attached(node) {
+                detached += 1;
+                continue;
+            }
+            assert_eq!(
+                before.tree().label(node),
+                after.tree().label(node),
+                "{node:?} keeps its label"
+            );
+            assert_eq!(before.condition(node), after.condition(node));
+        }
+        assert_eq!(detached, delta.nodes_removed);
+        assert!(delta.node_map.is_none(), "no commit here rebases");
+        scopes.push((delta.report.scope, delta.report.matches));
+    }
+    assert_eq!(
+        scopes,
+        [
+            (StepScope::Whole, 3),
+            (StepScope::Region, 3),
+            (StepScope::Region, 0)
+        ]
+    );
+    // Each retraction detaches three facts. The first commit whose base
+    // frame holds more detached slots than live nodes rebases, in the
+    // region scope and in its whole-scope oracle alike.
+    for _ in 0..8 {
+        let base = doc.snapshot();
+        let live = base.num_nodes();
+        let delta = commit_checked(&engine, &mut doc, &delete_label("keyword", 0.5));
+        let rebased = base.tree().arena_len() - live > live;
+        assert_eq!(delta.node_map.is_some(), rebased);
+        if rebased {
+            assert_eq!(doc.tree().tree().arena_len(), doc.tree().num_nodes());
+            return;
+        }
+    }
+    panic!("detached slots outgrow the live nodes");
 }
