@@ -57,6 +57,13 @@ pub struct QueryAnalysis {
     pub satisfiability: Satisfiability,
     /// Root-to-leaf spines (empty for non-pattern queries).
     pub spines: Vec<PatternSpine>,
+    /// The query's *maintenance footprint*: the engine-side
+    /// [`Query::label_footprint`] that incremental view maintenance
+    /// ([`pxml_core::PreparedQuery::maintain`]) keys on. `None` when no
+    /// bounded set exists — e.g. some pattern node is a label wildcard, in
+    /// which case an update to *any* label could create or destroy answers
+    /// and maintenance must re-prepare.
+    pub maintenance_footprint: Option<BTreeSet<String>>,
 }
 
 impl QueryAnalysis {
@@ -75,40 +82,17 @@ impl QueryAnalysis {
         }
         labels
     }
-
-    /// The query's *maintenance footprint*: the finite label set
-    /// incremental view maintenance
-    /// ([`pxml_core::PreparedQuery::maintain`]) keys on. `None` when no
-    /// bounded set exists — the query has no spines (it is not a pattern)
-    /// or some spine node is a label wildcard, in which case an update to
-    /// *any* label could create or destroy answers and maintenance must
-    /// re-prepare.
-    ///
-    /// Agrees with the engine-side
-    /// [`Query::label_footprint`] on every pattern query (every pattern
-    /// node lies on some root-to-leaf spine).
-    pub fn maintenance_footprint(&self) -> Option<BTreeSet<String>> {
-        if self.spines.is_empty() {
-            return None;
-        }
-        let mut labels = BTreeSet::new();
-        for spine in &self.spines {
-            labels.insert(spine.root_label.clone()?);
-            for (_, label) in &spine.steps {
-                labels.insert(label.clone()?);
-            }
-        }
-        Some(labels)
-    }
 }
 
-/// Analyzes an arbitrary query: only the certificate is available.
+/// Analyzes an arbitrary query: only the certificate and the footprint
+/// are available.
 pub fn analyze_query(query: &dyn Query) -> QueryAnalysis {
     QueryAnalysis {
         description: query.describe(),
         certificate: query.monotonicity(),
         satisfiability: Satisfiability::Satisfiable,
         spines: Vec::new(),
+        maintenance_footprint: query.label_footprint(),
     }
 }
 
@@ -121,6 +105,7 @@ pub fn analyze_pattern(query: &PatternQuery, dtd: Option<&Dtd>) -> QueryAnalysis
             pattern_satisfiable(query, d)
         }),
         spines: extract_spines(query),
+        maintenance_footprint: query.label_footprint(),
     }
 }
 
@@ -268,27 +253,24 @@ mod tests {
         query.add_descendant(kw, "value");
         query.add_child(query.root(), "endpoint");
         let analysis = analyze_pattern(&query, None);
-        assert_eq!(analysis.maintenance_footprint(), query.label_footprint());
-        assert_eq!(
-            analysis.maintenance_footprint().unwrap(),
-            analysis.footprint()
-        );
+        assert_eq!(analysis.maintenance_footprint, query.label_footprint());
+        assert_eq!(analysis.maintenance_footprint, Some(analysis.footprint()));
 
         // A wildcard anywhere unbounds the footprint — on both sides.
         let mut wild = PatternQuery::new(Some("service"));
         wild.add_child(wild.root(), "endpoint");
         wild.add_node(wild.root(), Axis::Child, None);
         let wild_analysis = analyze_pattern(&wild, None);
-        assert_eq!(wild_analysis.maintenance_footprint(), None);
+        assert_eq!(wild_analysis.maintenance_footprint, None);
         assert_eq!(wild.label_footprint(), None);
         // …while the diagnostic footprint still lists the concrete labels.
         assert!(wild_analysis.footprint().contains("endpoint"));
 
-        // Non-pattern queries have no spines, hence no footprint.
+        // A query without a label footprint has none in its analysis.
         let negated = analyze_query(&NegationQuery {
             forbidden: "spam".into(),
         });
-        assert_eq!(negated.maintenance_footprint(), None);
+        assert_eq!(negated.maintenance_footprint, None);
     }
 
     #[test]

@@ -62,8 +62,8 @@ impl AnalysisReport {
             lines.push(format!("query[{i}].spines={}", q.spines.len()));
             let footprint: Vec<String> = q.footprint().into_iter().collect();
             lines.push(format!("query[{i}].footprint={}", footprint.join(",")));
-            let maintenance = match q.maintenance_footprint() {
-                Some(labels) => labels.into_iter().collect::<Vec<_>>().join(","),
+            let maintenance = match &q.maintenance_footprint {
+                Some(labels) => labels.iter().cloned().collect::<Vec<_>>().join(","),
                 None => "unbounded".to_owned(),
             };
             lines.push(format!("query[{i}].maintenance_footprint={maintenance}"));
@@ -175,9 +175,9 @@ impl fmt::Display for AnalysisReport {
                 }
                 writeln!(f, "  spine: {path}")?;
             }
-            match q.maintenance_footprint() {
+            match &q.maintenance_footprint {
                 Some(labels) => {
-                    let labels: Vec<String> = labels.into_iter().collect();
+                    let labels: Vec<String> = labels.iter().cloned().collect();
                     writeln!(f, "  maintenance footprint: {}", labels.join(", "))?;
                 }
                 None => writeln!(

@@ -216,14 +216,14 @@ pub fn predict_maintenance(
     query: &crate::query::QueryAnalysis,
     footprints: &[StepFootprint],
 ) -> Vec<MaintenancePrediction> {
-    let Some(query_footprint) = query.maintenance_footprint() else {
+    let Some(query_footprint) = &query.maintenance_footprint else {
         return vec![MaintenancePrediction::Unbounded; footprints.len()];
     };
     footprints
         .iter()
         .map(|step| match &step.writes {
             None => MaintenancePrediction::Unbounded,
-            Some(writes) => match writes.intersection(&query_footprint).next() {
+            Some(writes) => match writes.intersection(query_footprint).next() {
                 Some(witness) => MaintenancePrediction::SpineTouching {
                     witness: witness.clone(),
                 },

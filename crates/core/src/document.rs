@@ -38,11 +38,11 @@
 //! delta is diffed from the two frames by node id; the property suites
 //! keep that diff as the oracle of the region's delta. Either way the
 //! delta is exact no matter which simplification passes fired.
-//! [`PreparedQuery::maintain`](crate::PreparedQuery::maintain) composes
-//! the pending log into one [`DeltaWindow`] to patch prepared state in
-//! place, falling back to a full re-prepare only when the window's label
-//! footprint intersects the query's spine labels or the log no longer
-//! covers the prepared epoch.
+//! [`PreparedQuery::maintain`](crate::PreparedQuery::maintain), the one
+//! maintenance entry point, composes the pending log into one
+//! [`DeltaWindow`] to patch prepared state in place, falling back to a
+//! full re-prepare only when the window's label footprint intersects the
+//! query's spine labels or the log no longer covers the prepared epoch.
 //!
 //! Snapshots are cheap ([`Document::snapshot`] clones an `Arc`), so
 //! readers hold on to the exact epoch they prepared against while the
@@ -201,17 +201,12 @@ impl UpdateDelta {
 /// rebase restarts the log, so no window contains one), so composing is a
 /// union and a `from_epoch` node id names the same node at `to_epoch`.
 ///
-/// Built only by [`Document::window_since`], which stamps the window with
-/// the composing document's identity: node ids are per-document, so
-/// [`PreparedQuery::maintain_windowed`](crate::PreparedQuery::maintain_windowed)
-/// refuses a window from any other document. The warehouse server's
-/// maintenance hub composes each span once and shares it across every
-/// registered view: `N` views behind the same epoch no longer re-thread
-/// the same deltas `N` times.
+/// Built by [`Document::window_since`], which
+/// [`PreparedQuery::maintain`](crate::PreparedQuery::maintain) calls after
+/// checking that the state was prepared against that document: node ids
+/// are per-document, and no entry point takes a window from its caller.
 #[derive(Clone, Debug)]
 pub struct DeltaWindow {
-    /// The document whose log was composed.
-    document: DocumentId,
     /// The epoch a consumer must currently be at to apply this window.
     pub from_epoch: Epoch,
     /// The epoch the window advances to.
@@ -228,18 +223,13 @@ pub struct DeltaWindow {
 }
 
 impl DeltaWindow {
-    /// Composes consecutive deltas of `document`'s log (oldest first,
+    /// Composes consecutive deltas of one document's log (oldest first,
     /// starting right after `from_epoch`) into one window.
     ///
     /// # Panics
     /// Panics if the deltas are not consecutive from `from_epoch`.
-    pub(crate) fn compose(
-        document: DocumentId,
-        from_epoch: Epoch,
-        deltas: &[Arc<UpdateDelta>],
-    ) -> DeltaWindow {
+    pub(crate) fn compose(from_epoch: Epoch, deltas: &[Arc<UpdateDelta>]) -> DeltaWindow {
         let mut window = DeltaWindow {
-            document,
             from_epoch,
             to_epoch: from_epoch,
             removed_labels: BTreeSet::new(),
@@ -265,11 +255,6 @@ impl DeltaWindow {
             window.rewritten.extend(delta.rewritten.iter().copied());
         }
         window
-    }
-
-    /// The document whose delta log the window composes.
-    pub fn document(&self) -> DocumentId {
-        self.document
     }
 
     /// The spine-intersection test of [`UpdateDelta::touches`], over the
@@ -469,7 +454,7 @@ impl Document {
         }
         let skip = (epoch - self.base_epoch) as usize;
         let deltas: Vec<Arc<UpdateDelta>> = self.log.iter().skip(skip).cloned().collect();
-        Some(DeltaWindow::compose(self.id, epoch, &deltas))
+        Some(DeltaWindow::compose(epoch, &deltas))
     }
 
     /// Forks the current state into a fresh document: new identity, epoch

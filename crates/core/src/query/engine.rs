@@ -47,8 +47,7 @@ use pxml_tree::subtree::SubDataTree;
 use crate::document::{DeltaWindow, Document, DocumentId, Epoch};
 use crate::probtree::ProbTree;
 use crate::pwset::PossibleWorldSet;
-use crate::semantics::possible_worlds_factorized;
-use crate::worlds::WorldEngineConfig;
+use crate::semantics::possible_worlds_normalized;
 
 use super::prob::{query_pw_set, ProbAnswer};
 use super::{MonotonicityCertificate, Query, Theorem1Error};
@@ -249,10 +248,9 @@ pub struct MaintainStats {
     /// Per-answer condition unions carried over unchanged (with their
     /// cached probabilities).
     pub unions_carried: usize,
-    /// Patch passes: every patched [`PreparedQuery::maintain`] or
-    /// [`PreparedQuery::maintain_windowed`] call threads its pending span
-    /// through one composed [`DeltaWindow`] in a single pass (the span's
-    /// deltas still count one each in
+    /// Patch passes: every patched [`PreparedQuery::maintain`] call
+    /// threads its pending span through one composed [`DeltaWindow`] in a
+    /// single pass (the span's deltas still count one each in
     /// [`steps_patched`](MaintainStats::steps_patched)).
     pub windows_applied: usize,
 }
@@ -306,8 +304,7 @@ pub enum MaintainError {
     /// The state came from [`QueryEngine::prepare`], which has no
     /// document identity or epoch to maintain against.
     NotDocumentBacked,
-    /// The state was prepared against a different [`Document`], or the
-    /// [`DeltaWindow`] passed in was composed by another document.
+    /// The state was prepared against a different [`Document`].
     DocumentMismatch,
     /// The document's epoch is *behind* the prepared state's — the handle
     /// passed in is not the one the state was prepared against.
@@ -413,42 +410,6 @@ impl<'a> PreparedQuery<'a> {
     /// [`SelectionStats`] on every subsequent selection (property-tested
     /// against the fresh-prepare oracle).
     pub fn maintain(&mut self, doc: &Document) -> Result<MaintainOutcome, MaintainError> {
-        let Some(epoch) = self.pending_since(doc)? else {
-            return Ok(MaintainOutcome::UpToDate);
-        };
-        Ok(match doc.window_since(epoch) {
-            Some(window) => self.patch(doc, &window),
-            None => self.reprepare(doc, FallbackReason::LogTrimmed),
-        })
-    }
-
-    /// [`PreparedQuery::maintain`] through a window the caller already
-    /// composed — the warehouse hub composes each document's pending span
-    /// once and every registered view pays one pass over it. A window
-    /// composed by another document is refused with
-    /// [`MaintainError::DocumentMismatch`], leaving the state untouched;
-    /// one that does not span exactly this state's epoch range is ignored
-    /// in favour of [`PreparedQuery::maintain`].
-    pub fn maintain_windowed(
-        &mut self,
-        doc: &Document,
-        window: &DeltaWindow,
-    ) -> Result<MaintainOutcome, MaintainError> {
-        if window.document() != doc.id() {
-            return Err(MaintainError::DocumentMismatch);
-        }
-        let Some(epoch) = self.pending_since(doc)? else {
-            return Ok(MaintainOutcome::UpToDate);
-        };
-        if window.from_epoch != epoch || window.to_epoch != doc.epoch() {
-            return self.maintain(doc);
-        }
-        Ok(self.patch(doc, window))
-    }
-
-    /// The validation both maintenance calls share: the epoch this state
-    /// must be brought forward from, or `None` when it is current.
-    fn pending_since(&self, doc: &Document) -> Result<Option<Epoch>, MaintainError> {
         let Some((id, epoch)) = self.document_stamp() else {
             return Err(MaintainError::NotDocumentBacked);
         };
@@ -458,7 +419,13 @@ impl<'a> PreparedQuery<'a> {
         if doc.epoch() < epoch {
             return Err(MaintainError::EpochRewound);
         }
-        Ok((doc.epoch() > epoch).then_some(epoch))
+        if doc.epoch() == epoch {
+            return Ok(MaintainOutcome::UpToDate);
+        }
+        Ok(match doc.window_since(epoch) {
+            Some(window) => self.patch(doc, &window),
+            None => self.reprepare(doc, FallbackReason::LogTrimmed),
+        })
     }
 
     /// Patches the state through a window spanning its epoch to `doc`'s.
@@ -986,12 +953,7 @@ impl<'a> PreparedQuery<'a> {
             return Err(Theorem1Error::NotCertifiedMonotone { reason });
         }
         let direct = self.as_pw_set();
-        let max_events = crate::DEFAULT_MAX_EXHAUSTIVE_EVENTS;
-        let worlds = possible_worlds_factorized(
-            self.tree(),
-            max_events,
-            &WorldEngineConfig::for_event_budget(max_events),
-        )?;
+        let worlds = possible_worlds_normalized(self.tree(), crate::DEFAULT_MAX_EXHAUSTIVE_EVENTS)?;
         let via_worlds = query_pw_set(self.query(), &worlds);
         Ok(direct.normalized().isomorphic(&via_worlds.normalized()))
     }
@@ -1855,11 +1817,10 @@ mod tests {
         prepared.answers_in_cached(&Lineage);
         assert_eq!(prepared.num_cached_semiring_values(&Lineage), 2);
         // Only the rewritten answer's slot is dropped.
-        UpdateEngine::new().apply_doc(&mut doc, &doc_insert("catalog", "note", 1.0));
-        let window = doc.window_since(0).unwrap();
-        assert!(!window.rewritten.is_empty(), "prune-certain rewrote a node");
+        let delta = UpdateEngine::new().apply_doc(&mut doc, &doc_insert("catalog", "note", 1.0));
+        assert!(!delta.rewritten.is_empty(), "prune-certain rewrote a node");
         assert_eq!(
-            prepared.maintain_windowed(&doc, &window),
+            prepared.maintain(&doc),
             Ok(MaintainOutcome::Patched { steps: 1 })
         );
         assert_eq!(prepared.maintenance_stats().unions_rebuilt, 1);
@@ -1882,6 +1843,8 @@ mod tests {
 
     #[test]
     fn windowed_maintenance_matches_the_per_delta_path() {
+        // `windowed` falls two commits behind and threads both through one
+        // composed window; `stepped` is maintained after each commit.
         let q = PatternQuery::new(Some("item"));
         let mut doc = Document::new(ladder(6));
         let mut windowed = doc_view(&doc, &q);
@@ -1889,25 +1852,26 @@ mod tests {
         windowed.expected_matches();
         stepped.expected_matches();
         let engine = UpdateEngine::new();
-        engine.apply_doc(&mut doc, &doc_insert("sku0", "note", 0.9));
-        engine.apply_doc(&mut doc, &doc_insert("catalog", "annex", 0.4));
-        let window = doc.window_since(0).unwrap();
+        for update in [
+            doc_insert("sku0", "note", 0.9),
+            doc_insert("catalog", "annex", 0.4),
+        ] {
+            engine.apply_doc(&mut doc, &update);
+            assert_eq!(
+                stepped.maintain(&doc),
+                Ok(MaintainOutcome::Patched { steps: 1 })
+            );
+        }
         assert_eq!(
-            windowed.maintain_windowed(&doc, &window),
-            Ok(MaintainOutcome::Patched { steps: 2 })
-        );
-        assert_eq!(
-            stepped.maintain(&doc),
+            windowed.maintain(&doc),
             Ok(MaintainOutcome::Patched { steps: 2 })
         );
         let wstats = windowed.maintenance_stats();
         assert_eq!(wstats.windows_applied, 1);
         assert_eq!(wstats.steps_patched, 2, "the window's span counts once");
-        assert_eq!(
-            stepped.maintenance_stats(),
-            wstats,
-            "`maintain` composes the same window and patches through it"
-        );
+        let sstats = stepped.maintenance_stats();
+        assert_eq!(sstats.windows_applied, 2);
+        assert_eq!(sstats.steps_patched, 2);
         assert_eq!(
             windowed.num_cached_probabilities(),
             stepped.num_cached_probabilities(),
@@ -1915,24 +1879,12 @@ mod tests {
         );
         assert_agrees_with_fresh(&windowed, &doc, &q);
         assert_agrees_with_fresh(&stepped, &doc, &q);
-        // A window that does not span this state's epoch range is not
-        // applied: `maintain` composes the current span instead.
-        engine.apply_doc(&mut doc, &doc_insert("sku1", "memo", 0.6));
-        assert_eq!(
-            windowed.maintain_windowed(&doc, &window),
-            Ok(MaintainOutcome::Patched { steps: 1 })
-        );
-        assert_eq!(windowed.maintenance_stats().windows_applied, 2);
-        assert_eq!(windowed.maintenance_stats().steps_patched, 3);
-        assert_agrees_with_fresh(&windowed, &doc, &q);
         // Spine-touching windows fall back exactly like spine-touching
         // deltas.
+        engine.apply_doc(&mut doc, &doc_insert("sku1", "memo", 0.6));
         engine.apply_doc(&mut doc, &doc_insert("catalog", "item", 0.85));
-        let touching = doc
-            .window_since(windowed.document_stamp().unwrap().1)
-            .unwrap();
         assert_eq!(
-            windowed.maintain_windowed(&doc, &touching),
+            windowed.maintain(&doc),
             Ok(MaintainOutcome::Fallback {
                 reason: FallbackReason::SpineTouched
             })
@@ -1957,30 +1909,13 @@ mod tests {
             prepared.maintain(&other),
             Err(MaintainError::DocumentMismatch)
         );
-        assert_eq!(prepared.maintain(&doc), Ok(MaintainOutcome::UpToDate));
-
-        // A window composed by another document is refused even when its
-        // epochs line up: two forks of one catalog share their epoch-0
-        // node ids, and each fork's commits append fresh ids from the same
-        // arena length, so the same id names different nodes in the two
-        // forks. Only the identity check tells their windows apart.
-        let base = Document::new(ladder(4));
-        let (mut a, mut b) = (base.fork(), base.fork());
-        let sku3 = PatternQuery::new(Some("sku3"));
-        let mut view = doc_view(&a, &sku3);
-        let engine = UpdateEngine::new();
-        engine.apply_doc(&mut a, &doc_insert("catalog", "note", 0.9));
-        engine.apply_doc(&mut b, &doc_delete("sku0", 1.0));
-        let foreign = b.window_since(0).unwrap();
-        assert_eq!(foreign.document(), b.id());
         assert_eq!(
-            view.maintain_windowed(&a, &foreign),
-            Err(MaintainError::DocumentMismatch)
+            prepared.document_stamp(),
+            Some((doc.id(), 0)),
+            "stamp untouched"
         );
-        assert_eq!(view.document_stamp(), Some((a.id(), 0)), "stamp untouched");
-        assert_eq!(view.maintenance_stats(), MaintainStats::default());
-        assert_eq!(view.maintain(&a), Ok(MaintainOutcome::Patched { steps: 1 }));
-        assert_agrees_with_fresh(&view, &a, &sku3);
+        assert_eq!(prepared.maintenance_stats(), MaintainStats::default());
+        assert_eq!(prepared.maintain(&doc), Ok(MaintainOutcome::UpToDate));
     }
 
     #[test]

@@ -57,30 +57,15 @@ pub fn possible_worlds(
 /// everything the legacy relevant-event guard accepted is still accepted —
 /// and trees whose relevant events split into many small components are
 /// now tractable far beyond it. The executor runs under
-/// [`WorldEngineConfig::for_event_budget`]: the default thread budget and
-/// a joint cap of exactly the `2^{max_events}` granted here, so the result
-/// depends on the tree and `max_events` alone.
+/// [`WorldEngineConfig::for_event_budget`]: a joint cap of exactly the
+/// `2^{max_events}` granted here, so the result depends on the tree and
+/// `max_events` alone.
 pub fn possible_worlds_normalized(
     tree: &ProbTree,
     max_events: usize,
 ) -> Result<PossibleWorldSet, TooManyValuations> {
-    possible_worlds_factorized(
-        tree,
-        max_events,
-        &WorldEngineConfig::for_event_budget(max_events),
-    )
-}
-
-/// [`possible_worlds_normalized`] under an explicit executor
-/// configuration (thread budget and joint cross-product cap).
-pub fn possible_worlds_factorized(
-    tree: &ProbTree,
-    max_events: usize,
-    config: &WorldEngineConfig,
-) -> Result<PossibleWorldSet, TooManyValuations> {
-    let engine = WorldEngine::new(tree);
-    let config = config.clone().with_joint_cap_bits(max_events);
-    let factorized = engine.sharded(&config, max_events)?;
+    let config = WorldEngineConfig::for_event_budget(max_events);
+    let factorized = WorldEngine::new(tree).sharded(&config, max_events)?;
     factorized
         .normalized_worlds()
         .map_err(|_joint| TooManyValuations {

@@ -896,82 +896,6 @@ impl<'a> FactorizedWorlds<'a> {
         }
         Ok(PossibleWorldSet::from_worlds(worlds))
     }
-
-    /// Consumes the factorized computation into an *owning* joint walk —
-    /// the same lazy odometer as [`FactorizedWorlds::joint_valuations`],
-    /// for callers that need to return the iterator (e.g. the DTD
-    /// brute-force sweeps) rather than borrow the shards.
-    pub fn into_joint_valuations(self) -> Result<IntoJointValuations, JointTooLarge> {
-        let joint = self.num_joint_assignments();
-        if joint > self.max_joint_worlds {
-            return Err(JointTooLarge {
-                joint_assignments: joint,
-                max_joint_worlds: self.max_joint_worlds,
-            });
-        }
-        let indices = vec![0; self.shards.len()];
-        Ok(IntoJointValuations {
-            valuation_len: self.engine.valuation_len,
-            shards: self.shards,
-            indices,
-            done: false,
-        })
-    }
-}
-
-/// Steps the joint odometer once: assembles the current representative
-/// joint valuation (union of the selected per-shard classes) with the
-/// product of the class masses, then advances least-significant shard
-/// first.
-fn joint_step(
-    shards: &[ComponentShard],
-    valuation_len: usize,
-    indices: &mut [usize],
-    done: &mut bool,
-) -> Option<(Valuation, f64)> {
-    if *done {
-        return None;
-    }
-    let mut valuation = Valuation::empty(valuation_len);
-    let mut probability = 1.0;
-    for (shard, &i) in shards.iter().zip(indices.iter()) {
-        let class = &shard.assignments[i];
-        valuation.union_with(&class.valuation);
-        probability *= class.probability;
-    }
-    *done = true;
-    for (shard, index) in shards.iter().zip(indices.iter_mut()) {
-        *index += 1;
-        if *index < shard.assignments.len() {
-            *done = false;
-            break;
-        }
-        *index = 0;
-    }
-    Some((valuation, probability))
-}
-
-/// Owning variant of [`JointValuations`], produced by
-/// [`FactorizedWorlds::into_joint_valuations`].
-#[derive(Debug)]
-pub struct IntoJointValuations {
-    shards: Vec<ComponentShard>,
-    valuation_len: usize,
-    indices: Vec<usize>,
-    done: bool,
-}
-
-impl Iterator for IntoJointValuations {
-    type Item = (Valuation, f64);
-
-    fn next(&mut self) -> Option<(Valuation, f64)> {
-        joint_step(
-            &self.shards,
-            self.valuation_len,
-            &mut self.indices,
-            &mut self.done,
-        )
-    }
 }
 
 /// Lazy odometer over the cross product of the shard classes — the joint
@@ -989,13 +913,30 @@ pub struct JointValuations<'f> {
 impl Iterator for JointValuations<'_> {
     type Item = (Valuation, f64);
 
+    /// Assembles the current representative joint valuation (union of the
+    /// selected per-shard classes) with the product of the class masses,
+    /// then advances the odometer least-significant shard first.
     fn next(&mut self) -> Option<(Valuation, f64)> {
-        joint_step(
-            self.shards,
-            self.valuation_len,
-            &mut self.indices,
-            &mut self.done,
-        )
+        if self.done {
+            return None;
+        }
+        let mut valuation = Valuation::empty(self.valuation_len);
+        let mut probability = 1.0;
+        for (shard, &i) in self.shards.iter().zip(&self.indices) {
+            let class = &shard.assignments[i];
+            valuation.union_with(&class.valuation);
+            probability *= class.probability;
+        }
+        self.done = true;
+        for (shard, index) in self.shards.iter().zip(self.indices.iter_mut()) {
+            *index += 1;
+            if *index < shard.assignments.len() {
+                self.done = false;
+                break;
+            }
+            *index = 0;
+        }
+        Some((valuation, probability))
     }
 }
 

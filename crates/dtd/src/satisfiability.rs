@@ -19,7 +19,7 @@ use pxml_core::probtree::ProbTree;
 use pxml_core::worlds::{WorldEngine, WorldEngineConfig};
 use pxml_events::valuation::TooManyValuations;
 use pxml_events::{EventId, Valuation};
-use pxml_tree::NodeId;
+use pxml_tree::{DataTree, NodeId};
 
 use crate::dtd::Dtd;
 use crate::validate::validates;
@@ -47,12 +47,7 @@ pub fn satisfiable_bruteforce(
     dtd: &Dtd,
     max_events: usize,
 ) -> Result<Option<Valuation>, TooManyValuations> {
-    for valuation in factorized_world_sweep(tree, max_events)? {
-        if validates(&tree.value_in_world(&valuation), dtd) {
-            return Ok(Some(valuation));
-        }
-    }
-    Ok(None)
+    first_world(tree, max_events, |world| validates(world, dtd))
 }
 
 /// Deterministic exponential validity check: every world must satisfy the
@@ -64,35 +59,32 @@ pub fn valid_bruteforce(
     dtd: &Dtd,
     max_events: usize,
 ) -> Result<Option<Valuation>, TooManyValuations> {
-    for valuation in factorized_world_sweep(tree, max_events)? {
-        if !validates(&tree.value_in_world(&valuation), dtd) {
-            return Ok(Some(valuation));
-        }
-    }
-    Ok(None)
+    first_world(tree, max_events, |world| !validates(world, dtd))
 }
 
 /// The shared factorized sweep behind the brute-force checks: unpruned
 /// per-component shards crossed into representative joint valuations, one
-/// per distinct world. `max_events` bounds the largest component, the
-/// total shard work, and (as `2^{max_events}`) the joint combine, so
-/// everything the old `2^{|relevant|}` guard accepted still is — and trees
-/// with many small components are now sweepable beyond it.
-fn factorized_world_sweep(
+/// per distinct world, stopping at the first whose world `accept`s.
+/// `max_events` bounds the largest component, the total shard work, and
+/// (as `2^{max_events}`) the joint combine, so everything the old
+/// `2^{|relevant|}` guard accepted still is — and trees with many small
+/// components are now sweepable beyond it.
+fn first_world(
     tree: &ProbTree,
     max_events: usize,
-) -> Result<impl Iterator<Item = Valuation>, TooManyValuations> {
-    let engine = WorldEngine::new(tree);
+    accept: impl Fn(&DataTree) -> bool,
+) -> Result<Option<Valuation>, TooManyValuations> {
     let config = WorldEngineConfig::for_event_budget(max_events);
-    let factorized = engine.sharded_all(&config, max_events)?;
-    let num_free = factorized.num_free_events();
+    let factorized = WorldEngine::new(tree).sharded_all(&config, max_events)?;
     let joint = factorized
-        .into_joint_valuations()
+        .joint_valuations()
         .map_err(|_| TooManyValuations {
-            num_events: num_free,
+            num_events: factorized.num_free_events(),
             max_events,
         })?;
-    Ok(joint.map(|(v, _)| v))
+    Ok(joint
+        .map(|(valuation, _)| valuation)
+        .find(|valuation| accept(&tree.value_in_world(valuation))))
 }
 
 /// Three-valued truth.

@@ -1,45 +1,45 @@
-//! The shared maintenance hub: one delta window per committed span, fanned
-//! out to every registered view.
+//! The per-document maintenance hub: the registered views of one
+//! document, each brought current by the read that needs it.
 //!
-//! Before the hub, N live views over one document each composed the same
-//! pending [`pxml_core::UpdateDelta`]s independently — `N × deltas` delta
-//! walks for work that is identical across views. The hub owns the views
-//! of one [`Document`] and restores the obvious sharing:
+//! The hub owns the views of one [`Document`] and keeps maintenance off
+//! the write path:
 //!
 //! * a **commit** is observed once ([`MaintenanceHub::observe_commit`]):
-//!   the delta counter advances and a dirty flag is fanned out to every
-//!   view — no maintenance work happens on the write path;
+//!   it only advances the counters — no maintenance work happens on the
+//!   write path;
 //! * a **read** ([`MaintenanceHub::serve`]) lazily brings just the
-//!   requested view current. The pending span is composed into one
-//!   [`DeltaWindow`] (cached, so concurrent readers of different views
-//!   compose it once) and applied in a single pass via
-//!   [`PreparedQuery::maintain_windowed`] — a view that is `d` deltas
-//!   behind pays one composed window, not `d`. Node ids are stable
-//!   between rebases, so applying a window renumbers no answer; a view
-//!   behind a rebase finds its span gone from the log and re-prepares
-//!   once.
+//!   requested view current: when the view's epoch stamp is behind the
+//!   document's epoch, [`PreparedQuery::maintain`] composes the pending
+//!   span into one [`pxml_core::DeltaWindow`] and patches the view in a
+//!   single pass — a view that is `d` deltas behind pays one pass, not
+//!   `d`. Node ids are stable between rebases, so the patch renumbers no
+//!   answer; a view behind a rebase finds its span gone from the log and
+//!   re-prepares once.
 //!
-//! The counters ([`MaintenanceHub::stats`]) make the sharing auditable:
-//! `view_maintains` grows per *served read batch*, not per view-delta
-//! pair, and `windows_composed` stays at one per distinct span.
+//! The counters ([`MaintenanceHub::stats`]) make the laziness auditable:
+//! `view_maintains` grows per *served read of a stale view*, not per
+//! view-delta pair.
 
 use std::collections::BTreeMap;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
-use pxml_core::{DeltaWindow, Document, Epoch, PreparedQuery};
+use pxml_core::{Document, FallbackReason, MaintainOutcome, PreparedQuery};
 
-/// Cumulative counters of one document's maintenance hub — the evidence
-/// that N views share one delta thread instead of re-walking it N times.
+/// Cumulative counters of one document's maintenance hub, plus the summed
+/// telemetry of its views — the evidence that maintenance is lazy: one
+/// pass per served read of a stale view, not one per view-delta pair.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HubStats {
     /// Commits observed (one per committed epoch).
     pub deltas_observed: u64,
-    /// Dirty flags fanned out (= commits × views registered at the time).
+    /// Views a commit left stale (= commits × views registered at the
+    /// time). Kept until the benchmark harness stops reading it.
     pub flags_fanned: u64,
-    /// Distinct pending spans composed into a [`DeltaWindow`]. Shared:
-    /// views lagging by the same span reuse one composition.
+    /// Maintenance passes that composed a [`pxml_core::DeltaWindow`]:
+    /// every pass but a [`FallbackReason::LogTrimmed`] re-prepare. Kept
+    /// until the benchmark harness stops reading it.
     pub windows_composed: u64,
     /// View maintenance passes performed on the read path. Lazy: grows
     /// per served read of a stale view, **not** per view-delta pair.
@@ -83,12 +83,6 @@ impl std::ops::AddAssign for HubStats {
     }
 }
 
-/// One registered view: its prepared state and the commit-side dirty flag.
-struct ViewCell {
-    prepared: Mutex<PreparedQuery<'static>>,
-    dirty: AtomicBool,
-}
-
 /// The per-document maintenance hub. See the [module docs](self).
 ///
 /// The hub does not own the [`Document`]; callers pass the document into
@@ -97,10 +91,7 @@ struct ViewCell {
 /// epoch cannot advance mid-serve).
 #[derive(Default)]
 pub struct MaintenanceHub {
-    views: RwLock<BTreeMap<String, Arc<ViewCell>>>,
-    /// The last composed window, keyed by its span — concurrent readers
-    /// of different views lagging by the same span compose it once.
-    window: Mutex<Option<(Epoch, Epoch, Arc<DeltaWindow>)>>,
+    views: RwLock<BTreeMap<String, Arc<Mutex<PreparedQuery<'static>>>>>,
     deltas_observed: AtomicU64,
     flags_fanned: AtomicU64,
     windows_composed: AtomicU64,
@@ -120,41 +111,21 @@ impl MaintenanceHub {
         if views.contains_key(name) {
             return false;
         }
-        views.insert(
-            name.to_owned(),
-            Arc::new(ViewCell {
-                prepared: Mutex::new(prepared),
-                dirty: AtomicBool::new(false),
-            }),
-        );
+        views.insert(name.to_owned(), Arc::new(Mutex::new(prepared)));
         true
     }
 
-    /// The registered view names, sorted.
-    pub fn views(&self) -> Vec<String> {
-        self.views
-            .read()
-            .expect("hub views lock poisoned")
-            .keys()
-            .cloned()
-            .collect()
-    }
-
-    /// Records one committed delta: the write path only counts and fans
-    /// out dirty flags — all maintenance work is deferred to the reads
-    /// that actually happen.
+    /// Records one committed delta: the write path only counts — all
+    /// maintenance work is deferred to the reads that actually happen.
     pub fn observe_commit(&self) {
         self.deltas_observed.fetch_add(1, Ordering::Relaxed);
-        let views = self.views.read().expect("hub views lock poisoned");
-        for cell in views.values() {
-            cell.dirty.store(true, Ordering::Release);
-            self.flags_fanned.fetch_add(1, Ordering::Relaxed);
-        }
+        let views = self.views.read().expect("hub views lock poisoned").len();
+        self.flags_fanned.fetch_add(views as u64, Ordering::Relaxed);
     }
 
-    /// Serves `view` against `doc`, bringing it current first if any
-    /// commit was observed since the view's epoch. Returns `None` for an
-    /// unknown view name.
+    /// Serves `view` against `doc`, bringing it current first with
+    /// [`PreparedQuery::maintain`] if its epoch stamp is behind `doc`'s
+    /// epoch. Returns `None` for an unknown view name.
     ///
     /// `doc` must be the document the view was prepared against, held so
     /// its epoch cannot advance during the call (the warehouse passes it
@@ -170,16 +141,29 @@ impl MaintenanceHub {
         view: &str,
         f: impl FnOnce(&PreparedQuery<'static>) -> T,
     ) -> Option<T> {
-        let cell = self
+        let view = self
             .views
             .read()
             .expect("hub views lock poisoned")
             .get(view)
             .cloned()?;
-        let mut prepared = cell.prepared.lock().expect("view lock poisoned");
-        let behind = prepared.document_stamp().map(|(_, e)| e) != Some(doc.epoch());
-        if cell.dirty.swap(false, Ordering::AcqRel) || behind {
-            self.maintain_view(doc, &mut prepared);
+        let mut prepared = view.lock().expect("view lock poisoned");
+        let (_, epoch) = prepared
+            .document_stamp()
+            .expect("hub views are document-backed");
+        if epoch != doc.epoch() {
+            self.view_maintains.fetch_add(1, Ordering::Relaxed);
+            let outcome = prepared
+                .maintain(doc)
+                .expect("view prepared against this document");
+            if !matches!(
+                outcome,
+                MaintainOutcome::Fallback {
+                    reason: FallbackReason::LogTrimmed
+                }
+            ) {
+                self.windows_composed.fetch_add(1, Ordering::Relaxed);
+            }
         }
         let served = panic::catch_unwind(AssertUnwindSafe(|| f(&prepared)));
         drop(prepared);
@@ -189,45 +173,12 @@ impl MaintenanceHub {
         }
     }
 
-    /// Brings one view current through the shared composed window.
-    fn maintain_view(&self, doc: &Document, prepared: &mut PreparedQuery<'static>) {
-        let (_, from) = prepared
-            .document_stamp()
-            .expect("hub views are document-backed");
-        if from == doc.epoch() {
-            return; // flag raced ahead of an identity span — nothing to do
-        }
-        self.view_maintains.fetch_add(1, Ordering::Relaxed);
-        match self.window_for(doc, from) {
-            Some(window) => prepared
-                .maintain_windowed(doc, &window)
-                .expect("view prepared against this document"),
-            // The span was trimmed out of the delta log; `maintain`
-            // surfaces that as a re-prepare fallback.
-            None => prepared
-                .maintain(doc)
-                .expect("view prepared against this document"),
-        };
-    }
-
-    /// The composed window covering `from..doc.epoch()`, from the shared
-    /// cache when the last reader needed the same span. `None` when the
-    /// document's delta log no longer covers `from`.
-    fn window_for(&self, doc: &Document, from: Epoch) -> Option<Arc<DeltaWindow>> {
-        let mut cache = self.window.lock().expect("hub window lock poisoned");
-        if let Some((f, t, window)) = &*cache {
-            if *f == from && *t == doc.epoch() {
-                return Some(Arc::clone(window));
-            }
-        }
-        let window = Arc::new(doc.window_since(from)?);
-        self.windows_composed.fetch_add(1, Ordering::Relaxed);
-        *cache = Some((from, doc.epoch(), Arc::clone(&window)));
-        Some(window)
-    }
-
     /// A snapshot of the hub counters plus the aggregated maintenance and
     /// semiring-cache telemetry of every registered view.
+    ///
+    /// A view whose maintenance panicked is read through its poisoned
+    /// lock: its counters are plain integers, and a re-prepare that panics
+    /// leaves them as they were before that pass.
     pub fn stats(&self) -> HubStats {
         let mut stats = HubStats {
             deltas_observed: self.deltas_observed.load(Ordering::Relaxed),
@@ -237,8 +188,8 @@ impl MaintenanceHub {
             ..HubStats::default()
         };
         let views = self.views.read().expect("hub views lock poisoned");
-        for cell in views.values() {
-            let prepared = cell.prepared.lock().expect("view lock poisoned");
+        for view in views.values() {
+            let prepared = view.lock().unwrap_or_else(PoisonError::into_inner);
             let maint = prepared.maintenance_stats();
             stats.windows_applied += maint.windows_applied as u64;
             stats.steps_patched += maint.steps_patched as u64;
@@ -250,5 +201,68 @@ impl MaintenanceHub {
             stats.semiring_cache_hits += caches.hits;
         }
         stats
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pxml_core::update::{ProbabilisticUpdate, UpdateOperation};
+    use pxml_core::{PatternQuery, QueryEngine, UpdateEngine};
+    use pxml_tree::{DataTree, SubDataTree};
+    use pxml_workloads::warehouse::{services_with_endpoint_and_contact, skeleton};
+
+    fn insert_under_services(label: &str, confidence: f64) -> ProbabilisticUpdate {
+        let q = PatternQuery::new(Some("service"));
+        let at = q.root();
+        ProbabilisticUpdate::new(
+            UpdateOperation::insert(q, at, DataTree::new(label)),
+            confidence,
+        )
+    }
+
+    fn ranked(view: &PreparedQuery<'_>) -> Vec<(SubDataTree, u64)> {
+        view.ranked()
+            .into_iter()
+            .map(|answer| (answer.subtree, answer.probability.to_bits()))
+            .collect()
+    }
+
+    /// The epoch stamp alone decides staleness: a view registered in a hub
+    /// that observed none of the document's commits is still brought
+    /// current by the next read.
+    #[test]
+    fn serve_brings_a_view_current_without_observed_commits() {
+        let engine = UpdateEngine::new();
+        let mut doc = Document::new(skeleton(3));
+        engine.apply_doc(&mut doc, &insert_under_services("endpoint", 0.8));
+        engine.apply_doc(&mut doc, &insert_under_services("contact", 0.7));
+        let query = Arc::new(services_with_endpoint_and_contact());
+        let hub = MaintenanceHub::new();
+        let prepared = QueryEngine::new().prepare_doc_shared(&doc, query.clone());
+        assert!(hub.register("q", prepared));
+
+        // Two commits the hub never hears of: one off the view's
+        // footprint, one on it.
+        engine.apply_doc(&mut doc, &insert_under_services("keyword", 0.9));
+        let served = hub.serve(&doc, "q", ranked).unwrap();
+        let fresh = QueryEngine::new().prepare_doc_shared(&doc, query.clone());
+        assert_eq!(served, ranked(&fresh));
+        assert!(!served.is_empty(), "the view has live answers");
+        engine.apply_doc(&mut doc, &insert_under_services("contact", 0.6));
+        let served = hub.serve(&doc, "q", ranked).unwrap();
+        let fresh = QueryEngine::new().prepare_doc_shared(&doc, query);
+        assert_eq!(served, ranked(&fresh));
+
+        let stats = hub.stats();
+        assert_eq!(stats.deltas_observed, 0);
+        assert_eq!(stats.flags_fanned, 0);
+        assert_eq!(stats.view_maintains, 2);
+        assert_eq!(stats.windows_composed, 2);
+        assert_eq!((stats.windows_applied, stats.fallbacks), (1, 1));
+        // A current view is served without another pass.
+        hub.serve(&doc, "q", ranked).unwrap();
+        assert_eq!(hub.stats().view_maintains, 2);
+        assert!(hub.serve(&doc, "missing", ranked).is_none());
     }
 }

@@ -238,10 +238,9 @@ impl Warehouse {
         Ok(delta)
     }
 
-    /// Registers a prepared view of `doc` under `view`, shared through
-    /// the document's maintenance hub: every subsequent commit marks it
-    /// dirty once, and reads bring it current through the hub's shared
-    /// composed delta window.
+    /// Registers a prepared view of `doc` under `view` in the document's
+    /// maintenance hub: commits leave it stale, and the next read brings
+    /// it current from the document (see [`MaintenanceHub::serve`]).
     pub fn register_view(
         &self,
         doc: &str,

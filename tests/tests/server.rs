@@ -18,7 +18,7 @@
 //!
 //! Deterministic cases then cover the serving boundary: concurrent
 //! readers, writers committing to several documents at once, a refused
-//! root deletion and a panicking reader.
+//! root deletion, a panicking reader and a panicking maintenance pass.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -26,6 +26,7 @@ use rand::SeedableRng;
 
 use pxml_core::probtree::ProbTree;
 use pxml_core::query::pattern::{Axis, PatternQuery};
+use pxml_core::query::Query;
 use pxml_core::update::{ProbabilisticUpdate, UpdateOperation, UpdateScript};
 use pxml_core::QueryEngine;
 use pxml_events::{Condition, EventId, Literal};
@@ -37,6 +38,7 @@ use pxml_workloads::warehouse::{
     scenario_script, services_with_endpoint_and_contact, skeleton, WarehouseConfig,
 };
 use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 
 /// Node labels used below the root (the root is always `R`, so label
@@ -554,4 +556,76 @@ fn a_panicking_reader_does_not_brick_its_view() {
         stats.view_maintains, 1,
         "maintenance ran once, before the panicking read"
     );
+}
+
+/// A foreign query with a bug only a re-prepare reaches: its second
+/// `evaluate` panics. It reports no label footprint, so every maintenance
+/// pass re-prepares.
+struct PanicsOnSecondEvaluate {
+    pattern: PatternQuery,
+    calls: AtomicUsize,
+}
+
+impl Query for PanicsOnSecondEvaluate {
+    fn evaluate(&self, tree: &DataTree) -> Vec<SubDataTree> {
+        if self.calls.fetch_add(1, Ordering::SeqCst) == 1 {
+            panic!("query bug on re-prepare");
+        }
+        self.pattern.evaluate(tree)
+    }
+}
+
+/// A view whose maintenance panics poisons only its own lock: the
+/// document's hub counters stay readable and its other views keep
+/// serving.
+#[test]
+fn a_view_whose_maintenance_panicked_leaves_hub_stats_readable() {
+    let insert_under_services = |label: &str, confidence: f64| {
+        let q = PatternQuery::new(Some("service"));
+        let at = q.root();
+        ProbabilisticUpdate::new(
+            UpdateOperation::insert(q, at, DataTree::new(label)),
+            confidence,
+        )
+    };
+    let warehouse = Warehouse::new();
+    warehouse.register("doc", skeleton(3)).unwrap();
+    warehouse
+        .commit("doc", &insert_under_services("contact", 0.7))
+        .unwrap();
+    let query = services_with_endpoint_and_contact();
+    warehouse
+        .register_view("doc", "healthy", Arc::new(query.clone()))
+        .unwrap();
+    let bad = PanicsOnSecondEvaluate {
+        pattern: query.clone(),
+        calls: AtomicUsize::new(0),
+    };
+    warehouse
+        .register_view("doc", "bad", Arc::new(bad))
+        .unwrap();
+    warehouse
+        .commit("doc", &insert_under_services("endpoint", 0.8))
+        .unwrap();
+
+    let read = panic::catch_unwind(AssertUnwindSafe(|| {
+        warehouse.expected_matches("doc", "bad")
+    }));
+    assert!(read.is_err(), "the bad view's re-prepare panicked");
+
+    let stats = warehouse.hub_stats("doc").unwrap();
+    assert_eq!(stats.deltas_observed, 2);
+    assert_eq!(stats.view_maintains, 1, "the panicked pass was counted");
+    assert_eq!(
+        stats.fallbacks, 0,
+        "the panicked re-prepare counted nothing"
+    );
+
+    let served = warehouse.expected_matches("doc", "healthy").unwrap();
+    let snapshot = warehouse.snapshot("doc").unwrap();
+    let fresh = QueryEngine::new()
+        .prepare(&snapshot.tree, &query)
+        .expected_matches();
+    assert_eq!(served.to_bits(), fresh.to_bits());
+    assert!(served > 0.0, "the healthy view has live answers");
 }
