@@ -629,6 +629,9 @@ mod tests {
             !tree.condition(survivor).is_empty(),
             "the survivor is conditional on the deletion event"
         );
+        // The committed frame is fully expanded: no handle, so no store.
+        assert!(!tree.has_shared());
+        assert_eq!(tree.store().num_shapes(), 0);
     }
 
     #[test]

@@ -31,9 +31,11 @@
 //!   in first, so the logical child order (arena then shared) always
 //!   equals the temporal insertion order — expansions render byte-
 //!   identically to deep copies;
-//! * the store's refcounts count one reference per handle plus one per
-//!   stored parent occurrence; [`ProbTree::compact`] garbage-collects
-//!   dead shapes by re-interning the reachable ones into a fresh store.
+//! * the store is append-only: faulting a handle in or detaching its
+//!   node releases nothing, so a subtree interned again gets its old id
+//!   back. [`ProbTree::compact`] is the one collector — it re-interns the
+//!   shapes the handles still reach into a fresh store — and
+//!   [`ProbTree::expand_all`] drops the store with the last handle.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -59,16 +61,13 @@ pub struct SharedChild {
 pub struct MemoryStats {
     /// Nodes of the logical tree (what [`ProbTree::num_nodes`] reports).
     pub logical_nodes: usize,
-    /// Physically stored nodes: attached arena nodes plus distinct live
+    /// Physically stored nodes: attached arena nodes plus distinct
     /// shapes reachable from the handles.
     pub distinct_nodes: usize,
     /// Literals of the logical tree ([`ProbTree::num_literals`]).
     pub logical_literals: usize,
     /// Shared occurrences (total handle count under reachable nodes).
     pub shared_occurrences: usize,
-    /// Live shapes in the node store (reachable handles' shapes plus any
-    /// garbage awaiting [`ProbTree::compact`]).
-    pub store_live_shapes: usize,
 }
 
 impl MemoryStats {
@@ -225,15 +224,18 @@ impl ProbTree {
         node: NodeId,
         root_conditions: &[Condition],
     ) {
-        let shape = self.intern_subtree_shape(node);
-        let entries = self.handles.entry(parent).or_default();
-        for condition in root_conditions {
-            self.store.retain(shape);
-            entries.push(SharedChild {
+        // The walk reads the handles while it interns into the tree's own
+        // store, so the store is moved out for its duration.
+        let mut store = std::mem::take(&mut self.store);
+        let shape = self.intern_subtree(node, &mut store, &mut |_, shape| shape);
+        self.store = store;
+        self.handles
+            .entry(parent)
+            .or_default()
+            .extend(root_conditions.iter().map(|condition| SharedChild {
                 shape,
                 condition: condition.clone(),
-            });
-        }
+            }));
     }
 
     /// The deep-copy variant of [`ProbTree::duplicate_subtree`], kept as
@@ -283,10 +285,18 @@ impl ProbTree {
         new_root
     }
 
-    /// Interns the (arena + shared) subtree rooted at `node` as a *bare*
-    /// shape: inner nodes carry `Some(γ)` (`Some(always)` when empty), the
-    /// root carries `None` so occurrences can attach their own condition.
-    fn intern_subtree_shape(&mut self, node: NodeId) -> ShapeId {
+    /// Interns the (arena + shared) subtree rooted at `node` into `store`
+    /// as a *bare* shape: inner nodes carry `Some(γ)` (`Some(always)` when
+    /// empty), the root carries `None` so occurrences can attach their own
+    /// condition. `translate` maps a handle's shape into `store` — the
+    /// identity when `store` is this tree's own, [`reintern_shape`] for a
+    /// foreign one.
+    fn intern_subtree(
+        &self,
+        node: NodeId,
+        store: &mut NodeStore<Condition>,
+        translate: &mut dyn FnMut(&mut NodeStore<Condition>, ShapeId) -> ShapeId,
+    ) -> ShapeId {
         let mut stack = vec![(node, false)];
         let mut results: Vec<ShapeId> = Vec::new();
         while let Some((n, expanded)) = stack.pop() {
@@ -296,15 +306,10 @@ impl ProbTree {
                 // Shared children follow the arena children, converted to
                 // full shapes by pushing the handle condition down onto
                 // the stored root.
-                if let Some(entries) = self.handles.get(&n) {
-                    let converted: Vec<(ShapeId, Condition)> = entries
-                        .iter()
-                        .map(|h| (h.shape, h.condition.clone()))
-                        .collect();
-                    for (shape, condition) in converted {
-                        let weight = condition.len();
-                        children.push(self.store.with_ann(shape, Some(condition), weight));
-                    }
+                for h in self.shared_children(n) {
+                    let bare = translate(store, h.shape);
+                    let weight = h.condition.len();
+                    children.push(store.with_ann(bare, Some(h.condition.clone()), weight));
                 }
                 let (ann, weight) = if n == node {
                     (None, 0)
@@ -313,8 +318,7 @@ impl ProbTree {
                     let weight = c.len();
                     (Some(c), weight)
                 };
-                let label = self.tree.label(n).to_string();
-                results.push(self.store.intern(&label, ann, weight, &children));
+                results.push(store.intern(self.tree.label(n), ann, weight, &children));
             } else {
                 stack.push((n, true));
                 for &child in self.tree.children(n).iter().rev() {
@@ -330,9 +334,8 @@ impl ProbTree {
     /// Detaches the subtree rooted at `node` (cannot be the root).
     pub fn detach(&mut self, node: NodeId) {
         self.tree.detach(node);
-        // Conditions and handles of detached nodes become garbage. The
-        // next `expand_all` releases the handles' shapes; the next
-        // `compact` drops the rest.
+        // Conditions and handles of detached nodes become garbage until
+        // the next `expand_all` or `compact`.
     }
 
     /// Number of **logical** nodes: reachable arena nodes plus the full
@@ -440,10 +443,10 @@ impl ProbTree {
     }
 
     /// Rebuilds the prob-tree with a compact arena (dropping detached
-    /// nodes) and a garbage-collected node store (reachable shapes are
-    /// re-interned; dead ones are dropped). Conditions and handles are
-    /// carried over. Returns the new prob-tree and the old→new node
-    /// mapping.
+    /// nodes) and a garbage-collected node store (the shapes the surviving
+    /// handles reach are re-interned into a fresh store; the rest are
+    /// dropped). Conditions and handles are carried over. Returns the new
+    /// prob-tree and the old→new node mapping.
     pub fn compact(&self) -> (ProbTree, HashMap<NodeId, NodeId>) {
         let (tree, mapping) = self.tree.compact();
         // Conditions and handles are sparse: walk them, not the mapping.
@@ -465,13 +468,9 @@ impl ProbTree {
                 }
                 let moved: Vec<SharedChild> = entries
                     .iter()
-                    .map(|h| {
-                        let shape = reintern_shape(&self.store, &mut store, &mut memo, h.shape);
-                        store.retain(shape);
-                        SharedChild {
-                            shape,
-                            condition: h.condition.clone(),
-                        }
+                    .map(|h| SharedChild {
+                        shape: reintern_shape(&self.store, &mut store, &mut memo, h.shape),
+                        condition: h.condition.clone(),
                     })
                     .collect();
                 handles.insert(*new, moved);
@@ -513,8 +512,8 @@ impl ProbTree {
     }
 
     /// Materializes the shared children of `node` as arena nodes (in
-    /// handle order, after the existing arena children), releasing their
-    /// shapes. No-op for nodes without handles.
+    /// handle order, after the existing arena children). Their shapes stay
+    /// in the store. No-op for nodes without handles.
     pub fn fault_in(&mut self, node: NodeId) {
         let Some(entries) = self.handles.remove(&node) else {
             return;
@@ -533,7 +532,6 @@ impl ProbTree {
             if !h.condition.is_empty() {
                 conditions.insert(new_root, h.condition);
             }
-            self.store.release(h.shape);
         }
     }
 
@@ -546,18 +544,17 @@ impl ProbTree {
     }
 
     /// Fully materializes the tree: faults in every reachable handle, then
-    /// releases the handles left under detached nodes, so no handle entry
-    /// remains and [`ProbTree::has_shared`] is O(1) afterwards. O(1) on a
-    /// tree without handles.
+    /// drops the handles left under detached nodes and the store, which no
+    /// handle reaches any more. [`ProbTree::has_shared`] is O(1)
+    /// afterwards. On a tree without handle entries it only drops the
+    /// store.
     pub fn expand_all(&mut self) {
-        if self.handles.is_empty() {
-            return;
+        if !self.handles.is_empty() {
+            let root = self.tree.root();
+            self.fault_in_subtree(root);
         }
-        let root = self.tree.root();
-        self.fault_in_subtree(root);
-        for h in std::mem::take(&mut self.handles).into_values().flatten() {
-            self.store.release(h.shape);
-        }
+        self.handles = HashMap::new();
+        self.store = NodeStore::new();
     }
 
     /// A fully materialized view of this prob-tree: borrows `self` when
@@ -629,7 +626,6 @@ impl ProbTree {
             distinct_nodes: arena_nodes + distinct_shapes,
             logical_literals,
             shared_occurrences,
-            store_live_shapes: self.store.num_live(),
         }
     }
 
@@ -640,37 +636,9 @@ impl ProbTree {
     /// them; see [`corpus_memory_stats`].
     pub fn intern_into(&self, store: &mut NodeStore<Condition>) -> ShapeId {
         let mut memo: HashMap<ShapeId, ShapeId> = HashMap::new();
-        let mut stack = vec![(self.tree.root(), false)];
-        let mut results: Vec<ShapeId> = Vec::new();
-        while let Some((n, expanded)) = stack.pop() {
-            if expanded {
-                let arity = self.tree.children(n).len();
-                let mut children: Vec<ShapeId> = results.split_off(results.len() - arity);
-                if let Some(entries) = self.handles.get(&n) {
-                    for h in entries {
-                        let bare = reintern_shape(&self.store, store, &mut memo, h.shape);
-                        let weight = h.condition.len();
-                        children.push(store.with_ann(bare, Some(h.condition.clone()), weight));
-                    }
-                }
-                let (ann, weight) = if n == self.tree.root() {
-                    (None, 0)
-                } else {
-                    let c = self.condition(n);
-                    let weight = c.len();
-                    (Some(c), weight)
-                };
-                results.push(store.intern(self.tree.label(n), ann, weight, &children));
-            } else {
-                stack.push((n, true));
-                for &child in self.tree.children(n).iter().rev() {
-                    stack.push((child, false));
-                }
-            }
-        }
-        results
-            .pop()
-            .expect("document interning produces a root shape")
+        self.intern_subtree(self.tree.root(), store, &mut |dst, shape| {
+            reintern_shape(&self.store, dst, &mut memo, shape)
+        })
     }
 
     /// Validates the representation invariants of the prob-tree,
@@ -686,11 +654,10 @@ impl ProbTree {
     /// * condition support ⊆ declared events — every literal references
     ///   an event the table declares;
     /// * probability mass bounds — `π(w) ∈ (0, 1]` for every event;
-    /// * DAG-store consistency — every handle references a live **bare**
-    ///   shape whose conditions reference declared events, and the store
-    ///   itself passes [`NodeStore::validate`] (acyclicity, refcounts
-    ///   matching the handle census, cached sizes, and agreement of the
-    ///   cached canonical codes with a from-scratch canonization).
+    /// * DAG-store consistency — every handle references a **bare** shape
+    ///   of the store whose conditions reference declared events, and the
+    ///   store itself passes [`NodeStore::validate`] (acyclicity, cached
+    ///   sizes and weights, interner agreement).
     ///
     /// Intended for `debug_assert!`-style use in tests and property
     /// suites; it walks the whole tree, so hot paths should not call it.
@@ -740,42 +707,33 @@ impl ProbTree {
                 ));
             }
         }
-        // DAG-store checks. Handles under detached nodes legitimately
-        // linger until `expand_all` or `compact`, but they still hold
-        // references, so the external census covers *every* handle entry.
-        let mut external: HashMap<ShapeId, usize> = HashMap::new();
-        for entries in self.handles.values() {
-            for h in entries {
-                if !self.store.is_live(h.shape) {
-                    return Err(format!("handle references dead shape {}", h.shape));
-                }
-                if self.store.ann(h.shape).is_some() {
-                    return Err(format!(
-                        "handle shape {} is not bare (stored root carries a condition)",
-                        h.shape
-                    ));
-                }
-                *external.entry(h.shape).or_insert(0) += 1;
+        // DAG-store checks. Handles under detached nodes linger until
+        // `expand_all` or `compact`, so every handle entry is checked.
+        for h in self.handles.values().flatten() {
+            if h.shape.index() >= self.store.num_shapes() {
+                return Err(format!("handle references {} outside the store", h.shape));
             }
-        }
-        for entries in self.handles.values() {
-            for h in entries {
-                for shape in self.store.reachable_from([h.shape]) {
-                    if let Some(c) = self.store.ann(shape) {
-                        for event in c.events() {
-                            if event.index() >= self.events.len() {
-                                return Err(format!(
-                                    "stored shape {shape} references undeclared event index {}",
-                                    event.index()
-                                ));
-                            }
+            if self.store.ann(h.shape).is_some() {
+                return Err(format!(
+                    "handle shape {} is not bare (stored root carries a condition)",
+                    h.shape
+                ));
+            }
+            for shape in self.store.reachable_from([h.shape]) {
+                if let Some(c) = self.store.ann(shape) {
+                    for event in c.events() {
+                        if event.index() >= self.events.len() {
+                            return Err(format!(
+                                "stored shape {shape} references undeclared event index {}",
+                                event.index()
+                            ));
                         }
                     }
                 }
             }
         }
         self.store
-            .validate(&external)
+            .validate()
             .map_err(|e| format!("node store: {e}"))?;
         Ok(())
     }
@@ -854,10 +812,9 @@ pub fn corpus_memory_stats(docs: &[&ProbTree]) -> MemoryStats {
     }
     MemoryStats {
         logical_nodes,
-        distinct_nodes: store.num_live(),
+        distinct_nodes: store.num_shapes(),
         logical_literals,
         shared_occurrences,
-        store_live_shapes: store.num_live(),
     }
 }
 
@@ -1095,8 +1052,35 @@ mod tests {
         compacted.validate_invariants().unwrap();
         assert_eq!(compacted.num_nodes(), 4, "A, B and the shared C copy");
         assert!(compacted.has_shared());
-        let stats = compacted.memory_stats();
-        assert_eq!(stats.store_live_shapes, 2, "bare C and full D only");
+        assert_eq!(compacted.store().num_shapes(), 2, "bare C and full D only");
+    }
+
+    #[test]
+    fn interning_after_a_fault_in_reuses_stored_shapes() {
+        let mut t = figure1_example();
+        let c = t.tree().iter().find(|&n| t.tree().label(n) == "C").unwrap();
+        let root = t.tree().root();
+        t.duplicate_subtree(root, c, Condition::always());
+        let shape = t.shared_children(root)[0].shape;
+        t.fault_in(root);
+        assert!(!t.has_shared());
+        t.duplicate_subtree(root, c, Condition::always());
+        assert_eq!(t.shared_children(root)[0].shape, shape);
+        t.validate_invariants().unwrap();
+    }
+
+    #[test]
+    fn expand_all_drops_the_store() {
+        let mut t = figure1_example();
+        let c = t.tree().iter().find(|&n| t.tree().label(n) == "C").unwrap();
+        let root = t.tree().root();
+        t.duplicate_subtree(root, c, Condition::always());
+        let before = t.to_ascii();
+        t.expand_all();
+        assert!(!t.has_shared());
+        assert_eq!(t.store().num_shapes(), 0);
+        assert_eq!(t.to_ascii(), before);
+        t.validate_invariants().unwrap();
     }
 
     #[test]

@@ -38,7 +38,7 @@ use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, BinaryHeap, HashMap};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use pxml_events::{Condition, Semiring};
 use pxml_tree::canon::Semantics;
@@ -358,7 +358,10 @@ pub struct PreparedQuery<'a> {
     /// [`PreparedQuery::answers_in_cached`]). A `Mutex` rather than a
     /// `RefCell` so the state stays `Sync` for the warehouse server's
     /// shared views; the lock is only held for the duration of one cache
-    /// sweep.
+    /// sweep. A caller's semiring that panics mid-sweep poisons the lock,
+    /// and every access reads through the poison: a slot is written only
+    /// after its value is computed, so a poisoned cache holds only correct
+    /// values (the `computed` counter may count the attempt that panicked).
     semiring: Mutex<SemiringCaches>,
 }
 
@@ -534,7 +537,10 @@ impl<'a> PreparedQuery<'a> {
         // keep their computed values, dirty or fresh slots start empty.
         // `take` is sound because equal conditions intern to one slot, so
         // `carry` is injective on its `Some`s.
-        let caches = self.semiring.get_mut().expect("semiring cache poisoned");
+        let caches = self
+            .semiring
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
         for slots in caches.slots.values_mut() {
             let mut old = std::mem::take(slots);
             *slots = carry
@@ -555,7 +561,7 @@ impl<'a> PreparedQuery<'a> {
         let semiring_stats = self
             .semiring
             .get_mut()
-            .expect("semiring cache poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .stats;
         let Source::Document { query, .. } = &self.source else {
             unreachable!("only document-backed state is maintained");
@@ -564,7 +570,7 @@ impl<'a> PreparedQuery<'a> {
         self.maint = maint;
         self.semiring
             .get_mut()
-            .expect("semiring cache poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .stats = semiring_stats;
         MaintainOutcome::Fallback { reason }
     }
@@ -745,7 +751,7 @@ impl<'a> PreparedQuery<'a> {
         S::Value: Send + 'static,
     {
         let events = self.tree().events();
-        let mut caches = self.semiring.lock().expect("semiring cache poisoned");
+        let mut caches = self.semiring.lock().unwrap_or_else(PoisonError::into_inner);
         let caches = &mut *caches;
         let slots = caches.slots.entry(TypeId::of::<S>()).or_default();
         slots.resize_with(self.conditions.len(), || None);
@@ -772,7 +778,10 @@ impl<'a> PreparedQuery<'a> {
     /// (preserved across maintenance fallbacks, like
     /// [`PreparedQuery::maintenance_stats`]).
     pub fn semiring_cache_stats(&self) -> SemiringCacheStats {
-        self.semiring.lock().expect("semiring cache poisoned").stats
+        self.semiring
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .stats
     }
 
     /// Number of cached values currently held for the semiring type of
@@ -784,7 +793,7 @@ impl<'a> PreparedQuery<'a> {
     {
         self.semiring
             .lock()
-            .expect("semiring cache poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .slots
             .get(&TypeId::of::<S>())
             .map_or(0, |slots| slots.iter().flatten().count())

@@ -37,13 +37,9 @@
 //!    `2^{|relevant|}`) into a [`ComponentShard`] accumulator — partial
 //!    valuations of the component's events keyed by the truth signature
 //!    they give the component's conditions, each carrying the marginal
-//!    probability mass of its class. Once the plan predicts
-//!    [`PARALLEL_SHARD_THRESHOLD`] states, independent components run on
-//!    a scoped thread pool (plain `std` threads) of
-//!    `min(available_parallelism, components)` workers; smaller plans run
-//!    on the caller's thread. Shards are reassembled in component order
-//!    either way, so the result is deterministic and independent of the
-//!    thread count. Nothing is read from the environment, so the output
+//!    probability mass of its class. Components are enumerated in
+//!    component order on the caller's thread, so the result is
+//!    deterministic. Nothing is read from the environment, so the output
 //!    is a function of the prob-tree, the configuration and the budget
 //!    passed in.
 //!
@@ -343,7 +339,7 @@ impl<'a> WorldEngine<'a> {
         config: &WorldEngineConfig,
         max_events: usize,
     ) -> Result<FactorizedWorlds<'a>, TooManyValuations> {
-        self.run_shards(config, true, max_events, available_workers())
+        self.run_shards(config, true, max_events)
     }
 
     /// [`WorldEngine::sharded`] without zero-probability pruning: every
@@ -356,35 +352,26 @@ impl<'a> WorldEngine<'a> {
         config: &WorldEngineConfig,
         max_events: usize,
     ) -> Result<FactorizedWorlds<'a>, TooManyValuations> {
-        self.run_shards(config, false, max_events, available_workers())
+        self.run_shards(config, false, max_events)
     }
 
     /// Enumerates every component into a [`ComponentShard`] and wraps the
     /// result as [`FactorizedWorlds`]. `weighted` selects zero-probability
     /// pruning (the `JT K` semantics) vs the unpruned ∀-world sweep. The
-    /// static [`ShardPlan`] supplies the budget guards; once it predicts
-    /// [`PARALLEL_SHARD_THRESHOLD`] states, up to `workers` threads
-    /// enumerate components concurrently. Shards are reassembled in
-    /// component order, so the output does not depend on `workers`.
+    /// static [`ShardPlan`] supplies the budget guards.
     fn run_shards(
         &self,
         config: &WorldEngineConfig,
         weighted: bool,
         max_events: usize,
-        workers: usize,
     ) -> Result<FactorizedWorlds<'a>, TooManyValuations> {
-        let plan = self.shard_plan(weighted);
-        plan.check_budget(max_events)?;
-        let num_components = self.components.len();
+        self.shard_plan(weighted).check_budget(max_events)?;
         let conditions = conditions_by_component(self);
-        let workers = workers.min(num_components);
-        let shards = if workers > 1 && plan.predicted_states() >= PARALLEL_SHARD_THRESHOLD {
-            run_parallel(self, &conditions, weighted, workers)
-        } else {
-            (0..num_components)
-                .map(|i| enumerate_component(self, i, &conditions[i], weighted))
-                .collect()
-        };
+        let shards = conditions
+            .iter()
+            .enumerate()
+            .map(|(i, conditions)| enumerate_component(self, i, conditions, weighted))
+            .collect();
         Ok(FactorizedWorlds {
             engine: self.clone(),
             shards,
@@ -392,11 +379,6 @@ impl<'a> WorldEngine<'a> {
             max_joint_worlds: config.max_joint_worlds,
         })
     }
-}
-
-/// The worker threads the shard enumeration may use.
-fn available_workers() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
 }
 
 /// Iterator over the relevant partial valuations of a [`WorldEngine`], in
@@ -450,11 +432,6 @@ pub struct WorldEngineConfig {
     /// consumers built on it may walk.
     pub max_joint_worlds: u128,
 }
-
-/// Minimum predicted shard work (total `Σ_c 2^{|free_c|}` states) before
-/// the shard enumeration spawns worker threads; below it, thread setup
-/// costs more than the enumeration itself.
-pub const PARALLEL_SHARD_THRESHOLD: u128 = 4096;
 
 impl Default for WorldEngineConfig {
     fn default() -> Self {
@@ -658,8 +635,7 @@ fn conditions_by_component(engine: &WorldEngine<'_>) -> Vec<Vec<Condition>> {
 /// Enumerates one component's `2^{|free|}` partial assignments and folds
 /// them into signature-keyed classes. Each class sums its raw
 /// assignments' [`Valuation::probability_over`] masses in binary-counter
-/// enumeration order, so every class mass is bit-identical across runs
-/// and thread counts.
+/// enumeration order, so every class mass is bit-identical across runs.
 fn enumerate_component(
     engine: &WorldEngine<'_>,
     component: usize,
@@ -707,49 +683,6 @@ fn enumerate_component(
         assignments,
         states_enumerated: states,
     }
-}
-
-/// Work-stealing parallel shard enumeration over `std::thread::scope`:
-/// each worker pulls the next component index off an atomic counter and
-/// sends its shard home over a channel; the main thread reassembles the
-/// shards in component order.
-fn run_parallel(
-    engine: &WorldEngine<'_>,
-    conditions: &[Vec<Condition>],
-    weighted: bool,
-    workers: usize,
-) -> Vec<ComponentShard> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::mpsc;
-
-    let num_components = engine.components.len();
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, ComponentShard)>();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= num_components {
-                    break;
-                }
-                let shard = enumerate_component(engine, i, &conditions[i], weighted);
-                if tx.send((i, shard)).is_err() {
-                    break;
-                }
-            });
-        }
-    });
-    drop(tx);
-    let mut slots: Vec<Option<ComponentShard>> = vec![None; num_components];
-    for (i, shard) in rx {
-        slots[i] = Some(shard);
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every component enumerated exactly once"))
-        .collect()
 }
 
 /// The factorized possible-world computation of one prob-tree: one
@@ -1221,44 +1154,6 @@ mod tests {
         assert_eq!(err.num_events, 8);
         assert_eq!(err.max_events, 6);
         assert!(engine.sharded(&WorldEngineConfig::default(), 8).is_ok());
-    }
-
-    #[test]
-    fn parallel_executor_matches_sequential() {
-        // 4 components of 12 chained events each: 4 · 2^12 = 16384 shard
-        // states, above PARALLEL_SHARD_THRESHOLD, so 4 workers really
-        // engage the scoped thread pool.
-        let mut t = ProbTree::new("A");
-        let root = t.tree().root();
-        for i in 0..4 {
-            let w: Vec<_> = (0..12)
-                .map(|j| t.events_mut().fresh(0.3 + 0.04 * ((i + j) % 10) as f64))
-                .collect();
-            for pair in w.windows(2) {
-                t.add_child(
-                    root,
-                    format!("C{i}"),
-                    Condition::from_literals([Literal::pos(pair[0]), Literal::pos(pair[1])]),
-                );
-            }
-        }
-        let engine = WorldEngine::new(&t);
-        assert_eq!(engine.components().len(), 4);
-        let config = WorldEngineConfig::default();
-        let sequential = engine.run_shards(&config, true, 14, 1).unwrap();
-        let parallel = engine.run_shards(&config, true, 14, 4).unwrap();
-        assert_eq!(sequential.states_enumerated(), 4 * (1 << 12));
-        assert_eq!(sequential.states_enumerated(), parallel.states_enumerated());
-        assert_eq!(sequential.shards().len(), parallel.shards().len());
-        for (a, b) in sequential.shards().iter().zip(parallel.shards()) {
-            assert_eq!(a.events, b.events);
-            assert_eq!(a.assignments.len(), b.assignments.len());
-            for (x, y) in a.assignments.iter().zip(&b.assignments) {
-                assert_eq!(x.valuation, y.valuation);
-                assert!(prob_eq(x.probability, y.probability));
-                assert_eq!(x.merged, y.merged);
-            }
-        }
     }
 
     #[test]

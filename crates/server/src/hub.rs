@@ -134,7 +134,10 @@ impl MaintenanceHub {
     /// A panic in `f` reaches the caller, but it does not poison the view:
     /// maintenance has finished before `f` runs and `f` only reads the
     /// prepared state, so the view stays whole and later reads serve it.
-    /// A panic inside maintenance still poisons the view's lock.
+    /// A semiring that panics inside `f` poisons only the view's semiring
+    /// cache, which the prepared state reads through the poison, so later
+    /// reads, [`MaintenanceHub::stats`] and maintenance go on working. A
+    /// panic inside maintenance still poisons the view's lock.
     pub fn serve<T>(
         &self,
         doc: &Document,

@@ -80,9 +80,8 @@ impl CanonInterner {
 }
 
 /// [`CanonInterner`] generalized to trees whose nodes carry an annotation
-/// of type `A` alongside the label (prob-trees use node conditions; the
-/// hash-consed [`crate::store::NodeStore`] uses this interner for its
-/// order-insensitive canonical codes).
+/// of type `A` alongside the label (the prob-tree simplifier, its one
+/// user, interns node conditions to group mergeable siblings).
 ///
 /// Two shapes receive the same code iff they have the same label, equal
 /// annotations (`Option<A>` — `None` distinguishes "no annotation" from

@@ -5,20 +5,16 @@
 //! an ordered list of child shapes. Interning is **syntactic**: two shapes
 //! receive the same [`ShapeId`] iff they have equal labels, equal
 //! annotations and identical child-id lists (child order preserved, so a
-//! shape expands back to exactly the tree it was built from). On top of
-//! the syntactic ids the store maintains order-insensitive **canonical
-//! codes** (the Aho–Hopcroft–Ullman scheme of [`crate::canon`], extended
-//! with annotations): two shapes share a canonical code iff their
-//! expansions are isomorphic as annotated unordered trees.
+//! shape expands back to exactly the tree it was built from).
 //!
 //! Shapes form a DAG by construction — a child id is always strictly
 //! smaller than its parent's id — so equal subtrees are stored once no
-//! matter how many trees or occurrences reference them. Reference counts
-//! track both internal references (each stored parent retains its
-//! children once per occurrence) and external handles
-//! ([`NodeStore::retain`] / [`NodeStore::release`]); releasing the last
-//! reference removes the shape from the interner so its storage can be
-//! reclaimed by a compacting rebuild (`ProbTree::compact` upstream).
+//! matter how many trees or occurrences reference them.
+//!
+//! The store is **append-only**: a shape, once interned, keeps its id and
+//! its interner entry for the store's lifetime, and nothing is released
+//! alone. Callers collect garbage by rebuilding a fresh store from the
+//! shapes they still reach (`ProbTree::compact` upstream).
 //!
 //! The root of a stored shape conventionally carries **no** annotation
 //! (`ann = None`): occurrence-specific data (a copy's root condition)
@@ -29,14 +25,11 @@ use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;
 
-use crate::arena::{DataTree, NodeId};
-use crate::canon::AnnotatedCanonInterner;
-
 /// Identifier of a shape inside one [`NodeStore`].
 ///
-/// Like [`NodeId`], a `ShapeId` is only meaningful for the store that
-/// produced it. Child ids are always strictly smaller than their parent's
-/// id, so the stored graph is acyclic by construction.
+/// Like [`NodeId`](crate::NodeId), a `ShapeId` is only meaningful for the
+/// store that produced it. Child ids are always strictly smaller than
+/// their parent's id, so the stored graph is acyclic by construction.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct ShapeId(u32);
 
@@ -65,12 +58,6 @@ struct StoredNode<A> {
     own_weight: usize,
     /// Total annotation weight of the expansion, including this node.
     weight: usize,
-    /// Order-insensitive canonical code (shared with isomorphic shapes).
-    canon: u32,
-    /// Internal (parent-shape) plus external (handle) references.
-    refcount: u32,
-    /// `false` once released; dead shapes are interner-unreachable.
-    live: bool,
 }
 
 /// A hash-consing store of annotated subtree shapes; see the module docs.
@@ -78,8 +65,6 @@ struct StoredNode<A> {
 pub struct NodeStore<A> {
     nodes: Vec<StoredNode<A>>,
     interner: HashMap<(String, Option<A>, Vec<ShapeId>), ShapeId>,
-    canon: AnnotatedCanonInterner<A>,
-    live: usize,
 }
 
 impl<A: Clone + Eq + Hash> Default for NodeStore<A> {
@@ -94,8 +79,6 @@ impl<A: Clone + Eq + Hash> NodeStore<A> {
         NodeStore {
             nodes: Vec::new(),
             interner: HashMap::new(),
-            canon: AnnotatedCanonInterner::new(),
-            live: 0,
         }
     }
 
@@ -108,51 +91,14 @@ impl<A: Clone + Eq + Hash> NodeStore<A> {
         self.intern(&label, ann, ann_weight, &children)
     }
 
-    /// Interns the subtree of `tree` rooted at `node`, bottom-up. The
-    /// annotation of every copied node (the root included) is produced by
-    /// `ann_of`, which returns the annotation and its weight.
-    pub fn intern_tree(
-        &mut self,
-        tree: &DataTree,
-        node: NodeId,
-        ann_of: &mut dyn FnMut(NodeId) -> (Option<A>, usize),
-    ) -> ShapeId {
-        // Post-order via an explicit stack: the second visit of a node pops
-        // its children's shape ids off the result stack.
-        let mut stack = vec![(node, false)];
-        let mut results: Vec<ShapeId> = Vec::new();
-        while let Some((n, expanded)) = stack.pop() {
-            if expanded {
-                let arity = tree.children(n).len();
-                let children: Vec<ShapeId> = results.split_off(results.len() - arity);
-                let (ann, weight) = ann_of(n);
-                let id = self.intern(tree.label(n), ann, weight, &children);
-                results.push(id);
-            } else {
-                stack.push((n, true));
-                // Push children in reverse so they are *interned* in
-                // original order (stored child order is significant for
-                // syntactic ids, even though canon codes ignore it).
-                for &child in tree.children(n).iter().rev() {
-                    stack.push((child, false));
-                }
-            }
-        }
-        results
-            .pop()
-            .expect("intern_tree always produces a root shape")
-    }
-
     /// Interns a shape, returning the id shared by every equal shape.
     ///
     /// `ann_weight` is the annotation's contribution to the shape's
     /// [`NodeStore::weight`] (prob-trees pass the literal count); it must
-    /// be the same every time an equal annotation is interned. New shapes
-    /// retain each child once per occurrence; an interner hit retains
-    /// nothing.
+    /// be the same every time an equal annotation is interned.
     ///
     /// # Panics
-    /// Panics if a child id is dead or out of bounds.
+    /// Panics if a child id is out of bounds.
     pub fn intern(
         &mut self,
         label: &str,
@@ -166,17 +112,10 @@ impl<A: Clone + Eq + Hash> NodeStore<A> {
         }
         let mut size = 1usize;
         let mut weight = ann_weight;
-        let mut child_canons = Vec::with_capacity(children.len());
         for &child in children {
             let node = &self.nodes[child.index()];
-            assert!(node.live, "interning a shape over a released child");
             size += node.size;
             weight += node.weight;
-            child_canons.push(node.canon);
-        }
-        let canon = self.canon.intern(label, key.1.as_ref(), child_canons);
-        for &child in children {
-            self.nodes[child.index()].refcount += 1;
         }
         let id = ShapeId(self.nodes.len() as u32);
         self.nodes.push(StoredNode {
@@ -186,40 +125,9 @@ impl<A: Clone + Eq + Hash> NodeStore<A> {
             size,
             own_weight: ann_weight,
             weight,
-            canon,
-            refcount: 0,
-            live: true,
         });
         self.interner.insert(key, id);
-        self.live += 1;
         id
-    }
-
-    /// Registers one external reference to `shape`.
-    pub fn retain(&mut self, shape: ShapeId) {
-        let node = &mut self.nodes[shape.index()];
-        assert!(node.live, "retaining a released shape");
-        node.refcount += 1;
-    }
-
-    /// Drops one reference to `shape`. When the last reference goes, the
-    /// shape dies: it leaves the interner (a later equal intern builds a
-    /// fresh shape) and recursively releases its children.
-    pub fn release(&mut self, shape: ShapeId) {
-        let mut stack = vec![shape];
-        while let Some(id) = stack.pop() {
-            let node = &mut self.nodes[id.index()];
-            assert!(node.live, "releasing a dead shape");
-            assert!(node.refcount > 0, "releasing an unreferenced shape");
-            node.refcount -= 1;
-            if node.refcount == 0 {
-                node.live = false;
-                self.live -= 1;
-                let key = (node.label.clone(), node.ann.clone(), node.children.clone());
-                stack.extend(node.children.iter().copied());
-                self.interner.remove(&key);
-            }
-        }
     }
 
     /// The label of a shape's root.
@@ -253,29 +161,10 @@ impl<A: Clone + Eq + Hash> NodeStore<A> {
         self.nodes[shape.index()].weight
     }
 
-    /// Order-insensitive canonical code: equal iff the expansions are
-    /// isomorphic as annotated unordered trees (within this store).
-    #[inline]
-    pub fn canon_code(&self, shape: ShapeId) -> u32 {
-        self.nodes[shape.index()].canon
-    }
-
-    /// Current reference count (internal + external).
-    #[inline]
-    pub fn refcount(&self, shape: ShapeId) -> u32 {
-        self.nodes[shape.index()].refcount
-    }
-
-    /// Whether the shape is still referenced (or was interned and never
-    /// referenced — scratch shapes stay live at refcount 0).
-    #[inline]
-    pub fn is_live(&self, shape: ShapeId) -> bool {
-        self.nodes[shape.index()].live
-    }
-
-    /// Number of live shapes (each a distinct stored node).
-    pub fn num_live(&self) -> usize {
-        self.live
+    /// Number of stored shapes (each a distinct stored node), reachable
+    /// or not.
+    pub fn num_shapes(&self) -> usize {
+        self.nodes.len()
     }
 
     /// Collects the set of shapes reachable from `roots` (inclusive),
@@ -295,36 +184,16 @@ impl<A: Clone + Eq + Hash> NodeStore<A> {
         seen
     }
 
-    /// Expands a shape into an independent [`DataTree`] (labels only; use
-    /// [`DataTree::graft_shape`] to expand into an existing tree with
-    /// annotation delivery).
-    pub fn shape_to_tree(&self, shape: ShapeId) -> DataTree {
-        let mut out = DataTree::new(self.label(shape));
-        let root = out.root();
-        out.graft_shape_children(self, shape, root, &mut |_, _| {});
-        out
-    }
-
-    /// Validates the store's representation invariants, given the
-    /// external reference count per shape (handles held by callers):
+    /// Validates the store's representation invariants:
     ///
     /// * **acyclicity** — every child id is strictly smaller than its
     ///   parent's;
-    /// * **liveness** — live shapes only reference live children;
     /// * **cached aggregates** — `size` and `weight` match a recomputation
     ///   over the children;
-    /// * **interner agreement** — the interner maps exactly the live
-    ///   shapes, each under its own key;
-    /// * **canonical-form agreement** — re-canonizing every live shape
-    ///   from scratch partitions them exactly as the cached codes do;
-    /// * **refcount consistency** — every live shape's count equals its
-    ///   occurrences as a child of live shapes plus its external count.
-    pub fn validate(&self, external: &HashMap<ShapeId, usize>) -> Result<(), String> {
-        let mut expected: HashMap<ShapeId, usize> = external.clone();
+    /// * **interner agreement** — the interner maps exactly the stored
+    ///   shapes, each under its own key.
+    pub fn validate(&self) -> Result<(), String> {
         for (i, node) in self.nodes.iter().enumerate() {
-            if !node.live {
-                continue;
-            }
             let id = ShapeId(i as u32);
             let mut size = 1usize;
             let mut weight = node.own_weight;
@@ -333,12 +202,8 @@ impl<A: Clone + Eq + Hash> NodeStore<A> {
                     return Err(format!("store cycle: {id} references {child}"));
                 }
                 let c = &self.nodes[child.index()];
-                if !c.live {
-                    return Err(format!("live shape {id} references dead child {child}"));
-                }
                 size += c.size;
                 weight += c.weight;
-                *expected.entry(child).or_insert(0) += 1;
             }
             if size != node.size || weight != node.weight {
                 return Err(format!(
@@ -351,47 +216,12 @@ impl<A: Clone + Eq + Hash> NodeStore<A> {
                 return Err(format!("interner does not map {id}'s key back to it"));
             }
         }
-        if self.interner.len() != self.live {
+        if self.interner.len() != self.nodes.len() {
             return Err(format!(
-                "interner holds {} entries for {} live shapes",
+                "interner holds {} entries for {} shapes",
                 self.interner.len(),
-                self.live
+                self.nodes.len()
             ));
-        }
-        // Canonical agreement: recompute codes bottom-up (ascending ids
-        // visit children first) and demand the same partition.
-        let mut fresh = AnnotatedCanonInterner::new();
-        let mut recomputed: HashMap<ShapeId, u32> = HashMap::new();
-        let mut old_to_new: HashMap<u32, u32> = HashMap::new();
-        let mut new_to_old: HashMap<u32, u32> = HashMap::new();
-        for (i, node) in self.nodes.iter().enumerate() {
-            if !node.live {
-                continue;
-            }
-            let id = ShapeId(i as u32);
-            let child_codes: Vec<u32> = node.children.iter().map(|c| recomputed[c]).collect();
-            let code = fresh.intern(&node.label, node.ann.as_ref(), child_codes);
-            recomputed.insert(id, code);
-            let forward = *old_to_new.entry(node.canon).or_insert(code);
-            let backward = *new_to_old.entry(code).or_insert(node.canon);
-            if forward != code || backward != node.canon {
-                return Err(format!(
-                    "canonical codes disagree with a fresh canonization at {id}"
-                ));
-            }
-        }
-        for (i, node) in self.nodes.iter().enumerate() {
-            if !node.live {
-                continue;
-            }
-            let id = ShapeId(i as u32);
-            let want = expected.get(&id).copied().unwrap_or(0);
-            if node.refcount as usize != want {
-                return Err(format!(
-                    "refcount of {id} is {} but {} references exist",
-                    node.refcount, want
-                ));
-            }
         }
         Ok(())
     }
@@ -401,10 +231,7 @@ impl<A: Clone + Eq + Hash> NodeStore<A> {
 mod tests {
     use super::*;
     use crate::canon::{canonical_string, Semantics};
-
-    fn no_refs() -> HashMap<ShapeId, usize> {
-        HashMap::new()
-    }
+    use crate::DataTree;
 
     #[test]
     fn equal_shapes_intern_once() {
@@ -415,9 +242,8 @@ mod tests {
         let parent = store.intern("A", None, 0, &[leaf, leaf]);
         assert_eq!(store.size(parent), 3);
         assert_eq!(store.weight(parent), 2);
-        assert_eq!(store.num_live(), 2);
-        assert_eq!(store.refcount(leaf), 2, "retained once per occurrence");
-        store.validate(&no_refs()).unwrap();
+        assert_eq!(store.num_shapes(), 2);
+        store.validate().unwrap();
     }
 
     #[test]
@@ -428,56 +254,28 @@ mod tests {
         let bare = store.intern("B", None, 0, &[]);
         assert_ne!(a, b);
         assert_ne!(a, bare);
-        store.validate(&no_refs()).unwrap();
+        store.validate().unwrap();
     }
 
     #[test]
-    fn canon_codes_ignore_child_order() {
+    fn child_order_is_syntactic_but_expansions_are_isomorphic() {
         let mut store: NodeStore<u8> = NodeStore::new();
         let b = store.intern("B", Some(1), 1, &[]);
         let c = store.intern("C", Some(2), 1, &[]);
         let bc = store.intern("A", None, 0, &[b, c]);
         let cb = store.intern("A", None, 0, &[c, b]);
         assert_ne!(bc, cb, "syntactic ids preserve order");
-        assert_eq!(store.canon_code(bc), store.canon_code(cb));
+        let expand = |shape| {
+            let mut out = DataTree::new(store.label(shape));
+            let root = out.root();
+            out.graft_shape_children(&store, shape, root, &mut |_, _| {});
+            out
+        };
         assert_eq!(
-            canonical_string(&store.shape_to_tree(bc), Semantics::MultiSet),
-            canonical_string(&store.shape_to_tree(cb), Semantics::MultiSet)
+            canonical_string(&expand(bc), Semantics::MultiSet),
+            canonical_string(&expand(cb), Semantics::MultiSet)
         );
-        store.validate(&no_refs()).unwrap();
-    }
-
-    #[test]
-    fn release_cascades_and_reclaims_interner_entries() {
-        let mut store: NodeStore<u8> = NodeStore::new();
-        let leaf = store.intern("B", Some(1), 1, &[]);
-        let parent = store.intern("A", None, 0, &[leaf]);
-        store.retain(parent);
-        assert_eq!(store.num_live(), 2);
-        store.release(parent);
-        assert_eq!(store.num_live(), 0);
-        assert!(!store.is_live(parent));
-        assert!(!store.is_live(leaf));
-        // A fresh intern of the same key builds a new, larger id.
-        let again = store.intern("B", Some(1), 1, &[]);
-        assert!(again > leaf);
-        store.validate(&no_refs()).unwrap();
-    }
-
-    #[test]
-    fn shared_children_survive_a_sibling_release() {
-        let mut store: NodeStore<u8> = NodeStore::new();
-        let leaf = store.intern("B", Some(1), 1, &[]);
-        let p1 = store.intern("A", None, 0, &[leaf]);
-        let p2 = store.intern("A", Some(9), 2, &[leaf]);
-        store.retain(p1);
-        store.retain(p2);
-        store.release(p1);
-        assert!(!store.is_live(p1));
-        assert!(store.is_live(leaf), "still referenced by p2");
-        let mut external = HashMap::new();
-        external.insert(p2, 1usize);
-        store.validate(&external).unwrap();
+        store.validate().unwrap();
     }
 
     #[test]
@@ -489,15 +287,5 @@ mod tests {
         let reachable = store.reachable_from([top]);
         assert_eq!(reachable.len(), 3, "leaf, mid, top — each once");
         assert_eq!(store.size(top), 7, "logical expansion: 1 + 2·(1 + 2)");
-    }
-
-    #[test]
-    fn validate_reports_refcount_drift() {
-        let mut store: NodeStore<u8> = NodeStore::new();
-        let leaf = store.intern("B", Some(1), 1, &[]);
-        let mut external = HashMap::new();
-        external.insert(leaf, 3usize); // claim refs that were never taken
-        let err = store.validate(&external).unwrap_err();
-        assert!(err.contains("refcount"), "{err}");
     }
 }

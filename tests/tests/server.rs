@@ -18,7 +18,8 @@
 //!
 //! Deterministic cases then cover the serving boundary: concurrent
 //! readers, writers committing to several documents at once, a refused
-//! root deletion, a panicking reader and a panicking maintenance pass.
+//! root deletion, a panicking reader, a panicking semiring and a
+//! panicking maintenance pass.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -29,7 +30,7 @@ use pxml_core::query::pattern::{Axis, PatternQuery};
 use pxml_core::query::Query;
 use pxml_core::update::{ProbabilisticUpdate, UpdateOperation, UpdateScript};
 use pxml_core::QueryEngine;
-use pxml_events::{Condition, EventId, Literal};
+use pxml_events::{Condition, EventId, EventTable, Literal, Possibility, Semiring};
 use pxml_server::{ServerError, Warehouse};
 use pxml_tree::builder::TreeSpec;
 use pxml_tree::DataTree;
@@ -519,6 +520,16 @@ fn root_deletion_is_refused_and_leaves_the_document_untouched() {
     assert_eq!(warehouse.hub_stats("doc").unwrap().deltas_observed, 1);
 }
 
+/// Inserts a `label` fact under every service with `confidence`.
+fn insert_under_services(label: &str, confidence: f64) -> ProbabilisticUpdate {
+    let q = PatternQuery::new(Some("service"));
+    let at = q.root();
+    ProbabilisticUpdate::new(
+        UpdateOperation::insert(q, at, DataTree::new(label)),
+        confidence,
+    )
+}
+
 /// A reader whose closure panics gets its panic back, but the view it
 /// read stays usable: later reads equal a fresh prepare bit for bit, and
 /// the document's hub counters can still be read.
@@ -531,13 +542,9 @@ fn a_panicking_reader_does_not_brick_its_view() {
         .register_view("doc", "q", Arc::new(query.clone()))
         .unwrap();
     for (label, confidence) in [("endpoint", 0.8), ("contact", 0.7)] {
-        let q = PatternQuery::new(Some("service"));
-        let at = q.root();
-        let update = ProbabilisticUpdate::new(
-            UpdateOperation::insert(q, at, DataTree::new(label)),
-            confidence,
-        );
-        warehouse.commit("doc", &update).unwrap();
+        warehouse
+            .commit("doc", &insert_under_services(label, confidence))
+            .unwrap();
     }
 
     let read = panic::catch_unwind(AssertUnwindSafe(|| {
@@ -556,6 +563,85 @@ fn a_panicking_reader_does_not_brick_its_view() {
         stats.view_maintains, 1,
         "maintenance ran once, before the panicking read"
     );
+}
+
+/// A caller-supplied semiring with a bug: `one` panics, so folding any
+/// consistent condition panics while the view's semiring cache is locked.
+struct PanicsOnOne;
+
+impl Semiring for PanicsOnOne {
+    type Value = bool;
+
+    fn zero(&self) -> bool {
+        false
+    }
+
+    fn one(&self) -> bool {
+        panic!("semiring bug")
+    }
+
+    fn add(&self, a: bool, b: bool) -> bool {
+        a || b
+    }
+
+    fn mul(&self, a: bool, b: bool) -> bool {
+        a && b
+    }
+
+    fn literal(&self, _: Literal, _: &EventTable) -> bool {
+        true
+    }
+
+    fn is_zero(&self, value: &bool) -> bool {
+        !value
+    }
+}
+
+/// A reader whose semiring panics mid-fold leaves its view serving: the
+/// document's hub counters stay readable, and a commit on the view's
+/// footprint re-prepares it, after which its cached semiring reads equal
+/// a fresh prepare's.
+#[test]
+fn a_panicking_semiring_reader_leaves_its_view_serving() {
+    let warehouse = Warehouse::new();
+    warehouse.register("doc", skeleton(3)).unwrap();
+    let query = services_with_endpoint_and_contact();
+    warehouse
+        .register_view("doc", "q", Arc::new(query.clone()))
+        .unwrap();
+    for (label, confidence) in [("endpoint", 0.8), ("contact", 0.7)] {
+        warehouse
+            .commit("doc", &insert_under_services(label, confidence))
+            .unwrap();
+    }
+
+    let read = panic::catch_unwind(AssertUnwindSafe(|| {
+        warehouse.with_view("doc", "q", |prepared| {
+            prepared.answers_in_cached(&PanicsOnOne).len()
+        })
+    }));
+    assert!(read.is_err(), "the semiring's panic reaches the caller");
+    let before = warehouse.hub_stats("doc").unwrap();
+
+    warehouse
+        .commit("doc", &insert_under_services("endpoint", 0.6))
+        .unwrap();
+    let served = warehouse.possible_count("doc", "q").unwrap();
+    let after = warehouse.hub_stats("doc").unwrap();
+    assert_eq!(
+        after.fallbacks,
+        before.fallbacks + 1,
+        "the on-footprint commit re-prepared the view"
+    );
+    let snapshot = warehouse.snapshot("doc").unwrap();
+    let fresh = QueryEngine::new()
+        .prepare(&snapshot.tree, &query)
+        .answers_in(&Possibility)
+        .into_iter()
+        .filter(|(_, possible)| *possible)
+        .count();
+    assert_eq!(served, fresh);
+    assert!(served > 0, "the view has possible answers");
 }
 
 /// A foreign query with a bug only a re-prepare reaches: its second
@@ -580,14 +666,6 @@ impl Query for PanicsOnSecondEvaluate {
 /// serving.
 #[test]
 fn a_view_whose_maintenance_panicked_leaves_hub_stats_readable() {
-    let insert_under_services = |label: &str, confidence: f64| {
-        let q = PatternQuery::new(Some("service"));
-        let at = q.root();
-        ProbabilisticUpdate::new(
-            UpdateOperation::insert(q, at, DataTree::new(label)),
-            confidence,
-        )
-    };
     let warehouse = Warehouse::new();
     warehouse.register("doc", skeleton(3)).unwrap();
     warehouse
