@@ -92,9 +92,11 @@ impl ScriptAnalysis {
 
     /// Total predicted **distinct stored** survivor nodes over all steps —
     /// what the hash-consed representation actually allocates. Under
-    /// survivor sharing this stays linear on the Theorem 3 family while
+    /// survivor sharing, which only an engine that does not simplify
+    /// applies, this stays linear on the Theorem 3 family while
     /// [`ScriptAnalysis::predicted_logical_survivor_nodes`] grows as
-    /// `1 + 2^n`.
+    /// `1 + 2^n`; a simplifying engine copies every survivor, so the two
+    /// predictions agree.
     pub fn predicted_distinct_survivor_nodes(&self) -> usize {
         self.steps
             .iter()

@@ -1,9 +1,9 @@
 //! The experiment table generator.
 //!
-//! Prints, for every experiment E1–E13 of `EXPERIMENTS.md`, the table of
-//! measured sizes/counts/times that reproduces the *shape* of the
-//! corresponding result of the paper. Sizes matter as much as times here:
-//! Theorems 3–5 are statements about representation size.
+//! Prints, for every experiment E1–E13, the table of measured
+//! sizes/counts/times that reproduces the *shape* of the corresponding
+//! result of the paper. Sizes matter as much as times here: Theorems 3–5
+//! are statements about representation size.
 //!
 //! Usage:
 //! ```text

@@ -1,9 +1,10 @@
 //! # pxml-bench — the experiment harness
 //!
-//! One criterion bench target and/or one `tables` section per experiment of
-//! `EXPERIMENTS.md` (E1–E11), each reproducing the complexity *shape* of a
-//! formal result of the paper. See `DESIGN.md` §3 for the experiment ↔
-//! result mapping.
+//! One criterion bench target and/or one `tables` section per experiment,
+//! each reproducing the complexity *shape* of a formal result of the paper
+//! or measuring an engine built on it: the benches carry E2–E8, E10 and
+//! E13–E16, and `tables` prints E1–E13. Each bench and table names the
+//! result it reproduces.
 //!
 //! The `tables` binary (`cargo run --release -p pxml_bench --bin tables`)
 //! prints the size/count tables (exponential blow-ups are statements about

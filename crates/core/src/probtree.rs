@@ -11,11 +11,13 @@
 //! alongside the arena ([`DataTree`]) every prob-tree owns a hash-consed
 //! [`NodeStore`] of subtree shapes, and a node's logical children are its
 //! arena children **followed by** its [`SharedChild`] handles — O(1)
-//! occurrences of stored shapes. [`ProbTree::duplicate_subtree`] (the
-//! workhorse of update deletions, which materialize `1 + 2^n` survivor
-//! copies on the paper's Appendix-A family) interns the source subtree
-//! once and pushes a handle per copy, so `k` copies of an `m`-node subtree
-//! cost `O(m + k)` distinct stored nodes instead of `O(k·m)`.
+//! occurrences of stored shapes. [`ProbTree::duplicate_subtree_n`]
+//! interns a source subtree once and pushes a handle per copy, so `k`
+//! copies of an `m`-node subtree cost `O(m + k)` distinct stored nodes
+//! instead of `O(k·m)`; an update deletion that does not simplify grafts
+//! the `1 + 2^n` survivor copies of the paper's Appendix-A family this
+//! way. A simplifying step copies deep
+//! ([`ProbTree::duplicate_subtree_deep`]).
 //!
 //! Invariants of the shared representation:
 //!
@@ -200,24 +202,18 @@ impl ProbTree {
     }
 
     /// Duplicates the subtree rooted at `node` (which must belong to this
-    /// tree and be reachable) as a new logical child of `parent`, with the
-    /// copy's root condition replaced by `root_condition`.
+    /// tree and be reachable) as `k` new logical children of `parent`, one
+    /// per condition in `root_conditions`, each with the copy's root
+    /// condition replaced by that condition.
     ///
     /// This is **copy-on-write**: the subtree is interned into the node
     /// store once (hash-consing dedupes it against everything already
-    /// stored) and the copy is an O(1) [`SharedChild`] handle. Update
-    /// deletions replace a target with survivor copies taken from the
-    /// **evolving** tree (so that splits already applied to nested targets
-    /// are preserved); the handle snapshot has the same effect, since
-    /// shapes are immutable.
-    pub fn duplicate_subtree(&mut self, parent: NodeId, node: NodeId, root_condition: Condition) {
-        self.duplicate_subtree_n(parent, node, std::slice::from_ref(&root_condition));
-    }
-
-    /// [`ProbTree::duplicate_subtree`] amortized over `k` copies: interns
-    /// the source subtree once and pushes one handle per condition, so the
+    /// stored) and each copy is an O(1) [`SharedChild`] handle, so the
     /// `1 + 2^n` survivor copies of an Appendix-A deletion cost one shape
-    /// chain plus `1 + 2^n` O(1) handles.
+    /// chain plus `1 + 2^n` handles. Update deletions replace a target
+    /// with survivor copies taken from the **evolving** tree (so that
+    /// splits already applied to nested targets are preserved); the handle
+    /// snapshot has the same effect, since shapes are immutable.
     pub fn duplicate_subtree_n(
         &mut self,
         parent: NodeId,
@@ -238,10 +234,13 @@ impl ProbTree {
             }));
     }
 
-    /// The deep-copy variant of [`ProbTree::duplicate_subtree`], kept as
-    /// the property-tested oracle for the shared representation: the copy
-    /// is materialized as fresh arena nodes and its root id is returned.
+    /// One deep copy of the subtree rooted at `node` under `parent`, with
+    /// its root condition replaced by `root_condition`: the copy is
+    /// materialized as fresh arena nodes and its root id is returned.
     /// Shared children inside the source subtree are faulted in first.
+    /// Simplifying update steps and the sibling-cover merge copy this way;
+    /// it is also the property-tested oracle for
+    /// [`ProbTree::duplicate_subtree_n`].
     pub fn duplicate_subtree_deep(
         &mut self,
         parent: NodeId,
@@ -935,12 +934,12 @@ mod tests {
         let w1 = t.events().by_name("w1").unwrap();
         let c_node = t.tree().iter().find(|&n| t.tree().label(n) == "C").unwrap();
         let root = t.tree().root();
-        t.duplicate_subtree(root, c_node, Condition::of(Literal::pos(w1)));
+        t.duplicate_subtree_n(root, c_node, &[Condition::of(Literal::pos(w1))]);
         let copy = &t.shared_children(root)[0];
         assert_eq!(copy.condition, Condition::of(Literal::pos(w1)));
         assert_eq!(t.num_nodes(), 6, "C and D copied (logically)");
         // A second copy with an empty condition shares the same shape.
-        t.duplicate_subtree(root, c_node, Condition::always());
+        t.duplicate_subtree_n(root, c_node, &[Condition::always()]);
         let shared = t.shared_children(root);
         assert_eq!(shared.len(), 2);
         assert_eq!(shared[0].shape, shared[1].shape, "hash-consed");
@@ -955,7 +954,7 @@ mod tests {
         let w1 = t.events().by_name("w1").unwrap();
         let c = t.tree().iter().find(|&n| t.tree().label(n) == "C").unwrap();
         let root = t.tree().root();
-        t.duplicate_subtree(root, c, Condition::of(Literal::pos(w1)));
+        t.duplicate_subtree_n(root, c, &[Condition::of(Literal::pos(w1))]);
         assert_eq!(t.num_nodes(), 6, "C and D copied");
         // Fault the copy in and check the conditions were carried over.
         t.fault_in(root);
@@ -980,8 +979,8 @@ mod tests {
         let find_c = |t: &ProbTree| t.tree().iter().find(|&n| t.tree().label(n) == "C").unwrap();
         let (cs, cd) = (find_c(&shared), find_c(&deep));
         let root = shared.tree().root();
-        shared.duplicate_subtree(root, cs, Condition::of(Literal::pos(w1)));
-        shared.duplicate_subtree(root, cs, Condition::of(Literal::neg(w1)));
+        shared.duplicate_subtree_n(root, cs, &[Condition::of(Literal::pos(w1))]);
+        shared.duplicate_subtree_n(root, cs, &[Condition::of(Literal::neg(w1))]);
         deep.duplicate_subtree_deep(root, cd, Condition::of(Literal::pos(w1)));
         deep.duplicate_subtree_deep(root, cd, Condition::of(Literal::neg(w1)));
         assert_eq!(shared.to_ascii(), deep.to_ascii());
@@ -999,9 +998,9 @@ mod tests {
         // Put a shared copy of D under C, then duplicate C itself: the
         // interned C shape must absorb the handle.
         let d = t.tree().children(c)[0];
-        t.duplicate_subtree(c, d, Condition::of(Literal::neg(w1)));
+        t.duplicate_subtree_n(c, d, &[Condition::of(Literal::neg(w1))]);
         let root = t.tree().root();
-        t.duplicate_subtree(root, c, Condition::of(Literal::pos(w1)));
+        t.duplicate_subtree_n(root, c, &[Condition::of(Literal::pos(w1))]);
         assert_eq!(t.num_nodes(), 4 + 1 + 3, "D copy + 3-node C copy");
         t.validate_invariants().unwrap();
         let mut expanded = t.clone();
@@ -1015,7 +1014,7 @@ mod tests {
         let mut t = figure1_example();
         let c = t.tree().iter().find(|&n| t.tree().label(n) == "C").unwrap();
         let root = t.tree().root();
-        t.duplicate_subtree(root, c, Condition::always());
+        t.duplicate_subtree_n(root, c, &[Condition::always()]);
         assert!(t.has_shared());
         let e = t.add_child(root, "E", Condition::always());
         assert!(!t.has_shared(), "handles expanded before the new child");
@@ -1045,7 +1044,7 @@ mod tests {
         let mut t = figure1_example();
         let c = t.tree().iter().find(|&n| t.tree().label(n) == "C").unwrap();
         let root = t.tree().root();
-        t.duplicate_subtree(root, c, Condition::always());
+        t.duplicate_subtree_n(root, c, &[Condition::always()]);
         // Detach the original C; its nodes die, the shared copy lives.
         t.detach(c);
         let (compacted, _) = t.compact();
@@ -1060,11 +1059,11 @@ mod tests {
         let mut t = figure1_example();
         let c = t.tree().iter().find(|&n| t.tree().label(n) == "C").unwrap();
         let root = t.tree().root();
-        t.duplicate_subtree(root, c, Condition::always());
+        t.duplicate_subtree_n(root, c, &[Condition::always()]);
         let shape = t.shared_children(root)[0].shape;
         t.fault_in(root);
         assert!(!t.has_shared());
-        t.duplicate_subtree(root, c, Condition::always());
+        t.duplicate_subtree_n(root, c, &[Condition::always()]);
         assert_eq!(t.shared_children(root)[0].shape, shape);
         t.validate_invariants().unwrap();
     }
@@ -1074,7 +1073,7 @@ mod tests {
         let mut t = figure1_example();
         let c = t.tree().iter().find(|&n| t.tree().label(n) == "C").unwrap();
         let root = t.tree().root();
-        t.duplicate_subtree(root, c, Condition::always());
+        t.duplicate_subtree_n(root, c, &[Condition::always()]);
         let before = t.to_ascii();
         t.expand_all();
         assert!(!t.has_shared());
@@ -1101,7 +1100,7 @@ mod tests {
         let w2 = t.events().by_name("w2").unwrap();
         let c = t.tree().iter().find(|&n| t.tree().label(n) == "C").unwrap();
         let root = t.tree().root();
-        t.duplicate_subtree(root, c, Condition::of(Literal::pos(w2)));
+        t.duplicate_subtree_n(root, c, &[Condition::of(Literal::pos(w2))]);
         let deep = t.expanded().into_owned();
         for bits in 0u32..4 {
             let v = Valuation::from_true_events(

@@ -60,9 +60,11 @@ pub struct UpdateEngineConfig {
     /// Graft survivor copies as hash-consed copy-on-write handles
     /// (default: `true`): the target subtree is interned once and every
     /// copy is O(1), so an Appendix-A deletion stores `O(n)` distinct
-    /// nodes for its `1 + 2^n` logical copies. Disable to materialize
-    /// every copy as fresh arena nodes — the deep-copy oracle the
-    /// property suites compare against.
+    /// nodes for its `1 + 2^n` logical copies. Only steps that do not
+    /// [`simplify`](Self::simplify) share: the simplifier reads and
+    /// rewrites arena nodes only. Disable to materialize every copy as
+    /// fresh arena nodes — the deep-copy oracle the property suites
+    /// compare against.
     pub survivor_sharing: bool,
 }
 
@@ -143,8 +145,9 @@ pub struct DeletionForecast {
     /// the input tree. Exact for non-nested targets; with nested targets
     /// the real copies also embed deeper splits, so this is a floor.
     pub subtree_nodes_per_target: Vec<usize>,
-    /// Whether the engine will graft the copies as shared handles
-    /// ([`UpdateEngineConfig::survivor_sharing`]) — decides which node
+    /// Whether the engine will graft the copies as shared handles: only
+    /// when [`UpdateEngineConfig::survivor_sharing`] is on and
+    /// [`UpdateEngineConfig::simplify`] is off. Decides which node
     /// prediction [`DeletionForecast::distinct_survivor_nodes`] gives.
     pub survivor_sharing: bool,
 }
@@ -169,10 +172,11 @@ impl DeletionForecast {
     }
 
     /// Predicted **distinct stored** nodes of all survivor copies: with
-    /// survivor sharing one interned shape chain per target
-    /// (`Σ subtree sizes`, independent of the copy count — a ceiling,
-    /// since hash-consing may dedupe across targets too); without sharing
-    /// this equals [`DeletionForecast::logical_survivor_nodes`].
+    /// [`DeletionForecast::survivor_sharing`] one interned shape chain per
+    /// target (`Σ subtree sizes`, independent of the copy count — a
+    /// ceiling, since hash-consing may dedupe across targets too);
+    /// without it, as for every simplifying engine, this equals
+    /// [`DeletionForecast::logical_survivor_nodes`].
     pub fn distinct_survivor_nodes(&self) -> usize {
         if self.survivor_sharing {
             self.subtree_nodes_per_target
@@ -219,9 +223,11 @@ pub struct StepReport {
     pub survivor_copies: usize,
     /// Distinct stored nodes after the update, before simplification
     /// (arena nodes plus hash-consed shapes — `nodes_raw` minus what
-    /// sharing deduped).
+    /// sharing deduped). A simplifying step copies its survivors deep, so
+    /// this equals `nodes_raw` unless its input held shared children.
     pub distinct_nodes_raw: usize,
-    /// Distinct stored nodes after the step.
+    /// Distinct stored nodes after the step; equals `nodes_after` for a
+    /// simplifying step, whose result holds no shared children.
     pub distinct_nodes_after: usize,
     /// Whether the engine kept the input's shared children as handles
     /// instead of materializing them at entry: the step's query labels
@@ -257,8 +263,9 @@ pub enum StepScope {
     /// fixpoint: the subtrees it grafted, the parents it grafted under or
     /// detached from, and their ancestors. Gives the whole scope's tree,
     /// sizes and delta; only the ids of the nodes a step appends may
-    /// differ, since the region faults shared copies in a different order.
-    /// Both scopes keep the ids of the base frame's surviving nodes.
+    /// differ, since the two scopes sweep merges in different orders and
+    /// each merge appends its cover copies as it runs. Both scopes keep
+    /// the ids of the base frame's surviving nodes.
     Region,
 }
 
@@ -311,8 +318,8 @@ impl UpdateEngine {
     /// addresses arena nodes); when every query label is provably absent
     /// from every reachable shape the expansion is skipped and the input
     /// DAG stays compact ([`StepReport::entry_expansion_skipped`]). The
-    /// copies this step grafts are shared in the output (unless
-    /// [`UpdateEngineConfig::survivor_sharing`] is off).
+    /// survivor copies are shared in the output only when the engine does
+    /// not simplify ([`UpdateEngineConfig::survivor_sharing`]).
     pub fn apply(&self, tree: &ProbTree, update: &ProbabilisticUpdate) -> (ProbTree, StepReport) {
         let step = self.run(tree, update, None);
         let tree = if step.report.matches == 0 {
@@ -409,17 +416,18 @@ impl UpdateEngine {
                 report.survivor_copies = survivors;
             }
         }
+        // A region census only meets arena nodes, so every node it counts
+        // is distinct.
         let grown = |census: &Census| {
+            let nodes = nodes_before - census.removed_nodes + census.inserted_nodes;
             (
-                nodes_before - census.removed_nodes + census.inserted_nodes,
+                nodes,
                 literals_before - census.removed_literals + census.inserted_literals,
-                nodes_before - census.removed_nodes
-                    + census.inserted_arena
-                    + census.inserted_shapes,
+                nodes,
             )
         };
         let raw = if base.is_some() {
-            let census = touched.census(&out);
+            let census = Census::of(&out, &touched);
             report.delta_visited += census.visited;
             grown(&census)
         } else {
@@ -499,7 +507,7 @@ impl UpdateEngine {
                 targets: 0,
                 survivors_per_target: Vec::new(),
                 subtree_nodes_per_target: Vec::new(),
-                survivor_sharing: self.config.survivor_sharing,
+                survivor_sharing: self.shares_survivors(),
             };
         }
         let new_event = (update.confidence < 1.0).then(|| EventId::from_index(tree.events().len()));
@@ -513,7 +521,7 @@ impl UpdateEngine {
                     targets: targets.len(),
                     survivors_per_target: Vec::new(),
                     subtree_nodes_per_target: Vec::new(),
-                    survivor_sharing: self.config.survivor_sharing,
+                    survivor_sharing: self.shares_survivors(),
                 }
             }
             UpdateAction::Delete { at } => {
@@ -535,7 +543,7 @@ impl UpdateEngine {
                     targets: targets.len(),
                     survivors_per_target,
                     subtree_nodes_per_target,
-                    survivor_sharing: self.config.survivor_sharing,
+                    survivor_sharing: self.shares_survivors(),
                 }
             }
         }
@@ -609,8 +617,9 @@ impl UpdateEngine {
             NextFrame::Unknown
         };
         let mut tree = step.tree;
-        // Documents hold fully expanded frames. Expansion appends arena
-        // nodes without renaming.
+        // Documents hold fully expanded frames, and a step that does not
+        // simplify hands over shared survivor copies. Expansion appends
+        // arena nodes without renaming.
         tree.expand_all();
         let epoch = doc.epoch() + 1;
         let mut delta = match step.census {
@@ -700,10 +709,10 @@ impl UpdateEngine {
                 .iter()
                 .map(|disjunct| gamma_target.and(disjunct))
                 .collect();
-            if self.config.survivor_sharing {
-                // One interned shape chain, k O(1) handles.
+            if self.shares_survivors() {
+                // One interned shape chain, k O(1) handles. A step that
+                // does not simplify runs whole-tree: `touched` goes unread.
                 out.duplicate_subtree_n(parent, target, &root_conditions);
-                touched.shared_under.push(parent);
             } else {
                 for condition in root_conditions {
                     let copy = out.duplicate_subtree_deep(parent, target, condition);
@@ -714,6 +723,13 @@ impl UpdateEngine {
             touched.detached.push((parent, target));
         }
         (targets.len(), survivor_copies)
+    }
+
+    /// Whether a deletion grafts its survivor copies as shared handles:
+    /// only when sharing is on and the step does not simplify, since the
+    /// simplifier reads and rewrites arena nodes only.
+    fn shares_survivors(&self) -> bool {
+        self.config.survivor_sharing && !self.config.simplify
     }
 
     /// Expands `⋀_j ¬d_j` into a deterministic list of mutually exclusive
@@ -767,8 +783,8 @@ impl UpdateEngine {
 struct Step {
     /// The updated tree, uncompacted: every node of the (expanded) input
     /// keeps its id, detached nodes stay in the arena, and the nodes the
-    /// step and its simplification added are appended. It may hold shared
-    /// children.
+    /// step and its simplification added are appended. It holds shared
+    /// children only when the engine does not simplify.
     tree: ProbTree,
     report: StepReport,
     /// Region scope: what the step removed and inserted.

@@ -32,6 +32,10 @@
 //! the merge-group limit (`MAX_MERGE_GROUP`) states the one rule that
 //! keeps the merge exact.
 //!
+//! The passes read and rewrite arena nodes only: the whole scope expands
+//! the handles a one-shot input may carry, document frames hold none, and
+//! a simplifying step copies its survivors deep, as the merge its covers.
+//!
 //! A run never renumbers nodes: dropped and merged-away nodes are detached
 //! in place, and merge covers are appended to the arena. [`simplify`]
 //! compacts its result once; a document commit keeps the ids, so its
@@ -40,7 +44,7 @@
 use std::collections::{BTreeSet, HashMap, HashSet};
 
 use pxml_events::{Condition, Dnf, Literal};
-use pxml_tree::{AnnotatedCanonInterner, NodeId, ShapeId};
+use pxml_tree::{AnnotatedCanonInterner, NodeId};
 
 use crate::clean::{clean_below, has_certain_events, prune_below, prune_condition, Walked};
 use crate::probtree::ProbTree;
@@ -116,19 +120,18 @@ pub(crate) enum Scope {
     Region(Touched),
 }
 
-/// What an update step changed in its working tree, recorded as it
-/// grafts and detaches. Node ids are those of the working tree, which is
-/// a clone of the step's base: ids below `base_len` are base nodes.
+/// What an update step and the region scope's passes changed in the
+/// working tree, recorded as they graft and detach. Node ids are those of
+/// the working tree, which is a clone of the step's base: ids below
+/// `base_len` are base nodes.
 #[derive(Debug)]
 pub(crate) struct Touched {
     /// Arena length of the base frame.
     pub(crate) base_len: usize,
-    /// Roots of the arena subtrees the step grafted (insertions, deep
-    /// survivor copies).
+    /// Roots of the grafted subtrees (insertions, survivor copies, merge
+    /// covers).
     pub(crate) grafted: Vec<NodeId>,
-    /// Nodes the step hung shared survivor copies under.
-    pub(crate) shared_under: Vec<NodeId>,
-    /// Roots of the subtrees the step detached, each with its parent.
+    /// Roots of the detached subtrees, each with its parent.
     pub(crate) detached: Vec<(NodeId, NodeId)>,
 }
 
@@ -138,27 +141,13 @@ impl Touched {
         Touched {
             base_len,
             grafted: Vec::new(),
-            shared_under: Vec::new(),
             detached: Vec::new(),
         }
-    }
-
-    /// The census of what the step alone removed and inserted.
-    pub(crate) fn census(&self, tree: &ProbTree) -> Census {
-        let detached: Vec<NodeId> = self.detached.iter().map(|&(_, root)| root).collect();
-        Census::of(
-            tree,
-            self.base_len,
-            &detached,
-            &self.grafted,
-            &self.shared_under,
-        )
     }
 }
 
 /// What a region-scoped step removed from its base frame and inserted
-/// into its result, counted over the touched subtrees alone. Logical
-/// counts see through shared children.
+/// into its result, counted over the touched subtrees alone.
 #[derive(Debug, Default)]
 pub(crate) struct Census {
     /// Base nodes no longer reachable.
@@ -167,31 +156,20 @@ pub(crate) struct Census {
     pub(crate) removed_literals: usize,
     /// Labels of those nodes.
     pub(crate) removed_labels: BTreeSet<String>,
-    /// Reachable logical nodes that are not base nodes.
+    /// Reachable nodes that are not base nodes.
     pub(crate) inserted_nodes: usize,
     /// Literals on those nodes.
     pub(crate) inserted_literals: usize,
     /// Labels of those nodes.
     pub(crate) inserted_labels: BTreeSet<String>,
-    /// Of the inserted nodes, those stored as arena nodes.
-    pub(crate) inserted_arena: usize,
-    /// Distinct stored shapes behind the inserted shared children.
-    pub(crate) inserted_shapes: usize,
-    /// Arena nodes and stored shapes the census walked.
+    /// Nodes the census walked.
     pub(crate) visited: usize,
 }
 
 impl Census {
-    /// Counts the base nodes below the `detached` roots, the arena
-    /// subtrees below the still-reachable `added` roots, and the shared
-    /// children of the still-reachable `shared_under` nodes.
-    fn of(
-        tree: &ProbTree,
-        base_len: usize,
-        detached: &[NodeId],
-        added: &[NodeId],
-        shared_under: &[NodeId],
-    ) -> Census {
+    /// Counts the base nodes below the detached roots and the arena
+    /// subtrees below the still-reachable grafted roots of `touched`.
+    pub(crate) fn of(tree: &ProbTree, touched: &Touched) -> Census {
         let mut census = Census::default();
         let mut seen: HashSet<NodeId> = HashSet::new();
         let walk = |root: NodeId, seen: &mut HashSet<NodeId>, visit: &mut dyn FnMut(NodeId)| {
@@ -203,10 +181,10 @@ impl Census {
                 }
             }
         };
-        for &root in detached {
+        for &(_, root) in &touched.detached {
             walk(root, &mut seen, &mut |node| {
                 census.visited += 1;
-                if node.index() < base_len {
+                if node.index() < touched.base_len {
                     census.removed_nodes += 1;
                     census.removed_literals += tree.condition_ref(node).map_or(0, Condition::len);
                     census
@@ -215,40 +193,19 @@ impl Census {
                 }
             });
         }
-        for &root in added {
+        for &root in &touched.grafted {
             if !tree.tree().is_attached(root) {
                 continue;
             }
             walk(root, &mut seen, &mut |node| {
                 census.visited += 1;
                 census.inserted_nodes += 1;
-                census.inserted_arena += 1;
                 census.inserted_literals += tree.condition_ref(node).map_or(0, Condition::len);
                 census
                     .inserted_labels
                     .insert(tree.tree().label(node).to_owned());
             });
         }
-        let mut shapes: Vec<ShapeId> = Vec::new();
-        let mut parents: HashSet<NodeId> = HashSet::new();
-        for &parent in shared_under {
-            if !parents.insert(parent) || !tree.tree().is_attached(parent) {
-                continue;
-            }
-            for handle in tree.shared_children(parent) {
-                census.inserted_nodes += tree.store().size(handle.shape);
-                census.inserted_literals +=
-                    handle.condition.len() + tree.store().weight(handle.shape);
-                shapes.push(handle.shape);
-            }
-        }
-        let store = tree.store();
-        let reachable = store.reachable_from(shapes);
-        census.visited += reachable.len();
-        census.inserted_shapes = reachable.len();
-        census
-            .inserted_labels
-            .extend(reachable.iter().map(|&shape| store.label(shape).to_owned()));
         census
     }
 }
@@ -281,7 +238,6 @@ pub(crate) fn simplify_scoped(work: ProbTree, scope: Scope) -> Simplified {
     let mut run = Run {
         work,
         fresh: Vec::new(),
-        pending: Vec::new(),
         dirty: HashSet::new(),
         propagated: HashSet::new(),
         sweep_all: false,
@@ -301,7 +257,6 @@ pub(crate) fn simplify_scoped(work: ProbTree, scope: Scope) -> Simplified {
     let mut converged = false;
     for _ in 0..MAX_PASSES {
         passes += 1;
-        run.fault_in_pending();
         let fresh = std::mem::take(&mut run.fresh);
         let mut changed = false;
         for &top in &fresh {
@@ -325,15 +280,7 @@ pub(crate) fn simplify_scoped(work: ProbTree, scope: Scope) -> Simplified {
             break;
         }
     }
-    let census = run.region.take().map(|region| {
-        Census::of(
-            &run.work,
-            region.base_len,
-            &region.detached,
-            &region.added,
-            &run.pending,
-        )
-    });
+    let census = run.region.map(|touched| Census::of(&run.work, &touched));
     Simplified {
         tree: run.work,
         merged_groups: run.merged_groups,
@@ -344,45 +291,30 @@ pub(crate) fn simplify_scoped(work: ProbTree, scope: Scope) -> Simplified {
     }
 }
 
-/// The region scope's record of every subtree added and removed.
-struct Region {
-    base_len: usize,
-    added: Vec<NodeId>,
-    detached: Vec<NodeId>,
-}
-
 /// The working state of one [`simplify_scoped`] run.
 struct Run {
     work: ProbTree,
     /// Roots of the subtrees the next pass cleans and prunes.
     fresh: Vec<NodeId>,
-    /// Parents whose shared children the next pass faults in; the census
-    /// counts what is left shared.
-    pending: Vec<NodeId>,
     /// Parents whose sibling-cover merge the next sweep runs.
     dirty: HashSet<NodeId>,
     /// Nodes whose ancestors are already marked in `dirty`.
     propagated: HashSet<NodeId>,
     /// The next sweep visits every parent, so nothing needs marking.
     sweep_all: bool,
-    region: Option<Region>,
+    /// Region scope: the step's record, extended with what the passes
+    /// graft and detach.
+    region: Option<Touched>,
     visited: usize,
     merged_groups: usize,
 }
 
 impl Run {
     /// Turns an update step's changes into the first pass's work: the
-    /// grafted subtrees are fresh, the shared copies are queued for
-    /// fault-in, and the parents the step grafted under or detached from
-    /// are marked.
+    /// grafted subtrees are fresh, and the parents the step grafted under
+    /// or detached from are marked.
     fn start_region(&mut self, touched: Touched) {
-        let mut region = Region {
-            base_len: touched.base_len,
-            added: Vec::new(),
-            detached: Vec::new(),
-        };
         for &(parent, root) in &touched.detached {
-            region.detached.push(root);
             if self.work.tree().is_attached(parent) {
                 let conditioned = self.work.condition_ref(root).is_some();
                 self.mark_child(parent, conditioned);
@@ -390,36 +322,15 @@ impl Run {
         }
         for &root in &touched.grafted {
             if self.work.tree().is_attached(root) {
-                region.added.push(root);
                 self.note_added(root);
             }
         }
-        self.pending = touched.shared_under;
-        self.region = Some(region);
+        self.region = Some(touched);
     }
 
-    /// Materializes the shared children queued by the step or by the
-    /// previous pass's merges; each expansion is a fresh subtree.
-    fn fault_in_pending(&mut self) {
-        let mut seen: HashSet<NodeId> = HashSet::new();
-        for parent in std::mem::take(&mut self.pending) {
-            if !seen.insert(parent) || !self.work.tree().is_attached(parent) {
-                continue;
-            }
-            let before = self.work.tree().children(parent).len();
-            self.work.fault_in(parent);
-            let added = self.work.tree().children(parent)[before..].to_vec();
-            for root in added {
-                if let Some(region) = &mut self.region {
-                    region.added.push(root);
-                }
-                self.note_added(root);
-            }
-        }
-    }
-
-    /// A new subtree hangs at `root`: clean and prune it this pass, and
-    /// mark its parent and its own inner parents for the sweep.
+    /// A new subtree hangs at `root`: clean and prune it on the next pass
+    /// that starts, and mark its parent and its own inner parents for the
+    /// next sweep.
     fn note_added(&mut self, root: NodeId) {
         self.fresh.push(root);
         if self.sweep_all {
@@ -476,7 +387,7 @@ impl Run {
         let conditioned = self.work.condition_ref(node).is_some();
         self.work.detach(node);
         if let Some(region) = &mut self.region {
-            region.detached.push(node);
+            region.detached.push((parent, node));
         }
         self.mark_child(parent, conditioned);
     }
@@ -540,9 +451,10 @@ impl Run {
     /// by the shape of everything except their own root condition, splits
     /// each group into greedy cliques of pairwise mutually exclusive root
     /// conditions, and replaces each clique whose disjunction has a
-    /// strictly smaller disjoint cover by shared copies of one member, one
-    /// per cover disjunct. Groups are taken in the order of their first
-    /// member. Returns the number of cliques replaced.
+    /// strictly smaller disjoint cover by deep copies of one member, one
+    /// per cover disjunct, fresh for the next pass. Groups are taken in
+    /// the order of their first member. Returns the number of cliques
+    /// replaced.
     ///
     /// Synthesized cover disjuncts are pruned under certain events up
     /// front — exactly what the next pass's prune-certain would do to
@@ -603,9 +515,12 @@ impl Run {
                     .filter_map(|d| prune_condition(d, self.work.events()))
                     .collect();
                 for disjunct in disjuncts {
-                    self.work.duplicate_subtree(parent, template, disjunct);
+                    let copy = self.work.duplicate_subtree_deep(parent, template, disjunct);
+                    if let Some(region) = &mut self.region {
+                        region.grafted.push(copy);
+                    }
+                    self.note_added(copy);
                 }
-                self.pending.push(parent);
                 for &i in &clique {
                     self.detach(parent, group[i]);
                 }

@@ -89,7 +89,7 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-use pxml_events::valuation::TooManyValuations;
+use pxml_events::valuation::{TooManyValuations, Valuations};
 use pxml_events::{Condition, EventId, Valuation};
 use pxml_tree::canon::{canonical_string, Semantics};
 use pxml_tree::DataTree;
@@ -273,7 +273,9 @@ impl<'a> WorldEngine<'a> {
     }
 
     /// Enumeration of **all** `2^{|relevant|}` relevant partial valuations,
-    /// component-major, including zero-probability branches. Structural
+    /// component-major, including zero-probability branches. Each is a
+    /// full-length valuation (irrelevant events false), so
+    /// [`ProbTree::value_in_world`] applies unchanged. Structural
     /// equivalence (Definition 9) and event independence quantify over
     /// every valuation `V ⊆ W` regardless of probability, so they must not
     /// prune — and they never read probabilities, so none are computed on
@@ -282,20 +284,17 @@ impl<'a> WorldEngine<'a> {
     /// Fails when the relevant set exceeds `max_events` (the same
     /// exponential-work guard as the legacy full enumeration, counting
     /// only events that actually matter).
-    pub fn all_valuations(
-        &self,
-        max_events: usize,
-    ) -> Result<RelevantValuations, TooManyValuations> {
+    pub fn all_valuations(&self, max_events: usize) -> Result<Valuations, TooManyValuations> {
         if self.relevant.len() > max_events {
             return Err(TooManyValuations {
                 num_events: self.relevant.len(),
                 max_events,
             });
         }
-        Ok(RelevantValuations {
-            free: self.components.concat(),
-            next: Some(Valuation::empty(self.valuation_len)),
-        })
+        Ok(Valuations::over(
+            Valuation::empty(self.valuation_len),
+            self.components.concat(),
+        ))
     }
 
     /// Probability-weighted enumeration of a *single* component's partial
@@ -310,7 +309,7 @@ impl<'a> WorldEngine<'a> {
         &self,
         component: usize,
         prune_zero_probability: bool,
-    ) -> RelevantValuations {
+    ) -> Valuations {
         let events = self.tree.events();
         let mut start = Valuation::empty(self.valuation_len);
         let mut free = Vec::new();
@@ -321,10 +320,7 @@ impl<'a> WorldEngine<'a> {
                 free.push(e);
             }
         }
-        RelevantValuations {
-            free,
-            next: Some(start),
-        }
+        Valuations::over(start, free)
     }
 
     /// Runs the factorized shard executor in probability-weighted mode:
@@ -378,43 +374,6 @@ impl<'a> WorldEngine<'a> {
             weighted,
             max_joint_worlds: config.max_joint_worlds,
         })
-    }
-}
-
-/// Iterator over the relevant partial valuations of a [`WorldEngine`], in
-/// binary-counter order over the free events (component-major). Yields
-/// full-length valuations — every declared event has a defined bit, so
-/// [`ProbTree::value_in_world`] applies unchanged. No probabilities are
-/// computed; the ∀-quantified consumers (equivalence, independence,
-/// brute-force DTD checks) never need them.
-#[derive(Debug)]
-pub struct RelevantValuations {
-    free: Vec<EventId>,
-    next: Option<Valuation>,
-}
-
-impl Iterator for RelevantValuations {
-    type Item = Valuation;
-
-    fn next(&mut self) -> Option<Valuation> {
-        let current = self.next.take()?;
-        // Binary increment restricted to the free positions; stop after the
-        // all-true assignment.
-        let mut succ = current.clone();
-        let mut carried = true;
-        for &e in &self.free {
-            if succ.get(e) {
-                succ.set(e, false);
-            } else {
-                succ.set(e, true);
-                carried = false;
-                break;
-            }
-        }
-        if !carried {
-            self.next = Some(succ);
-        }
-        Some(current)
     }
 }
 

@@ -165,32 +165,45 @@ impl std::fmt::Display for TooManyValuations {
 
 impl std::error::Error for TooManyValuations {}
 
-/// Iterator over all `2^n` valuations of `n` events, in lexicographic
-/// (binary counter) order.
+/// Iterator over the valuations that extend a start valuation by every
+/// assignment of a list of free events, in binary-counter order: the
+/// first free event flips fastest, and the all-true assignment of the
+/// free events comes last. Events outside the list keep their bit from
+/// the start valuation.
 #[derive(Debug)]
-pub struct AllValuations {
+pub struct Valuations {
+    free: Vec<EventId>,
     next: Option<Valuation>,
 }
 
-impl Iterator for AllValuations {
+impl Valuations {
+    /// The `2^{|free|}` valuations that agree with `start` outside `free`,
+    /// beginning with `start` itself (whose `free` bits should be false).
+    pub fn over(start: Valuation, free: Vec<EventId>) -> Self {
+        Valuations {
+            free,
+            next: Some(start),
+        }
+    }
+}
+
+impl Iterator for Valuations {
     type Item = Valuation;
 
     fn next(&mut self) -> Option<Valuation> {
-        let current = self.next.clone()?;
-        // Binary increment; stop after the all-true valuation.
+        let current = self.next.take()?;
+        // Binary increment over the free events; stop after the all-true
+        // assignment.
         let mut succ = current.clone();
-        let mut carried = true;
-        for i in 0..succ.len() {
-            let e = EventId::from_index(i);
+        for &e in &self.free {
             if succ.get(e) {
                 succ.set(e, false);
             } else {
                 succ.set(e, true);
-                carried = false;
+                self.next = Some(succ);
                 break;
             }
         }
-        self.next = if carried { None } else { Some(succ) };
         Some(current)
     }
 }
@@ -200,16 +213,17 @@ impl Iterator for AllValuations {
 pub fn all_valuations(
     num_events: usize,
     max_events: usize,
-) -> Result<AllValuations, TooManyValuations> {
+) -> Result<Valuations, TooManyValuations> {
     if num_events > max_events {
         return Err(TooManyValuations {
             num_events,
             max_events,
         });
     }
-    Ok(AllValuations {
-        next: Some(Valuation::empty(num_events)),
-    })
+    Ok(Valuations::over(
+        Valuation::empty(num_events),
+        (0..num_events).map(EventId::from_index).collect(),
+    ))
 }
 
 /// Default bound on the number of event variables for exhaustive

@@ -64,6 +64,9 @@ pub struct HubStats {
     /// Sum of the views' per-semiring cache hits
     /// ([`pxml_core::SemiringCacheStats::hits`]).
     pub semiring_cache_hits: u64,
+    /// Reads that found a view's lock poisoned by a maintenance pass that
+    /// panicked, cleared the poison and maintained the view as usual.
+    pub views_recovered: u64,
 }
 
 impl std::ops::AddAssign for HubStats {
@@ -80,6 +83,7 @@ impl std::ops::AddAssign for HubStats {
         self.answers_remapped += other.answers_remapped;
         self.semiring_values_computed += other.semiring_values_computed;
         self.semiring_cache_hits += other.semiring_cache_hits;
+        self.views_recovered += other.views_recovered;
     }
 }
 
@@ -96,6 +100,7 @@ pub struct MaintenanceHub {
     flags_fanned: AtomicU64,
     windows_composed: AtomicU64,
     view_maintains: AtomicU64,
+    views_recovered: AtomicU64,
 }
 
 impl MaintenanceHub {
@@ -136,8 +141,13 @@ impl MaintenanceHub {
     /// prepared state, so the view stays whole and later reads serve it.
     /// A semiring that panics inside `f` poisons only the view's semiring
     /// cache, which the prepared state reads through the poison, so later
-    /// reads, [`MaintenanceHub::stats`] and maintenance go on working. A
-    /// panic inside maintenance still poisons the view's lock.
+    /// reads, [`MaintenanceHub::stats`] and maintenance go on working.
+    ///
+    /// A panic inside maintenance poisons the view's lock; the next read
+    /// clears the poison, counts [`HubStats::views_recovered`] and
+    /// maintains as usual. Maintenance runs foreign code (the view's
+    /// query) only inside a re-prepare that assigns the rebuilt state once
+    /// built, so a poisoned view holds its state from before that pass.
     pub fn serve<T>(
         &self,
         doc: &Document,
@@ -150,7 +160,11 @@ impl MaintenanceHub {
             .expect("hub views lock poisoned")
             .get(view)
             .cloned()?;
-        let mut prepared = view.lock().expect("view lock poisoned");
+        let mut prepared = view.lock().unwrap_or_else(|poisoned| {
+            view.clear_poison();
+            self.views_recovered.fetch_add(1, Ordering::Relaxed);
+            poisoned.into_inner()
+        });
         let (_, epoch) = prepared
             .document_stamp()
             .expect("hub views are document-backed");
@@ -180,7 +194,8 @@ impl MaintenanceHub {
     /// semiring-cache telemetry of every registered view.
     ///
     /// A view whose maintenance panicked is read through its poisoned
-    /// lock: its counters are plain integers, and a re-prepare that panics
+    /// lock (the next [`MaintenanceHub::serve`] of it clears the poison):
+    /// its counters are plain integers, and a re-prepare that panics
     /// leaves them as they were before that pass.
     pub fn stats(&self) -> HubStats {
         let mut stats = HubStats {
@@ -188,6 +203,7 @@ impl MaintenanceHub {
             flags_fanned: self.flags_fanned.load(Ordering::Relaxed),
             windows_composed: self.windows_composed.load(Ordering::Relaxed),
             view_maintains: self.view_maintains.load(Ordering::Relaxed),
+            views_recovered: self.views_recovered.load(Ordering::Relaxed),
             ..HubStats::default()
         };
         let views = self.views.read().expect("hub views lock poisoned");

@@ -48,6 +48,9 @@ pub enum ServerError {
     /// The update would delete the document's root, which prob-tree
     /// updates do not support; the commit was refused before staging.
     RootDeletion,
+    /// The update's confidence (carried as text) lies outside `(0, 1]`;
+    /// the commit was refused before staging.
+    InvalidConfidence(String),
     /// A staged step lost a commit race (should not happen through the
     /// warehouse's own serialized write path; surfaced for completeness).
     Conflict(StageConflict),
@@ -63,6 +66,9 @@ impl std::fmt::Display for ServerError {
             ServerError::UnknownView(name) => write!(f, "unknown view {name:?}"),
             ServerError::DuplicateView(name) => write!(f, "view {name:?} is already registered"),
             ServerError::RootDeletion => write!(f, "the update would delete the document root"),
+            ServerError::InvalidConfidence(confidence) => {
+                write!(f, "confidence {confidence} lies outside (0, 1]")
+            }
             ServerError::Conflict(conflict) => write!(f, "commit conflict: {conflict}"),
         }
     }
@@ -209,15 +215,21 @@ impl Warehouse {
     /// held only to swap in the staged tree and log its delta. Writers to
     /// the same document are serialized, so staging never loses a race.
     ///
-    /// An update that would delete the document root is refused with
-    /// [`ServerError::RootDeletion`] before staging: the epoch, the delta
-    /// log and the views stay as they were.
+    /// An update whose confidence lies outside `(0, 1]` (NaN included) is
+    /// refused with [`ServerError::InvalidConfidence`], and one that would
+    /// delete the document root with [`ServerError::RootDeletion`], both
+    /// before staging: the epoch, the delta log and the views stay as
+    /// they were.
     pub fn commit(
         &self,
         name: &str,
         update: &ProbabilisticUpdate,
     ) -> Result<Arc<UpdateDelta>, ServerError> {
         let cell = self.cell(name)?;
+        let confidence = update.confidence;
+        if !(confidence > 0.0 && confidence <= 1.0) {
+            return Err(ServerError::InvalidConfidence(confidence.to_string()));
+        }
         let _writer = cell.write.lock().expect("writer lock poisoned");
         // `replaced` pins the pre-commit frame, so the swap under the
         // exclusive lock only drops a reference; the frame itself is

@@ -163,22 +163,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// Random 1–8-step scripts (nested and multi-match targets, certain
-    /// events, confidence-1 deletions, unmatched steps, shared and deep
-    /// survivor copies): every commit agrees with the whole-tree scope on
-    /// the same base, commits up to the first matched one run whole-tree,
-    /// and the frame the document ends with is a fixpoint whenever the
-    /// document trusts it.
+    /// events, confidence-1 deletions, unmatched steps): every commit
+    /// agrees with the whole-tree scope on the same base, commits up to
+    /// the first matched one run whole-tree, and the frame the document
+    /// ends with is a fixpoint whenever the document trusts it.
     #[test]
     fn region_commits_equal_whole_tree_commits(
         spec in probtree_strategy(),
         certain in any::<bool>(),
         updates in prop::collection::vec(update_strategy(), 1..=8),
-        sharing in any::<bool>(),
     ) {
-        let engine = UpdateEngine::with_config(UpdateEngineConfig {
-            survivor_sharing: sharing,
-            ..UpdateEngineConfig::default()
-        });
+        let engine = UpdateEngine::new();
         let mut doc = Document::new(base_tree(&spec, certain));
         let mut matched = false;
         for update in &updates {
@@ -304,6 +299,16 @@ fn cascade_base(k: usize) -> ProbTree {
     }
     t.add_child(parent, "X", Condition::always());
     t
+}
+
+/// A simplifying step holds no handle: the merge copies its cover into
+/// the arena, so even a cascade whose last merge runs out of passes
+/// leaves no shared child behind.
+#[test]
+fn a_simplifying_step_holds_no_handle() {
+    let (updated, report) = UpdateEngine::new().apply(&cascade_base(5), &delete_label("X", 1.0));
+    assert!(report.simplification_savings() > 0);
+    assert!(!updated.has_shared(), "{}", updated.to_ascii());
 }
 
 #[test]

@@ -18,8 +18,8 @@
 //!
 //! Deterministic cases then cover the serving boundary: concurrent
 //! readers, writers committing to several documents at once, a refused
-//! root deletion, a panicking reader, a panicking semiring and a
-//! panicking maintenance pass.
+//! root deletion, refused confidences, a panicking reader, a panicking
+//! semiring and a panicking maintenance pass.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -520,6 +520,40 @@ fn root_deletion_is_refused_and_leaves_the_document_untouched() {
     assert_eq!(warehouse.hub_stats("doc").unwrap().deltas_observed, 1);
 }
 
+/// A confidence outside `(0, 1]` is refused before staging, even from an
+/// update built without `ProbabilisticUpdate::new`'s check: NaN, 0, −0.5,
+/// 1.5 and +∞ each get a typed error and leave the epoch, the tree and the
+/// hub counters as they were, and the next valid commit lands as epoch 1.
+#[test]
+fn an_invalid_confidence_is_refused_before_staging() {
+    let warehouse = Warehouse::new();
+    warehouse.register("doc", skeleton(3)).unwrap();
+    warehouse
+        .register_view("doc", "q", Arc::new(services_with_endpoint_and_contact()))
+        .unwrap();
+    let mut q = PatternQuery::new(Some("service"));
+    let at = q.add_child(q.root(), "name");
+    let mut update = ProbabilisticUpdate {
+        operation: UpdateOperation::delete(q, at),
+        confidence: 0.5,
+    };
+    let tree = warehouse.snapshot("doc").unwrap().tree.to_ascii();
+    let stats = warehouse.hub_stats("doc").unwrap();
+    for confidence in [f64::NAN, 0.0, -0.5, 1.5, f64::INFINITY] {
+        update.confidence = confidence;
+        let refused = warehouse.commit("doc", &update).unwrap_err();
+        assert_eq!(
+            refused,
+            ServerError::InvalidConfidence(confidence.to_string())
+        );
+        let after = warehouse.snapshot("doc").unwrap();
+        assert_eq!((after.epoch, after.tree.to_ascii()), (0, tree.clone()));
+        assert_eq!(warehouse.hub_stats("doc").unwrap(), stats);
+    }
+    update.confidence = 0.5;
+    assert_eq!(warehouse.commit("doc", &update).unwrap().epoch, 1);
+}
+
 /// Inserts a `label` fact under every service with `confidence`.
 fn insert_under_services(label: &str, confidence: f64) -> ProbabilisticUpdate {
     let q = PatternQuery::new(Some("service"));
@@ -662,8 +696,8 @@ impl Query for PanicsOnSecondEvaluate {
 }
 
 /// A view whose maintenance panics poisons only its own lock: the
-/// document's hub counters stay readable and its other views keep
-/// serving.
+/// document's hub counters stay readable, its other views keep serving,
+/// and the next read of the view clears the poison and serves it current.
 #[test]
 fn a_view_whose_maintenance_panicked_leaves_hub_stats_readable() {
     let warehouse = Warehouse::new();
@@ -706,4 +740,19 @@ fn a_view_whose_maintenance_panicked_leaves_hub_stats_readable() {
         .expected_matches();
     assert_eq!(served.to_bits(), fresh.to_bits());
     assert!(served > 0.0, "the healthy view has live answers");
+
+    // The bad view still holds its state from before the panicked pass;
+    // the next read re-prepares it, and the query's third evaluate
+    // succeeds.
+    let recovered = warehouse.expected_matches("doc", "bad").unwrap();
+    assert_eq!(recovered.to_bits(), fresh.to_bits());
+    let stats = warehouse.hub_stats("doc").unwrap();
+    assert_eq!(stats.views_recovered, 1);
+    assert_eq!(stats.view_maintains, 3, "bad, healthy, bad again");
+    warehouse.expected_matches("doc", "bad").unwrap();
+    assert_eq!(
+        warehouse.hub_stats("doc").unwrap().views_recovered,
+        1,
+        "the poison is cleared"
+    );
 }

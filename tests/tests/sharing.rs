@@ -1,9 +1,10 @@
 //! Property tests for the hash-consed DAG representation: the shared
-//! (copy-on-write) update engine must be indistinguishable from the
-//! deep-copy oracle — byte-identical rendering and isomorphic
-//! possible-world sets over random trees and update scripts — while the
-//! Appendix-A deletion family stores only `O(n)` distinct nodes for its
-//! `1 + 2^n` logical survivor copies.
+//! (copy-on-write) update engine, which does not simplify, must be
+//! indistinguishable from the deep-copy oracle — byte-identical rendering
+//! and isomorphic possible-world sets over random trees and update
+//! scripts — while the Appendix-A deletion family stores only `O(n)`
+//! distinct nodes for its `1 + 2^n` logical survivor copies. A
+//! simplifying engine copies every survivor.
 
 use proptest::prelude::*;
 
@@ -200,25 +201,6 @@ proptest! {
         prop_assert!(shared_pw.isomorphic(&deep_pw));
     }
 
-    /// With simplification on (the default engine), the shared and deep
-    /// representations must still agree semantically — simplify runs on
-    /// the expanded view, so sharing cannot change what it sees.
-    #[test]
-    fn default_engine_semantics_are_representation_independent(
-        spec in probtree_strategy(),
-        update in deletion_strategy(),
-    ) {
-        let tree = build_probtree(&spec);
-        let (shared, _) = UpdateEngine::new().apply(&tree, &update);
-        let (deep, _) =
-            UpdateEngine::with_config(UpdateEngineConfig::default().deep_oracle())
-                .apply(&tree, &update);
-        prop_assert!(shared.validate_invariants().is_ok());
-        let shared_pw = possible_worlds(&shared, 16).unwrap().normalized();
-        let deep_pw = possible_worlds(&deep, 16).unwrap().normalized();
-        prop_assert!(shared_pw.isomorphic(&deep_pw));
-    }
-
     /// O(1) duplication is observationally a deep copy: duplicating a
     /// random subtree under the root via the handle path and via the
     /// deep path renders identically and keeps the invariants.
@@ -234,7 +216,7 @@ proptest! {
         let condition = tree.condition(node);
 
         let mut via_handle = tree.clone();
-        via_handle.duplicate_subtree(root, node, condition.clone());
+        via_handle.duplicate_subtree_n(root, node, std::slice::from_ref(&condition));
         let mut via_deep = tree.clone();
         via_deep.duplicate_subtree_deep(root, node, condition);
 
@@ -248,6 +230,27 @@ proptest! {
 // ---------------------------------------------------------------------------
 // Appendix-A space: linear distinct nodes for exponential logical copies
 // ---------------------------------------------------------------------------
+
+/// Only a step that does not simplify shares: the default engine copies
+/// the `1 + 2^n` survivors into the arena, so its step report counts as
+/// many distinct nodes as logical ones, and its forecast predicts as
+/// many distinct survivor nodes as logical ones.
+#[test]
+fn a_simplifying_step_copies_its_survivors_deep() {
+    let tree = theorem3_tree(4);
+    let update = d0_deletion(0.8);
+    let engine = UpdateEngine::new();
+    let (_, report) = engine.apply(&tree, &update);
+    assert_eq!(report.nodes_raw, 22);
+    assert_eq!(report.distinct_nodes_raw, report.nodes_raw);
+    assert_eq!(report.distinct_nodes_after, report.nodes_after);
+    let forecast = engine.forecast(&tree, &update);
+    assert_eq!(forecast.logical_survivor_nodes(), 17);
+    assert_eq!(
+        forecast.distinct_survivor_nodes(),
+        forecast.logical_survivor_nodes()
+    );
+}
 
 /// The acceptance counter for the DAG representation: on the Theorem 3
 /// family at `n = 12`, a confidence-0.8 `d0` deletion produces
