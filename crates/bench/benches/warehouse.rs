@@ -4,10 +4,13 @@
 //! The untimed **invariant block** first proves the maintenance hub's
 //! laziness claim with exact counters: under a traffic shape of `R` read
 //! rounds × `D` off-footprint commits per round × `V` registered views,
-//! the hub performs `V × R` maintenance passes (one composed window per
-//! stale view per read round) where the pre-hub pattern — every view
-//! maintained after every delta — applies `V × D × R` windows. Both
-//! window counts are asserted exactly, along with the raw hub counters.
+//! each over its own query allocation, the hub performs `V × R`
+//! maintenance passes (one composed window per stale view per read
+//! round) where the pre-hub pattern — every view maintained after every
+//! delta — applies `V × D × R` windows. Both window counts are asserted
+//! exactly, along with the raw hub counters. The same traffic over `V`
+//! names registered with one shared `Arc<dyn Query>` holds one prepared
+//! state, so it costs exactly `R` passes and `R` windows.
 //!
 //! The timed groups then measure the served read path as the document
 //! grows, and the O(1) epoch-snapshot pin contrasted against it.
@@ -53,17 +56,24 @@ fn content_updates() -> [ProbabilisticUpdate; 2] {
 }
 
 /// A warehouse with one settled document of `services` services and
-/// `VIEWS` registered (and already-served, hence current) views.
-fn settled_warehouse(services: usize) -> Warehouse {
+/// `VIEWS` registered (and already-served, hence current) views, each
+/// over its own query allocation, or all over one shared `Arc` when
+/// `shared`.
+fn settled_warehouse(services: usize, shared: bool) -> Warehouse {
     let warehouse = Warehouse::new();
     warehouse.register("doc", skeleton(services)).unwrap();
     for update in &content_updates() {
         warehouse.commit("doc", update).unwrap();
     }
-    let query = Arc::new(services_with_endpoint_and_contact());
+    let one = Arc::new(services_with_endpoint_and_contact());
     for v in 0..VIEWS {
+        let query = if shared {
+            one.clone()
+        } else {
+            Arc::new(services_with_endpoint_and_contact())
+        };
         warehouse
-            .register_view("doc", &format!("v{v}"), query.clone())
+            .register_view("doc", &format!("v{v}"), query)
             .unwrap();
     }
     for v in 0..VIEWS {
@@ -72,14 +82,9 @@ fn settled_warehouse(services: usize) -> Warehouse {
     warehouse
 }
 
-/// The invariant block: hub counters under the `R × D × V` traffic shape,
-/// against the pre-hub per-view-per-delta baseline. Returns the settled
-/// warehouse for the timed read-path group.
-fn hub_laziness_invariants(services: usize) -> Warehouse {
-    // Hub side: D off-footprint commits per round, then one read of each
-    // view. Maintenance happens lazily on the reads, once per view per
-    // round, each pass composing its own window.
-    let warehouse = settled_warehouse(services);
+/// The invariant traffic: `D` off-footprint commits per round, then one
+/// read of each view, for `R` rounds.
+fn serve_rounds(warehouse: &Warehouse) {
     for _ in 0..ROUNDS {
         for _ in 0..DELTAS_PER_ROUND {
             warehouse
@@ -90,6 +95,16 @@ fn hub_laziness_invariants(services: usize) -> Warehouse {
             warehouse.expected_matches("doc", &format!("v{v}")).unwrap();
         }
     }
+}
+
+/// The invariant block: hub counters under the `R × D × V` traffic shape,
+/// against the pre-hub per-view-per-delta baseline, and over one shared
+/// query. Returns the settled warehouse for the timed read-path group.
+fn hub_laziness_invariants(services: usize) -> Warehouse {
+    // Hub side: maintenance happens lazily on the reads, once per view
+    // per round, each pass composing its own window.
+    let warehouse = settled_warehouse(services, false);
+    serve_rounds(&warehouse);
     let hub = warehouse.hub_stats("doc").unwrap();
     let commits = (2 + ROUNDS * DELTAS_PER_ROUND) as u64;
     assert_eq!(hub.deltas_observed, commits);
@@ -143,6 +158,26 @@ fn hub_laziness_invariants(services: usize) -> Warehouse {
         (VIEWS * ROUNDS * DELTAS_PER_ROUND) as u64,
         "baseline: one window per view per delta"
     );
+
+    // Shared side: the V names over one `Arc` hold one state, so the
+    // same traffic maintains it once per round.
+    let shared = settled_warehouse(services, true);
+    serve_rounds(&shared);
+    let one = shared.hub_stats("doc").unwrap();
+    assert_eq!(one.deltas_observed, commits);
+    assert_eq!(
+        one.flags_fanned, hub.flags_fanned,
+        "flags count names, shared or not"
+    );
+    assert_eq!(
+        one.view_maintains, ROUNDS as u64,
+        "one state: one maintenance pass per read round, for all V names"
+    );
+    assert_eq!(one.windows_composed, ROUNDS as u64);
+    assert_eq!(
+        one.windows_applied, ROUNDS as u64,
+        "one state: one window per read round"
+    );
     warehouse
 }
 
@@ -156,7 +191,7 @@ fn bench_served_reads(c: &mut Criterion) {
         let warehouse = if i == 0 {
             hub_laziness_invariants(services)
         } else {
-            settled_warehouse(services)
+            settled_warehouse(services, false)
         };
         group.bench_with_input(
             BenchmarkId::from_parameter(services),
@@ -175,7 +210,7 @@ fn bench_snapshot_pin(c: &mut Criterion) {
     let sizes: &[usize] = if quick() { &[4, 8] } else { &[4, 8, 16, 32] };
     let mut group = c.benchmark_group("e16_warehouse_snapshot_pin");
     for &services in sizes {
-        let warehouse = settled_warehouse(services);
+        let warehouse = settled_warehouse(services, false);
         group.bench_with_input(
             BenchmarkId::from_parameter(services),
             &warehouse,
@@ -194,7 +229,7 @@ fn bench_commit_path(c: &mut Criterion) {
     let sizes: &[usize] = if quick() { &[4, 8] } else { &[4, 8, 16, 32] };
     let mut group = c.benchmark_group("e16_warehouse_commit");
     for &services in sizes {
-        let warehouse = settled_warehouse(services);
+        let warehouse = settled_warehouse(services, false);
         let update = insert_under("service", "keyword", 0.7);
         group.bench_with_input(
             BenchmarkId::from_parameter(services),

@@ -13,11 +13,13 @@
 //!   `Arc<ProbTree>`, so readers pin an epoch and never block (and are
 //!   never torn) while writers stage expensive update work under shared
 //!   access and commit under a short exclusive swap;
-//! * [`MaintenanceHub`](hub) — per-document lazy view maintenance: a
-//!   commit only counts, and a read brings a stale view current with
-//!   [`pxml_core::PreparedQuery::maintain`], which threads the view's
-//!   whole pending span in one pass — `views × reads` passes instead of
-//!   `views × deltas`;
+//! * [`MaintenanceHub`](hub) — per-document lazy view maintenance over
+//!   one prepared state per query: views registered with the same
+//!   `Arc<dyn Query>` share a state, a commit only counts, and a read
+//!   brings a stale state current with
+//!   [`pxml_core::PreparedQuery::maintain`], which threads the state's
+//!   whole pending span in one pass — distinct queries × stale reads
+//!   passes instead of `views × deltas`;
 //! * **scenario branches** ([`warehouse::Warehouse::branch`]) — O(1)
 //!   copy-on-write forks for what-if update scripts, with answer-level
 //!   [diff analyses](warehouse::Warehouse::diff) between branches.

@@ -14,7 +14,10 @@
 //!    only for [`pxml_core::Document::commit_staged`], which bumps the
 //!    epoch, swaps the tree `Arc` and appends the delta to the log. The
 //!    replaced tree is freed after the exclusive lock is released;
-//! 3. the hub's internal per-view locks (see [`crate::hub`]).
+//! 3. the hub's per-query `RwLock`s, one per prepared state and shared
+//!    by every view name over that query: a current state is served
+//!    under the shared lock, a stale one maintained under the exclusive
+//!    lock (see [`crate::hub`]).
 //!
 //! Because every committed epoch is an immutable `Arc<ProbTree>`, a
 //! [`Snapshot`] outlives any number of subsequent commits unchanged —
@@ -253,6 +256,11 @@ impl Warehouse {
     /// Registers a prepared view of `doc` under `view` in the document's
     /// maintenance hub: commits leave it stale, and the next read brings
     /// it current from the document (see [`MaintenanceHub::serve`]).
+    ///
+    /// Views registered with the same `Arc<dyn Query>` share one prepared
+    /// state (see [`MaintenanceHub::register`]): only the first of them
+    /// prepares the query, and one maintenance pass per commit serves
+    /// them all.
     pub fn register_view(
         &self,
         doc: &str,
@@ -260,11 +268,14 @@ impl Warehouse {
         query: Arc<dyn Query>,
     ) -> Result<(), ServerError> {
         let cell = self.cell(doc)?;
-        let prepared = {
+        let registered = {
             let doc = cell.doc.read().expect("document lock poisoned");
-            self.query_engine.prepare_doc_shared(&doc, query)
+            cell.hub.register_query(view, doc.id(), query.as_ref(), || {
+                self.query_engine
+                    .prepare_doc_shared(&doc, Arc::clone(&query))
+            })
         };
-        if cell.hub.register(view, prepared) {
+        if registered {
             Ok(())
         } else {
             Err(ServerError::DuplicateView(view.to_owned()))

@@ -17,9 +17,10 @@
 //!    the diff of the independently built pair.
 //!
 //! Deterministic cases then cover the serving boundary: concurrent
-//! readers, writers committing to several documents at once, a refused
-//! root deletion, refused confidences, a panicking reader, a panicking
-//! semiring and a panicking maintenance pass.
+//! readers, writers committing to several documents at once, view names
+//! sharing one query's state, a refused root deletion, refused
+//! confidences, a panicking reader, a panicking semiring and a panicking
+//! maintenance pass, alone or shared.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -210,6 +211,23 @@ fn answers_against(tree: &ProbTree, query: &PatternQuery) -> Vec<(SubDataTree, u
         .collect()
 }
 
+/// The answers of `view` of `doc` as served, as comparable data:
+/// `(subtree, probability bits)` in engine order.
+fn served_answers(warehouse: &Warehouse, doc: &str, view: &str) -> Vec<(SubDataTree, u64)> {
+    warehouse
+        .with_view(doc, view, |prepared| {
+            (0..prepared.len())
+                .map(|i| {
+                    (
+                        prepared.subtree(i).clone(),
+                        prepared.probability(i).to_bits(),
+                    )
+                })
+                .collect()
+        })
+        .unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -250,28 +268,26 @@ proptest! {
         let warehouse = Warehouse::new();
         warehouse.register("doc", build_probtree(&spec)).unwrap();
         let query = build_pattern(&pattern);
-        let shared: Arc<dyn pxml_core::query::Query> = Arc::new(query.clone());
+        let shared: Arc<dyn Query> = Arc::new(query.clone());
         warehouse.register_view("doc", "a", shared.clone()).unwrap();
-        warehouse.register_view("doc", "b", shared).unwrap();
+        // "b" holds a state of its own, over its own allocation; "c"
+        // shares "a"'s.
+        warehouse.register_view("doc", "b", Arc::new(query.clone())).unwrap();
+        warehouse.register_view("doc", "c", shared).unwrap();
 
         for (update, read_between) in &steps {
             warehouse.commit("doc", update).unwrap();
             if *read_between {
-                // Only view "a" is read here: "b" falls further behind.
+                // Only view "a" is read here: "b" falls further behind,
+                // and "c" is served from the state "a" brought current.
                 warehouse.expected_matches("doc", "a").unwrap();
             }
         }
 
         let snapshot = warehouse.snapshot("doc").unwrap();
         let fresh = answers_against(&snapshot.tree, &query);
-        for view in ["a", "b"] {
-            let served = warehouse
-                .with_view("doc", view, |prepared| {
-                    (0..prepared.len())
-                        .map(|i| (prepared.subtree(i).clone(), prepared.probability(i).to_bits()))
-                        .collect::<Vec<_>>()
-                })
-                .unwrap();
+        for view in ["a", "b", "c"] {
+            let served = served_answers(&warehouse, "doc", view);
             prop_assert_eq!(&served, &fresh, "view {} diverged from fresh prepare", view);
         }
     }
@@ -344,9 +360,14 @@ fn concurrent_readers_never_block_or_tear() {
     let tree = pxml_workloads::warehouse::skeleton(4);
     warehouse.register("doc", tree).unwrap();
     let query = pxml_workloads::warehouse::services_with_endpoint_and_contact();
-    warehouse
-        .register_view("doc", "q", Arc::new(query.clone()))
-        .unwrap();
+    // Two names over one allocation share one state: readers of either
+    // name take its read lock, and a stale read maintains it once.
+    let shared: Arc<dyn Query> = Arc::new(query.clone());
+    for view in ["q", "q2"] {
+        warehouse
+            .register_view("doc", view, shared.clone())
+            .unwrap();
+    }
 
     let commits = 16;
     std::thread::scope(|scope| {
@@ -374,8 +395,10 @@ fn concurrent_readers_never_block_or_tear() {
                         .prepare(&snapshot.tree, query)
                         .expected_matches();
                     assert!(pinned.is_finite());
-                    let served = warehouse.expected_matches("doc", "q").unwrap();
-                    assert!(served.is_finite());
+                    for view in ["q", "q2"] {
+                        let served = warehouse.expected_matches("doc", view).unwrap();
+                        assert!(served.is_finite());
+                    }
                 }
             });
         }
@@ -386,8 +409,10 @@ fn concurrent_readers_never_block_or_tear() {
     let fresh = QueryEngine::new()
         .prepare(&snapshot.tree, &query)
         .expected_matches();
-    let served = warehouse.expected_matches("doc", "q").unwrap();
-    assert_eq!(served.to_bits(), fresh.to_bits());
+    for view in ["q", "q2"] {
+        let served = warehouse.expected_matches("doc", view).unwrap();
+        assert_eq!(served.to_bits(), fresh.to_bits(), "{view}");
+    }
     assert!(matches!(
         warehouse.expected_matches("missing", "q"),
         Err(ServerError::UnknownDocument(_))
@@ -399,8 +424,10 @@ fn concurrent_readers_never_block_or_tear() {
 const TENANT_VIEWS: [&str; 4] = ["top", "above", "expected", "possible"];
 
 /// Registers `tenants` documents, each a 4-service skeleton with the four
-/// tenant views, and returns each tenant's seeded 4-round script.
-fn tenant_warehouse(tenants: u64) -> (Warehouse, Vec<UpdateScript>) {
+/// tenant views, and returns each tenant's seeded 4-round script. A
+/// tenant's views are registered over one shared `Arc` when `shared`,
+/// else over an `Arc` each.
+fn tenant_warehouse(tenants: u64, shared: bool) -> (Warehouse, Vec<UpdateScript>) {
     let warehouse = Warehouse::new();
     let scenario = WarehouseConfig {
         services: 4,
@@ -411,10 +438,14 @@ fn tenant_warehouse(tenants: u64) -> (Warehouse, Vec<UpdateScript>) {
         .map(|t| {
             let name = format!("tenant{t}");
             warehouse.register(&name, skeleton(4)).unwrap();
+            let one: Arc<dyn Query> = Arc::new(services_with_endpoint_and_contact());
             for view in TENANT_VIEWS {
-                warehouse
-                    .register_view(&name, view, Arc::new(services_with_endpoint_and_contact()))
-                    .unwrap();
+                let query = if shared {
+                    one.clone()
+                } else {
+                    Arc::new(services_with_endpoint_and_contact())
+                };
+                warehouse.register_view(&name, view, query).unwrap();
             }
             let mut rng = StdRng::seed_from_u64(0x2007_0611 + t);
             scenario_script(&scenario, &mut rng).0
@@ -423,23 +454,29 @@ fn tenant_warehouse(tenants: u64) -> (Warehouse, Vec<UpdateScript>) {
     (warehouse, scripts)
 }
 
+/// Reads each tenant view of `name` once, through its read kind, and
+/// appends the bits of everything read to `reads`.
+fn read_tenant_views(warehouse: &Warehouse, name: &str, reads: &mut Vec<u64>) {
+    let top = warehouse.top_k(name, "top", 3).unwrap();
+    reads.extend(top.iter().map(|a| a.probability.to_bits()));
+    let above = warehouse.above(name, "above", 0.5).unwrap();
+    reads.extend(above.iter().map(|a| a.probability.to_bits()));
+    reads.push(
+        warehouse
+            .expected_matches(name, "expected")
+            .unwrap()
+            .to_bits(),
+    );
+    reads.push(warehouse.possible_count(name, "possible").unwrap() as u64);
+}
+
 /// One tenant's lane: commit one step, then read each view once, for
 /// every step. Returns the bits of everything read.
 fn run_lane(warehouse: &Warehouse, name: &str, script: &UpdateScript) -> Vec<u64> {
     let mut reads = Vec::new();
     for update in script.steps() {
         warehouse.commit(name, update).unwrap();
-        let top = warehouse.top_k(name, "top", 3).unwrap();
-        reads.extend(top.iter().map(|a| a.probability.to_bits()));
-        let above = warehouse.above(name, "above", 0.5).unwrap();
-        reads.extend(above.iter().map(|a| a.probability.to_bits()));
-        reads.push(
-            warehouse
-                .expected_matches(name, "expected")
-                .unwrap()
-                .to_bits(),
-        );
-        reads.push(warehouse.possible_count(name, "possible").unwrap() as u64);
+        read_tenant_views(warehouse, name, &mut reads);
     }
     reads
 }
@@ -451,7 +488,7 @@ fn run_lane(warehouse: &Warehouse, name: &str, script: &UpdateScript) -> Vec<u64
 fn concurrent_writers_to_different_documents_match_a_sequential_run() {
     const TENANTS: u64 = 3;
 
-    let (concurrent, scripts) = tenant_warehouse(TENANTS);
+    let (concurrent, scripts) = tenant_warehouse(TENANTS, false);
     let start = Barrier::new(TENANTS as usize);
     let concurrent_reads: Vec<Vec<u64>> = std::thread::scope(|scope| {
         let lanes: Vec<_> = scripts
@@ -468,7 +505,7 @@ fn concurrent_writers_to_different_documents_match_a_sequential_run() {
         lanes.into_iter().map(|lane| lane.join().unwrap()).collect()
     });
 
-    let (sequential, scripts) = tenant_warehouse(TENANTS);
+    let (sequential, scripts) = tenant_warehouse(TENANTS, false);
     for (t, script) in scripts.iter().enumerate() {
         let name = format!("tenant{t}");
         let reads = run_lane(&sequential, &name, script);
@@ -482,6 +519,49 @@ fn concurrent_writers_to_different_documents_match_a_sequential_run() {
         concurrent.expected_matches("tenant0", "expected").unwrap() > 0.0,
         "the reads observed live answers"
     );
+}
+
+/// Runs one tenant's script against its four views, shared or not (see
+/// [`tenant_warehouse`]). After every commit it reads each view through
+/// its read kind, then checks each view's answers and probability bits
+/// against a fresh prepare. Returns the bits of the reads, the number of
+/// commits and the hub counters.
+fn four_views_over_one_script(shared: bool) -> (Vec<u64>, u64, pxml_server::HubStats) {
+    let (warehouse, scripts) = tenant_warehouse(1, shared);
+    let query = services_with_endpoint_and_contact();
+    let mut reads = Vec::new();
+    for update in scripts[0].steps() {
+        warehouse.commit("tenant0", update).unwrap();
+        read_tenant_views(&warehouse, "tenant0", &mut reads);
+        let snapshot = warehouse.snapshot("tenant0").unwrap();
+        let fresh = answers_against(&snapshot.tree, &query);
+        for view in TENANT_VIEWS {
+            assert_eq!(served_answers(&warehouse, "tenant0", view), fresh, "{view}");
+        }
+    }
+    let commits = scripts[0].steps().len() as u64;
+    (reads, commits, warehouse.hub_stats("tenant0").unwrap())
+}
+
+/// Four view names over one `Arc<dyn Query>` share one prepared state:
+/// each commit costs one maintenance pass, however many names read it
+/// after, and every name serves what a fresh prepare serves. Over four
+/// separate `Arc`s of an equal query, the same script still costs four
+/// passes per commit and reads the same bits.
+#[test]
+fn four_names_over_one_query_maintain_once_per_commit() {
+    let (shared_reads, commits, shared) = four_views_over_one_script(true);
+    assert!(commits > 0);
+    assert_eq!(shared.deltas_observed, commits);
+    assert_eq!(shared.flags_fanned, 4 * commits, "flags count names");
+    assert_eq!(shared.view_maintains, commits, "one pass per commit");
+    assert_eq!(shared.windows_applied + shared.fallbacks, commits);
+
+    let (separate_reads, _, separate) = four_views_over_one_script(false);
+    assert_eq!(separate_reads, shared_reads);
+    assert_eq!(separate.flags_fanned, 4 * commits);
+    assert_eq!(separate.view_maintains, 4 * commits, "one pass per state");
+    assert_eq!(separate.windows_applied + separate.fallbacks, 4 * commits);
 }
 
 /// An update that would delete the document root is refused before
@@ -754,5 +834,105 @@ fn a_view_whose_maintenance_panicked_leaves_hub_stats_readable() {
         warehouse.hub_stats("doc").unwrap().views_recovered,
         1,
         "the poison is cleared"
+    );
+}
+
+/// A panic in the maintenance of a state that two names share poisons
+/// that one state: the read that hit it gets the panic, the next read
+/// through either name recovers the state once and serves it current, and
+/// the other name needs no recovery of its own.
+#[test]
+fn a_panic_in_shared_maintenance_is_recovered_once_for_every_name() {
+    let warehouse = Warehouse::new();
+    warehouse.register("doc", skeleton(3)).unwrap();
+    warehouse
+        .commit("doc", &insert_under_services("contact", 0.7))
+        .unwrap();
+    let query = services_with_endpoint_and_contact();
+    let bad: Arc<dyn Query> = Arc::new(PanicsOnSecondEvaluate {
+        pattern: query.clone(),
+        calls: AtomicUsize::new(0),
+    });
+    // Only the first registration evaluates the query, so its second
+    // `evaluate` is the re-prepare of the first maintenance pass.
+    warehouse.register_view("doc", "bad", bad.clone()).unwrap();
+    warehouse.register_view("doc", "bad2", bad).unwrap();
+    warehouse
+        .commit("doc", &insert_under_services("endpoint", 0.8))
+        .unwrap();
+
+    let read = panic::catch_unwind(AssertUnwindSafe(|| {
+        warehouse.expected_matches("doc", "bad")
+    }));
+    assert!(read.is_err(), "the shared state's re-prepare panicked");
+
+    let served = warehouse.expected_matches("doc", "bad2").unwrap();
+    let snapshot = warehouse.snapshot("doc").unwrap();
+    let fresh = QueryEngine::new()
+        .prepare(&snapshot.tree, &query)
+        .expected_matches();
+    assert_eq!(served.to_bits(), fresh.to_bits());
+    assert!(served > 0.0, "the view has live answers");
+    let stats = warehouse.hub_stats("doc").unwrap();
+    assert_eq!(stats.views_recovered, 1);
+    assert_eq!(stats.view_maintains, 2, "the panicked pass and its redo");
+    assert_eq!(stats.fallbacks, 1);
+
+    let again = warehouse.expected_matches("doc", "bad").unwrap();
+    assert_eq!(again.to_bits(), fresh.to_bits());
+    let stats = warehouse.hub_stats("doc").unwrap();
+    assert_eq!(stats.views_recovered, 1, "one recovery serves both names");
+    assert_eq!(stats.view_maintains, 2, "\"bad\" shares the current state");
+}
+
+/// A query that counts its `evaluate` calls. It reports no label
+/// footprint, so every maintenance pass re-prepares and evaluates.
+struct CountsEvaluate {
+    pattern: PatternQuery,
+    calls: AtomicUsize,
+}
+
+impl Query for CountsEvaluate {
+    fn evaluate(&self, tree: &DataTree) -> Vec<SubDataTree> {
+        self.calls.fetch_add(1, Ordering::SeqCst);
+        self.pattern.evaluate(tree)
+    }
+}
+
+/// Registering a second name over a query the hub already serves
+/// prepares nothing: the query is evaluated once for both names, and once
+/// per commit after that.
+#[test]
+fn a_second_registration_over_one_query_does_not_evaluate() {
+    let warehouse = Warehouse::new();
+    warehouse.register("doc", skeleton(3)).unwrap();
+    let query = services_with_endpoint_and_contact();
+    let counted = Arc::new(CountsEvaluate {
+        pattern: query.clone(),
+        calls: AtomicUsize::new(0),
+    });
+    warehouse
+        .register_view("doc", "first", counted.clone())
+        .unwrap();
+    warehouse
+        .register_view("doc", "second", counted.clone())
+        .unwrap();
+    assert_eq!(counted.calls.load(Ordering::SeqCst), 1);
+
+    for (label, confidence) in [("endpoint", 0.8), ("contact", 0.7)] {
+        warehouse
+            .commit("doc", &insert_under_services(label, confidence))
+            .unwrap();
+    }
+    let snapshot = warehouse.snapshot("doc").unwrap();
+    let fresh = answers_against(&snapshot.tree, &query);
+    assert!(!fresh.is_empty(), "the view has live answers");
+    for view in ["second", "first"] {
+        assert_eq!(served_answers(&warehouse, "doc", view), fresh, "{view}");
+    }
+    assert_eq!(
+        counted.calls.load(Ordering::SeqCst),
+        2,
+        "one re-prepare served both names"
     );
 }
