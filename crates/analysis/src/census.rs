@@ -67,14 +67,7 @@ impl WorldsAnalysis {
 }
 
 /// Computes the census of `tree` against an event budget of `max_events`.
-///
-/// Trees with shared (stored) children are analyzed through the expanded
-/// view, so per-node lints can name every logical occurrence; the shard
-/// plans are unaffected (sharing never changes the distinct condition
-/// set, so the co-occurrence components agree).
 pub fn analyze_worlds(tree: &ProbTree, max_events: usize) -> WorldsAnalysis {
-    let tree = tree.expanded();
-    let tree = tree.as_ref();
     let engine = WorldEngine::new(tree);
     let weighted_plan = engine.shard_plan(true);
     let unweighted_plan = engine.shard_plan(false);

@@ -91,12 +91,12 @@ impl ScriptAnalysis {
     }
 
     /// Total predicted **distinct stored** survivor nodes over all steps —
-    /// what the hash-consed representation actually allocates. Under
-    /// survivor sharing, which only an engine that does not simplify
-    /// applies, this stays linear on the Theorem 3 family while
+    /// what the hash-consed representation of
+    /// [`UpdateEngine::apply_shared`] allocates without simplification.
+    /// This stays linear on the Theorem 3 family while
     /// [`ScriptAnalysis::predicted_logical_survivor_nodes`] grows as
-    /// `1 + 2^n`; a simplifying engine copies every survivor, so the two
-    /// predictions agree.
+    /// `1 + 2^n`; [`UpdateEngine::apply`] copies every survivor, so it
+    /// stores the logical count.
     pub fn predicted_distinct_survivor_nodes(&self) -> usize {
         self.steps
             .iter()
@@ -251,7 +251,7 @@ mod tests {
     use super::*;
     use pxml_core::semantics::possible_worlds;
     use pxml_core::update::UpdateOperation;
-    use pxml_core::PatternQuery;
+    use pxml_core::{PatternQuery, SharedProbTree};
     use pxml_tree::DataTree;
     use pxml_workloads::paper::{d0_deletion, theorem3_tree};
     use pxml_workloads::warehouse::{skeleton, warehouse_dtd};
@@ -315,7 +315,7 @@ mod tests {
         for n in 1..=4usize {
             let tree = theorem3_tree(n);
             let script = UpdateScript::from_steps([d0_deletion(0.8)]);
-            // Sharing on: the engine grafts 1 + 2^n *logical* copies of the
+            // The shared step grafts 1 + 2^n *logical* copies of the
             // deleted B leaf but stores its shape exactly once.
             let engine = UpdateEngine::with_config(UpdateEngineConfig {
                 simplify: false,
@@ -327,7 +327,13 @@ mod tests {
             // The forecast agrees with what the applied tree actually
             // stores: logical-minus-distinct is exactly the node count the
             // hash-consed representation avoided materializing.
-            let (updated, report) = engine.apply_script(&tree, &script);
+            let mut updated = SharedProbTree::from(tree.clone());
+            let mut reports = Vec::new();
+            for update in script.steps() {
+                let (next, report) = engine.apply_shared(&updated, update);
+                updated = next;
+                reports.push(report);
+            }
             let stats = updated.memory_stats();
             assert_eq!(
                 stats.logical_nodes - stats.distinct_nodes,
@@ -335,23 +341,11 @@ mod tests {
                     - analysis.predicted_distinct_survivor_nodes()
             );
             assert_eq!(
-                report.steps[0].distinct_nodes_after, stats.distinct_nodes,
+                reports[0].distinct_nodes_after, stats.distinct_nodes,
                 "the step report's distinct counter is the memory-stats one"
             );
-            // The deep oracle materializes every logical copy.
-            let deep = UpdateEngine::with_config(
-                UpdateEngineConfig {
-                    simplify: false,
-                    ..UpdateEngineConfig::default()
-                }
-                .deep_oracle(),
-            );
-            let deep_analysis = analyze_script(&deep, &tree, &script, None);
-            assert_eq!(
-                deep_analysis.predicted_distinct_survivor_nodes(),
-                deep_analysis.predicted_logical_survivor_nodes()
-            );
-            let (deep_out, _) = deep.apply_script(&tree, &script);
+            // Deep copies materialize every logical copy.
+            let (deep_out, _) = engine.apply_script(&tree, &script);
             let deep_stats = deep_out.memory_stats();
             assert_eq!(deep_stats.logical_nodes, deep_stats.distinct_nodes);
             assert_eq!(deep_stats.logical_nodes, stats.logical_nodes);

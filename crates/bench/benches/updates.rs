@@ -18,7 +18,7 @@ use pxml_core::semantics::possible_worlds;
 use pxml_core::update::{
     ProbabilisticUpdate, StepScope, UpdateEngine, UpdateEngineConfig, UpdateOperation,
 };
-use pxml_core::{Document, PatternQuery, ProbTree};
+use pxml_core::{Document, PatternQuery, ProbTree, SharedProbTree};
 use pxml_events::{Condition, Literal};
 use pxml_tree::DataTree;
 use pxml_workloads::paper::{d0_deletion, theorem3_tree};
@@ -60,7 +60,8 @@ fn bench_insertions(c: &mut Criterion) {
 /// Time doubles (at least) with every increment of n; the companion table
 /// (`tables --exp e5`) reports the output sizes. Timed on the raw engine
 /// configuration so the curve measures the Appendix A deletion itself,
-/// not the (separately benchmarked) simplification pass.
+/// not the (separately benchmarked) simplification pass, with the
+/// survivor copies grafted as shared handles.
 fn bench_theorem3_deletion(c: &mut Criterion) {
     let mut group = c.benchmark_group("e5_theorem3_deletion");
     let sizes: &[usize] = if quick() {
@@ -70,9 +71,9 @@ fn bench_theorem3_deletion(c: &mut Criterion) {
     };
     let engine = UpdateEngine::with_config(UpdateEngineConfig::raw());
     for &n in sizes {
-        let tree = theorem3_tree(n);
+        let tree = SharedProbTree::from(theorem3_tree(n));
         group.bench_with_input(BenchmarkId::from_parameter(n), &tree, |b, tree| {
-            b.iter(|| engine.apply(tree, &d0_deletion(1.0)));
+            b.iter(|| engine.apply_shared(tree, &d0_deletion(1.0)));
         });
     }
     group.finish();
@@ -121,10 +122,7 @@ fn bench_deletion_blowup_control(c: &mut Criterion) {
     let (raw_out, raw_report) = raw_engine.apply(&tree, &update);
     let (default_out, _) = default_engine.apply(&tree, &update);
     let (simplified_out, simplified_report) = simplify_only.apply(&tree, &update);
-    // Survivor copies are shared handles, so count the *logical* B
-    // occurrences through the expanded view.
     let b_copies = |t: &ProbTree| {
-        let t = t.expanded();
         t.tree()
             .iter()
             .filter(|&nd| t.tree().label(nd) == "B")
@@ -227,9 +225,9 @@ fn bench_nested_target_deletion(c: &mut Criterion) {
 /// keeps the **distinct** stored node count linear in `n` (`n + 2`). The
 /// counters are asserted outside the timed region (in quick mode too —
 /// this is CI's dedup smoke check); the timed comparison contrasts shared
-/// grafting with the deep-copy oracle at a feasible size.
+/// grafting with deep copies at a feasible size.
 fn bench_dedup_memory(c: &mut Criterion) {
-    let shared_engine = UpdateEngine::with_config(UpdateEngineConfig {
+    let engine = UpdateEngine::with_config(UpdateEngineConfig {
         simplify: false,
         ..UpdateEngineConfig::default()
     });
@@ -238,7 +236,7 @@ fn bench_dedup_memory(c: &mut Criterion) {
     // while the logical count blows up exponentially.
     let n = 12usize;
     let update = d0_deletion(0.8);
-    let (out, report) = shared_engine.apply(&theorem3_tree(n), &update);
+    let (out, report) = engine.apply_shared(&SharedProbTree::from(theorem3_tree(n)), &update);
     let stats = out.memory_stats();
     assert_eq!(
         stats.logical_nodes,
@@ -252,18 +250,13 @@ fn bench_dedup_memory(c: &mut Criterion) {
     );
     assert_eq!(report.distinct_nodes_after, stats.distinct_nodes);
     assert!(stats.dedup_ratio() > 100.0);
-    // The deep-copy oracle materializes every logical copy (checked at a
-    // size where 3^n-free logical grafting is still feasible).
-    let deep_engine = UpdateEngine::with_config(
-        UpdateEngineConfig {
-            simplify: false,
-            ..UpdateEngineConfig::default()
-        }
-        .deep_oracle(),
-    );
+    // Deep copies materialize every logical copy (checked at a size where
+    // 3^n-free logical grafting is still feasible).
     let small = if quick() { 6 } else { 10 };
-    let (shared_small, _) = shared_engine.apply(&theorem3_tree(small), &update);
-    let (deep_small, _) = deep_engine.apply(&theorem3_tree(small), &update);
+    let tree = theorem3_tree(small);
+    let shared_tree = SharedProbTree::from(tree.clone());
+    let (shared_small, _) = engine.apply_shared(&shared_tree, &update);
+    let (deep_small, _) = engine.apply(&tree, &update);
     let shared_stats = shared_small.memory_stats();
     let deep_stats = deep_small.memory_stats();
     assert_eq!(deep_stats.logical_nodes, deep_stats.distinct_nodes);
@@ -275,12 +268,15 @@ fn bench_dedup_memory(c: &mut Criterion) {
     );
 
     let mut group = c.benchmark_group("e13_dedup_memory");
-    let tree = theorem3_tree(small);
-    group.bench_with_input(BenchmarkId::new("shared", small), &tree, |b, tree| {
-        b.iter(|| shared_engine.apply(tree, &update));
-    });
+    group.bench_with_input(
+        BenchmarkId::new("shared", small),
+        &shared_tree,
+        |b, tree| {
+            b.iter(|| engine.apply_shared(tree, &update));
+        },
+    );
     group.bench_with_input(BenchmarkId::new("deep_copy", small), &tree, |b, tree| {
-        b.iter(|| deep_engine.apply(tree, &update));
+        b.iter(|| engine.apply(tree, &update));
     });
     group.finish();
 }

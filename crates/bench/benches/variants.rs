@@ -9,7 +9,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use pxml_core::update::{UpdateEngine, UpdateEngineConfig};
 use pxml_core::variants::FormulaProbTree;
-use pxml_core::PatternQuery;
+use pxml_core::{PatternQuery, SharedProbTree};
 use pxml_sat::{Formula, Var};
 use pxml_workloads::paper::{d0_deletion, theorem3_tree};
 
@@ -38,14 +38,15 @@ fn d0(t: &mut FormulaProbTree) {
 
 /// Deletion cost on the conjunctive prob-tree model (exponential, Theorem
 /// 3), timed on the raw engine configuration so the curve measures the
-/// Appendix A deletion itself rather than the simplification pass.
+/// Appendix A deletion itself rather than the simplification pass, with
+/// the survivor copies grafted as shared handles.
 fn bench_conjunctive_deletion(c: &mut Criterion) {
     let mut group = c.benchmark_group("e10_deletion_conjunctive_model");
     let engine = UpdateEngine::with_config(UpdateEngineConfig::raw());
     for n in [2usize, 4, 6, 8, 10] {
-        let tree = theorem3_tree(n);
+        let tree = SharedProbTree::from(theorem3_tree(n));
         group.bench_with_input(BenchmarkId::from_parameter(n), &tree, |b, tree| {
-            b.iter(|| engine.apply(tree, &d0_deletion(1.0)));
+            b.iter(|| engine.apply_shared(tree, &d0_deletion(1.0)));
         });
     }
     group.finish();

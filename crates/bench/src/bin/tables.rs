@@ -29,6 +29,7 @@ use pxml_core::update::{ProbabilisticUpdate, UpdateEngine, UpdateEngineConfig, U
 use pxml_core::variants::FormulaProbTree;
 use pxml_core::PatternQuery;
 use pxml_core::QueryEngine;
+use pxml_core::SharedProbTree;
 use pxml_dtd::reduction::reduce_sat;
 use pxml_dtd::restriction::{
     restriction_as_probtree as dtd_restriction_as_probtree, theorem5_restriction_family,
@@ -285,15 +286,17 @@ fn e5_deletion_blowup() {
         "n", "input size", "del. size", "B copies", "del. (ms)", "ins. size", "ins. (ms)"
     );
     // Raw engine: this table is the Appendix A deletion curve; the
-    // simplification pass is measured separately below.
+    // simplification pass is measured separately below. Survivor copies
+    // are grafted as shared handles.
     let appendix_a = UpdateEngine::with_config(UpdateEngineConfig::raw());
     for n in [1usize, 2, 4, 6, 8, 10, 12, 14] {
         let tree = theorem3_tree(n);
+        let shared = SharedProbTree::from(tree.clone());
         let start = Instant::now();
-        let (deleted, _) = appendix_a.apply(&tree, &d0_deletion(1.0));
+        let (deleted, _) = appendix_a.apply_shared(&shared, &d0_deletion(1.0));
         let del_time = start.elapsed();
-        // Survivor copies are shared handles; count logical occurrences.
-        let expanded = deleted.expanded();
+        // Count logical occurrences through the expansion.
+        let expanded = deleted.expand();
         let b_copies = expanded
             .tree()
             .iter()
@@ -338,7 +341,6 @@ fn e5_deletion_blowup() {
         let (controlled, _) = engine.apply(&tree, &update);
         let (_, simplified_report) = simplify_naive.apply(&tree, &update);
         let copies = |t: &pxml_core::ProbTree| {
-            let t = t.expanded();
             t.tree()
                 .iter()
                 .filter(|&nd| t.tree().label(nd) == "B")
@@ -768,8 +770,8 @@ fn e13_dedup_storage() {
         ..UpdateEngineConfig::default()
     });
     for n in [1usize, 2, 4, 6, 8, 10, 12] {
-        let tree = theorem3_tree(n);
-        let (out, _) = engine.apply(&tree, &d0_deletion(0.8));
+        let tree = SharedProbTree::from(theorem3_tree(n));
+        let (out, _) = engine.apply_shared(&tree, &d0_deletion(0.8));
         let stats = out.memory_stats();
         println!(
             "{n:>3} | {:>14} {:>14} {:>12} | {:>12.2}",

@@ -17,11 +17,9 @@ use pxml_tree::NodeId;
 
 use crate::probtree::ProbTree;
 
-/// Returns a cleaned, compacted copy of `tree`. Shared children are
-/// materialized first: cleaning rewrites conditions in place, which the
-/// immutable stored shapes do not support.
+/// Returns a cleaned, compacted copy of `tree`.
 pub fn clean(tree: &ProbTree) -> ProbTree {
-    let mut work = tree.expanded().into_owned();
+    let mut work = tree.clone();
     let root = work.tree().root();
     let walked = clean_below(&mut work, root, Condition::always());
     for node in walked.dropped {
@@ -108,7 +106,7 @@ pub fn prune_certain(tree: &ProbTree) -> ProbTree {
     if !has_certain_events(tree.events()) {
         return tree.clone();
     }
-    let mut work = tree.expanded().into_owned();
+    let mut work = tree.clone();
     let root = work.tree().root();
     let walked = prune_below(&mut work, root);
     for node in walked.dropped {
@@ -174,8 +172,6 @@ pub(crate) fn prune_condition(condition: &Condition, events: &EventTable) -> Opt
 /// `true` if `tree` is already clean: no node condition repeats or
 /// contradicts an ancestor literal, and every condition is consistent.
 pub fn is_clean(tree: &ProbTree) -> bool {
-    let tree = tree.expanded();
-    let tree = tree.as_ref();
     for node in tree.tree().iter() {
         if node == tree.tree().root() {
             continue;

@@ -119,13 +119,11 @@ impl UpdateDelta {
             .any(|label| footprint.contains(label))
     }
 
-    /// Diffs two consecutive frames by node id. Both frames must be fully
-    /// expanded (the [`Document`] invariant), so arena iteration covers
-    /// every logical node. A node is removed if `old` reaches it and `new`
-    /// does not, inserted if `new` reaches it and its id lies past `old`'s
-    /// arena, and rewritten if both reach it with different conditions.
-    /// The whole-scope delta, and the oracle the region-scope delta is
-    /// tested against.
+    /// Diffs two consecutive frames by node id. A node is removed if
+    /// `old` reaches it and `new` does not, inserted if `new` reaches it
+    /// and its id lies past `old`'s arena, and rewritten if both reach it
+    /// with different conditions. The whole-scope delta, and the oracle
+    /// the region-scope delta is tested against.
     pub(crate) fn diff(old: &ProbTree, new: &ProbTree, epoch: Epoch, report: StepReport) -> Self {
         let mut delta = UpdateDelta::identity(epoch, report);
         if delta.report.matches == 0 {
@@ -366,13 +364,7 @@ impl std::error::Error for StageConflict {}
 /// [`UpdateEngine::apply_doc`](crate::UpdateEngine::apply_doc) commits
 /// new epochs.
 ///
-/// The held tree is always fully expanded: pattern matching, delta
-/// diffing, and prepared-query patching all address arena nodes, and the
-/// expansion is done once per commit instead of once per reader.
-/// (Keeping update-created sharing alive across steps *inside* a
-/// document is a known follow-on — see ROADMAP.)
-///
-/// Its arena may also hold detached slots: commits keep node ids stable
+/// Its arena may hold detached slots: commits keep node ids stable
 /// and leave removed nodes in place (see the [module docs](self)). A
 /// commit rebases once the base frame holds more detached slots than
 /// live nodes, so before a rebase there is at most about one detached
@@ -391,8 +383,7 @@ pub struct Document {
 }
 
 impl Document {
-    /// Wraps a prob-tree as epoch 0 of a fresh document. Shared children
-    /// are materialized once, up front (see the type docs).
+    /// Wraps a prob-tree as epoch 0 of a fresh document.
     pub fn new(tree: ProbTree) -> Self {
         Document::with_log_capacity(tree, DEFAULT_DELTA_LOG_CAPACITY)
     }
@@ -401,8 +392,6 @@ impl Document {
     /// history: every maintenance call behind by more than zero epochs
     /// falls back).
     pub fn with_log_capacity(tree: ProbTree, log_capacity: usize) -> Self {
-        let mut tree = tree;
-        tree.expand_all();
         Document {
             id: DocumentId::fresh(),
             epoch: 0,
@@ -629,9 +618,6 @@ mod tests {
             !tree.condition(survivor).is_empty(),
             "the survivor is conditional on the deletion event"
         );
-        // The committed frame is fully expanded: no handle, so no store.
-        assert!(!tree.has_shared());
-        assert_eq!(tree.store().num_shapes(), 0);
     }
 
     #[test]
@@ -797,7 +783,7 @@ mod tests {
         // The document path computes the same final tree as the borrowed
         // path.
         let (batch, batch_report) = engine.apply_script(&figure1_example(), &script);
-        assert_eq!(doc.tree().num_nodes(), batch.expanded().num_nodes());
+        assert_eq!(doc.tree().num_nodes(), batch.num_nodes());
         assert_eq!(reports.len(), batch_report.steps.len());
         for (a, b) in reports.iter().zip(&batch_report.steps) {
             assert_eq!(a.matches, b.matches);

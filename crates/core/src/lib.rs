@@ -8,7 +8,7 @@
 //!
 //! | Paper section | Module |
 //! |---|---|
-//! | §2 syntax of prob-trees (Def. 2) | [`probtree`] |
+//! | §2 syntax of prob-trees (Def. 2) | [`probtree`]; the hash-consed DAG representation in [`shared`] |
 //! | §2 possible-world semantics (Def. 3–4), expressiveness | [`pwset`], [`semantics`], [`worlds`] |
 //! | §2 locally monotone queries, tree-pattern queries with joins (Def. 5–8, Thm. 1, Prop. 2) | [`query`] |
 //! | §2 / Appendix A probabilistic updates (Def. 14–16, Thm. 3) | [`update`] |
@@ -52,6 +52,7 @@ pub mod proxml;
 pub mod pwset;
 pub mod query;
 pub mod semantics;
+pub mod shared;
 pub mod threshold;
 pub mod update;
 pub mod variants;
@@ -68,6 +69,7 @@ pub use query::{
     AnswerSet, FallbackReason, MaintainError, MaintainOutcome, MaintainStats,
     MonotonicityCertificate, PreparedQuery, QueryEngine, SemiringCacheStats, Theorem1Error,
 };
+pub use shared::SharedProbTree;
 pub use update::{
     DeletionForecast, ProbabilisticUpdate, SurvivorBudgetExceeded, UpdateAction, UpdateEngine,
     UpdateEngineConfig, UpdateOperation, UpdateScript,

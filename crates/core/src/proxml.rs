@@ -58,12 +58,8 @@ impl From<ParseError> for ProXmlError {
     }
 }
 
-/// Serializes a prob-tree as a ProXML document. Shared (stored) children
-/// are serialized through the expanded view: ProXML has no sharing syntax,
-/// so the document spells out every logical occurrence.
+/// Serializes a prob-tree as a ProXML document.
 pub fn to_xml(tree: &ProbTree) -> String {
-    let tree = tree.expanded();
-    let tree = tree.as_ref();
     let mut root = Element::new("prob-tree");
 
     let mut events_el = Element::new("events");

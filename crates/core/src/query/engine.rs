@@ -33,7 +33,6 @@
 //! [`Condition::and`] fold.
 
 use std::any::{Any, TypeId};
-use std::borrow::Cow;
 use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
@@ -79,13 +78,7 @@ impl QueryEngine {
     /// probability evaluation, tree materialization or sorting until a
     /// consumer asks.
     pub fn prepare<'a>(&self, tree: &'a ProbTree, query: &'a dyn Query) -> PreparedQuery<'a> {
-        // Pattern matching and answer materialization address arena nodes,
-        // so a tree with shared (stored) children is expanded once here;
-        // trees without handles are borrowed as-is.
-        build_prepared(Source::Borrowed {
-            tree: Box::new(tree.expanded()),
-            query,
-        })
+        build_prepared(Source::Borrowed { tree, query })
     }
 
     /// Prepares against the current epoch of a [`Document`], from a
@@ -160,11 +153,9 @@ struct AnswerState {
 /// Where a [`PreparedQuery`]'s tree and query come from — one variant per
 /// entry point.
 enum Source<'a> {
-    /// [`QueryEngine::prepare`]: a borrowed query over the borrowed tree,
-    /// or over an owned expansion of a tree with shared children. Boxed
-    /// so the possibly-owned expansion doesn't dominate the enum's size.
+    /// [`QueryEngine::prepare`]: a borrowed query over a borrowed tree.
     Borrowed {
-        tree: Box<Cow<'a, ProbTree>>,
+        tree: &'a ProbTree,
         query: &'a dyn Query,
     },
     /// [`QueryEngine::prepare_doc_shared`]: an owning snapshot of one
@@ -192,7 +183,7 @@ impl Source<'_> {
 
     fn tree(&self) -> &ProbTree {
         match self {
-            Source::Borrowed { tree, .. } => (**tree).as_ref(),
+            Source::Borrowed { tree, .. } => tree,
             Source::Document { tree, .. } => tree,
         }
     }
@@ -366,9 +357,8 @@ pub struct PreparedQuery<'a> {
 }
 
 impl<'a> PreparedQuery<'a> {
-    /// The prob-tree the query was prepared against (the expanded view if
-    /// the input tree had shared children; the stamped epoch's snapshot
-    /// when document-backed).
+    /// The prob-tree the query was prepared against (the stamped epoch's
+    /// snapshot when document-backed).
     pub fn tree(&self) -> &ProbTree {
         self.source.tree()
     }

@@ -35,6 +35,7 @@ use pxml_tree::{DataTree, NodeId};
 use crate::document::{Fixpoint, NextFrame};
 use crate::probtree::ProbTree;
 use crate::query::pattern::{PatternMatch, PatternNodeId, PatternQuery};
+use crate::shared::SharedProbTree;
 
 use super::script::{ScriptReport, UpdateScript};
 use super::simplify::{simplify_scoped, Census, Scope, Touched};
@@ -57,15 +58,6 @@ pub struct UpdateEngineConfig {
     /// [`DeletionForecast`] exceeds the budget — before any subtree is
     /// materialized.
     pub max_survivor_copies: Option<usize>,
-    /// Graft survivor copies as hash-consed copy-on-write handles
-    /// (default: `true`): the target subtree is interned once and every
-    /// copy is O(1), so an Appendix-A deletion stores `O(n)` distinct
-    /// nodes for its `1 + 2^n` logical copies. Only steps that do not
-    /// [`simplify`](Self::simplify) share: the simplifier reads and
-    /// rewrites arena nodes only. Disable to materialize every copy as
-    /// fresh arena nodes — the deep-copy oracle the property suites
-    /// compare against.
-    pub survivor_sharing: bool,
 }
 
 impl Default for UpdateEngineConfig {
@@ -74,7 +66,6 @@ impl Default for UpdateEngineConfig {
             simplify: true,
             shared_first_chains: true,
             max_survivor_copies: None,
-            survivor_sharing: true,
         }
     }
 }
@@ -82,22 +73,15 @@ impl Default for UpdateEngineConfig {
 impl UpdateEngineConfig {
     /// The naive Appendix A behaviour: no simplification, no chain
     /// reordering. Kept as the measurable baseline for the blow-up
-    /// benchmarks and the simplification assertions. (Survivor sharing
-    /// stays on — the representation is orthogonal to the chain order.)
+    /// benchmarks and the simplification assertions. The representation
+    /// is the input's: [`UpdateEngine::apply`] copies survivors deep,
+    /// [`UpdateEngine::apply_shared`] grafts them as shared handles.
     pub fn raw() -> Self {
         UpdateEngineConfig {
             simplify: false,
             shared_first_chains: false,
             max_survivor_copies: None,
-            survivor_sharing: true,
         }
-    }
-
-    /// The deep-copy oracle: identical logical behaviour with survivor
-    /// sharing disabled, used to cross-check the shared representation.
-    pub fn deep_oracle(mut self) -> Self {
-        self.survivor_sharing = false;
-        self
     }
 }
 
@@ -129,8 +113,9 @@ impl std::error::Error for SurvivorBudgetExceeded {}
 /// survivor expansion **without mutating the tree** — no subtree is
 /// copied, no condition is attached. For deletions the per-target counts
 /// equal, exactly, the number of survivor copies
-/// [`UpdateEngine::apply`] will graft (property-tested against
-/// [`StepReport::survivor_copies`]); insertions never copy survivors.
+/// [`UpdateEngine::apply`] and [`UpdateEngine::apply_shared`] will graft
+/// (property-tested against [`StepReport::survivor_copies`]); insertions
+/// never copy survivors.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DeletionForecast {
     /// Number of query matches the step will see.
@@ -145,11 +130,6 @@ pub struct DeletionForecast {
     /// the input tree. Exact for non-nested targets; with nested targets
     /// the real copies also embed deeper splits, so this is a floor.
     pub subtree_nodes_per_target: Vec<usize>,
-    /// Whether the engine will graft the copies as shared handles: only
-    /// when [`UpdateEngineConfig::survivor_sharing`] is on and
-    /// [`UpdateEngineConfig::simplify`] is off. Decides which node
-    /// prediction [`DeletionForecast::distinct_survivor_nodes`] gives.
-    pub survivor_sharing: bool,
 }
 
 impl DeletionForecast {
@@ -160,9 +140,8 @@ impl DeletionForecast {
 
     /// Predicted **logical** nodes of all survivor copies together:
     /// `Σ_targets copies · subtree size` — what [`ProbTree::num_nodes`]
-    /// will charge (exact for non-nested targets).
-    ///
-    /// [`ProbTree::num_nodes`]: crate::ProbTree::num_nodes
+    /// will charge (exact for non-nested targets). [`UpdateEngine::apply`]
+    /// stores each of them, so this is its distinct count too.
     pub fn logical_survivor_nodes(&self) -> usize {
         self.survivors_per_target
             .iter()
@@ -171,22 +150,17 @@ impl DeletionForecast {
             .sum()
     }
 
-    /// Predicted **distinct stored** nodes of all survivor copies: with
-    /// [`DeletionForecast::survivor_sharing`] one interned shape chain per
-    /// target (`Σ subtree sizes`, independent of the copy count — a
-    /// ceiling, since hash-consing may dedupe across targets too);
-    /// without it, as for every simplifying engine, this equals
-    /// [`DeletionForecast::logical_survivor_nodes`].
+    /// Predicted **distinct stored** nodes of all survivor copies under
+    /// [`UpdateEngine::apply_shared`] without simplification: one interned
+    /// shape chain per target that gets a copy (`Σ subtree sizes`,
+    /// independent of the copy count — a ceiling, since hash-consing may
+    /// dedupe across targets too).
     pub fn distinct_survivor_nodes(&self) -> usize {
-        if self.survivor_sharing {
-            self.subtree_nodes_per_target
-                .iter()
-                .zip(&self.survivors_per_target)
-                .map(|(&nodes, &copies)| if copies == 0 { 0 } else { nodes })
-                .sum()
-        } else {
-            self.logical_survivor_nodes()
-        }
+        self.subtree_nodes_per_target
+            .iter()
+            .zip(&self.survivors_per_target)
+            .map(|(&nodes, &copies)| if copies == 0 { 0 } else { nodes })
+            .sum()
     }
 
     /// `true` if the step will not change the tree (no matches).
@@ -223,16 +197,17 @@ pub struct StepReport {
     pub survivor_copies: usize,
     /// Distinct stored nodes after the update, before simplification
     /// (arena nodes plus hash-consed shapes — `nodes_raw` minus what
-    /// sharing deduped). A simplifying step copies its survivors deep, so
-    /// this equals `nodes_raw` unless its input held shared children.
+    /// sharing deduped). Equals `nodes_raw` on [`UpdateEngine::apply`],
+    /// which stores every node.
     pub distinct_nodes_raw: usize,
-    /// Distinct stored nodes after the step; equals `nodes_after` for a
-    /// simplifying step, whose result holds no shared children.
+    /// Distinct stored nodes after the step; equals `nodes_after` on
+    /// [`UpdateEngine::apply`].
     pub distinct_nodes_after: usize,
-    /// Whether the engine kept the input's shared children as handles
-    /// instead of materializing them at entry: the step's query labels
-    /// provably cannot reach inside any stored shape, so matching on the
-    /// arena alone is exact and the input DAG stays compact across steps.
+    /// Whether [`UpdateEngine::apply_shared`] kept the input's shared
+    /// children as handles instead of materializing them at entry: the
+    /// step's query labels provably cannot reach inside any stored shape,
+    /// so matching on the spine alone is exact and the input DAG stays
+    /// compact across steps. Always `false` on [`UpdateEngine::apply`].
     pub entry_expansion_skipped: bool,
     /// Which part of the tree the step's simplification, sizes and delta
     /// covered.
@@ -270,6 +245,35 @@ pub enum StepScope {
 }
 
 impl StepReport {
+    /// The report of a step with `matches` matches, before anything is
+    /// grafted: every size is the input's.
+    fn new(
+        matches: usize,
+        nodes: usize,
+        literals: usize,
+        distinct: usize,
+        scope: StepScope,
+    ) -> Self {
+        StepReport {
+            matches,
+            targets: 0,
+            new_event: None,
+            nodes_before: nodes,
+            literals_before: literals,
+            nodes_raw: nodes,
+            literals_raw: literals,
+            nodes_after: nodes,
+            literals_after: literals,
+            survivor_copies: 0,
+            distinct_nodes_raw: distinct,
+            distinct_nodes_after: distinct,
+            entry_expansion_skipped: false,
+            scope,
+            simplify_visited: 0,
+            delta_visited: 0,
+        }
+    }
+
     /// `|T|` before the step (nodes + literals, the paper's size measure).
     pub fn size_before(&self) -> usize {
         self.nodes_before + self.literals_before
@@ -311,15 +315,9 @@ impl UpdateEngine {
     }
 
     /// Applies one probabilistic update, returning the updated prob-tree
-    /// and the step telemetry.
-    ///
-    /// Shared children of the *input* are materialized first when the
-    /// step's query could reach inside a stored shape (pattern matching
-    /// addresses arena nodes); when every query label is provably absent
-    /// from every reachable shape the expansion is skipped and the input
-    /// DAG stays compact ([`StepReport::entry_expansion_skipped`]). The
-    /// survivor copies are shared in the output only when the engine does
-    /// not simplify ([`UpdateEngineConfig::survivor_sharing`]).
+    /// and the step telemetry. Survivor copies are materialized as fresh
+    /// arena nodes; [`UpdateEngine::apply_shared`] grafts them as shared
+    /// handles instead.
     pub fn apply(&self, tree: &ProbTree, update: &ProbabilisticUpdate) -> (ProbTree, StepReport) {
         let step = self.run(tree, update, None);
         let tree = if step.report.matches == 0 {
@@ -330,57 +328,98 @@ impl UpdateEngine {
         (tree, step.report)
     }
 
-    /// One step in the given scope: the whole tree, or — given the logical
-    /// size of a `base` frame that is a fully expanded simplify fixpoint —
-    /// only the touched region.
-    fn run(&self, tree: &ProbTree, update: &ProbabilisticUpdate, base: Option<&Fixpoint>) -> Step {
-        // Satellite of the cross-step sharing gap: when no query label can
-        // occur inside any stored shape, arena-only matching is exact and
-        // the input's sharing survives the step.
-        let skip_entry = can_skip_entry_expansion(tree, &update.operation.query);
+    /// One whole-tree step on a tree with shared children: the survivor
+    /// copies of a deletion are grafted as O(1) handles on one interned
+    /// shape chain per target, so an Appendix-A deletion stores `O(n)`
+    /// distinct nodes for its `1 + 2^n` logical copies.
+    ///
+    /// The input's shared children are materialized first when the
+    /// step's query could reach inside a stored shape (pattern matching
+    /// addresses spine nodes); when every query label is provably absent
+    /// from every reachable shape the expansion is skipped and the input
+    /// DAG stays compact ([`StepReport::entry_expansion_skipped`]).
+    ///
+    /// Only a step that does not simplify shares, since the simplifier
+    /// reads and rewrites arena nodes only: a simplifying engine returns
+    /// [`UpdateEngine::apply`] on the expansion.
+    pub fn apply_shared(
+        &self,
+        tree: &SharedProbTree,
+        update: &ProbabilisticUpdate,
+    ) -> (SharedProbTree, StepReport) {
+        if self.config.simplify {
+            let (tree, report) = self.apply(&tree.expand(), update);
+            return (SharedProbTree::from(tree), report);
+        }
+        let skipped = can_skip_entry_expansion(tree, &update.operation.query);
         let expanded;
-        let tree = if skip_entry {
+        let tree = if skipped || !tree.has_shared() {
             tree
         } else {
-            expanded = tree.expanded();
-            expanded.as_ref()
+            expanded = SharedProbTree::from(tree.expand());
+            &expanded
         };
+        let matches = update.operation.query.matches(tree.spine().tree());
+        let before = tree.memory_stats();
+        let mut report = StepReport::new(
+            matches.len(),
+            before.logical_nodes,
+            before.logical_literals,
+            before.distinct_nodes,
+            StepScope::Whole,
+        );
+        report.entry_expansion_skipped = skipped;
+        if matches.is_empty() {
+            return (tree.clone(), report);
+        }
+        let mut out = tree.clone();
+        // A step that does not simplify runs whole-tree: `touched` goes
+        // unread.
+        let mut touched = Touched::new(0);
+        self.graft(
+            &mut out,
+            tree.spine(),
+            &matches,
+            update,
+            &mut touched,
+            &mut report,
+        );
+        let after = out.memory_stats();
+        report.nodes_raw = after.logical_nodes;
+        report.literals_raw = after.logical_literals;
+        report.distinct_nodes_raw = after.distinct_nodes;
+        report.nodes_after = after.logical_nodes;
+        report.literals_after = after.logical_literals;
+        report.distinct_nodes_after = after.distinct_nodes;
+        (out.compact(), report)
+    }
+
+    /// One step in the given scope: the whole tree, or — given the size
+    /// of a `base` frame that is a simplify fixpoint — only the touched
+    /// region.
+    fn run(&self, tree: &ProbTree, update: &ProbabilisticUpdate, base: Option<&Fixpoint>) -> Step {
         let matches = update.operation.query.matches(tree.tree());
-        // (logical nodes, literals, distinct nodes) in one walk.
+        // (nodes, literals) in one walk.
         let measure = |tree: &ProbTree| {
             let stats = tree.memory_stats();
-            (
-                stats.logical_nodes,
-                stats.logical_literals,
-                stats.distinct_nodes,
-            )
+            (stats.logical_nodes, stats.logical_literals)
         };
-        let (nodes_before, literals_before, distinct_before) = match base {
-            Some(base) => (base.nodes, base.literals, base.nodes),
+        let (nodes_before, literals_before) = match base {
+            Some(base) => (base.nodes, base.literals),
             None => measure(tree),
         };
-        let mut report = StepReport {
-            matches: matches.len(),
-            targets: 0,
-            new_event: None,
+        let scope = if base.is_some() {
+            StepScope::Region
+        } else {
+            StepScope::Whole
+        };
+        let mut report = StepReport::new(
+            matches.len(),
             nodes_before,
             literals_before,
-            nodes_raw: nodes_before,
-            literals_raw: literals_before,
-            nodes_after: nodes_before,
-            literals_after: literals_before,
-            survivor_copies: 0,
-            distinct_nodes_raw: distinct_before,
-            distinct_nodes_after: distinct_before,
-            entry_expansion_skipped: skip_entry,
-            scope: if base.is_some() {
-                StepScope::Region
-            } else {
-                StepScope::Whole
-            },
-            simplify_visited: 0,
-            delta_visited: 0,
-        };
+            nodes_before,
+            scope,
+        );
         if matches.is_empty() {
             return Step {
                 tree: tree.clone(),
@@ -391,53 +430,21 @@ impl UpdateEngine {
         }
         let mut out = tree.clone();
         let mut touched = Touched::new(out.tree().arena_len());
-        let new_event = if update.confidence < 1.0 {
-            Some(out.events_mut().fresh(update.confidence))
-        } else {
-            None
-        };
-        report.new_event = new_event;
-        match &update.operation.action {
-            UpdateAction::Insert { at, subtree } => {
-                report.targets = Self::apply_insertion(
-                    &mut out,
-                    tree,
-                    &matches,
-                    *at,
-                    subtree,
-                    new_event,
-                    &mut touched,
-                );
-            }
-            UpdateAction::Delete { at } => {
-                let (targets, survivors) =
-                    self.apply_deletion(&mut out, tree, &matches, *at, new_event, &mut touched);
-                report.targets = targets;
-                report.survivor_copies = survivors;
-            }
-        }
-        // A region census only meets arena nodes, so every node it counts
-        // is distinct.
+        self.graft(&mut out, tree, &matches, update, &mut touched, &mut report);
         let grown = |census: &Census| {
-            let nodes = nodes_before - census.removed_nodes + census.inserted_nodes;
             (
-                nodes,
+                nodes_before - census.removed_nodes + census.inserted_nodes,
                 literals_before - census.removed_literals + census.inserted_literals,
-                nodes,
             )
         };
-        let raw = if base.is_some() {
+        (report.nodes_raw, report.literals_raw) = if base.is_some() {
             let census = Census::of(&out, &touched);
             report.delta_visited += census.visited;
             grown(&census)
         } else {
             measure(&out)
         };
-        (
-            report.nodes_raw,
-            report.literals_raw,
-            report.distinct_nodes_raw,
-        ) = raw;
+        report.distinct_nodes_raw = report.nodes_raw;
         let (updated, census, converged) = if self.config.simplify {
             let scope = if base.is_some() {
                 Scope::Region(touched)
@@ -450,23 +457,48 @@ impl UpdateEngine {
         } else {
             (out, None, None)
         };
-        let after = match &census {
+        (report.nodes_after, report.literals_after) = match &census {
             Some(census) => {
                 report.delta_visited += census.visited;
                 grown(census)
             }
             None => measure(&updated),
         };
-        (
-            report.nodes_after,
-            report.literals_after,
-            report.distinct_nodes_after,
-        ) = after;
+        report.distinct_nodes_after = report.nodes_after;
         Step {
             tree: updated,
             report,
             census,
             converged,
+        }
+    }
+
+    /// Grafts one matched step into `out`, a copy of `original`: declares
+    /// the fresh confidence event, runs the insertion or deletion, and
+    /// records the event, targets and survivor copies in `report`.
+    fn graft<T: StepTree>(
+        &self,
+        out: &mut T,
+        original: &ProbTree,
+        matches: &[PatternMatch],
+        update: &ProbabilisticUpdate,
+        touched: &mut Touched,
+        report: &mut StepReport,
+    ) {
+        let new_event = (update.confidence < 1.0)
+            .then(|| out.spine_mut().events_mut().fresh(update.confidence));
+        report.new_event = new_event;
+        match &update.operation.action {
+            UpdateAction::Insert { at, subtree } => {
+                report.targets =
+                    Self::apply_insertion(out, original, matches, *at, subtree, new_event, touched);
+            }
+            UpdateAction::Delete { at } => {
+                let (targets, survivors) =
+                    self.apply_deletion(out, original, matches, *at, new_event, touched);
+                report.targets = targets;
+                report.survivor_copies = survivors;
+            }
         }
     }
 
@@ -498,8 +530,6 @@ impl UpdateEngine {
     /// simulated with the next free event id, so the predicted chain
     /// lengths match the real application exactly.
     pub fn forecast(&self, tree: &ProbTree, update: &ProbabilisticUpdate) -> DeletionForecast {
-        let tree = tree.expanded();
-        let tree = tree.as_ref();
         let matches = update.operation.query.matches(tree.tree());
         if matches.is_empty() {
             return DeletionForecast {
@@ -507,7 +537,6 @@ impl UpdateEngine {
                 targets: 0,
                 survivors_per_target: Vec::new(),
                 subtree_nodes_per_target: Vec::new(),
-                survivor_sharing: self.shares_survivors(),
             };
         }
         let new_event = (update.confidence < 1.0).then(|| EventId::from_index(tree.events().len()));
@@ -521,7 +550,6 @@ impl UpdateEngine {
                     targets: targets.len(),
                     survivors_per_target: Vec::new(),
                     subtree_nodes_per_target: Vec::new(),
-                    survivor_sharing: self.shares_survivors(),
                 }
             }
             UpdateAction::Delete { at } => {
@@ -543,7 +571,6 @@ impl UpdateEngine {
                     targets: targets.len(),
                     survivors_per_target,
                     subtree_nodes_per_target,
-                    survivor_sharing: self.shares_survivors(),
                 }
             }
         }
@@ -617,17 +644,11 @@ impl UpdateEngine {
             NextFrame::Unknown
         };
         let mut tree = step.tree;
-        // Documents hold fully expanded frames, and a step that does not
-        // simplify hands over shared survivor copies. Expansion appends
-        // arena nodes without renaming.
-        tree.expand_all();
         let epoch = doc.epoch() + 1;
         let mut delta = match step.census {
             Some(census) => crate::UpdateDelta::from_census(epoch, census, step.report),
             None => crate::UpdateDelta::diff(doc.tree(), &tree, epoch, step.report),
         };
-        // Document frames are fully expanded, so the base's live nodes are
-        // its reachable arena nodes.
         let base_len = doc.tree().tree().arena_len();
         let live = delta.report.nodes_before;
         if matched && base_len - live > live {
@@ -649,7 +670,7 @@ impl UpdateEngine {
     /// Appendix A insertion: one grafted copy of `subtree` per match.
     /// Returns the number of distinct insertion parents.
     fn apply_insertion(
-        out: &mut ProbTree,
+        out: &mut impl StepTree,
         original: &ProbTree,
         matches: &[PatternMatch],
         at: PatternNodeId,
@@ -685,7 +706,7 @@ impl UpdateEngine {
     /// total number of survivor copies grafted.
     fn apply_deletion(
         &self,
-        out: &mut ProbTree,
+        out: &mut impl StepTree,
         original: &ProbTree,
         matches: &[PatternMatch],
         at: PatternNodeId,
@@ -700,8 +721,9 @@ impl UpdateEngine {
             let survivor_disjuncts =
                 self.expand_survivors(&by_target[&target], self.config.shared_first_chains);
             survivor_copies += survivor_disjuncts.len();
-            let gamma_target = out.condition(target);
-            let parent = out
+            let spine = out.spine();
+            let gamma_target = spine.condition(target);
+            let parent = spine
                 .tree()
                 .parent(target)
                 .expect("non-root node has a parent");
@@ -709,27 +731,11 @@ impl UpdateEngine {
                 .iter()
                 .map(|disjunct| gamma_target.and(disjunct))
                 .collect();
-            if self.shares_survivors() {
-                // One interned shape chain, k O(1) handles. A step that
-                // does not simplify runs whole-tree: `touched` goes unread.
-                out.duplicate_subtree_n(parent, target, &root_conditions);
-            } else {
-                for condition in root_conditions {
-                    let copy = out.duplicate_subtree_deep(parent, target, condition);
-                    touched.grafted.push(copy);
-                }
-            }
-            out.detach(target);
+            out.graft_copies(parent, target, &root_conditions, touched);
+            out.spine_mut().detach(target);
             touched.detached.push((parent, target));
         }
         (targets.len(), survivor_copies)
-    }
-
-    /// Whether a deletion grafts its survivor copies as shared handles:
-    /// only when sharing is on and the step does not simplify, since the
-    /// simplifier reads and rewrites arena nodes only.
-    fn shares_survivors(&self) -> bool {
-        self.config.survivor_sharing && !self.config.simplify
     }
 
     /// Expands `⋀_j ¬d_j` into a deterministic list of mutually exclusive
@@ -781,10 +787,9 @@ impl UpdateEngine {
 
 /// What [`UpdateEngine::run`] produced for one step.
 struct Step {
-    /// The updated tree, uncompacted: every node of the (expanded) input
-    /// keeps its id, detached nodes stay in the arena, and the nodes the
-    /// step and its simplification added are appended. It holds shared
-    /// children only when the engine does not simplify.
+    /// The updated tree, uncompacted: every node of the input keeps its
+    /// id, detached nodes stay in the arena, and the nodes the step and
+    /// its simplification added are appended.
     tree: ProbTree,
     report: StepReport,
     /// Region scope: what the step removed and inserted.
@@ -794,16 +799,85 @@ struct Step {
     converged: Option<bool>,
 }
 
-/// `true` when arena-only matching of `query` on `tree` is exact — the
+/// The representation an update step writes into: a [`ProbTree`] copies
+/// every survivor deep, a [`SharedProbTree`] grafts one handle per copy.
+/// Insertion and deletion are written once over this trait.
+trait StepTree {
+    /// The arena nodes the step matched on.
+    fn spine(&self) -> &ProbTree;
+    /// The spine, to declare events and detach nodes.
+    fn spine_mut(&mut self) -> &mut ProbTree;
+    /// Grafts a copy of `subtree` under `parent`; see
+    /// [`ProbTree::graft_data_tree`].
+    fn graft_data_tree(&mut self, parent: NodeId, subtree: &DataTree, root: Condition) -> NodeId;
+    /// One copy of the subtree at `node` under `parent` per root
+    /// condition, with the roots of the arena copies recorded in
+    /// `touched`.
+    fn graft_copies(
+        &mut self,
+        parent: NodeId,
+        node: NodeId,
+        roots: &[Condition],
+        touched: &mut Touched,
+    );
+}
+
+impl StepTree for ProbTree {
+    fn spine(&self) -> &ProbTree {
+        self
+    }
+
+    fn spine_mut(&mut self) -> &mut ProbTree {
+        self
+    }
+
+    fn graft_data_tree(&mut self, parent: NodeId, subtree: &DataTree, root: Condition) -> NodeId {
+        ProbTree::graft_data_tree(self, parent, subtree, root)
+    }
+
+    fn graft_copies(
+        &mut self,
+        parent: NodeId,
+        node: NodeId,
+        roots: &[Condition],
+        touched: &mut Touched,
+    ) {
+        for root in roots {
+            let copy = self.duplicate_subtree_deep(parent, node, root.clone());
+            touched.grafted.push(copy);
+        }
+    }
+}
+
+impl StepTree for SharedProbTree {
+    fn spine(&self) -> &ProbTree {
+        SharedProbTree::spine(self)
+    }
+
+    fn spine_mut(&mut self) -> &mut ProbTree {
+        SharedProbTree::spine_mut(self)
+    }
+
+    fn graft_data_tree(&mut self, parent: NodeId, subtree: &DataTree, root: Condition) -> NodeId {
+        SharedProbTree::graft_data_tree(self, parent, subtree, root)
+    }
+
+    fn graft_copies(&mut self, parent: NodeId, node: NodeId, roots: &[Condition], _: &mut Touched) {
+        // One interned shape chain, one O(1) handle per copy.
+        self.duplicate_subtree_n(parent, node, roots);
+    }
+}
+
+/// `true` when spine-only matching of `query` on `tree` is exact — the
 /// tree has shared children, every query node carries a concrete label
 /// (a wildcard could bind nodes a stored shape would contribute), and no
 /// query label occurs anywhere in a shape reachable from the tree's
-/// handles. Pattern matches then bind arena nodes only, and ancestor
-/// relations among arena nodes are unchanged by expansion, so the match
-/// sets on the arena and on the expanded tree coincide.
-fn can_skip_entry_expansion(tree: &ProbTree, query: &PatternQuery) -> bool {
+/// handles. Pattern matches then bind spine nodes only, and ancestor
+/// relations among spine nodes are unchanged by expansion, so the match
+/// sets on the spine and on the expanded tree coincide.
+fn can_skip_entry_expansion(tree: &SharedProbTree, query: &PatternQuery) -> bool {
     if !tree.has_shared() {
-        // Nothing to skip: `expanded()` is already a zero-cost borrow.
+        // Nothing to skip.
         return false;
     }
     let mut labels: Vec<&str> = Vec::with_capacity(query.len());
@@ -815,6 +889,7 @@ fn can_skip_entry_expansion(tree: &ProbTree, query: &PatternQuery) -> bool {
     }
     let store = tree.store();
     let roots = tree
+        .spine()
         .tree()
         .iter()
         .flat_map(|n| tree.shared_children(n).iter().map(|sc| sc.shape));
@@ -1041,10 +1116,7 @@ mod tests {
         });
         let (raw_out, _) = raw.apply(&tree, &update);
         let (ordered_out, _) = ordered.apply(&tree, &update);
-        // Survivor copies are shared handles, so count the *logical* B
-        // occurrences through the expanded view.
         let b = |t: &ProbTree| {
-            let t = t.expanded();
             t.tree()
                 .iter()
                 .filter(|&nd| t.tree().label(nd) == "B")
@@ -1053,11 +1125,13 @@ mod tests {
         assert_eq!(b(&raw_out), 81, "naive chain product: 3^4");
         assert_eq!(b(&ordered_out), 17, "shared-first: 1 + 2^4");
         assert!(ordered_out.size() < raw_out.size());
-        // Both representations store each distinct survivor shape once.
-        let ordered_stats = ordered_out.memory_stats();
+        // The shared representation stores the survivor shape once.
+        let (shared_out, _) = ordered.apply_shared(&SharedProbTree::from(tree), &update);
+        let shared_stats = shared_out.memory_stats();
+        assert_eq!(shared_stats.logical_nodes, ordered_out.num_nodes());
         assert!(
-            ordered_stats.distinct_nodes < ordered_stats.logical_nodes,
-            "hash-consing must dedupe the 17 survivor copies: {ordered_stats:?}"
+            shared_stats.distinct_nodes < shared_stats.logical_nodes,
+            "hash-consing must dedupe the 17 survivor copies: {shared_stats:?}"
         );
     }
 

@@ -32,9 +32,8 @@
 //! the merge-group limit (`MAX_MERGE_GROUP`) states the one rule that
 //! keeps the merge exact.
 //!
-//! The passes read and rewrite arena nodes only: the whole scope expands
-//! the handles a one-shot input may carry, document frames hold none, and
-//! a simplifying step copies its survivors deep, as the merge its covers.
+//! The passes read and rewrite arena nodes only: a simplifying step
+//! copies its survivors deep, as the merge its covers.
 //!
 //! A run never renumbers nodes: dropped and merged-away nodes are detached
 //! in place, and merge covers are appended to the arena. [`simplify`]
@@ -247,7 +246,6 @@ pub(crate) fn simplify_scoped(work: ProbTree, scope: Scope) -> Simplified {
     };
     match scope {
         Scope::Whole => {
-            run.work.expand_all();
             run.fresh.push(root);
             run.sweep_all = true;
         }

@@ -185,11 +185,7 @@ impl<'a> WorldEngine<'a> {
                 parent.insert(ra.max(rb), ra.min(rb));
             }
         };
-        // `all_conditions` walks the shared representation directly —
-        // handle conditions and stored-shape annotations included — so
-        // world enumeration never needs to materialize shared subtrees.
-        let conditions = tree.all_conditions();
-        for condition in conditions {
+        for condition in tree.all_conditions() {
             let mut events = condition.events();
             if let Some(first) = events.next() {
                 find(&mut parent, first);
@@ -573,8 +569,6 @@ fn conditions_by_component(engine: &WorldEngine<'_>) -> Vec<Vec<Condition>> {
     let mut out: Vec<Vec<Condition>> = vec![Vec::new(); engine.components.len()];
     let mut seen: std::collections::HashSet<Vec<pxml_events::Literal>> =
         std::collections::HashSet::new();
-    // `all_conditions` covers both arena nodes and shared (stored) children,
-    // so factorization sees every constraint without materializing handles.
     for condition in engine.tree.all_conditions() {
         let Some(first) = condition.events().next() else {
             continue; // the empty condition constrains nothing

@@ -9,9 +9,6 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::Hash;
-
-use crate::store::{NodeStore, ShapeId};
 
 /// Identifier of a node inside one [`DataTree`] arena.
 ///
@@ -174,11 +171,6 @@ impl DataTree {
         self.iter().count()
     }
 
-    /// Whether the tree consists of the root only.
-    pub fn is_empty_but_root(&self) -> bool {
-        self.children(self.root).is_empty()
-    }
-
     /// `true` never: a data tree always contains at least the root. Present
     /// to satisfy the usual `len`/`is_empty` pairing.
     pub fn is_empty(&self) -> bool {
@@ -303,50 +295,6 @@ impl DataTree {
         out
     }
 
-    /// Expands a shape from a hash-consed [`NodeStore`] as a new child of
-    /// `parent`, returning the id of the expansion's root. `on_node` is
-    /// invoked once per created node (the expansion root included) with
-    /// the node's stored annotation, letting callers re-attach
-    /// occurrence data (e.g. prob-tree conditions) as the copy grows.
-    pub fn graft_shape<A: Clone + Eq + Hash>(
-        &mut self,
-        parent: NodeId,
-        store: &NodeStore<A>,
-        shape: ShapeId,
-        on_node: &mut dyn FnMut(NodeId, Option<&A>),
-    ) -> NodeId {
-        let new_root = self.add_child(parent, store.label(shape));
-        on_node(new_root, store.ann(shape));
-        self.graft_shape_children(store, shape, new_root, on_node);
-        new_root
-    }
-
-    /// Expands the *children* of `shape` under the existing node `target`,
-    /// in stored order. See [`DataTree::graft_shape`] for `on_node`.
-    pub fn graft_shape_children<A: Clone + Eq + Hash>(
-        &mut self,
-        store: &NodeStore<A>,
-        shape: ShapeId,
-        target: NodeId,
-        on_node: &mut dyn FnMut(NodeId, Option<&A>),
-    ) {
-        // Depth-first with explicit stack; children of one parent are
-        // pushed in reverse so they are created in stored order.
-        let mut stack: Vec<(NodeId, ShapeId)> = store
-            .children(shape)
-            .iter()
-            .rev()
-            .map(|&c| (target, c))
-            .collect();
-        while let Some((dst, s)) = stack.pop() {
-            let node = self.add_child(dst, store.label(s));
-            on_node(node, store.ann(s));
-            for &c in store.children(s).iter().rev() {
-                stack.push((node, c));
-            }
-        }
-    }
-
     /// Collects, for every reachable node, the multiset of child labels.
     /// Used by DTD validation.
     pub fn child_label_counts(&self, node: NodeId) -> HashMap<&str, usize> {
@@ -398,7 +346,6 @@ mod tests {
         assert_eq!(t.len(), 1);
         assert_eq!(t.label(t.root()), "A");
         assert!(t.parent(t.root()).is_none());
-        assert!(t.is_empty_but_root());
     }
 
     #[test]

@@ -66,18 +66,6 @@ impl TreeSpec {
     pub fn size(&self) -> usize {
         1 + self.children.iter().map(TreeSpec::size).sum::<usize>()
     }
-
-    /// Reads a specification back from a [`DataTree`] (inverse of
-    /// [`TreeSpec::build`] up to child order).
-    pub fn from_tree(tree: &DataTree) -> Self {
-        fn rec(tree: &DataTree, node: NodeId) -> TreeSpec {
-            TreeSpec {
-                label: tree.label(node).to_string(),
-                children: tree.children(node).iter().map(|&c| rec(tree, c)).collect(),
-            }
-        }
-        rec(tree, tree.root())
-    }
 }
 
 /// Builds a chain `labels[0] / labels[1] / ... / labels[n-1]` where each
@@ -123,22 +111,6 @@ pub fn complete(label: &str, arity: usize, depth: usize) -> DataTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::canon::{isomorphic, Semantics};
-
-    #[test]
-    fn build_round_trips_through_from_tree() {
-        let spec = TreeSpec::node(
-            "A",
-            vec![
-                TreeSpec::leaf("B"),
-                TreeSpec::node("C", vec![TreeSpec::leaf("D"), TreeSpec::leaf("D")]),
-            ],
-        );
-        let tree = spec.build();
-        assert_eq!(tree.len(), spec.size());
-        let back = TreeSpec::from_tree(&tree);
-        assert!(isomorphic(&back.build(), &tree, Semantics::MultiSet));
-    }
 
     #[test]
     fn chain_builds_a_path() {

@@ -179,20 +179,6 @@ pub fn canonical_string(tree: &DataTree, semantics: Semantics) -> String {
     rec(tree, tree.root(), semantics)
 }
 
-/// A 64-bit structural hash of the canonical string — convenient as a cheap
-/// pre-filter before full isomorphism checks.
-pub fn canonical_hash(tree: &DataTree, semantics: Semantics) -> u64 {
-    // FNV-1a over the canonical string: deterministic across runs, unlike
-    // the std hasher.
-    let s = canonical_string(tree, semantics);
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in s.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x1000_0000_01b3);
-    }
-    hash
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,30 +269,6 @@ mod tests {
         assert_ne!(
             canonical_string(&tricky, Semantics::MultiSet),
             canonical_string(&plain, Semantics::MultiSet)
-        );
-    }
-
-    #[test]
-    fn canonical_hash_agrees_with_isomorphism_on_samples() {
-        let a = t(TreeSpec::node(
-            "A",
-            vec![
-                TreeSpec::leaf("B"),
-                TreeSpec::leaf("C"),
-                TreeSpec::leaf("B"),
-            ],
-        ));
-        let b = t(TreeSpec::node(
-            "A",
-            vec![
-                TreeSpec::leaf("C"),
-                TreeSpec::leaf("B"),
-                TreeSpec::leaf("B"),
-            ],
-        ));
-        assert_eq!(
-            canonical_hash(&a, Semantics::MultiSet),
-            canonical_hash(&b, Semantics::MultiSet)
         );
     }
 

@@ -20,13 +20,12 @@
 //!   locally monotone queries.
 //! * [`builder`]: a declarative way to construct trees in tests and
 //!   examples.
-//! * [`render`]: human-readable and DOT rendering.
+//! * [`render`]: human-readable ASCII rendering.
 //! * [`stats`]: size/shape statistics and the counting sequence of rooted
 //!   unordered trees used by Proposition 1.
 //! * [`store`]: a hash-consed [`NodeStore`] of annotated subtree shapes —
 //!   the DAG backing that lets equal subtrees be physically shared across
-//!   copies and documents ([`DataTree::graft_shape`] expands a stored
-//!   shape back into an arena).
+//!   copies and documents.
 //!
 //! ```
 //! use pxml_tree::{DataTree, canon::{isomorphic, Semantics}};

@@ -1,8 +1,7 @@
 //! Human-readable rendering of data trees.
 //!
-//! Two output formats are provided: an indented ASCII outline (used by the
-//! examples and by `Display`-style debugging) and Graphviz DOT (useful to
-//! visualize the paper's constructions).
+//! An indented ASCII outline, used by the examples and by `Display`-style
+//! debugging.
 
 use std::fmt::Write as _;
 
@@ -101,50 +100,6 @@ pub fn to_ascii_annotated(tree: &DataTree, annotate: &dyn Fn(NodeId) -> String) 
     out
 }
 
-/// Renders `tree` in Graphviz DOT syntax.
-pub fn to_dot(tree: &DataTree, graph_name: &str) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "digraph {} {{", sanitize_ident(graph_name));
-    let _ = writeln!(out, "  node [shape=ellipse];");
-    for node in tree.iter() {
-        let _ = writeln!(
-            out,
-            "  {} [label=\"{}\"];",
-            node.index(),
-            escape_dot(tree.label(node))
-        );
-    }
-    for node in tree.iter() {
-        for &child in tree.children(node) {
-            let _ = writeln!(out, "  {} -> {};", node.index(), child.index());
-        }
-    }
-    out.push_str("}\n");
-    out
-}
-
-fn sanitize_ident(name: &str) -> String {
-    let cleaned: String = name
-        .chars()
-        .map(|c| {
-            if c.is_alphanumeric() || c == '_' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect();
-    if cleaned.is_empty() || cleaned.chars().next().unwrap().is_numeric() {
-        format!("g_{cleaned}")
-    } else {
-        cleaned
-    }
-}
-
-fn escape_dot(label: &str) -> String {
-    label.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,26 +141,5 @@ mod tests {
         });
         assert!(text.contains("B  [w1]"));
         assert!(!text.contains("A  [w1]"));
-    }
-
-    #[test]
-    fn dot_output_has_all_edges() {
-        let tree = sample();
-        let dot = to_dot(&tree, "sample");
-        assert!(dot.starts_with("digraph sample {"));
-        // 3 edges for 4 nodes.
-        assert_eq!(dot.matches("->").count(), 3);
-        assert!(dot.contains("label=\"D\""));
-    }
-
-    #[test]
-    fn dot_escapes_quotes_and_sanitizes_name() {
-        let mut tree = DataTree::new("say \"hi\"");
-        let r = tree.root();
-        tree.add_child(r, "x\\y");
-        let dot = to_dot(&tree, "1 bad name");
-        assert!(dot.contains("digraph g_1_bad_name"));
-        assert!(dot.contains("say \\\"hi\\\""));
-        assert!(dot.contains("x\\\\y"));
     }
 }

@@ -50,15 +50,6 @@ pub fn stats(tree: &DataTree) -> TreeStats {
     }
 }
 
-/// Histogram of node labels.
-pub fn label_histogram(tree: &DataTree) -> HashMap<String, usize> {
-    let mut hist = HashMap::new();
-    for node in tree.iter() {
-        *hist.entry(tree.label(node).to_string()).or_insert(0) += 1;
-    }
-    hist
-}
-
 /// Number `a_n` of rooted unordered **unlabeled** trees with exactly `n`
 /// nodes, for `n = 0..=max_n` (`a_0 = 0`, `a_1 = 1`, `a_2 = 1`, `a_3 = 2`,
 /// `a_4 = 4`, `a_5 = 9`, ... — OEIS A000081). Saturates at `u128::MAX` if
@@ -113,7 +104,7 @@ pub fn proposition1_bit_lower_bound(n: usize) -> u128 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::{complete, star, TreeSpec};
+    use crate::builder::{complete, star};
 
     #[test]
     fn stats_of_star() {
@@ -139,23 +130,6 @@ mod tests {
         assert_eq!(s.leaves, 8);
         assert_eq!(s.height, 3);
         assert_eq!(s.distinct_labels, 1);
-    }
-
-    #[test]
-    fn label_histogram_counts_duplicates() {
-        let t = TreeSpec::node(
-            "A",
-            vec![
-                TreeSpec::leaf("B"),
-                TreeSpec::leaf("B"),
-                TreeSpec::leaf("C"),
-            ],
-        )
-        .build();
-        let h = label_histogram(&t);
-        assert_eq!(h["A"], 1);
-        assert_eq!(h["B"], 2);
-        assert_eq!(h["C"], 1);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! The store is **append-only**: a shape, once interned, keeps its id and
 //! its interner entry for the store's lifetime, and nothing is released
 //! alone. Callers collect garbage by rebuilding a fresh store from the
-//! shapes they still reach (`ProbTree::compact` upstream).
+//! shapes they still reach (`SharedProbTree::compact` upstream).
 //!
 //! The root of a stored shape conventionally carries **no** annotation
 //! (`ann = None`): occurrence-specific data (a copy's root condition)
@@ -267,8 +267,13 @@ mod tests {
         assert_ne!(bc, cb, "syntactic ids preserve order");
         let expand = |shape| {
             let mut out = DataTree::new(store.label(shape));
-            let root = out.root();
-            out.graft_shape_children(&store, shape, root, &mut |_, _| {});
+            let mut stack = vec![(shape, out.root())];
+            while let Some((s, node)) = stack.pop() {
+                for &c in store.children(s) {
+                    let child = out.add_child(node, store.label(c));
+                    stack.push((c, child));
+                }
+            }
             out
         };
         assert_eq!(

@@ -211,7 +211,7 @@ pub fn analyze(warehouse: &Warehouse, k: usize, min_confidence: f64) -> Warehous
 /// ([`pxml_core::probtree::MemoryStats::dedup_ratio`]).
 pub fn corpus_stats(warehouses: &[Warehouse]) -> pxml_core::probtree::MemoryStats {
     let docs: Vec<&ProbTree> = warehouses.iter().map(|w| &w.tree).collect();
-    pxml_core::probtree::corpus_memory_stats(&docs)
+    pxml_core::shared::corpus_memory_stats(&docs)
 }
 
 /// The outcome of [`analyze`]: ranked views over one prepared query.

@@ -80,7 +80,7 @@ pub(crate) fn build_probtree(spec: &ProbTreeSpec) -> ProbTree {
         tree.set_condition(node, Condition::from_literals(literals));
     }
     tree.validate_invariants()
-        .expect("generated tree violates prob-tree/DAG-store invariants");
+        .expect("generated tree violates prob-tree invariants");
     tree
 }
 

@@ -26,9 +26,10 @@ use pxml_core::update::{
     simplify, ProbabilisticUpdate, StepReport, StepScope, UpdateEngine, UpdateEngineConfig,
     UpdateOperation,
 };
-use pxml_core::{Document, PatternQuery, ProbTree, UpdateDelta};
+use pxml_core::{Document, PatternQuery, ProbTree, SharedProbTree, UpdateDelta};
 use pxml_events::{Condition, Literal};
 use pxml_tree::{DataTree, NodeId};
+use pxml_workloads::paper::{d0_deletion, theorem3_tree};
 use pxml_workloads::warehouse::skeleton;
 
 use common::{build_probtree, probtree_strategy, update_strategy, ProbTreeSpec};
@@ -301,14 +302,21 @@ fn cascade_base(k: usize) -> ProbTree {
     t
 }
 
-/// A simplifying step holds no handle: the merge copies its cover into
-/// the arena, so even a cascade whose last merge runs out of passes
-/// leaves no shared child behind.
+/// A simplifying step holds no handle: on the default engine,
+/// `apply_shared` runs `apply` on the expansion, so even an input full of
+/// shared survivor copies comes out as arena nodes only.
 #[test]
 fn a_simplifying_step_holds_no_handle() {
-    let (updated, report) = UpdateEngine::new().apply(&cascade_base(5), &delete_label("X", 1.0));
+    let raw = UpdateEngine::with_config(UpdateEngineConfig::raw());
+    let (shared, _) = raw.apply_shared(&SharedProbTree::from(theorem3_tree(4)), &d0_deletion(0.8));
+    assert!(shared.has_shared());
+    let engine = UpdateEngine::new();
+    let update = insert_leaf(PatternQuery::new(Some("A")), "Y");
+    let (updated, report) = engine.apply_shared(&shared, &update);
     assert!(report.simplification_savings() > 0);
     assert!(!updated.has_shared(), "{}", updated.to_ascii());
+    let (expected, _) = engine.apply(&shared.expand(), &update);
+    assert_eq!(updated.to_ascii(), expected.to_ascii());
 }
 
 #[test]

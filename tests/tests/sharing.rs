@@ -1,18 +1,20 @@
-//! Property tests for the hash-consed DAG representation: the shared
-//! (copy-on-write) update engine, which does not simplify, must be
-//! indistinguishable from the deep-copy oracle — byte-identical rendering
-//! and isomorphic possible-world sets over random trees and update
-//! scripts — while the Appendix-A deletion family stores only `O(n)`
-//! distinct nodes for its `1 + 2^n` logical survivor copies. A
-//! simplifying engine copies every survivor.
+//! Property tests for the hash-consed DAG representation: a step that
+//! does not simplify, applied to a `SharedProbTree` with `apply_shared`,
+//! must be indistinguishable from the same step applied to a `ProbTree`
+//! with `apply`, which copies deep — byte-identical rendering and
+//! isomorphic possible-world sets over random trees and update scripts —
+//! while the Appendix-A deletion family stores only `O(n)` distinct
+//! nodes for its `1 + 2^n` logical survivor copies. A simplifying engine
+//! copies every survivor.
 
 use proptest::prelude::*;
 
 use pxml_core::semantics::possible_worlds;
 use pxml_core::update::{
-    ProbabilisticUpdate, UpdateEngine, UpdateEngineConfig, UpdateOperation, UpdateScript,
+    ProbabilisticUpdate, StepReport, UpdateEngine, UpdateEngineConfig, UpdateOperation,
+    UpdateScript,
 };
-use pxml_core::{PatternQuery, ProbTree};
+use pxml_core::{PatternQuery, ProbTree, SharedProbTree};
 use pxml_events::{Condition, EventId, Literal};
 use pxml_tree::builder::TreeSpec;
 use pxml_tree::DataTree;
@@ -85,7 +87,7 @@ fn build_probtree(spec: &ProbTreeSpec) -> ProbTree {
         tree.set_condition(node, Condition::from_literals(literals));
     }
     tree.validate_invariants()
-        .expect("generated tree violates prob-tree/DAG-store invariants");
+        .expect("generated tree violates prob-tree invariants");
     tree
 }
 
@@ -123,25 +125,18 @@ fn deletion_strategy() -> impl Strategy<Value = ProbabilisticUpdate> {
         })
 }
 
-/// Shared-representation engine with simplification off, so the output
-/// is the raw grafted tree and can be compared byte-for-byte against the
-/// deep oracle.
-fn shared_engine() -> UpdateEngine {
+/// An engine that does not simplify, so the output is the raw grafted
+/// tree and the shared and deep paths can be compared byte for byte.
+fn raw_step() -> UpdateEngine {
     UpdateEngine::with_config(UpdateEngineConfig {
         simplify: false,
         ..UpdateEngineConfig::default()
     })
 }
 
-/// Deep-copy oracle with the same chain order and no simplification.
-fn deep_engine() -> UpdateEngine {
-    UpdateEngine::with_config(
-        UpdateEngineConfig {
-            simplify: false,
-            ..UpdateEngineConfig::default()
-        }
-        .deep_oracle(),
-    )
+/// One step on the shared representation of `tree`.
+fn apply_shared(tree: &ProbTree, update: &ProbabilisticUpdate) -> (SharedProbTree, StepReport) {
+    raw_step().apply_shared(&SharedProbTree::from(tree.clone()), update)
 }
 
 // ---------------------------------------------------------------------------
@@ -162,8 +157,8 @@ proptest! {
         update in deletion_strategy(),
     ) {
         let tree = build_probtree(&spec);
-        let (shared, _) = shared_engine().apply(&tree, &update);
-        let (deep, _) = deep_engine().apply(&tree, &update);
+        let (shared, _) = apply_shared(&tree, &update);
+        let (deep, _) = raw_step().apply(&tree, &update);
         prop_assert!(shared.validate_invariants().is_ok());
         prop_assert!(deep.validate_invariants().is_ok());
         prop_assert_eq!(shared.to_ascii(), deep.to_ascii());
@@ -173,7 +168,7 @@ proptest! {
         prop_assert_eq!(deep_stats.logical_nodes, deep_stats.distinct_nodes);
         let shared_stats = shared.memory_stats();
         prop_assert!(shared_stats.distinct_nodes <= shared_stats.logical_nodes);
-        let shared_pw = possible_worlds(&shared, 16).unwrap().normalized();
+        let shared_pw = possible_worlds(&shared.expand(), 16).unwrap().normalized();
         let deep_pw = possible_worlds(&deep, 16).unwrap().normalized();
         prop_assert!(
             shared_pw.isomorphic(&deep_pw),
@@ -192,11 +187,14 @@ proptest! {
     ) {
         let tree = build_probtree(&spec);
         let script = UpdateScript::from_steps(updates);
-        let (shared, _) = shared_engine().apply_script(&tree, &script);
-        let (deep, _) = deep_engine().apply_script(&tree, &script);
+        let mut shared = SharedProbTree::from(tree.clone());
+        for update in script.steps() {
+            shared = raw_step().apply_shared(&shared, update).0;
+        }
+        let (deep, _) = raw_step().apply_script(&tree, &script);
         prop_assert!(shared.validate_invariants().is_ok());
         prop_assert_eq!(shared.to_ascii(), deep.to_ascii());
-        let shared_pw = possible_worlds(&shared, 16).unwrap().normalized();
+        let shared_pw = possible_worlds(&shared.expand(), 16).unwrap().normalized();
         let deep_pw = possible_worlds(&deep, 16).unwrap().normalized();
         prop_assert!(shared_pw.isomorphic(&deep_pw));
     }
@@ -215,7 +213,7 @@ proptest! {
         let node = children[pick % children.len()];
         let condition = tree.condition(node);
 
-        let mut via_handle = tree.clone();
+        let mut via_handle = SharedProbTree::from(tree.clone());
         via_handle.duplicate_subtree_n(root, node, std::slice::from_ref(&condition));
         let mut via_deep = tree.clone();
         via_deep.duplicate_subtree_deep(root, node, condition);
@@ -231,24 +229,26 @@ proptest! {
 // Appendix-A space: linear distinct nodes for exponential logical copies
 // ---------------------------------------------------------------------------
 
-/// Only a step that does not simplify shares: the default engine copies
-/// the `1 + 2^n` survivors into the arena, so its step report counts as
-/// many distinct nodes as logical ones, and its forecast predicts as
-/// many distinct survivor nodes as logical ones.
+/// Only a step that does not simplify shares: on the default engine,
+/// `apply_shared` copies the `1 + 2^n` survivors into the arena, so its
+/// step report counts as many distinct nodes as logical ones — every
+/// logical survivor node the forecast predicts — and its result holds no
+/// handle.
 #[test]
 fn a_simplifying_step_copies_its_survivors_deep() {
     let tree = theorem3_tree(4);
     let update = d0_deletion(0.8);
     let engine = UpdateEngine::new();
-    let (_, report) = engine.apply(&tree, &update);
+    let (out, report) = engine.apply_shared(&SharedProbTree::from(tree.clone()), &update);
     assert_eq!(report.nodes_raw, 22);
     assert_eq!(report.distinct_nodes_raw, report.nodes_raw);
     assert_eq!(report.distinct_nodes_after, report.nodes_after);
+    assert!(!out.has_shared());
     let forecast = engine.forecast(&tree, &update);
     assert_eq!(forecast.logical_survivor_nodes(), 17);
     assert_eq!(
-        forecast.distinct_survivor_nodes(),
-        forecast.logical_survivor_nodes()
+        report.distinct_nodes_raw,
+        tree.num_nodes() - 1 + forecast.logical_survivor_nodes()
     );
 }
 
@@ -260,7 +260,7 @@ fn a_simplifying_step_copies_its_survivors_deep() {
 fn theorem3_survivors_store_linearly_at_n_12() {
     let n = 12;
     let tree = theorem3_tree(n);
-    let (updated, report) = shared_engine().apply(&tree, &d0_deletion(0.8));
+    let (updated, report) = apply_shared(&tree, &d0_deletion(0.8));
     updated.validate_invariants().expect("invariants after d0");
 
     let stats = updated.memory_stats();
@@ -270,7 +270,7 @@ fn theorem3_survivors_store_linearly_at_n_12() {
     assert!(stats.dedup_ratio() > 100.0);
 
     // The logical view still spells out every survivor copy.
-    let expanded = updated.expanded();
+    let expanded = updated.expand();
     let b_copies = expanded
         .tree()
         .iter()
@@ -286,7 +286,7 @@ fn theorem3_survivors_store_linearly_at_n_12() {
 fn theorem3_distinct_nodes_grow_linearly_in_n() {
     let mut previous: Option<pxml_core::probtree::MemoryStats> = None;
     for n in 1..=12 {
-        let (updated, _) = shared_engine().apply(&theorem3_tree(n), &d0_deletion(0.8));
+        let (updated, _) = apply_shared(&theorem3_tree(n), &d0_deletion(0.8));
         let stats = updated.memory_stats();
         assert_eq!(stats.distinct_nodes, n + 2, "n = {n}");
         if let Some(prev) = previous {
@@ -301,17 +301,81 @@ fn theorem3_distinct_nodes_grow_linearly_in_n() {
     }
 }
 
-/// The deep oracle on the same family stores every logical copy — this
-/// is the `O(2^n)` baseline the complexity table quotes. Kept at a small
-/// `n` so the test stays fast.
+/// Deep copies (`apply`) on the same family store every logical copy —
+/// this is the `O(2^n)` baseline the complexity table quotes. Kept at a
+/// small `n` so the test stays fast.
 #[test]
 fn deep_oracle_stores_exponentially_on_theorem3() {
     let n = 8;
-    let (shared, _) = shared_engine().apply(&theorem3_tree(n), &d0_deletion(0.8));
-    let (deep, _) = deep_engine().apply(&theorem3_tree(n), &d0_deletion(0.8));
+    let (shared, _) = apply_shared(&theorem3_tree(n), &d0_deletion(0.8));
+    let (deep, _) = raw_step().apply(&theorem3_tree(n), &d0_deletion(0.8));
     assert_eq!(shared.to_ascii(), deep.to_ascii());
     let deep_stats = deep.memory_stats();
     assert_eq!(deep_stats.logical_nodes, deep_stats.distinct_nodes);
     assert_eq!(deep_stats.distinct_nodes, 1 + n + 1 + (1usize << n));
     assert_eq!(shared.memory_stats().distinct_nodes, n + 2);
+}
+
+/// Inserts a `leaf` under every node the anchored path `A/label` matches,
+/// or under the root `A` itself when `label` is `None`.
+fn insert_leaf_under(label: Option<&str>, leaf: &str) -> ProbabilisticUpdate {
+    let mut q = PatternQuery::anchored(Some("A"));
+    let at = match label {
+        Some(label) => q.add_child(q.root(), label),
+        None => q.root(),
+    };
+    ProbabilisticUpdate::new(UpdateOperation::insert(q, at, DataTree::new(leaf)), 0.9)
+}
+
+/// A raw script keeps its sharing across steps: a step whose query labels
+/// occur in no stored shape matches on the spine and keeps the handles;
+/// one whose labels do, or which grafts under a node holding handles,
+/// expands them. Every step renders as the deep path does.
+#[test]
+fn a_raw_script_keeps_its_sharing_across_steps() {
+    // One step on both paths; checks (skipped, logical, distinct nodes).
+    let step = |shared: &SharedProbTree,
+                deep: &ProbTree,
+                update: &ProbabilisticUpdate,
+                want: (bool, usize, usize)| {
+        let (shared, report) = raw_step().apply_shared(shared, update);
+        let (deep, _) = raw_step().apply(deep, update);
+        let got = (
+            report.entry_expansion_skipped,
+            report.nodes_after,
+            report.distinct_nodes_after,
+        );
+        assert_eq!(got, want);
+        assert_eq!(shared.to_ascii(), deep.to_ascii());
+        (shared, deep, report)
+    };
+    let tree = theorem3_tree(6);
+    let (shared, deep, report) = step(
+        &SharedProbTree::from(tree.clone()),
+        &tree,
+        &d0_deletion(0.8),
+        (false, 72, 8),
+    );
+    assert_eq!(report.survivor_copies, 65);
+    // `A` and `C` occur in no stored shape: the handles survive.
+    let (shared, deep, _) = step(
+        &shared,
+        &deep,
+        &insert_leaf_under(Some("C"), "E"),
+        (true, 78, 14),
+    );
+    // `B` is stored: the step expands first.
+    step(
+        &shared,
+        &deep,
+        &insert_leaf_under(Some("B"), "E"),
+        (false, 143, 143),
+    );
+    // Grafting under the node that holds the handles faults them in.
+    step(
+        &shared,
+        &deep,
+        &insert_leaf_under(None, "F"),
+        (true, 79, 79),
+    );
 }
