@@ -206,8 +206,8 @@ pub enum MaintenancePrediction {
 /// analysis can be maintained in place across the script.
 ///
 /// This is a **lint, not a guarantee**: the engine decides from the
-/// *runtime* [`pxml_core::UpdateDelta`], which is diffed from the actual
-/// result. A step predicted [`Patchable`](MaintenancePrediction::Patchable)
+/// *runtime* [`pxml_core::UpdateDelta`], which the step derives from the
+/// nodes it actually touched. A step predicted [`Patchable`](MaintenancePrediction::Patchable)
 /// can still force a fallback at run time — e.g. when the simplification
 /// pass merges pre-existing siblings whose labels lie inside the
 /// footprint, the delta reports those labels as removed/inserted even

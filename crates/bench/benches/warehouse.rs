@@ -5,12 +5,13 @@
 //! laziness claim with exact counters: under a traffic shape of `R` read
 //! rounds × `D` off-footprint commits per round × `V` registered views,
 //! each over its own query allocation, the hub performs `V × R`
-//! maintenance passes (one composed window per stale view per read
-//! round) where the pre-hub pattern — every view maintained after every
-//! delta — applies `V × D × R` windows. Both window counts are asserted
-//! exactly, along with the raw hub counters. The same traffic over `V`
-//! names registered with one shared `Arc<dyn Query>` holds one prepared
-//! state, so it costs exactly `R` passes and `R` windows.
+//! maintenance passes (one patch pass over all pending deltas per stale
+//! view per read round, counted as an applied window) where the pre-hub
+//! pattern — every view maintained after every delta — applies
+//! `V × D × R` windows. Both window counts are asserted exactly, along
+//! with the raw hub counters. The same traffic over `V` names registered
+//! with one shared `Arc<dyn Query>` holds one prepared state, so it costs
+//! exactly `R` passes and `R` windows.
 //!
 //! The timed groups then measure the served read path as the document
 //! grows, and the O(1) epoch-snapshot pin contrasted against it.
@@ -102,7 +103,7 @@ fn serve_rounds(warehouse: &Warehouse) {
 /// query. Returns the settled warehouse for the timed read-path group.
 fn hub_laziness_invariants(services: usize) -> Warehouse {
     // Hub side: maintenance happens lazily on the reads, once per view
-    // per round, each pass composing its own window.
+    // per round, each pass patching through all its pending deltas.
     let warehouse = settled_warehouse(services, false);
     serve_rounds(&warehouse);
     let hub = warehouse.hub_stats("doc").unwrap();

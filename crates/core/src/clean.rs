@@ -35,8 +35,10 @@ pub fn clean(tree: &ProbTree) -> ProbTree {
 pub(crate) struct Walked {
     /// Nodes the walk examined.
     pub(crate) visited: usize,
-    /// Nodes whose condition lost literals.
-    pub(crate) rewritten: Vec<NodeId>,
+    /// Nodes whose condition lost literals, each with the number it
+    /// lost: the condition is rewritten in place, so the caller cannot
+    /// count them afterwards.
+    pub(crate) rewritten: Vec<(NodeId, usize)>,
     /// Nodes that can never be present, to be detached with their
     /// subtrees.
     pub(crate) dropped: Vec<NodeId>,
@@ -77,8 +79,8 @@ pub(crate) fn clean_below(tree: &mut ProbTree, top: NodeId, ancestors: Condition
                 continue;
             }
             if kept.len() != own.len() {
+                walked.rewritten.push((node, own.len() - kept.len()));
                 tree.set_condition(node, Condition::from_literals(kept));
-                walked.rewritten.push(node);
             }
             own
         };
@@ -144,8 +146,8 @@ pub(crate) fn prune_below(tree: &mut ProbTree, top: NodeId) -> Walked {
                     continue;
                 }
                 Some(kept) if kept.len() != own.len() => {
+                    walked.rewritten.push((node, own.len() - kept.len()));
                     tree.set_condition(node, kept);
-                    walked.rewritten.push(node);
                 }
                 Some(_) => {}
             }

@@ -13,36 +13,40 @@
 //! * **inserted** — nodes the step appended to the arena (grafted
 //!   insertion subtrees, survivor copies, merge covers), again as labels;
 //! * **rewritten** — surviving nodes whose root condition `γ` changed
-//!   (deletion splits, cleaning, certain-event pruning).
+//!   (cleaning, certain-event pruning; a deletion split detaches its
+//!   target and inserts survivor copies instead).
 //!
 //! **Node ids are stable.** A commit keeps the id of every node it does
 //! not detach, leaves detached nodes in the arena, and appends the nodes
 //! it adds; arena slots are never reused. A frame therefore names the
-//! same node by the same id from one epoch to the next, and the deltas,
-//! the composed [`DeltaWindow`]s and the view patches need no node map.
-//! Ids change only at a *rebase*:
+//! same node by the same id from one epoch to the next, and the deltas
+//! and the view patches need no node map. Ids change only at a *rebase*:
 //! [`UpdateEngine::stage_doc`](crate::UpdateEngine::stage_doc) compacts a
 //! matched step's output when its base frame holds more detached slots
 //! than live nodes. The rebasing delta carries the renumbering in
 //! [`UpdateDelta::node_map`], and committing it restarts the delta log,
-//! so no window ever spans a renumbering.
+//! so no span of the log ever crosses a renumbering.
 //!
-//! A document remembers whether its frame is a fixpoint of the update
-//! engine's simplification. While it is, a simplifying engine's step runs
-//! in [`StepScope::Region`](crate::update::engine::StepScope::Region): the
-//! engine simplifies only the subtrees the step touched and derives the
-//! delta from those same nodes — removed and inserted subtrees, and no
-//! rewrites, since cleaning an untouched node changes nothing. Otherwise
-//! (a fresh document's first commit, or after a commit whose simplify did
-//! not run or did not converge) the step runs over the whole tree and the
-//! delta is diffed from the two frames by node id; the property suites
-//! keep that diff as the oracle of the region's delta. Either way the
-//! delta is exact no matter which simplification passes fired.
+//! Every step derives its delta from what it touched. The update step
+//! and the simplify passes record each subtree they graft or detach and
+//! each base-frame condition they rewrite; a census over those nodes
+//! alone gives the delta and the step's sizes, no matter which
+//! simplification passes fired. A document remembers whether its frame
+//! is a fixpoint of the update engine's simplification. While it is, a
+//! simplifying engine's step runs in
+//! [`StepScope::Region`](crate::update::engine::StepScope::Region): the
+//! engine simplifies only the subtrees the step touched, so it rewrites
+//! no base-frame condition. Otherwise (a fresh document's first commit,
+//! or after a commit whose simplify did not run or did not converge) the
+//! step simplifies the whole tree, and its cleaning and pruning may
+//! rewrite base-frame conditions. The property suites hold both scopes'
+//! deltas to a two-frame diff by node id.
 //! [`PreparedQuery::maintain`](crate::PreparedQuery::maintain), the one
-//! maintenance entry point, composes the pending log into one
-//! [`DeltaWindow`] to patch prepared state in place, falling back to a
-//! full re-prepare only when the window's label footprint intersects the
-//! query's spine labels or the log no longer covers the prepared epoch.
+//! maintenance entry point, reads the pending deltas
+//! ([`Document::deltas_since`]) in one pass to patch prepared state in
+//! place, falling back to a full re-prepare only when a pending delta's
+//! label footprint intersects the query's spine labels or the log no
+//! longer covers the prepared epoch.
 //!
 //! Snapshots are cheap ([`Document::snapshot`] clones an `Arc`), so
 //! readers hold on to the exact epoch they prepared against while the
@@ -103,12 +107,6 @@ pub struct UpdateDelta {
 }
 
 impl UpdateDelta {
-    /// `true` if the step changed nothing: no node removed, inserted, or
-    /// condition-rewritten.
-    pub fn is_identity(&self) -> bool {
-        self.nodes_removed == 0 && self.nodes_inserted == 0 && self.rewritten.is_empty()
-    }
-
     /// `true` if any removed or inserted label lies in `footprint` — the
     /// spine-intersection test deciding whether prepared state for a
     /// query with that label footprint can be patched in place.
@@ -119,149 +117,19 @@ impl UpdateDelta {
             .any(|label| footprint.contains(label))
     }
 
-    /// Diffs two consecutive frames by node id. A node is removed if
-    /// `old` reaches it and `new` does not, inserted if `new` reaches it
-    /// and its id lies past `old`'s arena, and rewritten if both reach it
-    /// with different conditions. The whole-scope delta, and the oracle
-    /// the region-scope delta is tested against.
-    pub(crate) fn diff(old: &ProbTree, new: &ProbTree, epoch: Epoch, report: StepReport) -> Self {
-        let mut delta = UpdateDelta::identity(epoch, report);
-        if delta.report.matches == 0 {
-            return delta; // the step left the tree untouched
-        }
-        let old_len = old.tree().arena_len();
-        let mut attached = vec![false; new.tree().arena_len()];
-        let mut visited = 0;
-        for node in new.tree().iter() {
-            visited += 1;
-            attached[node.index()] = true;
-            if node.index() >= old_len {
-                delta
-                    .inserted_labels
-                    .insert(new.tree().label(node).to_owned());
-                delta.nodes_inserted += 1;
-            }
-        }
-        for node in old.tree().iter() {
-            visited += 1;
-            if !attached[node.index()] {
-                delta
-                    .removed_labels
-                    .insert(old.tree().label(node).to_owned());
-                delta.nodes_removed += 1;
-                continue;
-            }
-            let changed = match (old.condition_ref(node), new.condition_ref(node)) {
-                (Some(before), Some(after)) => before != after,
-                (None, None) => false,
-                (Some(one), None) | (None, Some(one)) => !one.is_empty(),
-            };
-            if changed {
-                delta.rewritten.insert(node);
-            }
-        }
-        delta.report.delta_visited += visited;
-        delta
-    }
-
-    /// The region-scope delta: the removed and inserted nodes were counted
-    /// over the touched subtrees, and no surviving node's condition
-    /// changed (cleaning and pruning only rewrite nodes the step added).
+    /// The delta of a step, from its census of the nodes it touched: the
+    /// removed and inserted subtrees and the rewritten base nodes.
     pub(crate) fn from_census(epoch: Epoch, census: Census, report: StepReport) -> Self {
-        UpdateDelta {
-            removed_labels: census.removed_labels,
-            inserted_labels: census.inserted_labels,
-            nodes_removed: census.removed_nodes,
-            nodes_inserted: census.inserted_nodes,
-            ..UpdateDelta::identity(epoch, report)
-        }
-    }
-
-    /// A delta that changes nothing.
-    fn identity(epoch: Epoch, report: StepReport) -> Self {
         UpdateDelta {
             epoch,
             node_map: None,
-            removed_labels: BTreeSet::new(),
-            inserted_labels: BTreeSet::new(),
-            rewritten: BTreeSet::new(),
-            nodes_removed: 0,
-            nodes_inserted: 0,
+            removed_labels: census.removed_labels,
+            inserted_labels: census.inserted_labels,
+            rewritten: census.rewritten,
+            nodes_removed: census.removed_nodes,
+            nodes_inserted: census.inserted_nodes,
             report,
         }
-    }
-}
-
-/// A composed view of consecutive [`UpdateDelta`]s: one label footprint
-/// and one rewritten set covering the whole `from_epoch → to_epoch` span,
-/// so prepared state can be brought to the current epoch in a **single**
-/// pass instead of once per delta. Node ids are stable across the span (a
-/// rebase restarts the log, so no window contains one), so composing is a
-/// union and a `from_epoch` node id names the same node at `to_epoch`.
-///
-/// Built by [`Document::window_since`], which
-/// [`PreparedQuery::maintain`](crate::PreparedQuery::maintain) calls after
-/// checking that the state was prepared against that document: node ids
-/// are per-document, and no entry point takes a window from its caller.
-#[derive(Clone, Debug)]
-pub struct DeltaWindow {
-    /// The epoch a consumer must currently be at to apply this window.
-    pub from_epoch: Epoch,
-    /// The epoch the window advances to.
-    pub to_epoch: Epoch,
-    /// Union of the removed labels across the span.
-    pub removed_labels: BTreeSet<String>,
-    /// Union of the inserted labels across the span.
-    pub inserted_labels: BTreeSet<String>,
-    /// Surviving nodes whose condition changed at any step of the span.
-    /// A node a later step removed may still be listed.
-    pub rewritten: BTreeSet<NodeId>,
-    /// Number of deltas composed into the window.
-    pub steps: usize,
-}
-
-impl DeltaWindow {
-    /// Composes consecutive deltas of one document's log (oldest first,
-    /// starting right after `from_epoch`) into one window.
-    ///
-    /// # Panics
-    /// Panics if the deltas are not consecutive from `from_epoch`.
-    pub(crate) fn compose(from_epoch: Epoch, deltas: &[Arc<UpdateDelta>]) -> DeltaWindow {
-        let mut window = DeltaWindow {
-            from_epoch,
-            to_epoch: from_epoch,
-            removed_labels: BTreeSet::new(),
-            inserted_labels: BTreeSet::new(),
-            rewritten: BTreeSet::new(),
-            steps: 0,
-        };
-        for delta in deltas {
-            assert_eq!(
-                delta.epoch,
-                window.to_epoch + 1,
-                "windows compose consecutive deltas"
-            );
-            debug_assert!(delta.node_map.is_none(), "a rebase restarts the log");
-            window.to_epoch = delta.epoch;
-            window.steps += 1;
-            window
-                .removed_labels
-                .extend(delta.removed_labels.iter().cloned());
-            window
-                .inserted_labels
-                .extend(delta.inserted_labels.iter().cloned());
-            window.rewritten.extend(delta.rewritten.iter().copied());
-        }
-        window
-    }
-
-    /// The spine-intersection test of [`UpdateDelta::touches`], over the
-    /// whole span at once.
-    pub fn touches(&self, footprint: &BTreeSet<String>) -> bool {
-        self.removed_labels
-            .iter()
-            .chain(self.inserted_labels.iter())
-            .any(|label| footprint.contains(label))
     }
 }
 
@@ -287,7 +155,10 @@ pub struct StagedStep {
     pub(crate) base_epoch: Epoch,
     pub(crate) tree: ProbTree,
     pub(crate) delta: UpdateDelta,
-    pub(crate) next: NextFrame,
+    /// The next frame's fixpoint record: the current one for a step that
+    /// matched nothing, `None` after a simplify that did not run or did
+    /// not converge.
+    pub(crate) fixpoint: Option<Fixpoint>,
 }
 
 /// A document frame known to be a simplify fixpoint, with its logical
@@ -298,18 +169,6 @@ pub(crate) struct Fixpoint {
     pub(crate) nodes: usize,
     /// Literals of the frame.
     pub(crate) literals: usize,
-}
-
-/// What committing a [`StagedStep`] tells the document about its next
-/// frame.
-#[derive(Debug)]
-pub(crate) enum NextFrame {
-    /// The step matched nothing: the frame is the same tree.
-    Unchanged,
-    /// The step's simplify converged.
-    Fixpoint(Fixpoint),
-    /// The step's simplify did not run or did not converge.
-    Unknown,
 }
 
 impl StagedStep {
@@ -433,17 +292,19 @@ impl Document {
         self.log.len()
     }
 
-    /// The deltas moving `epoch` to the current epoch, composed into one
-    /// [`DeltaWindow`] covering `epoch → current`; `None` when the log no
-    /// longer covers `epoch` — it was trimmed at capacity or restarted by
-    /// a rebase — or `epoch` is from the future.
-    pub fn window_since(&self, epoch: Epoch) -> Option<DeltaWindow> {
+    /// The deltas that moved `epoch` to the current epoch, oldest first;
+    /// `None` when the log no longer covers `epoch` — it was trimmed at
+    /// capacity or restarted by a rebase — or `epoch` is from the future.
+    /// No rebase lies among them, so node ids are stable across them.
+    pub fn deltas_since(
+        &self,
+        epoch: Epoch,
+    ) -> Option<impl ExactSizeIterator<Item = &UpdateDelta> + Clone> {
         if epoch > self.epoch || epoch < self.base_epoch {
             return None;
         }
         let skip = (epoch - self.base_epoch) as usize;
-        let deltas: Vec<Arc<UpdateDelta>> = self.log.iter().skip(skip).cloned().collect();
-        Some(DeltaWindow::compose(epoch, &deltas))
+        Some(self.log.range(skip..).map(|delta| &**delta))
     }
 
     /// Forks the current state into a fresh document: new identity, epoch
@@ -502,11 +363,7 @@ impl Document {
                 self.base_epoch += 1;
             }
         }
-        match staged.next {
-            NextFrame::Unchanged => {}
-            NextFrame::Fixpoint(fixpoint) => self.fixpoint = Some(fixpoint),
-            NextFrame::Unknown => self.fixpoint = None,
-        }
+        self.fixpoint = staged.fixpoint;
         Ok(delta)
     }
 }
@@ -564,8 +421,8 @@ mod tests {
         assert_ne!(a.id(), b.id());
         assert_eq!(a.epoch(), 0);
         assert_eq!(a.log_len(), 0);
-        assert_eq!(a.window_since(0).map(|w| w.steps), Some(0));
-        assert!(a.window_since(1).is_none(), "future epochs are rejected");
+        assert_eq!(a.deltas_since(0).map(|pending| pending.len()), Some(0));
+        assert!(a.deltas_since(1).is_none(), "future epochs are rejected");
     }
 
     #[test]
@@ -575,7 +432,6 @@ mod tests {
         let delta = UpdateEngine::new().apply_doc(&mut doc, &insert_under("C", "E", 0.9));
         assert_eq!(doc.epoch(), 1);
         assert_eq!(delta.epoch, 1);
-        assert!(!delta.is_identity());
         assert_eq!(delta.nodes_inserted, 1);
         assert_eq!(delta.nodes_removed, 0);
         assert_eq!(delta.inserted_labels, BTreeSet::from(["E".to_owned()]));
@@ -605,7 +461,6 @@ mod tests {
         assert_eq!(delta.removed_labels, BTreeSet::from(["B".to_owned()]));
         assert_eq!(delta.inserted_labels, BTreeSet::from(["B".to_owned()]));
         assert!(delta.rewritten.is_empty());
-        assert!(!delta.is_identity());
         assert!(delta.touches(&BTreeSet::from(["B".to_owned()])));
         // The survivor copy is really there, gated on the deletion event.
         let tree = doc.snapshot();
@@ -640,7 +495,8 @@ mod tests {
         let before = doc.snapshot();
         let delta = UpdateEngine::new().apply_doc(&mut doc, &insert_under("Z", "E", 0.9));
         assert_eq!(doc.epoch(), 1, "identity steps still advance the epoch");
-        assert!(delta.is_identity());
+        assert_eq!((delta.nodes_removed, delta.nodes_inserted), (0, 0));
+        assert!(delta.rewritten.is_empty());
         assert!(delta.node_map.is_none());
         assert_eq!(
             before.tree().arena_len(),
@@ -659,11 +515,10 @@ mod tests {
         }
         assert_eq!(doc.epoch(), 3);
         assert_eq!(doc.log_len(), 2);
-        assert!(doc.window_since(0).is_none(), "epoch 0 was trimmed away");
-        let pending = doc.window_since(1).expect("epoch 1 still covered");
-        assert_eq!((pending.from_epoch, pending.to_epoch), (1, 3));
-        assert_eq!(pending.steps, 2);
-        assert_eq!(doc.window_since(3).map(|w| w.steps), Some(0));
+        assert!(doc.deltas_since(0).is_none(), "epoch 0 was trimmed away");
+        let pending = doc.deltas_since(1).expect("epoch 1 still covered");
+        assert_eq!(pending.map(|delta| delta.epoch).collect::<Vec<_>>(), [2, 3]);
+        assert_eq!(doc.deltas_since(3).map(|pending| pending.len()), Some(0));
     }
 
     #[test]
@@ -694,7 +549,7 @@ mod tests {
     }
 
     #[test]
-    fn windows_compose_consecutive_deltas() {
+    fn pending_deltas_are_the_log_in_order() {
         let mut doc = Document::new(figure1_example());
         let before = doc.snapshot();
         let engine = UpdateEngine::new();
@@ -702,32 +557,36 @@ mod tests {
             engine.apply_doc(&mut doc, &insert_under("C", "E", 0.9)),
             engine.apply_doc(&mut doc, &delete_at("B", 0.5)),
         ];
-        let window = doc.window_since(0).expect("epoch 0 still covered");
-        assert_eq!((window.from_epoch, window.to_epoch), (0, 2));
-        assert_eq!(window.steps, 2);
-        assert_eq!(
-            window.inserted_labels,
-            BTreeSet::from(["B".to_owned(), "E".to_owned()])
-        );
-        assert_eq!(window.removed_labels, BTreeSet::from(["B".to_owned()]));
-        assert!(window.touches(&BTreeSet::from(["E".to_owned()])));
-        assert!(!window.touches(&BTreeSet::from(["D".to_owned()])));
+        let pending: Vec<&UpdateDelta> = doc
+            .deltas_since(0)
+            .expect("epoch 0 still covered")
+            .collect();
+        assert_eq!(pending.len(), 2);
+        for (pending, committed) in pending.iter().zip(&deltas) {
+            assert!(
+                std::ptr::eq(*pending, Arc::as_ptr(committed)),
+                "the log's own deltas, in order"
+            );
+        }
+        let touches = |label: &str| {
+            pending
+                .iter()
+                .any(|delta| delta.touches(&BTreeSet::from([label.to_owned()])))
+        };
+        assert!(touches("E") && touches("B"));
+        assert!(!touches("D"));
         // Ids are stable across the span: the deleted B is detached at its
         // old id, and every other node of the epoch-0 frame keeps its id.
         assert!(deltas.iter().all(|d| d.node_map.is_none()));
         let removed: usize = deltas.iter().map(|d| d.nodes_removed).sum();
-        assert_ids_kept(&before, doc.tree(), removed, &window.rewritten);
-        // The window's rewritten set is the union of the deltas'.
         let rewritten: BTreeSet<NodeId> = deltas
             .iter()
             .flat_map(|d| d.rewritten.iter().copied())
             .collect();
-        assert_eq!(window.rewritten, rewritten);
-        // A window over an empty span is the identity.
-        let idle = doc.window_since(2).unwrap();
-        assert_eq!(idle.steps, 0);
-        assert!(idle.inserted_labels.is_empty() && idle.rewritten.is_empty());
-        assert!(doc.window_since(3).is_none(), "future epochs are rejected");
+        assert_ids_kept(&before, doc.tree(), removed, &rewritten);
+        // Nothing is pending at the current epoch.
+        assert_eq!(doc.deltas_since(2).map(|pending| pending.len()), Some(0));
+        assert!(doc.deltas_since(3).is_none(), "future epochs are rejected");
     }
 
     #[test]

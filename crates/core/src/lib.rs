@@ -59,8 +59,7 @@ pub mod variants;
 pub mod worlds;
 
 pub use document::{
-    DeltaWindow, Document, DocumentId, Epoch, StageConflict, StagedStep, UpdateDelta,
-    DEFAULT_DELTA_LOG_CAPACITY,
+    Document, DocumentId, Epoch, StageConflict, StagedStep, UpdateDelta, DEFAULT_DELTA_LOG_CAPACITY,
 };
 pub use probtree::ProbTree;
 pub use pwset::PossibleWorldSet;

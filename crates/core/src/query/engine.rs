@@ -42,8 +42,9 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use pxml_events::{Condition, Semiring};
 use pxml_tree::canon::Semantics;
 use pxml_tree::subtree::SubDataTree;
+use pxml_tree::NodeId;
 
-use crate::document::{DeltaWindow, Document, DocumentId, Epoch};
+use crate::document::{Document, DocumentId, Epoch, UpdateDelta};
 use crate::probtree::ProbTree;
 use crate::pwset::PossibleWorldSet;
 use crate::semantics::possible_worlds_normalized;
@@ -239,10 +240,9 @@ pub struct MaintainStats {
     /// Per-answer condition unions carried over unchanged (with their
     /// cached probabilities).
     pub unions_carried: usize,
-    /// Patch passes: every patched [`PreparedQuery::maintain`] call
-    /// threads its pending span through one composed [`DeltaWindow`] in a
-    /// single pass (the span's deltas still count one each in
-    /// [`steps_patched`](MaintainStats::steps_patched)).
+    /// Patch passes: every patched [`PreparedQuery::maintain`] call reads
+    /// all its pending deltas in a single pass (they still count one each
+    /// in [`steps_patched`](MaintainStats::steps_patched)).
     pub windows_applied: usize,
 }
 
@@ -281,7 +281,7 @@ pub enum FallbackReason {
     /// [`node_map`](crate::UpdateDelta::node_map).
     LogTrimmed,
     /// A patched answer holds a node the new frame no longer reaches,
-    /// though the window removed no footprint label — impossible for a
+    /// though no pending delta removed a footprint label — impossible for a
     /// sound footprint, kept as a safety net for a foreign [`Query`] with
     /// an unsound one rather than a panic.
     AnswerDisplaced,
@@ -383,19 +383,18 @@ impl<'a> PreparedQuery<'a> {
         self.maint
     }
 
-    /// Brings document-backed prepared state up to date with `doc`:
-    /// composes the pending deltas into one [`DeltaWindow`]
-    /// ([`Document::window_since`]) and patches the state in place
-    /// through it, whenever the window's inserted/removed labels avoid
-    /// the query's [footprint](Query::label_footprint). Node ids are
-    /// stable across a window, so the patch leaves every answer's node set
-    /// and position alone: it rebuilds only the condition unions of
-    /// answers holding a rewritten node, and swaps the snapshot and the
-    /// stamp. Falls back to a full re-prepare against the current epoch
-    /// when the footprint is unbounded, the window touches it, or the
-    /// delta log no longer covers the state's epoch (trimmed at capacity,
-    /// or restarted by a rebase); the state is up to date on return
-    /// either way.
+    /// Brings document-backed prepared state up to date with `doc`: reads
+    /// the pending deltas ([`Document::deltas_since`]) and patches the
+    /// state in place in one pass, whenever no pending delta inserted or
+    /// removed a label of the query's [footprint](Query::label_footprint).
+    /// Node ids are stable across the pending deltas, so the patch leaves
+    /// every answer's node set and position alone: it rebuilds only the
+    /// condition unions of answers holding a node some delta rewrote, and
+    /// swaps the snapshot and the stamp. Falls back to a full re-prepare
+    /// against the current epoch when the footprint is unbounded, a
+    /// pending delta touches it, or the delta log no longer covers the
+    /// state's epoch (trimmed at capacity, or restarted by a rebase); the
+    /// state is up to date on return either way.
     ///
     /// Patched state is **indistinguishable** from a fresh prepare on the
     /// document's current tree: same answers in the same order, the same
@@ -415,29 +414,38 @@ impl<'a> PreparedQuery<'a> {
         if doc.epoch() == epoch {
             return Ok(MaintainOutcome::UpToDate);
         }
-        Ok(match doc.window_since(epoch) {
-            Some(window) => self.patch(doc, &window),
+        Ok(match doc.deltas_since(epoch) {
+            Some(pending) => self.patch(doc, pending),
             None => self.reprepare(doc, FallbackReason::LogTrimmed),
         })
     }
 
-    /// Patches the state through a window spanning its epoch to `doc`'s.
-    /// Node ids are stable across a window, so an answer keeps its node
-    /// set and its place in the answer order; the plan only checks each
-    /// answer against the new snapshot. An answer with a node the frame no
-    /// longer reaches falls back before anything is mutated. One with a
-    /// rewritten node is dirty: its union is rebuilt. Clean answers keep
-    /// their union and its cached values — the union is over unchanged
-    /// node conditions, every semiring's value depends only on the events
-    /// the condition mentions, and the event table only ever grows, so
-    /// each value is identical to what a fresh prepare would compute.
-    fn patch(&mut self, doc: &Document, window: &DeltaWindow) -> MaintainOutcome {
+    /// Patches the state through the `pending` deltas, which move its
+    /// epoch to `doc`'s. Node ids are stable across them, so an answer
+    /// keeps its node set and its place in the answer order; the plan
+    /// only checks each answer against the new snapshot. An answer with a
+    /// node the frame no longer reaches falls back before anything is
+    /// mutated. One with a node some delta rewrote is dirty: its union is
+    /// rebuilt. Clean answers keep their union and its cached values —
+    /// the union is over unchanged node conditions, every semiring's
+    /// value depends only on the events the condition mentions, and the
+    /// event table only ever grows, so each value is identical to what a
+    /// fresh prepare would compute.
+    fn patch<'d>(
+        &mut self,
+        doc: &Document,
+        pending: impl ExactSizeIterator<Item = &'d UpdateDelta> + Clone,
+    ) -> MaintainOutcome {
         let Some(footprint) = &self.footprint else {
             return self.reprepare(doc, FallbackReason::UnboundedFootprint);
         };
-        if window.touches(footprint) {
+        if pending.clone().any(|delta| delta.touches(footprint)) {
             return self.reprepare(doc, FallbackReason::SpineTouched);
         }
+        let steps = pending.len();
+        let rewritten: BTreeSet<NodeId> = pending
+            .flat_map(|delta| delta.rewritten.iter().copied())
+            .collect();
         let snapshot = doc.snapshot();
         let tree = snapshot.tree();
         let plan: Option<Vec<bool>> = self
@@ -449,7 +457,7 @@ impl<'a> PreparedQuery<'a> {
                     if !tree.is_attached(node) {
                         return None;
                     }
-                    dirty |= window.rewritten.contains(&node);
+                    dirty |= rewritten.contains(&node);
                 }
                 Some(dirty)
             })
@@ -459,7 +467,7 @@ impl<'a> PreparedQuery<'a> {
         };
         let rebuilt = dirty.iter().filter(|&&d| d).count();
         self.maint.windows_applied += 1;
-        self.maint.steps_patched += window.steps;
+        self.maint.steps_patched += steps;
         self.maint.unions_rebuilt += rebuilt;
         self.maint.unions_carried += self.answers.len() - rebuilt;
         if rebuilt > 0 {
@@ -473,9 +481,7 @@ impl<'a> PreparedQuery<'a> {
             *tree = snapshot;
             *epoch = doc.epoch();
         }
-        MaintainOutcome::Patched {
-            steps: window.steps,
-        }
+        MaintainOutcome::Patched { steps }
     }
 
     /// Rebuilds the condition unions of the `dirty` answers against
@@ -1077,11 +1083,6 @@ impl AnswerSet {
         &self.answers
     }
 
-    /// Consumes the set, returning the answers.
-    pub fn into_vec(self) -> Vec<ProbAnswer> {
-        self.answers
-    }
-
     /// Sum of the answer probabilities (the expected number of selected
     /// matches).
     pub fn total_probability(&self) -> f64 {
@@ -1394,7 +1395,7 @@ mod tests {
         let by_ref: Vec<f64> = (&set).into_iter().map(|a| a.probability).collect();
         let owned: Vec<f64> = set.clone().into_iter().map(|a| a.probability).collect();
         assert_eq!(by_ref, owned);
-        assert_eq!(set.into_vec().len(), 3);
+        assert_eq!(set.len(), 3);
     }
 
     /// A root with three children of the same label but different
@@ -1842,8 +1843,8 @@ mod tests {
 
     #[test]
     fn windowed_maintenance_matches_the_per_delta_path() {
-        // `windowed` falls two commits behind and threads both through one
-        // composed window; `stepped` is maintained after each commit.
+        // `windowed` falls two commits behind and patches both in one
+        // pass; `stepped` is maintained after each commit.
         let q = PatternQuery::new(Some("item"));
         let mut doc = Document::new(ladder(6));
         let mut windowed = doc_view(&doc, &q);
@@ -1867,19 +1868,19 @@ mod tests {
         );
         let wstats = windowed.maintenance_stats();
         assert_eq!(wstats.windows_applied, 1);
-        assert_eq!(wstats.steps_patched, 2, "the window's span counts once");
+        assert_eq!(wstats.steps_patched, 2, "each pending delta counts once");
         let sstats = stepped.maintenance_stats();
         assert_eq!(sstats.windows_applied, 2);
         assert_eq!(sstats.steps_patched, 2);
         assert_eq!(
             windowed.num_cached_probabilities(),
             stepped.num_cached_probabilities(),
-            "the window carries the same probability cache"
+            "one pass carries the same probability cache"
         );
         assert_agrees_with_fresh(&windowed, &doc, &q);
         assert_agrees_with_fresh(&stepped, &doc, &q);
-        // Spine-touching windows fall back exactly like spine-touching
-        // deltas.
+        // Two pending deltas, one of them spine-touching, fall back
+        // exactly like one spine-touching delta.
         engine.apply_doc(&mut doc, &doc_insert("sku1", "memo", 0.6));
         engine.apply_doc(&mut doc, &doc_insert("catalog", "item", 0.85));
         assert_eq!(

@@ -135,10 +135,18 @@ impl PatternQuery {
 
     /// Adds a join constraint: all the given pattern nodes must match data
     /// nodes with equal labels.
+    ///
+    /// # Panics
+    /// Panics if the join has fewer than two nodes or names a node the
+    /// pattern does not have.
     pub fn add_join(&mut self, nodes: Vec<PatternNodeId>) {
         assert!(
             nodes.len() >= 2,
             "a join constraint needs at least two nodes"
+        );
+        assert!(
+            nodes.iter().all(|node| node.0 < self.nodes.len()),
+            "unknown pattern node in a join"
         );
         self.joins.push(nodes);
     }
@@ -336,13 +344,6 @@ impl Query for PatternQuery {
                 _ => {}
             }
         }
-        for join in &self.joins {
-            if join.iter().any(|p| p.0 >= self.nodes.len()) {
-                return MonotonicityCertificate::Rejected {
-                    reason: "join references an unknown pattern node".to_string(),
-                };
-            }
-        }
         MonotonicityCertificate::Certified
     }
 }
@@ -486,6 +487,14 @@ mod tests {
         let mut q = PatternQuery::new(None);
         let root = q.root();
         q.add_join(vec![root]);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown pattern node")]
+    fn join_over_an_unknown_node_is_rejected() {
+        let mut q = PatternQuery::new(Some("A"));
+        let root = q.root();
+        q.add_join(vec![root, PatternNodeId(1)]);
     }
 
     /// Reference matcher: identical backtracking, but descendant-axis

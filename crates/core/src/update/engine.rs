@@ -32,13 +32,13 @@ use std::collections::BTreeMap;
 use pxml_events::{Condition, EventId, Literal};
 use pxml_tree::{DataTree, NodeId};
 
-use crate::document::{Fixpoint, NextFrame};
+use crate::document::Fixpoint;
 use crate::probtree::ProbTree;
 use crate::query::pattern::{PatternMatch, PatternNodeId, PatternQuery};
 use crate::shared::SharedProbTree;
 
 use super::script::{ScriptReport, UpdateScript};
-use super::simplify::{simplify_scoped, Census, Scope, Touched};
+use super::simplify::{simplify_scoped, Census, Touched};
 use super::{ProbabilisticUpdate, UpdateAction};
 
 /// Configuration of an [`UpdateEngine`].
@@ -209,30 +209,31 @@ pub struct StepReport {
     /// so matching on the spine alone is exact and the input DAG stays
     /// compact across steps. Always `false` on [`UpdateEngine::apply`].
     pub entry_expansion_skipped: bool,
-    /// Which part of the tree the step's simplification, sizes and delta
-    /// covered.
+    /// Which part of the tree the step's simplification covered.
     pub scope: StepScope,
     /// Nodes the simplification visited: cleaned or pruned, scanned as
     /// children of a parent whose sibling-cover merge ran, or interned for
     /// a shape code (0 when simplification is off or nothing matched).
     pub simplify_visited: usize,
-    /// Nodes the step's sizes and [`UpdateDelta`](crate::UpdateDelta) were
-    /// derived from: the touched subtrees in [`StepScope::Region`], both
-    /// frames of the two-frame diff on a document in
-    /// [`StepScope::Whole`], 0 outside a document.
+    /// Nodes the census walked to derive the step's sizes and its
+    /// [`UpdateDelta`](crate::UpdateDelta): the touched subtrees and the
+    /// rewritten nodes, counted after the update and again after the
+    /// simplification when it runs, in either scope (0 when nothing
+    /// matched).
     pub delta_visited: usize,
 }
 
-/// The part of the tree an update step's simplification, sizes and delta
-/// covered; see [`StepReport::scope`].
+/// The part of the tree an update step's simplification covered; see
+/// [`StepReport::scope`]. Either way the step derives its sizes and its
+/// delta from the nodes it and its simplification touched.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StepScope {
     /// The whole tree: one-shot [`UpdateEngine::apply`], any commit by an
     /// engine that does not simplify, and any document commit whose base
     /// frame is not known to be a simplify fixpoint (a fresh document's
     /// first commit, or the commit after one whose simplify did not run
-    /// or did not converge). On a document the delta is diffed from the
-    /// two frames by node id.
+    /// or did not converge). Cleaning and pruning may rewrite base-frame
+    /// conditions.
     Whole,
     /// Only what the step touched, on a document frame that is a simplify
     /// fixpoint: the subtrees it grafted, the parents it grafted under or
@@ -274,12 +275,8 @@ impl StepReport {
         }
     }
 
-    /// `|T|` before the step (nodes + literals, the paper's size measure).
-    pub fn size_before(&self) -> usize {
-        self.nodes_before + self.literals_before
-    }
-
-    /// `|T|` after the update, before simplification.
+    /// `|T|` after the update, before simplification (nodes + literals,
+    /// the paper's size measure).
     pub fn size_raw(&self) -> usize {
         self.nodes_raw + self.literals_raw
     }
@@ -394,21 +391,22 @@ impl UpdateEngine {
         (out.compact(), report)
     }
 
-    /// One step in the given scope: the whole tree, or — given the size
-    /// of a `base` frame that is a simplify fixpoint — only the touched
-    /// region.
+    /// One step on `tree`. `base` is the document's record of a frame
+    /// that is a simplify fixpoint: the step takes the frame's size from
+    /// it, and a simplifying engine simplifies only the touched region.
+    /// Without it the step measures `tree` and runs over the whole tree.
+    /// Either way, the step's other sizes and its census come from what
+    /// it touched.
     fn run(&self, tree: &ProbTree, update: &ProbabilisticUpdate, base: Option<&Fixpoint>) -> Step {
         let matches = update.operation.query.matches(tree.tree());
-        // (nodes, literals) in one walk.
-        let measure = |tree: &ProbTree| {
-            let stats = tree.memory_stats();
-            (stats.logical_nodes, stats.logical_literals)
-        };
         let (nodes_before, literals_before) = match base {
             Some(base) => (base.nodes, base.literals),
-            None => measure(tree),
+            None => {
+                let stats = tree.memory_stats();
+                (stats.logical_nodes, stats.logical_literals)
+            }
         };
-        let scope = if base.is_some() {
+        let scope = if base.is_some() && self.config.simplify {
             StepScope::Region
         } else {
             StepScope::Whole
@@ -424,46 +422,27 @@ impl UpdateEngine {
             return Step {
                 tree: tree.clone(),
                 report,
-                census: None,
+                census: Census::default(),
                 converged: None,
             };
         }
         let mut out = tree.clone();
         let mut touched = Touched::new(out.tree().arena_len());
         self.graft(&mut out, tree, &matches, update, &mut touched, &mut report);
-        let grown = |census: &Census| {
-            (
-                nodes_before - census.removed_nodes + census.inserted_nodes,
-                literals_before - census.removed_literals + census.inserted_literals,
-            )
-        };
-        (report.nodes_raw, report.literals_raw) = if base.is_some() {
-            let census = Census::of(&out, &touched);
-            report.delta_visited += census.visited;
-            grown(&census)
-        } else {
-            measure(&out)
-        };
+        let raw = Census::of(&out, &touched);
+        report.delta_visited += raw.visited;
+        (report.nodes_raw, report.literals_raw) = raw.size_after(nodes_before, literals_before);
         report.distinct_nodes_raw = report.nodes_raw;
         let (updated, census, converged) = if self.config.simplify {
-            let scope = if base.is_some() {
-                Scope::Region(touched)
-            } else {
-                Scope::Whole
-            };
-            let run = simplify_scoped(out, scope);
+            let run = simplify_scoped(out, scope, touched);
             report.simplify_visited = run.visited;
+            report.delta_visited += run.census.visited;
             (run.tree, run.census, Some(run.converged))
         } else {
-            (out, None, None)
+            (out, raw, None)
         };
-        (report.nodes_after, report.literals_after) = match &census {
-            Some(census) => {
-                report.delta_visited += census.visited;
-                grown(census)
-            }
-            None => measure(&updated),
-        };
+        (report.nodes_after, report.literals_after) =
+            census.size_after(nodes_before, literals_before);
         report.distinct_nodes_after = report.nodes_after;
         Step {
             tree: updated,
@@ -614,10 +593,12 @@ impl UpdateEngine {
     /// conflict, so staging is safe to run optimistically.
     ///
     /// While the document's frame is a simplify fixpoint and this engine
-    /// simplifies, the step runs in [`StepScope::Region`]:
-    /// simplification, the step's sizes and the delta cover only what the
-    /// step touched. Otherwise it runs in [`StepScope::Whole`] and the
-    /// delta is diffed from the two frames by node id.
+    /// simplifies, the step runs in [`StepScope::Region`]: simplification
+    /// covers only what the step touched. Otherwise it runs in
+    /// [`StepScope::Whole`]. In both scopes the step's sizes and the delta
+    /// come from a census of the nodes the step grafted, detached and
+    /// rewrote; the step measures its input tree only when the document
+    /// does not record the frame's size.
     ///
     /// This is the one place node ids change. A step keeps the id of
     /// every node it does not detach and appends the nodes it adds; it
@@ -630,25 +611,21 @@ impl UpdateEngine {
         doc: &crate::Document,
         update: &ProbabilisticUpdate,
     ) -> crate::StagedStep {
-        let base = doc.fixpoint().filter(|_| self.config.simplify);
-        let step = self.run(doc.tree(), update, base);
+        let step = self.run(doc.tree(), update, doc.fixpoint());
         let matched = step.report.matches > 0;
-        let next = if !matched {
-            NextFrame::Unchanged
+        let fixpoint = if !matched {
+            // The frame is the same tree.
+            doc.fixpoint().cloned()
         } else if step.converged == Some(true) {
-            NextFrame::Fixpoint(Fixpoint {
+            Some(Fixpoint {
                 nodes: step.report.nodes_after,
                 literals: step.report.literals_after,
             })
         } else {
-            NextFrame::Unknown
+            None
         };
         let mut tree = step.tree;
-        let epoch = doc.epoch() + 1;
-        let mut delta = match step.census {
-            Some(census) => crate::UpdateDelta::from_census(epoch, census, step.report),
-            None => crate::UpdateDelta::diff(doc.tree(), &tree, epoch, step.report),
-        };
+        let mut delta = crate::UpdateDelta::from_census(doc.epoch() + 1, step.census, step.report);
         let base_len = doc.tree().tree().arena_len();
         let live = delta.report.nodes_before;
         if matched && base_len - live > live {
@@ -663,7 +640,7 @@ impl UpdateEngine {
             base_epoch: doc.epoch(),
             tree,
             delta,
-            next,
+            fixpoint,
         }
     }
 
@@ -792,8 +769,9 @@ struct Step {
     /// its simplification added are appended.
     tree: ProbTree,
     report: StepReport,
-    /// Region scope: what the step removed and inserted.
-    census: Option<Census>,
+    /// What the step removed, inserted and rewrote (empty when it
+    /// matched nothing).
+    census: Census,
     /// Whether simplification ran and converged; `None` when it did not
     /// run.
     converged: Option<bool>,
@@ -1268,7 +1246,10 @@ mod tests {
         let (updated, report) = UpdateEngine::new().apply(&t, &update);
         assert_eq!(report.matches, 0);
         assert!(report.new_event.is_none());
-        assert_eq!(report.size_before(), report.size_after());
+        assert_eq!(
+            (report.nodes_before, report.literals_before),
+            (report.nodes_after, report.literals_after)
+        );
         assert_eq!(updated.num_nodes(), t.num_nodes());
         assert_eq!(updated.events().len(), t.events().len(), "no fresh event");
     }

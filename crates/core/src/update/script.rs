@@ -78,26 +78,6 @@ pub struct ScriptReport {
 }
 
 impl ScriptReport {
-    /// Total number of query matches across the script.
-    pub fn total_matches(&self) -> usize {
-        self.steps.iter().map(|s| s.matches).sum()
-    }
-
-    /// Fresh event variables introduced by the script.
-    pub fn events_introduced(&self) -> usize {
-        self.steps.iter().filter(|s| s.new_event.is_some()).count()
-    }
-
-    /// The largest `|T|` reached after any step — deletions can blow the
-    /// intermediate representation up even when later steps shrink it.
-    pub fn peak_size(&self) -> usize {
-        self.steps
-            .iter()
-            .map(StepReport::size_after)
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Total size units saved by the simplification pass across all steps.
     pub fn simplification_savings(&self) -> usize {
         self.steps
@@ -141,7 +121,8 @@ mod tests {
         ]);
         let (updated, report) = UpdateEngine::new().apply_script(&t, &script);
         assert_eq!(report.steps.len(), 3);
-        assert_eq!(report.events_introduced(), 2, "only c < 1 steps add events");
+        let events_introduced = report.steps.iter().filter(|s| s.new_event.is_some());
+        assert_eq!(events_introduced.count(), 2, "only c < 1 steps add events");
         assert_eq!(updated.events().len(), 4);
         let direct = possible_worlds(&updated, 20).unwrap().normalized();
         let via_pw = script
@@ -157,7 +138,6 @@ mod tests {
         assert!(script.is_empty());
         let (updated, report) = UpdateEngine::new().apply_script(&t, &script);
         assert_eq!(report.steps.len(), 0);
-        assert_eq!(report.peak_size(), 0);
         assert_eq!(updated.num_nodes(), t.num_nodes());
     }
 
@@ -169,8 +149,9 @@ mod tests {
             .push(insert_under("C", "E", 0.9))
             .push(insert_under("C", "E", 0.8));
         let (updated, report) = UpdateEngine::new().apply_script(&t, &script);
-        assert_eq!(report.total_matches(), 2);
-        assert_eq!(report.peak_size(), updated.size());
+        assert_eq!(report.steps.iter().map(|s| s.matches).sum::<usize>(), 2);
+        let peak = report.steps.iter().map(StepReport::size_after).max();
+        assert_eq!(peak, Some(updated.size()));
         for pair in report.steps.windows(2) {
             assert_eq!(pair[0].nodes_after, pair[1].nodes_before);
         }

@@ -47,6 +47,7 @@ use pxml_tree::{AnnotatedCanonInterner, NodeId};
 
 use crate::clean::{clean_below, has_certain_events, prune_below, prune_condition, Walked};
 use crate::probtree::ProbTree;
+use crate::update::engine::StepScope;
 
 /// Upper bound on chained passes: merging children can make their parents
 /// mergeable in turn.
@@ -96,32 +97,25 @@ impl SimplifyReport {
 /// to it whenever no `π(w) = 1` event exists).
 pub fn simplify(tree: &ProbTree) -> (ProbTree, SimplifyReport) {
     let before = tree.memory_stats();
-    let run = simplify_scoped(tree.clone(), Scope::Whole);
-    let (simplified, _) = run.tree.compact();
-    let after = simplified.memory_stats();
+    let touched = Touched::new(tree.tree().arena_len());
+    let run = simplify_scoped(tree.clone(), StepScope::Whole, touched);
+    let (nodes_after, literals_after) = run
+        .census
+        .size_after(before.logical_nodes, before.logical_literals);
     let report = SimplifyReport {
         nodes_before: before.logical_nodes,
         literals_before: before.logical_literals,
-        nodes_after: after.logical_nodes,
-        literals_after: after.logical_literals,
+        nodes_after,
+        literals_after,
         merged_groups: run.merged_groups,
         passes: run.passes,
     };
-    (simplified, report)
+    (run.tree.compact().0, report)
 }
 
-/// Where a simplify run starts.
-pub(crate) enum Scope {
-    /// Clean, prune and merge everywhere on the first pass.
-    Whole,
-    /// Only what an update step changed on a tree that was a simplify
-    /// fixpoint.
-    Region(Touched),
-}
-
-/// What an update step and the region scope's passes changed in the
-/// working tree, recorded as they graft and detach. Node ids are those of
-/// the working tree, which is a clone of the step's base: ids below
+/// What an update step and the simplify passes changed in the working
+/// tree, recorded as they graft, detach and rewrite. Node ids are those
+/// of the working tree, which is a clone of the step's base: ids below
 /// `base_len` are base nodes.
 #[derive(Debug)]
 pub(crate) struct Touched {
@@ -132,6 +126,10 @@ pub(crate) struct Touched {
     pub(crate) grafted: Vec<NodeId>,
     /// Roots of the detached subtrees, each with its parent.
     pub(crate) detached: Vec<(NodeId, NodeId)>,
+    /// Base nodes whose condition a cleaning or pruning walk rewrote,
+    /// each with the number of literals it dropped (a node rewritten
+    /// twice is listed twice).
+    pub(crate) rewritten: Vec<(NodeId, usize)>,
 }
 
 impl Touched {
@@ -141,17 +139,19 @@ impl Touched {
             base_len,
             grafted: Vec::new(),
             detached: Vec::new(),
+            rewritten: Vec::new(),
         }
     }
 }
 
-/// What a region-scoped step removed from its base frame and inserted
-/// into its result, counted over the touched subtrees alone.
+/// What a step removed from its base frame, inserted into its result and
+/// rewrote in place, counted over the touched nodes alone: the one source
+/// of a step's sizes and of its [`UpdateDelta`](crate::UpdateDelta).
 #[derive(Debug, Default)]
 pub(crate) struct Census {
     /// Base nodes no longer reachable.
     pub(crate) removed_nodes: usize,
-    /// Literals on those nodes.
+    /// Literals on those nodes, as they are at the end.
     pub(crate) removed_literals: usize,
     /// Labels of those nodes.
     pub(crate) removed_labels: BTreeSet<String>,
@@ -161,13 +161,19 @@ pub(crate) struct Census {
     pub(crate) inserted_literals: usize,
     /// Labels of those nodes.
     pub(crate) inserted_labels: BTreeSet<String>,
-    /// Nodes the census walked.
+    /// Rewritten base nodes that are still reachable.
+    pub(crate) rewritten: BTreeSet<NodeId>,
+    /// Literals the rewrites of base nodes dropped, whether or not the
+    /// node is still reachable.
+    pub(crate) rewritten_literals: usize,
+    /// Nodes the census walked or checked.
     pub(crate) visited: usize,
 }
 
 impl Census {
-    /// Counts the base nodes below the detached roots and the arena
-    /// subtrees below the still-reachable grafted roots of `touched`.
+    /// Counts the base nodes below the detached roots, the arena subtrees
+    /// below the still-reachable grafted roots, and the rewritten base
+    /// nodes of `touched`.
     pub(crate) fn of(tree: &ProbTree, touched: &Touched) -> Census {
         let mut census = Census::default();
         let mut seen: HashSet<NodeId> = HashSet::new();
@@ -205,7 +211,22 @@ impl Census {
                     .insert(tree.tree().label(node).to_owned());
             });
         }
+        for &(node, dropped) in &touched.rewritten {
+            census.visited += 1;
+            census.rewritten_literals += dropped;
+            if tree.tree().is_attached(node) {
+                census.rewritten.insert(node);
+            }
+        }
         census
+    }
+
+    /// The result's `(nodes, literals)`, given the base frame's.
+    pub(crate) fn size_after(&self, nodes: usize, literals: usize) -> (usize, usize) {
+        (
+            nodes - self.removed_nodes + self.inserted_nodes,
+            literals - self.rewritten_literals - self.removed_literals + self.inserted_literals,
+        )
     }
 }
 
@@ -224,14 +245,17 @@ pub(crate) struct Simplified {
     /// Nodes the passes visited: cleaned or pruned, scanned as children
     /// of a parent whose merge ran, or interned for a shape code.
     pub(crate) visited: usize,
-    /// Region scope: what the step and the passes removed and inserted.
-    pub(crate) census: Option<Census>,
+    /// What the step and the passes removed, inserted and rewrote.
+    pub(crate) census: Census,
 }
 
-/// Runs the simplification chain over `work` from `scope`. Node ids of
-/// `work` stay stable: dropped nodes are detached in place, and the
-/// caller decides whether to compact.
-pub(crate) fn simplify_scoped(work: ProbTree, scope: Scope) -> Simplified {
+/// Runs the simplification chain over `work` from `scope`, extending
+/// `touched`, the step's record of what it changed in `work`. The
+/// region scope starts from that record; the whole scope cleans, prunes
+/// and merges everywhere on the first pass. Node ids of `work` stay
+/// stable: dropped nodes are detached in place, and the caller decides
+/// whether to compact.
+pub(crate) fn simplify_scoped(work: ProbTree, scope: StepScope, touched: Touched) -> Simplified {
     let root = work.tree().root();
     let prune = has_certain_events(work.events());
     let mut run = Run {
@@ -240,16 +264,16 @@ pub(crate) fn simplify_scoped(work: ProbTree, scope: Scope) -> Simplified {
         dirty: HashSet::new(),
         propagated: HashSet::new(),
         sweep_all: false,
-        region: None,
+        touched,
         visited: 0,
         merged_groups: 0,
     };
     match scope {
-        Scope::Whole => {
+        StepScope::Whole => {
             run.fresh.push(root);
             run.sweep_all = true;
         }
-        Scope::Region(touched) => run.start_region(touched),
+        StepScope::Region => run.start_region(),
     }
     let mut passes = 0;
     let mut converged = false;
@@ -278,7 +302,7 @@ pub(crate) fn simplify_scoped(work: ProbTree, scope: Scope) -> Simplified {
             break;
         }
     }
-    let census = run.region.map(|touched| Census::of(&run.work, &touched));
+    let census = Census::of(&run.work, &run.touched);
     Simplified {
         tree: run.work,
         merged_groups: run.merged_groups,
@@ -300,9 +324,9 @@ struct Run {
     propagated: HashSet<NodeId>,
     /// The next sweep visits every parent, so nothing needs marking.
     sweep_all: bool,
-    /// Region scope: the step's record, extended with what the passes
-    /// graft and detach.
-    region: Option<Touched>,
+    /// The step's record, extended with what the passes graft, detach
+    /// and rewrite.
+    touched: Touched,
     visited: usize,
     merged_groups: usize,
 }
@@ -311,7 +335,8 @@ impl Run {
     /// Turns an update step's changes into the first pass's work: the
     /// grafted subtrees are fresh, and the parents the step grafted under
     /// or detached from are marked.
-    fn start_region(&mut self, touched: Touched) {
+    fn start_region(&mut self) {
+        let touched = std::mem::replace(&mut self.touched, Touched::new(0));
         for &(parent, root) in &touched.detached {
             if self.work.tree().is_attached(parent) {
                 let conditioned = self.work.condition_ref(root).is_some();
@@ -323,7 +348,7 @@ impl Run {
                 self.note_added(root);
             }
         }
-        self.region = Some(touched);
+        self.touched = touched;
     }
 
     /// A new subtree hangs at `root`: clean and prune it on the next pass
@@ -355,13 +380,16 @@ impl Run {
         }
     }
 
-    /// Applies a cleaning or pruning walk's verdicts: marks the parents
-    /// of rewritten nodes and detaches the dropped ones. Returns whether
-    /// anything changed.
+    /// Applies a cleaning or pruning walk's verdicts: records the
+    /// rewritten base nodes, marks the parents of rewritten nodes and
+    /// detaches the dropped ones. Returns whether anything changed.
     fn settle(&mut self, walked: Walked) -> bool {
         self.visited += walked.visited;
         let changed = !walked.rewritten.is_empty() || !walked.dropped.is_empty();
-        for node in walked.rewritten {
+        for (node, dropped) in walked.rewritten {
+            if node.index() < self.touched.base_len {
+                self.touched.rewritten.push((node, dropped));
+            }
             let parent = self
                 .work
                 .tree()
@@ -384,9 +412,7 @@ impl Run {
     fn detach(&mut self, parent: NodeId, node: NodeId) {
         let conditioned = self.work.condition_ref(node).is_some();
         self.work.detach(node);
-        if let Some(region) = &mut self.region {
-            region.detached.push((parent, node));
-        }
+        self.touched.detached.push((parent, node));
         self.mark_child(parent, conditioned);
     }
 
@@ -514,9 +540,7 @@ impl Run {
                     .collect();
                 for disjunct in disjuncts {
                     let copy = self.work.duplicate_subtree_deep(parent, template, disjunct);
-                    if let Some(region) = &mut self.region {
-                        region.grafted.push(copy);
-                    }
+                    self.touched.grafted.push(copy);
                     self.note_added(copy);
                 }
                 for &i in &clique {

@@ -89,18 +89,6 @@ impl Valuation {
         }
     }
 
-    /// The number of true events.
-    pub fn count_true(&self) -> usize {
-        self.bits.iter().map(|b| b.count_ones() as usize).sum()
-    }
-
-    /// Iterates over the events that are true.
-    pub fn true_events(&self) -> impl Iterator<Item = EventId> + '_ {
-        (0..self.len)
-            .map(EventId::from_index)
-            .filter(move |&e| self.get(e))
-    }
-
     /// Probability of this valuation under the independent distribution of
     /// `events`: `Π_{w ∈ V} π(w) · Π_{w ∉ V} (1 − π(w))` (Definition 4).
     ///
@@ -234,6 +222,13 @@ pub const DEFAULT_MAX_EXHAUSTIVE_EVENTS: usize = 24;
 mod tests {
     use super::*;
 
+    /// The number of true events.
+    fn count_true(v: &Valuation) -> usize {
+        (0..v.len())
+            .filter(|&i| v.get(EventId::from_index(i)))
+            .count()
+    }
+
     #[test]
     fn set_get_roundtrip_across_word_boundary() {
         let mut v = Valuation::empty(130);
@@ -243,9 +238,9 @@ mod tests {
             v.set(e, true);
             assert!(v.get(e));
         }
-        assert_eq!(v.count_true(), 8);
+        assert_eq!(count_true(&v), 8);
         v.set(EventId::from_index(64), false);
-        assert_eq!(v.count_true(), 7);
+        assert_eq!(count_true(&v), 7);
     }
 
     #[test]
@@ -254,7 +249,7 @@ mod tests {
         let b =
             Valuation::from_true_events(130, [EventId::from_index(64), EventId::from_index(129)]);
         a.union_with(&b);
-        assert_eq!(a.count_true(), 3);
+        assert_eq!(count_true(&a), 3);
         assert!(a.get(EventId::from_index(0)));
         assert!(a.get(EventId::from_index(64)));
         assert!(a.get(EventId::from_index(129)));
@@ -270,9 +265,9 @@ mod tests {
     #[test]
     fn full_and_empty() {
         let v = Valuation::full(10);
-        assert_eq!(v.count_true(), 10);
+        assert_eq!(count_true(&v), 10);
         let e = Valuation::empty(10);
-        assert_eq!(e.count_true(), 0);
+        assert_eq!(count_true(&e), 0);
     }
 
     #[test]
@@ -352,17 +347,5 @@ mod tests {
         let err = all_valuations(30, 24).unwrap_err();
         assert_eq!(err.num_events, 30);
         assert!(err.to_string().contains("2^30"));
-    }
-
-    #[test]
-    fn true_events_iterator() {
-        let mut v = Valuation::empty(5);
-        v.set(EventId::from_index(1), true);
-        v.set(EventId::from_index(3), true);
-        let trues: Vec<usize> = v
-            .true_events()
-            .map(super::super::event::EventId::index)
-            .collect();
-        assert_eq!(trues, vec![1, 3]);
     }
 }

@@ -13,12 +13,12 @@
 //!   write path;
 //! * a **read** ([`MaintenanceHub::serve`]) lazily brings just the
 //!   requested state current: when its epoch stamp is behind the
-//!   document's epoch, [`PreparedQuery::maintain`] composes the pending
-//!   span into one [`pxml_core::DeltaWindow`] and patches the state in a
-//!   single pass — a state that is `d` deltas behind pays one pass, not
-//!   `d`. Node ids are stable between rebases, so the patch renumbers no
-//!   answer; a state behind a rebase finds its span gone from the log and
-//!   re-prepares once.
+//!   document's epoch, [`PreparedQuery::maintain`] reads the pending
+//!   deltas from the document's log and patches the state through all of
+//!   them in a single pass — a state that is `d` deltas behind pays one
+//!   pass, not `d`. Node ids are stable between rebases, so the patch
+//!   renumbers no answer; a state behind a rebase finds its span gone
+//!   from the log and re-prepares once.
 //!
 //! Each state sits behind its own `RwLock`: a current state is served
 //! under the shared read lock, so fresh reads of one query run side by
@@ -50,9 +50,9 @@ pub struct HubStats {
     /// the time), counting every name of a shared state. Kept until the
     /// benchmark harness stops reading it.
     pub flags_fanned: u64,
-    /// Maintenance passes that composed a [`pxml_core::DeltaWindow`]:
-    /// every pass but a [`FallbackReason::LogTrimmed`] re-prepare. Kept
-    /// until the benchmark harness stops reading it.
+    /// Maintenance passes whose pending deltas the log still held: every
+    /// pass but a [`FallbackReason::LogTrimmed`] re-prepare. Kept until
+    /// the benchmark harness stops reading it.
     pub windows_composed: u64,
     /// Maintenance passes performed on the read path. Lazy: grows per
     /// served read of a stale state, **not** per view-delta pair, and

@@ -27,7 +27,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, RwLock};
 
 use pxml_core::query::Query;
-use pxml_core::update::ProbabilisticUpdate;
+use pxml_core::update::{ProbabilisticUpdate, UpdateAction};
 use pxml_core::{
     AnswerSet, Document, Epoch, ProbTree, QueryEngine, StageConflict, UpdateDelta, UpdateEngine,
     DEFAULT_DELTA_LOG_CAPACITY,
@@ -54,6 +54,10 @@ pub enum ServerError {
     /// The update's confidence (carried as text) lies outside `(0, 1]`;
     /// the commit was refused before staging.
     InvalidConfidence(String),
+    /// The update's target pattern node (its `at`, carried as the node's
+    /// index) is not a node of its query; the commit was refused before
+    /// staging.
+    UnknownTarget(usize),
     /// A staged step lost a commit race (should not happen through the
     /// warehouse's own serialized write path; surfaced for completeness).
     Conflict(StageConflict),
@@ -71,6 +75,12 @@ impl std::fmt::Display for ServerError {
             ServerError::RootDeletion => write!(f, "the update would delete the document root"),
             ServerError::InvalidConfidence(confidence) => {
                 write!(f, "confidence {confidence} lies outside (0, 1]")
+            }
+            ServerError::UnknownTarget(node) => {
+                write!(
+                    f,
+                    "the update targets pattern node {node}, which its query lacks"
+                )
             }
             ServerError::Conflict(conflict) => write!(f, "commit conflict: {conflict}"),
         }
@@ -219,10 +229,11 @@ impl Warehouse {
     /// the same document are serialized, so staging never loses a race.
     ///
     /// An update whose confidence lies outside `(0, 1]` (NaN included) is
-    /// refused with [`ServerError::InvalidConfidence`], and one that would
-    /// delete the document root with [`ServerError::RootDeletion`], both
-    /// before staging: the epoch, the delta log and the views stay as
-    /// they were.
+    /// refused with [`ServerError::InvalidConfidence`], one whose target
+    /// is not a node of its query with [`ServerError::UnknownTarget`], and
+    /// one that would delete the document root with
+    /// [`ServerError::RootDeletion`], all before staging: the epoch, the
+    /// delta log and the views stay as they were.
     pub fn commit(
         &self,
         name: &str,
@@ -232,6 +243,11 @@ impl Warehouse {
         let confidence = update.confidence;
         if !(confidence > 0.0 && confidence <= 1.0) {
             return Err(ServerError::InvalidConfidence(confidence.to_string()));
+        }
+        let (UpdateAction::Insert { at, .. } | UpdateAction::Delete { at }) =
+            update.operation.action;
+        if at.0 >= update.operation.query.len() {
+            return Err(ServerError::UnknownTarget(at.0));
         }
         let _writer = cell.write.lock().expect("writer lock poisoned");
         // `replaced` pins the pre-commit frame, so the swap under the
@@ -522,10 +538,7 @@ mod tests {
         assert_eq!(lineage.len(), 2);
         assert!(lineage.iter().all(|events| events.len() == 2));
         let after = warehouse.hub_stats("doc").unwrap();
-        assert_eq!(
-            after.view_maintains, 1,
-            "one composed pass served both deltas"
-        );
+        assert_eq!(after.view_maintains, 1, "one pass served both deltas");
         assert_eq!(after.windows_composed, 1);
     }
 

@@ -234,6 +234,7 @@ pub struct WarehouseAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pxml_core::update::StepReport;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -284,7 +285,13 @@ mod tests {
         assert!(warehouse.tree.num_nodes() > skeleton(3).num_nodes());
         // The engine report covers every round and chains sizes.
         assert_eq!(warehouse.report.steps.len(), 8);
-        assert!(warehouse.report.peak_size() >= warehouse.tree.size());
+        let peak = warehouse
+            .report
+            .steps
+            .iter()
+            .map(StepReport::size_after)
+            .max();
+        assert!(peak >= Some(warehouse.tree.size()));
     }
 
     #[test]

@@ -321,7 +321,7 @@ fn a_rebase_restarts_the_log_and_a_lagging_view_reprepares_once() {
     }
     assert_eq!(doc.log_len(), 0, "the rebase restarts the log");
     for epoch in 0..doc.epoch() {
-        assert!(doc.window_since(epoch).is_none());
+        assert!(doc.deltas_since(epoch).is_none());
     }
     assert_eq!(
         view.maintain(&doc),

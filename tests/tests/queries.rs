@@ -250,10 +250,10 @@ proptest! {
         let query = build_pattern(&pattern);
         let legacy = legacy_top_k(&query, &tree, k);
         let prepared = QueryEngine::new().prepare(&tree, &query);
-        assert_same_answers(&prepared.top_k(k).into_vec(), &legacy);
+        assert_same_answers(prepared.top_k(k).as_slice(), &legacy);
         // The full ranking agrees too.
         let all = legacy_top_k(&query, &tree, usize::MAX);
-        assert_same_answers(&prepared.ranked().into_vec(), &all);
+        assert_same_answers(prepared.ranked().as_slice(), &all);
     }
 
     /// The short-circuit threshold path equals the legacy
@@ -268,7 +268,7 @@ proptest! {
         let query = build_pattern(&pattern);
         let legacy = legacy_above(&query, &tree, threshold);
         let prepared = QueryEngine::new().prepare(&tree, &query);
-        assert_same_answers(&prepared.above(threshold).into_vec(), &legacy);
+        assert_same_answers(prepared.above(threshold).as_slice(), &legacy);
     }
 
     /// Aggregates and point lookups served from the prepared state agree

@@ -1,23 +1,27 @@
-//! Region ≡ whole-tree property suite.
+//! Region ≡ whole-tree property suite, and the two-frame delta oracle.
 //!
 //! While a `Document`'s frame is a simplify fixpoint, `stage_doc` runs a
-//! step in region scope: it simplifies, sizes and diffs only what the
-//! step touched. This suite commits random scripts through a document
-//! and, at every step, stages the same update on a fresh document holding
-//! the same frame — which runs the whole-tree scope and its two-frame
-//! diff — and requires the same tree (rendering, arena labels and
-//! conditions once both frames are compacted, since the scopes may number
-//! the nodes they append differently), the same fate for every node of
-//! the base frame, and the same node map, step telemetry and delta. Both
-//! scopes rebase on the same commits, since the rule reads only the base
-//! frame. Every region-scoped
-//! commit's base, and every frame the document trusts at the end, must
-//! also be a fixpoint that one more whole-tree simplify leaves alone.
-//! Deterministic cases pin the merges random scripts rarely reach and
-//! the fixpoint status's life cycle.
+//! step in region scope: it simplifies only what the step touched. In
+//! both scopes a step derives its delta and its sizes from the nodes it
+//! touched. This suite commits random scripts through a document and, at
+//! every step, stages the same update on a fresh document holding the
+//! same frame — which runs the whole-tree scope — and requires the same
+//! tree (rendering, arena labels and conditions once both frames are
+//! compacted, since the scopes may number the nodes they append
+//! differently), the same fate for every node of the base frame, and the
+//! same node map, step telemetry and delta. Both scopes rebase on the
+//! same commits, since the rule reads only the base frame. Both deltas
+//! must also equal the oracle, a diff of the base frame and the committed
+//! frame by node id (through the node map after a rebase). Every
+//! region-scoped commit's base, and every frame the document trusts at
+//! the end, must also be a fixpoint that one more whole-tree simplify
+//! leaves alone. Deterministic cases pin the merges random scripts rarely
+//! reach, a whole-scope commit that rewrites base nodes, and the fixpoint
+//! status's life cycle.
 
 mod common;
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -35,8 +39,9 @@ use pxml_workloads::warehouse::skeleton;
 use common::{build_probtree, probtree_strategy, update_strategy, ProbTreeSpec};
 
 /// Commits `update` to `doc` and, on a fresh document holding the same
-/// frame, in the whole-tree scope; asserts both commits agree, and that a
-/// region-scoped commit started from a fixpoint. Returns `doc`'s delta.
+/// frame, in the whole-tree scope; asserts both commits agree with each
+/// other and with the two-frame oracle, and that a region-scoped commit
+/// started from a fixpoint. Returns `doc`'s delta.
 fn commit_checked(
     engine: &UpdateEngine,
     doc: &mut Document,
@@ -50,6 +55,8 @@ fn commit_checked(
     if delta.report.scope == StepScope::Region {
         assert_fixpoint(&base);
     }
+    assert_delta_is_the_diff(&base, doc.tree(), &delta);
+    assert_delta_is_the_diff(&base, oracle.tree(), &expected);
     assert_same_delta(&delta, &expected);
     for node in base.tree().iter() {
         let got = survivor(doc.tree(), &delta, node);
@@ -72,6 +79,50 @@ fn survivor(frame: &ProbTree, delta: &UpdateDelta, node: NodeId) -> Option<NodeI
         None => frame.tree().is_attached(node).then_some(node),
         Some(map) => map.get(&node).copied(),
     }
+}
+
+/// The two-frame oracle: `delta`, committed on `base`, must be the diff
+/// of `base` and the committed `frame` by node id. A base node survives
+/// where [`survivor`] finds it; it is removed if it does not survive, and
+/// rewritten if its condition changed. A node of `frame` that no base
+/// node survives at is inserted. The step's sizes before and after are
+/// the two frames' own.
+fn assert_delta_is_the_diff(base: &ProbTree, frame: &ProbTree, delta: &UpdateDelta) {
+    let mut survivors = BTreeSet::new();
+    let mut removed = (0, BTreeSet::new());
+    let mut rewritten = BTreeSet::new();
+    for node in base.tree().iter() {
+        match survivor(frame, delta, node) {
+            None => {
+                removed.0 += 1;
+                removed.1.insert(base.tree().label(node).to_owned());
+            }
+            Some(id) => {
+                survivors.insert(id);
+                if base.condition(node) != frame.condition(id) {
+                    rewritten.insert(id);
+                }
+            }
+        }
+    }
+    let mut inserted = (0, BTreeSet::new());
+    for node in frame.tree().iter().filter(|node| !survivors.contains(node)) {
+        inserted.0 += 1;
+        inserted.1.insert(frame.tree().label(node).to_owned());
+    }
+    assert_eq!((delta.nodes_removed, delta.removed_labels.clone()), removed);
+    assert_eq!(
+        (delta.nodes_inserted, delta.inserted_labels.clone()),
+        inserted
+    );
+    assert_eq!(delta.rewritten, rewritten);
+    let size = |tree: &ProbTree| {
+        let stats = tree.memory_stats();
+        (stats.logical_nodes, stats.logical_literals)
+    };
+    let report = &delta.report;
+    assert_eq!((report.nodes_before, report.literals_before), size(base));
+    assert_eq!((report.nodes_after, report.literals_after), size(frame));
 }
 
 /// One more whole-tree simplify leaves `frame` alone: its first pass
@@ -443,4 +494,51 @@ fn ids_survive_commits_until_a_rebase() {
         }
     }
     panic!("detached slots outgrow the live nodes");
+}
+
+/// A whole-scope commit that rewrites and removes base nodes:
+/// `R → {A[x] → B[x], C[sure ∧ ¬x], D[¬sure]}` with `π(x) = 0.5` and
+/// `π(sure) = 1`. On the first commit of a certain `Z` leaf under `R`,
+/// cleaning drops `B`'s repeated `x`, and pruning drops `C`'s `sure` and
+/// removes `D`; the same update committed again runs in region scope.
+#[test]
+fn a_whole_scope_commit_rewrites_and_removes_base_nodes() {
+    let mut t = ProbTree::new("R");
+    let x = t.events_mut().insert("x", 0.5);
+    let sure = t.events_mut().insert("sure", 1.0);
+    let root = t.tree().root();
+    let a = t.add_child(root, "A", Condition::of(Literal::pos(x)));
+    let b = t.add_child(a, "B", Condition::of(Literal::pos(x)));
+    let c = t.add_child(
+        root,
+        "C",
+        Condition::from_literals([Literal::pos(sure), Literal::neg(x)]),
+    );
+    t.add_child(root, "D", Condition::of(Literal::neg(sure)));
+    let engine = UpdateEngine::new();
+    let mut doc = Document::new(t);
+    let update = insert_leaf(root_query(), "Z");
+    let delta = commit_checked(&engine, &mut doc, &update);
+    let report = &delta.report;
+    assert_eq!(report.scope, StepScope::Whole);
+    assert_eq!(
+        (report.nodes_before, report.nodes_raw, report.nodes_after),
+        (5, 6, 5)
+    );
+    assert_eq!(
+        (
+            report.literals_before,
+            report.literals_raw,
+            report.literals_after
+        ),
+        (5, 5, 2)
+    );
+    assert_eq!((delta.nodes_inserted, delta.nodes_removed), (1, 1));
+    assert_eq!(delta.inserted_labels, BTreeSet::from(["Z".to_owned()]));
+    assert_eq!(delta.removed_labels, BTreeSet::from(["D".to_owned()]));
+    assert_eq!((b.index(), c.index()), (2, 3));
+    assert_eq!(delta.rewritten, BTreeSet::from([b, c]));
+    assert!(delta.node_map.is_none());
+    let again = commit_checked(&engine, &mut doc, &update);
+    assert_eq!(again.report.scope, StepScope::Region);
 }

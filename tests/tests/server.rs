@@ -634,6 +634,40 @@ fn an_invalid_confidence_is_refused_before_staging() {
     assert_eq!(warehouse.commit("doc", &update).unwrap().epoch, 1);
 }
 
+/// An update whose target is not a node of its query (`at` is a public
+/// field) is refused with a typed error before staging, where matching
+/// would panic under the writer lock and poison it: the epoch, the tree
+/// and the hub stay as they were, and the next valid commit lands.
+#[test]
+fn an_update_with_an_unknown_target_is_refused_before_staging() {
+    let warehouse = Warehouse::new();
+    warehouse.register("doc", skeleton(3)).unwrap();
+    warehouse
+        .register_view("doc", "q", Arc::new(services_with_endpoint_and_contact()))
+        .unwrap();
+    let mut wider = PatternQuery::new(Some("service"));
+    let name = wider.add_child(wider.root(), "name");
+    let tree = warehouse.snapshot("doc").unwrap().tree.to_ascii();
+    let stats = warehouse.hub_stats("doc").unwrap();
+    for operation in [
+        UpdateOperation::delete(PatternQuery::new(Some("service")), name),
+        UpdateOperation::insert(
+            PatternQuery::new(Some("service")),
+            name,
+            DataTree::new("fact"),
+        ),
+    ] {
+        let update = ProbabilisticUpdate::new(operation, 0.5);
+        let refused = warehouse.commit("doc", &update).unwrap_err();
+        assert_eq!(refused, ServerError::UnknownTarget(name.0));
+        let after = warehouse.snapshot("doc").unwrap();
+        assert_eq!((after.epoch, after.tree.to_ascii()), (0, tree.clone()));
+        assert_eq!(warehouse.hub_stats("doc").unwrap(), stats);
+    }
+    let update = ProbabilisticUpdate::new(UpdateOperation::delete(wider, name), 0.5);
+    assert_eq!(warehouse.commit("doc", &update).unwrap().epoch, 1);
+}
+
 /// Inserts a `label` fact under every service with `confidence`.
 fn insert_under_services(label: &str, confidence: f64) -> ProbabilisticUpdate {
     let q = PatternQuery::new(Some("service"));
