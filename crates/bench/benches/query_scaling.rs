@@ -15,6 +15,13 @@
 //! * `e3_topk_vs_full_sort` — top-10 via the bounded binary heap vs the
 //!   full-sort reference ranking, from the same prepared state.
 //!
+//! Plus `e3_above_serve_tenant` — the threshold read of perfbench's `serve`
+//! workload on one of its tenants: `above(0.5)` selects 2 048 of 3 584
+//! answers, which tie in runs of 64, on a state with its tie keys cached
+//! and on a fresh one. A cached read pays for copying each selected
+//! answer into its own tree; a fresh one adds the prepare and the tie
+//! keys. The counts are asserted exactly before timing.
+//!
 //! Plus `e14_maintain_vs_reprepare` — the live-view access pattern of the
 //! warehouse scenario: the endpoint+contact monitoring query served after
 //! every extractor round, by per-round fresh prepares vs one
@@ -41,15 +48,19 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
-use pxml_bench::{quick, rng, scaling_probtree, scaling_query, SCALING_SIZES};
+use pxml_bench::{quick, rng, scaling_probtree, scaling_query, SCALING_SIZES, SEED};
 use pxml_core::query::pattern::PatternQuery;
 use pxml_core::query::Query;
 use pxml_core::update::{ProbabilisticUpdate, UpdateEngine, UpdateOperation};
 use pxml_core::{Document, MaintainOutcome, QueryEngine};
 use pxml_events::{Lineage, Possibility, Probability};
 use pxml_tree::DataTree;
-use pxml_workloads::warehouse::{services_with_endpoint_and_contact, skeleton};
+use pxml_workloads::warehouse::{
+    scenario_script, services_with_endpoint_and_contact, skeleton, WarehouseConfig,
+};
 
 /// Untimed sanity assertions on the selection counters: the bounded heap
 /// must do fewer rank comparisons than the full sort, and a selective
@@ -158,6 +169,56 @@ fn bench_query_scaling(c: &mut Criterion) {
             },
         );
     }
+    group.finish();
+}
+
+/// A `serve` tenant: a 64-service warehouse document after the 25 commits
+/// of perfbench `serve`'s commit schedule 8, a quarter of them
+/// retractions. Every commit is corpus-wide, so each service's answers
+/// carry the same probabilities as every other's, and each probability
+/// is shared by 64 answers.
+fn serve_tenant() -> Document {
+    let config = WarehouseConfig {
+        services: 64,
+        extraction_rounds: 25,
+        deletion_ratio: 0.25,
+    };
+    let mut schedule = StdRng::seed_from_u64(SEED + 8);
+    let (script, _) = scenario_script(&config, &mut schedule);
+    let engine = UpdateEngine::new();
+    let mut doc = Document::new(skeleton(config.services));
+    for update in script.steps() {
+        engine.apply_doc(&mut doc, update);
+    }
+    doc
+}
+
+/// The `serve` threshold read on one tenant, the same in quick mode: a
+/// read selects and copies every qualifying answer.
+fn bench_above_serve_tenant(c: &mut Criterion) {
+    const THRESHOLD: f64 = 0.5;
+    let doc = serve_tenant();
+    let tree = doc.tree();
+    let query = services_with_endpoint_and_contact();
+    let engine = QueryEngine::new();
+    let prepared = engine.prepare(tree, &query);
+    let first = prepared.above(THRESHOLD);
+    assert_eq!(
+        (
+            prepared.len(),
+            first.stats().selected,
+            first.stats().tie_keys_built
+        ),
+        (3584, 2048, 2048),
+        "the tenant's answers, and the first read's selection and tie keys"
+    );
+    let mut group = c.benchmark_group("e3_above_serve_tenant");
+    group.bench_function(format!("cached_keys/{}", prepared.len()), |b| {
+        b.iter(|| prepared.above(THRESHOLD));
+    });
+    group.bench_function(format!("fresh_state/{}", prepared.len()), |b| {
+        b.iter(|| engine.prepare(tree, &query).above(THRESHOLD));
+    });
     group.finish();
 }
 
@@ -346,6 +407,7 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_query_scaling, bench_maintenance, bench_semiring_overhead
+    targets = bench_query_scaling, bench_above_serve_tenant, bench_maintenance,
+        bench_semiring_overhead
 }
 criterion_main!(benches);

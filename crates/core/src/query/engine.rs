@@ -11,7 +11,8 @@
 //!   probabilities are only computed for the answers actually pulled;
 //! * [`PreparedQuery::top_k`] — the `k` best answers via a bounded binary
 //!   heap, `O(n log k)` comparisons instead of a full `O(n log n)` sort,
-//!   with tie-break keys built at most once per answer and cached;
+//!   with tie-break keys built at most once per answer and cached, across
+//!   [`PreparedQuery::maintain`]'s patches too;
 //! * [`PreparedQuery::above`] — a threshold slice that short-circuits:
 //!   non-qualifying answers never enter the ranking sort;
 //! * [`PreparedQuery::expected_matches`], [`PreparedQuery::probability_of`]
@@ -24,6 +25,11 @@
 //! and a query, and [`QueryEngine::prepare_doc_shared`] snapshots a
 //! [`Document`] epoch and shares the query, so the state can be kept
 //! current with [`PreparedQuery::maintain`] as the document commits.
+//!
+//! Materializing an answer ([`SubDataTree::to_tree`]) and keying it
+//! ([`canonical_string`](pxml_tree::canonical_string)) cost time in the
+//! answer's size, whatever the size of the document: a read pays for what
+//! it selects.
 //!
 //! Condition unions are **interned**: distinct answers sharing the same
 //! union (common in fan-out-heavy trees where siblings inherit one
@@ -339,7 +345,8 @@ pub struct PreparedQuery<'a> {
     conditions: Vec<Condition>,
     /// Lazily-computed `eval` probability of each interned condition.
     probabilities: Vec<OnceLock<f64>>,
-    /// Lazily-built canonical tie-break key of each answer.
+    /// Lazily-built canonical tie-break key of each answer, kept by
+    /// patches.
     tie_keys: Vec<OnceLock<String>>,
     /// Answer indices sorted by node set — built lazily on the first
     /// point lookup, so one-shot consumers never pay for the sort.
@@ -396,11 +403,15 @@ impl<'a> PreparedQuery<'a> {
     /// state's epoch (trimmed at capacity, or restarted by a rebase); the
     /// state is up to date on return either way.
     ///
-    /// Patched state is **indistinguishable** from a fresh prepare on the
-    /// document's current tree: same answers in the same order, the same
-    /// interned-condition layout, bit-identical probabilities, and equal
-    /// [`SelectionStats`] on every subsequent selection (property-tested
-    /// against the fresh-prepare oracle).
+    /// Patched state serves what a fresh prepare on the document's current
+    /// tree serves: the same answers in the same order, the same
+    /// interned-condition layout, bit-identical probabilities, and every
+    /// selection's [`SelectionStats`] equal but for
+    /// [`tie_keys_built`](SelectionStats::tie_keys_built)
+    /// (property-tested against the fresh-prepare oracle). A patch keeps
+    /// the tie-break keys earlier selections built, so a selection builds
+    /// only the keys the state still lacks, where a fresh prepare builds
+    /// every key it compares.
     pub fn maintain(&mut self, doc: &Document) -> Result<MaintainOutcome, MaintainError> {
         let Some((id, epoch)) = self.document_stamp() else {
             return Err(MaintainError::NotDocumentBacked);
@@ -430,7 +441,10 @@ impl<'a> PreparedQuery<'a> {
     /// the union is over unchanged node conditions, every semiring's
     /// value depends only on the events the condition mentions, and the
     /// event table only ever grows, so each value is identical to what a
-    /// fresh prepare would compute.
+    /// fresh prepare would compute. Every answer keeps its tie-break key:
+    /// the key is the canonical form of the answer's induced tree, and
+    /// between rebases neither its node set, nor its nodes' labels, nor
+    /// the parent edges among them change.
     fn patch<'d>(
         &mut self,
         doc: &Document,
@@ -473,10 +487,6 @@ impl<'a> PreparedQuery<'a> {
         if rebuilt > 0 {
             self.reintern(&snapshot, &dirty);
         }
-        // A fresh prepare has no tie-break key cached.
-        self.tie_keys = std::iter::repeat_with(OnceLock::new)
-            .take(self.answers.len())
-            .collect();
         if let Source::Document { tree, epoch, .. } = &mut self.source {
             *tree = snapshot;
             *epoch = doc.epoch();
@@ -1292,17 +1302,23 @@ mod tests {
         );
     }
 
-    #[test]
-    fn tie_keys_are_built_once_and_cached_across_selections() {
-        // Four equal-probability answers with distinct shapes force tie
-        // comparisons.
+    /// Root with `n` x-items, all with probability 0.5, of pairwise
+    /// distinct shapes (leaf labels): ranking them compares tie keys, and
+    /// the canonical tie-break is total.
+    fn tied(n: usize) -> ProbTree {
         let mut tree = ProbTree::new("r");
         let root = tree.tree().root();
-        for i in 0..4 {
+        for i in 0..n {
             let w = tree.events_mut().insert(format!("w{i}"), 0.5);
             let x = tree.add_child(root, "x", Condition::of(Literal::pos(w)));
             tree.add_child(x, format!("leaf{i}"), Condition::always());
         }
+        tree
+    }
+
+    #[test]
+    fn tie_keys_are_built_once_and_cached_across_selections() {
+        let tree = tied(4);
         let q = PatternQuery::new(Some("x"));
         let prepared = QueryEngine::new().prepare(&tree, &q);
         let first = prepared.ranked();
@@ -1442,15 +1458,7 @@ mod tests {
     #[test]
     fn top_k_is_deterministic_under_ties() {
         use pxml_tree::canon::canonical_string;
-        let mut tree = ProbTree::new("r");
-        let root = tree.tree().root();
-        // Eight x-items, all with probability 0.5, pairwise distinct
-        // shapes (leaf labels) so the canonical tie-break is total.
-        for i in 0..8 {
-            let w = tree.events_mut().insert(format!("w{i}"), 0.5);
-            let x = tree.add_child(root, "x", Condition::of(Literal::pos(w)));
-            tree.add_child(x, format!("leaf{i}"), Condition::always());
-        }
+        let tree = tied(8);
         let q = PatternQuery::new(Some("x"));
         let keys_of = |answers: &[ProbAnswer]| -> Vec<String> {
             answers
@@ -1602,6 +1610,41 @@ mod tests {
         );
         assert_agrees_with_fresh(&prepared, &doc, &q);
         assert_eq!(prepared.maintain(&doc), Ok(MaintainOutcome::UpToDate));
+    }
+
+    #[test]
+    fn a_patch_keeps_the_tie_keys_earlier_selections_built() {
+        let q = PatternQuery::new(Some("x"));
+        let mut doc = Document::new(tied(6));
+        let mut prepared = doc_view(&doc, &q);
+        let built = prepared.ranked().stats().tie_keys_built;
+        assert!(built > 0, "the ties need keys");
+        UpdateEngine::new().apply_doc(&mut doc, &doc_insert("r", "note", 0.9));
+        assert_eq!(
+            prepared.maintain(&doc),
+            Ok(MaintainOutcome::Patched { steps: 1 })
+        );
+        assert_eq!(
+            prepared.num_cached_tie_keys() as u64,
+            built,
+            "the patch keeps every key"
+        );
+        let fresh = doc_view(&doc, &q);
+        let (carried, rebuilt) = (prepared.ranked(), fresh.ranked());
+        assert_eq!(carried.stats().tie_keys_built, 0);
+        assert_eq!(rebuilt.stats().tie_keys_built, built);
+        assert_eq!(
+            SelectionStats {
+                tie_keys_built: built,
+                ..carried.stats()
+            },
+            rebuilt.stats()
+        );
+        assert_eq!(carried.len(), rebuilt.len());
+        for (a, b) in carried.iter().zip(rebuilt.iter()) {
+            assert_eq!(a.subtree, b.subtree, "same answers in the same order");
+            assert_eq!(a.probability.to_bits(), b.probability.to_bits());
+        }
     }
 
     #[test]

@@ -86,7 +86,11 @@ pub struct ProbabilisticUpdate {
 
 impl UpdateOperation {
     /// Builds an insertion operation.
+    ///
+    /// # Panics
+    /// Panics if `at` is not a node of `query`.
     pub fn insert(query: PatternQuery, at: PatternNodeId, subtree: DataTree) -> Self {
+        assert_target(&query, at);
         UpdateOperation {
             query,
             action: UpdateAction::Insert { at, subtree },
@@ -94,7 +98,11 @@ impl UpdateOperation {
     }
 
     /// Builds a deletion operation.
+    ///
+    /// # Panics
+    /// Panics if `at` is not a node of `query`.
     pub fn delete(query: PatternQuery, at: PatternNodeId) -> Self {
+        assert_target(&query, at);
         UpdateOperation {
             query,
             action: UpdateAction::Delete { at },
@@ -164,6 +172,17 @@ impl UpdateOperation {
     pub fn selects(&self, tree: &DataTree) -> bool {
         !self.query.matches(tree).is_empty()
     }
+}
+
+/// The constructors' check that an update's target is one of its query's
+/// nodes, where matching would otherwise index past the match's nodes.
+fn assert_target(query: &PatternQuery, at: PatternNodeId) {
+    assert!(
+        at.0 < query.len(),
+        "update target {} is not a node of its {}-node query",
+        at.0,
+        query.len()
+    );
 }
 
 impl ProbabilisticUpdate {
@@ -447,6 +466,25 @@ mod tests {
         let (updated, _) = UpdateEngine::new().apply(&t, &update);
         assert_eq!(updated.num_nodes(), t.num_nodes() + 10);
         assert!(updated.size() <= before + 2 * 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "update target 1 is not a node of its 1-node query")]
+    fn an_insertion_targeting_a_foreign_pattern_node_is_rejected() {
+        let mut wider = PatternQuery::new(Some("C"));
+        let d = wider.add_child(wider.root(), "D");
+        UpdateOperation::insert(PatternQuery::new(Some("C")), d, DataTree::new("E"));
+    }
+
+    #[test]
+    #[should_panic(expected = "update target 2 is not a node of its 2-node query")]
+    fn a_deletion_targeting_a_foreign_pattern_node_is_rejected() {
+        let mut wider = PatternQuery::new(Some("A"));
+        wider.add_child(wider.root(), "B");
+        let c = wider.add_child(wider.root(), "C");
+        let mut narrow = PatternQuery::new(Some("A"));
+        narrow.add_child(narrow.root(), "B");
+        UpdateOperation::delete(narrow, c);
     }
 
     #[test]

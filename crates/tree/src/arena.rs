@@ -53,6 +53,16 @@ struct NodeData {
 /// insertion order but no operation in this workspace gives that order any
 /// semantic meaning: isomorphism, queries, updates and DTD validation all
 /// treat children as a multiset.
+///
+/// **Id order.** Every node but the root is created by
+/// [`DataTree::add_child`], which appends it to the arena, so a node's id
+/// exceeds its parent's and every children list ascends.
+/// [`DataTree::detach`] only takes an entry out of a list, and
+/// [`DataTree::graft`], [`DataTree::extract`], [`DataTree::compact`] and
+/// [`DataTree::subtree_to_tree`] build their trees with `add_child`. A walk
+/// over a node set in id order therefore meets every parent before its
+/// children and each node's children in their child order, which
+/// [`SubDataTree::to_tree`](crate::SubDataTree::to_tree) relies on.
 #[derive(Clone, Debug)]
 pub struct DataTree {
     nodes: Vec<NodeData>,
@@ -62,14 +72,20 @@ pub struct DataTree {
 impl DataTree {
     /// Creates a tree consisting of a single root node with `label`.
     pub fn new(label: impl Into<String>) -> Self {
-        let root = NodeData {
+        Self::with_capacity(label, 1)
+    }
+
+    /// [`DataTree::new`] with arena room for `capacity` nodes.
+    pub(crate) fn with_capacity(label: impl Into<String>, capacity: usize) -> Self {
+        let mut nodes = Vec::with_capacity(capacity.max(1));
+        nodes.push(NodeData {
             label: label.into(),
             parent: None,
             children: Vec::new(),
             attached: true,
-        };
+        });
         DataTree {
-            nodes: vec![root],
+            nodes,
             root: NodeId(0),
         }
     }
@@ -253,8 +269,7 @@ impl DataTree {
         capacity: usize,
     ) -> (DataTree, HashMap<NodeId, NodeId>) {
         assert!(keep(self.root), "extraction must keep the root");
-        let mut out = DataTree::new(self.label(self.root));
-        out.nodes.reserve(capacity.saturating_sub(1));
+        let mut out = DataTree::with_capacity(self.label(self.root), capacity);
         let mut mapping = HashMap::with_capacity(capacity);
         mapping.insert(self.root, out.root());
         // Each entry carries its copy's id, so no mapping lookup is needed.
@@ -454,6 +469,45 @@ mod tests {
         assert_eq!(counts.get("B"), Some(&2));
         assert_eq!(counts.get("C"), Some(&1));
         assert_eq!(counts.get("D"), None);
+    }
+
+    /// Checks the id order of every arena slot, detached ones included: a
+    /// parent's id is below its child's and each children list ascends.
+    fn assert_id_order(t: &DataTree) {
+        for node in (0..t.arena_len()).map(NodeId::from_index) {
+            if let Some(parent) = t.parent(node) {
+                assert!(parent < node, "{parent} is the parent of {node}");
+            }
+            let children = t.children(node);
+            assert!(
+                children.first().is_none_or(|&first| first > node),
+                "{node}'s children start below it: {children:?}"
+            );
+            assert!(
+                children.windows(2).all(|pair| pair[0] < pair[1]),
+                "{node}'s children do not ascend: {children:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn every_constructor_keeps_ids_ascending_from_parent_to_child() {
+        let (mut t, b, c, _) = sample();
+        assert_id_order(&t);
+        let mut other = DataTree::new("X");
+        let x = other.root();
+        let y = other.add_child(x, "Y");
+        other.add_child(x, "Z");
+        other.add_child(y, "W");
+        t.graft(b, &other);
+        t.graft(t.root(), &other);
+        assert_id_order(&t);
+        t.detach(c);
+        let e = t.add_child(b, "E");
+        assert_id_order(&t);
+        assert_id_order(&t.compact().0);
+        assert_id_order(&t.extract(&|n| n != e).0);
+        assert_id_order(&t.subtree_to_tree(b));
     }
 
     #[test]

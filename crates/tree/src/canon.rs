@@ -16,6 +16,7 @@
 
 use std::collections::HashMap;
 use std::hash::Hash;
+use std::ops::Range;
 
 use crate::arena::{DataTree, NodeId};
 
@@ -149,43 +150,143 @@ pub fn isomorphic(a: &DataTree, b: &DataTree, semantics: Semantics) -> bool {
 /// A canonical *string* for a tree: stable across processes and usable as a
 /// hash-map key (e.g. to normalize possible-world sets). Two trees have the
 /// same canonical string iff they are isomorphic under the given semantics.
+///
+/// A node's form is its label in double quotes (`"` and `\` escaped with
+/// `\`, so labels cannot collide with the syntax), then its children's
+/// forms sorted by their bytes (duplicates dropped under
+/// [`Semantics::Set`]), comma-separated in parentheses: `"A"("B"(),"C"())`.
+///
+/// The forms are built without recursion, in reverse pre-order (children
+/// before parents), in one byte buffer: a node's form is written after its
+/// children's, which end the buffer, and then moved down over them. So any
+/// depth is safe, a call allocates a fixed number of buffers whatever the
+/// node count, and each form is copied once into each ancestor's form.
 pub fn canonical_string(tree: &DataTree, semantics: Semantics) -> String {
-    fn rec(tree: &DataTree, node: NodeId, semantics: Semantics) -> String {
-        let mut child_strings: Vec<String> = tree
-            .children(node)
-            .iter()
-            .map(|&c| rec(tree, c, semantics))
-            .collect();
-        child_strings.sort();
+    let order: Vec<NodeId> = tree.iter().collect();
+    let mut buf: Vec<u8> = Vec::new();
+    // The forms in `buf` whose parent is not written yet, back to back, the
+    // last written on top. In reverse pre-order the top `k` are the `k`
+    // children of the node at hand.
+    let mut forms: Vec<Range<usize>> = Vec::new();
+    let mut children: Vec<Range<usize>> = Vec::new();
+    for &node in order.iter().rev() {
+        let first = forms.len() - tree.children(node).len();
+        let start = forms.get(first).map_or(buf.len(), |form| form.start);
+        children.clear();
+        children.extend(forms.drain(first..));
+        children.sort_unstable_by(|a, b| buf[a.clone()].cmp(&buf[b.clone()]));
         if semantics == Semantics::Set {
-            child_strings.dedup();
+            children.dedup_by(|a, b| buf[a.clone()] == buf[b.clone()]);
         }
-        let mut out = String::new();
-        // Escape the label so that labels containing parentheses or commas
-        // cannot collide with the structural syntax.
-        out.push('"');
-        for ch in tree.label(node).chars() {
-            if ch == '"' || ch == '\\' {
-                out.push('\\');
+        let form = buf.len();
+        buf.push(b'"');
+        // `"` and `\` never occur inside a multi-byte UTF-8 sequence, so
+        // escaping bytes escapes exactly those characters.
+        for &byte in tree.label(node).as_bytes() {
+            if byte == b'"' || byte == b'\\' {
+                buf.push(b'\\');
             }
-            out.push(ch);
+            buf.push(byte);
         }
-        out.push('"');
-        out.push('(');
-        out.push_str(&child_strings.join(","));
-        out.push(')');
-        out
+        buf.extend_from_slice(b"\"(");
+        for (i, child) in children.iter().enumerate() {
+            if i > 0 {
+                buf.push(b',');
+            }
+            buf.extend_from_within(child.clone());
+        }
+        buf.push(b')');
+        let len = buf.len() - form;
+        buf.copy_within(form.., start);
+        buf.truncate(start + len);
+        forms.push(start..start + len);
     }
-    rec(tree, tree.root(), semantics)
+    // The buffer peaked near twice the string's length, and callers often
+    // keep the string as a key: return a clone, which has the exact size.
+    String::from_utf8(buf.clone()).expect("labels are UTF-8 and the syntax is ASCII")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::{star, TreeSpec};
+    use crate::testing::{tree_strategy, LABELS};
+    use proptest::prelude::*;
 
     fn t(spec: TreeSpec) -> DataTree {
         spec.build()
+    }
+
+    /// The recursive definition of [`canonical_string`], one `String` and
+    /// one `Vec` per node: the oracle for the one-buffer version.
+    fn recursive_canonical_string(tree: &DataTree, semantics: Semantics) -> String {
+        fn rec(tree: &DataTree, node: NodeId, semantics: Semantics) -> String {
+            let mut child_strings: Vec<String> = tree
+                .children(node)
+                .iter()
+                .map(|&c| rec(tree, c, semantics))
+                .collect();
+            child_strings.sort();
+            if semantics == Semantics::Set {
+                child_strings.dedup();
+            }
+            let mut out = String::new();
+            out.push('"');
+            for ch in tree.label(node).chars() {
+                if ch == '"' || ch == '\\' {
+                    out.push('\\');
+                }
+                out.push(ch);
+            }
+            out.push('"');
+            out.push('(');
+            out.push_str(&child_strings.join(","));
+            out.push(')');
+            out
+        }
+        rec(tree, tree.root(), semantics)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        #[test]
+        fn canonical_string_matches_the_recursive_oracle(tree in tree_strategy(40)) {
+            for semantics in [Semantics::MultiSet, Semantics::Set] {
+                prop_assert_eq!(
+                    canonical_string(&tree, semantics),
+                    recursive_canonical_string(&tree, semantics)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn deep_chains_match_the_recursive_oracle() {
+        // A 2 000-deep chain cycling through the awkward labels, with two
+        // equal leaves on every tenth node so that sorting and `Set`
+        // deduplication run at every depth.
+        let mut tree = DataTree::new("root");
+        let mut cur = tree.root();
+        for i in 0..2000 {
+            cur = tree.add_child(cur, LABELS[i % LABELS.len()]);
+            if i % 10 == 0 {
+                tree.add_child(cur, "leaf");
+                tree.add_child(cur, "leaf");
+            }
+        }
+        for semantics in [Semantics::MultiSet, Semantics::Set] {
+            let expected = std::thread::scope(|scope| {
+                // The oracle recurses once per level: give it room.
+                std::thread::Builder::new()
+                    .stack_size(64 << 20)
+                    .spawn_scoped(scope, || recursive_canonical_string(&tree, semantics))
+                    .expect("spawn the oracle thread")
+                    .join()
+                    .expect("the oracle finishes")
+            });
+            assert_eq!(canonical_string(&tree, semantics), expected);
+        }
     }
 
     #[test]
@@ -286,8 +387,9 @@ mod tests {
 
     #[test]
     fn deep_trees_canonize_without_stack_overflow_in_interner_path() {
-        // The interner path is iterative; only canonical_string is
-        // recursive, so keep this moderately deep.
+        // Both the interner path and canonical_string are iterative;
+        // `deep_chains_match_the_recursive_oracle` takes canonical_string
+        // to depth 2 000.
         let mut tree = DataTree::new("A");
         let mut cur = tree.root();
         for _ in 0..500 {

@@ -54,6 +54,8 @@ pub mod render;
 pub mod stats;
 pub mod store;
 pub mod subtree;
+#[cfg(test)]
+mod testing;
 
 pub use arena::{DataTree, NodeId};
 pub use builder::TreeSpec;

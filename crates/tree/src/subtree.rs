@@ -94,15 +94,41 @@ impl SubDataTree {
         self.nodes.is_subset(&other.nodes)
     }
 
-    /// Materializes this sub-datatree as an independent [`DataTree`].
+    /// Materializes this sub-datatree as an independent [`DataTree`]: the
+    /// tree [`DataTree::extract`] keeps for this node set, with the same
+    /// child order, built from the set alone in `O(n log n)` for `n` kept
+    /// nodes, however large `tree` is.
+    ///
+    /// The walk visits the set in id order, which meets every parent
+    /// before its children and each node's children in their child order
+    /// (the id order documented on [`DataTree`]). A kept node whose parent
+    /// was not copied, or that was detached, is left out, as a walk from
+    /// the root never reaches it.
+    ///
+    /// # Panics
+    /// Panics if the set does not contain `tree`'s root.
     pub fn to_tree(&self, tree: &DataTree) -> DataTree {
-        let nodes = self.nodes.clone();
-        let (out, _) = tree.extract(&move |n| nodes.contains(&n));
+        let root = tree.root();
+        assert!(self.nodes.contains(&root), "extraction must keep the root");
+        let mut out = DataTree::with_capacity(tree.label(root), self.nodes.len());
+        // The source of each copy, by copy id; it ascends, because the
+        // copies are made in source id order.
+        let mut sources = Vec::with_capacity(self.nodes.len());
+        sources.push(root);
+        for &node in self.nodes.range(root..).skip(1) {
+            let Some(parent) = tree.parent(node) else {
+                continue;
+            };
+            if let Ok(copy) = sources.binary_search(&parent) {
+                out.add_child(NodeId::from_index(copy), tree.label(node));
+                sources.push(node);
+            }
+        }
         out
     }
 
     /// Canonical string of the induced tree (used to deduplicate
-    /// isomorphic query answers).
+    /// isomorphic query answers and to break ranking ties).
     pub fn canonical_string(&self, tree: &DataTree, semantics: Semantics) -> String {
         canonical_string(&self.to_tree(tree), semantics)
     }
@@ -155,6 +181,9 @@ pub fn enumerate_subdatatrees(tree: &DataTree) -> Vec<SubDataTree> {
 mod tests {
     use super::*;
     use crate::builder::TreeSpec;
+    use crate::render::to_ascii;
+    use crate::testing::tree_strategy;
+    use proptest::prelude::*;
 
     fn sample() -> DataTree {
         // A
@@ -217,6 +246,53 @@ mod tests {
         let t = sub.to_tree(&tree);
         assert_eq!(t.len(), 3);
         assert_eq!(t.label(t.root()), "A");
+    }
+
+    #[test]
+    #[should_panic(expected = "extraction must keep the root")]
+    fn to_tree_without_the_root_panics() {
+        let tree = sample();
+        let d = node_by_label(&tree, "D");
+        let sub = SubDataTree {
+            nodes: BTreeSet::from([d]),
+        };
+        sub.to_tree(&tree);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        /// `to_tree` builds the tree `extract` keeps for the same
+        /// membership test, child order included, on sets with or without
+        /// parent closure and holding detached nodes.
+        #[test]
+        fn to_tree_matches_extract(
+            tree in tree_strategy(30),
+            picks in prop::collection::vec(any::<usize>(), 0..10),
+            closed in any::<bool>(),
+        ) {
+            let picked = picks
+                .iter()
+                .map(|pick| NodeId::from_index(pick % tree.arena_len()));
+            let sub = if closed {
+                SubDataTree::from_nodes(&tree, picked)
+            } else {
+                let mut nodes: BTreeSet<NodeId> = picked.collect();
+                nodes.insert(tree.root());
+                SubDataTree { nodes }
+            };
+            let (extracted, _) = tree.extract(&|n| sub.contains(n));
+            let built = sub.to_tree(&tree);
+            prop_assert_eq!(built.len(), extracted.len());
+            prop_assert_eq!(built.arena_len(), built.len(), "no unreachable copy");
+            for semantics in [Semantics::MultiSet, Semantics::Set] {
+                prop_assert_eq!(
+                    canonical_string(&built, semantics),
+                    canonical_string(&extracted, semantics)
+                );
+            }
+            prop_assert_eq!(to_ascii(&built), to_ascii(&extracted));
+        }
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //!
 //! 1. **Indistinguishability** — after every maintenance call the state
 //!    must equal a fresh prepare against the same epoch: same answers in
-//!    the same order, bit-identical probabilities, identical selection
-//!    statistics.
+//!    the same order, bit-identical probabilities, and the same selection
+//!    counts, except that a patched state builds only the tie-break keys
+//!    it does not carry yet.
 //! 2. **No silent fallback** — when the query has a bounded footprint
 //!    and a delta provably misses it, the patch path *must* be taken;
 //!    conversely spine-touching and unbounded cases must re-prepare, and
@@ -88,7 +89,10 @@ fn doc_view(doc: &Document, query: &PatternQuery) -> PreparedQuery<'static> {
 }
 
 /// The maintained state must be indistinguishable from a fresh prepare
-/// against the same document epoch.
+/// against the same document epoch. Its ranked read makes the fresh
+/// read's scans, comparisons and selections; it builds exactly the tie
+/// keys its cache gains, since a patch carries the keys earlier reads
+/// built.
 fn assert_matches_fresh(maintained: &PreparedQuery<'_>, doc: &Document, query: &PatternQuery) {
     let fresh = doc_view(doc, query);
     prop_assert_eq!(maintained.len(), fresh.len());
@@ -101,9 +105,16 @@ fn assert_matches_fresh(maintained: &PreparedQuery<'_>, doc: &Document, query: &
             i
         );
     }
+    let keys_before = maintained.num_cached_tie_keys();
     let ranked_maintained = maintained.ranked();
+    let keys_built = maintained.num_cached_tie_keys() - keys_before;
     let ranked_fresh = fresh.ranked();
-    prop_assert_eq!(ranked_maintained.stats(), ranked_fresh.stats());
+    let (carried, rebuilt) = (ranked_maintained.stats(), ranked_fresh.stats());
+    prop_assert_eq!(carried.enumerated, rebuilt.enumerated);
+    prop_assert_eq!(carried.comparisons, rebuilt.comparisons);
+    prop_assert_eq!(carried.selected, rebuilt.selected);
+    prop_assert_eq!(carried.tie_keys_built, keys_built as u64);
+    prop_assert_eq!(rebuilt.tie_keys_built, fresh.num_cached_tie_keys() as u64);
     for (a, b) in ranked_maintained.iter().zip(ranked_fresh.iter()) {
         prop_assert_eq!(a.probability.to_bits(), b.probability.to_bits());
         prop_assert_eq!(&a.subtree, &b.subtree);

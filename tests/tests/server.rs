@@ -29,7 +29,7 @@ use rand::SeedableRng;
 use pxml_core::probtree::ProbTree;
 use pxml_core::query::pattern::{Axis, PatternQuery};
 use pxml_core::query::Query;
-use pxml_core::update::{ProbabilisticUpdate, UpdateOperation, UpdateScript};
+use pxml_core::update::{ProbabilisticUpdate, UpdateAction, UpdateOperation, UpdateScript};
 use pxml_core::QueryEngine;
 use pxml_events::{Condition, EventId, EventTable, Literal, Possibility, Semiring};
 use pxml_server::{ServerError, Warehouse};
@@ -634,10 +634,12 @@ fn an_invalid_confidence_is_refused_before_staging() {
     assert_eq!(warehouse.commit("doc", &update).unwrap().epoch, 1);
 }
 
-/// An update whose target is not a node of its query (`at` is a public
-/// field) is refused with a typed error before staging, where matching
-/// would panic under the writer lock and poison it: the epoch, the tree
-/// and the hub stay as they were, and the next valid commit lands.
+/// An update whose target is not a node of its query is refused with a
+/// typed error before staging, where matching would panic under the writer
+/// lock and poison it: the epoch, the tree and the hub stay as they were,
+/// and the next valid commit lands. The constructors refuse such a target,
+/// so the operations are struct literals (`query` and `action` are public
+/// fields).
 #[test]
 fn an_update_with_an_unknown_target_is_refused_before_staging() {
     let warehouse = Warehouse::new();
@@ -649,14 +651,17 @@ fn an_update_with_an_unknown_target_is_refused_before_staging() {
     let name = wider.add_child(wider.root(), "name");
     let tree = warehouse.snapshot("doc").unwrap().tree.to_ascii();
     let stats = warehouse.hub_stats("doc").unwrap();
-    for operation in [
-        UpdateOperation::delete(PatternQuery::new(Some("service")), name),
-        UpdateOperation::insert(
-            PatternQuery::new(Some("service")),
-            name,
-            DataTree::new("fact"),
-        ),
+    for action in [
+        UpdateAction::Delete { at: name },
+        UpdateAction::Insert {
+            at: name,
+            subtree: DataTree::new("fact"),
+        },
     ] {
+        let operation = UpdateOperation {
+            query: PatternQuery::new(Some("service")),
+            action,
+        };
         let update = ProbabilisticUpdate::new(operation, 0.5);
         let refused = warehouse.commit("doc", &update).unwrap_err();
         assert_eq!(refused, ServerError::UnknownTarget(name.0));
