@@ -9,7 +9,7 @@
 //! Set `PXML_BENCH_QUICK=1` (as CI's `bench-smoke` job does) for a fast
 //! smoke run with small iteration budgets.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -314,19 +314,29 @@ fn bench_update_scripts(c: &mut Criterion) {
 /// documents at the ROADMAP probe sizes. Untimed counters first: a fresh
 /// document's first commit runs whole-tree, every later one in region
 /// scope, visiting at most `REGION_VISITS_PER_DELTA_NODE` nodes per node
-/// of its delta however large the document, and keeping node ids (no node
-/// map). Then one commit per size is timed, each on an O(1) fork of the
-/// settled document (forks inherit its fixpoint status); what remains
-/// O(|T|) is the tree clone, the matcher and the drop of a frame.
+/// of its delta however large the document, keeping node ids (no node
+/// map), and leaving all but `UNSHARED_PAGES` pages of the new frame shared
+/// with its predecessor. Then, per size, one commit is timed on an O(1)
+/// fork of the settled document (forks inherit its fixpoint status), and
+/// so are its parts: cloning a frame, the match, and dropping a frame a
+/// commit derived. What remains O(|T|) is the matcher.
 fn bench_region_commits(c: &mut Criterion) {
     const REGION_VISITS_PER_DELTA_NODE: usize = 8;
+    /// Measured: 6 at every size. The arena copies the retracted fact's
+    /// parent page; the arena, the condition column and the event table's
+    /// names, probabilities and name index each own their last page.
+    const UNSHARED_PAGES: usize = 8;
+    /// Frames held at once by the clone and drop arms.
+    const BATCH: u64 = 32;
     let engine = UpdateEngine::new();
-    let retract = {
+    let query = {
         let mut q = PatternQuery::new(Some("keyword"));
         let fact = q.root();
         q.add_child(fact, "fact0");
-        ProbabilisticUpdate::new(UpdateOperation::delete(q, fact), 0.9)
+        q
     };
+    let retract =
+        ProbabilisticUpdate::new(UpdateOperation::delete(query.clone(), query.root()), 0.9);
     let mut group = c.benchmark_group("updates_region_commit");
     for nodes in [2_011usize, 20_011, 100_011] {
         // `skeleton(s)` has 1 + 2s nodes; one keyword fact adds two.
@@ -339,6 +349,7 @@ fn bench_region_commits(c: &mut Criterion) {
         let first = engine.apply_doc(&mut doc, &retract);
         assert_eq!(first.report.scope, StepScope::Whole);
         for _ in 0..3 {
+            let before = doc.snapshot();
             let delta = engine.apply_doc(&mut doc, &retract);
             let report = &delta.report;
             assert_eq!(report.scope, StepScope::Region);
@@ -354,9 +365,49 @@ fn bench_region_commits(c: &mut Criterion) {
                 visited <= REGION_VISITS_PER_DELTA_NODE * delta_nodes,
                 "{nodes} nodes: visited {visited} for a delta of {delta_nodes}"
             );
+            let unshared = doc.tree().unshared_pages(&before);
+            assert!(
+                unshared <= UNSHARED_PAGES,
+                "{nodes} nodes: the commit left {unshared} pages unshared"
+            );
         }
         group.bench_with_input(BenchmarkId::from_parameter(nodes), &doc, |b, doc| {
             b.iter(|| engine.apply_doc(&mut doc.fork(), &retract));
+        });
+        group.bench_with_input(BenchmarkId::new("clone", nodes), doc.tree(), |b, frame| {
+            b.iter_custom(|iters| {
+                let mut timed = Duration::ZERO;
+                for chunk in (0..iters).step_by(BATCH as usize) {
+                    let start = Instant::now();
+                    let clones: Vec<ProbTree> = (chunk..iters.min(chunk + BATCH))
+                        .map(|_| frame.clone())
+                        .collect();
+                    timed += start.elapsed();
+                    drop(clones);
+                }
+                timed
+            });
+        });
+        group.bench_with_input(BenchmarkId::new("match", nodes), doc.tree(), |b, frame| {
+            b.iter(|| query.matches(frame.tree()));
+        });
+        group.bench_with_input(BenchmarkId::new("drop", nodes), &doc, |b, doc| {
+            b.iter_custom(|iters| {
+                let mut timed = Duration::ZERO;
+                for chunk in (0..iters).step_by(BATCH as usize) {
+                    let frames: Vec<_> = (chunk..iters.min(chunk + BATCH))
+                        .map(|_| {
+                            let mut fork = doc.fork();
+                            engine.apply_doc(&mut fork, &retract);
+                            fork.snapshot()
+                        })
+                        .collect();
+                    let start = Instant::now();
+                    drop(frames);
+                    timed += start.elapsed();
+                }
+                timed
+            });
         });
     }
     group.finish();

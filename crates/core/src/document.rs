@@ -349,9 +349,6 @@ impl Document {
         self.epoch += 1;
         debug_assert_eq!(staged.delta.epoch, self.epoch);
         let delta = Arc::new(staged.delta);
-        // The replaced frame is dropped here unless a snapshot still holds
-        // it (the warehouse keeps one so the drop happens outside its
-        // exclusive lock).
         self.tree = Arc::new(staged.tree);
         if delta.node_map.is_some() {
             self.log.clear();

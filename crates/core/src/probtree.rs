@@ -10,12 +10,16 @@
 //! world fold and simplification works on it. The hash-consed DAG that
 //! lets an update step share its survivor copies is a separate type,
 //! [`SharedProbTree`](crate::shared::SharedProbTree).
+//!
+//! All three parts are copy-on-write [`Pages`]: cloning a prob-tree and
+//! dropping one cost O(pages), and an update step copies only the pages it
+//! writes, so consecutive document frames share the rest.
 
 use std::collections::HashMap;
 
 use pxml_events::{Condition, EventTable, Valuation};
 use pxml_tree::render::to_ascii_annotated;
-use pxml_tree::{DataTree, NodeId};
+use pxml_tree::{DataTree, NodeId, Pages};
 
 /// Memory accounting of a prob-tree representation; see
 /// [`ProbTree::memory_stats`] and
@@ -46,9 +50,10 @@ impl MemoryStats {
 pub struct ProbTree {
     tree: DataTree,
     events: EventTable,
-    /// Condition of every non-root node; nodes absent from the map carry
-    /// the empty (always-true) condition.
-    conditions: HashMap<NodeId, Condition>,
+    /// Condition of every node, indexed by id: `None` is the empty
+    /// (always-true) condition, which is never stored, and ids past the
+    /// column's end carry it too.
+    conditions: Pages<Option<Condition>>,
 }
 
 impl ProbTree {
@@ -64,7 +69,7 @@ impl ProbTree {
         ProbTree {
             tree,
             events,
-            conditions: HashMap::new(),
+            conditions: Pages::new(),
         }
     }
 
@@ -86,15 +91,31 @@ impl ProbTree {
     /// The condition `γ(node)`; the root and unannotated nodes carry the
     /// empty condition.
     pub fn condition(&self, node: NodeId) -> Condition {
-        self.conditions.get(&node).cloned().unwrap_or_default()
+        self.condition_ref(node).cloned().unwrap_or_default()
     }
 
     /// Borrowing variant of [`ProbTree::condition`]: `None` for the root
     /// and unannotated nodes (which carry the empty condition). Lets bulk
     /// consumers — e.g. the per-answer condition unions of the query
     /// engine — walk `γ` without cloning a literal vector per node.
+    #[inline]
     pub fn condition_ref(&self, node: NodeId) -> Option<&Condition> {
-        self.conditions.get(&node)
+        self.conditions.get(node.index()).and_then(Option::as_ref)
+    }
+
+    /// Stores the non-empty `condition` of `node`, growing the column
+    /// with empty conditions up to it.
+    fn store_condition(&mut self, node: NodeId, condition: Condition) {
+        debug_assert!(!condition.is_empty());
+        let index = node.index();
+        if index < self.conditions.len() {
+            *self.conditions.make_mut(index) = Some(condition);
+            return;
+        }
+        while self.conditions.len() < index {
+            self.conditions.push(None);
+        }
+        self.conditions.push(Some(condition));
     }
 
     /// Sets the condition of a non-root node.
@@ -107,10 +128,10 @@ impl ProbTree {
             node != self.tree.root(),
             "the root of a prob-tree carries no condition"
         );
-        if condition.is_empty() {
-            self.conditions.remove(&node);
-        } else {
-            self.conditions.insert(node, condition);
+        if !condition.is_empty() {
+            self.store_condition(node, condition);
+        } else if self.condition_ref(node).is_some() {
+            *self.conditions.make_mut(node.index()) = None;
         }
     }
 
@@ -123,7 +144,7 @@ impl ProbTree {
     ) -> NodeId {
         let id = self.tree.add_child(parent, label);
         if !condition.is_empty() {
-            self.conditions.insert(id, condition);
+            self.store_condition(id, condition);
         }
         id
     }
@@ -139,7 +160,7 @@ impl ProbTree {
     ) -> NodeId {
         let (new_root, _) = self.tree.graft(parent, subtree);
         if !root_condition.is_empty() {
-            self.conditions.insert(new_root, root_condition);
+            self.store_condition(new_root, root_condition);
         }
         new_root
     }
@@ -179,7 +200,7 @@ impl ProbTree {
             };
             let new = self.tree.add_child(new_parent, label);
             if !condition.is_empty() {
-                self.conditions.insert(new, condition);
+                self.store_condition(new, condition);
             }
             mapping.insert(old, new);
             if old == node {
@@ -207,7 +228,7 @@ impl ProbTree {
     pub fn num_literals(&self) -> usize {
         self.tree
             .iter()
-            .map(|n| self.conditions.get(&n).map_or(0, Condition::len))
+            .map(|n| self.condition_ref(n).map_or(0, Condition::len))
             .sum()
     }
 
@@ -242,11 +263,7 @@ impl ProbTree {
         let mut stack: Vec<(NodeId, NodeId)> = vec![(root, out.root())];
         while let Some((src, dst)) = stack.pop() {
             for &child in self.tree.children(src) {
-                if self
-                    .conditions
-                    .get(&child)
-                    .is_none_or(|c| c.eval(valuation))
-                {
+                if self.condition_ref(child).is_none_or(|c| c.eval(valuation)) {
                     let nd = out.add_child(dst, self.tree.label(child));
                     stack.push((child, nd));
                 }
@@ -260,15 +277,16 @@ impl ProbTree {
     /// old→new node mapping.
     pub fn compact(&self) -> (ProbTree, HashMap<NodeId, NodeId>) {
         let (tree, mapping) = self.tree.compact();
-        // Conditions are sparse: walk them, not the mapping.
-        let mut conditions = HashMap::with_capacity(self.conditions.len());
-        for (old, c) in &self.conditions {
-            if let Some(new) = mapping.get(old) {
-                if !c.is_empty() {
-                    conditions.insert(*new, c.clone());
-                }
+        let mut column = vec![None; tree.arena_len()];
+        for (old, condition) in self.conditions.iter().enumerate() {
+            if let (Some(c), Some(new)) = (condition, mapping.get(&NodeId::from_index(old))) {
+                column[new.index()] = Some(c.clone());
             }
         }
+        while column.last().is_some_and(Option::is_none) {
+            column.pop();
+        }
+        let conditions = column.into_iter().collect();
         (
             ProbTree {
                 tree,
@@ -279,12 +297,23 @@ impl ProbTree {
         )
     }
 
+    /// Pages of this frame's arena, condition column and event table that
+    /// `base` does not hold (see [`Pages::unshared_pages`]). A frame an
+    /// update step derived from `base` shares every page the step did not
+    /// write, so a one-fact commit reports a constant whatever the
+    /// document's size.
+    pub fn unshared_pages(&self, base: &ProbTree) -> usize {
+        self.tree.unshared_pages(&base.tree)
+            + self.conditions.unshared_pages(&base.conditions)
+            + self.events.unshared_pages(&base.events)
+    }
+
     /// Every non-empty condition of a reachable node. The world engines
     /// use this to collect relevant events.
     pub fn all_conditions(&self) -> Vec<&Condition> {
         self.tree
             .iter()
-            .filter_map(|n| self.conditions.get(&n))
+            .filter_map(|n| self.condition_ref(n))
             .collect()
     }
 
@@ -295,7 +324,7 @@ impl ProbTree {
         let mut literals = 0usize;
         for n in self.tree.iter() {
             nodes += 1;
-            literals += self.conditions.get(&n).map_or(0, Condition::len);
+            literals += self.condition_ref(n).map_or(0, Condition::len);
         }
         MemoryStats {
             logical_nodes: nodes,
@@ -314,7 +343,8 @@ impl ProbTree {
     ///   linger until [`ProbTree::compact`] and are not checked);
     /// * the root carries no condition and stored conditions are
     ///   non-empty (Definition 2 plus the "empty conditions are never
-    ///   stored" convention);
+    ///   stored" convention), and the condition column is no longer than
+    ///   the arena;
     /// * condition support ⊆ declared events — every literal references
     ///   an event the table declares;
     /// * probability mass bounds — `π(w) ∈ (0, 1]` for every event.
@@ -323,6 +353,13 @@ impl ProbTree {
     /// suites; it walks the whole tree, so hot paths should not call it.
     pub fn validate_invariants(&self) -> Result<(), String> {
         let root = self.tree.root();
+        if self.conditions.len() > self.tree.arena_len() {
+            return Err(format!(
+                "{} conditions stored for an arena of {} nodes",
+                self.conditions.len(),
+                self.tree.arena_len()
+            ));
+        }
         for node in self.tree.iter() {
             for &child in self.tree.children(node) {
                 if self.tree.parent(child) != Some(node) {
@@ -341,7 +378,7 @@ impl ProbTree {
                     ));
                 }
             }
-            if let Some(condition) = self.conditions.get(&node) {
+            if let Some(condition) = self.condition_ref(node) {
                 if node == root {
                     return Err("the root carries a condition".to_string());
                 }
@@ -406,6 +443,8 @@ mod tests {
     use super::*;
     use pxml_events::Literal;
     use pxml_tree::canon::{canonical_string, Semantics};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn condition_ref_agrees_with_condition() {
@@ -544,6 +583,91 @@ mod tests {
         t.validate_invariants().unwrap();
         let (compacted, _) = t.compact();
         compacted.validate_invariants().unwrap();
+    }
+
+    /// A prob-tree over `events` events whose `nodes` nodes span several
+    /// arena pages, with a condition on about half of them.
+    fn paged_tree(rng: &mut StdRng, nodes: usize, events: usize) -> ProbTree {
+        let mut t = ProbTree::new("R");
+        let ids: Vec<_> = (0..events)
+            .map(|i| {
+                t.events_mut()
+                    .insert(format!("e{i}"), rng.gen_range(0.1..1.0))
+            })
+            .collect();
+        for i in 1..nodes {
+            let parent = NodeId::from_index(rng.gen_range(0..i));
+            let condition = if rng.gen_bool(0.5) {
+                let event = ids[rng.gen_range(0..events)];
+                Condition::of(if rng.gen_bool(0.5) {
+                    Literal::pos(event)
+                } else {
+                    Literal::neg(event)
+                })
+            } else {
+                Condition::always()
+            };
+            t.add_child(parent, format!("L{}", i % 7), condition);
+        }
+        t
+    }
+
+    /// The original's rendering, event names and probability bits.
+    fn fingerprint(t: &ProbTree) -> (String, Vec<(String, u64)>) {
+        let events = t.events();
+        let table = events
+            .iter()
+            .map(|e| (events.name(e).to_owned(), events.prob(e).to_bits()))
+            .collect();
+        (t.to_ascii(), table)
+    }
+
+    #[test]
+    fn mutating_a_clone_leaves_the_original_byte_identical() {
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        for (nodes, events) in [(40, 5), (300, 40), (1_100, 300)] {
+            let original = paged_tree(&mut rng, nodes, events);
+            let before = fingerprint(&original);
+            let mut copy = original.clone();
+            for _ in 0..200 {
+                let arena = copy.tree().arena_len();
+                let node = NodeId::from_index(rng.gen_range(0..arena));
+                let parent = NodeId::from_index(rng.gen_range(0..arena));
+                let event = pxml_events::EventId::from_index(rng.gen_range(0..copy.events().len()));
+                let condition = Condition::of(Literal::pos(event));
+                match rng.gen_range(0..7) {
+                    0 => {
+                        copy.add_child(parent, "new", condition);
+                    }
+                    1 => {
+                        let mut graft = DataTree::new("G");
+                        let root = graft.root();
+                        graft.add_child(root, "H");
+                        copy.graft_data_tree(parent, &graft, condition);
+                    }
+                    2 => {
+                        copy.duplicate_subtree_deep(parent, node, condition);
+                    }
+                    3 if node != copy.tree().root() => copy.detach(node),
+                    4 if node != copy.tree().root() => {
+                        let condition = if rng.gen_bool(0.3) {
+                            Condition::always()
+                        } else {
+                            condition
+                        };
+                        copy.set_condition(node, condition);
+                    }
+                    5 => {
+                        copy.events_mut().fresh(0.5);
+                    }
+                    _ => copy.events_mut().set_prob(event, 0.25),
+                }
+            }
+            copy.validate_invariants().unwrap();
+            assert!(copy.unshared_pages(&original) > 0);
+            assert_eq!(fingerprint(&original), before, "{nodes} nodes");
+            original.validate_invariants().unwrap();
+        }
     }
 
     #[test]

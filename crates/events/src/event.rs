@@ -1,7 +1,10 @@
 //! Event variables and their probability distribution.
 
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
 use std::fmt;
+use std::hash::BuildHasher;
+
+use pxml_tree::Pages;
 
 /// Identifier of an event variable inside one [`EventTable`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -28,17 +31,32 @@ impl fmt::Display for EventId {
     }
 }
 
+/// A free bucket of the name index.
+const FREE: u32 = u32::MAX;
+
 /// The finite set of event variables `W` of a prob-tree together with its
 /// probability distribution `π : W → (0, 1]`.
 ///
 /// The paper disallows zero probabilities (a convention: a zero-probability
 /// update would simply not be performed); [`EventTable::insert`] enforces
 /// `0 < p ≤ 1`.
+///
+/// Names, probabilities and the name index are copy-on-write [`Pages`]: a
+/// clone shares them with its source, and declaring an event or changing a
+/// probability copies the pages it writes. The name index is an
+/// open-addressing table of event ids, linearly probed and doubled once
+/// half full, so an insertion writes one bucket (a doubling rebuilds it).
+/// Names may come from parsed input, so the index hashes them with the
+/// standard library's randomly keyed hasher; iteration never follows it.
 #[derive(Clone, Debug, Default)]
 pub struct EventTable {
-    names: Vec<String>,
-    probs: Vec<f64>,
-    by_name: HashMap<String, EventId>,
+    names: Pages<String>,
+    probs: Pages<f64>,
+    /// Buckets of the name index: a power of two of them (or none), at
+    /// most half holding an event id, the rest [`FREE`].
+    index: Pages<u32>,
+    /// The index's hasher, shared by every clone of the table.
+    hasher: RandomState,
 }
 
 impl EventTable {
@@ -58,15 +76,46 @@ impl EventTable {
             p > 0.0 && p <= 1.0,
             "event probability must lie in (0, 1], got {p}"
         );
-        assert!(
-            !self.by_name.contains_key(&name),
-            "event variable named {name:?} already exists"
-        );
+        if 2 * (self.len() + 1) > self.index.len() {
+            self.grow_index();
+        }
+        let Err(bucket) = self.find(&name) else {
+            panic!("event variable named {name:?} already exists");
+        };
         let id = EventId(self.names.len() as u32);
-        self.by_name.insert(name.clone(), id);
+        *self.index.make_mut(bucket) = id.0;
         self.names.push(name);
         self.probs.push(p);
         id
+    }
+
+    /// The event named `name`, or the free bucket where its probe ended.
+    /// The index must have buckets.
+    fn find(&self, name: &str) -> Result<EventId, usize> {
+        let mask = self.index.len() - 1;
+        let mut bucket = self.hasher.hash_one(name) as usize & mask;
+        loop {
+            match self.index[bucket] {
+                FREE => return Err(bucket),
+                id if self.names[id as usize] == name => return Ok(EventId(id)),
+                _ => bucket = (bucket + 1) & mask,
+            }
+        }
+    }
+
+    /// Doubles the name index (to 8 buckets at first) and re-files every
+    /// name.
+    fn grow_index(&mut self) {
+        let buckets = (2 * self.index.len()).max(8);
+        let mut index = vec![FREE; buckets];
+        for (id, name) in self.names.iter().enumerate() {
+            let mut bucket = self.hasher.hash_one(name) as usize & (buckets - 1);
+            while index[bucket] != FREE {
+                bucket = (bucket + 1) & (buckets - 1);
+            }
+            index[bucket] = id as u32;
+        }
+        self.index = index.into_iter().collect();
     }
 
     /// Registers a fresh event variable with an auto-generated name
@@ -76,7 +125,7 @@ impl EventTable {
         let mut i = self.names.len() + 1;
         loop {
             let candidate = format!("w{i}");
-            if !self.by_name.contains_key(&candidate) {
+            if self.by_name(&candidate).is_none() {
                 return self.insert(candidate, p);
             }
             i += 1;
@@ -106,7 +155,7 @@ impl EventTable {
             p > 0.0 && p <= 1.0,
             "event probability must lie in (0, 1], got {p}"
         );
-        self.probs[event.index()] = p;
+        *self.probs.make_mut(event.index()) = p;
     }
 
     /// The name of an event.
@@ -117,7 +166,10 @@ impl EventTable {
 
     /// Looks an event up by name.
     pub fn by_name(&self, name: &str) -> Option<EventId> {
-        self.by_name.get(name).copied()
+        if self.index.is_empty() {
+            return None;
+        }
+        self.find(name).ok()
     }
 
     /// Iterates over all events in insertion order.
@@ -133,6 +185,14 @@ impl EventTable {
             && self.iter().all(|e| {
                 self.name(e) == other.name(e) && crate::prob_eq(self.prob(e), other.prob(e))
             })
+    }
+
+    /// Pages of names, probabilities and name index that `self` does not
+    /// share with `base`; see [`Pages::unshared_pages`].
+    pub fn unshared_pages(&self, base: &EventTable) -> usize {
+        self.names.unshared_pages(&base.names)
+            + self.probs.unshared_pages(&base.probs)
+            + self.index.unshared_pages(&base.index)
     }
 }
 
@@ -183,6 +243,85 @@ mod tests {
         assert_eq!(table.prob(fresh), 0.3);
         let fresh2 = table.fresh(0.2);
         assert_ne!(table.name(fresh2), table.name(fresh));
+    }
+
+    /// Every name of `table` finds its own event, and a name it lacks
+    /// finds none.
+    fn assert_index(table: &EventTable) {
+        for event in table.iter() {
+            assert_eq!(table.by_name(table.name(event)), Some(event));
+        }
+        assert_eq!(table.by_name("absent"), None);
+    }
+
+    /// After the table grew to `len` events: lookups, the duplicate
+    /// panic, and `fresh` skipping the `w{n}` name it would pick first.
+    fn assert_lookups(table: &EventTable) {
+        assert_index(table);
+        let first = table.name(EventId(0)).to_owned();
+        let duplicate = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            table.clone().insert(first, 0.5);
+        }));
+        assert!(duplicate.is_err(), "a duplicate name must panic");
+        let mut user = table.clone();
+        let taken = format!("w{}", user.len() + 1);
+        user.insert(taken.clone(), 0.5);
+        let fresh = user.fresh(0.5);
+        assert_eq!(user.name(fresh), format!("w{}", user.len()));
+        assert_ne!(user.name(fresh), taken);
+        assert_index(&user);
+    }
+
+    #[test]
+    fn name_index_answers_at_every_growth() {
+        let mut table = EventTable::new();
+        assert_eq!(table.by_name("x0"), None);
+        let mut growths = Vec::new();
+        for i in 0..2_000 {
+            let buckets = table.index.len();
+            table.insert(format!("x{i}"), 0.5);
+            if table.index.len() != buckets {
+                growths.push(table.len());
+                assert_lookups(&table);
+            }
+        }
+        assert_eq!(
+            growths[..3],
+            [1, 5, 9],
+            "the first event, then each doubling"
+        );
+        assert_eq!(table.index.len(), 4_096);
+        assert_lookups(&table);
+    }
+
+    #[test]
+    fn diverging_clones_keep_their_own_names() {
+        let mut base = EventTable::new();
+        for i in 0..600 {
+            base.insert(format!("x{i}"), 0.5);
+        }
+        let mut left = base.clone();
+        let mut right = base.clone();
+        let l = left.insert("left", 0.3);
+        let r = right.insert("right", 0.4);
+        assert_eq!(l, r, "both take the next id");
+        right.set_prob(EventId(7), 0.9);
+        for i in 0..600 {
+            let fresh = left.fresh(0.2);
+            assert_eq!(left.name(fresh), format!("w{}", 602 + i));
+        }
+        assert_eq!(left.by_name("right"), None);
+        assert_eq!(right.by_name("left"), None);
+        assert_eq!(base.by_name("left"), None);
+        assert_eq!(right.by_name("right"), Some(r));
+        assert_eq!(right.by_name("w602"), None);
+        assert_eq!(base.len(), 600);
+        assert_eq!(base.prob(EventId(7)), 0.5);
+        assert_eq!(left.prob(EventId(7)), 0.5);
+        assert_index(&base);
+        assert_index(&left);
+        assert_index(&right);
+        assert!(right.unshared_pages(&base) >= 1);
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //!    (matching, grafting, simplification and the delta) and exclusively
 //!    only for [`pxml_core::Document::commit_staged`], which bumps the
 //!    epoch, swaps the tree `Arc` and appends the delta to the log. The
-//!    replaced tree is freed after the exclusive lock is released;
+//!    replaced tree is freed under that lock, unless a snapshot still
+//!    holds it: it owns only the pages its successor copied, so freeing
+//!    it costs O(pages), not O(|T|);
 //! 3. the hub's per-query `RwLock`s, one per prepared state and shared
 //!    by every view name over that query: a current state is served
 //!    under the shared lock, a stale one maintained under the exclusive
@@ -250,21 +252,17 @@ impl Warehouse {
             return Err(ServerError::UnknownTarget(at.0));
         }
         let _writer = cell.write.lock().expect("writer lock poisoned");
-        // `replaced` pins the pre-commit frame, so the swap under the
-        // exclusive lock only drops a reference; the frame itself is
-        // freed when `replaced` goes out of scope, after the lock.
-        let (staged, replaced) = {
+        let staged = {
             let doc = cell.doc.read().expect("document lock poisoned");
             if update.operation.deletes_root(doc.tree().tree()) {
                 return Err(ServerError::RootDeletion);
             }
-            (self.update_engine.stage_doc(&doc, update), doc.snapshot())
+            self.update_engine.stage_doc(&doc, update)
         };
         let delta = {
             let mut doc = cell.doc.write().expect("document lock poisoned");
             doc.commit_staged(staged).map_err(ServerError::Conflict)?
         };
-        drop(replaced);
         cell.hub.observe_commit();
         Ok(delta)
     }

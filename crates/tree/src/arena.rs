@@ -1,14 +1,17 @@
 //! Arena-backed rooted unordered labeled trees.
 //!
-//! Nodes live in a `Vec` and are addressed by [`NodeId`]. Structural
-//! mutation is limited to adding children and detaching whole subtrees,
-//! which is exactly what prob-tree updates need. Detached nodes stay in the
-//! arena (their storage is reclaimed only by [`DataTree::compact`]) but are
-//! never reached by root-based traversals, so all semantic operations see a
-//! consistent tree.
+//! Nodes live in copy-on-write [`Pages`] and are addressed by [`NodeId`].
+//! Cloning a tree shares its full pages, and a write copies only the page
+//! it lands on. Structural mutation is limited to adding children and
+//! detaching whole subtrees, which is exactly what prob-tree updates need.
+//! Detached nodes stay in the arena (their storage is reclaimed only by
+//! [`DataTree::compact`]) but are never reached by root-based traversals,
+//! so all semantic operations see a consistent tree.
 
 use std::collections::HashMap;
 use std::fmt;
+
+use crate::pages::Pages;
 
 /// Identifier of a node inside one [`DataTree`] arena.
 ///
@@ -63,9 +66,15 @@ struct NodeData {
 /// over a node set in id order therefore meets every parent before its
 /// children and each node's children in their child order, which
 /// [`SubDataTree::to_tree`](crate::SubDataTree::to_tree) relies on.
+///
+/// **Sharing.** The arena is [`Pages`] of node records. A clone shares
+/// every full page with its source and copies the last one, so cloning and
+/// dropping a tree cost O(pages); adding a child or detaching a subtree
+/// copies the pages of the records it writes, when another clone still
+/// holds them.
 #[derive(Clone, Debug)]
 pub struct DataTree {
-    nodes: Vec<NodeData>,
+    nodes: Pages<NodeData>,
     root: NodeId,
 }
 
@@ -77,7 +86,7 @@ impl DataTree {
 
     /// [`DataTree::new`] with arena room for `capacity` nodes.
     pub(crate) fn with_capacity(label: impl Into<String>, capacity: usize) -> Self {
-        let mut nodes = Vec::with_capacity(capacity.max(1));
+        let mut nodes = Pages::with_capacity(capacity.max(1));
         nodes.push(NodeData {
             label: label.into(),
             parent: None,
@@ -143,7 +152,7 @@ impl DataTree {
             children: Vec::new(),
             attached: true,
         });
-        self.nodes[parent.index()].children.push(id);
+        self.nodes.make_mut(parent.index()).children.push(id);
         id
     }
 
@@ -175,11 +184,14 @@ impl DataTree {
     /// Panics if `node` is the root.
     pub fn detach(&mut self, node: NodeId) {
         assert!(node != self.root, "cannot detach the root of a data tree");
-        if let Some(parent) = self.nodes[node.index()].parent {
-            self.nodes[parent.index()].children.retain(|&c| c != node);
+        let data = self.nodes.make_mut(node.index());
+        data.attached = false;
+        if let Some(parent) = data.parent.take() {
+            self.nodes
+                .make_mut(parent.index())
+                .children
+                .retain(|&c| c != node);
         }
-        self.nodes[node.index()].parent = None;
-        self.nodes[node.index()].attached = false;
     }
 
     /// Number of nodes reachable from the root.
@@ -197,6 +209,12 @@ impl DataTree {
     /// [`DataTree::compact`] is worthwhile.
     pub fn arena_len(&self) -> usize {
         self.nodes.len()
+    }
+
+    /// Arena pages of `self` that `base` does not hold; see
+    /// [`Pages::unshared_pages`].
+    pub fn unshared_pages(&self, base: &DataTree) -> usize {
+        self.nodes.unshared_pages(&base.nodes)
     }
 
     /// Pre-order iterator over the nodes reachable from the root.

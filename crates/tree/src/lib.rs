@@ -10,8 +10,10 @@
 //!
 //! Provided here:
 //!
-//! * [`DataTree`]: an arena-backed rooted tree with cheap cloning and
-//!   index-based node access ([`NodeId`]).
+//! * [`DataTree`]: an arena-backed rooted tree with index-based node
+//!   access ([`NodeId`]) and O(pages) cloning.
+//! * [`pages`]: [`Pages`], the copy-on-write paged sequence behind the
+//!   arena and the other stores of a prob-tree frame.
 //! * [`canon`]: linear-time isomorphism of unordered labeled trees via
 //!   Aho–Hopcroft–Ullman canonical codes, under both the paper's default
 //!   **multiset** semantics and the Section 5 **set** semantics.
@@ -50,6 +52,7 @@
 pub mod arena;
 pub mod builder;
 pub mod canon;
+pub mod pages;
 pub mod render;
 pub mod stats;
 pub mod store;
@@ -60,5 +63,6 @@ mod testing;
 pub use arena::{DataTree, NodeId};
 pub use builder::TreeSpec;
 pub use canon::{canonical_string, isomorphic, AnnotatedCanonInterner, Semantics};
+pub use pages::Pages;
 pub use store::{NodeStore, ShapeId};
 pub use subtree::SubDataTree;
