@@ -312,19 +312,28 @@ fn bench_update_scripts(c: &mut Criterion) {
 
 /// Region-scoped commits: one-fact retractions into `skeleton`-shaped
 /// documents at the ROADMAP probe sizes. Untimed counters first: a fresh
-/// document's first commit runs whole-tree, every later one in region
-/// scope, visiting at most `REGION_VISITS_PER_DELTA_NODE` nodes per node
-/// of its delta however large the document, keeping node ids (no node
-/// map), and leaving all but `UNSHARED_PAGES` pages of the new frame shared
-/// with its predecessor. Then, per size, one commit is timed on an O(1)
-/// fork of the settled document (forks inherit its fixpoint status), and
-/// so are its parts: cloning a frame, the match, and dropping a frame a
-/// commit derived. What remains O(|T|) is the matcher.
+/// document's first commit runs whole-tree and scans, every later one runs
+/// in region scope on an indexed frame. Such a commit visits at most
+/// `REGION_VISITS_PER_DELTA_NODE` nodes per node of its delta in the
+/// simplifier and census, and its match reads at most
+/// `MATCH_VISITS_PER_READ` nodes per posting of its rarest label and per
+/// match, the same count at every size. It keeps node ids (no node map)
+/// and leaves all but `UNSHARED_PAGES` pages of the new frame shared with
+/// its predecessor. Then, per size, one commit is timed on an O(1) fork of
+/// the settled document (forks inherit its fixpoint status and postings),
+/// and so are its parts: cloning a frame, the match, and dropping a frame
+/// a commit derived. No part reads the whole document.
 fn bench_region_commits(c: &mut Criterion) {
     const REGION_VISITS_PER_DELTA_NODE: usize = 8;
-    /// Measured: 6 at every size. The arena copies the retracted fact's
-    /// parent page; the arena, the condition column and the event table's
-    /// names, probabilities and name index each own their last page.
+    /// Measured: 4, 5 and 6 visits for 3, 4 and 5 reads over the three
+    /// settled commits, at every size. A commit walks the `keyword`
+    /// postings (retracted facts stay linked until a rebase), then tests
+    /// the one attached root and its `fact0` child.
+    const MATCH_VISITS_PER_READ: usize = 2;
+    /// Measured: 8 at every size. The arena copies the retracted fact's
+    /// parent page; the arena, the condition column, the postings column,
+    /// the postings head table and the event table's names, probabilities
+    /// and name index each own their last page.
     const UNSHARED_PAGES: usize = 8;
     /// Frames held at once by the clone and drop arms.
     const BATCH: u64 = 32;
@@ -338,6 +347,7 @@ fn bench_region_commits(c: &mut Criterion) {
     let retract =
         ProbabilisticUpdate::new(UpdateOperation::delete(query.clone(), query.root()), 0.9);
     let mut group = c.benchmark_group("updates_region_commit");
+    let mut match_visits: Vec<Vec<usize>> = Vec::new();
     for nodes in [2_011usize, 20_011, 100_011] {
         // `skeleton(s)` has 1 + 2s nodes; one keyword fact adds two.
         let mut tree = skeleton((nodes - 3) / 2);
@@ -348,11 +358,25 @@ fn bench_region_commits(c: &mut Criterion) {
         let mut doc = Document::new(tree);
         let first = engine.apply_doc(&mut doc, &retract);
         assert_eq!(first.report.scope, StepScope::Whole);
+        assert!(
+            first.report.match_visited >= nodes,
+            "a frame without postings is scanned"
+        );
+        let mut visits = Vec::new();
         for _ in 0..3 {
             let before = doc.snapshot();
             let delta = engine.apply_doc(&mut doc, &retract);
             let report = &delta.report;
             assert_eq!(report.scope, StepScope::Region);
+            let postings = ["keyword", "fact0"]
+                .map(|label| before.tree().label_postings(label).expect("indexed").len());
+            let reads = postings.into_iter().min().unwrap_or(0) + report.matches;
+            assert!(
+                report.match_visited <= MATCH_VISITS_PER_READ * reads,
+                "{nodes} nodes: the match read {} nodes for {reads} postings and matches",
+                report.match_visited
+            );
+            visits.push(report.match_visited);
             assert!(delta.node_map.is_none(), "a settled commit keeps ids");
             assert_eq!(
                 report.nodes_after, nodes,
@@ -371,6 +395,11 @@ fn bench_region_commits(c: &mut Criterion) {
                 "{nodes} nodes: the commit left {unshared} pages unshared"
             );
         }
+        match_visits.push(visits);
+        assert!(
+            match_visits.windows(2).all(|pair| pair[0] == pair[1]),
+            "match visits grow with the document: {match_visits:?}"
+        );
         group.bench_with_input(BenchmarkId::from_parameter(nodes), &doc, |b, doc| {
             b.iter(|| engine.apply_doc(&mut doc.fork(), &retract));
         });

@@ -9,7 +9,12 @@
 //! ```text
 //! cargo run --release -p pxml_bench --bin tables            # all experiments
 //! cargo run --release -p pxml_bench --bin tables -- --exp e5
+//! cargo run --release -p pxml_bench --bin tables -- --exp e3 --counts
 //! ```
+//!
+//! `--counts` drops E3's and E4's timing columns, so their output is
+//! deterministic; CI diffs it against `crates/bench/tests/e3.txt` and
+//! `e4.txt`.
 
 use std::time::Instant;
 
@@ -54,6 +59,7 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .map(|s| s.to_lowercase());
     let run = |id: &str| selected.as_deref().is_none_or(|s| s == id);
+    let counts_only = args.iter().any(|a| a == "--counts");
 
     println!("probxml experiment tables (seed 0x{SEED:x})");
     println!("==========================================\n");
@@ -65,10 +71,10 @@ fn main() {
         e2_conciseness();
     }
     if run("e3") {
-        e3_query_scaling();
+        e3_query_scaling(counts_only);
     }
     if run("e4") {
-        e4_insertion_scaling();
+        e4_insertion_scaling(counts_only);
     }
     if run("e5") {
         e5_deletion_blowup();
@@ -186,20 +192,19 @@ fn e2_conciseness() {
     println!("(the lower bound column is doubly exponential in n; any representation, including prob-trees, needs that many bits on average)\n");
 }
 
-/// E3: Proposition 2 — query evaluation is PTIME on prob-trees.
-fn e3_query_scaling() {
+/// E3: Proposition 2 — query evaluation is PTIME on prob-trees. With
+/// `counts_only`, the size and answer columns alone.
+fn e3_query_scaling(counts_only: bool) {
     header("E3", "Theorem 1 / Proposition 2 — query evaluation scaling");
-    println!(
-        "{:>8} {:>10} {:>10} {:>14} {:>14} {:>10} {:>14} {:>14}",
-        "|T|",
-        "literals",
-        "answers",
-        "data tree (ms)",
-        "prepare (ms)",
-        "overhead",
-        "drain (ms)",
-        "top-10 (ms)"
-    );
+    let counts = format!("{:>8} {:>10} {:>10}", "|T|", "literals", "answers");
+    if counts_only {
+        println!("{counts}");
+    } else {
+        println!(
+            "{counts} {:>14} {:>14} {:>10} {:>14} {:>14}",
+            "data tree (ms)", "prepare (ms)", "overhead", "drain (ms)", "top-10 (ms)"
+        );
+    }
     let query = scaling_query();
     let engine = QueryEngine::new();
     let mut r = rng();
@@ -221,29 +226,45 @@ fn e3_query_scaling() {
         let start = Instant::now();
         let top = prepared.top_k(10);
         let topk_time = start.elapsed();
-        println!(
-            "{:>8} {:>10} {:>10} {:>14.3} {:>14.3} {:>9.2}x {:>14.3} {:>14.3}",
+        let counts = format!(
+            "{:>8} {:>10} {:>10}",
             nodes,
             tree.num_literals(),
-            answers.len(),
-            ms(plain_time),
-            ms(prepare_time),
-            ms(prepare_time) / ms(plain_time).max(1e-9),
-            ms(drain_time),
-            ms(topk_time)
+            answers.len()
         );
+        if counts_only {
+            println!("{counts}");
+        } else {
+            println!(
+                "{counts} {:>14.3} {:>14.3} {:>9.2}x {:>14.3} {:>14.3}",
+                ms(plain_time),
+                ms(prepare_time),
+                ms(prepare_time) / ms(plain_time).max(1e-9),
+                ms(drain_time),
+                ms(topk_time)
+            );
+        }
         let _ = (plain, top);
     }
-    println!("(prepare = match set + condition unions, paid once; drain and top-10 are served from the prepared state)\n");
+    if !counts_only {
+        println!("(prepare = match set + condition unions, paid once; drain and top-10 are served from the prepared state)");
+    }
+    println!();
 }
 
 /// E4: Proposition 2 — insertion is PTIME and output growth is linear.
-fn e4_insertion_scaling() {
+/// With `counts_only`, the size columns alone.
+fn e4_insertion_scaling(counts_only: bool) {
     header("E4", "Proposition 2 — probabilistic insertion scaling");
-    println!(
-        "{:>8} {:>12} {:>12} {:>12} {:>12}",
-        "|T|", "size before", "size after", "growth", "time (ms)"
+    let counts = format!(
+        "{:>8} {:>12} {:>12} {:>12}",
+        "|T|", "size before", "size after", "growth"
     );
+    if counts_only {
+        println!("{counts}");
+    } else {
+        println!("{counts} {:>12}", "time (ms)");
+    }
     // Raw engine: the default one would also simplify the random input,
     // and "size after" would count that cleaning beside the insertion.
     let appendix_a = UpdateEngine::with_config(UpdateEngineConfig::raw());
@@ -263,14 +284,18 @@ fn e4_insertion_scaling() {
             after >= before,
             "an insertion never shrinks the tree: {before} -> {after}"
         );
-        println!(
-            "{:>8} {:>12} {:>12} {:>12} {:>12.3}",
+        let counts = format!(
+            "{:>8} {:>12} {:>12} {:>12}",
             nodes,
             before,
             after,
-            after - before,
-            ms(elapsed)
+            after - before
         );
+        if counts_only {
+            println!("{counts}");
+        } else {
+            println!("{counts} {:>12.3}", ms(elapsed));
+        }
     }
     println!();
 }

@@ -78,6 +78,12 @@ impl ProbTree {
         &self.tree
     }
 
+    /// Builds label postings over the arena; see
+    /// [`DataTree::index_labels`].
+    pub(crate) fn index_labels(&mut self) {
+        self.tree.index_labels();
+    }
+
     /// The event table `(W, π)`.
     pub fn events(&self) -> &EventTable {
         &self.events

@@ -211,6 +211,12 @@ pub struct StepReport {
     pub entry_expansion_skipped: bool,
     /// Which part of the tree the step's simplification covered.
     pub scope: StepScope,
+    /// Data nodes the step's pattern match read: postings walked plus
+    /// candidates tested (see [`PatternQuery::matches`]). It depends on
+    /// whether the input frame carries label postings, which only a
+    /// document's frames do once [`UpdateEngine::stage_doc`] has indexed
+    /// them.
+    pub match_visited: usize,
     /// Nodes the simplification visited: cleaned or pruned, scanned as
     /// children of a parent whose sibling-cover merge ran, or interned for
     /// a shape code (0 when simplification is off or nothing matched).
@@ -270,6 +276,7 @@ impl StepReport {
             distinct_nodes_after: distinct,
             entry_expansion_skipped: false,
             scope,
+            match_visited: 0,
             simplify_visited: 0,
             delta_visited: 0,
         }
@@ -356,7 +363,7 @@ impl UpdateEngine {
             expanded = SharedProbTree::from(tree.expand());
             &expanded
         };
-        let matches = update.operation.query.matches(tree.spine().tree());
+        let (matches, match_visited) = update.operation.query.matches_counted(tree.spine().tree());
         let before = tree.memory_stats();
         let mut report = StepReport::new(
             matches.len(),
@@ -365,6 +372,7 @@ impl UpdateEngine {
             before.distinct_nodes,
             StepScope::Whole,
         );
+        report.match_visited = match_visited;
         report.entry_expansion_skipped = skipped;
         if matches.is_empty() {
             return (tree.clone(), report);
@@ -398,7 +406,7 @@ impl UpdateEngine {
     /// Either way, the step's other sizes and its census come from what
     /// it touched.
     fn run(&self, tree: &ProbTree, update: &ProbabilisticUpdate, base: Option<&Fixpoint>) -> Step {
-        let matches = update.operation.query.matches(tree.tree());
+        let (matches, match_visited) = update.operation.query.matches_counted(tree.tree());
         let (nodes_before, literals_before) = match base {
             Some(base) => (base.nodes, base.literals),
             None => {
@@ -418,6 +426,7 @@ impl UpdateEngine {
             nodes_before,
             scope,
         );
+        report.match_visited = match_visited;
         if matches.is_empty() {
             return Step {
                 tree: tree.clone(),
@@ -606,6 +615,12 @@ impl UpdateEngine {
     /// in [`UpdateDelta::node_map`](crate::UpdateDelta::node_map) — when
     /// it matched and the base frame holds more detached arena slots than
     /// live nodes.
+    ///
+    /// It is also the one place postings are built: a staged frame without
+    /// label postings gets them ([`DataTree::index_labels`]), so the next
+    /// step matches from the postings instead of scanning. That happens on
+    /// a document's first commit and on a commit that rebases; every other
+    /// step inherits its base frame's postings and links the nodes it adds.
     pub fn stage_doc(
         &self,
         doc: &crate::Document,
@@ -634,6 +649,9 @@ impl UpdateEngine {
             delta.rewritten = delta.rewritten.iter().map(|node| map[node]).collect();
             delta.node_map = Some(map);
             tree = compacted;
+        }
+        if !tree.tree().has_postings() {
+            tree.index_labels();
         }
         crate::StagedStep {
             doc: doc.id(),

@@ -1,9 +1,8 @@
 //! Event variables and their probability distribution.
 
-use std::collections::hash_map::RandomState;
 use std::fmt;
-use std::hash::BuildHasher;
 
+use pxml_tree::keyindex::{KeyIndex, Probe};
 use pxml_tree::Pages;
 
 /// Identifier of an event variable inside one [`EventTable`].
@@ -31,9 +30,6 @@ impl fmt::Display for EventId {
     }
 }
 
-/// A free bucket of the name index.
-const FREE: u32 = u32::MAX;
-
 /// The finite set of event variables `W` of a prob-tree together with its
 /// probability distribution `π : W → (0, 1]`.
 ///
@@ -43,20 +39,15 @@ const FREE: u32 = u32::MAX;
 ///
 /// Names, probabilities and the name index are copy-on-write [`Pages`]: a
 /// clone shares them with its source, and declaring an event or changing a
-/// probability copies the pages it writes. The name index is an
-/// open-addressing table of event ids, linearly probed and doubled once
-/// half full, so an insertion writes one bucket (a doubling rebuilds it).
-/// Names may come from parsed input, so the index hashes them with the
-/// standard library's randomly keyed hasher; iteration never follows it.
+/// probability copies the pages it writes. The name index is a
+/// [`KeyIndex`] of event ids keyed by the names column, so an insertion
+/// writes one bucket (a doubling re-files them all).
 #[derive(Clone, Debug, Default)]
 pub struct EventTable {
     names: Pages<String>,
     probs: Pages<f64>,
-    /// Buckets of the name index: a power of two of them (or none), at
-    /// most half holding an event id, the rest [`FREE`].
-    index: Pages<u32>,
-    /// The index's hasher, shared by every clone of the table.
-    hasher: RandomState,
+    /// Event ids by name.
+    index: KeyIndex<u32>,
 }
 
 impl EventTable {
@@ -76,46 +67,17 @@ impl EventTable {
             p > 0.0 && p <= 1.0,
             "event probability must lie in (0, 1], got {p}"
         );
-        if 2 * (self.len() + 1) > self.index.len() {
-            self.grow_index();
-        }
-        let Err(bucket) = self.find(&name) else {
+        let Probe::Vacant(at) = self
+            .index
+            .probe(&name, |id| self.names[id as usize] == name)
+        else {
             panic!("event variable named {name:?} already exists");
         };
         let id = EventId(self.names.len() as u32);
-        *self.index.make_mut(bucket) = id.0;
+        self.index.fill(at, id.0);
         self.names.push(name);
         self.probs.push(p);
         id
-    }
-
-    /// The event named `name`, or the free bucket where its probe ended.
-    /// The index must have buckets.
-    fn find(&self, name: &str) -> Result<EventId, usize> {
-        let mask = self.index.len() - 1;
-        let mut bucket = self.hasher.hash_one(name) as usize & mask;
-        loop {
-            match self.index[bucket] {
-                FREE => return Err(bucket),
-                id if self.names[id as usize] == name => return Ok(EventId(id)),
-                _ => bucket = (bucket + 1) & mask,
-            }
-        }
-    }
-
-    /// Doubles the name index (to 8 buckets at first) and re-files every
-    /// name.
-    fn grow_index(&mut self) {
-        let buckets = (2 * self.index.len()).max(8);
-        let mut index = vec![FREE; buckets];
-        for (id, name) in self.names.iter().enumerate() {
-            let mut bucket = self.hasher.hash_one(name) as usize & (buckets - 1);
-            while index[bucket] != FREE {
-                bucket = (bucket + 1) & (buckets - 1);
-            }
-            index[bucket] = id as u32;
-        }
-        self.index = index.into_iter().collect();
     }
 
     /// Registers a fresh event variable with an auto-generated name
@@ -166,10 +128,9 @@ impl EventTable {
 
     /// Looks an event up by name.
     pub fn by_name(&self, name: &str) -> Option<EventId> {
-        if self.index.is_empty() {
-            return None;
-        }
-        self.find(name).ok()
+        self.index
+            .get(name, |id| self.names[id as usize] == name)
+            .map(EventId)
     }
 
     /// Iterates over all events in insertion order.

@@ -11,9 +11,15 @@
 //! Provided here:
 //!
 //! * [`DataTree`]: an arena-backed rooted tree with index-based node
-//!   access ([`NodeId`]) and O(pages) cloning.
+//!   access ([`NodeId`]) and O(pages) cloning. A tree may carry label
+//!   postings ([`DataTree::index_labels`]): per label, its slots, linked
+//!   newest first. A document's frames carry them, so a pattern match
+//!   starts from a rare label's slots instead of scanning the tree.
 //! * [`pages`]: [`Pages`], the copy-on-write paged sequence behind the
 //!   arena and the other stores of a prob-tree frame.
+//! * [`keyindex`]: [`KeyIndex`], the copy-on-write open-addressing table
+//!   over keys stored elsewhere that indexes event names and the
+//!   postings' labels.
 //! * [`canon`]: linear-time isomorphism of unordered labeled trees via
 //!   Aho–Hopcroft–Ullman canonical codes, under both the paper's default
 //!   **multiset** semantics and the Section 5 **set** semantics.
@@ -52,6 +58,7 @@
 pub mod arena;
 pub mod builder;
 pub mod canon;
+pub mod keyindex;
 pub mod pages;
 pub mod render;
 pub mod stats;
@@ -60,9 +67,10 @@ pub mod subtree;
 #[cfg(test)]
 mod testing;
 
-pub use arena::{DataTree, NodeId};
+pub use arena::{DataTree, LabelPostings, NodeId};
 pub use builder::TreeSpec;
 pub use canon::{canonical_string, isomorphic, AnnotatedCanonInterner, Semantics};
+pub use keyindex::KeyIndex;
 pub use pages::Pages;
 pub use store::{NodeStore, ShapeId};
 pub use subtree::SubDataTree;

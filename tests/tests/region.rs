@@ -172,7 +172,9 @@ fn assert_same_delta(got: &UpdateDelta, expected: &UpdateDelta) {
     assert_same_report(&got.report, &expected.report);
 }
 
-/// Every telemetry field but the scope and its visit counters.
+/// Every telemetry field but the scope and the visit counters: the
+/// simplifier's and census's depend on the scope, the matcher's on whether
+/// the frame carries label postings.
 fn assert_same_report(got: &StepReport, expected: &StepReport) {
     let fields = |r: &StepReport| {
         (
@@ -494,6 +496,48 @@ fn ids_survive_commits_until_a_rebase() {
         }
     }
     panic!("detached slots outgrow the live nodes");
+}
+
+/// A document's frame carries label postings from its first commit on:
+/// `stage_doc` indexes a staged frame that has none, which is the first
+/// commit's and a rebased one's, and every other commit links what it
+/// adds. A commit on an indexed frame reads the postings of its rarest
+/// label, not the tree.
+#[test]
+fn a_document_indexes_its_frame_on_the_first_commit_and_on_a_rebase() {
+    let engine = UpdateEngine::new();
+    let mut tree = skeleton(50);
+    let root = tree.tree().root();
+    tree.add_child(root, "anchor", Condition::always());
+    for _ in 0..20 {
+        tree.add_child(root, "kept", Condition::always());
+    }
+    let mut doc = Document::new(tree);
+    assert!(!doc.tree().tree().has_postings());
+    let first = commit_checked(&engine, &mut doc, &delete_label("name", 1.0));
+    assert_eq!(first.report.match_visited, 122, "a scan tries every node");
+    assert!(doc.tree().tree().has_postings());
+    let second = commit_checked(&engine, &mut doc, &delete_label("service", 1.0));
+    assert!(second.node_map.is_none());
+    assert!(doc.tree().tree().has_postings());
+    // 100 of the base frame's 122 slots are detached: this commit rebases.
+    let anchored = || insert_leaf(PatternQuery::new(Some("anchor")), "leaf");
+    let rebased = commit_checked(&engine, &mut doc, &anchored());
+    assert!(rebased.node_map.is_some());
+    let frame = doc.tree().tree();
+    assert_eq!(frame.arena_len(), 23);
+    assert!(frame.has_postings(), "the rebased frame is indexed again");
+    let count = |label: &str| frame.label_postings(label).map(|postings| postings.len());
+    assert_eq!(
+        (count("service"), count("anchor"), count("leaf")),
+        (Some(0), Some(1), Some(1))
+    );
+    let next = commit_checked(&engine, &mut doc, &anchored());
+    assert_eq!(next.report.matches, 1);
+    assert_eq!(
+        next.report.match_visited, 2,
+        "one posting, one candidate root"
+    );
 }
 
 /// A whole-scope commit that rewrites and removes base nodes:
