@@ -80,27 +80,13 @@ impl ScriptAnalysis {
             .sum()
     }
 
-    /// Total predicted **logical** survivor nodes over all steps — what a
-    /// deep-copy representation would have to materialize (Theorem 3's
-    /// exponential blow-up lives here).
+    /// Total predicted survivor nodes over all steps — what
+    /// [`UpdateEngine::apply`] materializes, since it copies every
+    /// survivor deep (Theorem 3's exponential blow-up lives here).
     pub fn predicted_logical_survivor_nodes(&self) -> usize {
         self.steps
             .iter()
             .map(|s| s.forecast.logical_survivor_nodes())
-            .sum()
-    }
-
-    /// Total predicted **distinct stored** survivor nodes over all steps —
-    /// what the hash-consed representation of
-    /// [`UpdateEngine::apply_shared`] allocates without simplification.
-    /// This stays linear on the Theorem 3 family while
-    /// [`ScriptAnalysis::predicted_logical_survivor_nodes`] grows as
-    /// `1 + 2^n`; [`UpdateEngine::apply`] copies every survivor, so it
-    /// stores the logical count.
-    pub fn predicted_distinct_survivor_nodes(&self) -> usize {
-        self.steps
-            .iter()
-            .map(|s| s.forecast.distinct_survivor_nodes())
             .sum()
     }
 }
@@ -251,7 +237,7 @@ mod tests {
     use super::*;
     use pxml_core::semantics::possible_worlds;
     use pxml_core::update::UpdateOperation;
-    use pxml_core::{PatternQuery, SharedProbTree};
+    use pxml_core::PatternQuery;
     use pxml_tree::DataTree;
     use pxml_workloads::paper::{d0_deletion, theorem3_tree};
     use pxml_workloads::warehouse::{skeleton, warehouse_dtd};
@@ -310,45 +296,24 @@ mod tests {
     }
 
     #[test]
-    fn distinct_vs_logical_node_forecasts_match_the_stored_representation() {
+    fn logical_node_forecast_matches_the_deep_output() {
         use pxml_core::update::UpdateEngineConfig;
         for n in 1..=4usize {
             let tree = theorem3_tree(n);
             let script = UpdateScript::from_steps([d0_deletion(0.8)]);
-            // The shared step grafts 1 + 2^n *logical* copies of the
-            // deleted B leaf but stores its shape exactly once.
+            // The step grafts 1 + 2^n copies of the deleted B leaf.
             let engine = UpdateEngine::with_config(UpdateEngineConfig {
                 simplify: false,
                 ..UpdateEngineConfig::default()
             });
             let analysis = analyze_script(&engine, &tree, &script, None);
             assert_eq!(analysis.predicted_logical_survivor_nodes(), 1 + (1 << n));
-            assert_eq!(analysis.predicted_distinct_survivor_nodes(), 1);
-            // The forecast agrees with what the applied tree actually
-            // stores: logical-minus-distinct is exactly the node count the
-            // hash-consed representation avoided materializing.
-            let mut updated = SharedProbTree::from(tree.clone());
-            let mut reports = Vec::new();
-            for update in script.steps() {
-                let (next, report) = engine.apply_shared(&updated, update);
-                updated = next;
-                reports.push(report);
-            }
-            let stats = updated.memory_stats();
-            assert_eq!(
-                stats.logical_nodes - stats.distinct_nodes,
-                analysis.predicted_logical_survivor_nodes()
-                    - analysis.predicted_distinct_survivor_nodes()
-            );
-            assert_eq!(
-                reports[0].distinct_nodes_after, stats.distinct_nodes,
-                "the step report's distinct counter is the memory-stats one"
-            );
-            // Deep copies materialize every logical copy.
-            let (deep_out, _) = engine.apply_script(&tree, &script);
-            let deep_stats = deep_out.memory_stats();
-            assert_eq!(deep_stats.logical_nodes, deep_stats.distinct_nodes);
-            assert_eq!(deep_stats.logical_nodes, stats.logical_nodes);
+            // `apply` materializes every predicted survivor node: the
+            // output is the input without the target plus the copies.
+            let (out, report) = engine.apply_script(&tree, &script);
+            let expected = tree.num_nodes() - 1 + analysis.predicted_logical_survivor_nodes();
+            assert_eq!(out.num_nodes(), expected);
+            assert_eq!(report.steps[0].nodes_after, expected);
         }
     }
 

@@ -18,7 +18,7 @@ use pxml_core::semantics::possible_worlds;
 use pxml_core::update::{
     ProbabilisticUpdate, StepScope, UpdateEngine, UpdateEngineConfig, UpdateOperation,
 };
-use pxml_core::{Document, PatternQuery, ProbTree, SharedProbTree};
+use pxml_core::{Document, PatternQuery, ProbTree};
 use pxml_events::{Condition, Literal};
 use pxml_tree::DataTree;
 use pxml_workloads::paper::{d0_deletion, theorem3_tree};
@@ -60,8 +60,8 @@ fn bench_insertions(c: &mut Criterion) {
 /// Time doubles (at least) with every increment of n; the companion table
 /// (`tables --exp e5`) reports the output sizes. Timed on the raw engine
 /// configuration so the curve measures the Appendix A deletion itself,
-/// not the (separately benchmarked) simplification pass, with the
-/// survivor copies grafted as shared handles.
+/// every survivor copy grafted deep, not the (separately benchmarked)
+/// simplification pass.
 fn bench_theorem3_deletion(c: &mut Criterion) {
     let mut group = c.benchmark_group("e5_theorem3_deletion");
     let sizes: &[usize] = if quick() {
@@ -71,9 +71,9 @@ fn bench_theorem3_deletion(c: &mut Criterion) {
     };
     let engine = UpdateEngine::with_config(UpdateEngineConfig::raw());
     for &n in sizes {
-        let tree = SharedProbTree::from(theorem3_tree(n));
+        let tree = theorem3_tree(n);
         group.bench_with_input(BenchmarkId::from_parameter(n), &tree, |b, tree| {
-            b.iter(|| engine.apply_shared(tree, &d0_deletion(1.0)));
+            b.iter(|| engine.apply(tree, &d0_deletion(1.0)));
         });
     }
     group.finish();
@@ -216,68 +216,6 @@ fn bench_nested_target_deletion(c: &mut Criterion) {
             b.iter(|| engine.apply(tree, &update));
         });
     }
-    group.finish();
-}
-
-/// E13 — hash-consed DAG storage on the Theorem 3 deletion: at `n = 12`
-/// the confidence-c deletion produces `1 + 2^12 = 4097` **logical**
-/// survivor copies of the deleted `B` leaf, but the shared node store
-/// keeps the **distinct** stored node count linear in `n` (`n + 2`). The
-/// counters are asserted outside the timed region (in quick mode too —
-/// this is CI's dedup smoke check); the timed comparison contrasts shared
-/// grafting with deep copies at a feasible size.
-fn bench_dedup_memory(c: &mut Criterion) {
-    let engine = UpdateEngine::with_config(UpdateEngineConfig {
-        simplify: false,
-        ..UpdateEngineConfig::default()
-    });
-
-    // Counter assertions (storage, not wall-clock): distinct stays linear
-    // while the logical count blows up exponentially.
-    let n = 12usize;
-    let update = d0_deletion(0.8);
-    let (out, report) = engine.apply_shared(&SharedProbTree::from(theorem3_tree(n)), &update);
-    let stats = out.memory_stats();
-    assert_eq!(
-        stats.logical_nodes,
-        1 + n + 1 + (1usize << n),
-        "root + n C children + (1 + 2^n) B survivor copies"
-    );
-    assert_eq!(
-        stats.distinct_nodes,
-        n + 2,
-        "distinct stored nodes grow linearly in n"
-    );
-    assert_eq!(report.distinct_nodes_after, stats.distinct_nodes);
-    assert!(stats.dedup_ratio() > 100.0);
-    // Deep copies materialize every logical copy (checked at a size where
-    // 3^n-free logical grafting is still feasible).
-    let small = if quick() { 6 } else { 10 };
-    let tree = theorem3_tree(small);
-    let shared_tree = SharedProbTree::from(tree.clone());
-    let (shared_small, _) = engine.apply_shared(&shared_tree, &update);
-    let (deep_small, _) = engine.apply(&tree, &update);
-    let shared_stats = shared_small.memory_stats();
-    let deep_stats = deep_small.memory_stats();
-    assert_eq!(deep_stats.logical_nodes, deep_stats.distinct_nodes);
-    assert_eq!(deep_stats.logical_nodes, shared_stats.logical_nodes);
-    assert_eq!(
-        shared_small.to_ascii(),
-        deep_small.to_ascii(),
-        "shared and deep representations render identically"
-    );
-
-    let mut group = c.benchmark_group("e13_dedup_memory");
-    group.bench_with_input(
-        BenchmarkId::new("shared", small),
-        &shared_tree,
-        |b, tree| {
-            b.iter(|| engine.apply_shared(tree, &update));
-        },
-    );
-    group.bench_with_input(BenchmarkId::new("deep_copy", small), &tree, |b, tree| {
-        b.iter(|| engine.apply(tree, &update));
-    });
     group.finish();
 }
 
@@ -461,7 +399,7 @@ criterion_group! {
     config = config();
     targets = bench_insertions, bench_theorem3_deletion,
         bench_theorem3_insertion_contrast, bench_deletion_blowup_control,
-        bench_dedup_memory, bench_nested_target_deletion,
+        bench_nested_target_deletion,
         bench_update_scripts, bench_region_commits
 }
 criterion_main!(benches);

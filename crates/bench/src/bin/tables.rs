@@ -12,9 +12,9 @@
 //! cargo run --release -p pxml_bench --bin tables -- --exp e3 --counts
 //! ```
 //!
-//! `--counts` drops E3's and E4's timing columns, so their output is
-//! deterministic; CI diffs it against `crates/bench/tests/e3.txt` and
-//! `e4.txt`.
+//! `--counts` drops E3's, E4's and E5's timing columns, so their output
+//! is deterministic; CI diffs it against `crates/bench/tests/e3.txt`,
+//! `e4.txt` and `e5.txt`.
 
 use std::time::Instant;
 
@@ -25,7 +25,7 @@ use pxml_bench::{rng, scaling_probtree, scaling_query, SEED};
 use pxml_core::equivalence::{
     structural_equivalent_exhaustive, structural_equivalent_randomized, EquivalenceConfig,
 };
-use pxml_core::probtree::figure1_example;
+use pxml_core::probtree::{figure1_example, shape_census, ProbTree, ShapeCensus};
 use pxml_core::query::prob::query_pw_set;
 use pxml_core::query::Query;
 use pxml_core::semantics::{possible_worlds_normalized, pw_set_to_probtree};
@@ -34,7 +34,6 @@ use pxml_core::update::{ProbabilisticUpdate, UpdateEngine, UpdateEngineConfig, U
 use pxml_core::variants::FormulaProbTree;
 use pxml_core::PatternQuery;
 use pxml_core::QueryEngine;
-use pxml_core::SharedProbTree;
 use pxml_dtd::reduction::reduce_sat;
 use pxml_dtd::restriction::{
     restriction_as_probtree as dtd_restriction_as_probtree, theorem5_restriction_family,
@@ -77,7 +76,7 @@ fn main() {
         e4_insertion_scaling(counts_only);
     }
     if run("e5") {
-        e5_deletion_blowup();
+        e5_deletion_blowup(counts_only);
     }
     if run("e6") {
         e6_equivalence();
@@ -101,7 +100,7 @@ fn main() {
         e12_static_analysis();
     }
     if run("e13") {
-        e13_dedup_storage();
+        e13_shape_census();
     }
 }
 
@@ -300,46 +299,51 @@ fn e4_insertion_scaling(counts_only: bool) {
     println!();
 }
 
-/// E5: Theorem 3 — the deletion blow-up.
-fn e5_deletion_blowup() {
+/// E5: Theorem 3 — the deletion blow-up. With `counts_only`, the size
+/// and copy columns alone.
+fn e5_deletion_blowup(counts_only: bool) {
     header(
         "E5",
         "Theorem 3 — deletion d0 blow-up vs insertion on the same family",
     );
-    println!(
-        "{:>3} {:>10} | {:>12} {:>12} {:>12} | {:>12} {:>12}",
-        "n", "input size", "del. size", "B copies", "del. (ms)", "ins. size", "ins. (ms)"
+    let counts = format!(
+        "{:>3} {:>10} | {:>12} {:>12} | {:>12}",
+        "n", "input size", "del. size", "B copies", "ins. size"
     );
+    if counts_only {
+        println!("{counts}");
+    } else {
+        println!("{counts} | {:>12} {:>12}", "del. (ms)", "ins. (ms)");
+    }
     // Raw engine: this table is the Appendix A deletion curve; the
-    // simplification pass is measured separately below. Survivor copies
-    // are grafted as shared handles.
+    // simplification pass is measured separately below.
     let appendix_a = UpdateEngine::with_config(UpdateEngineConfig::raw());
     for n in [1usize, 2, 4, 6, 8, 10, 12, 14] {
         let tree = theorem3_tree(n);
-        let shared = SharedProbTree::from(tree.clone());
         let start = Instant::now();
-        let (deleted, _) = appendix_a.apply_shared(&shared, &d0_deletion(1.0));
+        let (deleted, _) = appendix_a.apply(&tree, &d0_deletion(1.0));
         let del_time = start.elapsed();
-        // Count logical occurrences through the expansion.
-        let expanded = deleted.expand();
-        let b_copies = expanded
+        let b_copies = deleted
             .tree()
             .iter()
-            .filter(|&nd| expanded.tree().label(nd) == "B")
+            .filter(|&nd| deleted.tree().label(nd) == "B")
             .count();
         let (insertion, _) = d0_insertion(1.0);
         let start = Instant::now();
         let (inserted, _) = UpdateEngine::new().apply(&tree, &insertion);
         let ins_time = start.elapsed();
-        println!(
-            "{n:>3} {:>10} | {:>12} {:>12} {:>12.3} | {:>12} {:>12.3}",
+        let counts = format!(
+            "{n:>3} {:>10} | {:>12} {:>12} | {:>12}",
             tree.size(),
             deleted.size(),
             b_copies,
-            ms(del_time),
-            inserted.size(),
-            ms(ins_time)
+            inserted.size()
         );
+        if counts_only {
+            println!("{counts}");
+        } else {
+            println!("{counts} | {:>12.3} {:>12.3}", ms(del_time), ms(ins_time));
+        }
     }
     println!("(deletion output doubles with every n — Ω(2^n) — while insertion stays linear)\n");
 
@@ -774,44 +778,43 @@ fn e12_static_analysis() {
     println!("(the census is pure arithmetic on the condition graph — no valuation is enumerated to predict the cost)\n");
 }
 
-/// E13: the hash-consed DAG store — logical vs distinct stored nodes on
-/// the Theorem 3 deletion (exponential logical copies, linear storage) and
+/// E13: the shape census — logical nodes against distinct annotated
+/// shapes ([`shape_census`]) on the Theorem 3 deletion's deep output and
 /// across a warehouse corpus (cross-document shape sharing).
-fn e13_dedup_storage() {
-    use pxml_workloads::warehouse::{corpus_stats, run_scenario, WarehouseConfig};
+fn e13_shape_census() {
+    use pxml_workloads::warehouse::{run_scenario, WarehouseConfig};
 
     header(
         "E13",
-        "Hash-consed storage — logical vs distinct stored nodes",
+        "Shape census — logical nodes vs distinct annotated shapes",
     );
+    let ratio = |census: &ShapeCensus| census.logical_nodes as f64 / census.distinct_shapes as f64;
 
     println!("d0 at confidence 0.8 on the Theorem 3 family (simplify off):");
     println!(
-        "{:>3} | {:>14} {:>14} {:>12} | {:>12}",
-        "n", "logical nodes", "distinct nodes", "shared occ.", "dedup ratio"
+        "{:>3} | {:>14} {:>14} | {:>12}",
+        "n", "logical nodes", "shapes", "ratio"
     );
     let engine = UpdateEngine::with_config(UpdateEngineConfig {
         simplify: false,
         ..UpdateEngineConfig::default()
     });
     for n in [1usize, 2, 4, 6, 8, 10, 12] {
-        let tree = SharedProbTree::from(theorem3_tree(n));
-        let (out, _) = engine.apply_shared(&tree, &d0_deletion(0.8));
-        let stats = out.memory_stats();
+        let (out, _) = engine.apply(&theorem3_tree(n), &d0_deletion(0.8));
+        let census = shape_census(&[&out]);
         println!(
-            "{n:>3} | {:>14} {:>14} {:>12} | {:>12.2}",
-            stats.logical_nodes,
-            stats.distinct_nodes,
-            stats.shared_occurrences,
-            stats.dedup_ratio()
+            "{n:>3} | {:>14} {:>14} | {:>12.2}",
+            census.logical_nodes,
+            census.distinct_shapes,
+            ratio(&census)
         );
     }
-    println!("(logical nodes grow as 1 + 2^n with the survivor copies; distinct stored nodes stay n + 2)\n");
+    println!("(logical nodes grow as 1 + 2^n with the survivor copies; each copy has its own root condition, so no two subtrees are equal and sharing equal subtrees would save nothing)\n");
 
-    println!("warehouse corpus — one shared store over d independently-extracted documents:");
+    println!("warehouse corpus — one census over d independently-extracted documents:");
     println!(
         "{:>4} | {:>14} {:>14} | {:>12}",
-        "docs", "logical nodes", "distinct nodes", "dedup ratio"
+        "docs", "logical nodes", "shapes", "ratio"
     );
     let config = WarehouseConfig {
         services: 4,
@@ -822,12 +825,13 @@ fn e13_dedup_storage() {
         .map(|seed| run_scenario(&config, &mut StdRng::seed_from_u64(SEED ^ seed)))
         .collect();
     for docs in [1usize, 2, 4, 8] {
-        let stats = corpus_stats(&warehouses[..docs]);
+        let trees: Vec<&ProbTree> = warehouses[..docs].iter().map(|w| &w.tree).collect();
+        let census = shape_census(&trees);
         println!(
             "{docs:>4} | {:>14} {:>14} | {:>12.2}",
-            stats.logical_nodes,
-            stats.distinct_nodes,
-            stats.dedup_ratio()
+            census.logical_nodes,
+            census.distinct_shapes,
+            ratio(&census)
         );
     }
     println!("(documents from the same pipeline share the skeleton and coincident fact shapes, so distinct grows sublinearly in the corpus size)\n");

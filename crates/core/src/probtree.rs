@@ -7,9 +7,9 @@
 //!
 //! [`ProbTree`] is exactly that: an arena ([`DataTree`]), an event table
 //! and one condition per annotated node. Every document frame, query,
-//! world fold and simplification works on it. The hash-consed DAG that
-//! lets an update step share its survivor copies is a separate type,
-//! [`SharedProbTree`](crate::shared::SharedProbTree).
+//! world fold, update and simplification works on it, and it stores every
+//! node, so a deletion's output has the size Theorem 3 proves it can need.
+//! [`shape_census`] counts how many of a set of trees' subtrees are equal.
 //!
 //! All three parts are copy-on-write [`Pages`]: cloning a prob-tree and
 //! dropping one cost O(pages), and an update step copies only the pages it
@@ -19,29 +19,61 @@ use std::collections::HashMap;
 
 use pxml_events::{Condition, EventTable, Valuation};
 use pxml_tree::render::to_ascii_annotated;
-use pxml_tree::{DataTree, NodeId, Pages};
+use pxml_tree::{AnnotatedCanonInterner, DataTree, NodeId, Pages};
 
-/// Memory accounting of a prob-tree representation; see
-/// [`ProbTree::memory_stats`] and
-/// [`SharedProbTree::memory_stats`](crate::shared::SharedProbTree::memory_stats).
+/// Memory accounting of a prob-tree; see [`ProbTree::memory_stats`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct MemoryStats {
-    /// Nodes of the logical tree (what [`ProbTree::num_nodes`] reports).
+    /// Nodes reachable from the root (what [`ProbTree::num_nodes`]
+    /// reports).
     pub logical_nodes: usize,
-    /// Physically stored nodes: attached arena nodes plus distinct
-    /// shapes reachable from the handles.
+    /// Stored nodes. A prob-tree stores every reachable node once, so
+    /// this equals `logical_nodes`; perfbench's `document.distinct_nodes`
+    /// counter still reads it.
     pub distinct_nodes: usize,
-    /// Literals of the logical tree ([`ProbTree::num_literals`]).
+    /// Literals of the reachable nodes ([`ProbTree::num_literals`]).
     pub logical_literals: usize,
-    /// Shared occurrences (total handle count under reachable nodes).
-    pub shared_occurrences: usize,
 }
 
-impl MemoryStats {
-    /// Logical over distinct nodes — `1.0` when nothing is shared, large
-    /// on blow-up families (e.g. ~`2^n / n` on the Appendix-A family).
-    pub fn dedup_ratio(&self) -> f64 {
-        self.logical_nodes as f64 / self.distinct_nodes.max(1) as f64
+/// Logical nodes against distinct annotated shapes over a set of
+/// prob-trees; see [`shape_census`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ShapeCensus {
+    /// Nodes reachable from the roots, summed over the trees.
+    pub logical_nodes: usize,
+    /// Distinct annotated shapes among those nodes: two nodes, in one tree
+    /// or in two, count once when they have the same label, the same
+    /// condition and the same multiset of child shapes.
+    pub distinct_shapes: usize,
+}
+
+/// Counts the distinct annotated subtree shapes of `trees` together. Each
+/// tree is walked in reverse pre-order, children before their parent, as
+/// [`CanonInterner::canonize`](pxml_tree::canon::CanonInterner::canonize)
+/// does, and every node is interned into one [`AnnotatedCanonInterner`]
+/// under its label, its condition ([`ProbTree::condition_ref`]) and its
+/// children's codes. The count says how much a store that kept equal
+/// subtrees once would save; a [`ProbTree`] stores every node.
+pub fn shape_census(trees: &[&ProbTree]) -> ShapeCensus {
+    let mut interner = AnnotatedCanonInterner::new();
+    let mut logical_nodes = 0;
+    for tree in trees {
+        let data = tree.tree();
+        let order: Vec<NodeId> = data.iter().collect();
+        let mut codes = vec![0u32; data.arena_len()];
+        for &node in order.iter().rev() {
+            let children = data.children(node).iter().map(|c| codes[c.index()]);
+            codes[node.index()] = interner.intern(
+                data.label(node),
+                tree.condition_ref(node),
+                children.collect(),
+            );
+        }
+        logical_nodes += order.len();
+    }
+    ShapeCensus {
+        logical_nodes,
+        distinct_shapes: interner.distinct_shapes(),
     }
 }
 
@@ -324,7 +356,7 @@ impl ProbTree {
     }
 
     /// Memory accounting in one walk: every node is stored once, so the
-    /// distinct count equals the logical one and nothing is shared.
+    /// distinct count equals the logical one.
     pub fn memory_stats(&self) -> MemoryStats {
         let mut nodes = 0usize;
         let mut literals = 0usize;
@@ -336,7 +368,6 @@ impl ProbTree {
             logical_nodes: nodes,
             distinct_nodes: nodes,
             logical_literals: literals,
-            shared_occurrences: 0,
         }
     }
 
@@ -544,12 +575,14 @@ mod tests {
     fn corpus_interning_dedupes_across_documents() {
         let a = figure1_example();
         let b = figure1_example();
-        let stats = crate::shared::corpus_memory_stats(&[&a, &b]);
-        assert_eq!(stats.logical_nodes, 8);
-        // Both documents collapse onto one stored shape chain: bare root
-        // A, full B, full C, full D.
-        assert_eq!(stats.distinct_nodes, 4);
-        assert!((stats.dedup_ratio() - 2.0).abs() < 1e-9);
+        // Both documents collapse onto the shapes of one: A, B, C and D.
+        assert_eq!(
+            shape_census(&[&a, &b]),
+            ShapeCensus {
+                logical_nodes: 8,
+                distinct_shapes: 4
+            }
+        );
     }
 
     #[test]

@@ -34,8 +34,7 @@ use pxml_tree::{DataTree, NodeId};
 
 use crate::document::Fixpoint;
 use crate::probtree::ProbTree;
-use crate::query::pattern::{PatternMatch, PatternNodeId, PatternQuery};
-use crate::shared::SharedProbTree;
+use crate::query::pattern::{PatternMatch, PatternNodeId};
 
 use super::script::{ScriptReport, UpdateScript};
 use super::simplify::{simplify_scoped, Census, Touched};
@@ -73,9 +72,8 @@ impl Default for UpdateEngineConfig {
 impl UpdateEngineConfig {
     /// The naive Appendix A behaviour: no simplification, no chain
     /// reordering. Kept as the measurable baseline for the blow-up
-    /// benchmarks and the simplification assertions. The representation
-    /// is the input's: [`UpdateEngine::apply`] copies survivors deep,
-    /// [`UpdateEngine::apply_shared`] grafts them as shared handles.
+    /// benchmarks and the simplification assertions: its output is the
+    /// Appendix A expansion itself, at Theorem 3's size.
     pub fn raw() -> Self {
         UpdateEngineConfig {
             simplify: false,
@@ -112,10 +110,9 @@ impl std::error::Error for SurvivorBudgetExceeded {}
 /// [`UpdateEngine::forecast`] by replaying the match grouping and
 /// survivor expansion **without mutating the tree** — no subtree is
 /// copied, no condition is attached. For deletions the per-target counts
-/// equal, exactly, the number of survivor copies
-/// [`UpdateEngine::apply`] and [`UpdateEngine::apply_shared`] will graft
-/// (property-tested against [`StepReport::survivor_copies`]); insertions
-/// never copy survivors.
+/// equal, exactly, the number of survivor copies [`UpdateEngine::apply`]
+/// will graft (property-tested against [`StepReport::survivor_copies`]);
+/// insertions never copy survivors.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DeletionForecast {
     /// Number of query matches the step will see.
@@ -138,28 +135,15 @@ impl DeletionForecast {
         self.survivors_per_target.iter().sum()
     }
 
-    /// Predicted **logical** nodes of all survivor copies together:
+    /// Predicted nodes of all survivor copies together:
     /// `Σ_targets copies · subtree size` — what [`ProbTree::num_nodes`]
-    /// will charge (exact for non-nested targets). [`UpdateEngine::apply`]
-    /// stores each of them, so this is its distinct count too.
+    /// will charge for them (exact for non-nested targets), since
+    /// [`UpdateEngine::apply`] grafts every copy as fresh arena nodes.
     pub fn logical_survivor_nodes(&self) -> usize {
         self.survivors_per_target
             .iter()
             .zip(&self.subtree_nodes_per_target)
             .map(|(copies, nodes)| copies * nodes)
-            .sum()
-    }
-
-    /// Predicted **distinct stored** nodes of all survivor copies under
-    /// [`UpdateEngine::apply_shared`] without simplification: one interned
-    /// shape chain per target that gets a copy (`Σ subtree sizes`,
-    /// independent of the copy count — a ceiling, since hash-consing may
-    /// dedupe across targets too).
-    pub fn distinct_survivor_nodes(&self) -> usize {
-        self.subtree_nodes_per_target
-            .iter()
-            .zip(&self.survivors_per_target)
-            .map(|(&nodes, &copies)| if copies == 0 { 0 } else { nodes })
             .sum()
     }
 
@@ -195,27 +179,14 @@ pub struct StepReport {
     /// and unmatched steps) — the measured counterpart of
     /// [`DeletionForecast::total_survivor_copies`].
     pub survivor_copies: usize,
-    /// Distinct stored nodes after the update, before simplification
-    /// (arena nodes plus hash-consed shapes — `nodes_raw` minus what
-    /// sharing deduped). Equals `nodes_raw` on [`UpdateEngine::apply`],
-    /// which stores every node.
-    pub distinct_nodes_raw: usize,
-    /// Distinct stored nodes after the step; equals `nodes_after` on
-    /// [`UpdateEngine::apply`].
-    pub distinct_nodes_after: usize,
-    /// Whether [`UpdateEngine::apply_shared`] kept the input's shared
-    /// children as handles instead of materializing them at entry: the
-    /// step's query labels provably cannot reach inside any stored shape,
-    /// so matching on the spine alone is exact and the input DAG stays
-    /// compact across steps. Always `false` on [`UpdateEngine::apply`].
-    pub entry_expansion_skipped: bool,
     /// Which part of the tree the step's simplification covered.
     pub scope: StepScope,
     /// Data nodes the step's pattern match read: postings walked plus
-    /// candidates tested (see [`PatternQuery::matches`]). It depends on
-    /// whether the input frame carries label postings, which only a
-    /// document's frames do once [`UpdateEngine::stage_doc`] has indexed
-    /// them.
+    /// candidates tested (see
+    /// [`PatternQuery::matches`](crate::PatternQuery::matches)). It
+    /// depends on whether the input frame carries label postings, which
+    /// only a document's frames do once [`UpdateEngine::stage_doc`] has
+    /// indexed them.
     pub match_visited: usize,
     /// Nodes the simplification visited: cleaned or pruned, scanned as
     /// children of a parent whose sibling-cover merge ran, or interned for
@@ -254,13 +225,7 @@ pub enum StepScope {
 impl StepReport {
     /// The report of a step with `matches` matches, before anything is
     /// grafted: every size is the input's.
-    fn new(
-        matches: usize,
-        nodes: usize,
-        literals: usize,
-        distinct: usize,
-        scope: StepScope,
-    ) -> Self {
+    fn new(matches: usize, nodes: usize, literals: usize, scope: StepScope) -> Self {
         StepReport {
             matches,
             targets: 0,
@@ -272,9 +237,6 @@ impl StepReport {
             nodes_after: nodes,
             literals_after: literals,
             survivor_copies: 0,
-            distinct_nodes_raw: distinct,
-            distinct_nodes_after: distinct,
-            entry_expansion_skipped: false,
             scope,
             match_visited: 0,
             simplify_visited: 0,
@@ -320,8 +282,7 @@ impl UpdateEngine {
 
     /// Applies one probabilistic update, returning the updated prob-tree
     /// and the step telemetry. Survivor copies are materialized as fresh
-    /// arena nodes; [`UpdateEngine::apply_shared`] grafts them as shared
-    /// handles instead.
+    /// arena nodes.
     pub fn apply(&self, tree: &ProbTree, update: &ProbabilisticUpdate) -> (ProbTree, StepReport) {
         let step = self.run(tree, update, None);
         let tree = if step.report.matches == 0 {
@@ -330,73 +291,6 @@ impl UpdateEngine {
             step.tree.compact().0
         };
         (tree, step.report)
-    }
-
-    /// One whole-tree step on a tree with shared children: the survivor
-    /// copies of a deletion are grafted as O(1) handles on one interned
-    /// shape chain per target, so an Appendix-A deletion stores `O(n)`
-    /// distinct nodes for its `1 + 2^n` logical copies.
-    ///
-    /// The input's shared children are materialized first when the
-    /// step's query could reach inside a stored shape (pattern matching
-    /// addresses spine nodes); when every query label is provably absent
-    /// from every reachable shape the expansion is skipped and the input
-    /// DAG stays compact ([`StepReport::entry_expansion_skipped`]).
-    ///
-    /// Only a step that does not simplify shares, since the simplifier
-    /// reads and rewrites arena nodes only: a simplifying engine returns
-    /// [`UpdateEngine::apply`] on the expansion.
-    pub fn apply_shared(
-        &self,
-        tree: &SharedProbTree,
-        update: &ProbabilisticUpdate,
-    ) -> (SharedProbTree, StepReport) {
-        if self.config.simplify {
-            let (tree, report) = self.apply(&tree.expand(), update);
-            return (SharedProbTree::from(tree), report);
-        }
-        let skipped = can_skip_entry_expansion(tree, &update.operation.query);
-        let expanded;
-        let tree = if skipped || !tree.has_shared() {
-            tree
-        } else {
-            expanded = SharedProbTree::from(tree.expand());
-            &expanded
-        };
-        let (matches, match_visited) = update.operation.query.matches_counted(tree.spine().tree());
-        let before = tree.memory_stats();
-        let mut report = StepReport::new(
-            matches.len(),
-            before.logical_nodes,
-            before.logical_literals,
-            before.distinct_nodes,
-            StepScope::Whole,
-        );
-        report.match_visited = match_visited;
-        report.entry_expansion_skipped = skipped;
-        if matches.is_empty() {
-            return (tree.clone(), report);
-        }
-        let mut out = tree.clone();
-        // A step that does not simplify runs whole-tree: `touched` goes
-        // unread.
-        let mut touched = Touched::new(0);
-        self.graft(
-            &mut out,
-            tree.spine(),
-            &matches,
-            update,
-            &mut touched,
-            &mut report,
-        );
-        let after = out.memory_stats();
-        report.nodes_raw = after.logical_nodes;
-        report.literals_raw = after.logical_literals;
-        report.distinct_nodes_raw = after.distinct_nodes;
-        report.nodes_after = after.logical_nodes;
-        report.literals_after = after.logical_literals;
-        report.distinct_nodes_after = after.distinct_nodes;
-        (out.compact(), report)
     }
 
     /// One step on `tree`. `base` is the document's record of a frame
@@ -419,13 +313,7 @@ impl UpdateEngine {
         } else {
             StepScope::Whole
         };
-        let mut report = StepReport::new(
-            matches.len(),
-            nodes_before,
-            literals_before,
-            nodes_before,
-            scope,
-        );
+        let mut report = StepReport::new(matches.len(), nodes_before, literals_before, scope);
         report.match_visited = match_visited;
         if matches.is_empty() {
             return Step {
@@ -441,7 +329,6 @@ impl UpdateEngine {
         let raw = Census::of(&out, &touched);
         report.delta_visited += raw.visited;
         (report.nodes_raw, report.literals_raw) = raw.size_after(nodes_before, literals_before);
-        report.distinct_nodes_raw = report.nodes_raw;
         let (updated, census, converged) = if self.config.simplify {
             let run = simplify_scoped(out, scope, touched);
             report.simplify_visited = run.visited;
@@ -452,7 +339,6 @@ impl UpdateEngine {
         };
         (report.nodes_after, report.literals_after) =
             census.size_after(nodes_before, literals_before);
-        report.distinct_nodes_after = report.nodes_after;
         Step {
             tree: updated,
             report,
@@ -464,17 +350,17 @@ impl UpdateEngine {
     /// Grafts one matched step into `out`, a copy of `original`: declares
     /// the fresh confidence event, runs the insertion or deletion, and
     /// records the event, targets and survivor copies in `report`.
-    fn graft<T: StepTree>(
+    fn graft(
         &self,
-        out: &mut T,
+        out: &mut ProbTree,
         original: &ProbTree,
         matches: &[PatternMatch],
         update: &ProbabilisticUpdate,
         touched: &mut Touched,
         report: &mut StepReport,
     ) {
-        let new_event = (update.confidence < 1.0)
-            .then(|| out.spine_mut().events_mut().fresh(update.confidence));
+        let new_event =
+            (update.confidence < 1.0).then(|| out.events_mut().fresh(update.confidence));
         report.new_event = new_event;
         match &update.operation.action {
             UpdateAction::Insert { at, subtree } => {
@@ -665,7 +551,7 @@ impl UpdateEngine {
     /// Appendix A insertion: one grafted copy of `subtree` per match.
     /// Returns the number of distinct insertion parents.
     fn apply_insertion(
-        out: &mut impl StepTree,
+        out: &mut ProbTree,
         original: &ProbTree,
         matches: &[PatternMatch],
         at: PatternNodeId,
@@ -701,7 +587,7 @@ impl UpdateEngine {
     /// total number of survivor copies grafted.
     fn apply_deletion(
         &self,
-        out: &mut impl StepTree,
+        out: &mut ProbTree,
         original: &ProbTree,
         matches: &[PatternMatch],
         at: PatternNodeId,
@@ -716,18 +602,16 @@ impl UpdateEngine {
             let survivor_disjuncts =
                 self.expand_survivors(&by_target[&target], self.config.shared_first_chains);
             survivor_copies += survivor_disjuncts.len();
-            let spine = out.spine();
-            let gamma_target = spine.condition(target);
-            let parent = spine
+            let gamma_target = out.condition(target);
+            let parent = out
                 .tree()
                 .parent(target)
                 .expect("non-root node has a parent");
-            let root_conditions: Vec<Condition> = survivor_disjuncts
-                .iter()
-                .map(|disjunct| gamma_target.and(disjunct))
-                .collect();
-            out.graft_copies(parent, target, &root_conditions, touched);
-            out.spine_mut().detach(target);
+            for disjunct in &survivor_disjuncts {
+                let copy = out.duplicate_subtree_deep(parent, target, gamma_target.and(disjunct));
+                touched.grafted.push(copy);
+            }
+            out.detach(target);
             touched.detached.push((parent, target));
         }
         (targets.len(), survivor_copies)
@@ -793,106 +677,6 @@ struct Step {
     /// Whether simplification ran and converged; `None` when it did not
     /// run.
     converged: Option<bool>,
-}
-
-/// The representation an update step writes into: a [`ProbTree`] copies
-/// every survivor deep, a [`SharedProbTree`] grafts one handle per copy.
-/// Insertion and deletion are written once over this trait.
-trait StepTree {
-    /// The arena nodes the step matched on.
-    fn spine(&self) -> &ProbTree;
-    /// The spine, to declare events and detach nodes.
-    fn spine_mut(&mut self) -> &mut ProbTree;
-    /// Grafts a copy of `subtree` under `parent`; see
-    /// [`ProbTree::graft_data_tree`].
-    fn graft_data_tree(&mut self, parent: NodeId, subtree: &DataTree, root: Condition) -> NodeId;
-    /// One copy of the subtree at `node` under `parent` per root
-    /// condition, with the roots of the arena copies recorded in
-    /// `touched`.
-    fn graft_copies(
-        &mut self,
-        parent: NodeId,
-        node: NodeId,
-        roots: &[Condition],
-        touched: &mut Touched,
-    );
-}
-
-impl StepTree for ProbTree {
-    fn spine(&self) -> &ProbTree {
-        self
-    }
-
-    fn spine_mut(&mut self) -> &mut ProbTree {
-        self
-    }
-
-    fn graft_data_tree(&mut self, parent: NodeId, subtree: &DataTree, root: Condition) -> NodeId {
-        ProbTree::graft_data_tree(self, parent, subtree, root)
-    }
-
-    fn graft_copies(
-        &mut self,
-        parent: NodeId,
-        node: NodeId,
-        roots: &[Condition],
-        touched: &mut Touched,
-    ) {
-        for root in roots {
-            let copy = self.duplicate_subtree_deep(parent, node, root.clone());
-            touched.grafted.push(copy);
-        }
-    }
-}
-
-impl StepTree for SharedProbTree {
-    fn spine(&self) -> &ProbTree {
-        SharedProbTree::spine(self)
-    }
-
-    fn spine_mut(&mut self) -> &mut ProbTree {
-        SharedProbTree::spine_mut(self)
-    }
-
-    fn graft_data_tree(&mut self, parent: NodeId, subtree: &DataTree, root: Condition) -> NodeId {
-        SharedProbTree::graft_data_tree(self, parent, subtree, root)
-    }
-
-    fn graft_copies(&mut self, parent: NodeId, node: NodeId, roots: &[Condition], _: &mut Touched) {
-        // One interned shape chain, one O(1) handle per copy.
-        self.duplicate_subtree_n(parent, node, roots);
-    }
-}
-
-/// `true` when spine-only matching of `query` on `tree` is exact — the
-/// tree has shared children, every query node carries a concrete label
-/// (a wildcard could bind nodes a stored shape would contribute), and no
-/// query label occurs anywhere in a shape reachable from the tree's
-/// handles. Pattern matches then bind spine nodes only, and ancestor
-/// relations among spine nodes are unchanged by expansion, so the match
-/// sets on the spine and on the expanded tree coincide.
-fn can_skip_entry_expansion(tree: &SharedProbTree, query: &PatternQuery) -> bool {
-    if !tree.has_shared() {
-        // Nothing to skip.
-        return false;
-    }
-    let mut labels: Vec<&str> = Vec::with_capacity(query.len());
-    for i in 0..query.len() {
-        match query.label(PatternNodeId(i)) {
-            None => return false,
-            Some(label) => labels.push(label),
-        }
-    }
-    let store = tree.store();
-    let roots = tree
-        .spine()
-        .tree()
-        .iter()
-        .flat_map(|n| tree.shared_children(n).iter().map(|sc| sc.shape));
-    store
-        .reachable_from(roots)
-        .iter()
-        .all(|&shape| !labels.contains(&store.label(shape)))
 }
 
 /// Groups the per-match deletion conditions by target node (shared by
@@ -1121,14 +905,6 @@ mod tests {
         assert_eq!(b(&raw_out), 81, "naive chain product: 3^4");
         assert_eq!(b(&ordered_out), 17, "shared-first: 1 + 2^4");
         assert!(ordered_out.size() < raw_out.size());
-        // The shared representation stores the survivor shape once.
-        let (shared_out, _) = ordered.apply_shared(&SharedProbTree::from(tree), &update);
-        let shared_stats = shared_out.memory_stats();
-        assert_eq!(shared_stats.logical_nodes, ordered_out.num_nodes());
-        assert!(
-            shared_stats.distinct_nodes < shared_stats.logical_nodes,
-            "hash-consing must dedupe the 17 survivor copies: {shared_stats:?}"
-        );
     }
 
     /// … and the simplification pass recovers the same reduction from the

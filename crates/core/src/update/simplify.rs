@@ -587,15 +587,15 @@ fn merge_candidates(tree: &ProbTree, children: &[NodeId]) -> Vec<NodeId> {
 }
 
 /// Shape codes of subtrees, interned on demand over the
-/// [`AnnotatedCanonInterner`] of `pxml_tree` (this is its one user). The
-/// annotations follow the [`pxml_tree::NodeStore`] convention: inner nodes
-/// intern under `Some(γ)`, the node itself under `None` (the *bare*
-/// variant). Two nodes share a full code iff their subtrees are identical
-/// including every condition, and share a bare code iff they are
-/// identical except for their own root condition — which is what the
-/// merge rewrites, so candidates are grouped by bare code. Full codes are
-/// memoized for one sweep, during which a node's subtree only changes
-/// after its parent's merge ran.
+/// [`AnnotatedCanonInterner`] of `pxml_tree`. A full code interns every
+/// node of the subtree under `Some(γ)` (`Some(⊤)` for the empty
+/// condition); a *bare* code interns the node itself under `None`, so the
+/// two kinds never collide. Two nodes share a full code iff their
+/// subtrees are identical including every condition, and share a bare
+/// code iff they are identical except for their own root condition —
+/// which is what the merge rewrites, so candidates are grouped by bare
+/// code. Full codes are memoized for one sweep, during which a node's
+/// subtree only changes after its parent's merge ran.
 #[derive(Default)]
 struct ShapeCodes {
     interner: AnnotatedCanonInterner<Condition>,

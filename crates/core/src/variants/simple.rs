@@ -76,12 +76,6 @@ impl SimpleProbTree {
         }
         out
     }
-
-    /// Number of uncertain nodes (= number of event variables the
-    /// embedding uses).
-    pub fn num_uncertain(&self) -> usize {
-        self.probabilities.len()
-    }
 }
 
 /// Decides whether a (normalized) PW set is expressible in the simple
@@ -182,7 +176,6 @@ mod tests {
         let root = s.tree().root();
         s.add_child(root, "B", 0.5);
         s.add_child(root, "C", 1.0);
-        assert_eq!(s.num_uncertain(), 1);
         let probtree = s.to_probtree();
         assert_eq!(probtree.events().len(), 1);
         let pw = possible_worlds(&probtree, 20).unwrap().normalized();

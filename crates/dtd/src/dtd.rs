@@ -96,11 +96,6 @@ impl Dtd {
         )
     }
 
-    /// Iterates over the constrained parent labels.
-    pub fn constrained_labels(&self) -> impl Iterator<Item = &str> {
-        self.rules.keys().map(String::as_str)
-    }
-
     /// Iterates over the child constraints declared for one parent label.
     pub fn child_rules(&self, parent_label: &str) -> impl Iterator<Item = (&str, ChildConstraint)> {
         self.rules
@@ -172,7 +167,6 @@ mod tests {
             .constrain("A", "C", ChildConstraint::at_least(0))
             .constrain("B", "D", ChildConstraint::between(0, 5));
         assert_eq!(dtd.len(), 3);
-        assert_eq!(dtd.constrained_labels().count(), 2);
         assert_eq!(dtd.child_rules("A").count(), 2);
     }
 }

@@ -229,12 +229,6 @@ impl Condition {
         }
     }
 
-    /// `true` if every literal of `self` appears in `other` (so `other`
-    /// logically implies `self`, both being conjunctions).
-    pub fn subset_of(&self, other: &Condition) -> bool {
-        self.literals.iter().all(|l| other.literals.contains(l))
-    }
-
     /// Whether the condition contains exactly this literal (same event and
     /// polarity).
     pub fn contains(&self, literal: Literal) -> bool {
@@ -453,8 +447,6 @@ mod tests {
         let b = Condition::from_literals([Literal::neg(w2), Literal::pos(w3)]);
         let ab = a.and(&b);
         assert_eq!(ab.len(), 3);
-        assert!(a.subset_of(&ab));
-        assert!(b.subset_of(&ab));
         let diff = ab.minus(&a);
         assert_eq!(diff, Condition::of(Literal::pos(w3)));
     }

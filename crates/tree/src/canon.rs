@@ -81,8 +81,9 @@ impl CanonInterner {
 }
 
 /// [`CanonInterner`] generalized to trees whose nodes carry an annotation
-/// of type `A` alongside the label (the prob-tree simplifier, its one
-/// user, interns node conditions to group mergeable siblings).
+/// of type `A` alongside the label. Prob-trees intern node conditions with
+/// it: the simplifier to group mergeable siblings, and
+/// `pxml_core::probtree::shape_census` to count equal subtrees.
 ///
 /// Two shapes receive the same code iff they have the same label, equal
 /// annotations (`Option<A>` — `None` distinguishes "no annotation" from

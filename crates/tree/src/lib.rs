@@ -23,6 +23,8 @@
 //! * [`canon`]: linear-time isomorphism of unordered labeled trees via
 //!   Aho–Hopcroft–Ullman canonical codes, under both the paper's default
 //!   **multiset** semantics and the Section 5 **set** semantics.
+//!   [`AnnotatedCanonInterner`] codes trees whose nodes carry an
+//!   annotation too; prob-trees intern node conditions with it.
 //! * [`subtree`]: *sub-datatrees* (Definition 5) — root-preserving,
 //!   parent-closed node subsets — which are the result form of the paper's
 //!   locally monotone queries.
@@ -31,9 +33,6 @@
 //! * [`render`]: human-readable ASCII rendering.
 //! * [`stats`]: size/shape statistics and the counting sequence of rooted
 //!   unordered trees used by Proposition 1.
-//! * [`store`]: a hash-consed [`NodeStore`] of annotated subtree shapes —
-//!   the DAG backing that lets equal subtrees be physically shared across
-//!   copies and documents.
 //!
 //! ```
 //! use pxml_tree::{DataTree, canon::{isomorphic, Semantics}};
@@ -62,7 +61,6 @@ pub mod keyindex;
 pub mod pages;
 pub mod render;
 pub mod stats;
-pub mod store;
 pub mod subtree;
 #[cfg(test)]
 mod testing;
@@ -72,5 +70,4 @@ pub use builder::TreeSpec;
 pub use canon::{canonical_string, isomorphic, AnnotatedCanonInterner, Semantics};
 pub use keyindex::KeyIndex;
 pub use pages::Pages;
-pub use store::{NodeStore, ShapeId};
 pub use subtree::SubDataTree;

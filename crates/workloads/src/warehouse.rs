@@ -202,18 +202,6 @@ pub fn analyze(warehouse: &Warehouse, k: usize, min_confidence: f64) -> Warehous
     }
 }
 
-/// Cross-document storage census of a warehouse corpus: every document is
-/// interned into one fresh shared [`pxml_tree::NodeStore`], so equal
-/// subtrees — the skeleton services, and facts claimed by the same
-/// extractor across documents — are counted once. The returned
-/// [`pxml_core::probtree::MemoryStats`] compares the corpus's logical node
-/// count with the distinct stored shapes
-/// ([`pxml_core::probtree::MemoryStats::dedup_ratio`]).
-pub fn corpus_stats(warehouses: &[Warehouse]) -> pxml_core::probtree::MemoryStats {
-    let docs: Vec<&ProbTree> = warehouses.iter().map(|w| &w.tree).collect();
-    pxml_core::shared::corpus_memory_stats(&docs)
-}
-
 /// The outcome of [`analyze`]: ranked views over one prepared query.
 #[derive(Clone, Debug)]
 pub struct WarehouseAnalysis {
@@ -234,6 +222,7 @@ pub struct WarehouseAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pxml_core::probtree::shape_census;
     use pxml_core::update::StepReport;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -385,26 +374,28 @@ mod tests {
             extraction_rounds: 6,
             deletion_ratio: 0.0,
         };
+        let corpus = |warehouses: &[Warehouse]| {
+            shape_census(&warehouses.iter().map(|w| &w.tree).collect::<Vec<_>>())
+        };
         // Three identical pipeline runs: every subtree of each document
-        // recurs in the other two, so the corpus stores one copy.
+        // recurs in the other two, so the corpus adds no shape.
         let warehouses: Vec<Warehouse> = (0..3)
             .map(|_| run_scenario(&config, &mut StdRng::seed_from_u64(42)))
             .collect();
-        let single = corpus_stats(&warehouses[..1]);
-        let corpus = corpus_stats(&warehouses);
-        assert_eq!(corpus.logical_nodes, 3 * single.logical_nodes);
+        let single = corpus(&warehouses[..1]);
+        let identical = corpus(&warehouses);
+        assert_eq!(identical.logical_nodes, 3 * single.logical_nodes);
         assert_eq!(
-            corpus.distinct_nodes, single.distinct_nodes,
-            "identical documents must not add distinct stored nodes"
+            identical.distinct_shapes, single.distinct_shapes,
+            "identical documents must add no shape"
         );
-        assert!(corpus.dedup_ratio() > 2.0 * single.dedup_ratio());
         // Differently-seeded runs still share the skeleton and any facts
         // drawn alike, so the corpus stays below the logical sum.
         let mixed: Vec<Warehouse> = (0..3)
             .map(|seed| run_scenario(&config, &mut StdRng::seed_from_u64(seed)))
             .collect();
-        let mixed_stats = corpus_stats(&mixed);
-        assert!(mixed_stats.distinct_nodes < mixed_stats.logical_nodes);
+        let mixed = corpus(&mixed);
+        assert!(mixed.distinct_shapes < mixed.logical_nodes);
     }
 
     #[test]

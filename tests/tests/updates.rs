@@ -2,10 +2,13 @@
 //! with the possible-world semantics (`UpdateEngine::apply` ≡
 //! `apply_to_pw_set`, the Appendix A consistency statement), including the
 //! nested-target and multi-match-same-target cases the pre-engine code got
-//! wrong, and the output must be run-to-run deterministic.
+//! wrong, and the output must be run-to-run deterministic. The Theorem 3
+//! deletion keeps every survivor copy, and the shape census finds no two
+//! of its subtrees equal.
 
 use proptest::prelude::*;
 
+use pxml_core::probtree::shape_census;
 use pxml_core::semantics::possible_worlds;
 use pxml_core::update::{
     ProbabilisticUpdate, UpdateEngine, UpdateEngineConfig, UpdateOperation, UpdateScript,
@@ -14,6 +17,7 @@ use pxml_core::{PatternQuery, ProbTree};
 use pxml_events::{Condition, EventId, Literal};
 use pxml_tree::builder::TreeSpec;
 use pxml_tree::DataTree;
+use pxml_workloads::paper::{d0_deletion, theorem3_tree};
 
 // ---------------------------------------------------------------------------
 // Strategies
@@ -285,4 +289,106 @@ fn multi_match_nested_target_regression() {
         .apply_to_pw_set(&possible_worlds(&t, 16).unwrap())
         .normalized();
     assert!(direct.isomorphic(&via_pw), "\n{}", updated.to_ascii());
+}
+
+// ---------------------------------------------------------------------------
+// Theorem 3 on the deep path, and the shape census
+// ---------------------------------------------------------------------------
+
+/// An engine that does not simplify but orders its chains shared-first,
+/// so a confidence-0.8 `d0` deletion grafts `1 + 2^n` survivor copies.
+fn raw_step() -> UpdateEngine {
+    UpdateEngine::with_config(UpdateEngineConfig {
+        simplify: false,
+        ..UpdateEngineConfig::default()
+    })
+}
+
+/// Counts the `B` nodes of `tree`: the survivor copies of the deleted leaf.
+fn b_copies(tree: &ProbTree) -> usize {
+    tree.tree()
+        .iter()
+        .filter(|&node| tree.tree().label(node) == "B")
+        .count()
+}
+
+/// `d0` at confidence 0.8 on the Theorem 3 family copies the deleted `B`
+/// leaf `1 + 2^n` times, each copy deep: every logical node is a stored
+/// node, so the output stores the root, the `n` `C` children and every
+/// copy — the `O(2^n)` space the complexity table quotes.
+#[test]
+fn theorem3_deletion_copies_every_survivor_deep() {
+    let n = 8;
+    let (out, report) = raw_step().apply(&theorem3_tree(n), &d0_deletion(0.8));
+    let stats = out.memory_stats();
+    assert_eq!(stats.logical_nodes, stats.distinct_nodes);
+    assert_eq!(stats.distinct_nodes, 1 + n + 1 + (1usize << n));
+    assert_eq!(report.nodes_after, out.num_nodes());
+    assert_eq!(b_copies(&out), 1 + (1usize << n));
+}
+
+/// At `n = 12` the deletion's output spells out all `1 + 2^n` survivor
+/// copies of `B`: 4 110 nodes, each counted by the step report.
+#[test]
+fn theorem3_deletion_at_n_12_spells_out_every_survivor() {
+    let n = 12;
+    let (out, report) = raw_step().apply(&theorem3_tree(n), &d0_deletion(0.8));
+    let copies = 1 + (1usize << n);
+    assert_eq!(report.survivor_copies, copies);
+    assert_eq!(b_copies(&out), copies);
+    assert_eq!(out.num_nodes(), 1 + n + copies);
+    assert_eq!(out.num_nodes(), 4_110);
+}
+
+/// Across `n`, the deletion's output doubles its survivor copies with
+/// every further `C` child.
+#[test]
+fn theorem3_survivor_copies_double_with_n() {
+    let mut previous: Option<usize> = None;
+    for n in 1..=12 {
+        let (out, report) = raw_step().apply(&theorem3_tree(n), &d0_deletion(0.8));
+        let copies = 1 + (1usize << n);
+        assert_eq!(report.survivor_copies, copies, "n = {n}");
+        assert_eq!(out.num_nodes(), 1 + n + copies, "n = {n}");
+        if let Some(previous) = previous {
+            assert_eq!(
+                out.num_nodes() - (n + 2),
+                2 * (previous - (n + 1)),
+                "survivor copies must double with n"
+            );
+        }
+        previous = Some(out.num_nodes());
+    }
+}
+
+/// Before it simplifies, a deletion's tree is its input without the
+/// target plus every survivor node the forecast predicts: 22 = 5 + 17 at
+/// `n = 4` on the default engine.
+#[test]
+fn raw_size_is_the_input_plus_the_forecast_survivor_nodes() {
+    let tree = theorem3_tree(4);
+    let update = d0_deletion(0.8);
+    let engine = UpdateEngine::new();
+    let (_, report) = engine.apply(&tree, &update);
+    let forecast = engine.forecast(&tree, &update);
+    assert_eq!(forecast.logical_survivor_nodes(), 17);
+    assert_eq!(report.nodes_raw, 22);
+    assert_eq!(
+        report.nodes_raw,
+        tree.num_nodes() - 1 + forecast.logical_survivor_nodes()
+    );
+}
+
+/// The Theorem 3 deletion's output has no two equal subtrees: every
+/// survivor copy carries its own root condition, so the shape census
+/// finds as many distinct shapes as nodes.
+#[test]
+fn shape_census_of_the_theorem3_deletion_counts_every_node() {
+    for n in 1..=12 {
+        let (out, _) = raw_step().apply(&theorem3_tree(n), &d0_deletion(0.8));
+        let nodes = 1 + n + 1 + (1usize << n);
+        let census = shape_census(&[&out]);
+        assert_eq!(census.logical_nodes, nodes, "n = {n}");
+        assert_eq!(census.distinct_shapes, nodes, "n = {n}");
+    }
 }
