@@ -12,9 +12,11 @@
 //! cargo run --release -p pxml_bench --bin tables -- --exp e3 --counts
 //! ```
 //!
-//! `--counts` drops E3's, E4's and E5's timing columns, so their output
-//! is deterministic; CI diffs it against `crates/bench/tests/e3.txt`,
-//! `e4.txt` and `e5.txt`.
+//! `--counts` drops the timing columns of E2, E3, E4, E5, E7 and E9, so
+//! their output is deterministic; CI diffs it against
+//! `crates/bench/tests/e2.txt`, `e3.txt`, `e4.txt`, `e5.txt`, `e7.txt` and
+//! `e9.txt`. E1 and E13 print no timing column and are diffed whole
+//! (`e1.txt`, `e13.txt`).
 
 use std::time::Instant;
 
@@ -67,7 +69,7 @@ fn main() {
         e1_figure1();
     }
     if run("e2") {
-        e2_conciseness();
+        e2_conciseness(counts_only);
     }
     if run("e3") {
         e3_query_scaling(counts_only);
@@ -82,13 +84,13 @@ fn main() {
         e6_equivalence();
     }
     if run("e7") {
-        e7_threshold();
+        e7_threshold(counts_only);
     }
     if run("e8") {
         e8_dtd_satisfiability();
     }
     if run("e9") {
-        e9_dtd_restriction();
+        e9_dtd_restriction(counts_only);
     }
     if run("e10") {
         e10_formula_variant();
@@ -120,6 +122,7 @@ fn e1_figure1() {
     let worlds = possible_worlds_normalized(&tree, 20).unwrap();
     println!("{:>10}  {:<30}", "p", "world (node labels)");
     for (world, p) in worlds.iter() {
+        let world = world.to_tree();
         let labels: Vec<&str> = world.iter().map(|n| world.label(n)).collect();
         println!("{p:>10.2}  {labels:?}");
     }
@@ -145,16 +148,22 @@ fn e1_figure1() {
     println!();
 }
 
-/// E2: Proposition 1 — conciseness limits of any representation.
-fn e2_conciseness() {
+/// E2: Proposition 1 — conciseness limits of any representation. With
+/// `counts_only`, the bound and size columns alone.
+fn e2_conciseness(counts_only: bool) {
     header(
         "E2",
         "Proposition 1 — size of PW-set encodings and the counting lower bound",
     );
-    println!(
-        "{:>3} {:>28} | {:>8} {:>14} {:>12}",
-        "n", "bit lower bound (= #trees<=n)", "#worlds", "probtree size", "build (ms)"
+    let counts = format!(
+        "{:>3} {:>28} | {:>8} {:>14}",
+        "n", "bit lower bound (= #trees<=n)", "#worlds", "probtree size"
     );
+    if counts_only {
+        println!("{counts}");
+    } else {
+        println!("{counts} {:>12}", "build (ms)");
+    }
     let cumulative = rooted_tree_counts_cumulative(16);
     for n in [2usize, 4, 6, 8, 10, 12, 14, 16] {
         // Counting side (the lower bound of Proposition 1): the number of
@@ -181,12 +190,16 @@ fn e2_conciseness() {
         let start = Instant::now();
         let probtree = pw_set_to_probtree(&pw).unwrap();
         let elapsed = start.elapsed();
-        println!(
-            "{n:>3} {bits:>28} | {:>8} {:>14} {:>12.3}",
+        let counts = format!(
+            "{n:>3} {bits:>28} | {:>8} {:>14}",
             pw.len(),
-            probtree.size(),
-            ms(elapsed)
+            probtree.size()
         );
+        if counts_only {
+            println!("{counts}");
+        } else {
+            println!("{counts} {:>12.3}", ms(elapsed));
+        }
     }
     println!("(the lower bound column is doubly exponential in n; any representation, including prob-trees, needs that many bits on average)\n");
 }
@@ -518,16 +531,22 @@ fn e6_equivalence() {
     println!();
 }
 
-/// E7: Theorem 4 — threshold restriction blow-up.
-fn e7_threshold() {
+/// E7: Theorem 4 — threshold restriction blow-up. With `counts_only`,
+/// the size, world and mass columns alone.
+fn e7_threshold(counts_only: bool) {
     header(
         "E7",
         "Theorem 4 — threshold restriction on the 2n-children family",
     );
-    println!(
-        "{:>3} {:>6} {:>12} | {:>10} {:>14} {:>14} {:>12}",
-        "n", "|W|", "input size", "worlds>=p", "restr. mass", "probtree size", "time (ms)"
+    let counts = format!(
+        "{:>3} {:>6} {:>12} | {:>10} {:>14} {:>14}",
+        "n", "|W|", "input size", "worlds>=p", "restr. mass", "probtree size"
     );
+    if counts_only {
+        println!("{counts}");
+    } else {
+        println!("{counts} {:>12}", "time (ms)");
+    }
     for n in [1usize, 2, 3, 4, 5] {
         let tree = theorem4_tree(n);
         let threshold = theorem4_world_probability(n);
@@ -537,15 +556,19 @@ fn e7_threshold() {
             .unwrap()
             .unwrap();
         let elapsed = start.elapsed();
-        println!(
-            "{n:>3} {:>6} {:>12} | {:>10} {:>14.4} {:>14} {:>12.3}",
+        let counts = format!(
+            "{n:>3} {:>6} {:>12} | {:>10} {:>14.4} {:>14}",
             2 * n,
             tree.size(),
             restriction.worlds.len(),
             restriction.retained_mass,
-            rep.size(),
-            ms(elapsed)
+            rep.size()
         );
+        if counts_only {
+            println!("{counts}");
+        } else {
+            println!("{counts} {:>12.3}", ms(elapsed));
+        }
     }
     println!("(the input grows linearly in n, the restriction representation exponentially)\n");
 }
@@ -602,16 +625,22 @@ fn e8_dtd_satisfiability() {
     println!();
 }
 
-/// E9: Theorem 5 (3) — DTD restriction blow-up.
-fn e9_dtd_restriction() {
+/// E9: Theorem 5 (3) — DTD restriction blow-up. With `counts_only`, the
+/// size and world columns alone.
+fn e9_dtd_restriction(counts_only: bool) {
     header(
         "E9",
         "Theorem 5 (3) — DTD restriction on the ≤ n-of-2n family",
     );
-    println!(
-        "{:>3} {:>6} {:>12} | {:>12} {:>14} {:>12}",
-        "n", "|W|", "input size", "valid worlds", "probtree size", "time (ms)"
+    let counts = format!(
+        "{:>3} {:>6} {:>12} | {:>12} {:>14}",
+        "n", "|W|", "input size", "valid worlds", "probtree size"
     );
+    if counts_only {
+        println!("{counts}");
+    } else {
+        println!("{counts} {:>12}", "time (ms)");
+    }
     for n in [1usize, 2, 3, 4, 5] {
         let (tree, dtd) = theorem5_restriction_family(n);
         let start = Instant::now();
@@ -620,14 +649,18 @@ fn e9_dtd_restriction() {
             .unwrap()
             .unwrap();
         let elapsed = start.elapsed();
-        println!(
-            "{n:>3} {:>6} {:>12} | {:>12} {:>14} {:>12.3}",
+        let counts = format!(
+            "{n:>3} {:>6} {:>12} | {:>12} {:>14}",
             2 * n,
             tree.size(),
             restriction.worlds.len(),
-            rep.size(),
-            ms(elapsed)
+            rep.size()
         );
+        if counts_only {
+            println!("{counts}");
+        } else {
+            println!("{counts} {:>12.3}", ms(elapsed));
+        }
     }
     println!();
 }

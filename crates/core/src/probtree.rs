@@ -203,49 +203,55 @@ impl ProbTree {
         new_root
     }
 
-    /// One deep copy of the subtree rooted at `node` under `parent`, with
-    /// its root condition replaced by `root_condition`: the copy is
-    /// materialized as fresh arena nodes and its root id is returned.
-    /// Update deletions and the sibling-cover merge copy this way.
+    /// Deep copies of the subtree rooted at `node` under `parent`, one for
+    /// each of `root_conditions`, in order: copy `i` carries
+    /// `root_conditions[i]` on its root, and its arena nodes follow those of
+    /// copy `i - 1`. The subtree is read once, before the first copy, so
+    /// every copy replicates it as it was when the call began. The roots
+    /// of the copies are returned in order. Update deletions and the
+    /// sibling-cover merge copy this way, each once per template.
     pub fn duplicate_subtree_deep(
         &mut self,
         parent: NodeId,
         node: NodeId,
-        root_condition: Condition,
-    ) -> NodeId {
-        // Snapshot the subtree before mutating: `descendants` is a DFS
-        // pre-order, so every node appears after its parent.
-        let nodes: Vec<NodeId> = self.tree.descendants(node);
-        let snapshot: Vec<(NodeId, Option<NodeId>, String, Condition)> = nodes
+        root_conditions: impl IntoIterator<Item = Condition>,
+    ) -> Vec<NodeId> {
+        // `descendants` is a DFS pre-order, so every node appears after its
+        // parent, whose position in the list each entry records.
+        let nodes = self.tree.descendants(node);
+        let position: HashMap<NodeId, usize> =
+            nodes.iter().enumerate().map(|(i, &n)| (n, i)).collect();
+        let template: Vec<(usize, String, Option<Condition>)> = nodes
             .iter()
             .map(|&n| {
+                let up = self.tree.parent(n).and_then(|p| position.get(&p).copied());
                 (
-                    n,
-                    self.tree.parent(n),
+                    up.unwrap_or(0),
                     self.tree.label(n).to_string(),
-                    self.condition(n),
+                    self.condition_ref(n).cloned(),
                 )
             })
             .collect();
-        let mut mapping: HashMap<NodeId, NodeId> = HashMap::with_capacity(snapshot.len());
-        let mut new_root = parent; // overwritten by the first iteration
-        for (old, old_parent, label, condition) in snapshot {
-            let (new_parent, condition) = if old == node {
-                (parent, root_condition.clone())
-            } else {
-                let p = old_parent.expect("non-root subtree nodes have a parent");
-                (mapping[&p], condition)
-            };
-            let new = self.tree.add_child(new_parent, label);
-            if !condition.is_empty() {
-                self.store_condition(new, condition);
-            }
-            mapping.insert(old, new);
-            if old == node {
-                new_root = new;
-            }
-        }
-        new_root
+        let mut copy: Vec<NodeId> = Vec::with_capacity(template.len());
+        root_conditions
+            .into_iter()
+            .map(|root_condition| {
+                copy.clear();
+                for (i, (up, label, condition)) in template.iter().enumerate() {
+                    let (under, condition) = if i == 0 {
+                        (parent, Some(&root_condition))
+                    } else {
+                        (copy[*up], condition.as_ref())
+                    };
+                    let id = self.tree.add_child(under, label.as_str());
+                    if let Some(condition) = condition.filter(|c| !c.is_empty()) {
+                        self.store_condition(id, condition.clone());
+                    }
+                    copy.push(id);
+                }
+                copy[0]
+            })
+            .collect()
     }
 
     /// Detaches the subtree rooted at `node` (cannot be the root).
@@ -595,6 +601,37 @@ mod tests {
         assert_eq!(compacted.num_literals(), 1); // only D's w2 remains
     }
 
+    /// Copying a template once per root condition gives the tree, ids and
+    /// roots that one copy per call gives, in the same order.
+    #[test]
+    fn deep_copies_of_one_template_match_one_copy_per_call() {
+        let t = figure1_example();
+        let c = t.tree().iter().find(|&n| t.tree().label(n) == "C").unwrap();
+        let root = t.tree().root();
+        let w1 = t.events().by_name("w1").unwrap();
+        let conditions = [
+            Condition::of(Literal::pos(w1)),
+            Condition::always(),
+            Condition::of(Literal::neg(w1)),
+        ];
+        let mut batched = t.clone();
+        let roots = batched.duplicate_subtree_deep(root, c, conditions.clone());
+        let mut single = t.clone();
+        let one_by_one: Vec<NodeId> = conditions
+            .into_iter()
+            .flat_map(|condition| single.duplicate_subtree_deep(root, c, [condition]))
+            .collect();
+        assert_eq!(roots, one_by_one);
+        assert_eq!(roots.len(), 3);
+        assert_eq!(batched.tree().arena_len(), single.tree().arena_len());
+        assert_eq!(batched.to_ascii(), single.to_ascii());
+        assert_eq!(batched.num_nodes(), 4 + 3 * 2);
+        // Figure 1's three literals, the two one-literal root conditions,
+        // and D's literal in each copy.
+        assert_eq!(batched.num_literals(), 3 + 2 + 3);
+        batched.validate_invariants().unwrap();
+    }
+
     #[test]
     fn ascii_rendering_shows_conditions() {
         let t = figure1_example();
@@ -685,7 +722,7 @@ mod tests {
                         copy.graft_data_tree(parent, &graft, condition);
                     }
                     2 => {
-                        copy.duplicate_subtree_deep(parent, node, condition);
+                        copy.duplicate_subtree_deep(parent, node, [condition]);
                     }
                     3 if node != copy.tree().root() => copy.detach(node),
                     4 if node != copy.tree().root() => {

@@ -7,19 +7,96 @@
 //! subset* of a PW set (arising e.g. from threshold restriction or DTD
 //! restriction) is compared with `∼sub` (Definition 3), which tops the
 //! missing mass up on the root-only tree.
+//!
+//! By Definition 4, each possible world of a prob-tree is its data tree
+//! restricted to the nodes whose conditions hold: a sub-datatree
+//! (Definition 5) of one source tree. A set therefore holds each world as a
+//! [`World`], the ids of its nodes over a shared source tree. The world
+//! fold ([`FactorizedWorlds::normalized_worlds`](crate::FactorizedWorlds::normalized_worlds))
+//! shares one source among all its classes and builds no tree; a tree
+//! added with [`PossibleWorldSet::from_worlds`] or
+//! [`PossibleWorldSet::push`] is its own source. A consumer that needs an
+//! owned tree asks for one with [`World::to_tree`].
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use pxml_events::{prob_eq, PROB_EPS};
-use pxml_tree::canon::{canonical_string, Semantics};
-use pxml_tree::DataTree;
+use pxml_tree::canon::Semantics;
+use pxml_tree::subtree::{induced_canonical_string, induced_tree};
+use pxml_tree::{DataTree, NodeId};
 
-/// A weighted set of data trees. Probabilities are expected to be positive;
+/// One world of a [`PossibleWorldSet`]: the tree its kept node ids induce
+/// on a source tree. The ids ascend, which lists every parent before its
+/// children (the id order documented on [`DataTree`]), start at the
+/// source's root and are closed under parents. Cloning a world clones two
+/// `Arc`s.
+#[derive(Clone, Debug)]
+pub struct World {
+    source: Arc<DataTree>,
+    nodes: Arc<[NodeId]>,
+}
+
+impl World {
+    /// An owned tree as a world: its own source, with every reachable node
+    /// kept.
+    fn whole(tree: DataTree) -> World {
+        let mut nodes: Vec<NodeId> = tree.iter().collect();
+        nodes.sort_unstable();
+        World {
+            source: Arc::new(tree),
+            nodes: nodes.into(),
+        }
+    }
+
+    /// The world that the ascending, parent-closed `nodes` (root first)
+    /// keep of `source`.
+    pub(crate) fn within(source: Arc<DataTree>, nodes: &[NodeId]) -> World {
+        debug_assert_eq!(nodes.first(), Some(&source.root()));
+        debug_assert!(nodes.windows(2).all(|pair| pair[0] < pair[1]));
+        World {
+            source,
+            nodes: nodes.into(),
+        }
+    }
+
+    /// Number of nodes of the world, read without a walk.
+    pub fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// `true` never: a world always keeps its root. Present to satisfy the
+    /// usual `len`/`is_empty` pairing.
+    pub fn is_empty(&self) -> bool {
+        false
+    }
+
+    /// The world as an owned [`DataTree`], with the source's child order,
+    /// built from the kept ids alone by [`induced_tree`].
+    pub fn to_tree(&self) -> DataTree {
+        induced_tree(&self.source, self.nodes.iter().copied())
+    }
+
+    /// The canonical string of the world under `semantics`, written by
+    /// [`induced_canonical_string`] without building the tree: the bytes
+    /// of `canonical_string(&self.to_tree(), semantics)`.
+    pub fn canonical_string(&self, semantics: Semantics) -> String {
+        induced_canonical_string(&self.source, semantics, self.nodes.iter().copied())
+    }
+
+    /// The label of the world's root.
+    pub fn root_label(&self) -> &str {
+        self.source.label(self.source.root())
+    }
+}
+
+/// A weighted set of worlds. Probabilities are expected to be positive;
 /// whether they must sum to 1 depends on the context (full PW set vs query
 /// answer or restriction).
 #[derive(Clone, Debug, Default)]
 pub struct PossibleWorldSet {
-    worlds: Vec<(DataTree, f64)>,
+    worlds: Vec<(World, f64)>,
 }
 
 impl PossibleWorldSet {
@@ -31,13 +108,22 @@ impl PossibleWorldSet {
     /// Builds a PW set from `(tree, probability)` pairs.
     pub fn from_worlds<I: IntoIterator<Item = (DataTree, f64)>>(worlds: I) -> Self {
         PossibleWorldSet {
-            worlds: worlds.into_iter().collect(),
+            worlds: worlds
+                .into_iter()
+                .map(|(tree, p)| (World::whole(tree), p))
+                .collect(),
         }
+    }
+
+    /// A set of worlds already kept as node lists (the world fold's
+    /// output).
+    pub(crate) fn from_kept(worlds: Vec<(World, f64)>) -> Self {
+        PossibleWorldSet { worlds }
     }
 
     /// Adds one world.
     pub fn push(&mut self, tree: DataTree, probability: f64) {
-        self.worlds.push((tree, probability));
+        self.worlds.push((World::whole(tree), probability));
     }
 
     /// Number of worlds (with multiplicity — normalize first for the number
@@ -52,7 +138,7 @@ impl PossibleWorldSet {
     }
 
     /// Iterates over the worlds.
-    pub fn iter(&self) -> impl Iterator<Item = &(DataTree, f64)> {
+    pub fn iter(&self) -> impl Iterator<Item = &(World, f64)> {
         self.worlds.iter()
     }
 
@@ -64,30 +150,25 @@ impl PossibleWorldSet {
     /// Number of nodes summed over all worlds (a size measure for the
     /// conciseness experiments).
     pub fn total_nodes(&self) -> usize {
-        self.worlds.iter().map(|(t, _)| t.len()).sum()
+        self.worlds.iter().map(|(world, _)| world.len()).sum()
     }
 
     /// Groups isomorphic worlds together, summing their probabilities
-    /// (normalization, Section 2), under the given semantics.
+    /// (normalization, Section 2), under the given semantics. Classes keep
+    /// their first world, in first-seen order.
     pub fn normalized_with(&self, semantics: Semantics) -> PossibleWorldSet {
-        let mut by_canon: HashMap<String, (DataTree, f64)> = HashMap::new();
-        let mut order: Vec<String> = Vec::new();
-        for (tree, p) in &self.worlds {
-            let key = canonical_string(tree, semantics);
-            match by_canon.get_mut(&key) {
-                Some(entry) => entry.1 += p,
-                None => {
-                    by_canon.insert(key.clone(), (tree.clone(), *p));
-                    order.push(key);
+        let mut slots: HashMap<String, usize> = HashMap::new();
+        let mut worlds: Vec<(World, f64)> = Vec::new();
+        for (world, p) in &self.worlds {
+            match slots.entry(world.canonical_string(semantics)) {
+                Entry::Occupied(slot) => worlds[*slot.get()].1 += p,
+                Entry::Vacant(slot) => {
+                    slot.insert(worlds.len());
+                    worlds.push((world.clone(), *p));
                 }
             }
         }
-        PossibleWorldSet {
-            worlds: order
-                .into_iter()
-                .map(|k| by_canon.remove(&k).expect("key recorded"))
-                .collect(),
-        }
+        PossibleWorldSet { worlds }
     }
 
     /// Normalization under the paper's default multiset semantics.
@@ -129,9 +210,9 @@ impl PossibleWorldSet {
 
     fn class_masses(&self, semantics: Semantics) -> HashMap<String, f64> {
         let mut masses: HashMap<String, f64> = HashMap::new();
-        for (tree, p) in &self.worlds {
+        for (world, p) in &self.worlds {
             *masses
-                .entry(canonical_string(tree, semantics))
+                .entry(world.canonical_string(semantics))
                 .or_insert(0.0) += p;
         }
         // Drop classes with negligible mass so that comparing a set
@@ -143,6 +224,7 @@ impl PossibleWorldSet {
     /// Restricts to the worlds whose probability is at least `threshold`
     /// (the `JT K≥p` operation studied in Theorem 4). Call on a normalized
     /// set, otherwise per-entry probabilities are not world probabilities.
+    /// The kept entries share their worlds with `self`.
     ///
     /// The comparison is an **exact** `p ≥ threshold` — deliberately no
     /// [`PROB_EPS`] slack. An epsilon here would let worlds strictly below
@@ -165,13 +247,13 @@ impl PossibleWorldSet {
     }
 
     /// Restricts to the worlds satisfying `predicate` (used for DTD
-    /// restriction).
-    pub fn restrict(&self, predicate: &dyn Fn(&DataTree) -> bool) -> PossibleWorldSet {
+    /// restriction). The kept entries share their worlds with `self`.
+    pub fn restrict(&self, predicate: &dyn Fn(&World) -> bool) -> PossibleWorldSet {
         PossibleWorldSet {
             worlds: self
                 .worlds
                 .iter()
-                .filter(|(t, _)| predicate(t))
+                .filter(|(world, _)| predicate(world))
                 .cloned()
                 .collect(),
         }
@@ -179,8 +261,12 @@ impl PossibleWorldSet {
 
     /// The label shared by the roots of all worlds, if consistent.
     pub fn root_label(&self) -> Option<&str> {
-        let first = self.worlds.first().map(|(t, _)| t.label(t.root()))?;
-        if self.worlds.iter().all(|(t, _)| t.label(t.root()) == first) {
+        let first = self.worlds.first().map(|(world, _)| world.root_label())?;
+        if self
+            .worlds
+            .iter()
+            .all(|(world, _)| world.root_label() == first)
+        {
             Some(first)
         } else {
             None
@@ -191,7 +277,9 @@ impl PossibleWorldSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use pxml_tree::builder::{star, TreeSpec};
+    use pxml_tree::canonical_string;
 
     fn figure2() -> PossibleWorldSet {
         // Figure 2: {A→C: 0.06, A→C→D: 0.70, A→(B,C): 0.24}
@@ -264,12 +352,10 @@ mod tests {
         // Keep only the 0.24 world; ∼sub should compare it against the set
         // {that world: 0.24, root-only: 0.76}.
         let pw = figure2();
-        let restricted = PossibleWorldSet::from_worlds(
-            pw.iter()
-                .filter(|(t, _)| t.iter().any(|n| t.label(n) == "B"))
-                .cloned()
-                .collect::<Vec<_>>(),
-        );
+        let restricted = pw.restrict(&|world| {
+            let t = world.to_tree();
+            t.iter().any(|n| t.label(n) == "B")
+        });
         let t3 = TreeSpec::node("A", vec![TreeSpec::leaf("B"), TreeSpec::leaf("C")]).build();
         let expected = PossibleWorldSet::from_worlds([(t3, 0.24), (DataTree::new("A"), 0.76)]);
         assert!(restricted.isomorphic_sub(&expected, "A"));
@@ -302,8 +388,167 @@ mod tests {
     #[test]
     fn predicate_restriction() {
         let pw = figure2();
-        let no_b = pw.restrict(&|t: &DataTree| !t.iter().any(|n| t.label(n) == "B"));
+        let no_b = pw.restrict(&|world| {
+            let t = world.to_tree();
+            !t.iter().any(|n| t.label(n) == "B")
+        });
         assert_eq!(no_b.len(), 2);
+    }
+
+    /// A random tree grown one step at a time from a 2-letter alphabet: a
+    /// step hangs a node under any earlier node, detached ones included,
+    /// or detaches a non-root node.
+    fn tree_strategy(max_steps: usize) -> impl Strategy<Value = DataTree> {
+        prop::collection::vec((any::<usize>(), any::<bool>(), 0..5u8), 0..=max_steps).prop_map(
+            |steps| {
+                let mut tree = DataTree::new("A");
+                for (pick, b, kind) in steps {
+                    let node = NodeId::from_index(pick % tree.arena_len());
+                    if kind == 0 {
+                        if node != tree.root() {
+                            tree.detach(node);
+                        }
+                    } else {
+                        tree.add_child(node, if b { "B" } else { "A" });
+                    }
+                }
+                tree
+            },
+        )
+    }
+
+    /// `normalized_with` as it was when a set held one tree per world.
+    fn normalized_by_trees(
+        worlds: &[(DataTree, f64)],
+        semantics: Semantics,
+    ) -> Vec<(DataTree, f64)> {
+        let mut by_canon: HashMap<String, (DataTree, f64)> = HashMap::new();
+        let mut order: Vec<String> = Vec::new();
+        for (tree, p) in worlds {
+            let key = canonical_string(tree, semantics);
+            match by_canon.get_mut(&key) {
+                Some(entry) => entry.1 += p,
+                None => {
+                    by_canon.insert(key.clone(), (tree.clone(), *p));
+                    order.push(key);
+                }
+            }
+        }
+        order
+            .into_iter()
+            .map(|k| by_canon.remove(&k).expect("key recorded"))
+            .collect()
+    }
+
+    /// `isomorphic_with` as it was when a set held one tree per world.
+    fn isomorphic_by_trees(
+        a: &[(DataTree, f64)],
+        b: &[(DataTree, f64)],
+        semantics: Semantics,
+    ) -> bool {
+        let masses = |worlds: &[(DataTree, f64)]| {
+            let mut masses: HashMap<String, f64> = HashMap::new();
+            for (tree, p) in worlds {
+                *masses
+                    .entry(canonical_string(tree, semantics))
+                    .or_insert(0.0) += p;
+            }
+            masses.retain(|_, p| p.abs() > PROB_EPS);
+            masses
+        };
+        let (a, b) = (masses(a), masses(b));
+        a.len() == b.len()
+            && a.iter().all(|(k, &p)| match b.get(k) {
+                Some(&q) => prob_eq(p, q),
+                None => p.abs() <= PROB_EPS,
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        /// On sets of owned trees, `normalized_with` and `isomorphic_with`
+        /// equal their tree-keyed versions: the same classes in the same
+        /// order, with the same sizes, canonical strings and probability
+        /// bits, and the same verdicts. The second set is random, the
+        /// first reversed, or the first with one world's mass split.
+        #[test]
+        fn normalization_and_isomorphism_match_the_tree_keyed_versions(
+            a in prop::collection::vec((tree_strategy(8), 1..5u32), 0..8),
+            b in prop::collection::vec((tree_strategy(8), 1..5u32), 0..8),
+            kind in 0..3u8,
+        ) {
+            let weigh = |worlds: Vec<(DataTree, u32)>| -> Vec<(DataTree, f64)> {
+                worlds.into_iter().map(|(t, k)| (t, f64::from(k) / 16.0)).collect()
+            };
+            let a = weigh(a);
+            let b = match kind {
+                0 => weigh(b),
+                1 => a.iter().rev().cloned().collect(),
+                _ => {
+                    let mut split = a.clone();
+                    if let Some((tree, p)) = split.first_mut().map(|(t, p)| (t.clone(), p)) {
+                        *p /= 2.0;
+                        let half = *p;
+                        split.push((tree, half));
+                    }
+                    split
+                }
+            };
+            let set_a = PossibleWorldSet::from_worlds(a.clone());
+            let set_b = PossibleWorldSet::from_worlds(b.clone());
+            for semantics in [Semantics::MultiSet, Semantics::Set] {
+                let fast = set_a.normalized_with(semantics);
+                let slow = normalized_by_trees(&a, semantics);
+                prop_assert_eq!(fast.len(), slow.len());
+                for ((world, p), (tree, q)) in fast.iter().zip(&slow) {
+                    prop_assert_eq!(world.len(), tree.len());
+                    prop_assert_eq!(p.to_bits(), q.to_bits());
+                    prop_assert_eq!(
+                        world.canonical_string(semantics),
+                        canonical_string(tree, semantics)
+                    );
+                }
+                prop_assert_eq!(
+                    set_a.isomorphic_with(&set_b, semantics),
+                    isomorphic_by_trees(&a, &b, semantics)
+                );
+            }
+        }
+    }
+
+    /// The world-fold cost contract on E11's tree (16 `X` children, one
+    /// event each): 2^16 joint states fold into 17 classes, the fold
+    /// stores exactly the sum of the class sizes in node ids, and every
+    /// class shares one copy of the source tree.
+    #[test]
+    fn world_fold_stores_each_class_once_over_one_source() {
+        use crate::worlds::{WorldEngine, WorldEngineConfig};
+        use crate::ProbTree;
+        use pxml_events::{Condition, Literal};
+
+        let mut t = ProbTree::new("R");
+        let root = t.tree().root();
+        for _ in 0..16 {
+            let w = t.events_mut().fresh(0.5);
+            t.add_child(root, "X", Condition::of(Literal::pos(w)));
+        }
+        let factorized = WorldEngine::new(&t)
+            .sharded(&WorldEngineConfig::default(), 24)
+            .unwrap();
+        assert_eq!(factorized.num_joint_assignments(), 1 << 16);
+        let pw = factorized.normalized_worlds().unwrap();
+        assert_eq!(pw.len(), 17);
+        let stored: usize = pw.iter().map(|(world, _)| world.nodes.len()).sum();
+        let class_sizes: usize = pw.iter().map(|(world, _)| world.to_tree().len()).sum();
+        assert_eq!(stored, class_sizes);
+        assert_eq!(class_sizes, (1..=17).sum::<usize>());
+        let (first, _) = pw.iter().next().unwrap();
+        assert!(pw
+            .iter()
+            .all(|(world, _)| Arc::ptr_eq(&world.source, &first.source)));
+        assert_eq!(Arc::strong_count(&first.source), 17, "one source for all");
+        assert!(prob_eq(pw.total_probability(), 1.0));
     }
 
     #[test]

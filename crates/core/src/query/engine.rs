@@ -1517,7 +1517,7 @@ mod tests {
             .normalized()
             .iter()
         {
-            via_worlds += p * q.evaluate(world).len() as f64;
+            via_worlds += p * q.evaluate(&world.to_tree()).len() as f64;
         }
         assert!(prob_eq(direct, via_worlds));
         assert!(prob_eq(direct, 0.70));

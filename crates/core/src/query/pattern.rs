@@ -835,7 +835,7 @@ mod tests {
             _ => {
                 let parent = attached[rng.gen_range(0..attached.len())];
                 if !tree.tree().is_ancestor_or_self(at, parent) {
-                    tree.duplicate_subtree_deep(parent, at, Condition::always());
+                    tree.duplicate_subtree_deep(parent, at, [Condition::always()]);
                 }
             }
         }

@@ -43,8 +43,9 @@ pub struct ProbAnswer {
 pub fn query_pw_set(query: &dyn Query, pw: &PossibleWorldSet) -> PossibleWorldSet {
     let mut out = PossibleWorldSet::new();
     for (world, p) in pw.iter() {
-        for answer in query.evaluate(world) {
-            out.push(answer.to_tree(world), *p);
+        let world = world.to_tree();
+        for answer in query.evaluate(&world) {
+            out.push(answer.to_tree(&world), *p);
         }
     }
     out

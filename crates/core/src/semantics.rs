@@ -16,7 +16,6 @@
 
 use pxml_events::valuation::{all_valuations, TooManyValuations};
 use pxml_events::{Condition, Literal};
-use pxml_tree::DataTree;
 
 use crate::probtree::ProbTree;
 use crate::pwset::PossibleWorldSet;
@@ -130,17 +129,17 @@ impl std::error::Error for PwSetError {}
 /// (`¬w_1 ∧ … ∧ ¬w_{n−1}` for the last world). The children of each
 /// world's root are grafted under the shared root with that condition.
 pub fn pw_set_to_probtree(pw: &PossibleWorldSet) -> Result<ProbTree, PwSetError> {
-    let worlds: Vec<(DataTree, f64)> = pw.iter().cloned().collect();
-    if worlds.is_empty() {
+    if pw.is_empty() {
         return Err(PwSetError::Empty);
     }
     let root_label = pw
         .root_label()
         .ok_or(PwSetError::MixedRootLabels)?
         .to_string();
-    for (_, p) in &worlds {
-        if *p <= 0.0 {
-            return Err(PwSetError::NonPositiveProbability(*p));
+    let masses: Vec<f64> = pw.iter().map(|(_, p)| *p).collect();
+    for &p in &masses {
+        if p <= 0.0 {
+            return Err(PwSetError::NonPositiveProbability(p));
         }
     }
     let total = pw.total_probability();
@@ -149,7 +148,7 @@ pub fn pw_set_to_probtree(pw: &PossibleWorldSet) -> Result<ProbTree, PwSetError>
     }
 
     let mut out = ProbTree::new(root_label);
-    let n = worlds.len();
+    let n = masses.len();
 
     // Event variables w_1 .. w_{n-1} with π(w_i) = p_i / Σ_{j ≥ i} p_j.
     //
@@ -162,11 +161,11 @@ pub fn pw_set_to_probtree(pw: &PossibleWorldSet) -> Result<ProbTree, PwSetError>
     // the input masses are representable; a degenerate quotient is a real
     // input pathology and is reported instead of clamped.
     let mut suffix = vec![0.0f64; n + 1];
-    for (i, (_, p)) in worlds.iter().enumerate().rev() {
+    for (i, p) in masses.iter().enumerate().rev() {
         suffix[i] = suffix[i + 1] + p;
     }
     let mut events = Vec::with_capacity(n.saturating_sub(1));
-    for (i, (_, p)) in worlds.iter().enumerate().take(n.saturating_sub(1)) {
+    for (i, p) in masses.iter().enumerate().take(n.saturating_sub(1)) {
         let prob = p / suffix[i];
         if !(prob > 0.0 && prob < 1.0) {
             return Err(PwSetError::DegenerateSelectorMass(i, prob));
@@ -175,7 +174,7 @@ pub fn pw_set_to_probtree(pw: &PossibleWorldSet) -> Result<ProbTree, PwSetError>
     }
 
     let root = out.tree().root();
-    for (i, (world, _)) in worlds.iter().enumerate() {
+    for (i, (world, _)) in pw.iter().enumerate() {
         // Condition selecting world i.
         let mut literals: Vec<Literal> = events[..i.min(events.len())]
             .iter()
@@ -187,6 +186,7 @@ pub fn pw_set_to_probtree(pw: &PossibleWorldSet) -> Result<ProbTree, PwSetError>
         let condition = Condition::from_literals(literals);
         // Graft every child subtree of the world's root under the shared
         // root, with the selecting condition on its top node.
+        let world = world.to_tree();
         for &child in world.children(world.root()) {
             let subtree = world.subtree_to_tree(child);
             out.graft_data_tree(root, &subtree, condition.clone());
@@ -201,6 +201,7 @@ mod tests {
     use crate::probtree::figure1_example;
     use pxml_events::prob_eq;
     use pxml_tree::builder::TreeSpec;
+    use pxml_tree::DataTree;
 
     #[test]
     fn figure1_semantics_is_figure2() {

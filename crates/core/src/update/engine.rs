@@ -607,10 +607,9 @@ impl UpdateEngine {
                 .tree()
                 .parent(target)
                 .expect("non-root node has a parent");
-            for disjunct in &survivor_disjuncts {
-                let copy = out.duplicate_subtree_deep(parent, target, gamma_target.and(disjunct));
-                touched.grafted.push(copy);
-            }
+            let conditions = survivor_disjuncts.iter().map(|d| gamma_target.and(d));
+            let copies = out.duplicate_subtree_deep(parent, target, conditions);
+            touched.grafted.extend(copies);
             out.detach(target);
             touched.detached.push((parent, target));
         }

@@ -206,14 +206,18 @@ impl ProbabilisticUpdate {
     /// (Definition 16).
     pub fn apply_to_pw_set(&self, pw: &PossibleWorldSet) -> PossibleWorldSet {
         let mut out = PossibleWorldSet::new();
-        for (tree, p) in pw.iter() {
-            if !self.operation.selects(tree) {
-                out.push(tree.clone(), *p);
+        for (world, p) in pw.iter() {
+            let tree = world.to_tree();
+            if !self.operation.selects(&tree) {
+                out.push(tree, *p);
                 continue;
             }
-            out.push(self.operation.apply_to_data_tree(tree), p * self.confidence);
+            out.push(
+                self.operation.apply_to_data_tree(&tree),
+                p * self.confidence,
+            );
             if self.confidence < 1.0 {
-                out.push(tree.clone(), p * (1.0 - self.confidence));
+                out.push(tree, p * (1.0 - self.confidence));
             }
         }
         out

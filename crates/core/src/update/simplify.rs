@@ -538,8 +538,10 @@ impl Run {
                     .iter()
                     .filter_map(|d| prune_condition(d, self.work.events()))
                     .collect();
-                for disjunct in disjuncts {
-                    let copy = self.work.duplicate_subtree_deep(parent, template, disjunct);
+                let copies = self
+                    .work
+                    .duplicate_subtree_deep(parent, template, disjuncts);
+                for copy in copies {
                     self.touched.grafted.push(copy);
                     self.note_added(copy);
                 }

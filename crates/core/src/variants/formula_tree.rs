@@ -343,7 +343,7 @@ mod tests {
             let expected = PossibleWorldSet::from_worlds(
                 before
                     .iter()
-                    .map(|(w, p)| (op.apply_to_data_tree(w), *p))
+                    .map(|(w, p)| (op.apply_to_data_tree(&w.to_tree()), *p))
                     .collect::<Vec<_>>(),
             )
             .normalized();

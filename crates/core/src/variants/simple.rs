@@ -93,8 +93,9 @@ pub fn expressible_in_simple_model(pw: &PossibleWorldSet) -> Option<SimpleProbTr
     // Build the union of root-child labels with multiplicity 1: the helper
     // only handles height-1 worlds with distinct child labels.
     let root_label = pw.root_label()?;
+    let worlds: Vec<(DataTree, f64)> = pw.iter().map(|(w, p)| (w.to_tree(), *p)).collect();
     let mut child_labels: Vec<String> = Vec::new();
-    for (world, _) in pw.iter() {
+    for (world, _) in &worlds {
         if world.height() > 1 {
             return None;
         }
@@ -117,7 +118,7 @@ pub fn expressible_in_simple_model(pw: &PossibleWorldSet) -> Option<SimpleProbTr
     // Marginal probability of each child label.
     let mut marginals: HashMap<String, f64> = HashMap::new();
     for label in &child_labels {
-        let mass: f64 = pw
+        let mass: f64 = worlds
             .iter()
             .filter(|(world, _)| {
                 world
@@ -134,6 +135,7 @@ pub fn expressible_in_simple_model(pw: &PossibleWorldSet) -> Option<SimpleProbTr
     let normalized = pw.normalized();
     let mut total_checked = 0.0;
     for (world, p) in normalized.iter() {
+        let world = world.to_tree();
         let mut expected = 1.0;
         for label in &child_labels {
             let present = world

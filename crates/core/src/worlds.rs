@@ -15,11 +15,16 @@
 //!    `V(T)`, so such events can be marginalized analytically (their true
 //!    and false branches sum to 1) and only valuations of the relevant
 //!    events need to be materialized.
-//! 2. **Streaming normalization.** Instead of collecting one cloned world
-//!    per valuation and canonicalizing in a second pass, worlds are
-//!    streamed into an interned canonical-form accumulator
+//! 2. **Streaming normalization without trees.** Instead of collecting one
+//!    cloned world per valuation and canonicalizing in a second pass,
+//!    worlds are streamed into a canonical-form accumulator
 //!    (`HashMap<canonical string, slot>`), so the *normalized* PW set is
-//!    produced directly with one retained tree per isomorphism class.
+//!    produced directly. A world is a sub-datatree of the prob-tree's data
+//!    tree (Definitions 4 and 5), so no tree is built for it: each state's
+//!    kept node set is marked over the source and keyed by the canonical
+//!    string of those nodes, and each isomorphism class keeps only its
+//!    node ids, over one source shared by every class
+//!    ([`FactorizedWorlds::normalized_worlds`]).
 //! 3. **Connected components & zero-probability pruning.** Relevant events
 //!    are partitioned into connected components induced by co-occurrence
 //!    in conditions. Events with `π(w) = 1` have a zero-probability false
@@ -88,14 +93,15 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use pxml_events::valuation::{TooManyValuations, Valuations};
 use pxml_events::{Condition, EventId, Valuation};
-use pxml_tree::canon::{canonical_string, Semantics};
-use pxml_tree::DataTree;
+use pxml_tree::canon::{CanonWriter, Semantics};
+use pxml_tree::NodeId;
 
 use crate::probtree::ProbTree;
-use crate::pwset::PossibleWorldSet;
+use crate::pwset::{PossibleWorldSet, World};
 
 /// Relevant-event world enumeration for one prob-tree (or a pair of
 /// prob-trees over the same event table — see [`WorldEngine::for_pair`]).
@@ -760,19 +766,90 @@ impl<'a> FactorizedWorlds<'a> {
     }
 
     /// The normalized possible-world semantics `JT K` assembled from the
-    /// shards: the joint classes are streamed into an interned
-    /// canonical-form accumulator (one retained tree per isomorphism
-    /// class). Each joint state carries a whole class of valuations (its
+    /// shards. Each joint state carries a whole class of valuations (its
     /// probability is the product of class masses), so the walk visits
     /// `Π_c |classes_c|` states — never more, and usually far fewer, than
     /// the `2^{|free|}` valuations of the free events. Worlds are grouped
     /// under the paper's default multiset semantics.
+    ///
+    /// No tree is built per state. A world is the prob-tree's data tree
+    /// restricted to the nodes whose condition and ancestors' conditions
+    /// hold (Definition 4), so the fold marks that kept set in an
+    /// epoch-stamped column over the arena, walking the reachable nodes in
+    /// ascending id order (parents first): a node is kept when its parent
+    /// is kept and its condition holds. It keys the set with the canonical
+    /// string of the kept nodes, written by
+    /// [`CanonWriter`] into one reused buffer and looked up by its bytes.
+    /// Only a new class stores anything: its key and its node ids, against
+    /// one copy of the data tree that every class shares. Class masses are
+    /// summed in odometer order and classes kept in first-seen order, so
+    /// each class's probability is bit-identical to summing the worlds'
+    /// masses one by one.
     pub fn normalized_worlds(&self) -> Result<PossibleWorldSet, JointTooLarge> {
+        let joint = self.joint_valuations()?;
+        let prob_tree = self.engine.tree;
+        let tree = prob_tree.tree();
+        let root = tree.root();
+        // The reachable nodes below the root, in ascending id order, each
+        // with its parent and its condition.
+        let mut below: Vec<NodeId> = tree.iter().skip(1).collect();
+        below.sort_unstable();
+        let plan: Vec<(NodeId, NodeId, Option<&Condition>)> = below
+            .into_iter()
+            .map(|node| {
+                let parent = tree
+                    .parent(node)
+                    .expect("a reachable non-root node has a parent");
+                (node, parent, prob_tree.condition_ref(node))
+            })
+            .collect();
+        let source = Arc::new(tree.clone());
+        let mut stamps = vec![0u32; tree.arena_len()];
+        let mut epoch = 0u32;
+        let mut kept: Vec<NodeId> = Vec::with_capacity(plan.len() + 1);
+        let mut writer = CanonWriter::default();
+        let mut slots: HashMap<Box<[u8]>, usize> = HashMap::new();
+        let mut worlds: Vec<(World, f64)> = Vec::new();
+        for (valuation, p) in joint {
+            if epoch == u32::MAX {
+                stamps.fill(0);
+                epoch = 0;
+            }
+            epoch += 1;
+            stamps[root.index()] = epoch;
+            kept.clear();
+            kept.push(root);
+            for &(node, parent, condition) in &plan {
+                if stamps[parent.index()] == epoch && condition.is_none_or(|c| c.eval(&valuation)) {
+                    stamps[node.index()] = epoch;
+                    kept.push(node);
+                }
+            }
+            let key = writer.write(tree, Semantics::MultiSet, |node| {
+                stamps[node.index()] == epoch
+            });
+            match slots.get(key) {
+                Some(&slot) => worlds[slot].1 += p,
+                None => {
+                    slots.insert(key.into(), worlds.len());
+                    worlds.push((World::within(Arc::clone(&source), &kept), p));
+                }
+            }
+        }
+        Ok(PossibleWorldSet::from_kept(worlds))
+    }
+
+    /// The fold as it was before [`FactorizedWorlds::normalized_worlds`]
+    /// kept node lists: one [`ProbTree::value_in_world`] tree per joint
+    /// state, keyed by its canonical string. The oracle of the fold's
+    /// property tests.
+    #[cfg(test)]
+    fn normalized_worlds_by_trees(&self) -> Result<Vec<(pxml_tree::DataTree, f64)>, JointTooLarge> {
         let mut slots: HashMap<String, usize> = HashMap::new();
-        let mut worlds: Vec<(DataTree, f64)> = Vec::new();
+        let mut worlds: Vec<(pxml_tree::DataTree, f64)> = Vec::new();
         for (valuation, p) in self.joint_valuations()? {
             let world = self.engine.tree.value_in_world(&valuation);
-            match slots.entry(canonical_string(&world, Semantics::MultiSet)) {
+            match slots.entry(pxml_tree::canonical_string(&world, Semantics::MultiSet)) {
                 Entry::Occupied(slot) => worlds[*slot.get()].1 += p,
                 Entry::Vacant(slot) => {
                     slot.insert(worlds.len());
@@ -780,7 +857,7 @@ impl<'a> FactorizedWorlds<'a> {
                 }
             }
         }
-        Ok(PossibleWorldSet::from_worlds(worlds))
+        Ok(worlds)
     }
 }
 
@@ -831,7 +908,10 @@ mod tests {
     use super::*;
     use crate::probtree::figure1_example;
     use crate::semantics::{possible_worlds, possible_worlds_normalized};
+    use proptest::prelude::*;
     use pxml_events::{prob_eq, Condition, Literal};
+    use pxml_tree::canon::{canonical_string, isomorphic};
+    use pxml_tree::DataTree;
 
     #[test]
     fn figure1_engine_matches_legacy_normalization() {
@@ -1217,9 +1297,10 @@ mod tests {
         // Worlds: B always present, C half the time.
         let pw = weighted.normalized_worlds().unwrap();
         assert_eq!(pw.len(), 2);
-        assert!(pw
-            .iter()
-            .all(|(world, _)| { world.iter().any(|n| world.label(n) == "B") }));
+        assert!(pw.iter().all(|(world, _)| {
+            let world = world.to_tree();
+            world.iter().any(|n| world.label(n) == "B")
+        }));
     }
 
     #[test]
@@ -1308,6 +1389,99 @@ mod tests {
         let mut b = figure1_example();
         b.events_mut().insert("w3", 0.5);
         let _ = WorldEngine::for_pair(&a, &b);
+    }
+
+    /// A random prob-tree grown one step at a time over 1–4 events: a step
+    /// hangs a node under any earlier node, detached and conditioned ones
+    /// included, with a label from a 2- or 3-letter alphabet (so different
+    /// kept sets often give isomorphic worlds) and a condition drawn from
+    /// `bits`, or detaches a non-root node.
+    fn probtree_strategy(max_steps: usize) -> impl Strategy<Value = ProbTree> {
+        (
+            1..=4usize,
+            2..=3usize,
+            prop::collection::vec(
+                (any::<usize>(), 0..3usize, 0..6u8, any::<u64>()),
+                0..=max_steps,
+            ),
+        )
+            .prop_map(|(events, letters, steps)| {
+                const LABELS: [&str; 3] = ["A", "B", "C"];
+                let mut t = ProbTree::new("A");
+                let w: Vec<EventId> = (0..events)
+                    .map(|i| t.events_mut().fresh([0.5, 0.3, 1.0, 0.8][i]))
+                    .collect();
+                for (pick, label, kind, bits) in steps {
+                    let node = NodeId::from_index(pick % t.tree().arena_len());
+                    if kind == 0 {
+                        if node != t.tree().root() {
+                            t.detach(node);
+                        }
+                        continue;
+                    }
+                    // Two bits per event: absent, absent, positive, negative.
+                    let literals =
+                        w.iter()
+                            .enumerate()
+                            .filter_map(|(i, &e)| match (bits >> (2 * i)) & 3 {
+                                2 => Some(Literal::pos(e)),
+                                3 => Some(Literal::neg(e)),
+                                _ => None,
+                            });
+                    let condition = if kind == 1 {
+                        Condition::always()
+                    } else {
+                        Condition::from_literals(literals)
+                    };
+                    t.add_child(node, LABELS[label % letters], condition);
+                }
+                t
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        /// The fold that keeps node lists equals the tree-building oracle:
+        /// class count and order, each class's size, canonical string under
+        /// both semantics and probability bits. Each class's tree is the
+        /// world of the valuation that opened it, with the same labels in
+        /// pre-order.
+        #[test]
+        fn node_list_fold_matches_the_tree_building_oracle(tree in probtree_strategy(24)) {
+            let engine = WorldEngine::new(&tree);
+            let factorized = engine.sharded(&WorldEngineConfig::default(), 16).unwrap();
+            let fold = factorized.normalized_worlds().unwrap();
+            let oracle = factorized.normalized_worlds_by_trees().unwrap();
+            prop_assert_eq!(fold.len(), oracle.len());
+            // The valuation that opened each class, in first-seen order.
+            let mut openers = Vec::new();
+            let mut seen = std::collections::HashSet::new();
+            for (valuation, _) in factorized.joint_valuations().unwrap() {
+                let world = tree.value_in_world(&valuation);
+                if seen.insert(canonical_string(&world, Semantics::MultiSet)) {
+                    openers.push(world);
+                }
+            }
+            prop_assert_eq!(openers.len(), fold.len());
+            for (((world, p), (expected, q)), opener) in fold.iter().zip(&oracle).zip(&openers) {
+                prop_assert_eq!(world.len(), expected.len());
+                prop_assert_eq!(p.to_bits(), q.to_bits());
+                for semantics in [Semantics::MultiSet, Semantics::Set] {
+                    prop_assert_eq!(
+                        world.canonical_string(semantics),
+                        canonical_string(expected, semantics)
+                    );
+                }
+                let built = world.to_tree();
+                prop_assert_eq!(built.len(), world.len());
+                prop_assert!(isomorphic(&built, opener, Semantics::MultiSet));
+                let labels = |t: &DataTree| {
+                    t.iter().map(|n| t.label(n).to_string()).collect::<Vec<_>>()
+                };
+                prop_assert_eq!(labels(&built), labels(opener));
+            }
+        }
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub fn restrict_to_dtd(
 ) -> Result<DtdRestriction, TooManyValuations> {
     let normalized = possible_worlds_normalized(tree, max_events)?;
     let total_worlds = normalized.len();
-    let worlds = normalized.restrict(&|t| validates(t, dtd));
+    let worlds = normalized.restrict(&|world| validates(&world.to_tree(), dtd));
     let retained_mass = worlds.total_probability();
     Ok(DtdRestriction {
         worlds,

@@ -157,54 +157,153 @@ pub fn isomorphic(a: &DataTree, b: &DataTree, semantics: Semantics) -> bool {
 /// forms sorted by their bytes (duplicates dropped under
 /// [`Semantics::Set`]), comma-separated in parentheses: `"A"("B"(),"C"())`.
 ///
-/// The forms are built without recursion, in reverse pre-order (children
-/// before parents), in one byte buffer: a node's form is written after its
-/// children's, which end the buffer, and then moved down over them. So any
-/// depth is safe, a call allocates a fixed number of buffers whatever the
-/// node count, and each form is copied once into each ancestor's form.
+/// This is [`CanonWriter::write`] with every node a member.
 pub fn canonical_string(tree: &DataTree, semantics: Semantics) -> String {
-    let order: Vec<NodeId> = tree.iter().collect();
-    let mut buf: Vec<u8> = Vec::new();
-    // The forms in `buf` whose parent is not written yet, back to back, the
-    // last written on top. In reverse pre-order the top `k` are the `k`
-    // children of the node at hand.
-    let mut forms: Vec<Range<usize>> = Vec::new();
-    let mut children: Vec<Range<usize>> = Vec::new();
-    for &node in order.iter().rev() {
-        let first = forms.len() - tree.children(node).len();
-        let start = forms.get(first).map_or(buf.len(), |form| form.start);
-        children.clear();
-        children.extend(forms.drain(first..));
-        children.sort_unstable_by(|a, b| buf[a.clone()].cmp(&buf[b.clone()]));
-        if semantics == Semantics::Set {
-            children.dedup_by(|a, b| buf[a.clone()] == buf[b.clone()]);
+    let mut writer = CanonWriter::default();
+    into_string(writer.write(tree, semantics, |_| true))
+}
+
+/// A canonical string's bytes as a `String` of their exact size: the
+/// kernel's buffer peaked near twice the string's length, and callers often
+/// keep the string as a key.
+pub(crate) fn into_string(bytes: &[u8]) -> String {
+    String::from_utf8(bytes.to_vec()).expect("labels are UTF-8 and the syntax is ASCII")
+}
+
+/// The buffers of the canonical-string kernel, kept between calls: a caller
+/// that canonizes many node sets, such as the possible-world fold, writes
+/// every key with the same few allocations.
+///
+/// The kernel writes the forms of a kept pre-order of `tree`'s nodes. Two
+/// walks produce that order: [`CanonWriter::write`] descends from the root
+/// into member children, reading every child of each kept node, and
+/// [`induced_canonical_string`](crate::subtree::induced_canonical_string)
+/// links an ascending id list by parent, reading no children list, which
+/// keeps a small node set of a wide tree cheap.
+#[derive(Default, Debug)]
+pub struct CanonWriter {
+    /// The kept nodes in pre-order, each with its number of kept children.
+    order: Vec<(NodeId, usize)>,
+    stack: Vec<NodeId>,
+    /// The forms in `buf` whose parent is not written yet, back to back,
+    /// the last written on top.
+    forms: Vec<Range<usize>>,
+    children: Vec<Range<usize>>,
+    buf: Vec<u8>,
+}
+
+impl CanonWriter {
+    /// Writes the canonical string of the tree that `member` induces on
+    /// `tree` (the root, and every member child of a kept node: the tree
+    /// [`DataTree::extract`] keeps for `member`) and returns its bytes,
+    /// which stay valid until the next call. With every node a member this
+    /// is [`canonical_string`].
+    pub fn write(
+        &mut self,
+        tree: &DataTree,
+        semantics: Semantics,
+        member: impl Fn(NodeId) -> bool,
+    ) -> &[u8] {
+        let CanonWriter { order, stack, .. } = self;
+        order.clear();
+        stack.push(tree.root());
+        while let Some(node) = stack.pop() {
+            let before = stack.len();
+            let kept = tree.children(node).iter().rev().filter(|&&c| member(c));
+            stack.extend(kept);
+            order.push((node, stack.len() - before));
         }
-        let form = buf.len();
-        buf.push(b'"');
-        // `"` and `\` never occur inside a multi-byte UTF-8 sequence, so
-        // escaping bytes escapes exactly those characters.
-        for &byte in tree.label(node).as_bytes() {
-            if byte == b'"' || byte == b'\\' {
-                buf.push(b'\\');
-            }
-            buf.push(byte);
-        }
-        buf.extend_from_slice(b"\"(");
-        for (i, child) in children.iter().enumerate() {
-            if i > 0 {
-                buf.push(b',');
-            }
-            buf.extend_from_within(child.clone());
-        }
-        buf.push(b')');
-        let len = buf.len() - form;
-        buf.copy_within(form.., start);
-        buf.truncate(start + len);
-        forms.push(start..start + len);
+        self.write_forms(tree, semantics)
     }
-    // The buffer peaked near twice the string's length, and callers often
-    // keep the string as a key: return a clone, which has the exact size.
-    String::from_utf8(buf.clone()).expect("labels are UTF-8 and the syntax is ASCII")
+
+    /// Writes the canonical string of the tree whose nodes are `nodes`,
+    /// with the root first and node `i`'s parent at position
+    /// `parents[i] < i` (`parents[0]` is not read), and returns its bytes.
+    /// It reads labels from `tree` and nothing else.
+    pub(crate) fn write_linked(
+        &mut self,
+        tree: &DataTree,
+        semantics: Semantics,
+        nodes: &[NodeId],
+        parents: &[usize],
+    ) -> &[u8] {
+        // Each position's children, newest first (child order does not
+        // matter here: the kernel sorts the forms).
+        const NONE: usize = usize::MAX;
+        let mut first_child = vec![NONE; nodes.len()];
+        let mut next_sibling = vec![NONE; nodes.len()];
+        for (i, &parent) in parents.iter().enumerate().skip(1) {
+            next_sibling[i] = first_child[parent];
+            first_child[parent] = i;
+        }
+        self.order.clear();
+        let mut stack = vec![0];
+        while let Some(i) = stack.pop() {
+            let before = stack.len();
+            let mut child = first_child[i];
+            while child != NONE {
+                stack.push(child);
+                child = next_sibling[child];
+            }
+            self.order.push((nodes[i], stack.len() - before));
+        }
+        self.write_forms(tree, semantics)
+    }
+
+    /// The kernel: writes the forms of `self.order`, a pre-order in which
+    /// each node carries its number of kept children.
+    ///
+    /// The forms are built without recursion, in reverse pre-order
+    /// (children before parents), in one byte buffer: a node's form is
+    /// written after its children's, which end the buffer, and then moved
+    /// down over them. So any depth is safe, and each form is copied once
+    /// into each ancestor's form.
+    fn write_forms(&mut self, tree: &DataTree, semantics: Semantics) -> &[u8] {
+        let CanonWriter {
+            order,
+            forms,
+            children,
+            buf,
+            ..
+        } = self;
+        buf.clear();
+        // In reverse pre-order the top `kept` forms are the kept children
+        // of the node at hand.
+        for &(node, kept) in order.iter().rev() {
+            let first = forms.len() - kept;
+            let start = forms.get(first).map_or(buf.len(), |form| form.start);
+            children.clear();
+            children.extend(forms.drain(first..));
+            children.sort_unstable_by(|a, b| buf[a.clone()].cmp(&buf[b.clone()]));
+            if semantics == Semantics::Set {
+                children.dedup_by(|a, b| buf[a.clone()] == buf[b.clone()]);
+            }
+            let form = buf.len();
+            buf.push(b'"');
+            // `"` and `\` never occur inside a multi-byte UTF-8 sequence, so
+            // escaping bytes escapes exactly those characters.
+            for &byte in tree.label(node).as_bytes() {
+                if byte == b'"' || byte == b'\\' {
+                    buf.push(b'\\');
+                }
+                buf.push(byte);
+            }
+            buf.extend_from_slice(b"\"(");
+            for (i, child) in children.iter().enumerate() {
+                if i > 0 {
+                    buf.push(b',');
+                }
+                buf.extend_from_within(child.clone());
+            }
+            buf.push(b')');
+            let len = buf.len() - form;
+            buf.copy_within(form.., start);
+            buf.truncate(start + len);
+            forms.push(start..start + len);
+        }
+        forms.clear();
+        buf
+    }
 }
 
 #[cfg(test)]

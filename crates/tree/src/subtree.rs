@@ -10,7 +10,7 @@
 use std::collections::BTreeSet;
 
 use crate::arena::{DataTree, NodeId};
-use crate::canon::{canonical_string, Semantics};
+use crate::canon::{into_string, CanonWriter, Semantics};
 
 /// A sub-datatree of a specific [`DataTree`], represented as the set of
 /// kept node ids (always containing the root, closed under parents).
@@ -96,42 +96,91 @@ impl SubDataTree {
 
     /// Materializes this sub-datatree as an independent [`DataTree`]: the
     /// tree [`DataTree::extract`] keeps for this node set, with the same
-    /// child order, built from the set alone in `O(n log n)` for `n` kept
-    /// nodes, however large `tree` is.
-    ///
-    /// The walk visits the set in id order, which meets every parent
-    /// before its children and each node's children in their child order
-    /// (the id order documented on [`DataTree`]). A kept node whose parent
-    /// was not copied, or that was detached, is left out, as a walk from
-    /// the root never reaches it.
+    /// child order, built from the set alone by [`induced_tree`].
     ///
     /// # Panics
     /// Panics if the set does not contain `tree`'s root.
     pub fn to_tree(&self, tree: &DataTree) -> DataTree {
-        let root = tree.root();
-        assert!(self.nodes.contains(&root), "extraction must keep the root");
-        let mut out = DataTree::with_capacity(tree.label(root), self.nodes.len());
-        // The source of each copy, by copy id; it ascends, because the
-        // copies are made in source id order.
-        let mut sources = Vec::with_capacity(self.nodes.len());
-        sources.push(root);
-        for &node in self.nodes.range(root..).skip(1) {
-            let Some(parent) = tree.parent(node) else {
-                continue;
-            };
-            if let Ok(copy) = sources.binary_search(&parent) {
-                out.add_child(NodeId::from_index(copy), tree.label(node));
-                sources.push(node);
-            }
-        }
-        out
+        induced_tree(tree, self.nodes.iter().copied())
     }
 
     /// Canonical string of the induced tree (used to deduplicate
-    /// isomorphic query answers and to break ranking ties).
+    /// isomorphic query answers and to break ranking ties), written by
+    /// [`induced_canonical_string`] without building the tree: the bytes
+    /// of `canonical_string(&self.to_tree(tree), semantics)`.
     pub fn canonical_string(&self, tree: &DataTree, semantics: Semantics) -> String {
-        canonical_string(&self.to_tree(tree), semantics)
+        induced_canonical_string(tree, semantics, self.nodes.iter().copied())
     }
+}
+
+/// The nodes of `ascending` that the tree they induce on `tree` keeps, in
+/// id order, and each one's parent's position among them: a listed node is
+/// kept when its parent is, so one whose parent was not kept, or that was
+/// detached, is left out, as a walk from the root never reaches it.
+///
+/// # Panics
+/// Panics if the list does not start with `tree`'s root, the smallest id.
+fn induced(
+    tree: &DataTree,
+    ascending: impl IntoIterator<Item = NodeId>,
+) -> (Vec<NodeId>, Vec<usize>) {
+    let root = tree.root();
+    let mut listed = ascending.into_iter();
+    let capacity = listed.size_hint().0;
+    assert!(listed.next() == Some(root), "extraction must keep the root");
+    let mut nodes = Vec::with_capacity(capacity);
+    let mut parents = Vec::with_capacity(capacity);
+    nodes.push(root);
+    parents.push(0);
+    for node in listed {
+        let Some(parent) = tree.parent(node) else {
+            continue;
+        };
+        // `nodes` ascends, because the list does.
+        if let Ok(position) = nodes.binary_search(&parent) {
+            nodes.push(node);
+            parents.push(position);
+        }
+    }
+    (nodes, parents)
+}
+
+/// Builds the tree that `ascending`, node ids of `tree` listed in
+/// ascending order, induce on it: the tree [`DataTree::extract`] keeps for
+/// the same membership test, with the same child order, in `O(n log n)`
+/// for `n` listed nodes, however large `tree` is. Sub-datatrees and the
+/// worlds of a possible-world fold materialize with it.
+///
+/// The walk visits the list in id order, which meets every parent before
+/// its children and each node's children in their child order (the id
+/// order documented on [`DataTree`]); copy `i` is the `i`-th kept node.
+///
+/// # Panics
+/// Panics if the list does not start with `tree`'s root, the smallest id.
+pub fn induced_tree(tree: &DataTree, ascending: impl IntoIterator<Item = NodeId>) -> DataTree {
+    let (nodes, parents) = induced(tree, ascending);
+    let mut out = DataTree::with_capacity(tree.label(nodes[0]), nodes.len());
+    for (&node, &parent) in nodes.iter().zip(&parents).skip(1) {
+        out.add_child(NodeId::from_index(parent), tree.label(node));
+    }
+    out
+}
+
+/// The canonical string of [`induced_tree`]`(tree, ascending)`, written
+/// without building that tree, in `O(n log n)` for `n` listed nodes: the
+/// kept nodes are linked by parent, and no children list of `tree` is read,
+/// so a small node set under a node with many children stays cheap.
+///
+/// # Panics
+/// Panics if the list does not start with `tree`'s root, the smallest id.
+pub fn induced_canonical_string(
+    tree: &DataTree,
+    semantics: Semantics,
+    ascending: impl IntoIterator<Item = NodeId>,
+) -> String {
+    let (nodes, parents) = induced(tree, ascending);
+    let mut writer = CanonWriter::default();
+    into_string(writer.write_linked(tree, semantics, &nodes, &parents))
 }
 
 /// Checks whether the *independent* tree `small` is (isomorphic to) a
@@ -181,6 +230,7 @@ pub fn enumerate_subdatatrees(tree: &DataTree) -> Vec<SubDataTree> {
 mod tests {
     use super::*;
     use crate::builder::TreeSpec;
+    use crate::canon::canonical_string;
     use crate::render::to_ascii;
     use crate::testing::tree_strategy;
     use proptest::prelude::*;
@@ -292,6 +342,36 @@ mod tests {
                 );
             }
             prop_assert_eq!(to_ascii(&built), to_ascii(&extracted));
+        }
+
+        /// `canonical_string` over the node set, and the kernel's walk
+        /// through member children, write the bytes of the canonical string
+        /// of the tree `to_tree` builds, on the same sets as
+        /// `to_tree_matches_extract`.
+        #[test]
+        fn canonical_string_matches_the_built_tree(
+            tree in tree_strategy(30),
+            picks in prop::collection::vec(any::<usize>(), 0..10),
+            closed in any::<bool>(),
+        ) {
+            let picked = picks
+                .iter()
+                .map(|pick| NodeId::from_index(pick % tree.arena_len()));
+            let sub = if closed {
+                SubDataTree::from_nodes(&tree, picked)
+            } else {
+                let mut nodes: BTreeSet<NodeId> = picked.collect();
+                nodes.insert(tree.root());
+                SubDataTree { nodes }
+            };
+            let built = sub.to_tree(&tree);
+            let mut writer = CanonWriter::default();
+            for semantics in [Semantics::MultiSet, Semantics::Set] {
+                let expected = canonical_string(&built, semantics);
+                prop_assert_eq!(sub.canonical_string(&tree, semantics), expected.clone());
+                let walked = writer.write(&tree, semantics, |n| sub.contains(n));
+                prop_assert_eq!(walked, expected.as_bytes());
+            }
         }
     }
 

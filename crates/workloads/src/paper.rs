@@ -149,6 +149,7 @@ mod tests {
         let worlds = possible_worlds(&with_c, 20).unwrap();
         let updated = update.apply_to_pw_set(&worlds).normalized();
         for (world, p) in updated.iter() {
+            let world = world.to_tree();
             let has_b = world.iter().any(|nd| world.label(nd) == "B");
             let has_c = world.iter().any(|nd| world.label(nd) == "C");
             assert!(!(has_b && has_c), "p={p}: B and C coexist after d0");

@@ -249,7 +249,7 @@ mod tests {
         let warehouse = run_scenario(&config, &mut rng);
         let pw = pxml_core::semantics::possible_worlds(&warehouse.tree, 16).unwrap();
         for (world, _) in pw.iter() {
-            assert!(pxml_dtd::validates(world, &dtd));
+            assert!(pxml_dtd::validates(&world.to_tree(), &dtd));
         }
         // A service without a name is rejected.
         let mut bad = ProbTree::new("warehouse");

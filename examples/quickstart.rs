@@ -40,6 +40,7 @@ fn main() {
         .expect("two event variables are far below the enumeration guard");
     println!("Possible worlds (Figure 2):");
     for (world, p) in worlds.iter() {
+        let world = world.to_tree();
         let labels: Vec<&str> = world.iter().map(|n| world.label(n)).collect();
         println!("  p = {p:.2}  nodes = {labels:?}");
     }
