@@ -23,8 +23,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use pxml_events::{prob_eq, PROB_EPS};
-use pxml_tree::canon::Semantics;
-use pxml_tree::subtree::{induced_canonical_string, induced_tree};
+use pxml_tree::canon::{CanonWriter, Semantics};
+use pxml_tree::subtree::induced_tree;
 use pxml_tree::{DataTree, NodeId};
 
 /// One world of a [`PossibleWorldSet`]: the tree its kept node ids induce
@@ -79,10 +79,13 @@ impl World {
     }
 
     /// The canonical string of the world under `semantics`, written by
-    /// [`induced_canonical_string`] without building the tree: the bytes
-    /// of `canonical_string(&self.to_tree(), semantics)`.
+    /// [`CanonWriter::write`] over the kept ids without building the tree:
+    /// the bytes of `canonical_string(&self.to_tree(), semantics)`.
     pub fn canonical_string(&self, semantics: Semantics) -> String {
-        induced_canonical_string(&self.source, semantics, self.nodes.iter().copied())
+        let mut writer = CanonWriter::default();
+        let member = |n| self.nodes.binary_search(&n).is_ok();
+        let bytes = writer.write(&self.source, semantics, member);
+        String::from_utf8(bytes.to_vec()).expect("labels are UTF-8 and the syntax is ASCII")
     }
 
     /// The label of the world's root.

@@ -173,13 +173,6 @@ pub(crate) fn into_string(bytes: &[u8]) -> String {
 /// The buffers of the canonical-string kernel, kept between calls: a caller
 /// that canonizes many node sets, such as the possible-world fold, writes
 /// every key with the same few allocations.
-///
-/// The kernel writes the forms of a kept pre-order of `tree`'s nodes. Two
-/// walks produce that order: [`CanonWriter::write`] descends from the root
-/// into member children, reading every child of each kept node, and
-/// [`induced_canonical_string`](crate::subtree::induced_canonical_string)
-/// links an ascending id list by parent, reading no children list, which
-/// keeps a small node set of a wide tree cheap.
 #[derive(Default, Debug)]
 pub struct CanonWriter {
     /// The kept nodes in pre-order, each with its number of kept children.
@@ -198,13 +191,26 @@ impl CanonWriter {
     /// [`DataTree::extract`] keeps for `member`) and returns its bytes,
     /// which stay valid until the next call. With every node a member this
     /// is [`canonical_string`].
+    ///
+    /// A walk from the root into member children lists the kept nodes in
+    /// pre-order. The forms are then built without recursion, in reverse
+    /// pre-order (children before parents), in one byte buffer: a node's
+    /// form is written after its children's, which end the buffer, and then
+    /// moved down over them. So any depth is safe, and each form is copied
+    /// once into each ancestor's form.
     pub fn write(
         &mut self,
         tree: &DataTree,
         semantics: Semantics,
         member: impl Fn(NodeId) -> bool,
     ) -> &[u8] {
-        let CanonWriter { order, stack, .. } = self;
+        let CanonWriter {
+            order,
+            stack,
+            forms,
+            children,
+            buf,
+        } = self;
         order.clear();
         stack.push(tree.root());
         while let Some(node) = stack.pop() {
@@ -213,59 +219,6 @@ impl CanonWriter {
             stack.extend(kept);
             order.push((node, stack.len() - before));
         }
-        self.write_forms(tree, semantics)
-    }
-
-    /// Writes the canonical string of the tree whose nodes are `nodes`,
-    /// with the root first and node `i`'s parent at position
-    /// `parents[i] < i` (`parents[0]` is not read), and returns its bytes.
-    /// It reads labels from `tree` and nothing else.
-    pub(crate) fn write_linked(
-        &mut self,
-        tree: &DataTree,
-        semantics: Semantics,
-        nodes: &[NodeId],
-        parents: &[usize],
-    ) -> &[u8] {
-        // Each position's children, newest first (child order does not
-        // matter here: the kernel sorts the forms).
-        const NONE: usize = usize::MAX;
-        let mut first_child = vec![NONE; nodes.len()];
-        let mut next_sibling = vec![NONE; nodes.len()];
-        for (i, &parent) in parents.iter().enumerate().skip(1) {
-            next_sibling[i] = first_child[parent];
-            first_child[parent] = i;
-        }
-        self.order.clear();
-        let mut stack = vec![0];
-        while let Some(i) = stack.pop() {
-            let before = stack.len();
-            let mut child = first_child[i];
-            while child != NONE {
-                stack.push(child);
-                child = next_sibling[child];
-            }
-            self.order.push((nodes[i], stack.len() - before));
-        }
-        self.write_forms(tree, semantics)
-    }
-
-    /// The kernel: writes the forms of `self.order`, a pre-order in which
-    /// each node carries its number of kept children.
-    ///
-    /// The forms are built without recursion, in reverse pre-order
-    /// (children before parents), in one byte buffer: a node's form is
-    /// written after its children's, which end the buffer, and then moved
-    /// down over them. So any depth is safe, and each form is copied once
-    /// into each ancestor's form.
-    fn write_forms(&mut self, tree: &DataTree, semantics: Semantics) -> &[u8] {
-        let CanonWriter {
-            order,
-            forms,
-            children,
-            buf,
-            ..
-        } = self;
         buf.clear();
         // In reverse pre-order the top `kept` forms are the kept children
         // of the node at hand.

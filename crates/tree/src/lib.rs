@@ -28,8 +28,7 @@
 //! * [`subtree`]: *sub-datatrees* (Definition 5) — root-preserving,
 //!   parent-closed node subsets — which are the result form of the paper's
 //!   locally monotone queries. Any ascending node list is materialized by
-//!   [`subtree::induced_tree`] and canonized without a tree by
-//!   [`subtree::induced_canonical_string`].
+//!   [`subtree::induced_tree`].
 //! * [`builder`]: a declarative way to construct trees in tests and
 //!   examples.
 //! * [`render`]: human-readable ASCII rendering.

@@ -106,43 +106,12 @@ impl SubDataTree {
 
     /// Canonical string of the induced tree (used to deduplicate
     /// isomorphic query answers and to break ranking ties), written by
-    /// [`induced_canonical_string`] without building the tree: the bytes
-    /// of `canonical_string(&self.to_tree(tree), semantics)`.
+    /// [`CanonWriter::write`] over this set without building the tree: the
+    /// bytes of `canonical_string(&self.to_tree(tree), semantics)`.
     pub fn canonical_string(&self, tree: &DataTree, semantics: Semantics) -> String {
-        induced_canonical_string(tree, semantics, self.nodes.iter().copied())
+        let mut writer = CanonWriter::default();
+        into_string(writer.write(tree, semantics, |n| self.nodes.contains(&n)))
     }
-}
-
-/// The nodes of `ascending` that the tree they induce on `tree` keeps, in
-/// id order, and each one's parent's position among them: a listed node is
-/// kept when its parent is, so one whose parent was not kept, or that was
-/// detached, is left out, as a walk from the root never reaches it.
-///
-/// # Panics
-/// Panics if the list does not start with `tree`'s root, the smallest id.
-fn induced(
-    tree: &DataTree,
-    ascending: impl IntoIterator<Item = NodeId>,
-) -> (Vec<NodeId>, Vec<usize>) {
-    let root = tree.root();
-    let mut listed = ascending.into_iter();
-    let capacity = listed.size_hint().0;
-    assert!(listed.next() == Some(root), "extraction must keep the root");
-    let mut nodes = Vec::with_capacity(capacity);
-    let mut parents = Vec::with_capacity(capacity);
-    nodes.push(root);
-    parents.push(0);
-    for node in listed {
-        let Some(parent) = tree.parent(node) else {
-            continue;
-        };
-        // `nodes` ascends, because the list does.
-        if let Ok(position) = nodes.binary_search(&parent) {
-            nodes.push(node);
-            parents.push(position);
-        }
-    }
-    (nodes, parents)
 }
 
 /// Builds the tree that `ascending`, node ids of `tree` listed in
@@ -153,34 +122,32 @@ fn induced(
 ///
 /// The walk visits the list in id order, which meets every parent before
 /// its children and each node's children in their child order (the id
-/// order documented on [`DataTree`]); copy `i` is the `i`-th kept node.
+/// order documented on [`DataTree`]). A listed node whose parent was not
+/// copied, or that was detached, is left out, as a walk from the root never
+/// reaches it.
 ///
 /// # Panics
 /// Panics if the list does not start with `tree`'s root, the smallest id.
 pub fn induced_tree(tree: &DataTree, ascending: impl IntoIterator<Item = NodeId>) -> DataTree {
-    let (nodes, parents) = induced(tree, ascending);
-    let mut out = DataTree::with_capacity(tree.label(nodes[0]), nodes.len());
-    for (&node, &parent) in nodes.iter().zip(&parents).skip(1) {
-        out.add_child(NodeId::from_index(parent), tree.label(node));
+    let root = tree.root();
+    let mut listed = ascending.into_iter();
+    let capacity = listed.size_hint().0;
+    assert!(listed.next() == Some(root), "extraction must keep the root");
+    let mut out = DataTree::with_capacity(tree.label(root), capacity);
+    // The source of each copy, by copy id; it ascends, because the copies
+    // are made in source id order.
+    let mut sources = Vec::with_capacity(capacity);
+    sources.push(root);
+    for node in listed {
+        let Some(parent) = tree.parent(node) else {
+            continue;
+        };
+        if let Ok(copy) = sources.binary_search(&parent) {
+            out.add_child(NodeId::from_index(copy), tree.label(node));
+            sources.push(node);
+        }
     }
     out
-}
-
-/// The canonical string of [`induced_tree`]`(tree, ascending)`, written
-/// without building that tree, in `O(n log n)` for `n` listed nodes: the
-/// kept nodes are linked by parent, and no children list of `tree` is read,
-/// so a small node set under a node with many children stays cheap.
-///
-/// # Panics
-/// Panics if the list does not start with `tree`'s root, the smallest id.
-pub fn induced_canonical_string(
-    tree: &DataTree,
-    semantics: Semantics,
-    ascending: impl IntoIterator<Item = NodeId>,
-) -> String {
-    let (nodes, parents) = induced(tree, ascending);
-    let mut writer = CanonWriter::default();
-    into_string(writer.write_linked(tree, semantics, &nodes, &parents))
 }
 
 /// Checks whether the *independent* tree `small` is (isomorphic to) a
@@ -344,10 +311,9 @@ mod tests {
             prop_assert_eq!(to_ascii(&built), to_ascii(&extracted));
         }
 
-        /// `canonical_string` over the node set, and the kernel's walk
-        /// through member children, write the bytes of the canonical string
-        /// of the tree `to_tree` builds, on the same sets as
-        /// `to_tree_matches_extract`.
+        /// `canonical_string` over the node set writes the bytes of the
+        /// canonical string of the tree `to_tree` builds, on the same sets
+        /// as `to_tree_matches_extract`.
         #[test]
         fn canonical_string_matches_the_built_tree(
             tree in tree_strategy(30),
@@ -365,12 +331,11 @@ mod tests {
                 SubDataTree { nodes }
             };
             let built = sub.to_tree(&tree);
-            let mut writer = CanonWriter::default();
             for semantics in [Semantics::MultiSet, Semantics::Set] {
-                let expected = canonical_string(&built, semantics);
-                prop_assert_eq!(sub.canonical_string(&tree, semantics), expected.clone());
-                let walked = writer.write(&tree, semantics, |n| sub.contains(n));
-                prop_assert_eq!(walked, expected.as_bytes());
+                prop_assert_eq!(
+                    sub.canonical_string(&tree, semantics),
+                    canonical_string(&built, semantics)
+                );
             }
         }
     }
