@@ -12,11 +12,11 @@
 //! cargo run --release -p pxml_bench --bin tables -- --exp e3 --counts
 //! ```
 //!
-//! `--counts` drops the timing columns of E2, E3, E4, E5, E7 and E9, so
-//! their output is deterministic; CI diffs it against
-//! `crates/bench/tests/e2.txt`, `e3.txt`, `e4.txt`, `e5.txt`, `e7.txt` and
-//! `e9.txt`. E1 and E13 print no timing column and are diffed whole
-//! (`e1.txt`, `e13.txt`).
+//! `--counts` drops the timing columns of E2, E3, E4, E5, E7, E9, E11 and
+//! E12, so their output is deterministic; CI diffs it against
+//! `crates/bench/tests/e2.txt`, `e3.txt`, `e4.txt`, `e5.txt`, `e7.txt`,
+//! `e9.txt`, `e11.txt` and `e12.txt`. E1 and E13 print no timing column and
+//! are diffed whole (`e1.txt`, `e13.txt`).
 
 use std::time::Instant;
 
@@ -96,10 +96,10 @@ fn main() {
         e10_formula_variant();
     }
     if run("e11") {
-        e11_set_semantics_and_semantic_equivalence();
+        e11_set_semantics_and_semantic_equivalence(counts_only);
     }
     if run("e12") {
-        e12_static_analysis();
+        e12_static_analysis(counts_only);
     }
     if run("e13") {
         e13_shape_census();
@@ -736,8 +736,9 @@ fn e10_formula_variant() {
 }
 
 /// E12: the static analyzer — every prediction vs the engine counter it
-/// claims to predict.
-fn e12_static_analysis() {
+/// claims to predict. With `counts_only`, the predicted and measured
+/// columns alone.
+fn e12_static_analysis(counts_only: bool) {
     use pxml_analysis::StaticAnalyzer;
     use pxml_core::update::UpdateScript;
     use pxml_core::worlds::{WorldEngine, WorldEngineConfig};
@@ -788,10 +789,15 @@ fn e12_static_analysis() {
 
     // (b) The co-occurrence census vs the factorized executor.
     println!("component census — predicted shard states vs states_enumerated:");
-    println!(
-        "{:>12} {:>10} | {:>16} {:>16} {:>12}",
-        "components", "events", "pred. states", "meas. states", "time (ms)"
+    let counts = format!(
+        "{:>12} {:>10} | {:>16} {:>16}",
+        "components", "events", "pred. states", "meas. states"
     );
+    if counts_only {
+        println!("{counts}");
+    } else {
+        println!("{counts} {:>12}", "time (ms)");
+    }
     let config = WorldEngineConfig::default();
     for (components, events_per) in [(1usize, 4usize), (4, 3), (8, 2), (16, 1), (2, 8)] {
         let tree = many_components_probtree(components, events_per);
@@ -800,13 +806,17 @@ fn e12_static_analysis() {
         let start = Instant::now();
         let worlds = engine.sharded(&config, 24).unwrap();
         let elapsed = start.elapsed();
-        println!(
-            "{components:>12} {:>10} | {:>16} {:>16} {:>12.3}",
+        let counts = format!(
+            "{components:>12} {:>10} | {:>16} {:>16}",
             components * events_per,
             analysis.predicted_states(),
-            worlds.states_enumerated(),
-            ms(elapsed)
+            worlds.states_enumerated()
         );
+        if counts_only {
+            println!("{counts}");
+        } else {
+            println!("{counts} {:>12.3}", ms(elapsed));
+        }
     }
     println!("(the census is pure arithmetic on the condition graph — no valuation is enumerated to predict the cost)\n");
 }
@@ -871,7 +881,8 @@ fn e13_shape_census() {
 }
 
 /// E11: Section 5 — set semantics and semantic vs structural equivalence.
-fn e11_set_semantics_and_semantic_equivalence() {
+/// With `counts_only`, the cost table keeps its sizes and verdicts alone.
+fn e11_set_semantics_and_semantic_equivalence(counts_only: bool) {
     header(
         "E11",
         "Section 5 / Proposition 4 — set semantics and semantic vs structural equivalence",
@@ -921,7 +932,11 @@ fn e11_set_semantics_and_semantic_equivalence() {
 
     // (c) Semantic equivalence cost: it expands both PW sets (exptime).
     println!("\nsemantic-equivalence cost (exhaustive PW expansion):");
-    println!("{:>5} {:>14}", "|W|", "time (ms)");
+    if counts_only {
+        println!("{:>5}", "|W|");
+    } else {
+        println!("{:>5} {:>14}", "|W|", "time (ms)");
+    }
     for events in [4usize, 8, 12, 16] {
         let mut t = pxml_core::probtree::ProbTree::new("R");
         let root = t.tree().root();
@@ -932,10 +947,12 @@ fn e11_set_semantics_and_semantic_equivalence() {
         let u = t.clone();
         let start = Instant::now();
         let equal = pxml_core::equivalence::semantic_equivalent(&t, &u, 24).unwrap();
-        println!(
-            "{events:>5} {:>14.3}   (equivalent = {equal})",
-            ms(start.elapsed())
-        );
+        if counts_only {
+            println!("{events:>5}   (equivalent = {equal})");
+        } else {
+            let elapsed = ms(start.elapsed());
+            println!("{events:>5} {elapsed:>14.3}   (equivalent = {equal})");
+        }
     }
     println!();
 }

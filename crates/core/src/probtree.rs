@@ -48,9 +48,8 @@ pub struct ShapeCensus {
 }
 
 /// Counts the distinct annotated subtree shapes of `trees` together. Each
-/// tree is walked in reverse pre-order, children before their parent, as
-/// [`CanonInterner::canonize`](pxml_tree::canon::CanonInterner::canonize)
-/// does, and every node is interned into one [`AnnotatedCanonInterner`]
+/// tree is walked in reverse pre-order, children before their parent, and
+/// every node is interned into one [`AnnotatedCanonInterner`]
 /// under its label, its condition ([`ProbTree::condition_ref`]) and its
 /// children's codes. The count says how much a store that kept equal
 /// subtrees once would save; a [`ProbTree`] stores every node.
@@ -284,17 +283,8 @@ impl ProbTree {
     /// Union of the conditions on the strict ancestors of `node`
     /// (`cond_ancestors` in Appendix A).
     pub fn ancestor_condition(&self, node: NodeId) -> Condition {
-        let mut acc = Condition::always();
-        for anc in self.tree.ancestors(node) {
-            acc = acc.and(&self.condition(anc));
-        }
-        acc
-    }
-
-    /// Union of the conditions on `node` and all its strict ancestors — the
-    /// condition under which `node` is present in a possible world.
-    pub fn path_condition(&self, node: NodeId) -> Condition {
-        self.condition(node).and(&self.ancestor_condition(node))
+        let ancestors = self.tree.ancestors(node);
+        Condition::union_of(ancestors.iter().filter_map(|&a| self.condition_ref(a)))
     }
 
     /// The value `V(T)` of the prob-tree in the world described by
@@ -570,11 +560,19 @@ mod tests {
 
     #[test]
     fn path_and_ancestor_conditions() {
-        let t = figure1_example();
+        let mut t = figure1_example();
         let d = t.tree().iter().find(|&n| t.tree().label(n) == "D").unwrap();
+        let w1 = t.events().by_name("w1").unwrap();
         let w2 = t.events().by_name("w2").unwrap();
         assert_eq!(t.ancestor_condition(d), Condition::always());
-        assert_eq!(t.path_condition(d), Condition::of(Literal::pos(w2)));
+        // Below D the path's conditions unite: D's own and E's.
+        let e = t.add_child(d, "E", Condition::of(Literal::neg(w1)));
+        let f = t.add_child(e, "F", Condition::always());
+        assert_eq!(t.ancestor_condition(e), Condition::of(Literal::pos(w2)));
+        assert_eq!(
+            t.ancestor_condition(f),
+            Condition::from_literals([Literal::neg(w1), Literal::pos(w2)])
+        );
     }
 
     #[test]

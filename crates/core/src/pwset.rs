@@ -11,8 +11,8 @@
 //! By Definition 4, each possible world of a prob-tree is its data tree
 //! restricted to the nodes whose conditions hold: a sub-datatree
 //! (Definition 5) of one source tree. A set therefore holds each world as a
-//! [`World`], the ids of its nodes over a shared source tree. The world
-//! fold ([`FactorizedWorlds::normalized_worlds`](crate::FactorizedWorlds::normalized_worlds))
+//! [`World`], a [`SubDataTree`] over a shared source tree. The world fold
+//! ([`FactorizedWorlds::normalized_worlds`](crate::FactorizedWorlds::normalized_worlds))
 //! shares one source among all its classes and builds no tree; a tree
 //! added with [`PossibleWorldSet::from_worlds`] or
 //! [`PossibleWorldSet::push`] is its own source. A consumer that needs an
@@ -23,41 +23,33 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use pxml_events::{prob_eq, PROB_EPS};
-use pxml_tree::canon::{CanonWriter, Semantics};
-use pxml_tree::subtree::induced_tree;
-use pxml_tree::{DataTree, NodeId};
+use pxml_tree::canon::Semantics;
+use pxml_tree::{DataTree, NodeId, SubDataTree};
 
-/// One world of a [`PossibleWorldSet`]: the tree its kept node ids induce
-/// on a source tree. The ids ascend, which lists every parent before its
-/// children (the id order documented on [`DataTree`]), start at the
-/// source's root and are closed under parents. Cloning a world clones two
-/// `Arc`s.
+/// One world of a [`PossibleWorldSet`]: a [`SubDataTree`] of a source
+/// tree. Cloning a world clones two `Arc`s.
 #[derive(Clone, Debug)]
 pub struct World {
     source: Arc<DataTree>,
-    nodes: Arc<[NodeId]>,
+    nodes: SubDataTree,
 }
 
 impl World {
     /// An owned tree as a world: its own source, with every reachable node
     /// kept.
     fn whole(tree: DataTree) -> World {
-        let mut nodes: Vec<NodeId> = tree.iter().collect();
-        nodes.sort_unstable();
         World {
+            nodes: SubDataTree::full(&tree),
             source: Arc::new(tree),
-            nodes: nodes.into(),
         }
     }
 
-    /// The world that the ascending, parent-closed `nodes` (root first)
-    /// keep of `source`.
+    /// The world that `nodes`, listed as [`SubDataTree::from_ascending`]
+    /// takes them, keep of `source`.
     pub(crate) fn within(source: Arc<DataTree>, nodes: &[NodeId]) -> World {
-        debug_assert_eq!(nodes.first(), Some(&source.root()));
-        debug_assert!(nodes.windows(2).all(|pair| pair[0] < pair[1]));
         World {
+            nodes: SubDataTree::from_ascending(&source, nodes),
             source,
-            nodes: nodes.into(),
         }
     }
 
@@ -72,20 +64,17 @@ impl World {
         false
     }
 
-    /// The world as an owned [`DataTree`], with the source's child order,
-    /// built from the kept ids alone by [`induced_tree`].
+    /// The world as an owned [`DataTree`], with the source's child order
+    /// ([`SubDataTree::to_tree`]).
     pub fn to_tree(&self) -> DataTree {
-        induced_tree(&self.source, self.nodes.iter().copied())
+        self.nodes.to_tree(&self.source)
     }
 
-    /// The canonical string of the world under `semantics`, written by
-    /// [`CanonWriter::write`] over the kept ids without building the tree:
-    /// the bytes of `canonical_string(&self.to_tree(), semantics)`.
+    /// The canonical string of the world under `semantics`, written over
+    /// the kept ids without building the tree
+    /// ([`SubDataTree::canonical_string`]).
     pub fn canonical_string(&self, semantics: Semantics) -> String {
-        let mut writer = CanonWriter::default();
-        let member = |n| self.nodes.binary_search(&n).is_ok();
-        let bytes = writer.write(&self.source, semantics, member);
-        String::from_utf8(bytes.to_vec()).expect("labels are UTF-8 and the syntax is ASCII")
+        self.nodes.canonical_string(&self.source, semantics)
     }
 
     /// The label of the world's root.

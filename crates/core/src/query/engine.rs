@@ -641,15 +641,17 @@ impl<'a> PreparedQuery<'a> {
     /// # Panics
     /// Panics if `index ≥ len()`.
     pub fn probability(&self, index: usize) -> f64 {
-        self.condition_probability(self.answers[index].condition)
+        self.union_probability(self.answers[index].condition)
     }
 
-    fn condition_probability(&self, condition: usize) -> f64 {
+    fn union_probability(&self, condition: usize) -> f64 {
         *self.probabilities[condition]
             .get_or_init(|| self.conditions[condition].probability(self.tree().events()))
     }
 
-    /// Materializes the `index`-th answer (tree, node set, probability).
+    /// Materializes the `index`-th answer: its tree, built by
+    /// [`SubDataTree::to_tree`], its node set, shared with the prepared
+    /// state, and its probability.
     ///
     /// # Panics
     /// Panics if `index ≥ len()`.
@@ -657,7 +659,7 @@ impl<'a> PreparedQuery<'a> {
         let state = &self.answers[index];
         ProbAnswer {
             tree: state.subtree.to_tree(self.tree().tree()),
-            probability: self.condition_probability(state.condition),
+            probability: self.union_probability(state.condition),
             subtree: state.subtree.clone(),
         }
     }

@@ -728,11 +728,7 @@ fn deletion_order(
 /// conditions of the nodes of the induced answer sub-datatree.
 fn match_condition(tree: &ProbTree, m: &PatternMatch) -> Condition {
     let sub = m.induced_subtree(tree.tree());
-    let mut cond = Condition::always();
-    for node in sub.nodes() {
-        cond = cond.and(&tree.condition(node));
-    }
-    cond
+    Condition::union_of(sub.nodes().filter_map(|node| tree.condition_ref(node)))
 }
 
 /// The mutually exclusive expansion of `¬(a_1 ∧ … ∧ a_p)` used by

@@ -52,17 +52,9 @@
 //!
 //! A [`FactorizedWorlds`] value answers two kinds of questions:
 //!
-//! * **Shard-local folds** never touch the cross product. A condition's
-//!   support lives inside one component, so its probability is a fold over
-//!   that single component's enumeration
-//!   ([`FactorizedWorlds::condition_probability`] multiplies the
-//!   per-component folds of an arbitrary conjunction — for independent
-//!   events this re-derives the `O(|literals|)` analytic product
-//!   [`Condition::probability`], so it serves as the decomposition's
-//!   cross-check and as the template for aggregates without a closed
-//!   form), and enumeration accounting
-//!   ([`FactorizedWorlds::states_enumerated`],
-//!   [`FactorizedWorlds::num_joint_assignments`]) is pure arithmetic over
+//! * **Shard-local accounting** never touches the cross product:
+//!   [`FactorizedWorlds::states_enumerated`] and
+//!   [`FactorizedWorlds::num_joint_assignments`] are pure arithmetic over
 //!   shard sizes.
 //! * **Joint materialization is still forced** whenever the consumer needs
 //!   actual worlds or valuations rather than aggregates: the normalized PW
@@ -79,8 +71,8 @@
 //! Shard classes merge assignments that give every condition of *this
 //! engine's tree* the same truth values, so `FactorizedWorlds` is only
 //! valid for consumers that observe valuations through those conditions
-//! (worlds, world probabilities, condition folds). Consumers that
-//! distinguish valuations beyond the tree's own conditions — the
+//! (worlds and world probabilities). Consumers that distinguish valuations
+//! beyond the tree's own conditions — the
 //! [`WorldEngine::for_pair`] structural-equivalence setting, where the
 //! second tree's conditions also matter, and the event-independence probe
 //! — must keep using the exact enumerations
@@ -373,7 +365,6 @@ impl<'a> WorldEngine<'a> {
         Ok(FactorizedWorlds {
             engine: self.clone(),
             shards,
-            weighted,
             max_joint_worlds: config.max_joint_worlds,
         })
     }
@@ -652,7 +643,6 @@ fn enumerate_component(
 pub struct FactorizedWorlds<'a> {
     engine: WorldEngine<'a>,
     shards: Vec<ComponentShard>,
-    weighted: bool,
     max_joint_worlds: u128,
 }
 
@@ -680,68 +670,6 @@ impl<'a> FactorizedWorlds<'a> {
         self.shards.iter().fold(1u128, |acc, s| {
             acc.saturating_mul(s.assignments.len() as u128)
         })
-    }
-
-    /// Probability of an arbitrary conjunction of literals over the
-    /// engine's event table, computed as a product of per-component folds
-    /// over the raw shard enumerations — the cross product is never
-    /// materialized. Involved components are folded in component order;
-    /// literals over events outside every component (events no tree
-    /// condition mentions) are folded analytically; an event constrained
-    /// by both polarities yields 0.
-    ///
-    /// This is the *independent cross-check* of the shard decomposition:
-    /// because events are mutually independent, the production path for a
-    /// conjunction's probability is the `O(|literals|)` analytic product
-    /// [`Condition::probability`], and the property suite asserts this
-    /// exhaustive per-component marginalization (`Σ_c 2^{|C_i|}` work over
-    /// the involved components) always re-derives the same value. Use the
-    /// analytic product in hot paths; use this fold to validate shard
-    /// plumbing or as the template for per-component aggregates that have
-    /// no analytic closed form.
-    ///
-    /// Only meaningful on weighted shards ([`WorldEngine::sharded`]).
-    pub fn condition_probability(&self, condition: &Condition) -> f64 {
-        let events = self.engine.tree.events();
-        let mut component_of: HashMap<EventId, usize> = HashMap::new();
-        for (i, shard) in self.shards.iter().enumerate() {
-            for &e in &shard.events {
-                component_of.insert(e, i);
-            }
-        }
-        // Group the literals by component (detecting contradictions on the
-        // way); iterate involved components in sorted order so the
-        // accumulation is deterministic.
-        let mut per_component: std::collections::BTreeMap<usize, Vec<pxml_events::Literal>> =
-            std::collections::BTreeMap::new();
-        let mut polarity: HashMap<EventId, bool> = HashMap::new();
-        let mut acc = 1.0;
-        for &literal in condition.literals() {
-            if let Some(&prev) = polarity.get(&literal.event) {
-                if prev != literal.positive {
-                    return 0.0; // w ∧ ¬w
-                }
-                continue; // duplicate literal
-            }
-            polarity.insert(literal.event, literal.positive);
-            match component_of.get(&literal.event) {
-                Some(&component) => per_component.entry(component).or_default().push(literal),
-                None => acc *= literal.prob(events),
-            }
-        }
-        for (&component, literals) in &per_component {
-            let component_events = &self.shards[component].events;
-            let mut fold = 0.0;
-            for v in self
-                .engine
-                .component_valuations(component, self.weighted)
-                .filter(|v| literals.iter().all(|l| l.eval(v)))
-            {
-                fold += v.probability_over(events, component_events.iter().copied());
-            }
-            acc *= fold;
-        }
-        acc
     }
 
     /// Lazily walks the cross product of the shard classes, yielding the
@@ -1187,48 +1115,6 @@ mod tests {
         assert_eq!(err.num_events, 8);
         assert_eq!(err.max_events, 6);
         assert!(engine.sharded(&WorldEngineConfig::default(), 8).is_ok());
-    }
-
-    #[test]
-    fn condition_probability_folds_without_joint_materialization() {
-        let mut t = ProbTree::new("A");
-        let w: Vec<_> = [0.8, 0.7, 0.5, 0.4]
-            .iter()
-            .map(|&p| t.events_mut().fresh(p))
-            .collect();
-        let root = t.tree().root();
-        t.add_child(
-            root,
-            "B",
-            Condition::from_literals([Literal::pos(w[0]), Literal::neg(w[1])]),
-        );
-        t.add_child(root, "C", Condition::of(Literal::pos(w[2])));
-        let unused = t.events_mut().fresh(0.25);
-        t.add_child(root, "D", Condition::of(Literal::pos(w[3])));
-        let engine = WorldEngine::new(&t);
-        let factorized = engine.sharded(&WorldEngineConfig::default(), 20).unwrap();
-        // Cross-component conjunction: independent events multiply.
-        let cond =
-            Condition::from_literals([Literal::pos(w[0]), Literal::neg(w[1]), Literal::pos(w[2])]);
-        let expected = cond.probability(t.events());
-        assert!(prob_eq(factorized.condition_probability(&cond), expected));
-        // Literals on events no condition mentions fold analytically.
-        let with_unused = Condition::from_literals([Literal::pos(w[2]), Literal::neg(unused)]);
-        assert!(prob_eq(
-            factorized.condition_probability(&with_unused),
-            0.5 * 0.75
-        ));
-        // Contradictions are 0, even on unmentioned events.
-        let contradiction = Condition::from_literals([Literal::pos(unused), Literal::neg(unused)]);
-        assert!(prob_eq(
-            factorized.condition_probability(&contradiction),
-            0.0
-        ));
-        // The empty condition is certain.
-        assert!(prob_eq(
-            factorized.condition_probability(&Condition::always()),
-            1.0
-        ));
     }
 
     #[test]

@@ -68,7 +68,8 @@ struct NodeData {
 /// [`DataTree::subtree_to_tree`] build their trees with `add_child`. A walk
 /// over a node set in id order therefore meets every parent before its
 /// children and each node's children in their child order, which
-/// [`induced_tree`](crate::subtree::induced_tree) relies on.
+/// [`SubDataTree::to_tree`](crate::subtree::SubDataTree::to_tree) relies
+/// on.
 ///
 /// **Sharing.** The arena is [`Pages`] of node records. A clone shares
 /// every full page with its source and copies the last one, so cloning and

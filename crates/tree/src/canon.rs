@@ -1,11 +1,19 @@
 //! Canonical forms and isomorphism of unordered labeled trees.
 //!
 //! The paper relies (proof of Theorem 2, citing Aho–Hopcroft–Ullman \[4\]) on
-//! the classical linear-time canonization of rooted unordered trees: assign
-//! integers to leaves by label, then bottom-up assign the same integer to two
-//! nodes iff they have the same label and the same multiset of child
-//! integers. Two trees are isomorphic (Definition 1's `∼`) iff their roots
-//! receive the same integer.
+//! the classical canonization of rooted unordered trees: bottom-up, two
+//! nodes receive the same code iff they have the same label and the same
+//! multiset of child codes, and two trees are isomorphic (Definition 1's
+//! `∼`) iff their roots receive the same code.
+//!
+//! The [`canonical_string`] is that canonization written out: a node's code
+//! is the string of its label followed by its children's strings, sorted.
+//! Two nodes get the same string iff they have the same label and the same
+//! multiset of child strings, so the string needs no interner shared
+//! between trees, stays stable across processes, and keys possible worlds,
+//! ranking ties and normalization. [`isomorphic`] compares two of them.
+//! [`AnnotatedCanonInterner`] keeps AHU's integer codes for trees whose
+//! nodes also carry an annotation.
 //!
 //! Two semantics are supported:
 //!
@@ -31,59 +39,12 @@ pub enum Semantics {
     Set,
 }
 
-/// Interner that assigns canonical integer codes to (label, child-codes)
-/// shapes shared across several trees. Comparing root codes obtained from
-/// the *same* interner decides isomorphism.
-#[derive(Default, Debug)]
-pub struct CanonInterner {
-    codes: HashMap<(String, Vec<u32>), u32>,
-}
-
-impl CanonInterner {
-    /// Creates an empty interner.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of distinct (label, child-code multiset) shapes seen so far.
-    pub fn distinct_shapes(&self) -> usize {
-        self.codes.len()
-    }
-
-    fn intern(&mut self, label: &str, mut child_codes: Vec<u32>, semantics: Semantics) -> u32 {
-        child_codes.sort_unstable();
-        if semantics == Semantics::Set {
-            child_codes.dedup();
-        }
-        let next = self.codes.len() as u32;
-        *self
-            .codes
-            .entry((label.to_string(), child_codes))
-            .or_insert(next)
-    }
-
-    /// Computes canonical codes for every reachable node of `tree`,
-    /// returning the per-node codes and the root code.
-    pub fn canonize(&mut self, tree: &DataTree, semantics: Semantics) -> CanonCodes {
-        // Process nodes children-first: reverse pre-order works because a
-        // pre-order pushes parents before children, so the reverse visits
-        // children before their parent.
-        let order: Vec<NodeId> = tree.iter().collect();
-        let mut codes: HashMap<NodeId, u32> = HashMap::with_capacity(order.len());
-        for &node in order.iter().rev() {
-            let child_codes: Vec<u32> = tree.children(node).iter().map(|c| codes[c]).collect();
-            let code = self.intern(tree.label(node), child_codes, semantics);
-            codes.insert(node, code);
-        }
-        let root_code = codes[&tree.root()];
-        CanonCodes { codes, root_code }
-    }
-}
-
-/// [`CanonInterner`] generalized to trees whose nodes carry an annotation
-/// of type `A` alongside the label. Prob-trees intern node conditions with
-/// it: the simplifier to group mergeable siblings, and
-/// `pxml_core::probtree::shape_census` to count equal subtrees.
+/// Interner of AHU integer codes for trees whose nodes carry an annotation
+/// of type `A` alongside the label, shared across the trees it codes.
+/// Prob-trees intern node conditions with it: the simplifier to group
+/// mergeable siblings, and `pxml_core::probtree::shape_census` to count
+/// equal subtrees. The caller walks its tree children first and interns
+/// each node with its children's codes.
 ///
 /// Two shapes receive the same code iff they have the same label, equal
 /// annotations (`Option<A>` — `None` distinguishes "no annotation" from
@@ -126,26 +87,14 @@ impl<A: Clone + Eq + Hash> Default for AnnotatedCanonInterner<A> {
     }
 }
 
-/// Canonical codes computed for one tree by a [`CanonInterner`].
-#[derive(Clone, Debug)]
-pub struct CanonCodes {
-    /// Code of every reachable node.
-    pub codes: HashMap<NodeId, u32>,
-    /// Code of the root (the canonical code of the whole tree).
-    pub root_code: u32,
-}
-
-/// Decides isomorphism of two unordered labeled trees (Definition 1).
-///
-/// Runs in time linear in the sizes of the two trees (up to hashing).
+/// Decides isomorphism of two unordered labeled trees (Definition 1): the
+/// multiset semantics first compares their sizes, then both compare their
+/// [`canonical_string`]s.
 pub fn isomorphic(a: &DataTree, b: &DataTree, semantics: Semantics) -> bool {
     if semantics == Semantics::MultiSet && a.len() != b.len() {
         return false;
     }
-    let mut interner = CanonInterner::new();
-    let ca = interner.canonize(a, semantics);
-    let cb = interner.canonize(b, semantics);
-    ca.root_code == cb.root_code
+    canonical_string(a, semantics) == canonical_string(b, semantics)
 }
 
 /// A canonical *string* for a tree: stable across processes and usable as a
@@ -427,29 +376,30 @@ mod tests {
     }
 
     #[test]
-    fn interner_is_shared_across_trees() {
-        let mut interner = CanonInterner::new();
-        let a = star("A", "B", 3);
-        let b = star("A", "B", 3);
-        let ca = interner.canonize(&a, Semantics::MultiSet);
-        let cb = interner.canonize(&b, Semantics::MultiSet);
-        assert_eq!(ca.root_code, cb.root_code);
-        // Shapes: leaf B, and A with three B children.
-        assert_eq!(interner.distinct_shapes(), 2);
-    }
-
-    #[test]
-    fn deep_trees_canonize_without_stack_overflow_in_interner_path() {
-        // Both the interner path and canonical_string are iterative;
-        // `deep_chains_match_the_recursive_oracle` takes canonical_string
-        // to depth 2 000.
-        let mut tree = DataTree::new("A");
-        let mut cur = tree.root();
-        for _ in 0..500 {
-            cur = tree.add_child(cur, "A");
+    fn deep_chains_are_isomorphic_without_stack_overflow() {
+        // Two 2 000-deep chains whose every tenth node has a leaf before its
+        // chain child in one tree and after it in the other: isomorphic
+        // under both semantics. Relabelling the bottom node breaks it.
+        let chain = |leaf_first: bool, bottom: &str| {
+            let mut tree = DataTree::new("root");
+            let mut cur = tree.root();
+            for i in 0..2000 {
+                let label = if i == 1999 { bottom } else { "A" };
+                if i % 10 == 0 && leaf_first {
+                    tree.add_child(cur, "leaf");
+                }
+                let next = tree.add_child(cur, label);
+                if i % 10 == 0 && !leaf_first {
+                    tree.add_child(cur, "leaf");
+                }
+                cur = next;
+            }
+            tree
+        };
+        let (x, y, z) = (chain(true, "A"), chain(false, "A"), chain(false, "B"));
+        for semantics in [Semantics::MultiSet, Semantics::Set] {
+            assert!(isomorphic(&x, &y, semantics));
+            assert!(!isomorphic(&x, &z, semantics));
         }
-        let mut interner = CanonInterner::new();
-        let codes = interner.canonize(&tree, Semantics::MultiSet);
-        assert_eq!(codes.codes.len(), 501);
     }
 }

@@ -20,15 +20,18 @@
 //! * [`keyindex`]: [`KeyIndex`], the copy-on-write open-addressing table
 //!   over keys stored elsewhere that indexes event names and the
 //!   postings' labels.
-//! * [`canon`]: linear-time isomorphism of unordered labeled trees via
-//!   Aho–Hopcroft–Ullman canonical codes, under both the paper's default
-//!   **multiset** semantics and the Section 5 **set** semantics.
-//!   [`AnnotatedCanonInterner`] codes trees whose nodes carry an
-//!   annotation too; prob-trees intern node conditions with it.
+//! * [`canon`]: isomorphism of unordered labeled trees by their canonical
+//!   strings, the Aho–Hopcroft–Ullman canonization written out, under both
+//!   the paper's default **multiset** semantics and the Section 5 **set**
+//!   semantics. [`AnnotatedCanonInterner`] keeps AHU's integer codes for
+//!   trees whose nodes carry an annotation too; prob-trees intern node
+//!   conditions with it.
 //! * [`subtree`]: *sub-datatrees* (Definition 5) — root-preserving,
-//!   parent-closed node subsets — which are the result form of the paper's
-//!   locally monotone queries. Any ascending node list is materialized by
-//!   [`subtree::induced_tree`].
+//!   parent-closed node subsets — the result form of the paper's locally
+//!   monotone queries and the form of each possible world. A
+//!   [`SubDataTree`] holds its ascending node ids behind one `Arc`, so it
+//!   clones as a reference count bump, and builds an owned tree only when
+//!   asked ([`SubDataTree::to_tree`]).
 //! * [`builder`]: a declarative way to construct trees in tests and
 //!   examples.
 //! * [`render`]: human-readable ASCII rendering.

@@ -2,35 +2,44 @@
 //!
 //! A *sub-datatree* `t' ≤ t` keeps the root of `t` and is closed under
 //! parents: whenever a node is kept, so is its parent. The paper's locally
-//! monotone queries return sets of sub-datatrees; representing them as node
+//! monotone queries return sets of sub-datatrees, and each possible world
+//! of a prob-tree is one (Definitions 4 and 5). Representing them as node
 //! subsets of the original tree (rather than as freshly-built trees) keeps
 //! the correspondence needed to collect node conditions during prob-tree
-//! query evaluation (Definition 8) and to anchor updates (Appendix A).
+//! query evaluation (Definition 8) and to anchor updates (Appendix A), and
+//! lets many of them share one source tree.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use crate::arena::{DataTree, NodeId};
 use crate::canon::{into_string, CanonWriter, Semantics};
 
-/// A sub-datatree of a specific [`DataTree`], represented as the set of
-/// kept node ids (always containing the root, closed under parents).
+/// A sub-datatree of a specific [`DataTree`], represented as its kept node
+/// ids in ascending order: the root first, closed under parents. Ascending
+/// ids list every parent before its children (the id order documented on
+/// [`DataTree`]). The ids sit behind an `Arc`, so a clone is one reference
+/// count bump. Sets order and compare lexicographically over their
+/// ascending ids, as `BTreeSet<NodeId>` does.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub struct SubDataTree {
-    nodes: BTreeSet<NodeId>,
+    nodes: Arc<[NodeId]>,
 }
 
 impl SubDataTree {
     /// The sub-datatree consisting of the root only.
     pub fn root_only(tree: &DataTree) -> Self {
-        let mut nodes = BTreeSet::new();
-        nodes.insert(tree.root());
-        SubDataTree { nodes }
+        SubDataTree {
+            nodes: Arc::new([tree.root()]),
+        }
     }
 
     /// The full tree, viewed as a sub-datatree of itself.
     pub fn full(tree: &DataTree) -> Self {
+        let mut nodes: Vec<NodeId> = tree.iter().collect();
+        nodes.sort_unstable();
         SubDataTree {
-            nodes: tree.iter().collect(),
+            nodes: nodes.into(),
         }
     }
 
@@ -48,10 +57,27 @@ impl SubDataTree {
                 cur = tree.parent(n);
             }
         }
-        SubDataTree { nodes: set }
+        SubDataTree {
+            nodes: set.into_iter().collect(),
+        }
     }
 
-    /// The kept nodes.
+    /// The sub-datatree whose ids `ascending` lists already closed: root
+    /// first, ascending, and holding the parent of every listed node. The
+    /// list is kept as it is; the three properties are checked in debug
+    /// builds only. The world fold lists every kept set this way.
+    pub fn from_ascending(tree: &DataTree, ascending: &[NodeId]) -> Self {
+        debug_assert_eq!(ascending.first(), Some(&tree.root()));
+        debug_assert!(ascending.windows(2).all(|pair| pair[0] < pair[1]));
+        debug_assert!(ascending.iter().all(|&n| tree
+            .parent(n)
+            .is_none_or(|p| ascending.binary_search(&p).is_ok())));
+        SubDataTree {
+            nodes: ascending.into(),
+        }
+    }
+
+    /// The kept nodes, in ascending id order.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.nodes.iter().copied()
     }
@@ -66,88 +92,62 @@ impl SubDataTree {
         false
     }
 
-    /// Whether `node` is kept.
+    /// Whether `node` is kept: a binary search over the ascending ids.
     pub fn contains(&self, node: NodeId) -> bool {
-        self.nodes.contains(&node)
-    }
-
-    /// Set-union of two sub-datatrees of the same tree (still a
-    /// sub-datatree, since parent-closure is preserved by union).
-    pub fn union(&self, other: &SubDataTree) -> SubDataTree {
-        SubDataTree {
-            nodes: self.nodes.union(&other.nodes).copied().collect(),
-        }
-    }
-
-    /// Set-intersection of two sub-datatrees of the same tree. The
-    /// intersection of two parent-closed sets containing the root is again
-    /// parent-closed and contains the root.
-    pub fn intersection(&self, other: &SubDataTree) -> SubDataTree {
-        SubDataTree {
-            nodes: self.nodes.intersection(&other.nodes).copied().collect(),
-        }
+        self.nodes.binary_search(&node).is_ok()
     }
 
     /// The sub-datatree partial order `self ≤ other` (both over the same
     /// underlying tree).
     pub fn le(&self, other: &SubDataTree) -> bool {
-        self.nodes.is_subset(&other.nodes)
+        self.nodes().all(|n| other.contains(n))
     }
 
     /// Materializes this sub-datatree as an independent [`DataTree`]: the
     /// tree [`DataTree::extract`] keeps for this node set, with the same
-    /// child order, built from the set alone by [`induced_tree`].
+    /// child order, built from the set alone in `O(n log n)` for `n` kept
+    /// nodes, however large `tree` is.
+    ///
+    /// The walk visits the ids in ascending order, which meets every parent
+    /// before its children and each node's children in their child order
+    /// (the id order documented on [`DataTree`]), and finds each parent's
+    /// copy by binary search in the ascending list of copied sources. A kept
+    /// node whose parent was not copied, or that was detached, is left out,
+    /// as a walk from the root never reaches it.
     ///
     /// # Panics
     /// Panics if the set does not contain `tree`'s root.
     pub fn to_tree(&self, tree: &DataTree) -> DataTree {
-        induced_tree(tree, self.nodes.iter().copied())
+        let root = tree.root();
+        assert!(
+            self.nodes.first() == Some(&root),
+            "extraction must keep the root"
+        );
+        let mut out = DataTree::with_capacity(tree.label(root), self.nodes.len());
+        // The source of each copy, by copy id; it ascends, because the copies
+        // are made in source id order.
+        let mut sources = Vec::with_capacity(self.nodes.len());
+        sources.push(root);
+        for &node in &self.nodes[1..] {
+            let Some(parent) = tree.parent(node) else {
+                continue;
+            };
+            if let Ok(copy) = sources.binary_search(&parent) {
+                out.add_child(NodeId::from_index(copy), tree.label(node));
+                sources.push(node);
+            }
+        }
+        out
     }
 
-    /// Canonical string of the induced tree (used to deduplicate
-    /// isomorphic query answers and to break ranking ties), written by
-    /// [`CanonWriter::write`] over this set without building the tree: the
-    /// bytes of `canonical_string(&self.to_tree(tree), semantics)`.
+    /// Canonical string of the induced tree (used to key possible worlds,
+    /// to deduplicate isomorphic query answers and to break ranking ties),
+    /// written by [`CanonWriter::write`] over this set without building the
+    /// tree: the bytes of `canonical_string(&self.to_tree(tree), semantics)`.
     pub fn canonical_string(&self, tree: &DataTree, semantics: Semantics) -> String {
         let mut writer = CanonWriter::default();
-        into_string(writer.write(tree, semantics, |n| self.nodes.contains(&n)))
+        into_string(writer.write(tree, semantics, |n| self.contains(n)))
     }
-}
-
-/// Builds the tree that `ascending`, node ids of `tree` listed in
-/// ascending order, induce on it: the tree [`DataTree::extract`] keeps for
-/// the same membership test, with the same child order, in `O(n log n)`
-/// for `n` listed nodes, however large `tree` is. Sub-datatrees and the
-/// worlds of a possible-world fold materialize with it.
-///
-/// The walk visits the list in id order, which meets every parent before
-/// its children and each node's children in their child order (the id
-/// order documented on [`DataTree`]). A listed node whose parent was not
-/// copied, or that was detached, is left out, as a walk from the root never
-/// reaches it.
-///
-/// # Panics
-/// Panics if the list does not start with `tree`'s root, the smallest id.
-pub fn induced_tree(tree: &DataTree, ascending: impl IntoIterator<Item = NodeId>) -> DataTree {
-    let root = tree.root();
-    let mut listed = ascending.into_iter();
-    let capacity = listed.size_hint().0;
-    assert!(listed.next() == Some(root), "extraction must keep the root");
-    let mut out = DataTree::with_capacity(tree.label(root), capacity);
-    // The source of each copy, by copy id; it ascends, because the copies
-    // are made in source id order.
-    let mut sources = Vec::with_capacity(capacity);
-    sources.push(root);
-    for node in listed {
-        let Some(parent) = tree.parent(node) else {
-            continue;
-        };
-        if let Ok(copy) = sources.binary_search(&parent) {
-            out.add_child(NodeId::from_index(copy), tree.label(node));
-            sources.push(node);
-        }
-    }
-    out
 }
 
 /// Checks whether the *independent* tree `small` is (isomorphic to) a
@@ -189,7 +189,9 @@ pub fn enumerate_subdatatrees(tree: &DataTree) -> Vec<SubDataTree> {
     }
     rec(tree, tree.root())
         .into_iter()
-        .map(|nodes| SubDataTree { nodes })
+        .map(|nodes| SubDataTree {
+            nodes: nodes.into_iter().collect(),
+        })
         .collect()
 }
 
@@ -242,20 +244,6 @@ mod tests {
     }
 
     #[test]
-    fn union_and_intersection_preserve_structure() {
-        let tree = sample();
-        let b = node_by_label(&tree, "B");
-        let d = node_by_label(&tree, "D");
-        let sb = SubDataTree::from_nodes(&tree, [b]);
-        let sd = SubDataTree::from_nodes(&tree, [d]);
-        let u = sb.union(&sd);
-        assert_eq!(u.len(), 4);
-        let i = sb.intersection(&sd);
-        assert_eq!(i.len(), 1); // just the root
-        assert!(i.contains(tree.root()));
-    }
-
-    #[test]
     fn to_tree_extracts_the_induced_tree() {
         let tree = sample();
         let d = node_by_label(&tree, "D");
@@ -271,9 +259,43 @@ mod tests {
         let tree = sample();
         let d = node_by_label(&tree, "D");
         let sub = SubDataTree {
-            nodes: BTreeSet::from([d]),
+            nodes: Arc::new([d]),
         };
         sub.to_tree(&tree);
+    }
+
+    /// The node set that `picks` name in `tree` (taken modulo its arena,
+    /// so detached nodes occur), closed under parents by `from_nodes` or,
+    /// unless `closed`, kept as picked beside the root.
+    fn picked_set(tree: &DataTree, picks: &[usize], closed: bool) -> SubDataTree {
+        let picked = picks
+            .iter()
+            .map(|pick| NodeId::from_index(pick % tree.arena_len()));
+        if closed {
+            SubDataTree::from_nodes(tree, picked)
+        } else {
+            let mut nodes: BTreeSet<NodeId> = picked.collect();
+            nodes.insert(tree.root());
+            SubDataTree {
+                nodes: nodes.into_iter().collect(),
+            }
+        }
+    }
+
+    /// `from_nodes` as it was when a sub-datatree held a `BTreeSet`: the
+    /// closure oracle.
+    fn closed_by_btreeset(tree: &DataTree, picks: &[usize]) -> BTreeSet<NodeId> {
+        let mut set = BTreeSet::from([tree.root()]);
+        for pick in picks {
+            let mut cur = Some(NodeId::from_index(pick % tree.arena_len()));
+            while let Some(n) = cur {
+                if !set.insert(n) {
+                    break;
+                }
+                cur = tree.parent(n);
+            }
+        }
+        set
     }
 
     proptest! {
@@ -288,16 +310,7 @@ mod tests {
             picks in prop::collection::vec(any::<usize>(), 0..10),
             closed in any::<bool>(),
         ) {
-            let picked = picks
-                .iter()
-                .map(|pick| NodeId::from_index(pick % tree.arena_len()));
-            let sub = if closed {
-                SubDataTree::from_nodes(&tree, picked)
-            } else {
-                let mut nodes: BTreeSet<NodeId> = picked.collect();
-                nodes.insert(tree.root());
-                SubDataTree { nodes }
-            };
+            let sub = picked_set(&tree, &picks, closed);
             let (extracted, _) = tree.extract(&|n| sub.contains(n));
             let built = sub.to_tree(&tree);
             prop_assert_eq!(built.len(), extracted.len());
@@ -320,16 +333,7 @@ mod tests {
             picks in prop::collection::vec(any::<usize>(), 0..10),
             closed in any::<bool>(),
         ) {
-            let picked = picks
-                .iter()
-                .map(|pick| NodeId::from_index(pick % tree.arena_len()));
-            let sub = if closed {
-                SubDataTree::from_nodes(&tree, picked)
-            } else {
-                let mut nodes: BTreeSet<NodeId> = picked.collect();
-                nodes.insert(tree.root());
-                SubDataTree { nodes }
-            };
+            let sub = picked_set(&tree, &picks, closed);
             let built = sub.to_tree(&tree);
             for semantics in [Semantics::MultiSet, Semantics::Set] {
                 prop_assert_eq!(
@@ -337,6 +341,32 @@ mod tests {
                     canonical_string(&built, semantics)
                 );
             }
+        }
+
+        /// The ascending id list keeps the meaning the `BTreeSet` gave a
+        /// sub-datatree: on small trees, where two random sets often
+        /// share a prefix or coincide, `cmp` and `==` agree with those of
+        /// the same sets as `BTreeSet`s; `from_nodes` equals the `BTreeSet`
+        /// closure; and `from_ascending` on a closed list equals
+        /// `from_nodes` on it.
+        #[test]
+        fn ascending_ids_behave_as_the_btreeset(
+            tree in tree_strategy(10),
+            a in prop::collection::vec(any::<usize>(), 0..5),
+            b in prop::collection::vec(any::<usize>(), 0..5),
+            closed_a in any::<bool>(),
+            closed_b in any::<bool>(),
+        ) {
+            let (sa, sb) = (picked_set(&tree, &a, closed_a), picked_set(&tree, &b, closed_b));
+            let as_set = |sub: &SubDataTree| sub.nodes().collect::<BTreeSet<NodeId>>();
+            prop_assert_eq!(sa.cmp(&sb), as_set(&sa).cmp(&as_set(&sb)));
+            prop_assert_eq!(sa == sb, as_set(&sa) == as_set(&sb));
+            prop_assert_eq!(as_set(&picked_set(&tree, &a, true)), closed_by_btreeset(&tree, &a));
+            let list: Vec<NodeId> = picked_set(&tree, &a, true).nodes().collect();
+            prop_assert_eq!(
+                SubDataTree::from_ascending(&tree, &list),
+                SubDataTree::from_nodes(&tree, list.iter().copied())
+            );
         }
     }
 

@@ -421,30 +421,6 @@ proptest! {
         let legacy = possible_worlds(&tree, 16).unwrap().normalized();
         prop_assert!(fw.normalized_worlds().unwrap().isomorphic(&legacy));
     }
-
-    /// The shard-local condition fold agrees with the analytic product
-    /// over independent events, without ever touching the cross product.
-    #[test]
-    fn factorized_condition_fold_matches_analytic(
-        spec in probtree_strategy(),
-        literal_spec in prop::collection::vec((0usize..4, any::<bool>()), 0..4),
-    ) {
-        let tree = build_probtree(&spec);
-        let engine = WorldEngine::new(&tree);
-        let fw = engine
-            .sharded(&WorldEngineConfig::default(), 16)
-            .unwrap();
-        let num_events = tree.events().len();
-        let condition = Condition::from_literals(literal_spec.iter().map(|&(e, positive)| {
-            Literal {
-                event: EventId::from_index(e % num_events),
-                positive,
-            }
-        }));
-        let folded = fw.condition_probability(&condition);
-        let analytic = condition.probability(tree.events());
-        prop_assert!((folded - analytic).abs() < 1e-9);
-    }
 }
 
 // ---------------------------------------------------------------------------
