@@ -12,11 +12,11 @@
 //! cargo run --release -p pxml_bench --bin tables -- --exp e3 --counts
 //! ```
 //!
-//! `--counts` drops the timing columns of E2, E3, E4, E5, E7, E9, E11 and
-//! E12, so their output is deterministic; CI diffs it against
-//! `crates/bench/tests/e2.txt`, `e3.txt`, `e4.txt`, `e5.txt`, `e7.txt`,
-//! `e9.txt`, `e11.txt` and `e12.txt`. E1 and E13 print no timing column and
-//! are diffed whole (`e1.txt`, `e13.txt`).
+//! `--counts` drops the timing columns of E2–E12, so their output is
+//! deterministic (E6, E8 and E10 print each verdict where the full table
+//! prints its time); CI diffs it against `crates/bench/tests/e2.txt` to
+//! `e12.txt`. E1 and E13 print no timing column and are diffed whole
+//! (`e1.txt`, `e13.txt`).
 
 use std::time::Instant;
 
@@ -81,19 +81,19 @@ fn main() {
         e5_deletion_blowup(counts_only);
     }
     if run("e6") {
-        e6_equivalence();
+        e6_equivalence(counts_only);
     }
     if run("e7") {
         e7_threshold(counts_only);
     }
     if run("e8") {
-        e8_dtd_satisfiability();
+        e8_dtd_satisfiability(counts_only);
     }
     if run("e9") {
         e9_dtd_restriction(counts_only);
     }
     if run("e10") {
-        e10_formula_variant();
+        e10_formula_variant(counts_only);
     }
     if run("e11") {
         e11_set_semantics_and_semantic_equivalence(counts_only);
@@ -400,8 +400,9 @@ fn e5_deletion_blowup(counts_only: bool) {
     println!("(naive: 3^n survivor copies; engine: 1 + 2^n — the simplification pass finds the same cover starting from the naive output)\n");
 }
 
-/// E6: Theorem 2 — randomized vs exhaustive structural equivalence.
-fn e6_equivalence() {
+/// E6: Theorem 2 — randomized vs exhaustive structural equivalence. With
+/// `counts_only`, each test's verdict in place of its time.
+fn e6_equivalence(counts_only: bool) {
     header(
         "E6",
         "Theorem 2 — randomized (Fig. 3) vs exhaustive structural equivalence",
@@ -434,9 +435,14 @@ fn e6_equivalence() {
         t
     }
 
+    let (randomized_column, exhaustive_column) = if counts_only {
+        ("randomized", "exhaustive")
+    } else {
+        ("randomized (ms)", "exhaustive (ms)")
+    };
     println!(
-        "{:>5} {:>8} | {:>16} {:>16} | {:>10}",
-        "|W|", "nodes", "randomized (ms)", "exhaustive (ms)", "agree"
+        "{:>5} {:>8} | {randomized_column:>16} {exhaustive_column:>16} | {:>10}",
+        "|W|", "nodes", "agree"
     );
     let mut r = rng();
     for sections in [2usize, 4, 6, 8, 10, 32, 128] {
@@ -449,16 +455,24 @@ fn e6_equivalence() {
         let (exhaustive, exh_text) = if sections * 2 <= 20 {
             let start = Instant::now();
             let result = structural_equivalent_exhaustive(&a, &b, 24).unwrap();
-            (Some(result), format!("{:>16.3}", ms(start.elapsed())))
+            let text = if counts_only {
+                result.to_string()
+            } else {
+                format!("{:.3}", ms(start.elapsed()))
+            };
+            (Some(result), text)
         } else {
-            (None, format!("{:>16}", "skipped (2^|W|)"))
+            (None, "skipped (2^|W|)".to_string())
+        };
+        let rand_text = if counts_only {
+            randomized.to_string()
+        } else {
+            format!("{:.3}", ms(rand_time))
         };
         println!(
-            "{:>5} {:>8} | {:>16.3} {} | {:>10}",
+            "{:>5} {:>8} | {rand_text:>16} {exh_text:>16} | {:>10}",
             sections * 2,
             a.num_nodes() + b.num_nodes(),
-            ms(rand_time),
-            exh_text,
             match exhaustive {
                 Some(e) => (e == randomized).to_string(),
                 None => "-".to_string(),
@@ -573,52 +587,56 @@ fn e7_threshold(counts_only: bool) {
     println!("(the input grows linearly in n, the restriction representation exponentially)\n");
 }
 
-/// E8: Theorem 5 (1)–(2) — DTD satisfiability via the SAT reduction.
-fn e8_dtd_satisfiability() {
+/// E8: Theorem 5 (1)–(2) — DTD satisfiability via the SAT reduction. With
+/// `counts_only`, each decider's verdict in place of its time.
+fn e8_dtd_satisfiability(counts_only: bool) {
     header(
         "E8",
         "Theorem 5 — DTD satisfiability on reduced random 3-SAT (ratio 4.26)",
     );
+    let [dpll_column, backtrack_column, brute_column] = if counts_only {
+        ["dpll", "backtr", "brute"]
+    } else {
+        ["dpll (ms)", "backtr (ms)", "brute (ms)"]
+    };
     println!(
-        "{:>5} {:>8} {:>10} | {:>10} {:>12} {:>16} {:>16} {:>8}",
-        "vars",
-        "clauses",
-        "tree size",
-        "dpll (ms)",
-        "backtr (ms)",
-        "backtr decisions",
-        "brute (ms)",
-        "agree"
+        "{:>5} {:>8} {:>10} | {dpll_column:>10} {backtrack_column:>12} {:>16} {brute_column:>16} {:>8}",
+        "vars", "clauses", "tree size", "backtr decisions", "agree"
     );
+    // A decider's cell: its verdict under `counts_only`, else its time.
+    let cell = |verdict: bool, elapsed: std::time::Duration| {
+        if counts_only {
+            verdict.to_string()
+        } else {
+            format!("{:.3}", ms(elapsed))
+        }
+    };
     let mut r = StdRng::seed_from_u64(SEED ^ 0xE8);
     for num_vars in [6usize, 8, 10, 12, 14, 16, 18] {
         let cnf = random_3sat(ThreeSatConfig::at_ratio(num_vars, 4.26), &mut r);
         let instance = reduce_sat(&cnf);
         let start = Instant::now();
         let dpll = solve_dpll(&cnf).is_some();
-        let dpll_time = start.elapsed();
+        let dpll_text = cell(dpll, start.elapsed());
         let start = Instant::now();
         let (witness, stats) =
             satisfiable_backtracking(&instance.tree, &instance.satisfiability_dtd);
-        let backtrack_time = start.elapsed();
+        let backtrack_text = cell(witness.is_some(), start.elapsed());
         let (brute_text, brute_result) = if num_vars <= 16 {
             let start = Instant::now();
             let result = satisfiable_bruteforce(&instance.tree, &instance.satisfiability_dtd, 24)
                 .unwrap()
                 .is_some();
-            (format!("{:>16.3}", ms(start.elapsed())), Some(result))
+            (cell(result, start.elapsed()), Some(result))
         } else {
-            (format!("{:>16}", "skipped"), None)
+            ("skipped".to_string(), None)
         };
         let agree = witness.is_some() == dpll && brute_result.is_none_or(|b| b == dpll);
         println!(
-            "{num_vars:>5} {:>8} {:>10} | {:>10.3} {:>12.3} {:>16} {} {:>8}",
+            "{num_vars:>5} {:>8} {:>10} | {dpll_text:>10} {backtrack_text:>12} {:>16} {brute_text:>16} {:>8}",
             cnf.len(),
             instance.tree.size(),
-            ms(dpll_time),
-            ms(backtrack_time),
             stats.decisions,
-            brute_text,
             agree
         );
     }
@@ -665,8 +683,9 @@ fn e9_dtd_restriction(counts_only: bool) {
     println!();
 }
 
-/// E10: Section 5 — the arbitrary-formula variant trade-off.
-fn e10_formula_variant() {
+/// E10: Section 5 — the arbitrary-formula variant trade-off. With
+/// `counts_only`, the size columns and the query's verdict alone.
+fn e10_formula_variant(counts_only: bool) {
     header(
         "E10",
         "Section 5 — arbitrary-formula conditions: cheap deletions, expensive queries",
@@ -688,27 +707,35 @@ fn e10_formula_variant() {
         t
     }
 
-    println!(
-        "{:>4} | {:>14} {:>14} | {:>14} {:>14} | {:>18}",
-        "n",
-        "conj. del size",
-        "conj. del (ms)",
-        "form. del size",
-        "form. del (ms)",
-        "bool query SAT (ms)"
+    let counts = format!(
+        "{:>4} | {:>14} | {:>14}",
+        "n", "conj. del size", "form. del size"
     );
+    if counts_only {
+        println!("{counts} | {:>10}", "bool query");
+    } else {
+        println!(
+            "{:>4} | {:>14} {:>14} | {:>14} {:>14} | {:>18}",
+            "n",
+            "conj. del size",
+            "conj. del (ms)",
+            "form. del size",
+            "form. del (ms)",
+            "bool query SAT (ms)"
+        );
+    }
     for n in [2usize, 4, 6, 8, 10, 12, 64, 256] {
         // Conjunctive (base model) deletion — exponential; skip when too big.
-        let (conj_text_size, conj_text_time) = if n <= 14 {
+        let (conj_size, conj_time) = if n <= 14 {
             let tree = theorem3_tree(n);
             let start = Instant::now();
             let (deleted, _) = UpdateEngine::new().apply(&tree, &d0_deletion(1.0));
             (
-                format!("{:>14}", deleted.size()),
-                format!("{:>14.3}", ms(start.elapsed())),
+                deleted.size().to_string(),
+                format!("{:.3}", ms(start.elapsed())),
             )
         } else {
-            (format!("{:>14}", "skipped"), format!("{:>14}", "-"))
+            ("skipped".to_string(), "-".to_string())
         };
         // Formula-model deletion — linear.
         let mut ftree = theorem3_formula_tree(n);
@@ -724,13 +751,20 @@ fn e10_formula_variant() {
         let start = Instant::now();
         let possible = ftree.query_possible(&q_b);
         let query_time = start.elapsed();
-        println!(
-            "{n:>4} | {conj_text_size} {conj_text_time} | {:>14} {:>14.3} | {:>12.3} ({})",
-            ftree.size(),
-            ms(fdel_time),
-            ms(query_time),
-            possible
-        );
+        if counts_only {
+            println!(
+                "{n:>4} | {conj_size:>14} | {:>14} | {possible:>10}",
+                ftree.size()
+            );
+        } else {
+            println!(
+                "{n:>4} | {conj_size:>14} {conj_time:>14} | {:>14} {:>14.3} | {:>12.3} ({})",
+                ftree.size(),
+                ms(fdel_time),
+                ms(query_time),
+                possible
+            );
+        }
     }
     println!();
 }

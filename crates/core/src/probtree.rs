@@ -61,12 +61,11 @@ pub fn shape_census(trees: &[&ProbTree]) -> ShapeCensus {
         let order: Vec<NodeId> = data.iter().collect();
         let mut codes = vec![0u32; data.arena_len()];
         for &node in order.iter().rev() {
+            let label = interner.label(data.label(node));
+            let condition = interner.annotation(tree.condition_ref(node));
             let children = data.children(node).iter().map(|c| codes[c.index()]);
-            codes[node.index()] = interner.intern(
-                data.label(node),
-                tree.condition_ref(node),
-                children.collect(),
-            );
+            let code = interner.intern(label, condition, children);
+            codes[node.index()] = code;
         }
         logical_nodes += order.len();
     }

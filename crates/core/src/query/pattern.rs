@@ -413,11 +413,14 @@ impl PreOrderIndex {
 
 impl Query for PatternQuery {
     fn evaluate(&self, tree: &DataTree) -> Vec<SubDataTree> {
-        let mut seen: BTreeSet<SubDataTree> = BTreeSet::new();
-        for m in self.matches(tree) {
-            seen.insert(m.induced_subtree(tree));
-        }
-        seen.into_iter().collect()
+        let mut answers: Vec<SubDataTree> = self
+            .matches(tree)
+            .iter()
+            .map(|m| m.induced_subtree(tree))
+            .collect();
+        answers.sort_unstable();
+        answers.dedup();
+        answers
     }
 
     fn describe(&self) -> String {
@@ -578,6 +581,11 @@ mod tests {
         assert_eq!(matches.len(), 4);
         let results = q.evaluate(&tree);
         assert_eq!(results.len(), 3);
+        // The answers come in the order and number a `BTreeSet` of the
+        // induced sub-datatrees gives.
+        let by_set: BTreeSet<SubDataTree> =
+            matches.iter().map(|m| m.induced_subtree(&tree)).collect();
+        assert_eq!(results, by_set.into_iter().collect::<Vec<_>>());
     }
 
     #[test]

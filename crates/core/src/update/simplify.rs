@@ -602,19 +602,22 @@ fn merge_candidates(tree: &ProbTree, children: &[NodeId]) -> Vec<NodeId> {
 struct ShapeCodes {
     interner: AnnotatedCanonInterner<Condition>,
     full: HashMap<NodeId, u32>,
+    /// The empty condition, which a full code interns for an unannotated
+    /// node.
+    always: Condition,
 }
 
 impl ShapeCodes {
     fn bare(&mut self, tree: &ProbTree, node: NodeId, visited: &mut usize) -> u32 {
-        let child_codes: Vec<u32> = tree
-            .tree()
-            .children(node)
-            .iter()
-            .map(|&child| self.full(tree, child, visited))
-            .collect();
+        let children = tree.tree().children(node);
+        for &child in children {
+            self.full(tree, child, visited);
+        }
         *visited += 1;
+        let label = self.interner.label(tree.tree().label(node));
+        let bare = self.interner.annotation(None);
         self.interner
-            .intern(tree.tree().label(node), None, child_codes)
+            .intern(label, bare, children.iter().map(|child| self.full[child]))
     }
 
     fn full(&mut self, tree: &ProbTree, node: NodeId, visited: &mut usize) -> u32 {
@@ -626,11 +629,12 @@ impl ShapeCodes {
             let children = tree.tree().children(n);
             if ready {
                 *visited += 1;
-                let child_codes: Vec<u32> = children.iter().map(|c| self.full[c]).collect();
-                let condition = tree.condition(n);
+                let label = self.interner.label(tree.tree().label(n));
+                let condition = tree.condition_ref(n).unwrap_or(&self.always);
+                let condition = self.interner.annotation(Some(condition));
                 let code =
                     self.interner
-                        .intern(tree.tree().label(n), Some(&condition), child_codes);
+                        .intern(label, condition, children.iter().map(|c| self.full[c]));
                 self.full.insert(n, code);
             } else {
                 stack.push((n, true));

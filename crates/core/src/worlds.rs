@@ -17,14 +17,15 @@
 //!    events need to be materialized.
 //! 2. **Streaming normalization without trees.** Instead of collecting one
 //!    cloned world per valuation and canonicalizing in a second pass,
-//!    worlds are streamed into a canonical-form accumulator
-//!    (`HashMap<canonical string, slot>`), so the *normalized* PW set is
+//!    worlds are streamed into an accumulator keyed by the AHU code of
+//!    their root (`HashMap<root code, slot>`), so the *normalized* PW set is
 //!    produced directly. A world is a sub-datatree of the prob-tree's data
 //!    tree (Definitions 4 and 5), so no tree is built for it: each state's
-//!    kept node set is marked over the source and keyed by the canonical
-//!    string of those nodes, and each isomorphism class keeps only its
-//!    node ids, over one source shared by every class
-//!    ([`FactorizedWorlds::normalized_worlds`]).
+//!    kept node set is marked over the source, read off the shard classes'
+//!    condition signatures; every node's code is kept across states and
+//!    recomputed only on the root paths of the nodes whose kept status
+//!    changed; and each isomorphism class keeps only its node ids, over one
+//!    source shared by every class ([`FactorizedWorlds::normalized_worlds`]).
 //! 3. **Connected components & zero-probability pruning.** Relevant events
 //!    are partitioned into connected components induced by co-occurrence
 //!    in conditions. Events with `π(w) = 1` have a zero-probability false
@@ -42,9 +43,11 @@
 //!    `2^{|relevant|}`) into a [`ComponentShard`] accumulator — partial
 //!    valuations of the component's events keyed by the truth signature
 //!    they give the component's conditions, each carrying the marginal
-//!    probability mass of its class. Components are enumerated in
-//!    component order on the caller's thread, so the result is
-//!    deterministic. Nothing is read from the environment, so the output
+//!    probability mass of its class. An assignment is a bit counter over
+//!    the component's free events and a condition a pair of bit masks, so
+//!    the walk builds no valuation per assignment. Components are
+//!    enumerated in component order on the caller's thread, so the result
+//!    is deterministic. Nothing is read from the environment, so the output
 //!    is a function of the prob-tree, the configuration and the budget
 //!    passed in.
 //!
@@ -89,8 +92,7 @@ use std::sync::Arc;
 
 use pxml_events::valuation::{TooManyValuations, Valuations};
 use pxml_events::{Condition, EventId, Valuation};
-use pxml_tree::canon::{CanonWriter, Semantics};
-use pxml_tree::NodeId;
+use pxml_tree::{AnnotatedCanonInterner, NodeId};
 
 use crate::probtree::ProbTree;
 use crate::pwset::{PossibleWorldSet, World};
@@ -356,9 +358,8 @@ impl<'a> WorldEngine<'a> {
         max_events: usize,
     ) -> Result<FactorizedWorlds<'a>, TooManyValuations> {
         self.shard_plan(weighted).check_budget(max_events)?;
-        let conditions = conditions_by_component(self);
-        let shards = conditions
-            .iter()
+        let shards = conditions_by_component(self)
+            .into_iter()
             .enumerate()
             .map(|(i, conditions)| enumerate_component(self, i, conditions, weighted))
             .collect();
@@ -460,6 +461,26 @@ pub struct ComponentShard {
     /// Raw assignments enumerated to build this shard: exactly
     /// `2^{|free|}`.
     pub states_enumerated: u64,
+    /// The component's distinct conditions: bit `i` of a class signature is
+    /// the truth of condition `i`.
+    conditions: Vec<Condition>,
+    /// The classes' signatures, [`ComponentShard::words`] words each, in
+    /// class order.
+    signatures: Vec<u64>,
+}
+
+impl ComponentShard {
+    /// Words in one class signature.
+    fn words(&self) -> usize {
+        self.conditions.len().div_ceil(64)
+    }
+
+    /// The signature of class `class`: which of the component's conditions
+    /// its assignments satisfy.
+    fn signature(&self, class: usize) -> &[u64] {
+        let words = self.words();
+        &self.signatures[class * words..(class + 1) * words]
+    }
 }
 
 /// Error returned when combining shards would walk a joint cross product
@@ -534,10 +555,13 @@ impl ShardPlan {
     /// The executor's tractability verdict: a single component with more
     /// than `max_events` free events is refused, and so is a total
     /// workload above `2^{max_events}` — the factorized path never does
-    /// more enumeration than the caller budgeted for the joint path.
+    /// more enumeration than the caller budgeted for the joint path. A
+    /// component of 64 or more free events is refused at any budget: its
+    /// `2^64` assignments overflow a shard's counter, and no budget could
+    /// pay for them.
     pub fn check_budget(&self, max_events: usize) -> Result<(), TooManyValuations> {
         let largest = self.largest_free_component();
-        if largest > max_events {
+        if largest > max_events.min(MAX_FREE_EVENTS) {
             return Err(TooManyValuations {
                 num_events: largest,
                 max_events,
@@ -552,6 +576,10 @@ impl ShardPlan {
         Ok(())
     }
 }
+
+/// The most free events a shard enumerates: an assignment is a `u64`
+/// counter whose bit `j` is free event `j`.
+const MAX_FREE_EVENTS: usize = 63;
 
 /// Groups the tree's distinct non-empty conditions by the component their
 /// support lives in. Co-occurrence within a condition is exactly what the
@@ -583,19 +611,126 @@ fn conditions_by_component(engine: &WorldEngine<'_>) -> Vec<Vec<Condition>> {
 }
 
 /// Enumerates one component's `2^{|free|}` partial assignments and folds
-/// them into signature-keyed classes. Each class sums its raw
-/// assignments' [`Valuation::probability_over`] masses in binary-counter
-/// enumeration order, so every class mass is bit-identical across runs.
+/// them into signature-keyed classes.
+///
+/// Assignment `x` counts from `0` to `2^{|free|} − 1`, bit `j` being free
+/// event `j`: the binary-counter order of
+/// [`WorldEngine::component_valuations`]. Each condition is compiled once
+/// to the free bits it needs set and the free bits it needs clear, so its
+/// truth under `x` is two mask tests. Each class sums its raw assignments'
+/// masses in enumeration order, each mass folded over the component's
+/// events in order as [`Valuation::probability_over`] folds it, so every
+/// class mass is bit-identical across runs. The signature is written into
+/// one reused buffer and looked up by its words: only a new class
+/// allocates, for its key, its representative valuation and its stored
+/// signature.
 fn enumerate_component(
     engine: &WorldEngine<'_>,
     component: usize,
-    conditions: &[Condition],
+    conditions: Vec<Condition>,
+    weighted: bool,
+) -> ComponentShard {
+    let events = engine.tree.events();
+    let component_events = engine.components[component].clone();
+    let free: Vec<EventId> = component_events
+        .iter()
+        .copied()
+        .filter(|&e| !(weighted && events.prob(e) >= 1.0))
+        .collect();
+    debug_assert!(
+        free.len() <= MAX_FREE_EVENTS,
+        "ShardPlan::check_budget bounds a shard's counter"
+    );
+    // The bit of a free event; a pinned event, always true, has none.
+    let bit = |e: EventId| free.binary_search(&e).ok().map(|j| 1u64 << j);
+    // Each condition as the bits it needs set and the bits it needs clear,
+    // or `None` when it needs a pinned event false and so never holds.
+    // `w ∧ ¬w` needs one bit both set and clear, which no `x` gives.
+    let masks: Vec<Option<(u64, u64)>> = conditions
+        .iter()
+        .map(|condition| {
+            condition
+                .literals()
+                .iter()
+                .try_fold((0, 0), |(set, clear), literal| {
+                    match (bit(literal.event), literal.positive) {
+                        (Some(b), true) => Some((set | b, clear)),
+                        (Some(b), false) => Some((set, clear | b)),
+                        (None, true) => Some((set, clear)),
+                        (None, false) => None,
+                    }
+                })
+        })
+        .collect();
+    // Each component event, the bits that make it true (none for a pinned
+    // event) and its factors when true and when false, as `Literal::prob`
+    // gives them.
+    let factors: Vec<(EventId, u64, f64, f64)> = component_events
+        .iter()
+        .map(|&e| {
+            let p = events.prob(e);
+            (e, bit(e).unwrap_or(0), p, 1.0 - p)
+        })
+        .collect();
+    let mut signature = vec![0u64; conditions.len().div_ceil(64)];
+    let mut classes: HashMap<Box<[u64]>, usize> = HashMap::new();
+    let mut assignments: Vec<ShardAssignment> = Vec::new();
+    let mut signatures: Vec<u64> = Vec::new();
+    let states = 1u64 << free.len();
+    for x in 0..states {
+        let probability = factors.iter().fold(1.0, |acc, &(_, truth, p, q)| {
+            acc * if x & truth == truth { p } else { q }
+        });
+        signature.fill(0);
+        for (i, &mask) in masks.iter().enumerate() {
+            if mask.is_some_and(|(set, clear)| x & set == set && x & clear == 0) {
+                signature[i / 64] |= 1 << (i % 64);
+            }
+        }
+        if let Some(&class) = classes.get(signature.as_slice()) {
+            let class = &mut assignments[class];
+            class.probability += probability;
+            class.merged += 1;
+            continue;
+        }
+        classes.insert(signature.as_slice().into(), assignments.len());
+        signatures.extend_from_slice(&signature);
+        let true_events = factors
+            .iter()
+            .filter(|&&(_, truth, ..)| x & truth == truth)
+            .map(|&(e, ..)| e);
+        assignments.push(ShardAssignment {
+            valuation: Valuation::from_true_events(engine.valuation_len, true_events),
+            probability,
+            merged: 1,
+        });
+    }
+    ComponentShard {
+        events: component_events,
+        free,
+        assignments,
+        states_enumerated: states,
+        conditions,
+        signatures,
+    }
+}
+
+/// [`enumerate_component`] as it was before it counted on bit masks: it
+/// walks [`WorldEngine::component_valuations`], one valuation per raw
+/// assignment, and evaluates every condition on each. The oracle of the
+/// shard property tests.
+#[cfg(test)]
+fn enumerate_component_by_valuations(
+    engine: &WorldEngine<'_>,
+    component: usize,
+    conditions: Vec<Condition>,
     weighted: bool,
 ) -> ComponentShard {
     let events = engine.tree.events();
     let component_events = engine.components[component].clone();
     let mut classes: HashMap<Vec<u64>, usize> = HashMap::new();
     let mut assignments: Vec<ShardAssignment> = Vec::new();
+    let mut signatures: Vec<u64> = Vec::new();
     let mut states = 0u64;
     for valuation in engine.component_valuations(component, weighted) {
         states += 1;
@@ -613,6 +748,7 @@ fn enumerate_component(
                 class.merged += 1;
             }
             Entry::Vacant(slot) => {
+                signatures.extend_from_slice(slot.key());
                 slot.insert(assignments.len());
                 assignments.push(ShardAssignment {
                     valuation,
@@ -632,6 +768,8 @@ fn enumerate_component(
         free,
         assignments,
         states_enumerated: states,
+        conditions,
+        signatures,
     }
 }
 
@@ -678,6 +816,18 @@ impl<'a> FactorizedWorlds<'a> {
     /// the product of the class counts exceeds the configured
     /// [`WorldEngineConfig::max_joint_worlds`].
     pub fn joint_valuations(&self) -> Result<JointValuations<'_>, JointTooLarge> {
+        self.check_joint()?;
+        Ok(JointValuations {
+            shards: &self.shards,
+            valuation_len: self.engine.valuation_len,
+            indices: vec![0; self.shards.len()],
+            done: false,
+        })
+    }
+
+    /// Refuses a combine whose cross product exceeds
+    /// [`WorldEngineConfig::max_joint_worlds`].
+    fn check_joint(&self) -> Result<(), JointTooLarge> {
         let joint = self.num_joint_assignments();
         if joint > self.max_joint_worlds {
             return Err(JointTooLarge {
@@ -685,12 +835,7 @@ impl<'a> FactorizedWorlds<'a> {
                 max_joint_worlds: self.max_joint_worlds,
             });
         }
-        Ok(JointValuations {
-            shards: &self.shards,
-            valuation_len: self.engine.valuation_len,
-            indices: vec![0; self.shards.len()],
-            done: false,
-        })
+        Ok(())
     }
 
     /// The normalized possible-world semantics `JT K` assembled from the
@@ -700,68 +845,153 @@ impl<'a> FactorizedWorlds<'a> {
     /// the `2^{|free|}` valuations of the free events. Worlds are grouped
     /// under the paper's default multiset semantics.
     ///
-    /// No tree is built per state. A world is the prob-tree's data tree
-    /// restricted to the nodes whose condition and ancestors' conditions
-    /// hold (Definition 4), so the fold marks that kept set in an
-    /// epoch-stamped column over the arena, walking the reachable nodes in
-    /// ascending id order (parents first): a node is kept when its parent
-    /// is kept and its condition holds. It keys the set with the canonical
-    /// string of the kept nodes, written by
-    /// [`CanonWriter`] into one reused buffer and looked up by its bytes.
-    /// Only a new class stores anything: its key and its node ids, against
-    /// one copy of the data tree that every class shares. Class masses are
-    /// summed in odometer order and classes kept in first-seen order, so
-    /// each class's probability is bit-identical to summing the worlds'
-    /// masses one by one.
+    /// No tree and no valuation is built per state. The walk is an
+    /// odometer over the shards' class indices, and the class a shard is
+    /// at fixes the truth of each of its conditions: a node's condition is
+    /// one bit of that class's signature. A world is the prob-tree's data
+    /// tree restricted to the nodes whose condition and ancestors'
+    /// conditions hold (Definition 4), so each state marks the kept nodes,
+    /// walking the reachable nodes in ascending id order (parents first),
+    /// and flags the nodes whose kept status flipped. Each node keeps its
+    /// AHU code ([`AnnotatedCanonInterner`]: its label and its kept
+    /// children's codes, sorted) across states; a reverse walk (children
+    /// first) recomputes the code of each flagged kept node and, when the
+    /// code changed, flags its parent, so a state recodes only the root
+    /// paths of what changed. The root's code keys the world. Only a new class stores anything: its
+    /// node ids, against one copy of the data tree that every class
+    /// shares. Class masses are summed in odometer order and classes kept
+    /// in first-seen order, so each class's probability is bit-identical to
+    /// summing the worlds' masses one by one.
     pub fn normalized_worlds(&self) -> Result<PossibleWorldSet, JointTooLarge> {
-        let joint = self.joint_valuations()?;
+        self.check_joint()?;
         let prob_tree = self.engine.tree;
         let tree = prob_tree.tree();
-        let root = tree.root();
-        // The reachable nodes below the root, in ascending id order, each
-        // with its parent and its condition.
-        let mut below: Vec<NodeId> = tree.iter().skip(1).collect();
-        below.sort_unstable();
-        let plan: Vec<(NodeId, NodeId, Option<&Condition>)> = below
-            .into_iter()
-            .map(|node| {
-                let parent = tree
-                    .parent(node)
-                    .expect("a reachable non-root node has a parent");
-                (node, parent, prob_tree.condition_ref(node))
+        // The shards' current class signatures lie back to back in
+        // `current`, shard `s` from `offsets[s]`; each distinct condition
+        // is one bit of one word there.
+        let mut offsets = Vec::with_capacity(self.shards.len());
+        let mut truth_bits: HashMap<&Condition, (usize, u64)> = HashMap::new();
+        let mut words = 0;
+        for shard in &self.shards {
+            offsets.push(words);
+            for (i, condition) in shard.conditions.iter().enumerate() {
+                truth_bits.insert(condition, (words + i / 64, 1 << (i % 64)));
+            }
+            words += shard.words();
+        }
+        // At least one word: a node without a condition reads word 0 under
+        // the empty mask, which always holds.
+        let mut current = vec![0u64; words.max(1)];
+        // The reachable nodes in ascending id order, root first, so every
+        // parent has a lower step than its children.
+        let mut nodes: Vec<NodeId> = tree.iter().collect();
+        nodes[1..].sort_unstable();
+        let mut step_of = vec![0usize; tree.arena_len()];
+        for (step, node) in nodes.iter().enumerate() {
+            step_of[node.index()] = step;
+        }
+        let mut interner: AnnotatedCanonInterner<()> = AnnotatedCanonInterner::new();
+        let bare = interner.annotation(None);
+        let steps: Vec<FoldStep> = nodes
+            .iter()
+            .map(|&node| {
+                let (word, mask) = prob_tree
+                    .condition_ref(node)
+                    .map_or((0, 0), |condition| truth_bits[condition]);
+                let label = interner.label(tree.label(node));
+                FoldStep {
+                    parent: tree.parent(node).map_or(0, |p| step_of[p.index()]),
+                    label,
+                    leaf: interner.intern(label, bare, []),
+                    word,
+                    mask,
+                }
             })
             .collect();
+        // Each step's children, as steps: `children[first_child[i]..first_child[i + 1]]`.
+        let mut first_child = Vec::with_capacity(nodes.len() + 1);
+        let mut children = Vec::new();
+        for &node in &nodes {
+            first_child.push(children.len());
+            children.extend(tree.children(node).iter().map(|c| step_of[c.index()]));
+        }
+        first_child.push(children.len());
+
+        let mut kept = vec![false; steps.len()];
+        let mut flagged = vec![false; steps.len()];
+        let mut codes = vec![NOT_KEPT; steps.len()];
+        kept[0] = true;
+        flagged[0] = true;
         let source = Arc::new(tree.clone());
-        let mut stamps = vec![0u32; tree.arena_len()];
-        let mut epoch = 0u32;
-        let mut kept: Vec<NodeId> = Vec::with_capacity(plan.len() + 1);
-        let mut writer = CanonWriter::default();
-        let mut slots: HashMap<Box<[u8]>, usize> = HashMap::new();
+        let mut ids: Vec<NodeId> = Vec::with_capacity(nodes.len());
+        let mut slots: HashMap<u32, usize> = HashMap::new();
         let mut worlds: Vec<(World, f64)> = Vec::new();
-        for (valuation, p) in joint {
-            if epoch == u32::MAX {
-                stamps.fill(0);
-                epoch = 0;
+        let mut indices = vec![0usize; self.shards.len()];
+        // Shards below `moved` changed class since the last state (all of
+        // them before the first).
+        let mut moved = self.shards.len();
+        loop {
+            let mut p = 1.0;
+            for (s, (shard, &class)) in self.shards.iter().zip(&indices).enumerate() {
+                if s < moved {
+                    let offset = offsets[s];
+                    current[offset..offset + shard.words()].copy_from_slice(shard.signature(class));
+                }
+                p *= shard.assignments[class].probability;
             }
-            epoch += 1;
-            stamps[root.index()] = epoch;
-            kept.clear();
-            kept.push(root);
-            for &(node, parent, condition) in &plan {
-                if stamps[parent.index()] == epoch && condition.is_none_or(|c| c.eval(&valuation)) {
-                    stamps[node.index()] = epoch;
-                    kept.push(node);
+            // Mark the kept nodes, parents first, flagging each that flipped.
+            for (i, step) in steps.iter().enumerate().skip(1) {
+                let now = kept[step.parent] && current[step.word] & step.mask == step.mask;
+                if now != kept[i] {
+                    kept[i] = now;
+                    flagged[i] = true;
                 }
             }
-            let key = writer.write(tree, Semantics::MultiSet, |node| {
-                stamps[node.index()] == epoch
-            });
-            match slots.get(key) {
-                Some(&slot) => worlds[slot].1 += p,
-                None => {
-                    slots.insert(key.into(), worlds.len());
-                    worlds.push((World::within(Arc::clone(&source), &kept), p));
+            // Recode the flagged nodes, children first; a changed code flags
+            // the parent.
+            for i in (0..steps.len()).rev() {
+                if !flagged[i] {
+                    continue;
                 }
+                flagged[i] = false;
+                let step = &steps[i];
+                let code = if kept[i] {
+                    let mut kept_children = children[first_child[i]..first_child[i + 1]]
+                        .iter()
+                        .filter(|&&c| kept[c])
+                        .map(|&c| codes[c])
+                        .peekable();
+                    if kept_children.peek().is_none() {
+                        step.leaf
+                    } else {
+                        interner.intern(step.label, bare, kept_children)
+                    }
+                } else {
+                    NOT_KEPT
+                };
+                if code != codes[i] && i > 0 {
+                    flagged[step.parent] = true;
+                }
+                codes[i] = code;
+            }
+            match slots.entry(codes[0]) {
+                Entry::Occupied(slot) => worlds[*slot.get()].1 += p,
+                Entry::Vacant(slot) => {
+                    slot.insert(worlds.len());
+                    ids.clear();
+                    ids.extend(
+                        nodes
+                            .iter()
+                            .zip(&kept)
+                            .filter(|&(_, &k)| k)
+                            .map(|(&node, _)| node),
+                    );
+                    worlds.push((World::within(Arc::clone(&source), &ids), p));
+                }
+            }
+            match advance(&self.shards, &mut indices) {
+                Some(top) => moved = top + 1,
+                None => break,
             }
         }
         Ok(PossibleWorldSet::from_kept(worlds))
@@ -777,7 +1007,8 @@ impl<'a> FactorizedWorlds<'a> {
         let mut worlds: Vec<(pxml_tree::DataTree, f64)> = Vec::new();
         for (valuation, p) in self.joint_valuations()? {
             let world = self.engine.tree.value_in_world(&valuation);
-            match slots.entry(pxml_tree::canonical_string(&world, Semantics::MultiSet)) {
+            let key = pxml_tree::canonical_string(&world, pxml_tree::Semantics::MultiSet);
+            match slots.entry(key) {
                 Entry::Occupied(slot) => worlds[*slot.get()].1 += p,
                 Entry::Vacant(slot) => {
                     slot.insert(worlds.len());
@@ -787,6 +1018,35 @@ impl<'a> FactorizedWorlds<'a> {
         }
         Ok(worlds)
     }
+}
+
+/// One reachable node in the world fold's walk: its parent's step, its
+/// label's code, its code while it keeps no child, and the word and mask of
+/// its condition's truth bit (the empty mask for no condition).
+struct FoldStep {
+    parent: usize,
+    label: u32,
+    leaf: u32,
+    word: usize,
+    mask: u64,
+}
+
+/// The world fold's code for a node that is not kept: no interned shape
+/// gets it before `2^32 − 1` shapes exist.
+const NOT_KEPT: u32 = u32::MAX;
+
+/// Advances an odometer over the shards' class indices, least significant
+/// shard first. Returns the highest shard that moved, every lower one
+/// having wrapped back to class 0, or `None` after the last joint state.
+fn advance(shards: &[ComponentShard], indices: &mut [usize]) -> Option<usize> {
+    for (s, (shard, index)) in shards.iter().zip(indices.iter_mut()).enumerate() {
+        *index += 1;
+        if *index < shard.assignments.len() {
+            return Some(s);
+        }
+        *index = 0;
+    }
+    None
 }
 
 /// Lazy odometer over the cross product of the shard classes — the joint
@@ -818,15 +1078,7 @@ impl Iterator for JointValuations<'_> {
             valuation.union_with(&class.valuation);
             probability *= class.probability;
         }
-        self.done = true;
-        for (shard, index) in self.shards.iter().zip(self.indices.iter_mut()) {
-            *index += 1;
-            if *index < shard.assignments.len() {
-                self.done = false;
-                break;
-            }
-            *index = 0;
-        }
+        self.done = advance(self.shards, &mut self.indices).is_none();
         Some((valuation, probability))
     }
 }
@@ -838,7 +1090,7 @@ mod tests {
     use crate::semantics::{possible_worlds, possible_worlds_normalized};
     use proptest::prelude::*;
     use pxml_events::{prob_eq, Condition, Literal};
-    use pxml_tree::canon::{canonical_string, isomorphic};
+    use pxml_tree::canon::{canonical_string, isomorphic, Semantics};
     use pxml_tree::DataTree;
 
     #[test]
@@ -1277,25 +1529,35 @@ mod tests {
         let _ = WorldEngine::for_pair(&a, &b);
     }
 
-    /// A random prob-tree grown one step at a time over 1–4 events: a step
+    /// A random prob-tree grown one step at a time over `events` events,
+    /// event `i` in block `i % blocks`, events 2 and 4 with `π = 1`. A step
     /// hangs a node under any earlier node, detached and conditioned ones
     /// included, with a label from a 2- or 3-letter alphabet (so different
-    /// kept sets often give isomorphic worlds) and a condition drawn from
-    /// `bits`, or detaches a non-root node.
-    fn probtree_strategy(max_steps: usize) -> impl Strategy<Value = ProbTree> {
+    /// kept sets often give isomorphic worlds) and a condition over one
+    /// block drawn from `bits`, sometimes with both literals of the block's
+    /// first event (`w ∧ ¬w`), or detaches a non-root node. With several
+    /// blocks, each block's first event then conditions a last node under
+    /// the root, so the tree has at least `blocks` components.
+    fn probtree_strategy(
+        events: std::ops::RangeInclusive<usize>,
+        blocks: usize,
+        max_steps: usize,
+    ) -> impl Strategy<Value = ProbTree> {
         (
-            1..=4usize,
+            events,
             2..=3usize,
             prop::collection::vec(
-                (any::<usize>(), 0..3usize, 0..6u8, any::<u64>()),
+                (any::<usize>(), 0..3usize, 0..7u8, any::<u64>()),
                 0..=max_steps,
             ),
         )
-            .prop_map(|(events, letters, steps)| {
+            .prop_map(move |(events, letters, steps)| {
                 const LABELS: [&str; 3] = ["A", "B", "C"];
+                const PROBABILITIES: [f64; 8] = [0.5, 0.3, 1.0, 0.8, 1.0, 0.6, 0.4, 0.7];
                 let mut t = ProbTree::new("A");
-                let w: Vec<EventId> = (0..events)
-                    .map(|i| t.events_mut().fresh([0.5, 0.3, 1.0, 0.8][i]))
+                let w: Vec<EventId> = PROBABILITIES[..events]
+                    .iter()
+                    .map(|&p| t.events_mut().fresh(p))
                     .collect();
                 for (pick, label, kind, bits) in steps {
                     let node = NodeId::from_index(pick % t.tree().arena_len());
@@ -1305,15 +1567,21 @@ mod tests {
                         }
                         continue;
                     }
+                    let block = (bits >> 60) as usize % blocks;
                     // Two bits per event: absent, absent, positive, negative.
-                    let literals =
-                        w.iter()
-                            .enumerate()
-                            .filter_map(|(i, &e)| match (bits >> (2 * i)) & 3 {
-                                2 => Some(Literal::pos(e)),
-                                3 => Some(Literal::neg(e)),
-                                _ => None,
-                            });
+                    let mut literals: Vec<Literal> = w
+                        .iter()
+                        .enumerate()
+                        .filter(|&(i, _)| i % blocks == block)
+                        .filter_map(|(i, &e)| match (bits >> (2 * i)) & 3 {
+                            2 => Some(Literal::pos(e)),
+                            3 => Some(Literal::neg(e)),
+                            _ => None,
+                        })
+                        .collect();
+                    if kind == 6 {
+                        literals.extend([Literal::pos(w[block]), Literal::neg(w[block])]);
+                    }
                     let condition = if kind == 1 {
                         Condition::always()
                     } else {
@@ -1321,53 +1589,184 @@ mod tests {
                     };
                     t.add_child(node, LABELS[label % letters], condition);
                 }
+                if blocks > 1 {
+                    let root = t.tree().root();
+                    for (block, &first) in w.iter().take(blocks).enumerate() {
+                        t.add_child(
+                            root,
+                            LABELS[block % letters],
+                            Condition::of(Literal::pos(first)),
+                        );
+                    }
+                }
                 t
             })
+    }
+
+    /// The fold that keeps node lists equals the tree-building oracle:
+    /// class count and order, each class's size, canonical string under
+    /// both semantics and probability bits. Each class's tree is the world
+    /// of the valuation that opened it, with the same labels in pre-order.
+    fn assert_fold_matches_the_oracle(tree: &ProbTree) {
+        let engine = WorldEngine::new(tree);
+        let factorized = engine.sharded(&WorldEngineConfig::default(), 16).unwrap();
+        let fold = factorized.normalized_worlds().unwrap();
+        let oracle = factorized.normalized_worlds_by_trees().unwrap();
+        assert_eq!(fold.len(), oracle.len());
+        // The valuation that opened each class, in first-seen order.
+        let mut openers = Vec::new();
+        let mut seen = std::collections::HashSet::new();
+        for (valuation, _) in factorized.joint_valuations().unwrap() {
+            let world = tree.value_in_world(&valuation);
+            if seen.insert(canonical_string(&world, Semantics::MultiSet)) {
+                openers.push(world);
+            }
+        }
+        assert_eq!(openers.len(), fold.len());
+        for (((world, p), (expected, q)), opener) in fold.iter().zip(&oracle).zip(&openers) {
+            assert_eq!(world.len(), expected.len());
+            assert_eq!(p.to_bits(), q.to_bits());
+            for semantics in [Semantics::MultiSet, Semantics::Set] {
+                assert_eq!(
+                    world.canonical_string(semantics),
+                    canonical_string(expected, semantics)
+                );
+            }
+            let built = world.to_tree();
+            assert_eq!(built.len(), world.len());
+            assert!(isomorphic(&built, opener, Semantics::MultiSet));
+            let labels =
+                |t: &DataTree| t.iter().map(|n| t.label(n).to_string()).collect::<Vec<_>>();
+            assert_eq!(labels(&built), labels(opener));
+        }
+    }
+
+    /// Every shard of `tree`, weighted and unweighted, equals the
+    /// valuation-stream oracle field by field: events, free events, class
+    /// order, representative valuations, signatures, `merged`, probability
+    /// bits and `states_enumerated`.
+    fn assert_shards_match_the_oracle(tree: &ProbTree) {
+        let engine = WorldEngine::new(tree);
+        for weighted in [true, false] {
+            for (i, conditions) in conditions_by_component(&engine).into_iter().enumerate() {
+                let shard = enumerate_component(&engine, i, conditions.clone(), weighted);
+                let oracle = enumerate_component_by_valuations(&engine, i, conditions, weighted);
+                assert_eq!(shard.events, oracle.events);
+                assert_eq!(shard.free, oracle.free);
+                assert_eq!(shard.states_enumerated, oracle.states_enumerated);
+                assert_eq!(shard.conditions, oracle.conditions);
+                assert_eq!(shard.signatures, oracle.signatures);
+                assert_eq!(shard.assignments.len(), oracle.assignments.len());
+                for (class, expected) in shard.assignments.iter().zip(&oracle.assignments) {
+                    assert_eq!(class.valuation, expected.valuation);
+                    assert_eq!(class.merged, expected.merged);
+                    assert_eq!(class.probability.to_bits(), expected.probability.to_bits());
+                }
+            }
+        }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(300))]
 
-        /// The fold that keeps node lists equals the tree-building oracle:
-        /// class count and order, each class's size, canonical string under
-        /// both semantics and probability bits. Each class's tree is the
-        /// world of the valuation that opened it, with the same labels in
-        /// pre-order.
+        /// [`assert_fold_matches_the_oracle`] on narrow trees (1–4 events)
+        /// and on wide ones (6–8 events in at least 3 components), whose
+        /// odometer carries reset several shards at once and whose
+        /// subtrees under conditioned nodes enter and leave together.
         #[test]
-        fn node_list_fold_matches_the_tree_building_oracle(tree in probtree_strategy(24)) {
-            let engine = WorldEngine::new(&tree);
-            let factorized = engine.sharded(&WorldEngineConfig::default(), 16).unwrap();
-            let fold = factorized.normalized_worlds().unwrap();
-            let oracle = factorized.normalized_worlds_by_trees().unwrap();
-            prop_assert_eq!(fold.len(), oracle.len());
-            // The valuation that opened each class, in first-seen order.
-            let mut openers = Vec::new();
-            let mut seen = std::collections::HashSet::new();
-            for (valuation, _) in factorized.joint_valuations().unwrap() {
-                let world = tree.value_in_world(&valuation);
-                if seen.insert(canonical_string(&world, Semantics::MultiSet)) {
-                    openers.push(world);
-                }
-            }
-            prop_assert_eq!(openers.len(), fold.len());
-            for (((world, p), (expected, q)), opener) in fold.iter().zip(&oracle).zip(&openers) {
-                prop_assert_eq!(world.len(), expected.len());
-                prop_assert_eq!(p.to_bits(), q.to_bits());
-                for semantics in [Semantics::MultiSet, Semantics::Set] {
-                    prop_assert_eq!(
-                        world.canonical_string(semantics),
-                        canonical_string(expected, semantics)
-                    );
-                }
-                let built = world.to_tree();
-                prop_assert_eq!(built.len(), world.len());
-                prop_assert!(isomorphic(&built, opener, Semantics::MultiSet));
-                let labels = |t: &DataTree| {
-                    t.iter().map(|n| t.label(n).to_string()).collect::<Vec<_>>()
-                };
-                prop_assert_eq!(labels(&built), labels(opener));
-            }
+        fn node_list_fold_matches_the_tree_building_oracle(
+            narrow in probtree_strategy(1..=4, 1, 24),
+            wide in probtree_strategy(6..=8, 3, 24),
+        ) {
+            assert_fold_matches_the_oracle(&narrow);
+            assert_fold_matches_the_oracle(&wide);
         }
+
+        /// [`assert_shards_match_the_oracle`] on the same narrow and wide
+        /// trees, which hold `π = 1` events and `w ∧ ¬w` conditions.
+        #[test]
+        fn bit_mask_shards_match_the_valuation_oracle(
+            narrow in probtree_strategy(1..=4, 1, 24),
+            wide in probtree_strategy(6..=8, 3, 24),
+        ) {
+            assert_shards_match_the_oracle(&narrow);
+            assert_shards_match_the_oracle(&wide);
+        }
+    }
+
+    #[test]
+    fn signatures_of_more_than_64_conditions_span_two_words() {
+        // One component of 7 events, one of them certain, and 70 distinct
+        // conditions, each `w0` and a base-3 pattern over `w1..w6`: every
+        // signature has two words, and the combine reads truth bits from
+        // both. Two labels and some nesting make worlds merge.
+        let mut t = ProbTree::new("A");
+        let w: Vec<_> = [0.5, 0.3, 0.6, 1.0, 0.4, 0.7, 0.2]
+            .iter()
+            .map(|&p| t.events_mut().fresh(p))
+            .collect();
+        let root = t.tree().root();
+        let mut nodes = vec![root];
+        for k in 0..70usize {
+            let mut literals = vec![Literal::pos(w[0])];
+            let mut digits = k;
+            for &e in &w[1..] {
+                match digits % 3 {
+                    1 => literals.push(Literal::pos(e)),
+                    2 => literals.push(Literal::neg(e)),
+                    _ => {}
+                }
+                digits /= 3;
+            }
+            let parent = if k % 5 == 4 { nodes[k] } else { root };
+            let node = t.add_child(
+                parent,
+                ["B", "C"][k % 2],
+                Condition::from_literals(literals),
+            );
+            nodes.push(node);
+        }
+        let engine = WorldEngine::new(&t);
+        assert_eq!(engine.components().len(), 1);
+        let conditions = conditions_by_component(&engine);
+        assert_eq!(conditions[0].len(), 70);
+        let shard = enumerate_component(&engine, 0, conditions[0].clone(), true);
+        assert_eq!(shard.words(), 2);
+        assert!(
+            shard.signatures.chunks(2).any(|words| words[1] != 0),
+            "some class satisfies a condition past the first word"
+        );
+        assert_shards_match_the_oracle(&t);
+        assert_fold_matches_the_oracle(&t);
+    }
+
+    #[test]
+    fn a_component_of_64_free_events_is_refused_at_any_budget() {
+        // 64 events in one condition, the last certain: the weighted plan
+        // enumerates 63 free events, the unweighted one all 64, which no
+        // shard counter holds.
+        let mut t = ProbTree::new("A");
+        let w: Vec<_> = (0..64)
+            .map(|i| t.events_mut().fresh(if i == 63 { 1.0 } else { 0.5 }))
+            .collect();
+        let root = t.tree().root();
+        t.add_child(
+            root,
+            "B",
+            Condition::from_literals(w.iter().map(|&e| Literal::pos(e))),
+        );
+        let engine = WorldEngine::new(&t);
+        assert_eq!(engine.shard_plan(true).check_budget(100), Ok(()));
+        let err = engine
+            .sharded_all(&WorldEngineConfig::default(), 100)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            TooManyValuations {
+                num_events: 64,
+                max_events: 100
+            }
+        );
     }
 
     #[test]

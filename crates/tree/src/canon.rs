@@ -10,10 +10,12 @@
 //! is the string of its label followed by its children's strings, sorted.
 //! Two nodes get the same string iff they have the same label and the same
 //! multiset of child strings, so the string needs no interner shared
-//! between trees, stays stable across processes, and keys possible worlds,
-//! ranking ties and normalization. [`isomorphic`] compares two of them.
-//! [`AnnotatedCanonInterner`] keeps AHU's integer codes for trees whose
-//! nodes also carry an annotation.
+//! between trees, stays stable across processes, and keys ranking ties and
+//! normalization. [`isomorphic`] compares two of them.
+//! [`AnnotatedCanonInterner`] keeps AHU's integer codes, optionally with an
+//! annotation per node: they are only comparable within one interner, and
+//! they key possible worlds in the world fold, which keeps each node's code
+//! across the states it walks.
 //!
 //! Two semantics are supported:
 //!
@@ -43,42 +45,95 @@ pub enum Semantics {
 /// of type `A` alongside the label, shared across the trees it codes.
 /// Prob-trees intern node conditions with it: the simplifier to group
 /// mergeable siblings, and `pxml_core::probtree::shape_census` to count
-/// equal subtrees. The caller walks its tree children first and interns
-/// each node with its children's codes.
+/// equal subtrees. The possible-world fold keys each world by its root's
+/// code, with no annotation. The caller walks its tree children first and
+/// interns each node with its children's codes.
 ///
 /// Two shapes receive the same code iff they have the same label, equal
 /// annotations (`Option<A>` — `None` distinguishes "no annotation" from
 /// any real one), and the same **multiset** of child codes: child order
 /// never matters here, matching the unordered-tree semantics of
 /// [`isomorphic`].
+///
+/// A label and an annotation are each interned to a `u32` once
+/// ([`AnnotatedCanonInterner::label`], [`AnnotatedCanonInterner::annotation`]);
+/// a shape is the `u32` key `[label, annotation, sorted child codes]`,
+/// built in a buffer the interner keeps and looked up by slice. So a
+/// lookup that finds its label, annotation or shape allocates nothing.
 #[derive(Clone, Debug)]
 pub struct AnnotatedCanonInterner<A> {
-    codes: HashMap<(String, Option<A>, Vec<u32>), u32>,
+    labels: HashMap<String, u32>,
+    annotations: HashMap<A, u32>,
+    shapes: HashMap<Box<[u32]>, u32>,
+    key: Vec<u32>,
 }
 
 impl<A: Clone + Eq + Hash> AnnotatedCanonInterner<A> {
     /// Creates an empty interner.
     pub fn new() -> Self {
         AnnotatedCanonInterner {
-            codes: HashMap::new(),
+            labels: HashMap::new(),
+            annotations: HashMap::new(),
+            shapes: HashMap::new(),
+            key: Vec::new(),
         }
     }
 
     /// Number of distinct annotated shapes seen so far.
     pub fn distinct_shapes(&self) -> usize {
-        self.codes.len()
+        self.shapes.len()
     }
 
-    /// Interns an annotated shape, sorting `child_codes` so that child
-    /// order is irrelevant, and returns its canonical code.
-    pub fn intern(&mut self, label: &str, ann: Option<&A>, mut child_codes: Vec<u32>) -> u32 {
-        child_codes.sort_unstable();
-        let next = self.codes.len() as u32;
-        *self
-            .codes
-            .entry((label.to_string(), ann.cloned(), child_codes))
-            .or_insert(next)
+    /// The code of `label`: equal labels get equal codes.
+    pub fn label(&mut self, label: &str) -> u32 {
+        if let Some(&code) = self.labels.get(label) {
+            return code;
+        }
+        let code = next_code(self.labels.len());
+        self.labels.insert(label.to_owned(), code);
+        code
     }
+
+    /// The code of an annotation: `0` for `None`, and equal annotations
+    /// get equal codes.
+    pub fn annotation(&mut self, annotation: Option<&A>) -> u32 {
+        let Some(annotation) = annotation else {
+            return 0;
+        };
+        if let Some(&code) = self.annotations.get(annotation) {
+            return code;
+        }
+        let code = next_code(self.annotations.len() + 1);
+        self.annotations.insert(annotation.clone(), code);
+        code
+    }
+
+    /// Interns the shape of a node whose label and annotation have the
+    /// codes `label` and `annotation` and whose children have the codes
+    /// `children`, in any order, and returns its canonical code.
+    pub fn intern(
+        &mut self,
+        label: u32,
+        annotation: u32,
+        children: impl IntoIterator<Item = u32>,
+    ) -> u32 {
+        let key = &mut self.key;
+        key.clear();
+        key.extend([label, annotation]);
+        key.extend(children);
+        key[2..].sort_unstable();
+        if let Some(&code) = self.shapes.get(key.as_slice()) {
+            return code;
+        }
+        let code = next_code(self.shapes.len());
+        self.shapes.insert(key.as_slice().into(), code);
+        code
+    }
+}
+
+/// The code after `count` codes handed out.
+fn next_code(count: usize) -> u32 {
+    u32::try_from(count).expect("fewer than 2^32 distinct labels, annotations and shapes")
 }
 
 impl<A: Clone + Eq + Hash> Default for AnnotatedCanonInterner<A> {
@@ -106,7 +161,8 @@ pub fn isomorphic(a: &DataTree, b: &DataTree, semantics: Semantics) -> bool {
 /// forms sorted by their bytes (duplicates dropped under
 /// [`Semantics::Set`]), comma-separated in parentheses: `"A"("B"(),"C"())`.
 ///
-/// This is [`CanonWriter::write`] with every node a member.
+/// It is written without recursion into one byte buffer, so any depth is
+/// safe.
 pub fn canonical_string(tree: &DataTree, semantics: Semantics) -> String {
     let mut writer = CanonWriter::default();
     into_string(writer.write(tree, semantics, |_| true))
@@ -119,11 +175,10 @@ pub(crate) fn into_string(bytes: &[u8]) -> String {
     String::from_utf8(bytes.to_vec()).expect("labels are UTF-8 and the syntax is ASCII")
 }
 
-/// The buffers of the canonical-string kernel, kept between calls: a caller
-/// that canonizes many node sets, such as the possible-world fold, writes
-/// every key with the same few allocations.
+/// The buffers of the canonical-string kernel: [`canonical_string`] and
+/// `SubDataTree::canonical_string` write through one each.
 #[derive(Default, Debug)]
-pub struct CanonWriter {
+pub(crate) struct CanonWriter {
     /// The kept nodes in pre-order, each with its number of kept children.
     order: Vec<(NodeId, usize)>,
     stack: Vec<NodeId>,
@@ -147,7 +202,7 @@ impl CanonWriter {
     /// form is written after its children's, which end the buffer, and then
     /// moved down over them. So any depth is safe, and each form is copied
     /// once into each ancestor's form.
-    pub fn write(
+    pub(crate) fn write(
         &mut self,
         tree: &DataTree,
         semantics: Semantics,

@@ -23,9 +23,9 @@
 //! * [`canon`]: isomorphism of unordered labeled trees by their canonical
 //!   strings, the Aho–Hopcroft–Ullman canonization written out, under both
 //!   the paper's default **multiset** semantics and the Section 5 **set**
-//!   semantics. [`AnnotatedCanonInterner`] keeps AHU's integer codes for
-//!   trees whose nodes carry an annotation too; prob-trees intern node
-//!   conditions with it.
+//!   semantics. [`AnnotatedCanonInterner`] keeps AHU's integer codes, for
+//!   trees whose nodes may carry an annotation too; prob-trees intern node
+//!   conditions with it, and the possible-world fold keys worlds by them.
 //! * [`subtree`]: *sub-datatrees* (Definition 5) — root-preserving,
 //!   parent-closed node subsets — the result form of the paper's locally
 //!   monotone queries and the form of each possible world. A

@@ -9,7 +9,7 @@
 //! query evaluation (Definition 8) and to anchor updates (Appendix A), and
 //! lets many of them share one source tree.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, BinaryHeap};
 use std::sync::Arc;
 
 use crate::arena::{DataTree, NodeId};
@@ -45,21 +45,24 @@ impl SubDataTree {
 
     /// Builds a sub-datatree from an arbitrary set of nodes by closing it
     /// under parents (and adding the root).
+    ///
+    /// The nodes wait in a max-heap, and each one popped is kept and its
+    /// parent pushed. A parent's id is below its children's, so the ids pop
+    /// in descending order, every copy of a shared ancestor pops right
+    /// after the first and is dropped, and the walk up from each node stops
+    /// where it joins a path already taken.
     pub fn from_nodes<I: IntoIterator<Item = NodeId>>(tree: &DataTree, nodes: I) -> Self {
-        let mut set = BTreeSet::new();
-        set.insert(tree.root());
-        for node in nodes {
-            let mut cur = Some(node);
-            while let Some(n) = cur {
-                if !set.insert(n) {
-                    break;
-                }
-                cur = tree.parent(n);
+        let mut waiting: BinaryHeap<NodeId> = std::iter::once(tree.root()).chain(nodes).collect();
+        let mut ids: Vec<NodeId> = Vec::with_capacity(waiting.len());
+        while let Some(node) = waiting.pop() {
+            if ids.last() == Some(&node) {
+                continue;
             }
+            ids.push(node);
+            waiting.extend(tree.parent(node));
         }
-        SubDataTree {
-            nodes: set.into_iter().collect(),
-        }
+        ids.reverse();
+        SubDataTree { nodes: ids.into() }
     }
 
     /// The sub-datatree whose ids `ascending` lists already closed: root
@@ -140,10 +143,11 @@ impl SubDataTree {
         out
     }
 
-    /// Canonical string of the induced tree (used to key possible worlds,
-    /// to deduplicate isomorphic query answers and to break ranking ties),
-    /// written by [`CanonWriter::write`] over this set without building the
-    /// tree: the bytes of `canonical_string(&self.to_tree(tree), semantics)`.
+    /// Canonical string of the induced tree (used to deduplicate
+    /// isomorphic query answers, to break ranking ties and to write a
+    /// possible world's), written by the canonical-string kernel over this
+    /// set without building the tree: the bytes of
+    /// `canonical_string(&self.to_tree(tree), semantics)`.
     pub fn canonical_string(&self, tree: &DataTree, semantics: Semantics) -> String {
         let mut writer = CanonWriter::default();
         into_string(writer.write(tree, semantics, |n| self.contains(n)))
@@ -346,9 +350,10 @@ mod tests {
         /// The ascending id list keeps the meaning the `BTreeSet` gave a
         /// sub-datatree: on small trees, where two random sets often
         /// share a prefix or coincide, `cmp` and `==` agree with those of
-        /// the same sets as `BTreeSet`s; `from_nodes` equals the `BTreeSet`
-        /// closure; and `from_ascending` on a closed list equals
-        /// `from_nodes` on it.
+        /// the same sets as `BTreeSet`s; `from_nodes` lists the `BTreeSet`
+        /// closure's ids in its order, whatever the order of the picks and
+        /// however often one repeats; and `from_ascending` on a closed list
+        /// equals `from_nodes` on it.
         #[test]
         fn ascending_ids_behave_as_the_btreeset(
             tree in tree_strategy(10),
@@ -361,7 +366,13 @@ mod tests {
             let as_set = |sub: &SubDataTree| sub.nodes().collect::<BTreeSet<NodeId>>();
             prop_assert_eq!(sa.cmp(&sb), as_set(&sa).cmp(&as_set(&sb)));
             prop_assert_eq!(sa == sb, as_set(&sa) == as_set(&sb));
-            prop_assert_eq!(as_set(&picked_set(&tree, &a, true)), closed_by_btreeset(&tree, &a));
+            let closed = picked_set(&tree, &a, true);
+            prop_assert_eq!(
+                closed.nodes().collect::<Vec<_>>(),
+                closed_by_btreeset(&tree, &a).into_iter().collect::<Vec<_>>()
+            );
+            let shuffled: Vec<usize> = a.iter().rev().chain(&a).copied().collect();
+            prop_assert_eq!(&picked_set(&tree, &shuffled, true), &closed);
             let list: Vec<NodeId> = picked_set(&tree, &a, true).nodes().collect();
             prop_assert_eq!(
                 SubDataTree::from_ascending(&tree, &list),
