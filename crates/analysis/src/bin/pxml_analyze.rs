@@ -2,10 +2,10 @@
 //! static analyzer and, unless `--quick` is given, cross-checks every
 //! prediction against the engine counters it claims to predict.
 //!
-//! Exit status 0 means the corpus is clean *and* every checked
-//! prediction matched; any mismatch or unexpected verdict is reported
-//! and exits 1. `--machine` prints the stable `key=value` format instead
-//! of the human-readable report.
+//! Every report is printed on stdout as stable `section.key=value`
+//! lines. Exit status 0 means the corpus is clean *and* every checked
+//! prediction matched; any mismatch or unexpected verdict is reported on
+//! stderr and exits 1.
 
 use std::process::ExitCode;
 
@@ -23,7 +23,6 @@ use pxml_workloads::warehouse::{
 
 struct Lint {
     quick: bool,
-    machine: bool,
     failures: Vec<String>,
 }
 
@@ -33,17 +32,12 @@ impl Lint {
             self.failures.push(what.to_owned());
         }
     }
+}
 
-    fn emit(&self, report: &pxml_analysis::AnalysisReport, heading: &str) {
-        if self.machine {
-            for line in report.machine_lines() {
-                println!("{heading}.{line}");
-            }
-        } else {
-            println!("== {heading} ==");
-            print!("{report}");
-            println!();
-        }
+/// Prints `report`'s `section.key=value` lines, each under `heading`.
+fn emit(report: &pxml_analysis::AnalysisReport, heading: &str) {
+    for line in report.machine_lines() {
+        println!("{heading}.{line}");
     }
 }
 
@@ -51,11 +45,10 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut lint = Lint {
         quick: args.iter().any(|a| a == "--quick"),
-        machine: args.iter().any(|a| a == "--machine"),
         failures: Vec::new(),
     };
-    if let Some(unknown) = args.iter().find(|a| *a != "--quick" && *a != "--machine") {
-        eprintln!("unknown flag {unknown:?} (expected --quick and/or --machine)");
+    if let Some(unknown) = args.iter().find(|a| *a != "--quick") {
+        eprintln!("unknown flag {unknown:?} (expected at most --quick)");
         return ExitCode::FAILURE;
     }
 
@@ -64,9 +57,7 @@ fn main() -> ExitCode {
     warehouse_scenario(&mut lint);
 
     if lint.failures.is_empty() {
-        if !lint.machine {
-            println!("pxml-analyze: corpus is clean");
-        }
+        eprintln!("pxml-analyze: corpus is clean");
         ExitCode::SUCCESS
     } else {
         for failure in &lint.failures {
@@ -84,7 +75,7 @@ fn figure1_battery(lint: &mut Lint) {
     let battery = theorem1_query_battery();
     let refs: Vec<&PatternQuery> = battery.iter().collect();
     let report = analyzer.report(Some(&tree), &refs, None);
-    lint.emit(&report, "figure1");
+    emit(&report, "figure1");
     lint.check("figure1 battery is clean", report.is_clean());
     for analysis in &report.queries {
         lint.check(
@@ -136,7 +127,7 @@ fn theorem3_family(lint: &mut Lint) {
             raw.predicted_survivor_copies() == 3usize.pow(n as u32),
         );
         if n == max_n {
-            lint.emit(
+            emit(
                 &pxml_analysis::AnalysisReport {
                     script: Some(shared.clone()),
                     ..Default::default()
@@ -190,7 +181,7 @@ fn warehouse_scenario(lint: &mut Lint) {
     let tree = skeleton(config.services);
     let query = services_with_endpoint_and_contact();
     let report = analyzer.report(Some(&tree), &[&query], Some(&script));
-    lint.emit(&report, "warehouse");
+    emit(&report, "warehouse");
     let analysis = &report.queries[0];
     lint.check(
         "warehouse query certified",

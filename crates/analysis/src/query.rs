@@ -48,8 +48,6 @@ pub struct PatternSpine {
 /// The static analysis of one query.
 #[derive(Clone, Debug)]
 pub struct QueryAnalysis {
-    /// How the engine describes the query.
-    pub description: String,
     /// The O(|query|) syntactic local-monotonicity certificate.
     pub certificate: MonotonicityCertificate,
     /// DTD-based satisfiability (always `Satisfiable` when no DTD is
@@ -88,7 +86,6 @@ impl QueryAnalysis {
 /// are available.
 pub fn analyze_query(query: &dyn Query) -> QueryAnalysis {
     QueryAnalysis {
-        description: query.describe(),
         certificate: query.monotonicity(),
         satisfiability: Satisfiability::Satisfiable,
         spines: Vec::new(),
@@ -99,7 +96,6 @@ pub fn analyze_query(query: &dyn Query) -> QueryAnalysis {
 /// Analyzes a pattern query against an optional DTD.
 pub fn analyze_pattern(query: &PatternQuery, dtd: Option<&Dtd>) -> QueryAnalysis {
     QueryAnalysis {
-        description: query.describe(),
         certificate: query.monotonicity(),
         satisfiability: dtd.map_or(Satisfiability::Satisfiable, |d| {
             pattern_satisfiable(query, d)

@@ -1,8 +1,5 @@
-//! The combined [`AnalysisReport`]: human-readable `Display` plus a
-//! stable line-oriented machine format (`section.key=value`), with no
-//! external serialization dependency.
-
-use std::fmt;
+//! The combined [`AnalysisReport`], rendered as stable
+//! `section.key=value` lines, with no external serialization dependency.
 
 use pxml_core::MonotonicityCertificate;
 
@@ -132,143 +129,25 @@ impl AnalysisReport {
             ));
             lines.push(format!("worlds.tractable={}", worlds.tractable));
             lines.push(format!("worlds.lints={}", worlds.lints.len()));
+            for (k, lint) in worlds.lints.iter().enumerate() {
+                let lint = match lint {
+                    WorldsLint::PinnableEvent { name, .. } => format!("pinnable:{name}"),
+                    WorldsLint::ContradictoryCondition { label, .. } => {
+                        format!("contradictory:{label}")
+                    }
+                };
+                lines.push(format!("worlds.lint[{k}]={lint}"));
+            }
         }
         lines
-    }
-}
-
-impl fmt::Display for AnalysisReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, q) in self.queries.iter().enumerate() {
-            writeln!(f, "query #{i}: {}", q.description)?;
-            match &q.certificate {
-                MonotonicityCertificate::Certified => {
-                    writeln!(f, "  locally monotone: certified (Theorem 1 applies)")?;
-                }
-                MonotonicityCertificate::Rejected { reason } => {
-                    writeln!(f, "  locally monotone: REJECTED — {reason}")?;
-                }
-                MonotonicityCertificate::Unknown => {
-                    writeln!(f, "  locally monotone: unknown (no static claim)")?;
-                }
-            }
-            match &q.satisfiability {
-                Satisfiability::Satisfiable => {
-                    writeln!(f, "  satisfiable under the DTD")?;
-                }
-                Satisfiability::StaticallyEmpty { reason } => {
-                    writeln!(f, "  STATICALLY EMPTY — {reason}")?;
-                }
-            }
-            for spine in &q.spines {
-                let mut path = match &spine.root_label {
-                    Some(label) => label.clone(),
-                    None => "*".to_owned(),
-                };
-                for (axis, label) in &spine.steps {
-                    let sep = match axis {
-                        pxml_core::query::pattern::Axis::Child => "/",
-                        pxml_core::query::pattern::Axis::Descendant => "//",
-                    };
-                    path.push_str(sep);
-                    path.push_str(label.as_deref().unwrap_or("*"));
-                }
-                writeln!(f, "  spine: {path}")?;
-            }
-            match &q.maintenance_footprint {
-                Some(labels) => {
-                    let labels: Vec<String> = labels.iter().cloned().collect();
-                    writeln!(f, "  maintenance footprint: {}", labels.join(", "))?;
-                }
-                None => writeln!(
-                    f,
-                    "  maintenance footprint: unbounded (every update re-prepares)"
-                )?,
-            }
-            let support = query_semiring_support(q, self.worlds.as_ref());
-            let width = match support.lineage_width_bound {
-                Some(n) => format!("<= {n}"),
-                None => "unbounded".to_owned(),
-            };
-            writeln!(f, "  semirings: all supported; lineage width {width}")?;
-        }
-        if let Some(script) = &self.script {
-            writeln!(f, "script: {} steps", script.steps.len())?;
-            for step in &script.steps {
-                write!(
-                    f,
-                    "  step #{}: {} matches, {} survivor copies",
-                    step.index,
-                    step.forecast.matches,
-                    step.forecast.total_survivor_copies()
-                )?;
-                if step.dead {
-                    write!(f, " [DEAD]")?;
-                }
-                writeln!(f)?;
-            }
-            if !script.independent_pairs.is_empty() {
-                let pairs: Vec<String> = script
-                    .independent_pairs
-                    .iter()
-                    .map(|(i, j)| format!("({i},{j})"))
-                    .collect();
-                writeln!(f, "  reorderable pairs: {}", pairs.join(" "))?;
-            }
-            for (i, q) in self.queries.iter().enumerate() {
-                let verdicts: Vec<String> = predict_maintenance(q, &script.footprints)
-                    .iter()
-                    .map(|p| match p {
-                        MaintenancePrediction::Patchable => "patchable".to_owned(),
-                        MaintenancePrediction::SpineTouching { witness } => {
-                            format!("touches:{witness}")
-                        }
-                        MaintenancePrediction::Unbounded => "unbounded".to_owned(),
-                    })
-                    .collect();
-                writeln!(f, "  maintenance vs query #{i}: {}", verdicts.join(" "))?;
-            }
-        }
-        if let Some(worlds) = &self.worlds {
-            writeln!(
-                f,
-                "worlds: {} events ({} relevant), {} components, {} predicted shard states",
-                worlds.num_events,
-                worlds.num_relevant,
-                worlds.weighted_plan.num_components(),
-                worlds.predicted_states()
-            )?;
-            writeln!(
-                f,
-                "  tractability: {} (budget: {} events)",
-                if worlds.tractable {
-                    "TRACTABLE"
-                } else {
-                    "INTRACTABLE"
-                },
-                worlds.max_events
-            )?;
-            for lint in &worlds.lints {
-                match lint {
-                    WorldsLint::PinnableEvent { name, .. } => {
-                        writeln!(f, "  lint: event {name:?} has pi=1 (pinnable)")?;
-                    }
-                    WorldsLint::ContradictoryCondition { label, .. } => {
-                        writeln!(
-                            f,
-                            "  lint: node {label:?} carries a contradictory condition"
-                        )?;
-                    }
-                }
-            }
-        }
-        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use crate::StaticAnalyzer;
+    use pxml_core::ProbTree;
+    use pxml_events::{Condition, Literal};
     use pxml_workloads::paper::figure1;
     use pxml_workloads::warehouse::services_with_endpoint_and_contact;
 
@@ -279,11 +158,10 @@ mod tests {
         let analyzer = StaticAnalyzer::new();
         let report = analyzer.report(Some(&tree), &[&query], None);
         assert!(report.is_clean());
-        let text = report.to_string();
-        assert!(text.contains("locally monotone: certified"));
-        assert!(text.contains("TRACTABLE"));
         let lines = report.machine_lines();
         assert!(lines.contains(&"query[0].certificate=certified".to_owned()));
+        assert!(lines.contains(&"worlds.tractable=true".to_owned()));
+        assert!(lines.contains(&"worlds.lints=0".to_owned()));
         assert!(lines
             .iter()
             .any(|l| l.starts_with("worlds.predicted_states=")));
@@ -294,6 +172,24 @@ mod tests {
         assert!(lines
             .iter()
             .any(|l| l.starts_with("semiring.query[0].lineage_width_bound=")));
-        assert!(text.contains("semirings: all supported"));
+
+        // One line per lint, after the count.
+        let mut linted = ProbTree::new("A");
+        let sure = linted.events_mut().insert("sure", 1.0);
+        let maybe = linted.events_mut().insert("maybe", 0.5);
+        let root = linted.tree().root();
+        linted.add_child(root, "B", Condition::of(Literal::pos(sure)));
+        linted.add_child(
+            root,
+            "C",
+            Condition::from_literals([Literal::pos(maybe), Literal::neg(maybe)]),
+        );
+        let report = analyzer.report(Some(&linted), &[], None);
+        assert!(!report.is_clean());
+        assert!(report.machine_lines().ends_with(&[
+            "worlds.lints=2".to_owned(),
+            "worlds.lint[0]=pinnable:sure".to_owned(),
+            "worlds.lint[1]=contradictory:C".to_owned(),
+        ]));
     }
 }

@@ -115,7 +115,6 @@ fn bench_deletion_blowup_control(c: &mut Criterion) {
     let simplify_only = UpdateEngine::with_config(UpdateEngineConfig {
         simplify: true,
         shared_first_chains: false,
-        ..UpdateEngineConfig::default()
     });
 
     // Counter assertions (sizes, not wall-clock).

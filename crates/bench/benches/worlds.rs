@@ -14,7 +14,9 @@
 //! many-small-components tree (24 events in 8 co-occurrence components of
 //! 3) where `Σ_c 2^{|C_i|} = 64` shard states replace the infeasible
 //! `2^24` joint walk (asserted via the enumeration counter), and a joint
-//! drain at feasible sizes, checked against the legacy oracle.
+//! drain at feasible sizes, checked against the legacy oracle. A last
+//! group times the fold's class merge, where many joint states fall into
+//! one world.
 //!
 //! Set `PXML_BENCH_QUICK=1` (as CI does) for a fast smoke run with small
 //! iteration budgets.
@@ -27,6 +29,7 @@ use pxml_bench::quick;
 use pxml_core::semantics::{possible_worlds, possible_worlds_normalized};
 use pxml_core::worlds::{WorldEngine, WorldEngineConfig};
 use pxml_core::ProbTree;
+use pxml_events::{prob_eq, Condition, Literal};
 use pxml_workloads::random::{
     many_components_probtree, random_probtree, ProbTreeConfig, TreeConfig,
 };
@@ -168,6 +171,37 @@ fn bench_factorized_vs_joint_drain(c: &mut Criterion) {
     }
 }
 
+/// The class merge: E11's tree, a root with 16 `X` children, each on its
+/// own `π = ½` event. Its `2^16` joint states fold into 17 classes, one per
+/// number of `X` children present, so almost every state merges into a
+/// class the fold already holds. perfbench's `worlds` batch never merges
+/// (every joint state there is a class of its own), so this is where the
+/// merge is timed.
+fn bench_class_merge(c: &mut Criterion) {
+    let mut tree = ProbTree::new("R");
+    let root = tree.tree().root();
+    for _ in 0..16 {
+        let w = tree.events_mut().fresh(0.5);
+        tree.add_child(root, "X", Condition::of(Literal::pos(w)));
+    }
+
+    // Counter assertions, outside the timed region.
+    let factorized = WorldEngine::new(&tree)
+        .sharded(&WorldEngineConfig::for_event_budget(16), 16)
+        .unwrap();
+    assert_eq!(factorized.states_enumerated(), 32, "16 shards of 2 states");
+    assert_eq!(factorized.num_joint_assignments(), 65_536);
+    let worlds = possible_worlds_normalized(&tree, 16).unwrap();
+    assert_eq!(worlds.len(), 17, "0 to 16 X children");
+    assert!(prob_eq(worlds.total_probability(), 1.0));
+
+    let mut group = c.benchmark_group("worlds_class_merge");
+    group.bench_with_input(BenchmarkId::from_parameter(16), &tree, |b, tree| {
+        b.iter(|| possible_worlds_normalized(tree, 16).unwrap());
+    });
+    group.finish();
+}
+
 fn config() -> Criterion {
     if quick() {
         Criterion::default()
@@ -186,6 +220,7 @@ criterion_group! {
     name = benches;
     config = config();
     targets = bench_engine_sparse, bench_dense_legacy_vs_engine,
-        bench_factorized_many_components, bench_factorized_vs_joint_drain
+        bench_factorized_many_components, bench_factorized_vs_joint_drain,
+        bench_class_merge
 }
 criterion_main!(benches);

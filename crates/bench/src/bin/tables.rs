@@ -373,7 +373,6 @@ fn e5_deletion_blowup(counts_only: bool) {
     let simplify_naive = UpdateEngine::with_config(UpdateEngineConfig {
         simplify: true,
         shared_first_chains: false,
-        ..UpdateEngineConfig::default()
     });
     let engine = UpdateEngine::new();
     for n in [1usize, 2, 3, 4, 5, 6] {

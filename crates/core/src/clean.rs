@@ -92,31 +92,6 @@ pub(crate) fn clean_below(tree: &mut ProbTree, top: NodeId, ancestors: Condition
     walked
 }
 
-/// Prunes the branches a **certain** event makes impossible and drops the
-/// literals it makes redundant: a positive literal on a `π(w) = 1` event
-/// holds in every positive-probability world (removed from its condition),
-/// while a negative literal on such an event can never hold there (the
-/// node and its descendants are detached). `π(w) = 0` cannot occur — the
-/// event table enforces `π ∈ (0, 1]`.
-///
-/// Unlike [`clean`], which preserves structural equivalence (Definition 9
-/// quantifies over *all* valuations, including zero-probability ones),
-/// this pass only preserves the **normalized possible-world semantics**:
-/// it is part of the update engine's simplification chain, whose contract
-/// is agreement with `apply_to_pw_set` up to normalization.
-pub fn prune_certain(tree: &ProbTree) -> ProbTree {
-    if !has_certain_events(tree.events()) {
-        return tree.clone();
-    }
-    let mut work = tree.clone();
-    let root = work.tree().root();
-    let walked = prune_below(&mut work, root);
-    for node in walked.dropped {
-        work.detach(node);
-    }
-    work.compact().0
-}
-
 /// Whether `event` is certain: `π(w) = 1`, so `w` holds in every world and
 /// `¬w` in none.
 fn is_certain(events: &EventTable, event: EventId) -> bool {
@@ -129,9 +104,20 @@ pub(crate) fn has_certain_events(events: &EventTable) -> bool {
     events.iter().any(|e| is_certain(events, e))
 }
 
-/// Prunes the subtree rooted at `top` under certain events, with the
-/// contract of [`clean_below`]. Each node's pruning depends only on its
-/// own literals. The tree root is walked through.
+/// Prunes the branches a **certain** event makes impossible and drops the
+/// literals it makes redundant, in the subtree rooted at `top`, with the
+/// contract of [`clean_below`]: a positive literal on a `π(w) = 1` event
+/// holds in every positive-probability world (removed from its
+/// condition), while a negative literal on such an event can never hold
+/// there (the node is dropped). `π(w) = 0` cannot occur — the event table
+/// enforces `π ∈ (0, 1]`. Each node's pruning depends only on its own
+/// literals. The tree root is walked through.
+///
+/// Unlike [`clean`], which preserves structural equivalence (Definition 9
+/// quantifies over *all* valuations, including zero-probability ones),
+/// this pass only preserves the **normalized possible-world semantics**:
+/// it is part of the update step's simplification, whose contract is
+/// agreement with `apply_to_pw_set` up to normalization.
 pub(crate) fn prune_below(tree: &mut ProbTree, top: NodeId) -> Walked {
     let mut walked = Walked::default();
     let root = tree.tree().root();
@@ -295,24 +281,31 @@ mod tests {
         // `¬sure` can never hold in a positive-probability world.
         let d = t.add_child(root, "D", Condition::of(Literal::neg(sure)));
         t.add_child(d, "E", Condition::always());
-        let before = crate::semantics::possible_worlds(&t, 20)
-            .unwrap()
-            .normalized();
-        let pruned = prune_certain(&t);
-        assert_eq!(pruned.num_nodes(), 3, "D and E are dead branches");
-        assert_eq!(pruned.num_literals(), 1, "only B's w literal remains");
-        let after = crate::semantics::possible_worlds(&pruned, 20)
-            .unwrap()
-            .normalized();
+        let before = possible_worlds(&t, 20).unwrap().normalized();
+        let walked = prune_below(&mut t, root);
+        assert_eq!(walked.visited, 3, "B, C and D; E lies below a drop");
+        assert_eq!(walked.rewritten, [(b, 1)]);
+        assert_eq!(walked.dropped, [d]);
+        assert_eq!(t.condition(b), Condition::of(Literal::pos(w)));
+        for node in walked.dropped {
+            t.detach(node);
+        }
+        assert_eq!(t.num_nodes(), 3, "D and E are dead branches");
+        assert_eq!(t.num_literals(), 1, "only B's w literal remains");
+        let after = possible_worlds(&t, 20).unwrap().normalized();
         assert!(before.isomorphic(&after));
     }
 
     #[test]
     fn prune_certain_is_identity_without_certain_events() {
-        let t = figure1_example();
-        let pruned = prune_certain(&t);
-        assert_eq!(pruned.num_nodes(), t.num_nodes());
-        assert_eq!(pruned.num_literals(), t.num_literals());
+        let mut t = figure1_example();
+        let before = t.to_ascii();
+        let root = t.tree().root();
+        let walked = prune_below(&mut t, root);
+        assert_eq!(walked.visited, t.num_nodes() - 1, "every node but the root");
+        assert!(walked.rewritten.is_empty());
+        assert!(walked.dropped.is_empty());
+        assert_eq!(t.to_ascii(), before);
     }
 
     #[test]

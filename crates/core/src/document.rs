@@ -102,7 +102,7 @@ pub struct UpdateDelta {
     /// Number of inserted new-frame nodes.
     pub nodes_inserted: usize,
     /// The engine telemetry of the committing step (matches, survivor
-    /// copies, simplification savings, entry-expansion skip).
+    /// copies, simplification savings).
     pub report: StepReport,
 }
 

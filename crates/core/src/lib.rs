@@ -68,8 +68,8 @@ pub use query::{
     MonotonicityCertificate, PreparedQuery, QueryEngine, SemiringCacheStats, Theorem1Error,
 };
 pub use update::{
-    DeletionForecast, ProbabilisticUpdate, SurvivorBudgetExceeded, UpdateAction, UpdateEngine,
-    UpdateEngineConfig, UpdateOperation, UpdateScript,
+    DeletionForecast, ProbabilisticUpdate, UpdateAction, UpdateEngine, UpdateEngineConfig,
+    UpdateOperation, UpdateScript,
 };
 pub use worlds::{FactorizedWorlds, ShardPlan, WorldEngine, WorldEngineConfig};
 

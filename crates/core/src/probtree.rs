@@ -259,7 +259,8 @@ impl ProbTree {
         // `compact`.
     }
 
-    /// Number of nodes reachable from the root.
+    /// Number of nodes reachable from the root. It walks the tree
+    /// ([`DataTree::len`]), so it costs O(reachable nodes).
     pub fn num_nodes(&self) -> usize {
         self.tree.len()
     }

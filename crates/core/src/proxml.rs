@@ -20,7 +20,9 @@
 //! ```
 //!
 //! Conditions are space-separated literals; `!` marks negation. Node labels
-//! and event names may contain arbitrary characters (they are XML-escaped).
+//! may contain arbitrary characters (they are XML-escaped); event names
+//! must be non-empty, free of whitespace and not start with `!`, so that a
+//! condition can carry them.
 
 use std::fmt;
 
@@ -59,6 +61,12 @@ impl From<ParseError> for ProXmlError {
 }
 
 /// Serializes a prob-tree as a ProXML document.
+///
+/// Every node label round-trips through [`from_xml`]. An event name
+/// round-trips when it is non-empty, contains no whitespace and does not
+/// start with `!` (every name [`EventTable::fresh`] makes qualifies):
+/// the `cond` attribute separates literals by whitespace and marks
+/// negation with a leading `!`, so [`from_xml`] refuses any other name.
 pub fn to_xml(tree: &ProbTree) -> String {
     let mut root = Element::new("prob-tree");
 
@@ -103,7 +111,16 @@ pub fn to_xml(tree: &ProbTree) -> String {
     write_document(&root)
 }
 
-/// Parses a ProXML document back into a prob-tree.
+/// Whether a `cond` attribute can carry the event name `name`: it splits
+/// on whitespace and reads a leading `!` as negation.
+fn is_condition_name(name: &str) -> bool {
+    !name.is_empty() && !name.starts_with('!') && !name.contains(char::is_whitespace)
+}
+
+/// Parses a ProXML document back into a prob-tree. The `<prob-tree>`
+/// element holds at most one `<events>` and exactly one root `<node>`;
+/// event names are unique and must be names a condition can carry (see
+/// [`to_xml`]).
 pub fn from_xml(text: &str) -> Result<ProbTree, ProXmlError> {
     let doc = parse(text)?;
     if doc.name != "prob-tree" {
@@ -112,9 +129,27 @@ pub fn from_xml(text: &str) -> Result<ProbTree, ProXmlError> {
             doc.name
         )));
     }
+    let (mut events_el, mut root_el) = (None, None);
+    for child in doc.child_elements() {
+        let slot = match child.name.as_str() {
+            "events" => &mut events_el,
+            "node" => &mut root_el,
+            other => {
+                return Err(ProXmlError::Format(format!(
+                    "unexpected element <{other}> inside <prob-tree>"
+                )))
+            }
+        };
+        if slot.replace(child).is_some() {
+            return Err(ProXmlError::Format(format!(
+                "<prob-tree> holds more than one <{}>",
+                child.name
+            )));
+        }
+    }
 
     let mut events = EventTable::new();
-    if let Some(events_el) = doc.child_named("events") {
+    if let Some(events_el) = events_el {
         for event_el in events_el.child_elements() {
             if event_el.name != "event" {
                 return Err(ProXmlError::Format(format!(
@@ -125,6 +160,16 @@ pub fn from_xml(text: &str) -> Result<ProbTree, ProXmlError> {
             let name = event_el
                 .attr("name")
                 .ok_or_else(|| ProXmlError::Format("<event> without name".to_string()))?;
+            if !is_condition_name(name) {
+                return Err(ProXmlError::Format(format!(
+                    "event name {name:?} is empty, holds whitespace or starts with '!'"
+                )));
+            }
+            if events.by_name(name).is_some() {
+                return Err(ProXmlError::Format(format!(
+                    "event {name:?} is declared twice"
+                )));
+            }
             let prob: f64 = event_el
                 .attr("prob")
                 .ok_or_else(|| ProXmlError::Format("<event> without prob".to_string()))?
@@ -139,9 +184,7 @@ pub fn from_xml(text: &str) -> Result<ProbTree, ProXmlError> {
         }
     }
 
-    let root_el = doc
-        .child_named("node")
-        .ok_or_else(|| ProXmlError::Format("missing root <node>".to_string()))?;
+    let root_el = root_el.ok_or_else(|| ProXmlError::Format("missing root <node>".to_string()))?;
     let root_label = root_el
         .attr("label")
         .ok_or_else(|| ProXmlError::Format("<node> without label".to_string()))?;
@@ -267,5 +310,43 @@ mod tests {
             back.events().name(pxml_events::EventId::from_index(0)),
             "w\"quoted\""
         );
+    }
+
+    #[test]
+    fn duplicate_event_names_are_rejected() {
+        let doc = r#"<prob-tree>
+            <events><event name="w" prob="0.5"/><event name="w" prob="0.6"/></events>
+            <node label="A"/>
+        </prob-tree>"#;
+        let err = from_xml(doc).unwrap_err();
+        assert!(matches!(&err, ProXmlError::Format(msg) if msg.contains("declared twice")));
+    }
+
+    #[test]
+    fn event_names_a_condition_cannot_carry_are_rejected() {
+        for name in ["", "a b", "!x"] {
+            let doc = format!(
+                r#"<prob-tree>
+                    <events><event name="{name}" prob="0.5"/></events>
+                    <node label="A"/>
+                </prob-tree>"#
+            );
+            let err = from_xml(&doc).unwrap_err();
+            assert!(matches!(err, ProXmlError::Format(_)), "{name:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn prob_tree_holds_one_events_table_and_one_root() {
+        let events = r#"<events><event name="w" prob="0.5"/></events>"#;
+        for body in [
+            format!(r#"{events}<node label="A"/><node label="B"/>"#),
+            format!(r#"{events}{events}<node label="A"/>"#),
+            format!(r#"{events}<node label="A"/><extra/>"#),
+            events.to_owned(),
+        ] {
+            let err = from_xml(&format!("<prob-tree>{body}</prob-tree>")).unwrap_err();
+            assert!(matches!(err, ProXmlError::Format(_)), "{body}: {err}");
+        }
     }
 }

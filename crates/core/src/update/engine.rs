@@ -51,12 +51,6 @@ pub struct UpdateEngineConfig {
     /// reproduce the naive Appendix A expansion (used by the blow-up
     /// benchmarks as a baseline).
     pub shared_first_chains: bool,
-    /// Hard budget on the *predicted* total survivor copies of one step
-    /// (default: `None` = unlimited). When set,
-    /// [`UpdateEngine::try_apply`] refuses a deletion whose
-    /// [`DeletionForecast`] exceeds the budget — before any subtree is
-    /// materialized.
-    pub max_survivor_copies: Option<usize>,
 }
 
 impl Default for UpdateEngineConfig {
@@ -64,7 +58,6 @@ impl Default for UpdateEngineConfig {
         UpdateEngineConfig {
             simplify: true,
             shared_first_chains: true,
-            max_survivor_copies: None,
         }
     }
 }
@@ -78,33 +71,9 @@ impl UpdateEngineConfig {
         UpdateEngineConfig {
             simplify: false,
             shared_first_chains: false,
-            max_survivor_copies: None,
         }
     }
 }
-
-/// Error of [`UpdateEngine::try_apply`]: the static forecast predicts
-/// more survivor copies than the configured budget allows, so the step
-/// was refused before materializing anything.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SurvivorBudgetExceeded {
-    /// Total survivor copies the forecast predicts for the step.
-    pub predicted: usize,
-    /// The configured [`UpdateEngineConfig::max_survivor_copies`] budget.
-    pub budget: usize,
-}
-
-impl std::fmt::Display for SurvivorBudgetExceeded {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "predicted {} survivor copies exceed the budget of {}",
-            self.predicted, self.budget
-        )
-    }
-}
-
-impl std::error::Error for SurvivorBudgetExceeded {}
 
 /// The static cost prediction of one update step, computed by
 /// [`UpdateEngine::forecast`] by replaying the match grouping and
@@ -374,27 +343,6 @@ impl UpdateEngine {
                 report.survivor_copies = survivors;
             }
         }
-    }
-
-    /// Like [`UpdateEngine::apply`], but enforces the configured
-    /// [`UpdateEngineConfig::max_survivor_copies`] budget: the step's
-    /// [`DeletionForecast`] is computed first (no mutation), and if it
-    /// predicts more survivor copies than the budget allows the step is
-    /// refused with a [`SurvivorBudgetExceeded`] error — before a single
-    /// subtree copy is materialized. Without a budget this is `apply`.
-    pub fn try_apply(
-        &self,
-        tree: &ProbTree,
-        update: &ProbabilisticUpdate,
-    ) -> Result<(ProbTree, StepReport), SurvivorBudgetExceeded> {
-        if let Some(budget) = self.config.max_survivor_copies {
-            let forecast = self.forecast(tree, update);
-            let predicted = forecast.total_survivor_copies();
-            if predicted > budget {
-                return Err(SurvivorBudgetExceeded { predicted, budget });
-            }
-        }
-        Ok(self.apply(tree, update))
     }
 
     /// Predicts the cost of one step **without mutating the tree**: the
@@ -913,7 +861,6 @@ mod tests {
             let simplified = UpdateEngine::with_config(UpdateEngineConfig {
                 simplify: true,
                 shared_first_chains: false,
-                ..UpdateEngineConfig::default()
             });
             let (raw_out, raw_report) = raw.apply(&tree, &update);
             let (simpl_out, simpl_report) = simplified.apply(&tree, &update);
@@ -974,30 +921,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// `try_apply` refuses a predicted blow-up before materializing and
-    /// accepts steps within budget.
-    #[test]
-    fn try_apply_enforces_the_survivor_budget() {
-        let tree = pxml_workloads_free_theorem3(4);
-        let update = d0(0.8);
-        let tight = UpdateEngine::with_config(UpdateEngineConfig {
-            simplify: false,
-            max_survivor_copies: Some(16),
-            ..UpdateEngineConfig::default()
-        });
-        let err = tight.try_apply(&tree, &update).unwrap_err();
-        assert_eq!(err.predicted, 17, "shared-first: 1 + 2^4");
-        assert_eq!(err.budget, 16);
-        assert!(err.to_string().contains("17"));
-        let roomy = UpdateEngine::with_config(UpdateEngineConfig {
-            simplify: false,
-            max_survivor_copies: Some(17),
-            ..UpdateEngineConfig::default()
-        });
-        let (_, report) = roomy.try_apply(&tree, &update).unwrap();
-        assert_eq!(report.survivor_copies, 17);
     }
 
     /// Insertions and unmatched steps forecast zero survivor copies.

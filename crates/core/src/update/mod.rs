@@ -34,12 +34,8 @@ pub mod engine;
 pub mod script;
 pub mod simplify;
 
-pub use engine::{
-    DeletionForecast, StepReport, StepScope, SurvivorBudgetExceeded, UpdateEngine,
-    UpdateEngineConfig,
-};
+pub use engine::{DeletionForecast, StepReport, StepScope, UpdateEngine, UpdateEngineConfig};
 pub use script::{ScriptReport, UpdateScript};
-pub use simplify::{simplify, SimplifyReport};
 
 use pxml_tree::{DataTree, NodeId};
 

@@ -6,9 +6,9 @@
 //!
 //! 1. [`clean`](crate::clean::clean) — drop literals implied by ancestors, prune inconsistent
 //!    branches (Section 3; preserves structural equivalence);
-//! 2. [`prune_certain`](crate::clean::prune_certain) — drop literals on `π(w) = 1` events and prune the
-//!    zero-probability branches they contradict (preserves the normalized
-//!    semantics only);
+//! 2. **certain-event pruning** — drop literals on `π(w) = 1` events and
+//!    prune the zero-probability branches they contradict (preserves the
+//!    normalized semantics only);
 //! 3. **sibling cover merging** — for each group of sibling copies whose
 //!    subtrees are structurally identical (labels *and* conditions below
 //!    the copy root) and whose root conditions are pairwise mutually
@@ -36,9 +36,10 @@
 //! copies its survivors deep, as the merge its covers.
 //!
 //! A run never renumbers nodes: dropped and merged-away nodes are detached
-//! in place, and merge covers are appended to the arena. [`simplify`]
-//! compacts its result once; a document commit keeps the ids, so its
-//! frame only renumbers at a rebase (see [`crate::document`]).
+//! in place, and merge covers are appended to the arena.
+//! [`UpdateEngine::apply`](super::UpdateEngine::apply) compacts its result
+//! once; a document commit keeps the ids, so its frame only renumbers at a
+//! rebase (see [`crate::document`]).
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 
@@ -66,52 +67,6 @@ const MAX_MERGE_SUPPORT: usize = 20;
 /// what lets the region scope skip a parent whose only changed children
 /// are unconditioned.
 const MAX_MERGE_GROUP: usize = 1024;
-
-/// Telemetry of one [`simplify`] run.
-#[derive(Clone, Debug, Default)]
-pub struct SimplifyReport {
-    /// Nodes before / after.
-    pub nodes_before: usize,
-    /// Literals before.
-    pub literals_before: usize,
-    /// Nodes after.
-    pub nodes_after: usize,
-    /// Literals after.
-    pub literals_after: usize,
-    /// Number of sibling groups replaced by a smaller cover.
-    pub merged_groups: usize,
-    /// Number of passes run (including the final no-change pass).
-    pub passes: usize,
-}
-
-impl SimplifyReport {
-    /// Size units saved (`|T|` before minus after).
-    pub fn savings(&self) -> usize {
-        (self.nodes_before + self.literals_before)
-            .saturating_sub(self.nodes_after + self.literals_after)
-    }
-}
-
-/// Runs the simplification chain. The result has the same normalized
-/// possible-world semantics as the input (and is structurally equivalent
-/// to it whenever no `π(w) = 1` event exists).
-pub fn simplify(tree: &ProbTree) -> (ProbTree, SimplifyReport) {
-    let before = tree.memory_stats();
-    let touched = Touched::new(tree.tree().arena_len());
-    let run = simplify_scoped(tree.clone(), StepScope::Whole, touched);
-    let (nodes_after, literals_after) = run
-        .census
-        .size_after(before.logical_nodes, before.logical_literals);
-    let report = SimplifyReport {
-        nodes_before: before.logical_nodes,
-        literals_before: before.logical_literals,
-        nodes_after,
-        literals_after,
-        merged_groups: run.merged_groups,
-        passes: run.passes,
-    };
-    (run.tree.compact().0, report)
-}
 
 /// What an update step and the simplify passes changed in the working
 /// tree, recorded as they graft, detach and rewrite. Node ids are those
@@ -235,10 +190,6 @@ pub(crate) struct Simplified {
     /// The simplified tree, uncompacted: every node of the input keeps
     /// its id, and what the passes added is appended.
     pub(crate) tree: ProbTree,
-    /// Sibling groups replaced by a smaller cover.
-    pub(crate) merged_groups: usize,
-    /// Passes run, including the final no-change pass.
-    pub(crate) passes: usize,
     /// Whether the last pass changed nothing within `MAX_PASSES`: the
     /// result is then a simplify fixpoint.
     pub(crate) converged: bool,
@@ -266,7 +217,6 @@ pub(crate) fn simplify_scoped(work: ProbTree, scope: StepScope, touched: Touched
         sweep_all: false,
         touched,
         visited: 0,
-        merged_groups: 0,
     };
     match scope {
         StepScope::Whole => {
@@ -275,10 +225,8 @@ pub(crate) fn simplify_scoped(work: ProbTree, scope: StepScope, touched: Touched
         }
         StepScope::Region => run.start_region(),
     }
-    let mut passes = 0;
     let mut converged = false;
     for _ in 0..MAX_PASSES {
-        passes += 1;
         let fresh = std::mem::take(&mut run.fresh);
         let mut changed = false;
         for &top in &fresh {
@@ -305,8 +253,6 @@ pub(crate) fn simplify_scoped(work: ProbTree, scope: StepScope, touched: Touched
     let census = Census::of(&run.work, &run.touched);
     Simplified {
         tree: run.work,
-        merged_groups: run.merged_groups,
-        passes,
         converged,
         visited: run.visited,
         census,
@@ -328,7 +274,6 @@ struct Run {
     /// and rewrite.
     touched: Touched,
     visited: usize,
-    merged_groups: usize,
 }
 
 impl Run {
@@ -467,7 +412,6 @@ impl Run {
                 merged += self.merge_at(parent, &mut codes);
             }
         }
-        self.merged_groups += merged;
         merged
     }
 
@@ -672,9 +616,12 @@ mod tests {
             Condition::from_literals([Literal::pos(x), Literal::neg(w)]),
         );
         t.add_child(b2, "D", Condition::of(Literal::pos(x)));
-        let (simplified, report) = simplify(&t);
-        assert_eq!(report.merged_groups, 1);
-        assert!(report.savings() > 0);
+        let simplified = simplify_scoped(
+            t.clone(),
+            StepScope::Whole,
+            Touched::new(t.tree().arena_len()),
+        )
+        .tree;
         // One B copy left... whose D child then loses the x literal to
         // cleaning on the next pass (x is implied by the merged root).
         let b_count = simplified
@@ -683,6 +630,8 @@ mod tests {
             .filter(|&n| simplified.tree().label(n) == "B")
             .count();
         assert_eq!(b_count, 1);
+        assert_eq!(simplified.num_nodes(), 3, "A → B[x] → D");
+        assert_eq!(simplified.size(), 4, "from 5 nodes and 6 literals");
         assert!(structural_equivalent_exhaustive(&t, &simplified, 20).unwrap());
     }
 
@@ -694,9 +643,14 @@ mod tests {
         let root = t.tree().root();
         t.add_child(root, "B", Condition::of(Literal::pos(w)));
         t.add_child(root, "B", Condition::of(Literal::pos(w)));
-        let (simplified, report) = simplify(&t);
-        assert_eq!(report.merged_groups, 0);
+        let simplified = simplify_scoped(
+            t.clone(),
+            StepScope::Whole,
+            Touched::new(t.tree().arena_len()),
+        )
+        .tree;
         assert_eq!(simplified.num_nodes(), 3);
+        assert_eq!(simplified.size(), t.size());
     }
 
     /// Children with different subtrees never merge, even when their root
@@ -709,9 +663,14 @@ mod tests {
         let b1 = t.add_child(root, "B", Condition::of(Literal::pos(w)));
         t.add_child(b1, "D", Condition::always());
         t.add_child(root, "B", Condition::of(Literal::neg(w)));
-        let (simplified, report) = simplify(&t);
-        assert_eq!(report.merged_groups, 0);
+        let simplified = simplify_scoped(
+            t.clone(),
+            StepScope::Whole,
+            Touched::new(t.tree().arena_len()),
+        )
+        .tree;
         assert_eq!(simplified.num_nodes(), t.num_nodes());
+        assert_eq!(simplified.size(), t.size());
     }
 
     /// Merging children can unlock a parent-level merge on the next pass.
@@ -729,11 +688,15 @@ mod tests {
             t.add_child(s, "B", Condition::of(Literal::pos(w)));
             t.add_child(s, "B", Condition::of(Literal::neg(w)));
         }
-        let (simplified, report) = simplify(&t);
+        let simplified = simplify_scoped(
+            t.clone(),
+            StepScope::Whole,
+            Touched::new(t.tree().arena_len()),
+        )
+        .tree;
         // The S subtrees are already identical, so the pre-order sweep
         // merges the S pair first (into one unconditioned S); pass 2 then
         // merges the B pair inside the surviving copy.
-        assert_eq!(report.merged_groups, 2);
         assert_eq!(simplified.num_nodes(), 3, "A → S → B");
         assert_eq!(simplified.num_literals(), 0);
         assert!(structural_equivalent_exhaustive(&t, &simplified, 20).unwrap());
@@ -756,7 +719,12 @@ mod tests {
         t.add_child(root, "B", Condition::of(Literal::neg(w)));
         t.add_child(root, "C", Condition::of(Literal::neg(sure)));
         let before = possible_worlds(&t, 20).unwrap().normalized();
-        let (simplified, _) = simplify(&t);
+        let simplified = simplify_scoped(
+            t.clone(),
+            StepScope::Whole,
+            Touched::new(t.tree().arena_len()),
+        )
+        .tree;
         let after = possible_worlds(&simplified, 20).unwrap().normalized();
         assert!(before.isomorphic(&after));
         // `sure` dropped from B's condition, then the B pair merges; the

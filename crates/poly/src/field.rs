@@ -28,14 +28,6 @@ impl Fp {
         Fp(value % P)
     }
 
-    /// Builds a field element from a signed integer (negative values map to
-    /// their residue).
-    #[inline]
-    pub fn from_i64(value: i64) -> Self {
-        let m = value.rem_euclid(P as i64) as u64;
-        Fp(m)
-    }
-
     /// Builds a field element from a (possibly large) signed integer.
     pub fn from_i128(value: i128) -> Self {
         let m = value.rem_euclid(P as i128) as u64;
@@ -94,15 +86,6 @@ impl Fp {
             exp >>= 1;
         }
         acc
-    }
-
-    /// Multiplicative inverse (Fermat's little theorem).
-    ///
-    /// # Panics
-    /// Panics on zero.
-    pub fn inv(self) -> Fp {
-        assert!(self.0 != 0, "division by zero in Fp");
-        self.pow(P - 2)
     }
 
     /// `1 − self`, the evaluation of a negative literal `(1 − X_i)`.
@@ -176,9 +159,7 @@ mod tests {
 
     #[test]
     fn from_signed_values() {
-        assert_eq!(Fp::from_i64(-1).value(), P - 1);
         assert_eq!(Fp::from_i128(-(P as i128) - 5).value(), P - 5);
-        assert_eq!(Fp::from_i64(42).value(), 42);
     }
 
     #[test]
@@ -186,15 +167,8 @@ mod tests {
         let a = Fp::new(123_456_789);
         assert_eq!(a.pow(0), Fp::ONE);
         assert_eq!(a.pow(1), a);
-        assert_eq!(a.mul(a.inv()), Fp::ONE);
         // Fermat: a^(p-1) = 1.
         assert_eq!(a.pow(P - 1), Fp::ONE);
-    }
-
-    #[test]
-    #[should_panic(expected = "division by zero")]
-    fn inverse_of_zero_panics() {
-        Fp::ZERO.inv();
     }
 
     #[test]

@@ -296,7 +296,8 @@ impl DataTree {
         }
     }
 
-    /// Number of nodes reachable from the root.
+    /// Number of nodes reachable from the root. It walks the tree, so it
+    /// costs O(reachable nodes); [`DataTree::arena_len`] is O(1).
     pub fn len(&self) -> usize {
         self.iter().count()
     }

@@ -38,7 +38,7 @@ pub fn random_tree<R: Rng + ?Sized>(config: &TreeConfig, rng: &mut R) -> DataTre
     let label = |rng: &mut R| format!("L{}", rng.gen_range(0..config.labels));
     let mut tree = DataTree::new(label(rng));
     let mut attachable = vec![tree.root()];
-    while tree.len() < config.nodes {
+    for _ in 1..config.nodes {
         let idx = rng.gen_range(0..attachable.len());
         let parent = attachable[idx];
         let child = tree.add_child(parent, label(rng));

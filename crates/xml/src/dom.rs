@@ -65,11 +65,6 @@ impl Element {
         })
     }
 
-    /// The first child element with the given name.
-    pub fn child_named(&self, name: &str) -> Option<&Element> {
-        self.child_elements().find(|e| e.name == name)
-    }
-
     /// The concatenated text content of this element (direct text children
     /// only).
     pub fn text(&self) -> String {
@@ -104,8 +99,7 @@ mod tests {
         assert_eq!(el.attr("id"), Some("42"));
         assert_eq!(el.attr("missing"), None);
         assert_eq!(el.child_elements().count(), 1);
-        assert_eq!(el.child_named("name").unwrap().text(), "Ada");
-        assert!(el.child_named("email").is_none());
+        assert_eq!(el.child_elements().next().unwrap().text(), "Ada");
         assert_eq!(el.text(), "tail");
         assert_eq!(el.element_count(), 2);
     }

@@ -11,9 +11,6 @@
 //!   ProXML format (elements, attributes, text, comments, XML declaration,
 //!   the five predefined entities).
 //! * [`writer`] — a pretty-printing serializer.
-//! * [`datatree`] — conversion between XML elements and the unordered
-//!   [`pxml_tree::DataTree`] model (element names become labels; attributes
-//!   and text are ignored, matching Definition 1's simplifications).
 //!
 //! The prob-tree-level document format (events table + annotated nodes)
 //! lives in `pxml-core::proxml`, which builds on this crate.
@@ -21,7 +18,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod datatree;
 pub mod dom;
 pub mod escape;
 pub mod parser;

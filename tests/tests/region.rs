@@ -27,8 +27,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use pxml_core::update::{
-    simplify, ProbabilisticUpdate, StepReport, StepScope, UpdateEngine, UpdateEngineConfig,
-    UpdateOperation,
+    ProbabilisticUpdate, StepReport, StepScope, UpdateEngine, UpdateEngineConfig, UpdateOperation,
 };
 use pxml_core::{Document, PatternQuery, ProbTree, UpdateDelta};
 use pxml_events::{Condition, Literal};
@@ -124,17 +123,23 @@ fn assert_delta_is_the_diff(base: &ProbTree, frame: &ProbTree, delta: &UpdateDel
     assert_eq!((report.nodes_after, report.literals_after), size(frame));
 }
 
-/// One more whole-tree simplify leaves `frame` alone: its first pass
-/// changes nothing.
+/// One more whole-tree simplify leaves `frame` alone: a one-shot step
+/// that inserts an unconditioned leaf under the root, which no pass can
+/// clean, prune or merge, simplifies nothing.
 fn assert_fixpoint(frame: &ProbTree) {
-    let (simplified, report) = simplify(frame);
-    assert_eq!(report.merged_groups, 0, "{}", frame.to_ascii());
-    assert_eq!(report.passes, 1, "{}", frame.to_ascii());
+    let root = frame.tree().label(frame.tree().root());
+    let update = insert_leaf(PatternQuery::anchored(Some(root)), "Z");
+    let (simplified, report) = UpdateEngine::new().apply(frame, &update);
+    assert_eq!(report.scope, StepScope::Whole);
+    assert_eq!(report.simplification_savings(), 0, "{}", frame.to_ascii());
+    let raw = UpdateEngine::with_config(UpdateEngineConfig {
+        simplify: false,
+        ..UpdateEngineConfig::default()
+    });
     assert_eq!(
-        (report.nodes_after, report.literals_after),
-        (report.nodes_before, report.literals_before)
+        simplified.to_ascii(),
+        raw.apply(frame, &update).0.to_ascii()
     );
-    assert_eq!(simplified.to_ascii(), frame.to_ascii());
 }
 
 /// Checks the status `doc` ends with: a certain insertion under the root
