@@ -175,10 +175,15 @@ pub fn step_footprint(update: &ProbabilisticUpdate, dtd: Option<&Dtd>) -> StepFo
 pub enum MaintenancePrediction {
     /// The step's write footprint is bounded and disjoint from the
     /// query's maintenance footprint: maintenance is expected to patch
-    /// the prepared state in place.
+    /// the prepared state in place without re-matching, carrying every
+    /// answer.
     Patchable,
     /// The step writes a label on the query's spine: maintenance is
-    /// expected to fall back to a full re-prepare.
+    /// expected to patch by re-matching around the nodes the step
+    /// appends, dropping the answers it detaches
+    /// ([`pxml_core::query::Query::evaluate_appended`]), for a join-free
+    /// pattern; a query that cannot re-match there, such as a pattern
+    /// with joins, re-prepares.
     SpineTouching {
         /// A label witnessing the intersection.
         witness: String,
@@ -194,12 +199,13 @@ pub enum MaintenancePrediction {
 /// This is a **lint, not a guarantee**: the engine decides from the
 /// *runtime* [`pxml_core::UpdateDelta`], which the step derives from the
 /// nodes it actually touched. A step predicted [`Patchable`](MaintenancePrediction::Patchable)
-/// can still force a fallback at run time — e.g. when the simplification
-/// pass merges pre-existing siblings whose labels lie inside the
-/// footprint, the delta reports those labels as removed/inserted even
-/// though the step's own syntax never mentions them. The prediction
-/// errs only in that direction; maintenance itself stays sound either
-/// way.
+/// can still meet the footprint at run time, and then re-match (or
+/// re-prepare, for a query that cannot re-match) — e.g. when the
+/// simplification pass merges pre-existing siblings whose labels lie
+/// inside the footprint, the delta reports those labels as
+/// removed/inserted even though the step's own syntax never mentions
+/// them. The prediction errs only in that direction; maintenance itself
+/// stays sound either way.
 pub fn predict_maintenance(
     query: &crate::query::QueryAnalysis,
     footprints: &[StepFootprint],
@@ -376,7 +382,7 @@ mod tests {
         let query_analysis = crate::query::analyze_pattern(&query, None);
         let script = UpdateScript::from_steps([
             insert_fact("keyword", 0.9),  // off-footprint → patchable
-            insert_fact("endpoint", 0.8), // on the spine → fallback
+            insert_fact("endpoint", 0.8), // on the spine → re-match patch
             delete_fact("keyword", 0.7),  // unbounded writes without a DTD
         ]);
         let footprints: Vec<StepFootprint> = script
@@ -421,7 +427,11 @@ mod tests {
             outcomes.push(prepared.maintain(&doc).unwrap());
         }
         assert!(matches!(outcomes[0], MaintainOutcome::Patched { .. }));
-        assert!(matches!(outcomes[1], MaintainOutcome::Fallback { .. }));
+        assert_eq!(outcomes[1], MaintainOutcome::Patched { steps: 1 });
+        assert!(
+            prepared.maintenance_stats().rematch_visited > 0,
+            "the endpoint step re-matched"
+        );
         // Whatever path step 3 took, the maintained state serves exactly
         // what a fresh prepare serves.
         let fresh = query_engine.prepare(doc.tree(), &query);

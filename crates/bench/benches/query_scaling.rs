@@ -25,7 +25,10 @@
 //! Plus `e14_maintain_vs_reprepare` — the live-view access pattern of the
 //! warehouse scenario: the endpoint+contact monitoring query served after
 //! every extractor round, by per-round fresh prepares vs one
-//! incrementally maintained `PreparedQuery`.
+//! incrementally maintained `PreparedQuery`, on rounds that claim
+//! `keyword` facts (off the query's footprint) and on rounds that claim
+//! and retract `endpoint` and `contact` facts (on it, so a patch
+//! re-matches at the appended facts).
 //!
 //! Plus `e15_semiring_overhead` — the generic provenance path on the
 //! deletion blow-up family (retract/re-claim rounds grow `¬w` chains in
@@ -37,9 +40,10 @@
 //!
 //! Before timing, the heap-vs-sort and threshold short-circuit comparison
 //! counters are asserted (untimed) on the largest fixture, and the
-//! maintenance counters are asserted on the warehouse fixture (no
-//! fallback on off-footprint rounds; ≥5x fewer union rebuilds than
-//! per-round re-preparing).
+//! maintenance counters are asserted on the warehouse fixture: no round
+//! of either script falls back, each patch builds exactly the unions of
+//! the answers its round appends, and the keyword rounds rebuild ≥5x
+//! fewer unions than per-round re-preparing.
 //!
 //! Set `PXML_BENCH_QUICK=1` (as CI's bench-smoke job does) for a fast
 //! smoke run over the two smallest tree sizes.
@@ -233,26 +237,102 @@ fn claim_fact(label: &str, round: usize, confidence: f64) -> ProbabilisticUpdate
     ProbabilisticUpdate::new(UpdateOperation::insert(query, at, fact), confidence)
 }
 
-/// A warehouse already carrying endpoint and contact facts (so the
-/// endpoint+contact query has answers) plus a keyword-only extraction
-/// script — every step off the query's {service, endpoint, contact}
-/// footprint, so maintenance must patch every round.
-fn maintenance_fixture(services: usize, rounds: usize) -> (Document, Vec<ProbabilisticUpdate>) {
+/// Retracts the `label` facts of every service with `confidence`: each
+/// fact is detached and one survivor copy of it appended.
+fn retract_facts(label: &str, confidence: f64) -> ProbabilisticUpdate {
+    let mut query = PatternQuery::new(Some("service"));
+    let fact = query.add_child(query.root(), label);
+    ProbabilisticUpdate::new(UpdateOperation::delete(query, fact), confidence)
+}
+
+/// The two E14 scripts. `Keyword` rounds claim facts off the query's
+/// {service, endpoint, contact} footprint, so maintenance carries every
+/// answer. `Footprint` rounds cycle through claiming an `endpoint` fact,
+/// claiming a `contact` fact, retracting every `endpoint` fact and
+/// retracting every `contact` fact, so maintenance drops the answers a
+/// round detaches and re-matches at the facts it appends.
+#[derive(Clone, Copy, Debug)]
+enum Rounds {
+    Keyword,
+    Footprint,
+}
+
+impl Rounds {
+    fn name(self) -> &'static str {
+        match self {
+            Rounds::Keyword => "keyword",
+            Rounds::Footprint => "footprint",
+        }
+    }
+
+    /// Rounds per script. A retraction leaves detached slots, and a commit
+    /// whose base frame holds more of them than live nodes rebases, which
+    /// re-prepares every view: two footprint cycles stay below that.
+    fn count(self) -> usize {
+        match (self, quick()) {
+            (_, true) => 4,
+            (Rounds::Keyword, false) => 10,
+            (Rounds::Footprint, false) => 8,
+        }
+    }
+
+    /// The update of round `round`, counted from 1.
+    fn update(self, round: usize) -> ProbabilisticUpdate {
+        let confidence = 0.5 + 0.4 * (round as f64 / self.count() as f64);
+        match (self, round % 4) {
+            (Rounds::Keyword, _) => claim_fact("keyword", round, confidence),
+            (Rounds::Footprint, 1) => claim_fact("endpoint", round, confidence),
+            (Rounds::Footprint, 2) => claim_fact("contact", round, confidence),
+            (Rounds::Footprint, 3) => retract_facts("endpoint", 0.5),
+            (Rounds::Footprint, _) => retract_facts("contact", 0.5),
+        }
+    }
+
+    /// The condition unions a patch of each round builds: one per answer
+    /// holding a node the round appended. Every service holds the same
+    /// facts, starting from one endpoint and one contact. A claim adds the
+    /// new fact's answers with every fact of the other label; a retraction
+    /// replaces each fact by its survivor copy, so every answer is found
+    /// again.
+    fn unions_built(self, services: usize) -> usize {
+        let (mut endpoints, mut contacts, mut built) = (1, 1, 0);
+        for round in 1..=self.count() {
+            match (self, round % 4) {
+                (Rounds::Keyword, _) => {}
+                (Rounds::Footprint, 1) => {
+                    built += contacts;
+                    endpoints += 1;
+                }
+                (Rounds::Footprint, 2) => {
+                    built += endpoints;
+                    contacts += 1;
+                }
+                (Rounds::Footprint, _) => built += endpoints * contacts,
+            }
+        }
+        services * built
+    }
+}
+
+/// A warehouse already carrying one endpoint and one contact fact per
+/// service (so the endpoint+contact query has answers), plus the rounds
+/// of the `kind` script.
+fn maintenance_fixture(services: usize, kind: Rounds) -> (Document, Vec<ProbabilisticUpdate>) {
     let update_engine = UpdateEngine::new();
     let mut doc = Document::new(skeleton(services));
     update_engine.apply_doc(&mut doc, &claim_fact("endpoint", 0, 0.9));
     update_engine.apply_doc(&mut doc, &claim_fact("contact", 0, 0.8));
-    let script: Vec<ProbabilisticUpdate> = (1..=rounds)
-        .map(|round| claim_fact("keyword", round, 0.5 + 0.4 * (round as f64 / rounds as f64)))
-        .collect();
+    let script = (1..=kind.count()).map(|round| kind.update(round)).collect();
     (doc, script)
 }
 
 /// Untimed counter assertions for the incremental-maintenance contract:
-/// keyword-only rounds never fall back, and patching rebuilds at least
-/// 5x fewer condition unions than re-preparing every round would.
-fn assert_maintenance_counters(services: usize, rounds: usize) {
-    let (mut doc, script) = maintenance_fixture(services, rounds);
+/// no round of either script falls back, each patch builds exactly the
+/// unions of the answers through the nodes its round appended, and on the
+/// keyword rounds patching rebuilds at least 5x fewer condition unions
+/// than re-preparing every round would.
+fn assert_maintenance_counters(services: usize, kind: Rounds) {
+    let (mut doc, script) = maintenance_fixture(services, kind);
     let query: Arc<dyn Query> = Arc::new(services_with_endpoint_and_contact());
     let query_engine = QueryEngine::new();
     let update_engine = UpdateEngine::new();
@@ -260,71 +340,86 @@ fn assert_maintenance_counters(services: usize, rounds: usize) {
     assert!(!prepared.is_empty(), "the seeded warehouse has answers");
     let mut reprepare_union_work = 0usize;
     for update in &script {
-        update_engine.apply_doc(&mut doc, update);
+        let delta = update_engine.apply_doc(&mut doc, update);
+        assert!(delta.node_map.is_none(), "{kind:?} rounds never rebase");
         let outcome = prepared.maintain(&doc).expect("document-backed state");
-        assert!(
-            matches!(outcome, MaintainOutcome::Patched { .. }),
-            "keyword rounds are off-footprint and must patch, got {outcome:?}"
+        assert_eq!(
+            outcome,
+            MaintainOutcome::Patched { steps: 1 },
+            "{kind:?} rounds must patch"
         );
         // A fresh prepare recomputes one condition union per answer.
-        reprepare_union_work += query_engine
-            .prepare_doc_shared(&doc, Arc::clone(&query))
-            .len();
+        let fresh = query_engine.prepare_doc_shared(&doc, Arc::clone(&query));
+        assert_eq!(prepared.len(), fresh.len());
+        reprepare_union_work += fresh.len();
     }
     let stats = prepared.maintenance_stats();
-    assert_eq!(stats.fallbacks, 0, "no silent fallback on keyword rounds");
-    assert_eq!(stats.steps_patched, rounds);
-    assert!(
-        stats.unions_rebuilt * 5 <= reprepare_union_work,
-        "maintenance must rebuild at least 5x fewer unions than per-round \
-         re-preparing: {} rebuilt vs {} across {} fresh prepares",
+    assert_eq!(stats.fallbacks, 0, "no silent fallback on {kind:?} rounds");
+    assert_eq!(stats.steps_patched, script.len());
+    assert_eq!(
         stats.unions_rebuilt,
-        reprepare_union_work,
-        rounds
+        kind.unions_built(services),
+        "{kind:?} rounds build the unions of the answers they append"
     );
+    if let Rounds::Keyword = kind {
+        assert!(
+            stats.unions_rebuilt * 5 <= reprepare_union_work,
+            "maintenance must rebuild at least 5x fewer unions than per-round \
+             re-preparing: {} rebuilt vs {} across {} fresh prepares",
+            stats.unions_rebuilt,
+            reprepare_union_work,
+            script.len()
+        );
+    }
 }
 
 /// E14 — incremental view maintenance: serving the endpoint+contact
 /// monitoring query after every extractor round, either by re-preparing
 /// from scratch each round or by patching one live `PreparedQuery`
-/// through the document's update deltas. Both arms replay the identical
-/// scenario (document construction and update application included), so
-/// the measured difference is exactly prepare-per-round vs
-/// maintain-per-round.
+/// through the document's update deltas, on both scripts. Both arms
+/// replay the identical scenario (document construction and update
+/// application included), so the measured difference is exactly
+/// prepare-per-round vs maintain-per-round.
 fn bench_maintenance(c: &mut Criterion) {
-    let (services, rounds) = if quick() { (8, 4) } else { (24, 10) };
-    assert_maintenance_counters(services, rounds);
+    let services = if quick() { 8 } else { 24 };
+    let kinds = [Rounds::Keyword, Rounds::Footprint];
+    for kind in kinds {
+        assert_maintenance_counters(services, kind);
+    }
 
     let query: Arc<dyn Query> = Arc::new(services_with_endpoint_and_contact());
     let query_engine = QueryEngine::new();
     let update_engine = UpdateEngine::new();
     let mut group = c.benchmark_group("e14_maintain_vs_reprepare");
-    group.bench_function(format!("reprepare_every_round/{services}"), |b| {
-        b.iter(|| {
-            let (mut doc, script) = maintenance_fixture(services, rounds);
-            let mut total = 0.0f64;
-            for update in &script {
-                update_engine.apply_doc(&mut doc, update);
-                total += query_engine
-                    .prepare_doc_shared(&doc, Arc::clone(&query))
-                    .expected_matches();
-            }
-            total
+    for kind in kinds {
+        let name = kind.name();
+        group.bench_function(format!("reprepare_every_round/{name}/{services}"), |b| {
+            b.iter(|| {
+                let (mut doc, script) = maintenance_fixture(services, kind);
+                let mut total = 0.0f64;
+                for update in &script {
+                    update_engine.apply_doc(&mut doc, update);
+                    total += query_engine
+                        .prepare_doc_shared(&doc, Arc::clone(&query))
+                        .expected_matches();
+                }
+                total
+            });
         });
-    });
-    group.bench_function(format!("maintain_across_rounds/{services}"), |b| {
-        b.iter(|| {
-            let (mut doc, script) = maintenance_fixture(services, rounds);
-            let mut prepared = query_engine.prepare_doc_shared(&doc, Arc::clone(&query));
-            let mut total = 0.0f64;
-            for update in &script {
-                update_engine.apply_doc(&mut doc, update);
-                prepared.maintain(&doc).expect("document-backed state");
-                total += prepared.expected_matches();
-            }
-            total
+        group.bench_function(format!("maintain_across_rounds/{name}/{services}"), |b| {
+            b.iter(|| {
+                let (mut doc, script) = maintenance_fixture(services, kind);
+                let mut prepared = query_engine.prepare_doc_shared(&doc, Arc::clone(&query));
+                let mut total = 0.0f64;
+                for update in &script {
+                    update_engine.apply_doc(&mut doc, update);
+                    prepared.maintain(&doc).expect("document-backed state");
+                    total += prepared.expected_matches();
+                }
+                total
+            });
         });
-    });
+    }
     group.finish();
 }
 

@@ -9,6 +9,7 @@
 //! Set `PXML_BENCH_QUICK=1` (as CI's `bench-smoke` job does) for a fast
 //! smoke run with small iteration budgets.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -18,7 +19,7 @@ use pxml_core::semantics::possible_worlds;
 use pxml_core::update::{
     ProbabilisticUpdate, StepScope, UpdateEngine, UpdateEngineConfig, UpdateOperation,
 };
-use pxml_core::{Document, PatternQuery, ProbTree};
+use pxml_core::{Document, MaintainOutcome, PatternQuery, ProbTree, QueryEngine};
 use pxml_events::{Condition, Literal};
 use pxml_tree::DataTree;
 use pxml_workloads::paper::{d0_deletion, theorem3_tree};
@@ -256,10 +257,14 @@ fn bench_update_scripts(c: &mut Criterion) {
 /// `MATCH_VISITS_PER_READ` nodes per posting of its rarest label and per
 /// match, the same count at every size. It keeps node ids (no node map)
 /// and leaves all but `UNSHARED_PAGES` pages of the new frame shared with
-/// its predecessor. Then, per size, one commit is timed on an O(1) fork of
-/// the settled document (forks inherit its fixpoint status and postings),
-/// and so are its parts: cloning a frame, the match, and dropping a frame
-/// a commit derived. No part reads the whole document.
+/// its predecessor. A view of the retraction's own pattern, maintained
+/// after each such commit, patches: it drops the retracted fact's answer
+/// and re-matches only at the survivor copy, reading the same number of
+/// nodes (`MaintainStats::rematch_visited`) at every size. Then, per size,
+/// one commit is timed on an O(1) fork of the settled document (forks
+/// inherit its fixpoint status and postings), and so are its parts:
+/// cloning a frame, the match, and dropping a frame a commit derived. No
+/// part reads the whole document.
 fn bench_region_commits(c: &mut Criterion) {
     const REGION_VISITS_PER_DELTA_NODE: usize = 8;
     /// Measured: 4, 5 and 6 visits for 3, 4 and 5 reads over the three
@@ -272,6 +277,11 @@ fn bench_region_commits(c: &mut Criterion) {
     /// the postings head table and the event table's names, probabilities
     /// and name index each own their last page.
     const UNSHARED_PAGES: usize = 8;
+    /// The nodes a view of the retracted pattern reads re-matching after a
+    /// commit: the survivor copy's two appended slots, the three candidate
+    /// roots (the copy's `keyword` and `fact0`, and the service above
+    /// them), and the `fact0` child tested below the `keyword`.
+    const REMATCH_VISITS: usize = 6;
     /// Frames held at once by the clone and drop arms.
     const BATCH: u64 = 32;
     let engine = UpdateEngine::new();
@@ -285,6 +295,7 @@ fn bench_region_commits(c: &mut Criterion) {
         ProbabilisticUpdate::new(UpdateOperation::delete(query.clone(), query.root()), 0.9);
     let mut group = c.benchmark_group("updates_region_commit");
     let mut match_visits: Vec<Vec<usize>> = Vec::new();
+    let mut rematch_visits: Vec<Vec<usize>> = Vec::new();
     for nodes in [2_011usize, 20_011, 100_011] {
         // `skeleton(s)` has 1 + 2s nodes; one keyword fact adds two.
         let mut tree = skeleton((nodes - 3) / 2);
@@ -299,10 +310,24 @@ fn bench_region_commits(c: &mut Criterion) {
             first.report.match_visited >= nodes,
             "a frame without postings is scanned"
         );
-        let mut visits = Vec::new();
+        let mut view = QueryEngine::new().prepare_doc_shared(&doc, Arc::new(query.clone()));
+        let (mut visits, mut rematches) = (Vec::new(), Vec::new());
         for _ in 0..3 {
             let before = doc.snapshot();
             let delta = engine.apply_doc(&mut doc, &retract);
+            let read_before = view.maintenance_stats().rematch_visited;
+            assert_eq!(
+                view.maintain(&doc),
+                Ok(MaintainOutcome::Patched { steps: 1 }),
+                "{nodes} nodes: the view of the retracted pattern patches"
+            );
+            assert_eq!(view.len(), 1, "the survivor copy is the one answer");
+            let rematch = view.maintenance_stats().rematch_visited - read_before;
+            assert_eq!(
+                rematch, REMATCH_VISITS,
+                "{nodes} nodes: the re-match's reads"
+            );
+            rematches.push(rematch);
             let report = &delta.report;
             assert_eq!(report.scope, StepScope::Region);
             let postings = ["keyword", "fact0"]
@@ -336,6 +361,11 @@ fn bench_region_commits(c: &mut Criterion) {
         assert!(
             match_visits.windows(2).all(|pair| pair[0] == pair[1]),
             "match visits grow with the document: {match_visits:?}"
+        );
+        rematch_visits.push(rematches);
+        assert!(
+            rematch_visits.windows(2).all(|pair| pair[0] == pair[1]),
+            "re-match visits grow with the document: {rematch_visits:?}"
         );
         group.bench_with_input(BenchmarkId::from_parameter(nodes), &doc, |b, doc| {
             b.iter(|| engine.apply_doc(&mut doc.fork(), &retract));

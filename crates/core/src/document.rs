@@ -44,8 +44,10 @@
 //! [`PreparedQuery::maintain`](crate::PreparedQuery::maintain), the one
 //! maintenance entry point, reads the pending deltas
 //! ([`Document::deltas_since`]) in one pass to patch prepared state in
-//! place, falling back to a full re-prepare only when a pending delta's
-//! label footprint intersects the query's spine labels or the log no
+//! place. When a pending delta's labels meet the query's footprint, the
+//! patch re-matches the query only around the arena slots the deltas
+//! appended; it falls back to a full re-prepare only when the query
+//! cannot re-match there, its footprint is unbounded, or the log no
 //! longer covers the prepared epoch.
 //!
 //! Snapshots are cheap ([`Document::snapshot`] clones an `Arc`), so
@@ -108,8 +110,13 @@ pub struct UpdateDelta {
 
 impl UpdateDelta {
     /// `true` if any removed or inserted label lies in `footprint` — the
-    /// spine-intersection test deciding whether prepared state for a
-    /// query with that label footprint can be patched in place.
+    /// spine-intersection test deciding whether maintaining prepared state
+    /// for a query with that label footprint must look for answers the
+    /// delta added or removed. A delta that misses the footprint leaves
+    /// the match set as it was; one that meets it is patched by
+    /// re-matching at the nodes it appended
+    /// ([`Query::evaluate_appended`](crate::query::Query::evaluate_appended)),
+    /// or re-prepared for a query that cannot re-match there.
     pub fn touches(&self, footprint: &BTreeSet<String>) -> bool {
         self.removed_labels
             .iter()

@@ -26,7 +26,7 @@
 
 use std::fmt;
 
-use pxml_events::{Condition, EventTable, Literal};
+use pxml_events::{is_condition_name, Condition, EventTable, Literal};
 use pxml_tree::NodeId;
 use pxml_xml::dom::{Element, XmlNode};
 use pxml_xml::parser::{parse, ParseError};
@@ -109,12 +109,6 @@ pub fn to_xml(tree: &ProbTree) -> String {
         .push(XmlNode::Element(node_to_element(tree, tree.tree().root())));
 
     write_document(&root)
-}
-
-/// Whether a `cond` attribute can carry the event name `name`: it splits
-/// on whitespace and reads a leading `!` as negation.
-fn is_condition_name(name: &str) -> bool {
-    !name.is_empty() && !name.starts_with('!') && !name.contains(char::is_whitespace)
 }
 
 /// Parses a ProXML document back into a prob-tree. The `<prob-tree>`
@@ -310,6 +304,33 @@ mod tests {
             back.events().name(pxml_events::EventId::from_index(0)),
             "w\"quoted\""
         );
+    }
+
+    /// Names at the edge of the rule — a `!` past the first character,
+    /// quotes, XML-significant characters, non-ASCII — survive a round
+    /// trip, in positive and negative literals.
+    #[test]
+    fn event_names_at_the_edge_of_the_rule_roundtrip() {
+        let names = ["x!", "a!b", "w\"q\"", "<&>", "é", "-"];
+        let mut t = ProbTree::new("A");
+        let root = t.tree().root();
+        for (i, name) in names.into_iter().enumerate() {
+            let w = t.events_mut().insert(name, 0.5);
+            let literal = if i % 2 == 0 {
+                Literal::pos(w)
+            } else {
+                Literal::neg(w)
+            };
+            t.add_child(root, "B", Condition::of(literal));
+        }
+        let back = from_xml(&to_xml(&t)).expect("every name reads back");
+        let read: Vec<&str> = back
+            .events()
+            .iter()
+            .map(|w| back.events().name(w))
+            .collect();
+        assert_eq!(read, names);
+        assert_eq!(back.to_ascii(), t.to_ascii());
     }
 
     #[test]

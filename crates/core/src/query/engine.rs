@@ -111,42 +111,46 @@ impl QueryEngine {
 /// and by the maintenance fallback, so all three produce byte-identical
 /// layouts (answer order, interning order, empty caches).
 fn build_prepared(source: Source<'_>) -> PreparedQuery<'_> {
-    let tree = source.tree();
-    let subtrees = source.query().evaluate(tree.tree());
-    let mut intern: HashMap<Condition, usize> = HashMap::new();
-    let mut conditions: Vec<Condition> = Vec::new();
-    let mut answers: Vec<AnswerState> = Vec::with_capacity(subtrees.len());
-    for subtree in subtrees {
-        let union = Condition::union_of(subtree.nodes().filter_map(|n| tree.condition_ref(n)));
-        let condition = match intern.entry(union) {
-            Entry::Occupied(slot) => *slot.get(),
-            Entry::Vacant(slot) => {
-                let index = conditions.len();
-                conditions.push(slot.key().clone());
-                slot.insert(index);
-                index
-            }
-        };
-        answers.push(AnswerState { subtree, condition });
-    }
-    let probabilities = std::iter::repeat_with(OnceLock::new)
-        .take(conditions.len())
-        .collect();
-    let tie_keys = std::iter::repeat_with(OnceLock::new)
-        .take(answers.len())
-        .collect();
+    let subtrees = source.query().evaluate(source.tree().tree());
     let footprint = source.query().label_footprint();
-    PreparedQuery {
+    let mut prepared = PreparedQuery {
         source,
         footprint,
         maint: MaintainStats::default(),
-        answers,
-        conditions,
-        probabilities,
-        tie_keys,
+        answers: Vec::with_capacity(subtrees.len()),
+        conditions: Vec::new(),
+        interned: HashMap::new(),
+        probabilities: Vec::new(),
+        tie_keys: std::iter::repeat_with(OnceLock::new)
+            .take(subtrees.len())
+            .collect(),
         by_subtree: OnceLock::new(),
         semiring: Mutex::new(SemiringCaches::default()),
+    };
+    for subtree in subtrees {
+        let union = union_over(prepared.tree(), &subtree);
+        let condition = prepared.intern(union);
+        prepared.answers.push(AnswerState { subtree, condition });
     }
+    prepared
+}
+
+/// The condition union `⋃_{n ∈ u} γ(n)` of the answer `subtree` in `tree`.
+fn union_over(tree: &ProbTree, subtree: &SubDataTree) -> Condition {
+    Condition::union_of(subtree.nodes().filter_map(|n| tree.condition_ref(n)))
+}
+
+/// What a patch does with one answer it holds.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Survival {
+    /// Every node is attached and no delta rewrote one: the answer keeps
+    /// its union slot.
+    Clean,
+    /// A delta rewrote the condition of one of its nodes: its union is
+    /// rebuilt.
+    Dirty,
+    /// The new frame no longer reaches one of its nodes.
+    Dropped,
 }
 
 /// One answer in the prepared state: its node set and the index of its
@@ -230,8 +234,9 @@ type CachedSemiringValue = Option<Box<dyn Any + Send>>;
 
 /// Cumulative maintenance telemetry of one [`PreparedQuery`] — the
 /// counters the cross-check suites use to prove the patched path did not
-/// silently fall back ([`fallbacks`](MaintainStats::fallbacks) stays 0 on
-/// non-spine-touching deltas) and did less work than re-preparing
+/// silently fall back ([`fallbacks`](MaintainStats::fallbacks) stays 0
+/// between rebases for a query with a bounded footprint that re-matches at
+/// the appended nodes) and did less work than re-preparing
 /// ([`unions_rebuilt`](MaintainStats::unions_rebuilt) vs the fresh
 /// prepare's one-union-per-answer).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -240,8 +245,9 @@ pub struct MaintainStats {
     pub steps_patched: usize,
     /// Full re-prepares forced by a fallback.
     pub fallbacks: usize,
-    /// Per-answer condition unions recomputed because a delta rewrote a
-    /// condition on one of the answer's nodes.
+    /// Per-answer condition unions a patch built: one for each answer
+    /// holding a node some delta rewrote, and one for each answer the
+    /// re-match found.
     pub unions_rebuilt: usize,
     /// Per-answer condition unions carried over unchanged (with their
     /// cached probabilities).
@@ -250,6 +256,11 @@ pub struct MaintainStats {
     /// all its pending deltas in a single pass (they still count one each
     /// in [`steps_patched`](MaintainStats::steps_patched)).
     pub windows_applied: usize,
+    /// Data nodes the re-matches read ([`Query::evaluate_appended`]'s
+    /// count): the appended slots, the candidate roots and the candidates
+    /// tested against a pattern node. A patch whose deltas meet no
+    /// footprint label re-matches nothing.
+    pub rematch_visited: usize,
 }
 
 /// What one [`PreparedQuery::maintain`] call did.
@@ -278,8 +289,11 @@ pub enum FallbackReason {
     /// ([`Query::label_footprint`] returned `None`, e.g. a pattern with a
     /// label wildcard), so no delta can be proven harmless.
     UnboundedFootprint,
-    /// A delta inserted or removed a label inside the query's footprint —
-    /// the match set may have changed, only re-matching can tell.
+    /// A delta inserted or removed a label inside the query's footprint,
+    /// and the query cannot find its answers through the appended nodes
+    /// ([`Query::evaluate_appended`] returned `None`, as for a pattern with
+    /// joins or a query that does not provide it): only re-matching the
+    /// whole tree can tell the new match set.
     SpineTouched,
     /// The document's delta log no longer covers this state's epoch: it
     /// was trimmed at capacity, or restarted by a rebase — a commit that
@@ -287,9 +301,9 @@ pub enum FallbackReason {
     /// [`node_map`](crate::UpdateDelta::node_map).
     LogTrimmed,
     /// A patched answer holds a node the new frame no longer reaches,
-    /// though no pending delta removed a footprint label — impossible for a
-    /// sound footprint, kept as a safety net for a foreign [`Query`] with
-    /// an unsound one rather than a panic.
+    /// though no pending delta inserted or removed a footprint label —
+    /// impossible for a sound footprint, kept as a safety net for a
+    /// foreign [`Query`] with an unsound one rather than a panic.
     AnswerDisplaced,
 }
 
@@ -341,8 +355,12 @@ pub struct PreparedQuery<'a> {
     /// Cumulative maintenance counters.
     maint: MaintainStats,
     answers: Vec<AnswerState>,
-    /// Distinct condition unions, in first-occurrence order.
+    /// Distinct condition unions, one slot each: in first-occurrence order
+    /// after a prepare, with a patch's new unions appended, and renumbered
+    /// in first-occurrence order when a patch leaves a slot unused.
     conditions: Vec<Condition>,
+    /// The slot of each union in `conditions`.
+    interned: HashMap<Condition, usize>,
     /// Lazily-computed `eval` probability of each interned condition.
     probabilities: Vec<OnceLock<f64>>,
     /// Lazily-built canonical tie-break key of each answer, kept by
@@ -392,26 +410,36 @@ impl<'a> PreparedQuery<'a> {
 
     /// Brings document-backed prepared state up to date with `doc`: reads
     /// the pending deltas ([`Document::deltas_since`]) and patches the
-    /// state in place in one pass, whenever no pending delta inserted or
-    /// removed a label of the query's [footprint](Query::label_footprint).
-    /// Node ids are stable across the pending deltas, so the patch leaves
-    /// every answer's node set and position alone: it rebuilds only the
-    /// condition unions of answers holding a node some delta rewrote, and
-    /// swaps the snapshot and the stamp. Falls back to a full re-prepare
-    /// against the current epoch when the footprint is unbounded, a
-    /// pending delta touches it, or the delta log no longer covers the
-    /// state's epoch (trimmed at capacity, or restarted by a rebase); the
-    /// state is up to date on return either way.
+    /// state in place in one pass. Node ids are stable across the pending
+    /// deltas, and a commit appends the nodes it adds, so by local
+    /// monotonicity (Definition 6) the new frame's answers are the old
+    /// answers it still reaches plus the answers that hold an appended
+    /// node. The patch drops the answers holding a node the frame no
+    /// longer reaches, re-matches only around the appended nodes when a
+    /// pending delta inserted or removed a label of the query's
+    /// [footprint](Query::label_footprint)
+    /// ([`Query::evaluate_appended`]), merges what it finds into the
+    /// answer order, rebuilds the condition unions of answers holding a
+    /// node some delta rewrote, and swaps the snapshot and the stamp.
+    /// Falls back to a full re-prepare against the current epoch when the
+    /// footprint is unbounded, a pending delta touches it and the query
+    /// cannot re-match at the appended nodes, or the delta log no longer
+    /// covers the state's epoch (trimmed at capacity, or restarted by a
+    /// rebase); the state is up to date on return either way.
     ///
     /// Patched state serves what a fresh prepare on the document's current
-    /// tree serves: the same answers in the same order, the same
-    /// interned-condition layout, bit-identical probabilities, and every
-    /// selection's [`SelectionStats`] equal but for
+    /// tree serves: the same answers in the same order, the same distinct
+    /// conditions, bit-identical probabilities, and every selection's
+    /// [`SelectionStats`] equal but for
     /// [`tie_keys_built`](SelectionStats::tie_keys_built)
     /// (property-tested against the fresh-prepare oracle). A patch keeps
     /// the tie-break keys earlier selections built, so a selection builds
     /// only the keys the state still lacks, where a fresh prepare builds
     /// every key it compares.
+    ///
+    /// The query's own code (the re-match, or a re-prepare's evaluation)
+    /// runs before the state is mutated, so a panic in it leaves the
+    /// state as it was before the call.
     pub fn maintain(&mut self, doc: &Document) -> Result<MaintainOutcome, MaintainError> {
         let Some((id, epoch)) = self.document_stamp() else {
             return Err(MaintainError::NotDocumentBacked);
@@ -432,17 +460,22 @@ impl<'a> PreparedQuery<'a> {
     }
 
     /// Patches the state through the `pending` deltas, which move its
-    /// epoch to `doc`'s. Node ids are stable across them, so an answer
-    /// keeps its node set and its place in the answer order; the plan
-    /// only checks each answer against the new snapshot. An answer with a
-    /// node the frame no longer reaches falls back before anything is
-    /// mutated. One with a node some delta rewrote is dirty: its union is
-    /// rebuilt. Clean answers keep their union and its cached values —
-    /// the union is over unchanged node conditions, every semiring's
-    /// value depends only on the events the condition mentions, and the
-    /// event table only ever grows, so each value is identical to what a
-    /// fresh prepare would compute. Every answer keeps its tie-break key:
-    /// the key is the canonical form of the answer's induced tree, and
+    /// epoch to `doc`'s. Node ids are stable across them, so a surviving
+    /// answer keeps its node set, and its place relative to the other
+    /// survivors. The plan reads everything before the state is mutated:
+    /// the re-match at the slots past the snapshot's arena (only when a
+    /// delta meets the footprint), then, only when a delta removed or
+    /// rewrote a node, each answer against the new snapshot. An answer
+    /// with a node the frame no longer reaches is dropped, or falls back
+    /// when no delta met the footprint. One with a node some delta
+    /// rewrote is dirty: its union is rebuilt. Clean answers keep their
+    /// union slot and its cached values — the union is over unchanged
+    /// node conditions, every semiring's value depends only on the events
+    /// the condition mentions, and the event table only ever grows, so
+    /// each value is identical to what a fresh prepare would compute; a
+    /// rebuilt or new union equal to a held one shares its slot for the
+    /// same reason. Every surviving answer keeps its tie-break key: the
+    /// key is the canonical form of the answer's induced tree, and
     /// between rebases neither its node set, nor its nodes' labels, nor
     /// the parent edges among them change.
     fn patch<'d>(
@@ -453,39 +486,52 @@ impl<'a> PreparedQuery<'a> {
         let Some(footprint) = &self.footprint else {
             return self.reprepare(doc, FallbackReason::UnboundedFootprint);
         };
-        if pending.clone().any(|delta| delta.touches(footprint)) {
-            return self.reprepare(doc, FallbackReason::SpineTouched);
-        }
+        let snapshot = doc.snapshot();
+        let tree = snapshot.tree();
+        let found = if pending.clone().any(|delta| delta.touches(footprint)) {
+            let first = self.tree().tree().arena_len();
+            match self.query().evaluate_appended(tree, first) {
+                Some(found) => Some(found),
+                None => return self.reprepare(doc, FallbackReason::SpineTouched),
+            }
+        } else {
+            None
+        };
         let steps = pending.len();
+        let removed = pending.clone().any(|delta| delta.nodes_removed > 0);
         let rewritten: BTreeSet<NodeId> = pending
             .flat_map(|delta| delta.rewritten.iter().copied())
             .collect();
-        let snapshot = doc.snapshot();
-        let tree = snapshot.tree();
-        let plan: Option<Vec<bool>> = self
-            .answers
-            .iter()
-            .map(|answer| {
-                let mut dirty = false;
-                for node in answer.subtree.nodes() {
-                    if !tree.is_attached(node) {
-                        return None;
+        let plan: Vec<Survival> = if removed || !rewritten.is_empty() {
+            self.answers
+                .iter()
+                .map(|answer| {
+                    let mut survival = Survival::Clean;
+                    for node in answer.subtree.nodes() {
+                        if removed && !tree.is_attached(node) {
+                            return Survival::Dropped;
+                        }
+                        if rewritten.contains(&node) {
+                            survival = Survival::Dirty;
+                        }
                     }
-                    dirty |= rewritten.contains(&node);
-                }
-                Some(dirty)
-            })
-            .collect();
-        let Some(dirty) = plan else {
-            return self.reprepare(doc, FallbackReason::AnswerDisplaced);
+                    survival
+                })
+                .collect()
+        } else {
+            Vec::new()
         };
-        let rebuilt = dirty.iter().filter(|&&d| d).count();
+        if found.is_none() && plan.contains(&Survival::Dropped) {
+            return self.reprepare(doc, FallbackReason::AnswerDisplaced);
+        }
+        let (found, visited) = found.unwrap_or_default();
         self.maint.windows_applied += 1;
         self.maint.steps_patched += steps;
-        self.maint.unions_rebuilt += rebuilt;
-        self.maint.unions_carried += self.answers.len() - rebuilt;
-        if rebuilt > 0 {
-            self.reintern(&snapshot, &dirty);
+        self.maint.rematch_visited += visited;
+        if plan.is_empty() && found.is_empty() {
+            self.maint.unions_carried += self.answers.len();
+        } else {
+            self.merge(&snapshot, &plan, found);
         }
         if let Source::Document { tree, epoch, .. } = &mut self.source {
             *tree = snapshot;
@@ -494,68 +540,120 @@ impl<'a> PreparedQuery<'a> {
         MaintainOutcome::Patched { steps }
     }
 
-    /// Rebuilds the condition unions of the `dirty` answers against
-    /// `snapshot` and re-interns every union in answer order — the
-    /// interning layout of a fresh prepare — carrying the cached
-    /// probability and semiring values of clean slots.
-    fn reintern(&mut self, snapshot: &ProbTree, dirty: &[bool]) {
-        let mut intern: HashMap<Condition, usize> = HashMap::new();
-        let mut conditions: Vec<Condition> = Vec::new();
-        let mut probabilities: Vec<OnceLock<f64>> = Vec::new();
-        // For each *new* condition slot, the old slot its cached values
-        // may be carried from (first-writer wins, mirroring the
-        // `OnceLock::set` semantics of the f64 cache below). Dirty answers
-        // carry nothing: their cached values are stale.
-        let mut carry: Vec<Option<usize>> = Vec::new();
-        for (answer, &dirty) in self.answers.iter_mut().zip(dirty) {
-            let old = answer.condition;
-            let (union, carried_from) = if dirty {
-                let union = Condition::union_of(
-                    answer
-                        .subtree
-                        .nodes()
-                        .filter_map(|n| snapshot.condition_ref(n)),
-                );
-                (union, None)
+    /// Applies a patch's plan against `snapshot`: drops the `Dropped`
+    /// answers, rebuilds the unions of the `Dirty` ones (a `plan` shorter
+    /// than the answers leaves the rest clean), and merges `found` —
+    /// ascending, and disjoint from the old answers, which hold no
+    /// appended node — into the ascending answer order, each with a new
+    /// union and no tie-break key yet. Only the rebuilt and the new unions
+    /// are interned; the slots are renumbered only when one lost its last
+    /// answer.
+    fn merge(&mut self, snapshot: &ProbTree, plan: &[Survival], found: Vec<SubDataTree>) {
+        let dropped = plan.iter().filter(|&&s| s == Survival::Dropped).count();
+        let capacity = self.answers.len() - dropped + found.len();
+        let old = std::mem::take(&mut self.answers).into_iter();
+        let keys = std::mem::take(&mut self.tie_keys).into_iter();
+        let mut found = found.into_iter().peekable();
+        let (mut answers, mut tie_keys) =
+            (Vec::with_capacity(capacity), Vec::with_capacity(capacity));
+        let (mut rebuilt, mut carried, mut released) = (0, 0, false);
+        let new_answer = |this: &mut Self, subtree: SubDataTree| {
+            let condition = this.intern(union_over(snapshot, &subtree));
+            AnswerState { subtree, condition }
+        };
+        for (position, (mut answer, key)) in old.zip(keys).enumerate() {
+            let survival = plan.get(position).copied().unwrap_or(Survival::Clean);
+            if survival == Survival::Dropped {
+                released = true;
+                continue;
+            }
+            while let Some(subtree) = found.next_if(|subtree| *subtree < answer.subtree) {
+                answers.push(new_answer(self, subtree));
+                tie_keys.push(OnceLock::new());
+                rebuilt += 1;
+            }
+            if survival == Survival::Dirty {
+                answer.condition = self.intern(union_over(snapshot, &answer.subtree));
+                released = true;
+                rebuilt += 1;
             } else {
-                (self.conditions[old].clone(), Some(old))
-            };
-            let slot = match intern.entry(union) {
-                Entry::Occupied(slot) => *slot.get(),
-                Entry::Vacant(slot) => {
-                    let index = conditions.len();
-                    conditions.push(slot.key().clone());
-                    probabilities.push(OnceLock::new());
-                    carry.push(None);
-                    slot.insert(index);
-                    index
-                }
-            };
-            if let Some(&probability) = carried_from.and_then(|i| self.probabilities[i].get()) {
-                let _ = probabilities[slot].set(probability);
+                carried += 1;
             }
-            if carry[slot].is_none() {
-                carry[slot] = carried_from;
-            }
-            answer.condition = slot;
+            answers.push(answer);
+            tie_keys.push(key);
         }
-        // Move the per-semiring caches along the carry map: clean slots
-        // keep their computed values, dirty or fresh slots start empty.
-        // `take` is sound because equal conditions intern to one slot, so
-        // `carry` is injective on its `Some`s.
+        for subtree in found {
+            answers.push(new_answer(self, subtree));
+            tie_keys.push(OnceLock::new());
+            rebuilt += 1;
+        }
+        self.answers = answers;
+        self.tie_keys = tie_keys;
+        self.by_subtree = OnceLock::new();
+        self.maint.unions_rebuilt += rebuilt;
+        self.maint.unions_carried += carried;
+        if released {
+            self.drop_unused_slots();
+        }
+    }
+
+    /// The slot of `union`: the slot holding an equal union, or a new one
+    /// with nothing cached yet.
+    fn intern(&mut self, union: Condition) -> usize {
+        match self.interned.entry(union) {
+            Entry::Occupied(slot) => *slot.get(),
+            Entry::Vacant(slot) => {
+                let index = self.conditions.len();
+                self.conditions.push(slot.key().clone());
+                self.probabilities.push(OnceLock::new());
+                slot.insert(index);
+                index
+            }
+        }
+    }
+
+    /// Drops the condition slots no answer holds, if any, and renumbers
+    /// the rest in first-occurrence order along the answers (a fresh
+    /// prepare's numbering), moving each slot's cached probability and
+    /// semiring values with it.
+    fn drop_unused_slots(&mut self) {
+        let mut renumbered = vec![usize::MAX; self.conditions.len()];
+        let mut order: Vec<usize> = Vec::with_capacity(self.conditions.len());
+        for answer in &self.answers {
+            if renumbered[answer.condition] == usize::MAX {
+                renumbered[answer.condition] = order.len();
+                order.push(answer.condition);
+            }
+        }
+        if order.len() == self.conditions.len() {
+            return;
+        }
+        for answer in &mut self.answers {
+            answer.condition = renumbered[answer.condition];
+        }
+        self.conditions = order
+            .iter()
+            .map(|&slot| std::mem::take(&mut self.conditions[slot]))
+            .collect();
+        self.probabilities = order
+            .iter()
+            .map(|&slot| std::mem::take(&mut self.probabilities[slot]))
+            .collect();
+        self.interned
+            .retain(|_, slot| renumbered[*slot] != usize::MAX);
+        self.interned
+            .values_mut()
+            .for_each(|slot| *slot = renumbered[*slot]);
         let caches = self
             .semiring
             .get_mut()
             .unwrap_or_else(PoisonError::into_inner);
         for slots in caches.slots.values_mut() {
-            let mut old = std::mem::take(slots);
-            *slots = carry
+            *slots = order
                 .iter()
-                .map(|from| from.and_then(|i| old.get_mut(i).and_then(Option::take)))
+                .map(|&slot| slots.get_mut(slot).and_then(Option::take))
                 .collect();
         }
-        self.conditions = conditions;
-        self.probabilities = probabilities;
     }
 
     /// The maintenance fallback: rebuild everything against the
@@ -1561,10 +1659,15 @@ mod tests {
 
     /// The maintained state must be indistinguishable from a fresh
     /// prepare against the same document epoch: same answers, same
-    /// ranking order, bit-identical probabilities.
+    /// distinct conditions, same ranking order, bit-identical
+    /// probabilities.
     fn assert_agrees_with_fresh(maintained: &PreparedQuery<'_>, doc: &Document, q: &PatternQuery) {
         let fresh = doc_view(doc, q);
         assert_eq!(maintained.len(), fresh.len());
+        assert_eq!(
+            maintained.num_distinct_conditions(),
+            fresh.num_distinct_conditions()
+        );
         for i in 0..fresh.len() {
             assert_eq!(maintained.subtree(i), fresh.subtree(i), "answer #{i} nodes");
             assert_eq!(
@@ -1650,45 +1753,47 @@ mod tests {
     }
 
     #[test]
-    fn certain_deletion_of_the_matched_label_falls_back_to_empty() {
+    fn certain_deletion_of_the_matched_label_patches_to_empty() {
         let q = PatternQuery::new(Some("item"));
         let mut doc = Document::new(ladder(3));
         let mut prepared = doc_view(&doc, &q);
         assert_eq!(prepared.len(), 3);
+        prepared.expected_matches();
         UpdateEngine::new().apply_doc(&mut doc, &doc_delete("item", 1.0));
         let outcome = prepared.maintain(&doc).unwrap();
-        assert_eq!(
-            outcome,
-            MaintainOutcome::Fallback {
-                reason: FallbackReason::SpineTouched
-            }
-        );
+        assert_eq!(outcome, MaintainOutcome::Patched { steps: 1 });
         assert!(prepared.is_empty(), "every item is gone");
+        assert_eq!(prepared.num_distinct_conditions(), 0, "no slot is left");
         let stats = prepared.maintenance_stats();
-        assert_eq!(stats.fallbacks, 1);
-        assert_eq!(stats.steps_patched, 0);
+        assert_eq!(stats.fallbacks, 0);
+        assert_eq!(stats.steps_patched, 1);
+        assert_eq!((stats.unions_rebuilt, stats.unions_carried), (0, 0));
         assert_agrees_with_fresh(&prepared, &doc, &q);
     }
 
     #[test]
-    fn footprint_label_insertion_falls_back_and_surfaces_the_new_answer() {
+    fn footprint_label_insertion_patches_in_the_new_answer() {
         let q = PatternQuery::new(Some("item"));
         let mut doc = Document::new(ladder(3));
         let mut prepared = doc_view(&doc, &q);
         assert_eq!(prepared.len(), 3);
+        prepared.expected_matches();
+        let built = prepared.ranked().stats().tie_keys_built;
         UpdateEngine::new().apply_doc(&mut doc, &doc_insert("catalog", "item", 0.85));
         let outcome = prepared.maintain(&doc).unwrap();
-        assert_eq!(
-            outcome,
-            MaintainOutcome::Fallback {
-                reason: FallbackReason::SpineTouched
-            }
-        );
+        assert_eq!(outcome, MaintainOutcome::Patched { steps: 1 });
         assert_eq!(prepared.len(), 4, "the inserted item is an answer now");
         assert!(
             (0..prepared.len()).any(|i| prob_eq(prepared.probability(i), 0.85)),
             "the new answer carries the insertion confidence"
         );
+        let stats = prepared.maintenance_stats();
+        assert_eq!((stats.unions_rebuilt, stats.unions_carried), (1, 3));
+        assert_eq!(
+            stats.rematch_visited, 2,
+            "the one appended slot, read once as a slot and once as a root"
+        );
+        assert_eq!(prepared.num_cached_tie_keys() as u64, built);
         assert_agrees_with_fresh(&prepared, &doc, &q);
     }
 
@@ -1924,16 +2029,16 @@ mod tests {
         );
         assert_agrees_with_fresh(&windowed, &doc, &q);
         assert_agrees_with_fresh(&stepped, &doc, &q);
-        // Two pending deltas, one of them spine-touching, fall back
-        // exactly like one spine-touching delta.
+        // Two pending deltas, one of them on the footprint, patch in one
+        // pass that re-matches at the nodes both appended.
         engine.apply_doc(&mut doc, &doc_insert("sku1", "memo", 0.6));
         engine.apply_doc(&mut doc, &doc_insert("catalog", "item", 0.85));
         assert_eq!(
             windowed.maintain(&doc),
-            Ok(MaintainOutcome::Fallback {
-                reason: FallbackReason::SpineTouched
-            })
+            Ok(MaintainOutcome::Patched { steps: 2 })
         );
+        assert_eq!(windowed.len(), 7);
+        assert_eq!(windowed.maintenance_stats().fallbacks, 0);
         assert_agrees_with_fresh(&windowed, &doc, &q);
     }
 

@@ -125,9 +125,33 @@ pub trait Query: Send + Sync {
     /// an ancestor of such a node. `Some(labels)` licenses incremental
     /// maintenance ([`engine::PreparedQuery::maintain`]): an update delta
     /// inserting and removing only labels outside the set provably
-    /// preserves the match set. `None` (the default, and the only sound
+    /// preserves the match set, and one that meets the set is patched
+    /// through [`Query::evaluate_appended`] where the query provides it,
+    /// and re-prepared otherwise. `None` (the default, and the only sound
     /// answer for label wildcards) forces maintenance to re-prepare.
     fn label_footprint(&self) -> Option<std::collections::BTreeSet<String>> {
+        None
+    }
+
+    /// The answers of [`Query::evaluate`] on `tree` that hold a node at
+    /// arena slot `first` or past it, in `evaluate`'s order, with the
+    /// number of data nodes the search read; `None` (the default) when the
+    /// query cannot find them without evaluating the whole tree.
+    ///
+    /// Maintenance calls it with the arena length of the state's snapshot.
+    /// A commit keeps the id of every node it does not detach and appends
+    /// the nodes it adds, so the slots from `first` on are the nodes the
+    /// pending deltas inserted, and the answers of the new frame are the
+    /// old answers it still reaches plus these. A query may return `Some`
+    /// only if `evaluate` returns its answers in ascending
+    /// [`SubDataTree`] order, because maintenance merges the two lists in
+    /// that order. With `None`, a delta that meets the
+    /// [footprint](Query::label_footprint) re-prepares the state.
+    fn evaluate_appended(
+        &self,
+        _tree: &DataTree,
+        _first: usize,
+    ) -> Option<(Vec<SubDataTree>, usize)> {
         None
     }
 }
@@ -156,5 +180,6 @@ mod tests {
         assert_eq!(results[0].len(), 1);
         assert_eq!(q.describe(), "query");
         assert_eq!(q.monotonicity(), MonotonicityCertificate::Unknown);
+        assert_eq!(q.evaluate_appended(&t, 1), None);
     }
 }

@@ -235,17 +235,8 @@ impl PatternQuery {
     /// the tree has no postings, no pattern node qualifies as a seed, or
     /// the rarest seed label is not selective.
     fn seeded_roots(&self, tree: &DataTree, visited: &mut usize) -> Option<Vec<NodeId>> {
-        // Depth below the pattern root along child edges only; `None`
-        // past a descendant edge.
-        let mut depths: Vec<Option<usize>> = Vec::with_capacity(self.nodes.len());
         let mut seed: Option<(LabelPostings<'_>, usize)> = None;
-        for node in &self.nodes {
-            let depth = match node.parent {
-                None => Some(0),
-                Some((parent, Axis::Child)) => depths[parent.0].map(|depth| depth + 1),
-                Some((_, Axis::Descendant)) => None,
-            };
-            depths.push(depth);
+        for (node, depth) in self.nodes.iter().zip(self.child_depths()) {
             if let (Some(label), Some(depth)) = (&node.label, depth) {
                 let postings = tree.label_postings(label)?;
                 if seed
@@ -283,6 +274,67 @@ impl PatternQuery {
             roots = paths.into_iter().map(|(_, root)| root).collect();
         }
         Some(roots)
+    }
+
+    /// Each pattern node's depth below the pattern root along child edges
+    /// only; `None` past a descendant edge.
+    fn child_depths(&self) -> Vec<Option<usize>> {
+        let mut depths: Vec<Option<usize>> = Vec::with_capacity(self.nodes.len());
+        for node in &self.nodes {
+            let depth = match node.parent {
+                None => Some(0),
+                Some((parent, Axis::Child)) => depths[parent.0].map(|depth| depth + 1),
+                Some((_, Axis::Descendant)) => None,
+            };
+            depths.push(depth);
+        }
+        depths
+    }
+
+    /// The matches that map some pattern node to an arena slot at `first`
+    /// or past it, and the data nodes the search read. Every node of a match is attached, and a match through
+    /// such a slot binds the pattern root at or above it: at the data root
+    /// for an anchored pattern, at most the pattern's child-only height
+    /// above it, or anywhere up to the data root past a descendant edge.
+    /// The matcher tries each of those nodes as the root, once, and keeps
+    /// the matches through a slot from `first` on. A descendant edge still
+    /// builds the whole tree's span index.
+    fn matches_appended(&self, tree: &DataTree, first: usize) -> (Vec<PatternMatch>, usize) {
+        // `None` past a descendant edge: climb to the data root.
+        let height = self
+            .child_depths()
+            .into_iter()
+            .try_fold(0, |height, depth| depth.map(|depth| height.max(depth)));
+        let climb = height.map_or(usize::MAX, |height| height + 1);
+        let mut visited = 0;
+        let mut roots: Vec<NodeId> = Vec::new();
+        for slot in first..tree.arena_len() {
+            let node = NodeId::from_index(slot);
+            visited += 1;
+            if !tree.is_attached(node) {
+                continue;
+            }
+            if self.anchored {
+                roots.push(tree.root());
+                break;
+            }
+            roots.extend(std::iter::successors(Some(node), |&n| tree.parent(n)).take(climb));
+        }
+        roots.sort_unstable();
+        roots.dedup();
+        let index = height.is_none().then(|| PreOrderIndex::new(tree));
+        let mut run = MatchRun {
+            query: self,
+            tree,
+            index: index.as_ref(),
+            mapping: vec![None; self.nodes.len()],
+            results: Vec::new(),
+            visited,
+        };
+        roots.into_iter().for_each(|root| run.try_root(root));
+        run.results
+            .retain(|found| found.mapping.iter().any(|node| node.index() >= first));
+        (run.results, run.visited)
     }
 
     fn label_ok(&self, node: PatternNodeId, tree: &DataTree, data: NodeId) -> bool {
@@ -411,16 +463,34 @@ impl PreOrderIndex {
     }
 }
 
+/// The distinct sub-datatrees `matches` induce, ascending.
+fn induced_answers(tree: &DataTree, matches: &[PatternMatch]) -> Vec<SubDataTree> {
+    let mut answers: Vec<SubDataTree> = matches.iter().map(|m| m.induced_subtree(tree)).collect();
+    answers.sort_unstable();
+    answers.dedup();
+    answers
+}
+
 impl Query for PatternQuery {
     fn evaluate(&self, tree: &DataTree) -> Vec<SubDataTree> {
-        let mut answers: Vec<SubDataTree> = self
-            .matches(tree)
-            .iter()
-            .map(|m| m.induced_subtree(tree))
-            .collect();
-        answers.sort_unstable();
-        answers.dedup();
-        answers
+        induced_answers(tree, &self.matches(tree))
+    }
+
+    /// The answers through the appended slots, from the matcher's
+    /// `matches_appended`: an answer holds a slot from `first` on exactly
+    /// when its match maps a pattern node to one, because a parent's id is
+    /// below its children's. `evaluate` returns the same sort. A pattern
+    /// with joins returns `None`, so its maintenance keeps the re-prepare.
+    fn evaluate_appended(
+        &self,
+        tree: &DataTree,
+        first: usize,
+    ) -> Option<(Vec<SubDataTree>, usize)> {
+        if !self.joins.is_empty() {
+            return None;
+        }
+        let (matches, visited) = self.matches_appended(tree, first);
+        Some((induced_answers(tree, &matches), visited))
     }
 
     fn describe(&self) -> String {
@@ -886,6 +956,50 @@ mod tests {
             check(compacted.tree());
             compacted.index_labels();
             check(compacted.tree());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `evaluate_appended` returns exactly the answers of `evaluate`
+        /// that hold a slot from `first` on, in the same order: on a tree
+        /// grown by random edits past its indexed base, cut at the base's
+        /// arena, at a random slot and at the end. A pattern with joins
+        /// returns `None`.
+        #[test]
+        fn appended_answers_are_the_answers_through_the_appended_slots(
+            seed in any::<u64>(),
+            nodes in 1..50usize,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let patterns: Vec<PatternQuery> = (0..8).map(|_| random_pattern(&mut rng)).collect();
+            let mut tree =
+                ProbTree::from_data_tree(random_tree(&mut rng, nodes), EventTable::new());
+            tree.index_labels();
+            let base = tree.tree().arena_len();
+            for _ in 0..6 {
+                random_edit(&mut rng, &mut tree);
+            }
+            let data = tree.tree();
+            let cuts = [base, rng.gen_range(0..=data.arena_len()), data.arena_len()];
+            for q in &patterns {
+                let all = q.evaluate(data);
+                for first in cuts {
+                    let through: Vec<SubDataTree> = all
+                        .iter()
+                        .filter(|answer| answer.nodes().any(|node| node.index() >= first))
+                        .cloned()
+                        .collect();
+                    match q.evaluate_appended(data, first) {
+                        Some((found, _)) => {
+                            prop_assert!(q.joins().is_empty());
+                            prop_assert_eq!(found, through, "{:?} from slot {}", q, first);
+                        }
+                        None => prop_assert!(!q.joins().is_empty()),
+                    }
+                }
+            }
         }
     }
 

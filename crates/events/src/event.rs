@@ -30,6 +30,15 @@ impl fmt::Display for EventId {
     }
 }
 
+/// Whether a condition's text form can carry the event name `name`: that
+/// form (ProXML's `cond` attribute) splits on whitespace and reads a
+/// leading `!` as negation, so the name must be non-empty, hold no
+/// whitespace and not start with `!`. [`EventTable::insert`] refuses any
+/// other name, so every table serializes to a document that reads back.
+pub fn is_condition_name(name: &str) -> bool {
+    !name.is_empty() && !name.starts_with('!') && !name.contains(char::is_whitespace)
+}
+
 /// The finite set of event variables `W` of a prob-tree together with its
 /// probability distribution `π : W → (0, 1]`.
 ///
@@ -60,12 +69,18 @@ impl EventTable {
     /// `p`.
     ///
     /// # Panics
-    /// Panics if `p` is not in `(0, 1]`, or if `name` is already used.
+    /// Panics if `p` is not in `(0, 1]`, if `name` is already used, or if
+    /// a condition's text form cannot carry `name` (it is empty, holds
+    /// whitespace or starts with `!`; see [`is_condition_name`]).
     pub fn insert(&mut self, name: impl Into<String>, p: f64) -> EventId {
         let name = name.into();
         assert!(
             p > 0.0 && p <= 1.0,
             "event probability must lie in (0, 1], got {p}"
+        );
+        assert!(
+            is_condition_name(&name),
+            "event name {name:?} is empty, holds whitespace or starts with '!'"
         );
         let Probe::Vacant(at) = self
             .index
@@ -193,6 +208,23 @@ mod tests {
         let mut table = EventTable::new();
         table.insert("w", 0.5);
         table.insert("w", 0.6);
+    }
+
+    #[test]
+    #[should_panic(expected = "holds whitespace or starts with '!'")]
+    fn names_a_condition_cannot_carry_are_rejected() {
+        let mut table = EventTable::new();
+        table.insert("a b", 0.5);
+    }
+
+    #[test]
+    fn condition_names_exclude_only_empty_spaced_and_negated_names() {
+        for name in ["", " ", "a b", "a\tb", "a\n", "!x", "!"] {
+            assert!(!is_condition_name(name), "{name:?}");
+        }
+        for name in ["x", "x!", "a!b", "w\"q\"", "<&>", "é", "-"] {
+            assert!(is_condition_name(name), "{name:?}");
+        }
     }
 
     #[test]

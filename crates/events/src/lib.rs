@@ -59,7 +59,7 @@ pub mod valuation;
 
 pub use condition::{Condition, Literal};
 pub use dnf::Dnf;
-pub use event::{EventId, EventTable};
+pub use event::{is_condition_name, EventId, EventTable};
 pub use semiring::{Lineage, Possibility, Probability, Semiring};
 pub use valuation::Valuation;
 

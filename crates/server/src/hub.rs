@@ -17,8 +17,10 @@
 //!   deltas from the document's log and patches the state through all of
 //!   them in a single pass — a state that is `d` deltas behind pays one
 //!   pass, not `d`. Node ids are stable between rebases, so the patch
-//!   renumbers no answer; a state behind a rebase finds its span gone
-//!   from the log and re-prepares once.
+//!   renumbers no answer: it drops the answers a commit detached and
+//!   re-matches the view's query only around the nodes the commits
+//!   appended. A state behind a rebase finds its span gone from the log
+//!   and re-prepares once.
 //!
 //! Each state sits behind its own `RwLock`: a current state is served
 //! under the shared read lock, so fresh reads of one query run side by
@@ -228,9 +230,11 @@ impl MaintenanceHub {
     /// Only a panic inside maintenance poisons the state's lock; the next
     /// read of any name sharing it clears the poison, counts
     /// [`HubStats::views_recovered`] once and maintains as usual.
-    /// Maintenance runs foreign code (the view's query) only inside a
-    /// re-prepare that assigns the rebuilt state once built, so a poisoned
-    /// state holds its state from before that pass.
+    /// Maintenance runs foreign code (the view's query) only before it
+    /// mutates the state: the patch re-matches at the appended nodes
+    /// before it changes anything, and a re-prepare assigns the rebuilt
+    /// state once built. So a poisoned state holds its state from before
+    /// that pass.
     pub fn serve<T>(
         &self,
         doc: &Document,
@@ -391,7 +395,11 @@ mod tests {
         assert_eq!(stats.flags_fanned, 0);
         assert_eq!(stats.view_maintains, 2);
         assert_eq!(stats.windows_composed, 2);
-        assert_eq!((stats.windows_applied, stats.fallbacks), (1, 1));
+        assert_eq!(
+            (stats.windows_applied, stats.fallbacks),
+            (2, 0),
+            "both commits patch; the contact one re-matches"
+        );
         // A current view is served without another pass.
         hub.serve(&doc, "q", ranked).unwrap();
         assert_eq!(hub.stats().view_maintains, 2);
@@ -420,7 +428,7 @@ mod tests {
         assert!(hub.register("own", queries.prepare_doc_shared(&doc, own)));
         assert!(hub.register("other", queries.prepare_doc_shared(&other, query.clone())));
 
-        // An on-footprint commit: each stale state re-prepares once.
+        // An on-footprint commit: each stale state patches once.
         engine.apply_doc(&mut doc, &insert_under_services("contact", 0.7));
         hub.observe_commit();
         let fresh = ranked(&queries.prepare_doc_shared(&doc, query.clone()));
@@ -434,6 +442,7 @@ mod tests {
         let stats = hub.stats();
         assert_eq!(stats.flags_fanned, 4, "one per name");
         assert_eq!(stats.view_maintains, 2, "one per stale state");
-        assert_eq!(stats.fallbacks, 2, "the shared state is summed once");
+        assert_eq!(stats.windows_applied, 2, "the shared state is summed once");
+        assert_eq!(stats.fallbacks, 0);
     }
 }

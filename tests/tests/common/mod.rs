@@ -85,10 +85,13 @@ pub(crate) fn build_probtree(spec: &ProbTreeSpec) -> ProbTree {
 }
 
 /// A random update: label deletions (plain, child-qualified, descendant)
-/// and insertions, at mixed confidences including certain ones.
+/// and insertions, at mixed confidences including certain ones. One
+/// insertion grafts `new`/`leaf` nodes, which no pattern label names; the
+/// other grafts an `l2` node with an `l1` child, so it can add answers to
+/// a pattern over `LABELS`.
 pub(crate) fn update_strategy() -> impl Strategy<Value = ProbabilisticUpdate> {
     (
-        0usize..4,
+        0usize..5,
         prop::sample::select(LABELS.to_vec()),
         prop::sample::select(LABELS.to_vec()),
         prop::sample::select(vec![0.5f64, 0.8, 1.0]),
@@ -111,13 +114,21 @@ pub(crate) fn update_strategy() -> impl Strategy<Value = ProbabilisticUpdate> {
                     let at = q.add_descendant(q.root(), l2);
                     UpdateOperation::delete(q, at)
                 }
-                _ => {
+                3 => {
                     let mut q = PatternQuery::new(Some(l1));
                     let at = q.root();
                     q.add_child(at, l2);
                     let mut sub = DataTree::new("new");
                     let sub_root = sub.root();
                     sub.add_child(sub_root, "leaf");
+                    UpdateOperation::insert(q, at, sub)
+                }
+                _ => {
+                    let q = PatternQuery::new(Some(l1));
+                    let at = q.root();
+                    let mut sub = DataTree::new(l2);
+                    let sub_root = sub.root();
+                    sub.add_child(sub_root, l1);
                     UpdateOperation::insert(q, at, sub)
                 }
             };

@@ -3,21 +3,21 @@
 //! The versioned-`Document` redesign lets a `PreparedQuery` stay live
 //! across `UpdateEngine` steps: each committed epoch carries a structured
 //! `UpdateDelta`, and `PreparedQuery::maintain` patches the match set,
-//! the interned condition unions and the cached probabilities in place
-//! whenever the delta's label traffic provably misses the query's spine
-//! footprint. This suite pins the two contracts over random (tree,
-//! pattern, script) triples:
+//! the interned condition unions and the cached probabilities in place.
+//! A delta that inserts or removes a label of the query's footprint is
+//! patched by dropping the answers the new frame no longer reaches and
+//! re-matching the pattern only around the appended nodes. This suite
+//! pins the two contracts over random (tree, pattern, script) triples:
 //!
 //! 1. **Indistinguishability** — after every maintenance call the state
 //!    must equal a fresh prepare against the same epoch: same answers in
 //!    the same order, bit-identical probabilities, and the same selection
 //!    counts, except that a patched state builds only the tie-break keys
 //!    it does not carry yet.
-//! 2. **No silent fallback** — when the query has a bounded footprint
-//!    and a delta provably misses it, the patch path *must* be taken;
-//!    conversely spine-touching and unbounded cases must re-prepare, and
-//!    so must a view behind a rebase, whose delta announces it with a
-//!    node map.
+//! 2. **No silent fallback** — when the (join-free) pattern has a bounded
+//!    footprint, every delta *must* be patched, on the footprint or off
+//!    it; an unbounded footprint must re-prepare, and so must a view
+//!    behind a rebase, whose delta announces it with a node map.
 //!
 //! Deterministic cases replay the warehouse scenario of Section 1 round
 //! by round against the same fresh-prepare oracle, and pin the rebase.
@@ -89,13 +89,17 @@ fn doc_view(doc: &Document, query: &PatternQuery) -> PreparedQuery<'static> {
 }
 
 /// The maintained state must be indistinguishable from a fresh prepare
-/// against the same document epoch. Its ranked read makes the fresh
-/// read's scans, comparisons and selections; it builds exactly the tie
-/// keys its cache gains, since a patch carries the keys earlier reads
-/// built.
+/// against the same document epoch: the same answers and distinct
+/// conditions. Its ranked read makes the fresh read's scans, comparisons
+/// and selections; it builds exactly the tie keys its cache gains, since
+/// a patch carries the keys earlier reads built.
 fn assert_matches_fresh(maintained: &PreparedQuery<'_>, doc: &Document, query: &PatternQuery) {
     let fresh = doc_view(doc, query);
     prop_assert_eq!(maintained.len(), fresh.len());
+    prop_assert_eq!(
+        maintained.num_distinct_conditions(),
+        fresh.num_distinct_conditions()
+    );
     for i in 0..fresh.len() {
         prop_assert_eq!(maintained.subtree(i), fresh.subtree(i));
         prop_assert_eq!(
@@ -135,9 +139,9 @@ proptest! {
     /// Step-by-step maintenance: after every committed epoch the
     /// maintained state equals a fresh prepare, and the outcome is
     /// exactly determined by the delta — a rebase restarts the log and
-    /// MUST fall back; otherwise a non-touching delta on a bounded
-    /// footprint MUST patch (no silent fallback), a touching one MUST
-    /// fall back.
+    /// MUST fall back; otherwise every delta on a bounded footprint MUST
+    /// patch (no silent fallback), whether it touches the footprint or
+    /// not.
     #[test]
     fn maintained_state_is_indistinguishable_from_a_fresh_prepare(
         spec in probtree_strategy(),
@@ -162,14 +166,10 @@ proptest! {
                     outcome,
                     MaintainOutcome::Fallback { reason: FallbackReason::UnboundedFootprint }
                 ),
-                Some(fp) if delta.touches(fp) => prop_assert_eq!(
-                    outcome,
-                    MaintainOutcome::Fallback { reason: FallbackReason::SpineTouched }
-                ),
                 Some(_) => prop_assert_eq!(
                     outcome,
                     MaintainOutcome::Patched { steps: 1 },
-                    "no silent fallback on a non-spine-touching delta"
+                    "no silent fallback on a bounded footprint"
                 ),
             }
             assert_matches_fresh(&prepared, &doc, &query);
@@ -203,9 +203,6 @@ proptest! {
                 MaintainOutcome::Fallback { reason: FallbackReason::LogTrimmed }
             }
             None => MaintainOutcome::Fallback { reason: FallbackReason::UnboundedFootprint },
-            Some(fp) if deltas.iter().any(|d| d.touches(fp)) => {
-                MaintainOutcome::Fallback { reason: FallbackReason::SpineTouched }
-            }
             Some(_) => MaintainOutcome::Patched { steps: updates.len() },
         };
         prop_assert_eq!(outcome, expected);
@@ -216,10 +213,11 @@ proptest! {
 
 /// The warehouse scenario served live: the extraction script is committed
 /// round by round through a `Document`, and one document-backed view of
-/// the canonical analysis query is maintained after every round. Rounds
-/// that only claim or retract `keyword` facts patch in place; rounds that
-/// touch `endpoint` or `contact` facts fall back to a re-prepare. Either
-/// way the view must equal a fresh prepare after every round.
+/// the canonical analysis query is maintained after every round. Every
+/// round patches in place: rounds that claim or retract `keyword` facts
+/// carry every answer, and rounds that touch `endpoint` or `contact`
+/// facts drop the answers they detach and re-match at the facts they
+/// append. The view must equal a fresh prepare after every round.
 #[test]
 fn warehouse_view_matches_a_fresh_prepare_after_every_round() {
     use pxml_workloads::warehouse::{
@@ -245,18 +243,18 @@ fn warehouse_view_matches_a_fresh_prepare_after_every_round() {
         assert_matches_fresh(&view, &doc, &query);
     }
     assert_eq!(outcomes.len(), 10);
-    let fallbacks = outcomes
-        .iter()
-        .filter(|o| matches!(o, MaintainOutcome::Fallback { .. }))
-        .count();
-    assert!(fallbacks > 0, "no round fell back: {outcomes:?}");
     assert!(
         outcomes
             .iter()
-            .any(|o| matches!(o, MaintainOutcome::Patched { .. })),
-        "no round was patched: {outcomes:?}"
+            .all(|o| *o == MaintainOutcome::Patched { steps: 1 }),
+        "a round fell back: {outcomes:?}"
     );
-    assert_eq!(view.maintenance_stats().fallbacks, fallbacks);
+    let stats = view.maintenance_stats();
+    assert_eq!(stats.fallbacks, 0);
+    assert!(
+        stats.unions_rebuilt > 0 && stats.rematch_visited > 0,
+        "no round re-matched: {stats:?}"
+    );
 }
 
 /// A rebase: a one-service skeleton holds one `keyword` fact with a

@@ -39,6 +39,7 @@ use pxml_tree::SubDataTree;
 use pxml_workloads::warehouse::{
     scenario_script, services_with_endpoint_and_contact, skeleton, WarehouseConfig,
 };
+use std::collections::BTreeSet;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
@@ -752,8 +753,8 @@ impl Semiring for PanicsOnOne {
 
 /// A reader whose semiring panics mid-fold leaves its view serving: the
 /// document's hub counters stay readable, and a commit on the view's
-/// footprint re-prepares it, after which its cached semiring reads equal
-/// a fresh prepare's.
+/// footprint patches it, after which its cached semiring reads equal a
+/// fresh prepare's.
 #[test]
 fn a_panicking_semiring_reader_leaves_its_view_serving() {
     let warehouse = Warehouse::new();
@@ -782,9 +783,9 @@ fn a_panicking_semiring_reader_leaves_its_view_serving() {
     let served = warehouse.possible_count("doc", "q").unwrap();
     let after = warehouse.hub_stats("doc").unwrap();
     assert_eq!(
-        after.fallbacks,
-        before.fallbacks + 1,
-        "the on-footprint commit re-prepared the view"
+        (after.windows_applied, after.fallbacks),
+        (before.windows_applied + 1, before.fallbacks),
+        "the on-footprint commit patched the view"
     );
     let snapshot = warehouse.snapshot("doc").unwrap();
     let fresh = QueryEngine::new()
@@ -874,6 +875,89 @@ fn a_view_whose_maintenance_panicked_leaves_hub_stats_readable() {
         1,
         "the poison is cleared"
     );
+}
+
+/// A foreign query with a bug only a patch reaches: it reports the
+/// pattern's footprint and re-matches at the appended nodes through the
+/// pattern, but its first re-match panics.
+struct PanicsOnFirstRematch {
+    pattern: PatternQuery,
+    rematches: AtomicUsize,
+}
+
+impl Query for PanicsOnFirstRematch {
+    fn evaluate(&self, tree: &DataTree) -> Vec<SubDataTree> {
+        self.pattern.evaluate(tree)
+    }
+
+    fn label_footprint(&self) -> Option<BTreeSet<String>> {
+        self.pattern.label_footprint()
+    }
+
+    fn evaluate_appended(
+        &self,
+        tree: &DataTree,
+        first: usize,
+    ) -> Option<(Vec<SubDataTree>, usize)> {
+        if self.rematches.fetch_add(1, Ordering::SeqCst) == 0 {
+            panic!("query bug on re-match");
+        }
+        self.pattern.evaluate_appended(tree, first)
+    }
+}
+
+/// A re-match that panics leaves the state as it was before the pass: the
+/// read gets the panic, the hub counters stay readable and count no patch,
+/// and the next read clears the poison once, patches the same pending
+/// delta from the old epoch and serves what a fresh prepare serves.
+#[test]
+fn a_panicking_rematch_keeps_the_state_from_before_the_pass() {
+    let warehouse = Warehouse::new();
+    warehouse.register("doc", skeleton(3)).unwrap();
+    warehouse
+        .commit("doc", &insert_under_services("contact", 0.7))
+        .unwrap();
+    let query = services_with_endpoint_and_contact();
+    let bad = Arc::new(PanicsOnFirstRematch {
+        pattern: query.clone(),
+        rematches: AtomicUsize::new(0),
+    });
+    warehouse.register_view("doc", "q", bad.clone()).unwrap();
+    warehouse
+        .commit("doc", &insert_under_services("endpoint", 0.8))
+        .unwrap();
+
+    let read = panic::catch_unwind(AssertUnwindSafe(|| warehouse.expected_matches("doc", "q")));
+    assert!(read.is_err(), "the re-match panicked");
+    let stats = warehouse.hub_stats("doc").unwrap();
+    assert_eq!(stats.view_maintains, 1, "the panicked pass was counted");
+    assert_eq!(
+        (
+            stats.windows_applied,
+            stats.fallbacks,
+            stats.views_recovered
+        ),
+        (0, 0, 0),
+        "the panicked pass changed no state counter"
+    );
+
+    let served = warehouse.expected_matches("doc", "q").unwrap();
+    let snapshot = warehouse.snapshot("doc").unwrap();
+    let fresh = QueryEngine::new()
+        .prepare(&snapshot.tree, &query)
+        .expected_matches();
+    assert_eq!(served.to_bits(), fresh.to_bits());
+    assert!(served > 0.0, "the view has live answers");
+    assert_eq!(bad.rematches.load(Ordering::SeqCst), 2);
+    let stats = warehouse.hub_stats("doc").unwrap();
+    assert_eq!(stats.views_recovered, 1);
+    assert_eq!(stats.view_maintains, 2, "the panicked pass and its redo");
+    assert_eq!((stats.windows_applied, stats.fallbacks), (1, 0));
+    assert_eq!(
+        served_answers(&warehouse, "doc", "q"),
+        answers_against(&snapshot.tree, &query)
+    );
+    assert_eq!(warehouse.hub_stats("doc").unwrap().views_recovered, 1);
 }
 
 /// A panic in the maintenance of a state that two names share poisons
