@@ -230,8 +230,9 @@ fn e3_query_scaling(counts_only: bool) {
         let prepared = engine.prepare(&tree, &query);
         let prepare_time = start.elapsed();
         // …then serve consumers from the shared state: the full answer
-        // stream (what the legacy one-shot call materialized) and a
-        // ranked top-10 (probabilities now cached).
+        // stream (node sets and probabilities, no trees; the legacy
+        // one-shot call copied every answer into a tree of its own) and
+        // a ranked top-10 (probabilities now cached).
         let start = Instant::now();
         let answers: Vec<_> = prepared.answers().collect();
         let drain_time = start.elapsed();

@@ -7,14 +7,16 @@
 //! once and then asks for the top few answers, a threshold slice, or an
 //! aggregate, over and over:
 //!
-//! * [`PreparedQuery::answers`] — a lazy stream; answer trees and
-//!   probabilities are only computed for the answers actually pulled;
+//! * [`PreparedQuery::answers`] — a lazy stream; probabilities are only
+//!   computed for the answers actually pulled;
 //! * [`PreparedQuery::top_k`] — the `k` best answers via a bounded binary
 //!   heap, `O(n log k)` comparisons instead of a full `O(n log n)` sort,
 //!   with tie-break keys built at most once per answer and cached, across
 //!   [`PreparedQuery::maintain`]'s patches too;
-//! * [`PreparedQuery::above`] — a threshold slice that short-circuits:
-//!   non-qualifying answers never enter the ranking sort;
+//! * [`PreparedQuery::above`] — a threshold slice that ranks the
+//!   qualifying interned condition slots, not the answers, and compares
+//!   answers only inside a run of equal probability; non-qualifying
+//!   answers never enter a sort;
 //! * [`PreparedQuery::expected_matches`], [`PreparedQuery::probability_of`]
 //!   — aggregates and point lookups;
 //! * [`PreparedQuery::theorem1_check`] — the Theorem 1 cross-check through
@@ -26,7 +28,9 @@
 //! [`Document`] epoch and shares the query, so the state can be kept
 //! current with [`PreparedQuery::maintain`] as the document commits.
 //!
-//! Materializing an answer ([`SubDataTree::to_tree`]) and keying it
+//! A read returns node sets and probabilities ([`ProbAnswer`]) and copies
+//! no tree. Building an answer's tree ([`SubDataTree::to_tree`]), which a
+//! caller does on demand, and keying it
 //! ([`canonical_string`](pxml_tree::canonical_string)) cost time in the
 //! answer's size, whatever the size of the document: a read pays for what
 //! it selects.
@@ -82,8 +86,8 @@ impl QueryEngine {
     /// sorted merge over its node conditions and is interned so equal
     /// unions share one condition and one lazily-computed probability.
     /// Cost: `time(Q(t)) + O(|Q(t)| · |T|)` (Proposition 2) — with no
-    /// probability evaluation, tree materialization or sorting until a
-    /// consumer asks.
+    /// probability evaluation or sorting until a consumer asks, and no
+    /// answer tree built by any read.
     pub fn prepare<'a>(&self, tree: &'a ProbTree, query: &'a dyn Query) -> PreparedQuery<'a> {
         build_prepared(Source::Borrowed { tree, query })
     }
@@ -342,10 +346,10 @@ impl std::error::Error for MaintainError {}
 
 /// The shared state [`QueryEngine::prepare`] computes once per
 /// `(tree, query)` pair: the match set (in [`Query::evaluate`] order) and
-/// the interned per-answer condition unions. Everything else — answer
-/// trees, probabilities, tie-break keys, rankings — is computed on demand
-/// and cached where re-use pays (probabilities per interned condition,
-/// tie-break keys per answer).
+/// the interned per-answer condition unions. Everything else —
+/// probabilities, tie-break keys, rankings — is computed on demand and
+/// cached where re-use pays (probabilities per interned condition,
+/// tie-break keys per answer). No read builds an answer's tree.
 pub struct PreparedQuery<'a> {
     /// The queried tree and the query, borrowed or document-backed.
     source: Source<'a>,
@@ -747,24 +751,10 @@ impl<'a> PreparedQuery<'a> {
             .get_or_init(|| self.conditions[condition].probability(self.tree().events()))
     }
 
-    /// Materializes the `index`-th answer: its tree, built by
-    /// [`SubDataTree::to_tree`], its node set, shared with the prepared
-    /// state, and its probability.
-    ///
-    /// # Panics
-    /// Panics if `index ≥ len()`.
-    pub fn materialize(&self, index: usize) -> ProbAnswer {
-        let state = &self.answers[index];
-        ProbAnswer {
-            tree: state.subtree.to_tree(self.tree().tree()),
-            probability: self.union_probability(state.condition),
-            subtree: state.subtree.clone(),
-        }
-    }
-
-    /// Streams the answers lazily, in match order: each answer's tree and
-    /// probability are only computed when the iterator reaches it, so
-    /// consumers that stop early never pay for the tail.
+    /// Streams the answers lazily, in match order: each answer's
+    /// probability is only computed when the iterator reaches it, so
+    /// consumers that stop early never pay for the tail. An answer's node
+    /// set is shared with the prepared state; no tree is built.
     pub fn answers(&self) -> Answers<'_, 'a> {
         Answers {
             prepared: self,
@@ -931,10 +921,10 @@ impl<'a> PreparedQuery<'a> {
 
     /// The `k` most probable answers, best first, selected with a bounded
     /// binary heap: `O(n log k)` rank comparisons instead of a full
-    /// `O(n log n)` sort, and only the `k` winners are materialized.
-    /// Zero-probability answers are dropped; ties are broken by the
-    /// answer's canonical form, then by match order, with canonical keys
-    /// built at most once per answer and cached across calls.
+    /// `O(n log n)` sort. Zero-probability answers are dropped; ties are
+    /// broken by the answer's canonical form, then by match order, with
+    /// canonical keys built at most once per answer and cached across
+    /// calls.
     pub fn top_k(&self, k: usize) -> AnswerSet {
         let counters = SelectionCounters::default();
         let mut heap: BinaryHeap<HeapEntry<'_, 'a>> = BinaryHeap::with_capacity(k.min(self.len()));
@@ -967,38 +957,99 @@ impl<'a> PreparedQuery<'a> {
         self.select(ranked, counters)
     }
 
-    /// All answers with probability at least `threshold`, best first. The
-    /// threshold filter short-circuits: answers below it are skipped with
-    /// one probability lookup each and never enter the ranking sort, so
-    /// the comparison count scales with the number of **qualifying**
-    /// answers — unlike the legacy `top_k(usize::MAX)`-then-filter path,
-    /// which sorted the full answer set first.
+    /// All answers with probability at least `threshold`, best first, in
+    /// [`PreparedQuery::top_k`]'s rank order. Zero-probability answers are
+    /// dropped, even at threshold 0.
+    ///
+    /// Answers sharing an interned condition union share its probability,
+    /// so the read ranks condition slots, not answers: one scan in match
+    /// order takes each slot at its first answer and evaluates it once,
+    /// the qualifying slots are sorted by probability (`O(s log s)`
+    /// comparisons for `s` qualifying slots), and a counting pass places
+    /// each qualifying answer in the run of its probability. Each run is
+    /// sorted by tie key and then match order: a run of one answer makes no
+    /// comparison, and one already in order, such as a slot's answers of
+    /// one canonical form, costs one comparison per answer. Answers below
+    /// the threshold never enter a sort, so a selective threshold does less
+    /// work than the full ranking.
     pub fn above(&self, threshold: f64) -> AnswerSet {
+        /// A slot no answer scanned so far holds.
+        const UNSEEN: usize = usize::MAX;
+        /// A slot whose probability is zero or below the threshold.
+        const BELOW: usize = usize::MAX - 1;
         let counters = SelectionCounters::default();
-        let mut ranked: Vec<(usize, f64)> = Vec::new();
-        for index in 0..self.answers.len() {
-            counters.enumerated.set(counters.enumerated.get() + 1);
-            let probability = self.probability(index);
-            if probability > 0.0 && probability >= threshold {
-                ranked.push((index, probability));
+        counters.enumerated.set(self.answers.len() as u64);
+        // Slot → its position in `slots`, and later its run.
+        let mut place = vec![UNSEEN; self.conditions.len()];
+        // Qualifying slots in first-occurrence order: (slot, probability,
+        // answers holding it).
+        let mut slots: Vec<(usize, f64, usize)> = Vec::new();
+        for answer in &self.answers {
+            let slot = answer.condition;
+            if place[slot] == UNSEEN {
+                let probability = self.union_probability(slot);
+                place[slot] = if probability > 0.0 && probability >= threshold {
+                    slots.push((slot, probability, 0));
+                    slots.len() - 1
+                } else {
+                    BELOW
+                };
+            }
+            if place[slot] != BELOW {
+                slots[place[slot]].2 += 1;
             }
         }
-        ranked.sort_unstable_by(|&a, &b| self.rank_cmp(a, b, &counters));
+        slots.sort_unstable_by(|a, b| {
+            counters.comparisons.set(counters.comparisons.get() + 1);
+            b.1.total_cmp(&a.1)
+        });
+        // Runs of bit-equal probability, best first: each run's next free
+        // position in `ranked`, and its probability.
+        let mut runs: Vec<(usize, f64)> = Vec::new();
+        let mut selected = 0;
+        for &(slot, probability, count) in &slots {
+            if runs
+                .last()
+                .is_none_or(|run| run.1.to_bits() != probability.to_bits())
+            {
+                runs.push((selected, probability));
+            }
+            place[slot] = runs.len() - 1;
+            selected += count;
+        }
+        let mut ranked = vec![(0, 0.0); selected];
+        for (index, answer) in self.answers.iter().enumerate() {
+            // `BELOW` names no run.
+            if let Some(run) = runs.get_mut(place[answer.condition]) {
+                ranked[run.0] = (index, run.1);
+                run.0 += 1;
+            }
+        }
+        // Each run's next free position is now where the next run starts.
+        // A run of one answer makes no comparison and builds no tie key.
+        let mut start = 0;
+        for &(end, _) in &runs {
+            ranked[start..end].sort_unstable_by(|&a, &b| self.rank_cmp(a, b, &counters));
+            start = end;
+        }
         self.select(ranked, counters)
     }
 
-    /// Every positive-probability answer, fully ranked — the full-sort
-    /// reference that [`PreparedQuery::top_k`] is benchmarked (and
-    /// property-tested) against.
+    /// Every positive-probability answer, fully ranked:
+    /// [`PreparedQuery::above`] at threshold 0.
     pub fn ranked(&self) -> AnswerSet {
         self.above(0.0)
     }
 
-    /// Materializes a ranked selection into an [`AnswerSet`].
+    /// Packs a ranked selection into an [`AnswerSet`]: each answer's node
+    /// set is shared with the prepared state, and no tree is built.
     fn select(&self, ranked: Vec<(usize, f64)>, counters: SelectionCounters) -> AnswerSet {
         let answers: Vec<ProbAnswer> = ranked
-            .iter()
-            .map(|&(index, _)| self.materialize(index))
+            .into_iter()
+            .map(|(index, probability)| ProbAnswer {
+                subtree: self.answers[index].subtree.clone(),
+                probability,
+            })
             .collect();
         AnswerSet {
             stats: counters.into_stats(answers.len()),
@@ -1010,8 +1061,8 @@ impl<'a> PreparedQuery<'a> {
     /// answer tree under multiset semantics (deterministic across runs and
     /// independent of node identities), then match order — the
     /// [`Query::evaluate`] output position. The order is **total**, so the
-    /// bounded-heap [`PreparedQuery::top_k`] and the full-sort
-    /// [`PreparedQuery::ranked`] select exactly the same answers in the
+    /// bounded-heap [`PreparedQuery::top_k`] and the slot-ranking
+    /// [`PreparedQuery::above`] select exactly the same answers in the
     /// same order.
     fn rank_cmp(&self, a: (usize, f64), b: (usize, f64), counters: &SelectionCounters) -> Ordering {
         counters.comparisons.set(counters.comparisons.get() + 1);
@@ -1095,19 +1146,22 @@ impl SelectionCounters {
 
 /// Work counters of one ranked selection ([`PreparedQuery::top_k`] /
 /// [`PreparedQuery::above`] / [`PreparedQuery::ranked`]) — the evidence
-/// that the bounded-heap and short-circuit paths do less work than a full
-/// sort (asserted by tests and the `query_scaling` bench).
+/// that the bounded heap and the slot ranking do less work than a full
+/// sort of the answers (asserted by tests and the `query_scaling` bench).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SelectionStats {
-    /// Prepared answers scanned (always the full match set — probabilities
-    /// are one cached lookup each).
+    /// Prepared answers scanned (always the full match set — a probability
+    /// is one cached lookup per answer in [`PreparedQuery::top_k`], per
+    /// condition slot in [`PreparedQuery::above`]).
     pub enumerated: u64,
-    /// Pairwise rank comparisons performed.
+    /// Pairwise comparisons performed: rank comparisons of answers, plus,
+    /// in [`PreparedQuery::above`], the probability comparisons of its
+    /// condition slots.
     pub comparisons: u64,
     /// Canonical tie-break keys built during this selection (keys already
     /// cached by earlier selections are not rebuilt).
     pub tie_keys_built: u64,
-    /// Answers selected (= materialized into the result).
+    /// Answers selected (the length of the result).
     pub selected: usize,
 }
 
@@ -1145,8 +1199,9 @@ impl Ord for HeapEntry<'_, '_> {
     }
 }
 
-/// Lazy answer stream over a [`PreparedQuery`] (see
-/// [`PreparedQuery::answers`]).
+/// Lazy answer stream over a [`PreparedQuery`] in match order (see
+/// [`PreparedQuery::answers`]): each item shares its node set with the
+/// prepared state and carries its cached probability.
 pub struct Answers<'p, 'a> {
     prepared: &'p PreparedQuery<'a>,
     next: usize,
@@ -1159,7 +1214,10 @@ impl Iterator for Answers<'_, '_> {
         if self.next >= self.prepared.len() {
             return None;
         }
-        let answer = self.prepared.materialize(self.next);
+        let answer = ProbAnswer {
+            subtree: self.prepared.subtree(self.next).clone(),
+            probability: self.prepared.probability(self.next),
+        };
         self.next += 1;
         Some(answer)
     }
@@ -1429,9 +1487,9 @@ mod tests {
         );
         let second = prepared.ranked();
         assert_eq!(second.stats().tie_keys_built, 0, "keys cached");
-        let keys: Vec<&str> = first.iter().map(|a| a.tree.label(a.tree.root())).collect();
-        let keys2: Vec<&str> = second.iter().map(|a| a.tree.label(a.tree.root())).collect();
-        assert_eq!(keys, keys2);
+        let order: Vec<&SubDataTree> = first.iter().map(|a| &a.subtree).collect();
+        let order2: Vec<&SubDataTree> = second.iter().map(|a| &a.subtree).collect();
+        assert_eq!(order, order2);
     }
 
     #[test]
@@ -1554,16 +1612,15 @@ mod tests {
     /// Regression test for deterministic tie handling: many
     /// equal-probability answers must come back in canonical-key order,
     /// identically across fresh engines, across `k` values at the tie
-    /// boundary, and between the bounded-heap and full-sort paths.
+    /// boundary, and between the bounded-heap and slot-ranking paths.
     #[test]
     fn top_k_is_deterministic_under_ties() {
-        use pxml_tree::canon::canonical_string;
         let tree = tied(8);
         let q = PatternQuery::new(Some("x"));
         let keys_of = |answers: &[ProbAnswer]| -> Vec<String> {
             answers
                 .iter()
-                .map(|a| canonical_string(&a.tree, Semantics::MultiSet))
+                .map(|a| a.subtree.canonical_string(tree.tree(), Semantics::MultiSet))
                 .collect()
         };
         let top_k = |k: usize| QueryEngine::new().prepare(&tree, &q).top_k(k);
@@ -1579,10 +1636,81 @@ mod tests {
         for k in 1..8 {
             assert_eq!(keys_of(&top_k(k)), keys[..k].to_vec());
         }
-        // The heap path agrees with the full-sort reference.
+        // The heap path agrees with the slot ranking.
         let prepared = QueryEngine::new().prepare(&tree, &q);
         assert_eq!(keys_of(&prepared.ranked()), keys);
         assert_eq!(keys_of(&prepared.top_k(3)), keys[..3].to_vec());
+    }
+
+    /// Match order interleaves two distinct conditions of bit-equal
+    /// probability (`w` and `¬w`, π(w) = 0.5) with a slot `v` that three
+    /// answers of one canonical form share, and ends on a lone answer.
+    /// `above` ranks the slots and sorts only the runs of equal
+    /// probability, in the order of a full sort of the answers.
+    #[test]
+    fn above_sorts_only_runs_of_equal_probability() {
+        let mut tree = ProbTree::new("r");
+        let w = tree.events_mut().insert("w", 0.5);
+        let v = tree.events_mut().insert("v", 0.8);
+        let u = tree.events_mut().insert("u", 0.3);
+        let root = tree.tree().root();
+        let children = [
+            (Literal::pos(w), "b"),
+            (Literal::neg(w), "a"),
+            (Literal::pos(v), "s"),
+            (Literal::pos(w), "a"),
+            (Literal::pos(v), "s"),
+            (Literal::neg(w), "c"),
+            (Literal::pos(v), "s"),
+            (Literal::pos(u), "z"),
+        ];
+        for (literal, leaf) in children {
+            let x = tree.add_child(root, "x", Condition::of(literal));
+            tree.add_child(x, leaf, Condition::always());
+        }
+        // An `x` node and its leaf, so the leaf labels set the tie keys.
+        let mut q = PatternQuery::new(Some("x"));
+        q.add_node(q.root(), crate::query::pattern::Axis::Child, None);
+        let prepared = QueryEngine::new().prepare(&tree, &q);
+        assert_eq!(prepared.num_distinct_conditions(), 4);
+        assert_eq!(prepared.probability(0), prepared.probability(1));
+        let position = |answers: &AnswerSet| -> Vec<usize> {
+            answers
+                .iter()
+                .map(|a| (0..prepared.len()).find(|&i| *prepared.subtree(i) == a.subtree))
+                .map(Option::unwrap)
+                .collect()
+        };
+        // The full sort of the answers under the same rank order, on a
+        // state of its own so that `prepared` caches no tie key yet.
+        let reference = QueryEngine::new().prepare(&tree, &q);
+        let mut full: Vec<(usize, f64)> = (0..reference.len())
+            .map(|i| (i, reference.probability(i)))
+            .collect();
+        full.sort_by(|&a, &b| reference.rank_cmp(a, b, &SelectionCounters::default()));
+        let full: Vec<usize> = full.into_iter().map(|(i, _)| i).collect();
+        assert_eq!(full, [2, 4, 6, 1, 3, 0, 5, 7]);
+
+        let ranked = prepared.ranked();
+        assert_eq!(position(&ranked), full);
+        // Four slots sorted by probability: 4 comparisons. The `v` run is
+        // in order: 2. The `w`/`¬w` run sorts four answers: 4. The lone
+        // `u` answer is compared with nothing and builds no tie key.
+        assert_eq!(
+            ranked.stats(),
+            SelectionStats {
+                enumerated: 8,
+                comparisons: 4 + 2 + 4,
+                tie_keys_built: 3 + 4,
+                selected: 8,
+            }
+        );
+        // A threshold above the tie keeps the `v` run alone: one slot, and
+        // its run in order.
+        let above = prepared.above(0.6);
+        assert_eq!(position(&above), full[..3]);
+        assert_eq!(above.stats().comparisons, 2);
+        assert_eq!(above.stats().tie_keys_built, 0, "keys cached");
     }
 
     #[test]

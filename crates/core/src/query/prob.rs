@@ -10,7 +10,9 @@
 //!   `eval(⋃_{n ∈ u} γ(n))` — the probability of the conjunction of the
 //!   conditions of its nodes (Definition 8). The
 //!   [`QueryEngine`](super::engine::QueryEngine) evaluates it into
-//!   [`ProbAnswer`]s. Theorem 1 states the two agree: `Q(T) ∼ Q(JT K)`
+//!   [`ProbAnswer`]s: each is the answer's node set and its probability,
+//!   and builds no tree of its own. Theorem 1 states the two agree:
+//!   `Q(T) ∼ Q(JT K)`
 //!   ([`PreparedQuery::theorem1_check`](super::engine::PreparedQuery::theorem1_check)).
 //!
 //! The `eval` in Definition 8 is one instance of a semiring fold: the
@@ -20,18 +22,19 @@
 //! remaining the bit-identical [`pxml_events::Probability`] instance.
 
 use pxml_tree::subtree::SubDataTree;
-use pxml_tree::DataTree;
 
 use crate::pwset::PossibleWorldSet;
 
 use super::Query;
 
-/// One answer of a query over a prob-tree: the answer tree (materialized),
-/// the node-set it came from, and its probability.
+/// One answer of a query over a prob-tree: its node set and its
+/// probability. It copies no tree: the node set shares its ids with the
+/// prepared state, so a clone is one reference count bump. A reader who
+/// wants the answer as a tree of its own builds it from the tree the
+/// answer was selected from, `answer.subtree.to_tree(prepared.tree().tree())`,
+/// and pays for it in the answer's size.
 #[derive(Clone, Debug)]
 pub struct ProbAnswer {
-    /// The answer, materialized as an independent data tree.
-    pub tree: DataTree,
     /// The answer as a node subset of the queried prob-tree.
     pub subtree: SubDataTree,
     /// `eval` of the union of the node conditions (Definition 8).
@@ -77,7 +80,7 @@ mod tests {
         let answers: Vec<ProbAnswer> = QueryEngine::new().prepare(&t, &q).answers().collect();
         assert_eq!(answers.len(), 1);
         // The answer is A→C→D with probability π(w2) = 0.7.
-        assert_eq!(answers[0].tree.len(), 3);
+        assert_eq!(answers[0].subtree.len(), 3);
         assert!(prob_eq(answers[0].probability, 0.7));
     }
 
@@ -85,9 +88,11 @@ mod tests {
     fn query_answers_keep_path_to_root() {
         let t = figure1_example();
         let q = PatternQuery::new(Some("D"));
-        let answers: Vec<ProbAnswer> = QueryEngine::new().prepare(&t, &q).answers().collect();
+        let prepared = QueryEngine::new().prepare(&t, &q);
+        let answers: Vec<ProbAnswer> = prepared.answers().collect();
         assert_eq!(answers.len(), 1);
-        assert_eq!(answers[0].tree.label(answers[0].tree.root()), "A");
+        let answer = answers[0].subtree.to_tree(prepared.tree().tree());
+        assert_eq!(answer.label(answer.root()), "A");
     }
 
     #[test]

@@ -313,12 +313,52 @@ impl Warehouse {
             .ok_or_else(|| ServerError::UnknownView(view.to_owned()))
     }
 
-    /// The `k` most probable answers of `view`.
+    /// The `k` most probable answers of `view`, best first; zero-probability
+    /// answers are dropped. Each answer is a node set of the epoch the view
+    /// was served at and its probability: no answer's tree is built.
+    ///
+    /// To get an answer's tree, select inside [`Warehouse::with_view`] and
+    /// build it from the tree the view was served at. A later
+    /// [`Warehouse::snapshot`] is the wrong source: a commit in between may
+    /// detach the answer's nodes, and a rebase renumbers them.
+    ///
+    /// ```
+    /// use std::sync::Arc;
+    ///
+    /// use pxml_core::{PatternQuery, ProbTree};
+    /// use pxml_events::{Condition, Literal};
+    /// use pxml_server::Warehouse;
+    ///
+    /// let mut tree = ProbTree::new("catalog");
+    /// let w = tree.events_mut().insert("w", 0.8);
+    /// let root = tree.tree().root();
+    /// let item = tree.add_child(root, "item", Condition::of(Literal::pos(w)));
+    /// tree.add_child(item, "sku", Condition::always());
+    /// let warehouse = Warehouse::new();
+    /// warehouse.register("shop", tree).unwrap();
+    /// let mut items = PatternQuery::new(Some("item"));
+    /// items.add_child(items.root(), "sku");
+    /// warehouse.register_view("shop", "items", Arc::new(items)).unwrap();
+    ///
+    /// let trees = warehouse
+    ///     .with_view("shop", "items", |prepared| {
+    ///         prepared
+    ///             .top_k(1)
+    ///             .iter()
+    ///             .map(|answer| answer.subtree.to_tree(prepared.tree().tree()))
+    ///             .collect::<Vec<_>>()
+    ///     })
+    ///     .unwrap();
+    /// // catalog → item → sku
+    /// assert_eq!(trees[0].len(), 3);
+    /// ```
     pub fn top_k(&self, doc: &str, view: &str, k: usize) -> Result<AnswerSet, ServerError> {
         self.with_view(doc, view, |prepared| prepared.top_k(k))
     }
 
-    /// The answers of `view` with probability at least `threshold`.
+    /// The answers of `view` with probability at least `threshold`, best
+    /// first. Zero-probability answers are dropped, even at threshold 0.
+    /// Like [`Warehouse::top_k`], it builds no answer's tree.
     pub fn above(&self, doc: &str, view: &str, threshold: f64) -> Result<AnswerSet, ServerError> {
         self.with_view(doc, view, |prepared| prepared.above(threshold))
     }

@@ -56,7 +56,9 @@ fn main() {
         println!(
             "  answer with probability {:.2}:\n{}",
             answer.probability,
-            indent(&pxml_tree::render::to_ascii(&answer.tree))
+            indent(&pxml_tree::render::to_ascii(
+                &answer.subtree.to_tree(warehouse.tree())
+            ))
         );
     }
     println!(

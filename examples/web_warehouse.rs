@@ -63,7 +63,7 @@ fn main() {
         println!(
             "  probability {:.3}  ({} nodes in the answer)",
             answer.probability,
-            answer.tree.len()
+            answer.subtree.len()
         );
     }
     println!(

@@ -4,10 +4,11 @@
 //! constructions — per-answer `Condition::always()` + repeated `and`
 //! folds, eager materialization, and full sorts with per-comparison
 //! canonicalization — with prepared state, a single merge-union, a
-//! bounded heap and cached tie-break keys. This suite pins the redesign
-//! to the legacy semantics: the old constructions are re-implemented
-//! here verbatim as references and compared against the engine on random
-//! trees and random tree-pattern queries.
+//! bounded heap, a threshold read that ranks condition slots, cached
+//! tie-break keys and answers that build their trees on demand. This
+//! suite pins the redesign to the legacy semantics: the old constructions
+//! are re-implemented here verbatim as references and compared against
+//! the engine on random trees and random tree-pattern queries.
 
 use proptest::prelude::*;
 
@@ -18,6 +19,8 @@ use pxml_core::query::{Query, QueryEngine};
 use pxml_events::{Condition, EventId, Literal};
 use pxml_tree::builder::TreeSpec;
 use pxml_tree::canon::{canonical_string, Semantics};
+use pxml_tree::subtree::SubDataTree;
+use pxml_tree::DataTree;
 
 // ---------------------------------------------------------------------------
 // Strategies
@@ -131,9 +134,17 @@ fn build_pattern(spec: &PatternSpec) -> PatternQuery {
 // Legacy reference implementations (the pre-engine constructions)
 // ---------------------------------------------------------------------------
 
+/// An answer of the old `query_probtree`, which copied each answer into
+/// a tree of its own at evaluation time.
+struct LegacyAnswer {
+    tree: DataTree,
+    subtree: SubDataTree,
+    probability: f64,
+}
+
 /// The old `query_probtree`: eager materialization, per-answer
 /// `Condition::always()` + repeated `and` fold.
-fn legacy_query_probtree(query: &dyn Query, tree: &ProbTree) -> Vec<ProbAnswer> {
+fn legacy_query_probtree(query: &dyn Query, tree: &ProbTree) -> Vec<LegacyAnswer> {
     let data = tree.tree();
     query
         .evaluate(data)
@@ -143,7 +154,7 @@ fn legacy_query_probtree(query: &dyn Query, tree: &ProbTree) -> Vec<ProbAnswer> 
             for node in subtree.nodes() {
                 cond = cond.and(&tree.condition(node));
             }
-            ProbAnswer {
+            LegacyAnswer {
                 tree: subtree.to_tree(data),
                 probability: cond.probability(tree.events()),
                 subtree,
@@ -152,10 +163,11 @@ fn legacy_query_probtree(query: &dyn Query, tree: &ProbTree) -> Vec<ProbAnswer> 
         .collect()
 }
 
-/// The old `top_k`: full **stable** sort with the canonical string
-/// recomputed inside every comparison, then truncate.
-fn legacy_top_k(query: &dyn Query, tree: &ProbTree, k: usize) -> Vec<ProbAnswer> {
-    let mut answers: Vec<ProbAnswer> = legacy_query_probtree(query, tree)
+/// The old `top_k`, and the one full-sort reference: a full **stable**
+/// sort of the answers with the canonical string recomputed inside every
+/// comparison, then truncate.
+fn legacy_top_k(query: &dyn Query, tree: &ProbTree, k: usize) -> Vec<LegacyAnswer> {
+    let mut answers: Vec<LegacyAnswer> = legacy_query_probtree(query, tree)
         .into_iter()
         .filter(|a| a.probability > 0.0)
         .collect();
@@ -173,13 +185,17 @@ fn legacy_top_k(query: &dyn Query, tree: &ProbTree, k: usize) -> Vec<ProbAnswer>
 }
 
 /// The old `above`: sort the full answer set, then filter.
-fn legacy_above(query: &dyn Query, tree: &ProbTree, threshold: f64) -> Vec<ProbAnswer> {
+fn legacy_above(query: &dyn Query, tree: &ProbTree, threshold: f64) -> Vec<LegacyAnswer> {
     let mut answers = legacy_top_k(query, tree, usize::MAX);
     answers.retain(|a| a.probability >= threshold);
     answers
 }
 
-fn assert_same_answers(actual: &[ProbAnswer], expected: &[ProbAnswer]) {
+/// The engine's answers over `tree` equal the legacy ones: the same node
+/// sets in the same order, bit-identical probabilities, and each answer's
+/// tree, built on demand from `tree`, equal to the one the legacy
+/// construction copied eagerly.
+fn assert_same_answers(actual: &[ProbAnswer], tree: &ProbTree, expected: &[LegacyAnswer]) {
     assert_eq!(actual.len(), expected.len());
     for (a, b) in actual.iter().zip(expected) {
         assert_eq!(&a.subtree, &b.subtree);
@@ -188,7 +204,7 @@ fn assert_same_answers(actual: &[ProbAnswer], expected: &[ProbAnswer]) {
             "probabilities must be bit-identical"
         );
         assert_eq!(
-            canonical_string(&a.tree, Semantics::MultiSet),
+            canonical_string(&a.subtree.to_tree(tree.tree()), Semantics::MultiSet),
             canonical_string(&b.tree, Semantics::MultiSet)
         );
     }
@@ -235,7 +251,7 @@ proptest! {
         let legacy = legacy_query_probtree(&query, &tree);
         let engine: Vec<ProbAnswer> =
             QueryEngine::new().prepare(&tree, &query).answers().collect();
-        assert_same_answers(&engine, &legacy);
+        assert_same_answers(&engine, &tree, &legacy);
     }
 
     /// Bounded-heap top-k equals the legacy full-sort-then-truncate
@@ -250,10 +266,10 @@ proptest! {
         let query = build_pattern(&pattern);
         let legacy = legacy_top_k(&query, &tree, k);
         let prepared = QueryEngine::new().prepare(&tree, &query);
-        assert_same_answers(prepared.top_k(k).as_slice(), &legacy);
+        assert_same_answers(prepared.top_k(k).as_slice(), &tree, &legacy);
         // The full ranking agrees too.
         let all = legacy_top_k(&query, &tree, usize::MAX);
-        assert_same_answers(prepared.ranked().as_slice(), &all);
+        assert_same_answers(prepared.ranked().as_slice(), &tree, &all);
     }
 
     /// The short-circuit threshold path equals the legacy
@@ -268,7 +284,7 @@ proptest! {
         let query = build_pattern(&pattern);
         let legacy = legacy_above(&query, &tree, threshold);
         let prepared = QueryEngine::new().prepare(&tree, &query);
-        assert_same_answers(prepared.above(threshold).as_slice(), &legacy);
+        assert_same_answers(prepared.above(threshold).as_slice(), &tree, &legacy);
     }
 
     /// Aggregates and point lookups served from the prepared state agree
@@ -328,13 +344,13 @@ fn prepared_state_is_stable_across_repeated_consumers() {
     let first: Vec<String> = prepared
         .top_k(4)
         .iter()
-        .map(|a| canonical_string(&a.tree, Semantics::MultiSet))
+        .map(|a| a.subtree.canonical_string(tree.tree(), Semantics::MultiSet))
         .collect();
     for _ in 0..3 {
         let again: Vec<String> = prepared
             .top_k(4)
             .iter()
-            .map(|a| canonical_string(&a.tree, Semantics::MultiSet))
+            .map(|a| a.subtree.canonical_string(tree.tree(), Semantics::MultiSet))
             .collect();
         assert_eq!(first, again);
     }
