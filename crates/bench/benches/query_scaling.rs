@@ -30,9 +30,12 @@
 //! every extractor round, by per-round fresh prepares vs one
 //! incrementally maintained `PreparedQuery`, on rounds that claim
 //! `keyword` facts (off the query's footprint) and on rounds that claim
-//! and retract `endpoint` and `contact` facts (on it, so a patch
-//! re-matches at the appended facts). Only the per-round serving calls
-//! are timed; building the document and applying the updates are not.
+//! and retract `endpoint` and `contact` facts (on it: a claim's patch
+//! re-matches at the appended facts, and a retraction, which keeps each
+//! fact in place under a stronger condition, re-matches nothing and
+//! rebuilds the unions through the rewritten facts). Only the per-round
+//! serving calls are timed; building the document and applying the
+//! updates are not.
 //!
 //! Plus `e15_semiring_overhead` — the generic provenance path on the
 //! deletion blow-up family (retract/re-claim rounds grow `¬w` chains in
@@ -46,8 +49,9 @@
 //! counters are asserted (untimed) on the largest fixture, and the
 //! maintenance counters are asserted on the warehouse fixture: no round
 //! of either script falls back, each patch builds exactly the unions of
-//! the answers its round appends, and the keyword rounds rebuild ≥5x
-//! fewer unions than per-round re-preparing.
+//! the answers its round appends or rewrites, each re-match reads an
+//! exact count of nodes (none after a retraction), and the keyword rounds
+//! rebuild ≥5x fewer unions than per-round re-preparing.
 //!
 //! Set `PXML_BENCH_QUICK=1` (as CI's bench-smoke job does) for a fast
 //! smoke run over the two smallest tree sizes.
@@ -247,7 +251,7 @@ fn claim_fact(label: &str, round: usize, confidence: f64) -> ProbabilisticUpdate
 }
 
 /// Retracts the `label` facts of every service with `confidence`: each
-/// fact is detached and one survivor copy of it appended.
+/// fact stays in place under a stronger condition, its one survivor.
 fn retract_facts(label: &str, confidence: f64) -> ProbabilisticUpdate {
     let mut query = PatternQuery::new(Some("service"));
     let fact = query.add_child(query.root(), label);
@@ -258,8 +262,9 @@ fn retract_facts(label: &str, confidence: f64) -> ProbabilisticUpdate {
 /// {service, endpoint, contact} footprint, so maintenance carries every
 /// answer. `Footprint` rounds cycle through claiming an `endpoint` fact,
 /// claiming a `contact` fact, retracting every `endpoint` fact and
-/// retracting every `contact` fact, so maintenance drops the answers a
-/// round detaches and re-matches at the facts it appends.
+/// retracting every `contact` fact, so maintenance re-matches at the
+/// facts a claim appends and rebuilds the unions through the facts a
+/// retraction rewrites.
 #[derive(Clone, Copy, Debug)]
 enum Rounds {
     Keyword,
@@ -274,9 +279,9 @@ impl Rounds {
         }
     }
 
-    /// Rounds per script. A retraction leaves detached slots, and a commit
-    /// whose base frame holds more of them than live nodes rebases, which
-    /// re-prepares every view: two footprint cycles stay below that.
+    /// Rounds per script: two footprint cycles, one in quick mode. No
+    /// round detaches a node (a retraction keeps each fact in place), so
+    /// no round rebases, which would re-prepare every view.
     fn count(self) -> usize {
         match (self, quick()) {
             (_, true) => 4,
@@ -298,11 +303,11 @@ impl Rounds {
     }
 
     /// The condition unions a patch of each round builds: one per answer
-    /// holding a node the round appended. Every service holds the same
-    /// facts, starting from one endpoint and one contact. A claim adds the
-    /// new fact's answers with every fact of the other label; a retraction
-    /// replaces each fact by its survivor copy, so every answer is found
-    /// again.
+    /// holding a node the round appended or rewrote. Every service holds
+    /// the same facts, starting from one endpoint and one contact. A claim
+    /// adds the new fact's answers with every fact of the other label; a
+    /// retraction keeps each fact in place under a stronger condition, so
+    /// every answer's union is rebuilt.
     fn unions_built(self, services: usize) -> usize {
         let (mut endpoints, mut contacts, mut built) = (1, 1, 0);
         for round in 1..=self.count() {
@@ -321,6 +326,36 @@ impl Rounds {
         }
         services * built
     }
+
+    /// The data nodes each round's re-match reads
+    /// (`MaintainStats::rematch_visited`). Keyword claims and retractions
+    /// move no footprint label, so they re-match nothing. A claim appends a
+    /// fact and its value under each service, with `e` endpoints and `c`
+    /// contacts already there: 2 appended slots, each tried as the root,
+    /// then the service as the root once per pivot. With the `endpoint`
+    /// pivot the matcher tests the new child, and, for a new endpoint, the
+    /// service's `2 + e + c` children as contacts. With the `contact`
+    /// pivot it tests the `1 + e + c` old children as endpoints, and the
+    /// new child below the service once per old endpoint.
+    fn rematch_reads(self) -> Vec<usize> {
+        let (mut endpoints, mut contacts) = (1, 1);
+        (1..=self.count())
+            .map(|round| match (self, round % 4) {
+                (Rounds::Keyword, _) => 0,
+                (Rounds::Footprint, 1) => {
+                    let (e, c) = (endpoints, contacts);
+                    endpoints += 1;
+                    4 + (2 + 2 + e + c) + (1 + 1 + e + c + e)
+                }
+                (Rounds::Footprint, 2) => {
+                    let (e, c) = (endpoints, contacts);
+                    contacts += 1;
+                    4 + 2 + (1 + 1 + e + c + e)
+                }
+                (Rounds::Footprint, _) => 0,
+            })
+            .collect()
+    }
 }
 
 /// A warehouse already carrying one endpoint and one contact fact per
@@ -337,7 +372,9 @@ fn maintenance_fixture(services: usize, kind: Rounds) -> (Document, Vec<Probabil
 
 /// Untimed counter assertions for the incremental-maintenance contract:
 /// no round of either script falls back, each patch builds exactly the
-/// unions of the answers through the nodes its round appended, and on the
+/// unions of the answers through the nodes its round appended or
+/// rewrote, each round's re-match reads exactly the nodes
+/// [`Rounds::rematch_reads`] counts (none after a retraction), and on the
 /// keyword rounds patching rebuilds at least 5x fewer condition unions
 /// than re-preparing every round would.
 fn assert_maintenance_counters(services: usize, kind: Rounds) {
@@ -348,15 +385,18 @@ fn assert_maintenance_counters(services: usize, kind: Rounds) {
     let mut prepared = query_engine.prepare_doc_shared(&doc, Arc::clone(&query));
     assert!(!prepared.is_empty(), "the seeded warehouse has answers");
     let mut reprepare_union_work = 0usize;
+    let mut rematch_reads = Vec::with_capacity(script.len());
     for update in &script {
         let delta = update_engine.apply_doc(&mut doc, update);
         assert!(delta.node_map.is_none(), "{kind:?} rounds never rebase");
+        let read_before = prepared.maintenance_stats().rematch_visited;
         let outcome = prepared.maintain(&doc).expect("document-backed state");
         assert_eq!(
             outcome,
             MaintainOutcome::Patched { steps: 1 },
             "{kind:?} rounds must patch"
         );
+        rematch_reads.push(prepared.maintenance_stats().rematch_visited - read_before);
         // A fresh prepare recomputes one condition union per answer.
         let fresh = query_engine.prepare_doc_shared(&doc, Arc::clone(&query));
         assert_eq!(prepared.len(), fresh.len());
@@ -368,7 +408,16 @@ fn assert_maintenance_counters(services: usize, kind: Rounds) {
     assert_eq!(
         stats.unions_rebuilt,
         kind.unions_built(services),
-        "{kind:?} rounds build the unions of the answers they append"
+        "{kind:?} rounds build the unions of the answers they append or rewrite"
+    );
+    let expected: Vec<usize> = kind
+        .rematch_reads()
+        .into_iter()
+        .map(|reads| services * reads)
+        .collect();
+    assert_eq!(
+        rematch_reads, expected,
+        "{kind:?} rounds: the nodes each re-match reads"
     );
     if let Rounds::Keyword = kind {
         assert!(

@@ -251,37 +251,38 @@ fn bench_update_scripts(c: &mut Criterion) {
 /// Region-scoped commits: one-fact retractions into `skeleton`-shaped
 /// documents at the ROADMAP probe sizes. Untimed counters first: a fresh
 /// document's first commit runs whole-tree and scans, every later one runs
-/// in region scope on an indexed frame. Such a commit visits at most
-/// `REGION_VISITS_PER_DELTA_NODE` nodes per node of its delta in the
-/// simplifier and census, and its match reads at most
+/// in region scope on an indexed frame. Such a commit keeps the fact in
+/// place under a stronger condition, so its delta is the one rewritten
+/// fact. It visits at most `REGION_VISITS_PER_DELTA_NODE` nodes per node
+/// of its delta in the simplifier and census, and its match reads
+/// `MATCH_VISITS` nodes at every size and after every commit, within
 /// `MATCH_VISITS_PER_READ` nodes per posting of its rarest label and per
-/// match, the same count at every size. It keeps node ids (no node map)
-/// and leaves all but `UNSHARED_PAGES` pages of the new frame shared with
-/// its predecessor. A view of the retraction's own pattern, maintained
-/// after each such commit, patches: it drops the retracted fact's answer
-/// and re-matches only at the survivor copy, reading the same number of
-/// nodes (`MaintainStats::rematch_visited`) at every size. Then, per size,
+/// match. It keeps node ids (no node map) and leaves all but
+/// `UNSHARED_PAGES` pages of the new frame shared with its predecessor. A
+/// view of the retraction's own pattern, maintained after each such
+/// commit, patches: the delta moves no label, so it rebuilds the fact's
+/// answer's union and re-matches nothing
+/// (`MaintainStats::rematch_visited` stays put). Then, per size,
 /// one commit is timed on an O(1) fork of the settled document (forks
 /// inherit its fixpoint status and postings), and so are its parts:
 /// cloning a frame, the match, and dropping a frame a commit derived. No
 /// part reads the whole document.
 fn bench_region_commits(c: &mut Criterion) {
     const REGION_VISITS_PER_DELTA_NODE: usize = 8;
-    /// Measured: 4, 5 and 6 visits for 3, 4 and 5 reads over the three
-    /// settled commits, at every size. A commit walks the `keyword`
-    /// postings (retracted facts stay linked until a rebase), then tests
-    /// the one attached root and its `fact0` child.
+    /// A commit walks the one `keyword` posting (the fact stays in place,
+    /// so no dead posting piles up), then tests the fact as the root and
+    /// its `fact0` child: 3 reads for 1 posting and 1 match.
+    const MATCH_VISITS: usize = 3;
     const MATCH_VISITS_PER_READ: usize = 2;
-    /// Measured: 8 at every size. The arena copies the retracted fact's
-    /// parent page; the arena, the condition column, the postings column,
-    /// the postings head table and the event table's names, probabilities
-    /// and name index each own their last page.
-    const UNSHARED_PAGES: usize = 8;
+    /// Measured: 7 at every size. The arena, the condition column, the
+    /// postings column, the postings head table and the event table's
+    /// names, probabilities and name index each own their last page. The
+    /// commit writes only the fact's condition, which lies in the
+    /// condition column's last page.
+    const UNSHARED_PAGES: usize = 7;
     /// The nodes a view of the retracted pattern reads re-matching after a
-    /// commit: the survivor copy's two appended slots, the three candidate
-    /// roots (the copy's `keyword` and `fact0`, and the service above
-    /// them), and the `fact0` child tested below the `keyword`.
-    const REMATCH_VISITS: usize = 6;
+    /// commit: none, since the delta moves no label.
+    const REMATCH_VISITS: usize = 0;
     /// Frames held at once by the clone and drop arms.
     const BATCH: u64 = 32;
     let engine = UpdateEngine::new();
@@ -321,7 +322,7 @@ fn bench_region_commits(c: &mut Criterion) {
                 Ok(MaintainOutcome::Patched { steps: 1 }),
                 "{nodes} nodes: the view of the retracted pattern patches"
             );
-            assert_eq!(view.len(), 1, "the survivor copy is the one answer");
+            assert_eq!(view.len(), 1, "the strengthened fact is the one answer");
             let rematch = view.maintenance_stats().rematch_visited - read_before;
             assert_eq!(
                 rematch, REMATCH_VISITS,
@@ -338,14 +339,18 @@ fn bench_region_commits(c: &mut Criterion) {
                 "{nodes} nodes: the match read {} nodes for {reads} postings and matches",
                 report.match_visited
             );
+            assert_eq!(
+                report.match_visited, MATCH_VISITS,
+                "{nodes} nodes: the match's reads"
+            );
             visits.push(report.match_visited);
             assert!(delta.node_map.is_none(), "a settled commit keeps ids");
             assert_eq!(
                 report.nodes_after, nodes,
-                "a retraction keeps one survivor copy"
+                "a retraction keeps its one survivor in place"
             );
             let delta_nodes = delta.nodes_removed + delta.nodes_inserted + delta.rewritten.len();
-            assert_eq!(delta_nodes, 4, "the keyword fact out, its survivor copy in");
+            assert_eq!(delta_nodes, 1, "the keyword fact, rewritten in place");
             let visited = report.simplify_visited + report.delta_visited;
             assert!(
                 visited <= REGION_VISITS_PER_DELTA_NODE * delta_nodes,

@@ -11,10 +11,12 @@
 //!   reaches (deletion targets, pruned branches, merged sibling copies),
 //!   reported as a label set;
 //! * **inserted** — nodes the step appended to the arena (grafted
-//!   insertion subtrees, survivor copies, merge covers), again as labels;
-//! * **rewritten** — surviving nodes whose root condition `γ` changed
-//!   (cleaning, certain-event pruning; a deletion split detaches its
-//!   target and inserts survivor copies instead).
+//!   insertion subtrees, survivor copies past a target's first, merge
+//!   covers), again as labels;
+//! * **rewritten** — surviving nodes whose root condition `γ` changed: a
+//!   deletion target kept in place as its first survivor under the
+//!   strengthened condition `γ ∧ d₁`, and the nodes cleaning and
+//!   certain-event pruning rewrote.
 //!
 //! **Node ids are stable.** A commit keeps the id of every node it does
 //! not detach, leaves detached nodes in the arena, and appends the nodes
@@ -36,19 +38,21 @@
 //! simplifying engine's step runs in
 //! [`StepScope::Region`](crate::update::engine::StepScope::Region): the
 //! engine simplifies only the subtrees the step touched, so it rewrites
-//! no base-frame condition. Otherwise (a fresh document's first commit,
-//! or after a commit whose simplify did not run or did not converge) the
-//! step simplifies the whole tree, and its cleaning and pruning may
-//! rewrite base-frame conditions. The property suites hold both scopes'
-//! deltas to a two-frame diff by node id.
+//! only the conditions of the deletion targets it strengthened and of the
+//! nodes below them. Otherwise (a fresh document's first commit, or after
+//! a commit whose simplify did not run or did not converge) the step
+//! simplifies the whole tree, and its cleaning and pruning may rewrite
+//! any base-frame condition. The property suites hold both scopes' deltas
+//! to a two-frame diff by node id.
 //! [`PreparedQuery::maintain`](crate::PreparedQuery::maintain), the one
 //! maintenance entry point, reads the pending deltas
 //! ([`Document::deltas_since`]) in one pass to patch prepared state in
 //! place. When a pending delta's labels meet the query's footprint, the
 //! patch re-matches the query only around the arena slots the deltas
-//! appended; it falls back to a full re-prepare only when the query
-//! cannot re-match there, its footprint is unbounded, or the log no
-//! longer covers the prepared epoch.
+//! appended; a rewritten node only rebuilds the condition unions of the
+//! answers holding it. The patch falls back to a full re-prepare only
+//! when the query cannot re-match there, its footprint is unbounded, or
+//! the log no longer covers the prepared epoch.
 //!
 //! Snapshots are cheap ([`Document::snapshot`] clones an `Arc`), so
 //! readers hold on to the exact epoch they prepared against while the
@@ -97,7 +101,11 @@ pub struct UpdateDelta {
     pub removed_labels: BTreeSet<String>,
     /// Labels of the inserted new-frame nodes.
     pub inserted_labels: BTreeSet<String>,
-    /// Surviving nodes whose root condition changed, by new-frame id.
+    /// Surviving nodes whose root condition changed, by new-frame id:
+    /// deletion targets kept in place under a strengthened condition, and
+    /// nodes whose literals cleaning or pruning dropped. A rewrite keeps
+    /// the node's label and place, so it changes no answer's node set,
+    /// only the condition unions of the answers holding it.
     pub rewritten: BTreeSet<NodeId>,
     /// Number of removed old-frame nodes.
     pub nodes_removed: usize,
@@ -378,6 +386,7 @@ mod tests {
     use crate::probtree::figure1_example;
     use crate::update::{ProbabilisticUpdate, UpdateEngine, UpdateOperation};
     use crate::PatternQuery;
+    use pxml_events::Literal;
     use pxml_tree::DataTree;
 
     fn insert_under(label: &str, inserted: &str, confidence: f64) -> ProbabilisticUpdate {
@@ -451,32 +460,40 @@ mod tests {
     }
 
     #[test]
-    fn probabilistic_deletion_replaces_the_target_with_a_survivor_copy() {
-        // Deleting B with confidence 0.5 keeps a B in the tree — it
-        // survives in the worlds where the deletion event is false — but
-        // the engine realizes that survivor as a *fresh copy* carrying the
-        // `γ ∧ ¬e` condition, not as an in-place rewrite. The delta must
-        // say exactly that: one removal and one insertion, both labeled B,
-        // so a query whose footprint contains B correctly falls back.
+    fn probabilistic_deletion_keeps_the_target_under_a_stronger_condition() {
+        // Deleting B with confidence 0.5 keeps B in the worlds where the
+        // deletion event e is false. B has one survivor disjunct, `¬e`, so
+        // the engine keeps B itself, at its id, under `γ ∧ ¬e`. The delta
+        // says exactly that: B is rewritten, and no node or label is
+        // removed or inserted, so a query whose footprint contains B
+        // re-matches nothing and only rebuilds the unions through B.
         let mut doc = Document::new(figure1_example());
-        let delta = UpdateEngine::new().apply_doc(&mut doc, &delete_at("B", 0.5));
-        assert_eq!(delta.nodes_removed, 1);
-        assert_eq!(delta.nodes_inserted, 1);
-        assert_eq!(delta.removed_labels, BTreeSet::from(["B".to_owned()]));
-        assert_eq!(delta.inserted_labels, BTreeSet::from(["B".to_owned()]));
-        assert!(delta.rewritten.is_empty());
-        assert!(delta.touches(&BTreeSet::from(["B".to_owned()])));
-        // The survivor copy is really there, gated on the deletion event.
-        let tree = doc.snapshot();
-        let survivor = tree
+        let before = doc.snapshot();
+        let b = before
             .tree()
             .iter()
-            .find(|&n| tree.tree().label(n) == "B")
-            .expect("B survives probabilistic deletion");
-        assert!(
-            !tree.condition(survivor).is_empty(),
-            "the survivor is conditional on the deletion event"
+            .find(|&n| before.tree().label(n) == "B")
+            .expect("figure 1 has a B");
+        let delta = UpdateEngine::new().apply_doc(&mut doc, &delete_at("B", 0.5));
+        let e = delta
+            .report
+            .new_event
+            .expect("confidence 0.5 adds an event");
+        assert_eq!((delta.nodes_removed, delta.nodes_inserted), (0, 0));
+        assert!(delta.removed_labels.is_empty());
+        assert!(delta.inserted_labels.is_empty());
+        assert_eq!(delta.rewritten, BTreeSet::from([b]));
+        assert!(!delta.touches(&BTreeSet::from(["B".to_owned()])));
+        assert_eq!(delta.report.survivor_copies, 1);
+        let tree = doc.snapshot();
+        assert!(tree.tree().is_attached(b), "B keeps its id");
+        assert_eq!(
+            tree.condition(b),
+            before.condition(b).and_literal(Literal::neg(e)),
+            "B survives where the deletion event is false"
         );
+        assert_eq!(tree.tree().arena_len(), before.tree().arena_len());
+        assert_ids_kept(&before, doc.tree(), 0, &delta.rewritten);
     }
 
     #[test]
@@ -577,10 +594,19 @@ mod tests {
                 .iter()
                 .any(|delta| delta.touches(&BTreeSet::from([label.to_owned()])))
         };
-        assert!(touches("E") && touches("B"));
-        assert!(!touches("D"));
-        // Ids are stable across the span: the deleted B is detached at its
-        // old id, and every other node of the epoch-0 frame keeps its id.
+        assert!(touches("E"));
+        assert!(!touches("B") && !touches("D"));
+        // The deletion kept B in place under a stronger condition: the
+        // second delta rewrote it and moved no label.
+        let b = before
+            .tree()
+            .iter()
+            .find(|&n| before.tree().label(n) == "B")
+            .expect("figure 1 has a B");
+        assert!(deltas[0].rewritten.is_empty());
+        assert_eq!(deltas[1].rewritten, BTreeSet::from([b]));
+        // Ids are stable across the span: every node of the epoch-0 frame
+        // keeps its id, and only B's condition changed.
         assert!(deltas.iter().all(|d| d.node_map.is_none()));
         let removed: usize = deltas.iter().map(|d| d.nodes_removed).sum();
         let rewritten: BTreeSet<NodeId> = deltas

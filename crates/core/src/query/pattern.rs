@@ -16,6 +16,7 @@
 //! (Appendix A's `µ_Q`) because updates anchor insertions and deletions on
 //! a designated pattern node.
 
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 
 use pxml_tree::subtree::SubDataTree;
@@ -214,6 +215,7 @@ impl PatternQuery {
             query: self,
             tree,
             index: index.as_ref(),
+            split: None,
             mapping: vec![None; self.nodes.len()],
             results: Vec::new(),
             visited: 0,
@@ -292,22 +294,29 @@ impl PatternQuery {
     }
 
     /// The matches that map some pattern node to an arena slot at `first`
-    /// or past it, and the data nodes the search read. Every node of a match is attached, and a match through
-    /// such a slot binds the pattern root at or above it: at the data root
-    /// for an anchored pattern, at most the pattern's child-only height
-    /// above it, or anywhere up to the data root past a descendant edge.
-    /// The matcher tries each of those nodes as the root, once, and keeps
-    /// the matches through a slot from `first` on. A descendant edge still
-    /// builds the whole tree's span index.
+    /// or past it, each once, and the data nodes the search read. Every
+    /// node of a match is attached, and a match through such a slot binds
+    /// the pattern root at or above it: at the data root for an anchored
+    /// pattern, at most the pattern's child-only height above it, or
+    /// anywhere up to the data root past a descendant edge.
+    ///
+    /// Each match is enumerated from its *pivot*, the first pattern node
+    /// (in pattern order) it maps to an appended slot. For each pattern
+    /// node as the pivot, the backtracking matcher binds the nodes before
+    /// it to old slots only, the pivot to appended slots only and the
+    /// nodes after it to any slot, from an appended root when the pivot is
+    /// the pattern root and from an old candidate root otherwise. A child
+    /// list ascends (`DataTree`'s id order), so it splits at one
+    /// `partition_point`; a descendant edge tests each candidate, and
+    /// still builds the whole tree's span index.
     fn matches_appended(&self, tree: &DataTree, first: usize) -> (Vec<PatternMatch>, usize) {
         // `None` past a descendant edge: climb to the data root.
         let height = self
             .child_depths()
             .into_iter()
             .try_fold(0, |height, depth| depth.map(|depth| height.max(depth)));
-        let climb = height.map_or(usize::MAX, |height| height + 1);
         let mut visited = 0;
-        let mut roots: Vec<NodeId> = Vec::new();
+        let (mut appended, mut old): (Vec<NodeId>, Vec<NodeId>) = (Vec::new(), Vec::new());
         for slot in first..tree.arena_len() {
             let node = NodeId::from_index(slot);
             visited += 1;
@@ -315,25 +324,39 @@ impl PatternQuery {
                 continue;
             }
             if self.anchored {
-                roots.push(tree.root());
+                let root = tree.root();
+                if root.index() >= first {
+                    appended.push(root);
+                } else {
+                    old.push(root);
+                }
                 break;
             }
-            roots.extend(std::iter::successors(Some(node), |&n| tree.parent(n)).take(climb));
+            appended.push(node);
+            let ancestors = std::iter::successors(tree.parent(node), |&n| tree.parent(n));
+            old.extend(
+                ancestors
+                    .take(height.unwrap_or(usize::MAX))
+                    .filter(|ancestor| ancestor.index() < first),
+            );
         }
-        roots.sort_unstable();
-        roots.dedup();
+        old.sort_unstable();
+        old.dedup();
         let index = height.is_none().then(|| PreOrderIndex::new(tree));
         let mut run = MatchRun {
             query: self,
             tree,
             index: index.as_ref(),
+            split: None,
             mapping: vec![None; self.nodes.len()],
             results: Vec::new(),
             visited,
         };
-        roots.into_iter().for_each(|root| run.try_root(root));
-        run.results
-            .retain(|found| found.mapping.iter().any(|node| node.index() >= first));
+        for pivot in 0..self.nodes.len() {
+            run.split = Some((first, pivot));
+            let roots = if pivot == 0 { &appended } else { &old };
+            roots.iter().for_each(|&root| run.try_root(root));
+        }
         (run.results, run.visited)
     }
 
@@ -366,19 +389,68 @@ impl PatternQuery {
 /// `k = 16` 166 µs against 330 µs.
 const SEED_SELECTIVITY: usize = 8;
 
-/// The state of one [`PatternQuery::matches_counted`] call: the partial
-/// mapping, the matches so far and the nodes read.
+/// The state of one [`PatternQuery::matches_counted`] or
+/// [`PatternQuery::matches_appended`] call: the partial mapping, the
+/// matches so far and the nodes read.
 struct MatchRun<'a> {
     query: &'a PatternQuery,
     tree: &'a DataTree,
     /// Built when the pattern has a descendant edge.
     index: Option<&'a PreOrderIndex>,
+    /// In a re-match, the first appended slot and the pivot: the pattern
+    /// node that takes the match's first appended slot. `None` binds every
+    /// pattern node to any slot.
+    split: Option<(usize, usize)>,
     mapping: Vec<Option<NodeId>>,
     results: Vec<PatternMatch>,
     visited: usize,
 }
 
+/// The arena slots a pattern node may take; see
+/// [`PatternQuery::matches_appended`].
+#[derive(Clone, Copy)]
+enum Slots {
+    /// Any slot.
+    Any,
+    /// The slots before the first appended one, which it holds.
+    Old(usize),
+    /// The slots from the first appended one on, which it holds.
+    Appended(usize),
+}
+
+impl Slots {
+    fn admits(self, node: NodeId) -> bool {
+        match self {
+            Slots::Any => true,
+            Slots::Old(first) => node.index() < first,
+            Slots::Appended(first) => node.index() >= first,
+        }
+    }
+
+    /// The admitted part of an ascending child list.
+    fn of_children(self, children: &[NodeId]) -> &[NodeId] {
+        let cut = |first: usize| children.partition_point(|child| child.index() < first);
+        match self {
+            Slots::Any => children,
+            Slots::Old(first) => &children[..cut(first)],
+            Slots::Appended(first) => &children[cut(first)..],
+        }
+    }
+}
+
 impl MatchRun<'_> {
+    /// The slots pattern node `node` may take.
+    fn slots(&self, node: usize) -> Slots {
+        match self.split {
+            None => Slots::Any,
+            Some((first, pivot)) => match node.cmp(&pivot) {
+                Ordering::Less => Slots::Old(first),
+                Ordering::Equal => Slots::Appended(first),
+                Ordering::Greater => Slots::Any,
+            },
+        }
+    }
+
     /// Every match whose pattern root is `candidate`.
     fn try_root(&mut self, candidate: NodeId) {
         self.visited += 1;
@@ -407,12 +479,16 @@ impl MatchRun<'_> {
             .parent
             .expect("non-root pattern nodes have a parent");
         let parent_data = self.mapping[parent_pattern.0].expect("parents are matched first");
+        let slots = self.slots(next);
         let candidates: &[NodeId] = match (axis, self.index) {
-            (Axis::Child, _) => tree.children(parent_data),
+            (Axis::Child, _) => slots.of_children(tree.children(parent_data)),
             (Axis::Descendant, Some(index)) => index.strict_descendants(parent_data),
             (Axis::Descendant, None) => unreachable!("descendant edges build the index"),
         };
         for &candidate in candidates {
+            if axis == Axis::Descendant && !slots.admits(candidate) {
+                continue;
+            }
             self.visited += 1;
             if query.label_ok(PatternNodeId(next), tree, candidate) {
                 self.mapping[next] = Some(candidate);
@@ -838,6 +914,62 @@ mod tests {
         assert_eq!(common.matches_counted(&tree).1, 1_001);
     }
 
+    /// The matches through an appended slot, as sorted mappings: what
+    /// `matches_appended` must return, each match once.
+    fn appended_matches(q: &PatternQuery, tree: &DataTree, first: usize) -> Vec<Vec<NodeId>> {
+        let mut all: Vec<Vec<NodeId>> = q
+            .matches(tree)
+            .into_iter()
+            .map(|m| m.mapping)
+            .filter(|mapping| mapping.iter().any(|node| node.index() >= first))
+            .collect();
+        all.sort_unstable();
+        all
+    }
+
+    /// `A → {B₁ → {C, D → E}, B₂}` grown by `D′ → E′` under `B₁` and by
+    /// `C″, D″ → E″` under `B₂`: the match through `D′` holds two appended
+    /// slots, and the one under `B₂` holds three. Each is enumerated once,
+    /// from its first appended pattern node, for child and descendant
+    /// edges and for an anchored root; the old match under `B₁` is not.
+    #[test]
+    fn a_rematch_enumerates_each_match_through_appended_slots_once() {
+        let mut tree = DataTree::new("A");
+        let root = tree.root();
+        let b1 = tree.add_child(root, "B");
+        tree.add_child(b1, "C");
+        let d = tree.add_child(b1, "D");
+        tree.add_child(d, "E");
+        let b2 = tree.add_child(root, "B");
+        let first = tree.arena_len();
+        let d1 = tree.add_child(b1, "D");
+        tree.add_child(d1, "E");
+        tree.add_child(b2, "C");
+        let d2 = tree.add_child(b2, "D");
+        tree.add_child(d2, "E");
+        let mut child_edges = PatternQuery::new(Some("B"));
+        child_edges.add_child(child_edges.root(), "C");
+        let dn = child_edges.add_child(child_edges.root(), "D");
+        child_edges.add_child(dn, "E");
+        let mut descendant_edges = PatternQuery::anchored(Some("A"));
+        let bn = descendant_edges.add_child(descendant_edges.root(), "B");
+        descendant_edges.add_descendant(bn, "E");
+        descendant_edges.add_node(bn, Axis::Child, Some("C"));
+        let mut pivots = PatternQuery::new(Some("B"));
+        pivots.add_child(pivots.root(), "D");
+        pivots.add_child(pivots.root(), "C");
+        for (q, expected) in [(&child_edges, 2), (&descendant_edges, 2), (&pivots, 2)] {
+            let (found, _) = q.matches_appended(&tree, first);
+            let mut found: Vec<Vec<NodeId>> = found.into_iter().map(|m| m.mapping).collect();
+            found.sort_unstable();
+            assert_eq!(found, appended_matches(q, &tree, first), "{q:?}");
+            assert_eq!(found.len(), expected, "{q:?}");
+            let appended =
+                |mapping: &Vec<NodeId>| mapping.iter().filter(|node| node.index() >= first).count();
+            assert!(found.iter().any(|mapping| appended(mapping) >= 2));
+        }
+    }
+
     /// Label alphabet of the random trees: `r` is rare enough for the
     /// matcher to seed from it, and `z` appears only in patterns.
     const LABELS: [&str; 5] = ["a", "a", "b", "c", "r"];
@@ -966,7 +1098,8 @@ mod tests {
         /// that hold a slot from `first` on, in the same order: on a tree
         /// grown by random edits past its indexed base, cut at the base's
         /// arena, at a random slot and at the end. A pattern with joins
-        /// returns `None`.
+        /// returns `None`. Below it, `matches_appended` finds each match
+        /// through such a slot exactly once, joins or not.
         #[test]
         fn appended_answers_are_the_answers_through_the_appended_slots(
             seed in any::<u64>(),
@@ -998,6 +1131,11 @@ mod tests {
                         }
                         None => prop_assert!(!q.joins().is_empty()),
                     }
+                    let (found, _) = q.matches_appended(data, first);
+                    let mut found: Vec<Vec<NodeId>> =
+                        found.into_iter().map(|m| m.mapping).collect();
+                    found.sort_unstable();
+                    prop_assert_eq!(found, appended_matches(q, data, first));
                 }
             }
         }

@@ -6,13 +6,21 @@
 //!
 //! 1. **Nested-target correctness.** When the deletion query matches two
 //!    targets on one root-to-leaf path, the descendant's survival split
-//!    must be visible *inside* the ancestor's survivor copies. The engine
+//!    must be visible *inside* the ancestor's survivors. The engine
 //!    therefore orders deletion targets deepest-first over the total
-//!    `(depth, NodeId)` order and grafts every survivor copy from the
-//!    **evolving** tree, so splits already applied below a target are
-//!    carried into its copies. (The per-match deletion conditions are
-//!    still computed on the original tree — matches are defined by the
-//!    original world contents.)
+//!    `(depth, NodeId)` order. A target with `k` survivor disjuncts
+//!    `d₁ … d_k` stays in place as its first survivor, under the
+//!    strengthened condition `γ ∧ d₁`, and gets `k − 1` deep copies
+//!    under `γ ∧ d₂ … γ ∧ d_k`, grafted from the **evolving** tree; so a
+//!    target keeps, and its copies carry, every split already applied
+//!    below it. A target with no survivor is detached. (The per-match
+//!    deletion conditions are still computed on the original tree —
+//!    matches are defined by the original world contents.) Keeping the
+//!    first survivor in place, rather than copying it and detaching the
+//!    target, gives the same tree up to node ids and child order; a
+//!    one-survivor deletion then rewrites one condition and appends
+//!    nothing, which by local monotonicity (Definition 6) changes no
+//!    positive pattern's match set.
 //! 2. **Determinism.** Target grouping uses a `BTreeMap`, per-target
 //!    deletion conditions are sorted and deduplicated, and every
 //!    remaining iteration order is structural — two applications of the
@@ -79,40 +87,43 @@ impl UpdateEngineConfig {
 /// [`UpdateEngine::forecast`] by replaying the match grouping and
 /// survivor expansion **without mutating the tree** — no subtree is
 /// copied, no condition is attached. For deletions the per-target counts
-/// equal, exactly, the number of survivor copies [`UpdateEngine::apply`]
-/// will graft (property-tested against [`StepReport::survivor_copies`]);
-/// insertions never copy survivors.
+/// equal, exactly, the number of survivors [`UpdateEngine::apply`] will
+/// keep, the target under its first disjunct included (property-tested
+/// against [`StepReport::survivor_copies`]); insertions have none.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DeletionForecast {
     /// Number of query matches the step will see.
     pub matches: usize,
     /// Number of distinct target nodes.
     pub targets: usize,
-    /// Predicted survivor copies per distinct target, in the engine's
+    /// Predicted survivors per distinct target (one per surviving
+    /// disjunct, the target itself included), in the engine's
     /// deterministic (deepest-first) target order. Empty for insertions
     /// and unmatched steps.
     pub survivors_per_target: Vec<usize>,
     /// Logical size of each target's subtree (same order), measured on
     /// the input tree. Exact for non-nested targets; with nested targets
-    /// the real copies also embed deeper splits, so this is a floor.
+    /// the real survivors also embed deeper splits, so this is a floor.
     pub subtree_nodes_per_target: Vec<usize>,
 }
 
 impl DeletionForecast {
-    /// Total survivor copies the step will graft.
+    /// Total survivors the step will keep: the targets it keeps in place
+    /// plus the copies it grafts.
     pub fn total_survivor_copies(&self) -> usize {
         self.survivors_per_target.iter().sum()
     }
 
-    /// Predicted nodes of all survivor copies together:
-    /// `Σ_targets copies · subtree size` — what [`ProbTree::num_nodes`]
-    /// will charge for them (exact for non-nested targets), since
-    /// [`UpdateEngine::apply`] grafts every copy as fresh arena nodes.
+    /// Predicted nodes of all survivors together:
+    /// `Σ_targets survivors · subtree size` — what [`ProbTree::num_nodes`]
+    /// will charge for them (exact for non-nested targets):
+    /// [`UpdateEngine::apply`] keeps each target's subtree as its first
+    /// survivor and grafts every other survivor as fresh arena nodes.
     pub fn logical_survivor_nodes(&self) -> usize {
         self.survivors_per_target
             .iter()
             .zip(&self.subtree_nodes_per_target)
-            .map(|(copies, nodes)| copies * nodes)
+            .map(|(survivors, nodes)| survivors * nodes)
             .sum()
     }
 
@@ -144,8 +155,10 @@ pub struct StepReport {
     pub nodes_after: usize,
     /// Literals after the step (after simplification, when enabled).
     pub literals_after: usize,
-    /// Survivor copies actually grafted by this step (0 for insertions
-    /// and unmatched steps) — the measured counterpart of
+    /// Survivors of this step's deletion targets, one per surviving
+    /// disjunct (0 for insertions and unmatched steps): each target kept
+    /// in place under its first disjunct, plus the copies grafted for the
+    /// others — the measured counterpart of
     /// [`DeletionForecast::total_survivor_copies`].
     pub survivor_copies: usize,
     /// Which part of the tree the step's simplification covered.
@@ -250,8 +263,9 @@ impl UpdateEngine {
     }
 
     /// Applies one probabilistic update, returning the updated prob-tree
-    /// and the step telemetry. Survivor copies are materialized as fresh
-    /// arena nodes.
+    /// and the step telemetry. A deletion target stays in place as its
+    /// first survivor; the other survivors are materialized as fresh arena
+    /// nodes. The result is compacted.
     pub fn apply(&self, tree: &ProbTree, update: &ProbabilisticUpdate) -> (ProbTree, StepReport) {
         let step = self.run(tree, update, None);
         let tree = if step.report.matches == 0 {
@@ -318,7 +332,7 @@ impl UpdateEngine {
 
     /// Grafts one matched step into `out`, a copy of `original`: declares
     /// the fresh confidence event, runs the insertion or deletion, and
-    /// records the event, targets and survivor copies in `report`.
+    /// records the event, targets and survivors in `report`.
     fn graft(
         &self,
         out: &mut ProbTree,
@@ -444,11 +458,15 @@ impl UpdateEngine {
     /// does not record the frame's size.
     ///
     /// This is the one place node ids change. A step keeps the id of
-    /// every node it does not detach and appends the nodes it adds; it
-    /// *rebases* — compacts its output once and reports the renumbering
-    /// in [`UpdateDelta::node_map`](crate::UpdateDelta::node_map) — when
-    /// it matched and the base frame holds more detached arena slots than
-    /// live nodes.
+    /// every node it does not detach, the deletion targets it keeps in
+    /// place under a stronger condition included (they are in
+    /// [`UpdateDelta::rewritten`](crate::UpdateDelta::rewritten)), and
+    /// appends the nodes it adds; it *rebases* — compacts its output once
+    /// and reports the renumbering in
+    /// [`UpdateDelta::node_map`](crate::UpdateDelta::node_map) — when it
+    /// matched and the base frame holds more detached arena slots than
+    /// live nodes. Detached slots come from deletions that leave a target
+    /// no survivor, from pruning and from merges.
     ///
     /// It is also the one place postings are built: a staged frame without
     /// label postings gets them ([`DataTree::index_labels`]), so the next
@@ -529,10 +547,13 @@ impl UpdateEngine {
     }
 
     /// Appendix A deletion, generalized to several (possibly nested)
-    /// matches: every target is replaced by one copy per surviving
-    /// disjunct of the mutually exclusive expansion of "no deletion
-    /// condition holds". Returns the number of distinct targets and the
-    /// total number of survivor copies grafted.
+    /// matches: every target is replaced by one survivor per disjunct of
+    /// the mutually exclusive expansion of "no deletion condition holds".
+    /// The first survivor is the target itself, kept in place under the
+    /// strengthened condition `γ ∧ d₁`; the others are deep copies
+    /// `γ ∧ d₂ … γ ∧ d_k`, appended in order. A target with no survivor
+    /// is detached. Returns the number of distinct targets and the total
+    /// number of survivors.
     fn apply_deletion(
         &self,
         out: &mut ProbTree,
@@ -544,24 +565,31 @@ impl UpdateEngine {
     ) -> (usize, usize) {
         let by_target = deletion_conditions(original, matches, at, new_event);
         let targets = deletion_order(original, &by_target);
-        let mut survivor_copies = 0;
+        let mut survivors = 0;
         for target in &targets {
             let target = *target;
             let survivor_disjuncts =
                 self.expand_survivors(&by_target[&target], self.config.shared_first_chains);
-            survivor_copies += survivor_disjuncts.len();
-            let gamma_target = out.condition(target);
+            survivors += survivor_disjuncts.len();
             let parent = out
                 .tree()
                 .parent(target)
                 .expect("non-root node has a parent");
-            let conditions = survivor_disjuncts.iter().map(|d| gamma_target.and(d));
+            let Some((kept, copied)) = survivor_disjuncts.split_first() else {
+                out.detach(target);
+                touched.detached.push((parent, target));
+                continue;
+            };
+            let gamma_target = out.condition(target);
+            let conditions = copied.iter().map(|d| gamma_target.and(d));
             let copies = out.duplicate_subtree_deep(parent, target, conditions);
             touched.grafted.extend(copies);
-            out.detach(target);
-            touched.detached.push((parent, target));
+            let strengthened = gamma_target.and(kept);
+            let gained = strengthened.len() - gamma_target.len();
+            out.set_condition(target, strengthened);
+            touched.strengthened.push((target, gamma_target, gained));
         }
-        (targets.len(), survivor_copies)
+        (targets.len(), survivors)
     }
 
     /// Expands `⋀_j ¬d_j` into a deterministic list of mutually exclusive
@@ -659,10 +687,10 @@ fn deletion_conditions(
 
 /// The engine's deterministic target order: deepest targets first (ties
 /// by `NodeId`). A target is only split after every target strictly
-/// below it has been, so its survivor copies — grafted from the evolving
-/// tree — embed the descendants' splits. Shallower-first (or grafting
-/// from the original tree, as the pre-engine code did) loses the
-/// descendant splits inside the ancestor's copies.
+/// below it has been, so it keeps, and its survivor copies — grafted from
+/// the evolving tree — embed, the descendants' splits. Shallower-first
+/// (or grafting from the original tree) loses the descendant splits
+/// inside the ancestor's copies.
 fn deletion_order(
     original: &ProbTree,
     by_target: &BTreeMap<NodeId, Vec<Condition>>,
@@ -694,6 +722,8 @@ fn negation_chain(literals: &[Literal]) -> Vec<Condition> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
     use crate::probtree::figure1_example;
     use crate::semantics::possible_worlds;
@@ -946,6 +976,144 @@ mod tests {
         let f = engine.forecast(&t, &dead);
         assert!(f.is_dead());
         assert_eq!(f.targets, 0);
+    }
+
+    /// `A → B[u] → C[x ∧ y]`, deleting `B` with confidence 0.5: the
+    /// deletion condition `{x, y, w}` has three survivor disjuncts, `¬x`,
+    /// `x ∧ ¬y` and `x ∧ y ∧ ¬w`. `B` stays at its id under `u ∧ ¬x`; the
+    /// other two survivors are deep copies appended in that order, after
+    /// `B` among `A`'s children.
+    #[test]
+    fn a_target_keeps_its_first_survivor_and_appends_the_rest_in_order() {
+        let mut t = ProbTree::new("A");
+        let u = t.events_mut().insert("u", 0.5);
+        let x = t.events_mut().insert("x", 0.5);
+        let y = t.events_mut().insert("y", 0.5);
+        let root = t.tree().root();
+        let b = t.add_child(root, "B", Condition::of(Literal::pos(u)));
+        let c_condition = Condition::from_literals([Literal::pos(x), Literal::pos(y)]);
+        t.add_child(b, "C", c_condition.clone());
+        let base_len = t.tree().arena_len();
+        let update = delete_b_with_c_child(0.5);
+        let engine = UpdateEngine::with_config(UpdateEngineConfig {
+            simplify: false,
+            ..UpdateEngineConfig::default()
+        });
+        let mut doc = crate::Document::new(t.clone());
+        let delta = engine.apply_doc(&mut doc, &update);
+        let w = delta
+            .report
+            .new_event
+            .expect("confidence 0.5 adds an event");
+        let out = doc.tree();
+        let with_u = |literals: &[Literal]| {
+            Condition::from_literals(literals.iter().copied().chain([Literal::pos(u)]))
+        };
+        assert_eq!(delta.report.survivor_copies, 3);
+        assert_eq!(out.condition(b), with_u(&[Literal::neg(x)]), "B kept");
+        let copies = [
+            NodeId::from_index(base_len),
+            NodeId::from_index(base_len + 2),
+        ];
+        assert_eq!(out.tree().children(root), [b, copies[0], copies[1]]);
+        assert_eq!(
+            out.condition(copies[0]),
+            with_u(&[Literal::pos(x), Literal::neg(y)])
+        );
+        assert_eq!(
+            out.condition(copies[1]),
+            with_u(&[Literal::pos(x), Literal::pos(y), Literal::neg(w)])
+        );
+        for copy in copies {
+            assert_eq!(out.tree().label(copy), "B");
+            let [child] = out.tree().children(copy) else {
+                panic!("each copy holds one C");
+            };
+            assert_eq!(out.condition(*child), c_condition);
+        }
+        assert_eq!(delta.rewritten, BTreeSet::from([b]));
+        assert_eq!((delta.nodes_removed, delta.nodes_inserted), (0, 4));
+        assert_eq!(
+            delta.inserted_labels,
+            BTreeSet::from(["B".to_owned(), "C".to_owned()])
+        );
+        let direct = possible_worlds(out, 20).unwrap().normalized();
+        let via_pw = update
+            .apply_to_pw_set(&possible_worlds(&t, 20).unwrap())
+            .normalized();
+        assert!(direct.isomorphic(&via_pw), "\n{}", out.to_ascii());
+    }
+
+    /// A kept target whose gain cleaning or pruning takes back has its
+    /// base condition at the end, so it is not rewritten. Cleaning: in
+    /// `A → P[¬x] → B → C[x]` the match's condition holds `x`, so `B`
+    /// keeps `¬x`, which its parent implies. Pruning: in `A → B → C[¬s]`
+    /// with `π(s) = 1`, `B` keeps `s`, which holds in every world. Either
+    /// way the step drops the impossible `C`.
+    #[test]
+    fn a_kept_target_whose_gain_is_taken_back_is_not_rewritten() {
+        let mut cleaned = ProbTree::new("A");
+        let x = cleaned.events_mut().insert("x", 0.5);
+        let root = cleaned.tree().root();
+        let p = cleaned.add_child(root, "P", Condition::of(Literal::neg(x)));
+        let b_cleaned = cleaned.add_child(p, "B", Condition::always());
+        cleaned.add_child(b_cleaned, "C", Condition::of(Literal::pos(x)));
+        let mut pruned = ProbTree::new("A");
+        let s = pruned.events_mut().insert("s", 1.0);
+        let root = pruned.tree().root();
+        let b_pruned = pruned.add_child(root, "B", Condition::always());
+        pruned.add_child(b_pruned, "C", Condition::of(Literal::neg(s)));
+        for (tree, b) in [(cleaned, b_cleaned), (pruned, b_pruned)] {
+            let mut doc = crate::Document::new(tree);
+            let delta = UpdateEngine::new().apply_doc(&mut doc, &delete_b_with_c_child(1.0));
+            assert_eq!(delta.report.survivor_copies, 1);
+            assert!(doc.tree().tree().is_attached(b));
+            assert!(doc.tree().condition(b).is_empty(), "B's base condition");
+            assert!(delta.rewritten.is_empty(), "{:?}", delta.rewritten);
+            assert_eq!(delta.nodes_removed, 1);
+            assert_eq!(delta.removed_labels, BTreeSet::from(["C".to_owned()]));
+            assert_eq!(delta.nodes_inserted, 0);
+            assert_eq!(
+                (delta.report.nodes_after, delta.report.literals_after),
+                (doc.tree().num_nodes(), doc.tree().num_literals())
+            );
+        }
+    }
+
+    /// A kept target that cleaning or pruning drops is removed, with its
+    /// subtree. Cleaning: `B[y ∧ ¬y]` keeps `y ∧ ¬y ∧ ¬z`, which can never
+    /// hold. Pruning: in `A → B → C[s]` with `π(s) = 1`, `B` keeps `¬s`,
+    /// which holds in no world of positive probability.
+    #[test]
+    fn a_kept_target_that_is_dropped_is_removed() {
+        let mut cleaned = ProbTree::new("A");
+        let y = cleaned.events_mut().insert("y", 0.5);
+        let z = cleaned.events_mut().insert("z", 0.5);
+        let root = cleaned.tree().root();
+        let never = Condition::from_literals([Literal::pos(y), Literal::neg(y)]);
+        let b_cleaned = cleaned.add_child(root, "B", never);
+        cleaned.add_child(b_cleaned, "C", Condition::of(Literal::pos(z)));
+        let mut pruned = ProbTree::new("A");
+        let s = pruned.events_mut().insert("s", 1.0);
+        let root = pruned.tree().root();
+        let b_pruned = pruned.add_child(root, "B", Condition::always());
+        pruned.add_child(b_pruned, "C", Condition::of(Literal::pos(s)));
+        for (tree, b) in [(cleaned, b_cleaned), (pruned, b_pruned)] {
+            let mut doc = crate::Document::new(tree);
+            let delta = UpdateEngine::new().apply_doc(&mut doc, &delete_b_with_c_child(1.0));
+            assert_eq!(delta.report.survivor_copies, 1);
+            assert!(!doc.tree().tree().is_attached(b));
+            assert!(delta.rewritten.is_empty());
+            assert_eq!((delta.nodes_removed, delta.nodes_inserted), (2, 0));
+            assert_eq!(
+                delta.removed_labels,
+                BTreeSet::from(["B".to_owned(), "C".to_owned()])
+            );
+            assert_eq!(
+                (delta.report.nodes_after, delta.report.literals_after),
+                (1, 0)
+            );
+        }
     }
 
     #[test]

@@ -26,14 +26,19 @@
 //! whose children those merges changed. The *region* scope applies the
 //! same rule from the first pass on: on a tree that was already a
 //! fixpoint, an update step changes nothing outside the subtrees it
-//! grafted and the parents it grafted under or detached from. Cleaning a
-//! node depends only on its own condition and its ancestors', pruning only
-//! on its own, and the merge at a parent only on that parent's children;
-//! the merge-group limit (`MAX_MERGE_GROUP`) states the one rule that
-//! keeps the merge exact.
+//! grafted or strengthened in place, their parents, and the parents it
+//! detached from. Cleaning a node depends only on its own condition and
+//! its ancestors', pruning only on its own, and the merge at a parent
+//! only on that parent's children; the merge-group limit
+//! (`MAX_MERGE_GROUP`) states the one rule that keeps the merge exact.
 //!
-//! The passes read and rewrite arena nodes only: a simplifying step
-//! copies its survivors deep, as the merge its covers.
+//! The passes read and rewrite arena nodes only. A deletion keeps each
+//! target in place as its first survivor, under a stronger condition, and
+//! copies its other survivors deep, as the merge copies its covers; in the
+//! region scope a kept target is fresh, since cleaning below it depends
+//! on the literals it gained. A sweep skips a parent whose children hold
+//! no complementary pair of literals before it hashes anything: no child
+//! of such a parent is a merge candidate.
 //!
 //! A run never renumbers nodes: dropped and merged-away nodes are detached
 //! in place, and merge covers are appended to the arena.
@@ -76,8 +81,8 @@ const MAX_MERGE_GROUP: usize = 1024;
 pub(crate) struct Touched {
     /// Arena length of the base frame.
     pub(crate) base_len: usize,
-    /// Roots of the grafted subtrees (insertions, survivor copies, merge
-    /// covers).
+    /// Roots of the grafted subtrees (insertions, survivor copies past a
+    /// target's first survivor, merge covers).
     pub(crate) grafted: Vec<NodeId>,
     /// Roots of the detached subtrees, each with its parent.
     pub(crate) detached: Vec<(NodeId, NodeId)>,
@@ -85,6 +90,10 @@ pub(crate) struct Touched {
     /// each with the number of literals it dropped (a node rewritten
     /// twice is listed twice).
     pub(crate) rewritten: Vec<(NodeId, usize)>,
+    /// Deletion targets kept in place as their first survivor, each with
+    /// its base condition and the number of literals the strengthened
+    /// condition added to it.
+    pub(crate) strengthened: Vec<(NodeId, Condition, usize)>,
 }
 
 impl Touched {
@@ -95,6 +104,7 @@ impl Touched {
             grafted: Vec::new(),
             detached: Vec::new(),
             rewritten: Vec::new(),
+            strengthened: Vec::new(),
         }
     }
 }
@@ -116,19 +126,26 @@ pub(crate) struct Census {
     pub(crate) inserted_literals: usize,
     /// Labels of those nodes.
     pub(crate) inserted_labels: BTreeSet<String>,
-    /// Rewritten base nodes that are still reachable.
+    /// Rewritten base nodes that are still reachable: every node a
+    /// cleaning or pruning walk rewrote, and every strengthened target
+    /// whose condition differs from its base condition at the end.
     pub(crate) rewritten: BTreeSet<NodeId>,
     /// Literals the rewrites of base nodes dropped, whether or not the
     /// node is still reachable.
     pub(crate) rewritten_literals: usize,
+    /// Literals the strengthened targets gained, whether or not the node
+    /// is still reachable.
+    pub(crate) gained_literals: usize,
     /// Nodes the census walked or checked.
     pub(crate) visited: usize,
 }
 
 impl Census {
     /// Counts the base nodes below the detached roots, the arena subtrees
-    /// below the still-reachable grafted roots, and the rewritten base
-    /// nodes of `touched`.
+    /// below the still-reachable grafted roots, and the rewritten and
+    /// strengthened base nodes of `touched`. A strengthened target counts
+    /// as rewritten only if its condition still differs from its base
+    /// condition: cleaning or pruning may have taken back what it gained.
     pub(crate) fn of(tree: &ProbTree, touched: &Touched) -> Census {
         let mut census = Census::default();
         let mut seen: HashSet<NodeId> = HashSet::new();
@@ -173,6 +190,19 @@ impl Census {
                 census.rewritten.insert(node);
             }
         }
+        for (node, base, gained) in &touched.strengthened {
+            census.visited += 1;
+            census.gained_literals += gained;
+            let changed = tree.tree().is_attached(*node)
+                && tree
+                    .condition_ref(*node)
+                    .map_or(!base.is_empty(), |condition| condition != base);
+            if changed {
+                census.rewritten.insert(*node);
+            } else {
+                census.rewritten.remove(node);
+            }
+        }
         census
     }
 
@@ -180,7 +210,9 @@ impl Census {
     pub(crate) fn size_after(&self, nodes: usize, literals: usize) -> (usize, usize) {
         (
             nodes - self.removed_nodes + self.inserted_nodes,
-            literals - self.rewritten_literals - self.removed_literals + self.inserted_literals,
+            literals + self.gained_literals + self.inserted_literals
+                - self.rewritten_literals
+                - self.removed_literals,
         )
     }
 }
@@ -279,13 +311,27 @@ struct Run {
 impl Run {
     /// Turns an update step's changes into the first pass's work: the
     /// grafted subtrees are fresh, and the parents the step grafted under
-    /// or detached from are marked.
+    /// or detached from are marked. A strengthened target is fresh too,
+    /// because cleaning its descendants depends on the literals it
+    /// gained, and its parent is marked, because a conditioned child
+    /// changed; the parents inside it keep their children's shapes.
     fn start_region(&mut self) {
         let touched = std::mem::replace(&mut self.touched, Touched::new(0));
         for &(parent, root) in &touched.detached {
             if self.work.tree().is_attached(parent) {
                 let conditioned = self.work.condition_ref(root).is_some();
                 self.mark_child(parent, conditioned);
+            }
+        }
+        for &(target, ..) in &touched.strengthened {
+            if self.work.tree().is_attached(target) {
+                self.fresh.push(target);
+                let parent = self
+                    .work
+                    .tree()
+                    .parent(target)
+                    .expect("a deletion target is not the root");
+                self.mark_child(parent, true);
             }
         }
         for &root in &touched.grafted {
@@ -430,9 +476,9 @@ impl Run {
     /// survives pruning, and the Shannon expansion only branches on
     /// mentioned events).
     fn merge_at(&mut self, parent: NodeId, codes: &mut ShapeCodes) -> usize {
-        let children: Vec<NodeId> = self.work.tree().children(parent).to_vec();
+        let children = self.work.tree().children(parent);
         self.visited += children.len();
-        let candidates = merge_candidates(&self.work, &children);
+        let candidates = merge_candidates(&self.work, children);
         if candidates.len() < 2 {
             return 0;
         }
@@ -502,8 +548,20 @@ impl Run {
 /// The children that could join a clique of pairwise mutually exclusive
 /// root conditions, in child order: those with a literal whose complement
 /// a same-label sibling holds. Two conditions are disjoint only through
-/// such a pair, so every other child would form a clique of its own.
+/// such a pair, so every other child would form a clique of its own. When
+/// no two of the children's literals are complementary, whatever their
+/// labels, no child is a candidate, and the children's literals, sorted,
+/// show it before anything is hashed.
 fn merge_candidates(tree: &ProbTree, children: &[NodeId]) -> Vec<NodeId> {
+    let mut literals: Vec<Literal> = children
+        .iter()
+        .filter_map(|&child| tree.condition_ref(child))
+        .flat_map(|condition| condition.literals().iter().copied())
+        .collect();
+    literals.sort_unstable();
+    if !literals.windows(2).any(|pair| pair[1] == pair[0].negated()) {
+        return Vec::new();
+    }
     let mut holders: HashMap<(&str, Literal), usize> = HashMap::new();
     for &child in children {
         if let Some(condition) = tree.condition_ref(child) {
@@ -512,9 +570,6 @@ fn merge_candidates(tree: &ProbTree, children: &[NodeId]) -> Vec<NodeId> {
                 *holders.entry((label, literal)).or_insert(0) += 1;
             }
         }
-    }
-    if holders.len() < 2 {
-        return Vec::new();
     }
     children
         .iter()

@@ -257,14 +257,14 @@ fn warehouse_view_matches_a_fresh_prepare_after_every_round() {
     );
 }
 
-/// A rebase: a one-service skeleton holds one `keyword` fact with a
-/// `value` child, and each confidence-0.5 retraction of it detaches the
-/// fact's two nodes and appends a survivor copy. Detached slots grow by
-/// two per commit while the frame keeps 5 live nodes, until the first
-/// commit whose base frame holds more detached slots than live nodes
-/// compacts it. A `service[name]` view is off every retraction's labels:
-/// it patches until the rebase, re-prepares once behind it, and patches
-/// again after it.
+/// A rebase: a one-service skeleton holds one certain `keyword` fact with
+/// a `value` child. A confidence-1 retraction leaves the fact no
+/// survivor, so it detaches its two nodes, and the next claim appends the
+/// fact again. Detached slots grow by two per round while the frame
+/// holds 3 or 5 live nodes, until the first commit whose base frame holds
+/// more detached slots than live nodes compacts it. A `service[name]`
+/// view is off every commit's labels: it patches until the rebase,
+/// re-prepares once behind it, and patches again after it.
 #[test]
 fn a_rebase_restarts_the_log_and_a_lagging_view_reprepares_once() {
     use pxml_core::update::{ProbabilisticUpdate, UpdateOperation};
@@ -282,7 +282,15 @@ fn a_rebase_restarts_the_log_and_a_lagging_view_reprepares_once() {
     let retract = {
         let mut q = PatternQuery::new(Some("service"));
         let fact = q.add_child(q.root(), "keyword");
-        ProbabilisticUpdate::new(UpdateOperation::delete(q, fact), 0.5)
+        ProbabilisticUpdate::new(UpdateOperation::delete(q, fact), 1.0)
+    };
+    // Retract, claim again, retract, ...
+    let round = |commit: usize| {
+        if commit.is_multiple_of(2) {
+            &retract
+        } else {
+            &insert
+        }
     };
     let mut query = PatternQuery::new(Some("service"));
     query.add_child(query.root(), "name");
@@ -292,11 +300,11 @@ fn a_rebase_restarts_the_log_and_a_lagging_view_reprepares_once() {
     engine.apply_doc(&mut doc, &insert);
     let mut view = doc_view(&doc, &query);
     let mut rebase = None;
-    for _ in 0..8 {
+    for commit in 0..8 {
         let base = doc.snapshot();
         let live = base.num_nodes();
         let rebases = base.tree().arena_len() - live > live;
-        let delta = engine.apply_doc(&mut doc, &retract);
+        let delta = engine.apply_doc(&mut doc, round(commit));
         if rebases {
             rebase = Some((base, delta));
             break;
@@ -312,7 +320,7 @@ fn a_rebase_restarts_the_log_and_a_lagging_view_reprepares_once() {
         assert_matches_fresh(&view, &doc, &query);
     }
     let (base, delta) = rebase.expect("detached slots outgrow the live nodes");
-    assert_eq!(doc.epoch(), 5, "the fourth retraction rebases");
+    assert_eq!(doc.epoch(), 5, "the second claim after the view rebases");
     let map = delta
         .node_map
         .as_ref()
@@ -357,9 +365,9 @@ fn a_rebase_restarts_the_log_and_a_lagging_view_reprepares_once() {
         .register_view("doc", "names", Arc::new(query.clone()))
         .unwrap();
     let mut rebases = 0;
-    for _ in 0..5 {
+    for commit in 0..5 {
         let before = warehouse.hub_stats("doc").unwrap();
-        let delta = warehouse.commit("doc", &retract).unwrap();
+        let delta = warehouse.commit("doc", round(commit)).unwrap();
         warehouse.expected_matches("doc", "names").unwrap();
         let after = warehouse.hub_stats("doc").unwrap();
         let rebased = u64::from(delta.node_map.is_some());

@@ -423,16 +423,19 @@ fn forks_inherit_the_fixpoint_status() {
 
 /// Node ids stay put: a whole-scope insertion, a region-scope retraction
 /// and an unmatched step each keep every surviving node of the frame
-/// before them at its id, with its label and condition, and detach the
-/// removed ones in place. `skeleton` numbers each service's `name` right
-/// after the service, unlike a compaction's order, so a commit that
-/// renumbered the frame would show.
+/// before them at its id, with its label, and detach the removed ones in
+/// place. The retraction keeps each target as its one survivor under a
+/// stronger condition: the three facts count in `delta.rewritten`, not as
+/// detached, and every other node keeps its condition. `skeleton` numbers
+/// each service's `name` right after the service, unlike a compaction's
+/// order, so a commit that renumbered the frame would show.
 #[test]
 fn ids_survive_commits_until_a_rebase() {
     let engine = UpdateEngine::new();
     let mut doc = Document::new(skeleton(3));
+    let claim = || insert_leaf(PatternQuery::new(Some("service")), "keyword");
     let steps = [
-        insert_leaf(PatternQuery::new(Some("service")), "keyword"),
+        claim(),
         delete_label("keyword", 0.5),
         delete_label("nothing", 0.5),
     ];
@@ -452,27 +455,40 @@ fn ids_survive_commits_until_a_rebase() {
                 after.tree().label(node),
                 "{node:?} keeps its label"
             );
-            assert_eq!(before.condition(node), after.condition(node));
+            if !delta.rewritten.contains(&node) {
+                assert_eq!(before.condition(node), after.condition(node));
+            }
         }
         assert_eq!(detached, delta.nodes_removed);
         assert!(delta.node_map.is_none(), "no commit here rebases");
-        scopes.push((delta.report.scope, delta.report.matches));
+        scopes.push((
+            delta.report.scope,
+            delta.report.matches,
+            delta.nodes_removed,
+            delta.rewritten.len(),
+        ));
     }
     assert_eq!(
         scopes,
         [
-            (StepScope::Whole, 3),
-            (StepScope::Region, 3),
-            (StepScope::Region, 0)
+            (StepScope::Whole, 3, 0, 0),
+            (StepScope::Region, 3, 0, 3),
+            (StepScope::Region, 0, 0, 0)
         ]
     );
-    // Each retraction detaches three facts. The first commit whose base
-    // frame holds more detached slots than live nodes rebases, in the
+    // A confidence-1 retraction leaves no survivor, so it detaches the
+    // three facts; a claim appends three more. The first commit whose
+    // base frame holds more detached slots than live nodes rebases, in the
     // region scope and in its whole-scope oracle alike.
-    for _ in 0..8 {
+    for round in 0..12usize {
+        let update = if round.is_multiple_of(2) {
+            delete_label("keyword", 1.0)
+        } else {
+            claim()
+        };
         let base = doc.snapshot();
         let live = base.num_nodes();
-        let delta = commit_checked(&engine, &mut doc, &delete_label("keyword", 0.5));
+        let delta = commit_checked(&engine, &mut doc, &update);
         let rebased = base.tree().arena_len() - live > live;
         assert_eq!(delta.node_map.is_some(), rebased);
         if rebased {
