@@ -60,7 +60,7 @@ pub struct QueryAnalysis {
     /// ([`pxml_core::PreparedQuery::maintain`]) keys on. `None` when no
     /// bounded set exists — e.g. some pattern node is a label wildcard, in
     /// which case an update to *any* label could create or destroy answers
-    /// and maintenance must re-prepare.
+    /// and maintenance re-matches at the appended nodes of every commit.
     pub maintenance_footprint: Option<BTreeSet<String>>,
 }
 

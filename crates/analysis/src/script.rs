@@ -171,20 +171,21 @@ pub enum MaintenancePrediction {
     /// The step writes a label on the query's spine: maintenance is
     /// expected to patch by re-matching around the nodes the step
     /// appends, dropping the answers it detaches
-    /// ([`pxml_core::query::Query::evaluate_appended`]), for a join-free
-    /// pattern; a query that cannot re-match there, such as a pattern
-    /// with joins, re-prepares. A deletion whose targets keep one
-    /// survivor each moves no label at run time: it keeps each target in
-    /// place under a stronger condition, and maintenance patches by
-    /// rebuilding the unions of the answers through the rewritten nodes,
-    /// with no re-match, for any query. The lint stays conservative: it
-    /// reads the step's syntax, not the survivors it will have.
+    /// ([`pxml_core::query::Query::evaluate_appended`]), for any pattern;
+    /// a foreign query that cannot re-match there re-prepares. A deletion
+    /// whose targets keep one survivor each moves no label at run time:
+    /// it keeps each target in place under a stronger condition, and
+    /// maintenance patches by rebuilding the unions of the answers
+    /// through the rewritten nodes, with no re-match, for any query. The
+    /// lint stays conservative: it reads the step's syntax, not the
+    /// survivors it will have.
     SpineTouching {
         /// A label witnessing the intersection.
         witness: String,
     },
     /// No bounded verdict: the step's writes or the query's footprint
-    /// are not statically bounded.
+    /// are not statically bounded. A pattern still patches, re-matching
+    /// at the nodes the step appends when its footprint is unbounded.
     Unbounded,
 }
 

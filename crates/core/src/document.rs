@@ -47,12 +47,12 @@
 //! [`PreparedQuery::maintain`](crate::PreparedQuery::maintain), the one
 //! maintenance entry point, reads the pending deltas
 //! ([`Document::deltas_since`]) in one pass to patch prepared state in
-//! place. When a pending delta's labels meet the query's footprint, the
-//! patch re-matches the query only around the arena slots the deltas
-//! appended; a rewritten node only rebuilds the condition unions of the
-//! answers holding it. The patch falls back to a full re-prepare only
-//! when the query cannot re-match there, its footprint is unbounded, or
-//! the log no longer covers the prepared epoch.
+//! place. When a pending delta's labels meet the query's footprint, or
+//! the query has none, the patch re-matches the query only around the
+//! arena slots the deltas appended; a rewritten node only rebuilds the
+//! condition unions of the answers holding it. The patch falls back to a
+//! full re-prepare only when the query cannot re-match there or the log
+//! no longer covers the prepared epoch.
 //!
 //! Snapshots are cheap ([`Document::snapshot`] clones an `Arc`), so
 //! readers hold on to the exact epoch they prepared against while the

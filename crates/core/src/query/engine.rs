@@ -82,7 +82,7 @@ impl QueryEngine {
     ///
     /// The query runs on the underlying data tree through
     /// [`Query::evaluate`] (for [`crate::PatternQuery`] this is the
-    /// span-indexed matcher); each answer's condition union is a single
+    /// seeded matcher); each answer's condition union is a single
     /// sorted merge over its node conditions and is interned so equal
     /// unions share one condition and one lazily-computed probability.
     /// Cost: `time(Q(t)) + O(|Q(t)| · |T|)` (Proposition 2) — with no
@@ -113,9 +113,14 @@ impl QueryEngine {
 
 /// The one place prepared state is built — shared by both entry points
 /// and by the maintenance fallback, so all three produce byte-identical
-/// layouts (answer order, interning order, empty caches).
+/// layouts (answer order, interning order, empty caches). The answers
+/// ascend by node set, which point lookups search and maintenance merges
+/// in; a query whose answers do not ascend already is sorted once here.
 fn build_prepared(source: Source<'_>) -> PreparedQuery<'_> {
-    let subtrees = source.query().evaluate(source.tree().tree());
+    let mut subtrees = source.query().evaluate(source.tree().tree());
+    if !subtrees.is_sorted() {
+        subtrees.sort_unstable();
+    }
     let footprint = source.query().label_footprint();
     let mut prepared = PreparedQuery {
         source,
@@ -128,7 +133,6 @@ fn build_prepared(source: Source<'_>) -> PreparedQuery<'_> {
         tie_keys: std::iter::repeat_with(OnceLock::new)
             .take(subtrees.len())
             .collect(),
-        by_subtree: OnceLock::new(),
         semiring: Mutex::new(SemiringCaches::default()),
     };
     for subtree in subtrees {
@@ -239,8 +243,9 @@ type CachedSemiringValue = Option<Box<dyn Any + Send>>;
 /// Cumulative maintenance telemetry of one [`PreparedQuery`] — the
 /// counters the cross-check suites use to prove the patched path did not
 /// silently fall back ([`fallbacks`](MaintainStats::fallbacks) stays 0
-/// between rebases for a query with a bounded footprint that re-matches at
-/// the appended nodes) and did less work than re-preparing
+/// between rebases for every [`crate::PatternQuery`], and for any query
+/// that re-matches at the appended nodes under a sound footprint) and did
+/// less work than re-preparing
 /// ([`unions_rebuilt`](MaintainStats::unions_rebuilt) vs the fresh
 /// prepare's one-union-per-answer).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -263,7 +268,8 @@ pub struct MaintainStats {
     /// Data nodes the re-matches read ([`Query::evaluate_appended`]'s
     /// count): the appended slots, the candidate roots and the candidates
     /// tested against a pattern node. A patch whose deltas meet no
-    /// footprint label re-matches nothing.
+    /// footprint label re-matches nothing; a query without a footprint
+    /// re-matches on every patch.
     pub rematch_visited: usize,
 }
 
@@ -286,18 +292,16 @@ pub enum MaintainOutcome {
     },
 }
 
-/// Why [`PreparedQuery::maintain`] fell back to a full re-prepare.
+/// Why [`PreparedQuery::maintain`] fell back to a full re-prepare. A
+/// [`crate::PatternQuery`] falls back only behind a trimmed or restarted
+/// log; the other two reasons concern foreign [`Query`] implementations.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FallbackReason {
-    /// The query reports no finite label footprint
-    /// ([`Query::label_footprint`] returned `None`, e.g. a pattern with a
-    /// label wildcard), so no delta can be proven harmless.
-    UnboundedFootprint,
-    /// A delta inserted or removed a label inside the query's footprint,
-    /// and the query cannot find its answers through the appended nodes
-    /// ([`Query::evaluate_appended`] returned `None`, as for a pattern with
-    /// joins or a query that does not provide it): only re-matching the
-    /// whole tree can tell the new match set.
+    /// A delta inserted or removed a label inside the query's footprint
+    /// (every delta does, for a query without one), and the query cannot
+    /// find its answers through the appended nodes: it does not provide
+    /// [`Query::evaluate_appended`], so only evaluating the whole tree can
+    /// tell the new match set.
     SpineTouched,
     /// The document's delta log no longer covers this state's epoch: it
     /// was trimmed at capacity, or restarted by a rebase — a commit that
@@ -345,7 +349,7 @@ impl std::fmt::Display for MaintainError {
 impl std::error::Error for MaintainError {}
 
 /// The shared state [`QueryEngine::prepare`] computes once per
-/// `(tree, query)` pair: the match set (in [`Query::evaluate`] order) and
+/// `(tree, query)` pair: the match set (ascending by node set) and
 /// the interned per-answer condition unions. Everything else —
 /// probabilities, tie-break keys, rankings — is computed on demand and
 /// cached where re-use pays (probabilities per interned condition,
@@ -370,9 +374,6 @@ pub struct PreparedQuery<'a> {
     /// Lazily-built canonical tie-break key of each answer, kept by
     /// patches.
     tie_keys: Vec<OnceLock<String>>,
-    /// Answer indices sorted by node set — built lazily on the first
-    /// point lookup, so one-shot consumers never pay for the sort.
-    by_subtree: OnceLock<Vec<usize>>,
     /// Lazily-computed per-condition values of non-`f64` semirings,
     /// keyed by semiring type (see
     /// [`PreparedQuery::answers_in_cached`]). A `Mutex` rather than a
@@ -402,7 +403,8 @@ impl<'a> PreparedQuery<'a> {
     }
 
     /// The label footprint maintenance checks deltas against (`None` =
-    /// unbounded, every maintenance call re-prepares).
+    /// unbounded: every delta counts as meeting it, so every patch
+    /// re-matches at the appended nodes).
     pub fn footprint(&self) -> Option<&BTreeSet<String>> {
         self.footprint.as_ref()
     }
@@ -424,12 +426,13 @@ impl<'a> PreparedQuery<'a> {
     /// [footprint](Query::label_footprint)
     /// ([`Query::evaluate_appended`]), merges what it finds into the
     /// answer order, rebuilds the condition unions of answers holding a
-    /// node some delta rewrote, and swaps the snapshot and the stamp.
-    /// Falls back to a full re-prepare against the current epoch when the
-    /// footprint is unbounded, a pending delta touches it and the query
-    /// cannot re-match at the appended nodes, or the delta log no longer
-    /// covers the state's epoch (trimmed at capacity, or restarted by a
-    /// rebase); the state is up to date on return either way.
+    /// node some delta rewrote, and swaps the snapshot and the stamp. A
+    /// query without a footprint, such as a pattern with a wildcard,
+    /// re-matches on every patch. Falls back to a full re-prepare against
+    /// the current epoch when a pending delta meets the footprint and the
+    /// query cannot re-match at the appended nodes, or the delta log no
+    /// longer covers the state's epoch (trimmed at capacity, or restarted
+    /// by a rebase); the state is up to date on return either way.
     ///
     /// Patched state serves what a fresh prepare on the document's current
     /// tree serves: the same answers in the same order, the same distinct
@@ -468,31 +471,32 @@ impl<'a> PreparedQuery<'a> {
     /// answer keeps its node set, and its place relative to the other
     /// survivors. The plan reads everything before the state is mutated:
     /// the re-match at the slots past the snapshot's arena (only when a
-    /// delta meets the footprint), then, only when a delta removed or
-    /// rewrote a node, each answer against the new snapshot. An answer
-    /// with a node the frame no longer reaches is dropped, or falls back
-    /// when no delta met the footprint. One with a node some delta
-    /// rewrote is dirty: its union is rebuilt. Clean answers keep their
-    /// union slot and its cached values — the union is over unchanged
-    /// node conditions, every semiring's value depends only on the events
-    /// the condition mentions, and the event table only ever grows, so
-    /// each value is identical to what a fresh prepare would compute; a
-    /// rebuilt or new union equal to a held one shares its slot for the
-    /// same reason. Every surviving answer keeps its tie-break key: the
-    /// key is the canonical form of the answer's induced tree, and
-    /// between rebases neither its node set, nor its nodes' labels, nor
-    /// the parent edges among them change.
+    /// delta meets the footprint, and always without one), then, only when
+    /// a delta removed or rewrote a node, each answer against the new
+    /// snapshot. An answer with a node the frame no longer reaches is
+    /// dropped, or falls back when no delta met the footprint. One with a
+    /// node some delta rewrote is dirty: its union is rebuilt. Clean
+    /// answers keep their union slot and its cached values — the union is
+    /// over unchanged node conditions, every semiring's value depends only
+    /// on the events the condition mentions, and the event table only ever
+    /// grows, so each value is identical to what a fresh prepare would
+    /// compute; a rebuilt or new union equal to a held one shares its slot
+    /// for the same reason. Every surviving answer keeps its tie-break
+    /// key: the key is the canonical form of the answer's induced tree,
+    /// and between rebases neither its node set, nor its nodes' labels,
+    /// nor the parent edges among them change.
     fn patch<'d>(
         &mut self,
         doc: &Document,
         pending: impl ExactSizeIterator<Item = &'d UpdateDelta> + Clone,
     ) -> MaintainOutcome {
-        let Some(footprint) = &self.footprint else {
-            return self.reprepare(doc, FallbackReason::UnboundedFootprint);
-        };
         let snapshot = doc.snapshot();
         let tree = snapshot.tree();
-        let found = if pending.clone().any(|delta| delta.touches(footprint)) {
+        let touched = self
+            .footprint
+            .as_ref()
+            .is_none_or(|footprint| pending.clone().any(|delta| delta.touches(footprint)));
+        let found = if touched {
             let first = self.tree().tree().arena_len();
             match self.query().evaluate_appended(tree, first) {
                 Some(found) => Some(found),
@@ -593,7 +597,6 @@ impl<'a> PreparedQuery<'a> {
         }
         self.answers = answers;
         self.tie_keys = tie_keys;
-        self.by_subtree = OnceLock::new();
         self.maint.unions_rebuilt += rebuilt;
         self.maint.unions_carried += carried;
         if released {
@@ -763,25 +766,18 @@ impl<'a> PreparedQuery<'a> {
     }
 
     /// The probability of the answer with exactly this node set, or
-    /// `None` if the query did not return it. Point lookup via binary
-    /// search over a sorted index built (and cached) on first use — no
-    /// re-evaluation, and no sorting cost for consumers that never ask.
+    /// `None` if the query did not return it: a binary search of the
+    /// answers, which ascend by node set, with no re-evaluation.
     pub fn probability_of(&self, subtree: &SubDataTree) -> Option<f64> {
-        let by_subtree = self.subtree_index();
-        by_subtree
-            .binary_search_by(|&i| self.answers[i].subtree.cmp(subtree))
-            .ok()
-            .map(|pos| self.probability(by_subtree[pos]))
+        self.position_of(subtree)
+            .map(|index| self.probability(index))
     }
 
-    /// The sorted-by-subtree answer index backing point lookups, built
-    /// (and cached) on first use and shared by every semiring.
-    fn subtree_index(&self) -> &[usize] {
-        self.by_subtree.get_or_init(|| {
-            let mut index: Vec<usize> = (0..self.answers.len()).collect();
-            index.sort_unstable_by(|&a, &b| self.answers[a].subtree.cmp(&self.answers[b].subtree));
-            index
-        })
+    /// The position of the answer with exactly this node set.
+    fn position_of(&self, subtree: &SubDataTree) -> Option<usize> {
+        self.answers
+            .binary_search_by(|answer| answer.subtree.cmp(subtree))
+            .ok()
     }
 
     /// The semiring value of the `index`-th answer's condition union —
@@ -898,18 +894,14 @@ impl<'a> PreparedQuery<'a> {
     /// The semiring value of the answer with exactly this node set, or
     /// `None` if the query did not return it —
     /// [`PreparedQuery::probability_of`] generalized over any
-    /// [`Semiring`], via the same cached sorted-by-subtree point-lookup
-    /// index.
+    /// [`Semiring`], through the same binary search.
     pub fn probability_of_in<S: Semiring>(
         &self,
         semiring: &S,
         subtree: &SubDataTree,
     ) -> Option<S::Value> {
-        let by_subtree = self.subtree_index();
-        by_subtree
-            .binary_search_by(|&i| self.answers[i].subtree.cmp(subtree))
-            .ok()
-            .map(|pos| self.value_in(semiring, by_subtree[pos]))
+        self.position_of(subtree)
+            .map(|index| self.value_in(semiring, index))
     }
 
     /// The expected number of answers over the possible worlds — by
@@ -1059,8 +1051,8 @@ impl<'a> PreparedQuery<'a> {
 
     /// Rank order: probability descending, then the canonical form of the
     /// answer tree under multiset semantics (deterministic across runs and
-    /// independent of node identities), then match order — the
-    /// [`Query::evaluate`] output position. The order is **total**, so the
+    /// independent of node identities), then match order — the answer's
+    /// position in the prepared state. The order is **total**, so the
     /// bounded-heap [`PreparedQuery::top_k`] and the slot-ranking
     /// [`PreparedQuery::above`] select exactly the same answers in the
     /// same order.
@@ -1298,15 +1290,28 @@ mod tests {
     use pxml_tree::DataTree;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    /// A query wrapper counting `evaluate` calls — proves the match set
-    /// is computed exactly once per prepared state. Counts with an atomic
-    /// (not `Cell`) because `Query` requires `Sync`.
-    struct CountingQuery<'q> {
-        inner: &'q PatternQuery,
+    /// A foreign query wrapping a pattern: it counts `evaluate` calls —
+    /// proving the match set is computed exactly once per prepared state —
+    /// states the footprint it is given, and does not provide
+    /// `evaluate_appended`. Counts with an atomic (not `Cell`) because
+    /// `Query` requires `Sync`.
+    struct CountingQuery {
+        inner: PatternQuery,
+        footprint: Option<BTreeSet<String>>,
         evaluations: AtomicUsize,
     }
 
-    impl Query for CountingQuery<'_> {
+    impl CountingQuery {
+        fn new(inner: PatternQuery, footprint: Option<BTreeSet<String>>) -> Self {
+            CountingQuery {
+                inner,
+                footprint,
+                evaluations: AtomicUsize::new(0),
+            }
+        }
+    }
+
+    impl Query for CountingQuery {
         fn evaluate(&self, tree: &DataTree) -> Vec<SubDataTree> {
             self.evaluations.fetch_add(1, Ordering::Relaxed);
             self.inner.evaluate(tree)
@@ -1314,6 +1319,10 @@ mod tests {
 
         fn describe(&self) -> String {
             self.inner.describe()
+        }
+
+        fn label_footprint(&self) -> Option<BTreeSet<String>> {
+            self.footprint.clone()
         }
     }
 
@@ -1338,11 +1347,7 @@ mod tests {
     #[test]
     fn prepare_evaluates_the_query_exactly_once() {
         let tree = ladder(6);
-        let q = PatternQuery::new(Some("item"));
-        let counting = CountingQuery {
-            inner: &q,
-            evaluations: AtomicUsize::new(0),
-        };
+        let counting = CountingQuery::new(PatternQuery::new(Some("item")), None);
         let prepared = QueryEngine::new().prepare(&tree, &counting);
         // Serve every prepared-state consumer from the one match set.
         let top = prepared.top_k(2);
@@ -2212,8 +2217,10 @@ mod tests {
         assert_agrees_with_fresh(&prepared, &doc, &q);
     }
 
+    /// A wildcard pattern has no footprint, so every delta counts as
+    /// meeting it, and the patch re-matches at the appended nodes.
     #[test]
-    fn wildcard_patterns_always_fall_back_with_unbounded_footprint() {
+    fn wildcard_patterns_patch_by_rematching_at_the_appended_nodes() {
         let q = PatternQuery::new(None);
         let mut doc = Document::new(ladder(2));
         let mut prepared = doc_view(&doc, &q);
@@ -2221,14 +2228,68 @@ mod tests {
             prepared.footprint().is_none(),
             "wildcards have no footprint"
         );
+        assert_eq!(prepared.len(), 5);
         UpdateEngine::new().apply_doc(&mut doc, &doc_insert("catalog", "note", 0.9));
         let outcome = prepared.maintain(&doc).unwrap();
+        assert_eq!(outcome, MaintainOutcome::Patched { steps: 1 });
+        assert_eq!(prepared.len(), 6, "the note is an answer now");
+        let stats = prepared.maintenance_stats();
+        assert_eq!(stats.fallbacks, 0);
+        assert_eq!((stats.unions_rebuilt, stats.unions_carried), (1, 5));
         assert_eq!(
-            outcome,
-            MaintainOutcome::Fallback {
-                reason: FallbackReason::UnboundedFootprint
-            }
+            stats.rematch_visited, 2,
+            "the one appended slot, read once as a slot and once as a root"
         );
         assert_agrees_with_fresh(&prepared, &doc, &q);
+    }
+
+    /// A foreign query with no footprint and no `evaluate_appended` meets
+    /// every delta and cannot re-match: each commit re-prepares it, even
+    /// one that misses the labels its answers hold.
+    #[test]
+    fn a_foreign_query_that_cannot_rematch_falls_back_spine_touched() {
+        let counting = Arc::new(CountingQuery::new(PatternQuery::new(Some("item")), None));
+        let mut doc = Document::new(ladder(3));
+        let mut prepared = QueryEngine::new().prepare_doc_shared(&doc, counting.clone());
+        UpdateEngine::new().apply_doc(&mut doc, &doc_insert("sku0", "note", 0.9));
+        assert_eq!(
+            prepared.maintain(&doc),
+            Ok(MaintainOutcome::Fallback {
+                reason: FallbackReason::SpineTouched
+            })
+        );
+        assert_eq!(
+            counting.evaluations.load(Ordering::Relaxed),
+            2,
+            "the fallback evaluated the whole tree again"
+        );
+        assert_eq!(prepared.maintenance_stats().fallbacks, 1);
+        assert_agrees_with_fresh(&prepared, &doc, &counting.inner);
+    }
+
+    /// A foreign footprint that omits `item`, a label its answers hold, is
+    /// unsound: a confidence-1 retraction detaches every item while its
+    /// delta misses the footprint, so the patch finds the answers
+    /// displaced and re-prepares.
+    #[test]
+    fn an_unsound_foreign_footprint_falls_back_answer_displaced() {
+        let footprint = BTreeSet::from(["catalog".to_string()]);
+        let counting = Arc::new(CountingQuery::new(
+            PatternQuery::new(Some("item")),
+            Some(footprint),
+        ));
+        let mut doc = Document::new(ladder(3));
+        let mut prepared = QueryEngine::new().prepare_doc_shared(&doc, counting.clone());
+        assert_eq!(prepared.len(), 3);
+        let delta = UpdateEngine::new().apply_doc(&mut doc, &doc_delete("item", 1.0));
+        assert!(delta.nodes_removed > 0, "the retraction detached the items");
+        assert_eq!(
+            prepared.maintain(&doc),
+            Ok(MaintainOutcome::Fallback {
+                reason: FallbackReason::AnswerDisplaced
+            })
+        );
+        assert!(prepared.is_empty());
+        assert_agrees_with_fresh(&prepared, &doc, &counting.inner);
     }
 }

@@ -122,19 +122,20 @@ pub trait Query: Send + Sync {
 
     /// The query's *label footprint*: a finite label set such that every
     /// node any answer can ever contain is either labeled from the set or
-    /// an ancestor of such a node. `Some(labels)` licenses incremental
-    /// maintenance ([`engine::PreparedQuery::maintain`]): an update delta
-    /// inserting and removing only labels outside the set provably
-    /// preserves the match set, and one that meets the set is patched
-    /// through [`Query::evaluate_appended`] where the query provides it,
-    /// and re-prepared otherwise. `None` (the default, and the only sound
-    /// answer for label wildcards) forces maintenance to re-prepare.
+    /// an ancestor of such a node. It lets incremental maintenance
+    /// ([`engine::PreparedQuery::maintain`]) skip the re-match: an update
+    /// delta inserting and removing only labels outside the set provably
+    /// preserves the match set. A delta that meets the set, and every
+    /// delta when the footprint is `None` (the default, and the only sound
+    /// answer for label wildcards), is patched through
+    /// [`Query::evaluate_appended`] where the query provides it, and
+    /// re-prepared otherwise.
     fn label_footprint(&self) -> Option<std::collections::BTreeSet<String>> {
         None
     }
 
     /// The answers of [`Query::evaluate`] on `tree` that hold a node at
-    /// arena slot `first` or past it, in `evaluate`'s order, with the
+    /// arena slot `first` or past it, ascending by node set, with the
     /// number of data nodes the search read; `None` (the default) when the
     /// query cannot find them without evaluating the whole tree.
     ///
@@ -142,11 +143,10 @@ pub trait Query: Send + Sync {
     /// A commit keeps the id of every node it does not detach and appends
     /// the nodes it adds, so the slots from `first` on are the nodes the
     /// pending deltas inserted, and the answers of the new frame are the
-    /// old answers it still reaches plus these. A query may return `Some`
-    /// only if `evaluate` returns its answers in ascending
-    /// [`SubDataTree`] order, because maintenance merges the two lists in
-    /// that order. With `None`, a delta that meets the
-    /// [footprint](Query::label_footprint) re-prepares the state.
+    /// old answers it still reaches plus these, which maintenance merges
+    /// into the prepared state's ascending answer order. With `None`, a
+    /// delta that meets the [footprint](Query::label_footprint)
+    /// re-prepares the state.
     fn evaluate_appended(
         &self,
         _tree: &DataTree,

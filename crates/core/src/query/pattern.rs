@@ -197,8 +197,8 @@ impl PatternQuery {
     /// 3. otherwise it tries every reachable node in pre-order.
     ///
     /// The three give the same matches in the same order; they differ in
-    /// the nodes read. Descendant-axis candidates come from a pre-order
-    /// span index, built only when the pattern has a descendant edge.
+    /// the nodes read. A descendant edge walks the subtree of its parent's
+    /// match in pre-order.
     pub fn matches(&self, tree: &DataTree) -> Vec<PatternMatch> {
         self.matches_counted(tree).0
     }
@@ -206,28 +206,20 @@ impl PatternQuery {
     /// [`PatternQuery::matches`] and the data nodes the matcher read:
     /// postings walked plus candidates tested against a pattern node.
     pub(crate) fn matches_counted(&self, tree: &DataTree) -> (Vec<PatternMatch>, usize) {
-        let has_descendant_edge = self
-            .nodes
-            .iter()
-            .any(|node| matches!(node.parent, Some((_, Axis::Descendant))));
-        let index = has_descendant_edge.then(|| PreOrderIndex::new(tree));
         let mut run = MatchRun {
             query: self,
             tree,
-            index: index.as_ref(),
             split: None,
             mapping: vec![None; self.nodes.len()],
             results: Vec::new(),
             visited: 0,
         };
         if self.anchored {
-            run.try_root(tree.root());
+            run.step(0, tree.root());
         } else if let Some(roots) = self.seeded_roots(tree, &mut run.visited) {
-            roots.into_iter().for_each(|root| run.try_root(root));
-        } else if let Some(index) = &index {
-            index.order.iter().for_each(|&root| run.try_root(root));
+            roots.into_iter().for_each(|root| run.step(0, root));
         } else {
-            tree.iter().for_each(|root| run.try_root(root));
+            tree.iter().for_each(|root| run.step(0, root));
         }
         (run.results, run.visited)
     }
@@ -307,8 +299,8 @@ impl PatternQuery {
     /// nodes after it to any slot, from an appended root when the pivot is
     /// the pattern root and from an old candidate root otherwise. A child
     /// list ascends (`DataTree`'s id order), so it splits at one
-    /// `partition_point`; a descendant edge tests each candidate, and
-    /// still builds the whole tree's span index.
+    /// `partition_point`; a descendant edge walks its parent's subtree and
+    /// skips, uncounted, the candidates outside the pivot's slots.
     fn matches_appended(&self, tree: &DataTree, first: usize) -> (Vec<PatternMatch>, usize) {
         // `None` past a descendant edge: climb to the data root.
         let height = self
@@ -342,11 +334,9 @@ impl PatternQuery {
         }
         old.sort_unstable();
         old.dedup();
-        let index = height.is_none().then(|| PreOrderIndex::new(tree));
         let mut run = MatchRun {
             query: self,
             tree,
-            index: index.as_ref(),
             split: None,
             mapping: vec![None; self.nodes.len()],
             results: Vec::new(),
@@ -355,7 +345,7 @@ impl PatternQuery {
         for pivot in 0..self.nodes.len() {
             run.split = Some((first, pivot));
             let roots = if pivot == 0 { &appended } else { &old };
-            roots.iter().for_each(|&root| run.try_root(root));
+            roots.iter().for_each(|&root| run.step(0, root));
         }
         (run.results, run.visited)
     }
@@ -395,8 +385,6 @@ const SEED_SELECTIVITY: usize = 8;
 struct MatchRun<'a> {
     query: &'a PatternQuery,
     tree: &'a DataTree,
-    /// Built when the pattern has a descendant edge.
-    index: Option<&'a PreOrderIndex>,
     /// In a re-match, the first appended slot and the pivot: the pattern
     /// node that takes the match's first appended slot. `None` binds every
     /// pattern node to any slot.
@@ -451,28 +439,34 @@ impl MatchRun<'_> {
         }
     }
 
-    /// Every match whose pattern root is `candidate`.
-    fn try_root(&mut self, candidate: NodeId) {
+    /// Every match that maps pattern node `next` to `candidate`, given the
+    /// nodes before it: counts the candidate as read and, if its label
+    /// fits and the partial mapping violates no join, extends it.
+    fn step(&mut self, next: usize, candidate: NodeId) {
+        let (query, tree) = (self.query, self.tree);
         self.visited += 1;
-        if self.query.label_ok(PatternNodeId(0), self.tree, candidate) {
-            self.mapping[0] = Some(candidate);
-            self.extend(1);
-            self.mapping[0] = None;
+        if query.label_ok(PatternNodeId(next), tree, candidate) {
+            self.mapping[next] = Some(candidate);
+            if query.joins_ok(tree, &self.mapping) {
+                self.extend(next + 1);
+            }
+            self.mapping[next] = None;
         }
     }
 
+    /// Every completion of the mapping from pattern node `next` on. Each
+    /// node before it was bound by [`MatchRun::step`], which checked the
+    /// joins.
     fn extend(&mut self, next: usize) {
         let (query, tree) = (self.query, self.tree);
         if next == query.nodes.len() {
-            if query.joins_ok(tree, &self.mapping) {
-                self.results.push(PatternMatch {
-                    mapping: self
-                        .mapping
-                        .iter()
-                        .map(|m| m.expect("complete mapping"))
-                        .collect(),
-                });
-            }
+            self.results.push(PatternMatch {
+                mapping: self
+                    .mapping
+                    .iter()
+                    .map(|m| m.expect("complete mapping"))
+                    .collect(),
+            });
             return;
         }
         let (parent_pattern, axis) = query.nodes[next]
@@ -480,62 +474,20 @@ impl MatchRun<'_> {
             .expect("non-root pattern nodes have a parent");
         let parent_data = self.mapping[parent_pattern.0].expect("parents are matched first");
         let slots = self.slots(next);
-        let candidates: &[NodeId] = match (axis, self.index) {
-            (Axis::Child, _) => slots.of_children(tree.children(parent_data)),
-            (Axis::Descendant, Some(index)) => index.strict_descendants(parent_data),
-            (Axis::Descendant, None) => unreachable!("descendant edges build the index"),
-        };
-        for &candidate in candidates {
-            if axis == Axis::Descendant && !slots.admits(candidate) {
-                continue;
-            }
-            self.visited += 1;
-            if query.label_ok(PatternNodeId(next), tree, candidate) {
-                self.mapping[next] = Some(candidate);
-                // Early join pruning: partial mappings must not already
-                // violate a join.
-                if query.joins_ok(tree, &self.mapping) {
-                    self.extend(next + 1);
+        match axis {
+            Axis::Child => {
+                for &candidate in slots.of_children(tree.children(parent_data)) {
+                    self.step(next, candidate);
                 }
-                self.mapping[next] = None;
+            }
+            Axis::Descendant => {
+                for candidate in tree.iter_subtree(parent_data).skip(1) {
+                    if slots.admits(candidate) {
+                        self.step(next, candidate);
+                    }
+                }
             }
         }
-    }
-}
-
-/// Pre-order positions and subtree sizes of the reachable nodes of one
-/// data tree. Any DFS pre-order lists the subtree of a node contiguously
-/// right after the node itself, so the strict descendants of `n` are the
-/// slice `order[pos(n) + 1 .. pos(n) + size(n)]` — O(1) to obtain, built
-/// once per [`PatternQuery::matches`] call on a pattern with a descendant
-/// edge.
-struct PreOrderIndex {
-    order: Vec<NodeId>,
-    /// Indexed by `NodeId::index()`: (position in `order`, subtree size).
-    /// Entries of detached arena slots stay `(0, 0)` and are never read.
-    span: Vec<(u32, u32)>,
-}
-
-impl PreOrderIndex {
-    fn new(tree: &DataTree) -> Self {
-        let order: Vec<NodeId> = tree.iter().collect();
-        let mut span = vec![(0u32, 0u32); tree.arena_len()];
-        for (pos, &node) in order.iter().enumerate() {
-            span[node.index()] = (pos as u32, 1);
-        }
-        // Children appear after their parents in pre-order, so a reverse
-        // sweep accumulates subtree sizes bottom-up.
-        for &node in order.iter().rev() {
-            if let Some(parent) = tree.parent(node) {
-                span[parent.index()].1 += span[node.index()].1;
-            }
-        }
-        PreOrderIndex { order, span }
-    }
-
-    fn strict_descendants(&self, node: NodeId) -> &[NodeId] {
-        let (pos, size) = self.span[node.index()];
-        &self.order[pos as usize + 1..pos as usize + size as usize]
     }
 }
 
@@ -553,18 +505,14 @@ impl Query for PatternQuery {
     }
 
     /// The answers through the appended slots, from the matcher's
-    /// `matches_appended`: an answer holds a slot from `first` on exactly
-    /// when its match maps a pattern node to one, because a parent's id is
-    /// below its children's. `evaluate` returns the same sort. A pattern
-    /// with joins returns `None`, so its maintenance keeps the re-prepare.
+    /// `matches_appended`, for every pattern: an answer holds a slot from
+    /// `first` on exactly when its match maps a pattern node to one,
+    /// because a parent's id is below its children's.
     fn evaluate_appended(
         &self,
         tree: &DataTree,
         first: usize,
     ) -> Option<(Vec<SubDataTree>, usize)> {
-        if !self.joins.is_empty() {
-            return None;
-        }
         let (matches, visited) = self.matches_appended(tree, first);
         Some((induced_answers(tree, &matches), visited))
     }
@@ -581,7 +529,8 @@ impl Query for PatternQuery {
     /// A fully labeled pattern's answers bind only nodes carrying the
     /// pattern's labels (plus their ancestors, kept by the parent
     /// closure), so the label set is a sound maintenance footprint. One
-    /// wildcard makes the reachable label set unbounded — `None`.
+    /// wildcard makes the reachable label set unbounded — `None`, and
+    /// maintenance then re-matches at the appended nodes of every commit.
     fn label_footprint(&self) -> Option<BTreeSet<String>> {
         self.nodes.iter().map(|n| n.label.clone()).collect()
     }
@@ -773,8 +722,8 @@ mod tests {
 
     /// Reference matcher: identical backtracking, but every reachable node
     /// tried as the pattern root (no postings) and descendant-axis
-    /// candidates re-collected via `tree.descendants` per partial match
-    /// (no span index). Ground truth for both indexes.
+    /// candidates collected via `tree.descendants` per partial match.
+    /// Ground truth for the seeded matcher and its subtree walks.
     fn matches_naive(q: &PatternQuery, tree: &DataTree) -> Vec<PatternMatch> {
         fn extend(
             q: &PatternQuery,
@@ -828,9 +777,9 @@ mod tests {
         results
     }
 
-    /// The span index serves exactly the matches the per-partial-match
-    /// `descendants` collection used to, on a deep path where the
-    /// quadratic behaviour was worst.
+    /// The descendant walk serves exactly the matches of the naive
+    /// per-partial-match `descendants` collection, on a deep path where
+    /// every node's subtree holds the rest of the path.
     #[test]
     fn descendant_index_agrees_with_naive_on_deep_paths() {
         let mut tree = DataTree::new("A");
@@ -866,8 +815,8 @@ mod tests {
         assert_eq!(q.matches(&tree), matches_naive(&q, &tree));
     }
 
-    /// The index must ignore detached arena slots (matching runs on trees
-    /// that have been updated in place).
+    /// A descendant walk must skip detached arena slots (matching runs on
+    /// trees that have been updated in place).
     #[test]
     fn matching_after_detach_skips_detached_subtrees() {
         let mut tree = DataTree::new("A");
@@ -1094,12 +1043,12 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// `evaluate_appended` returns exactly the answers of `evaluate`
-        /// that hold a slot from `first` on, in the same order: on a tree
-        /// grown by random edits past its indexed base, cut at the base's
-        /// arena, at a random slot and at the end. A pattern with joins
-        /// returns `None`. Below it, `matches_appended` finds each match
-        /// through such a slot exactly once, joins or not.
+        /// `evaluate_appended` returns `Some` for every pattern, joins and
+        /// wildcards included, with exactly the answers of `evaluate` that
+        /// hold a slot from `first` on, in the same order: on a tree grown
+        /// by random edits past its indexed base, cut at the base's arena,
+        /// at a random slot and at the end. Below it, `matches_appended`
+        /// finds each match through such a slot exactly once.
         #[test]
         fn appended_answers_are_the_answers_through_the_appended_slots(
             seed in any::<u64>(),
@@ -1124,13 +1073,8 @@ mod tests {
                         .filter(|answer| answer.nodes().any(|node| node.index() >= first))
                         .cloned()
                         .collect();
-                    match q.evaluate_appended(data, first) {
-                        Some((found, _)) => {
-                            prop_assert!(q.joins().is_empty());
-                            prop_assert_eq!(found, through, "{:?} from slot {}", q, first);
-                        }
-                        None => prop_assert!(!q.joins().is_empty()),
-                    }
+                    let found = q.evaluate_appended(data, first).map(|(found, _)| found);
+                    prop_assert_eq!(found, Some(through), "{:?} from slot {}", q, first);
                     let (found, _) = q.matches_appended(data, first);
                     let mut found: Vec<Vec<NodeId>> =
                         found.into_iter().map(|m| m.mapping).collect();

@@ -529,14 +529,7 @@ impl UpdateEngine {
         for m in matches {
             let target = m.node(at);
             targets.push(target);
-            let cond = match_condition(original, m);
-            let gamma_target = original.condition(target);
-            let cond_ancestors = original.ancestor_condition(target);
-            // {w} ∪ (cond − (γ(µ(n)) ∪ cond_ancestors))
-            let mut root_cond = cond.minus(&gamma_target.and(&cond_ancestors));
-            if let Some(w) = new_event {
-                root_cond = root_cond.and_literal(Literal::pos(w));
-            }
+            let root_cond = match_root_condition(original, m, target, new_event);
             touched
                 .grafted
                 .push(out.graft_data_tree(target, subtree, root_cond));
@@ -581,9 +574,11 @@ impl UpdateEngine {
                 continue;
             };
             let gamma_target = out.condition(target);
-            let conditions = copied.iter().map(|d| gamma_target.and(d));
-            let copies = out.duplicate_subtree_deep(parent, target, conditions);
-            touched.grafted.extend(copies);
+            if !copied.is_empty() {
+                let conditions = copied.iter().map(|d| gamma_target.and(d));
+                let copies = out.duplicate_subtree_deep(parent, target, conditions);
+                touched.grafted.extend(copies);
+            }
             let strengthened = gamma_target.and(kept);
             let gained = strengthened.len() - gamma_target.len();
             out.set_condition(target, strengthened);
@@ -673,13 +668,7 @@ fn deletion_conditions(
             target != original.tree().root(),
             "deleting the root of a prob-tree is not supported"
         );
-        let cond = match_condition(original, m);
-        let gamma_target = original.condition(target);
-        let cond_ancestors = original.ancestor_condition(target);
-        let mut del_cond = cond.minus(&gamma_target.and(&cond_ancestors));
-        if let Some(w) = new_event {
-            del_cond = del_cond.and_literal(Literal::pos(w));
-        }
+        let del_cond = match_root_condition(original, m, target, new_event);
         by_target.entry(target).or_default().push(del_cond);
     }
     by_target
@@ -700,11 +689,25 @@ fn deletion_order(
     targets
 }
 
-/// The condition `cond` of Appendix A for one match: the union of the
-/// conditions of the nodes of the induced answer sub-datatree.
-fn match_condition(tree: &ProbTree, m: &PatternMatch) -> Condition {
+/// Appendix A's `{w} ∪ (cond − (γ(µ(n)) ∪ cond_ancestors))` for one match
+/// `m` at its designated node `target`, with `cond` the union of the
+/// conditions of the match's induced sub-datatree and `w` the update's
+/// event (none at confidence 1): the root condition of an insertion's
+/// copy, and the deletion condition of a deletion.
+fn match_root_condition(
+    tree: &ProbTree,
+    m: &PatternMatch,
+    target: NodeId,
+    new_event: Option<EventId>,
+) -> Condition {
     let sub = m.induced_subtree(tree.tree());
-    Condition::union_of(sub.nodes().filter_map(|node| tree.condition_ref(node)))
+    let cond = Condition::union_of(sub.nodes().filter_map(|node| tree.condition_ref(node)));
+    let above = tree.condition(target).and(&tree.ancestor_condition(target));
+    let root_cond = cond.minus(&above);
+    match new_event {
+        Some(w) => root_cond.and_literal(Literal::pos(w)),
+        None => root_cond,
+    }
 }
 
 /// The mutually exclusive expansion of `¬(a_1 ∧ … ∧ a_p)` used by

@@ -19,8 +19,9 @@
 //!   pass, not `d`. Node ids are stable between rebases, so the patch
 //!   renumbers no answer: it drops the answers a commit detached and
 //!   re-matches the view's query only around the nodes the commits
-//!   appended. A state behind a rebase finds its span gone from the log
-//!   and re-prepares once.
+//!   appended, for every tree pattern, wildcards and joins included. A
+//!   state behind a rebase finds its span gone from the log and
+//!   re-prepares once: the only re-prepare of a pattern view.
 //!
 //! Each state sits behind its own `RwLock`: a current state is served
 //! under the shared read lock, so fresh reads of one query run side by

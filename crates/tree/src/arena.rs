@@ -400,7 +400,7 @@ impl DataTree {
 
     /// Depth of `node` (root has depth 0).
     pub fn depth(&self, node: NodeId) -> usize {
-        self.ancestors(node).len()
+        std::iter::successors(self.parent(node), |&p| self.parent(p)).count()
     }
 
     /// Height of the tree: length of the longest root-to-leaf path, counted

@@ -14,17 +14,18 @@
 //!    the same order, bit-identical probabilities, and the same selection
 //!    counts, except that a patched state builds only the tie-break keys
 //!    it does not carry yet.
-//! 2. **No silent fallback** — when the (join-free) pattern has a bounded
-//!    footprint, every delta *must* be patched, on the footprint or off
-//!    it; an unbounded footprint must re-prepare, and so must a view
-//!    behind a rebase, whose delta announces it with a node map.
+//! 2. **No silent fallback** — every delta *must* be patched, on the
+//!    footprint or off it, for every pattern: wildcards (which have no
+//!    footprint, so every delta re-matches), descendant edges and joins
+//!    included. Only a view behind a rebase, whose delta announces it with
+//!    a node map, must re-prepare.
 //!
 //! Deterministic cases replay the warehouse scenario of Section 1 round
-//! by round against the same fresh-prepare oracle, and pin the rebase.
+//! by round against the same fresh-prepare oracle, with a labelled view
+//! and with a wildcard and a join view, and pin the rebase.
 
 mod common;
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -38,12 +39,14 @@ use common::{build_probtree, probtree_strategy, update_strategy};
 
 /// A random small pattern: up to three extra nodes hung off earlier
 /// pattern nodes, mixed axes, wildcard or concrete labels — wildcards
-/// yield unbounded footprints, exercising the mandatory-fallback arm.
+/// yield unbounded footprints, so every delta re-matches — and an
+/// optional join: a flag and two pattern node indices.
 #[derive(Clone, Debug)]
 struct PatternSpec {
     anchored: bool,
     root_label: Option<&'static str>,
     nodes: Vec<(usize, bool, Option<&'static str>)>,
+    join: (bool, usize, usize),
 }
 
 fn pattern_strategy() -> impl Strategy<Value = PatternSpec> {
@@ -52,11 +55,13 @@ fn pattern_strategy() -> impl Strategy<Value = PatternSpec> {
         any::<bool>(),
         label.clone(),
         prop::collection::vec((0usize..4, any::<bool>(), label), 0..3),
+        (any::<bool>(), 0usize..4, 0usize..4),
     )
-        .prop_map(|(anchored, root_label, nodes)| PatternSpec {
+        .prop_map(|(anchored, root_label, nodes, join)| PatternSpec {
             anchored,
             root_label,
             nodes,
+            join,
         })
 }
 
@@ -75,6 +80,13 @@ fn build_pattern(spec: &PatternSpec) -> PatternQuery {
             Axis::Child
         };
         ids.push(q.add_node(parent, axis, label));
+    }
+    // Two distinct pattern nodes, when the flag is set and there are two.
+    let (join, first, offset) = spec.join;
+    if join && ids.len() >= 2 {
+        let first = first % ids.len();
+        let second = (first + 1 + offset % (ids.len() - 1)) % ids.len();
+        q.add_join(vec![ids[first], ids[second]]);
     }
     q
 }
@@ -139,9 +151,9 @@ proptest! {
     /// Step-by-step maintenance: after every committed epoch the
     /// maintained state equals a fresh prepare, and the outcome is
     /// exactly determined by the delta — a rebase restarts the log and
-    /// MUST fall back; otherwise every delta on a bounded footprint MUST
-    /// patch (no silent fallback), whether it touches the footprint or
-    /// not.
+    /// MUST fall back; otherwise every delta MUST patch (no silent
+    /// fallback), whether it touches the footprint or not and whether or
+    /// not the pattern has one or a join.
     #[test]
     fn maintained_state_is_indistinguishable_from_a_fresh_prepare(
         spec in probtree_strategy(),
@@ -153,24 +165,20 @@ proptest! {
         let mut doc = Document::new(tree);
         let update_engine = UpdateEngine::new();
         let mut prepared = doc_view(&doc, &query);
-        let footprint: Option<BTreeSet<String>> = prepared.footprint().cloned();
         for update in &updates {
             let delta = update_engine.apply_doc(&mut doc, update);
             let outcome = prepared.maintain(&doc).unwrap();
-            match &footprint {
-                _ if delta.node_map.is_some() => prop_assert_eq!(
+            if delta.node_map.is_some() {
+                prop_assert_eq!(
                     outcome,
                     MaintainOutcome::Fallback { reason: FallbackReason::LogTrimmed }
-                ),
-                None => prop_assert_eq!(
-                    outcome,
-                    MaintainOutcome::Fallback { reason: FallbackReason::UnboundedFootprint }
-                ),
-                Some(_) => prop_assert_eq!(
+                );
+            } else {
+                prop_assert_eq!(
                     outcome,
                     MaintainOutcome::Patched { steps: 1 },
-                    "no silent fallback on a bounded footprint"
-                ),
+                    "no silent fallback"
+                );
             }
             assert_matches_fresh(&prepared, &doc, &query);
         }
@@ -192,18 +200,15 @@ proptest! {
         let mut doc = Document::new(tree);
         let update_engine = UpdateEngine::new();
         let mut prepared = doc_view(&doc, &query);
-        let footprint: Option<BTreeSet<String>> = prepared.footprint().cloned();
         let deltas: Vec<_> = updates
             .iter()
             .map(|update| update_engine.apply_doc(&mut doc, update))
             .collect();
         let outcome = prepared.maintain(&doc).unwrap();
-        let expected = match &footprint {
-            _ if deltas.iter().any(|d| d.node_map.is_some()) => {
-                MaintainOutcome::Fallback { reason: FallbackReason::LogTrimmed }
-            }
-            None => MaintainOutcome::Fallback { reason: FallbackReason::UnboundedFootprint },
-            Some(_) => MaintainOutcome::Patched { steps: updates.len() },
+        let expected = if deltas.iter().any(|d| d.node_map.is_some()) {
+            MaintainOutcome::Fallback { reason: FallbackReason::LogTrimmed }
+        } else {
+            MaintainOutcome::Patched { steps: updates.len() }
         };
         prop_assert_eq!(outcome, expected);
         assert_matches_fresh(&prepared, &doc, &query);
@@ -255,6 +260,75 @@ fn warehouse_view_matches_a_fresh_prepare_after_every_round() {
         stats.unions_rebuilt > 0 && stats.rematch_visited > 0,
         "no round re-matched: {stats:?}"
     );
+}
+
+/// The warehouse scenario of
+/// `warehouse_view_matches_a_fresh_prepare_after_every_round`, after one
+/// certain `endpoint` claim, served to two views without a footprint:
+/// `*[endpoint]`, a wildcard with an `endpoint` child, and
+/// `service[* = *]`, two wildcard children joined on their label, which a
+/// service's `name` satisfies alone. Every round meets both views, so
+/// each patch re-matches at the nodes the round appends. Every round
+/// patches with no fallback, and each view holds answers and equals a
+/// fresh prepare after every round.
+#[test]
+fn wildcard_and_join_views_patch_through_every_warehouse_round() {
+    use pxml_core::update::{ProbabilisticUpdate, UpdateOperation};
+    use pxml_tree::DataTree;
+    use pxml_workloads::warehouse::{scenario_script, skeleton, WarehouseConfig};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    let config = WarehouseConfig {
+        services: 3,
+        extraction_rounds: 10,
+        deletion_ratio: 0.2,
+    };
+    let (script, _) = scenario_script(&config, &mut StdRng::seed_from_u64(0xBEEF));
+    let mut wildcard = PatternQuery::new(None);
+    wildcard.add_child(wildcard.root(), "endpoint");
+    let mut join = PatternQuery::new(Some("service"));
+    let first = join.add_node(join.root(), Axis::Child, None);
+    let second = join.add_node(join.root(), Axis::Child, None);
+    join.add_join(vec![first, second]);
+    let claim = {
+        let q = PatternQuery::new(Some("service"));
+        let at = q.root();
+        ProbabilisticUpdate::new(
+            UpdateOperation::insert(q, at, DataTree::new("endpoint")),
+            1.0,
+        )
+    };
+    let mut doc = Document::new(skeleton(config.services));
+    let update_engine = UpdateEngine::new();
+    update_engine.apply_doc(&mut doc, &claim);
+    let queries = [wildcard, join];
+    let mut views: Vec<PreparedQuery<'static>> =
+        queries.iter().map(|query| doc_view(&doc, query)).collect();
+    for view in &views {
+        assert!(view.footprint().is_none(), "wildcards have no footprint");
+    }
+    for (round, update) in script.steps().iter().enumerate() {
+        update_engine.apply_doc(&mut doc, update);
+        for (view, query) in views.iter_mut().zip(&queries) {
+            assert_eq!(
+                view.maintain(&doc),
+                Ok(MaintainOutcome::Patched { steps: 1 }),
+                "round {round}, {query:?}"
+            );
+            assert_matches_fresh(view, &doc, query);
+            assert!(!view.is_empty(), "round {round}, {query:?}");
+        }
+    }
+    for view in &views {
+        let stats = view.maintenance_stats();
+        assert_eq!(stats.fallbacks, 0);
+        assert_eq!(stats.steps_patched, 10);
+        assert!(
+            stats.unions_rebuilt > 0 && stats.rematch_visited > 0,
+            "no round re-matched: {stats:?}"
+        );
+    }
 }
 
 /// A rebase: a one-service skeleton holds one certain `keyword` fact with

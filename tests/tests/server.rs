@@ -19,8 +19,9 @@
 //! Deterministic cases then cover the serving boundary: concurrent
 //! readers, writers committing to several documents at once, view names
 //! sharing one query's state, a refused root deletion, refused
-//! confidences, a panicking reader, a panicking semiring and a panicking
-//! maintenance pass, alone or shared.
+//! confidences, a wildcard view patched across commits, a panicking
+//! reader, a panicking semiring and a panicking maintenance pass, alone
+//! or shared.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -684,6 +685,45 @@ fn insert_under_services(label: &str, confidence: f64) -> ProbabilisticUpdate {
     )
 }
 
+/// A wildcard view has no label footprint, so every commit meets it, and
+/// its maintenance re-matches at the nodes the commit appended instead of
+/// re-preparing: across claims on and off its labels and a retraction,
+/// the hub counts one patch per commit and no fallback, and the view
+/// serves what a fresh prepare serves.
+#[test]
+fn a_wildcard_view_patches_across_commits_without_a_fallback() {
+    let warehouse = Warehouse::new();
+    warehouse.register("doc", skeleton(3)).unwrap();
+    let mut query = PatternQuery::new(None);
+    query.add_child(query.root(), "endpoint");
+    warehouse
+        .register_view("doc", "wild", Arc::new(query.clone()))
+        .unwrap();
+    let retract = {
+        let mut q = PatternQuery::new(Some("service"));
+        let fact = q.add_child(q.root(), "endpoint");
+        ProbabilisticUpdate::new(UpdateOperation::delete(q, fact), 0.6)
+    };
+    let commits = [
+        insert_under_services("endpoint", 0.8),
+        insert_under_services("contact", 0.7),
+        retract,
+        insert_under_services("endpoint", 0.9),
+    ];
+    for update in &commits {
+        warehouse.commit("doc", update).unwrap();
+        let snapshot = warehouse.snapshot("doc").unwrap();
+        let fresh = answers_against(&snapshot.tree, &query);
+        assert!(!fresh.is_empty(), "the view has live answers");
+        assert_eq!(served_answers(&warehouse, "doc", "wild"), fresh);
+    }
+    let stats = warehouse.hub_stats("doc").unwrap();
+    assert_eq!(stats.fallbacks, 0);
+    assert_eq!(stats.windows_applied, commits.len() as u64);
+    assert_eq!(stats.steps_patched, commits.len() as u64);
+    assert!(stats.unions_rebuilt > 0, "the claims added answers");
+}
+
 /// A reader whose closure panics gets its panic back, but the view it
 /// read stays usable: later reads equal a fresh prepare bit for bit, and
 /// the document's hub counters can still be read.
@@ -799,8 +839,8 @@ fn a_panicking_semiring_reader_leaves_its_view_serving() {
 }
 
 /// A foreign query with a bug only a re-prepare reaches: its second
-/// `evaluate` panics. It reports no label footprint, so every maintenance
-/// pass re-prepares.
+/// `evaluate` panics. It reports no label footprint and cannot re-match
+/// at the appended nodes, so every maintenance pass re-prepares.
 struct PanicsOnSecondEvaluate {
     pattern: PatternQuery,
     calls: AtomicUsize,
@@ -1009,7 +1049,8 @@ fn a_panic_in_shared_maintenance_is_recovered_once_for_every_name() {
 }
 
 /// A query that counts its `evaluate` calls. It reports no label
-/// footprint, so every maintenance pass re-prepares and evaluates.
+/// footprint and cannot re-match at the appended nodes, so every
+/// maintenance pass re-prepares and evaluates.
 struct CountsEvaluate {
     pattern: PatternQuery,
     calls: AtomicUsize,
