@@ -57,10 +57,12 @@ pub struct QueryAnalysis {
     pub spines: Vec<PatternSpine>,
     /// The query's *maintenance footprint*: the engine-side
     /// [`Query::label_footprint`] that incremental view maintenance
-    /// ([`pxml_core::PreparedQuery::maintain`]) keys on. `None` when no
-    /// bounded set exists — e.g. some pattern node is a label wildcard, in
-    /// which case an update to *any* label could create or destroy answers
-    /// and maintenance re-matches at the appended nodes of every commit.
+    /// ([`pxml_core::PreparedQuery::maintain`]) keys on: a pattern's
+    /// labels, wildcards skipped, when every wildcard has a labelled
+    /// pattern node below it. `None` when no bounded set exists — e.g. a
+    /// wildcard has no labelled node below it, in which case an update to
+    /// *any* label could create or destroy answers and maintenance
+    /// re-matches at the appended nodes of every commit.
     pub maintenance_footprint: Option<BTreeSet<String>>,
 }
 
@@ -252,7 +254,18 @@ mod tests {
         assert_eq!(analysis.maintenance_footprint, query.label_footprint());
         assert_eq!(analysis.maintenance_footprint, Some(analysis.footprint()));
 
-        // A wildcard anywhere unbounds the footprint — on both sides.
+        // A wildcard with a labelled node below it binds an ancestor of
+        // that label, so the footprint stays bounded — on both sides.
+        let mut above = PatternQuery::new(None);
+        above.add_child(above.root(), "endpoint");
+        let expected = Some(BTreeSet::from(["endpoint".to_owned()]));
+        assert_eq!(
+            analyze_pattern(&above, None).maintenance_footprint,
+            expected
+        );
+        assert_eq!(above.label_footprint(), expected);
+
+        // A wildcard leaf unbounds the footprint — on both sides.
         let mut wild = PatternQuery::new(Some("service"));
         wild.add_child(wild.root(), "endpoint");
         wild.add_node(wild.root(), Axis::Child, None);

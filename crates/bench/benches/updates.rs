@@ -9,6 +9,8 @@
 //! Set `PXML_BENCH_QUICK=1` (as CI's `bench-smoke` job does) for a fast
 //! smoke run with small iteration budgets.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -26,6 +28,43 @@ use pxml_workloads::paper::{d0_deletion, theorem3_tree};
 use pxml_workloads::warehouse::{scenario_script, skeleton, WarehouseConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// The system allocator, counting every `alloc` and `realloc` call, so
+/// `updates_region_commit` can pin the allocations of a frame clone and a
+/// commit.
+struct CountingAllocator;
+
+/// `alloc` and `realloc` calls since the bench started, on every thread.
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: each method passes its arguments unchanged to `System`, so what
+// the caller guarantees under `GlobalAlloc`'s contract is what `System`
+// needs; counting touches no memory the allocator hands out.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// `f`'s result and the allocations made while it ran.
+fn counting_allocations<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let out = f();
+    (out, ALLOCATIONS.load(Ordering::Relaxed) - before)
+}
 
 /// E4: insertion scaling on random prob-trees (insert an `E` child under
 /// every `L0` node, confidence 0.9).
@@ -262,7 +301,9 @@ fn bench_update_scripts(c: &mut Criterion) {
 /// view of the retraction's own pattern, maintained after each such
 /// commit, patches: the delta moves no label, so it rebuilds the fact's
 /// answer's union and re-matches nothing
-/// (`MaintainStats::rematch_visited` stays put). Then, per size,
+/// (`MaintainStats::rematch_visited` stays put). Each of the three
+/// commits, and a clone of the settled frame, makes as many allocations
+/// at every size. Then, per size,
 /// one commit is timed on an O(1) fork of the settled document (forks
 /// inherit its fixpoint status and postings), and so are its parts:
 /// cloning a frame, the match, and dropping a frame a commit derived. No
@@ -274,12 +315,11 @@ fn bench_region_commits(c: &mut Criterion) {
     /// its `fact0` child: 3 reads for 1 posting and 1 match.
     const MATCH_VISITS: usize = 3;
     const MATCH_VISITS_PER_READ: usize = 2;
-    /// Measured: 7 at every size. The arena, the condition column, the
-    /// postings column, the postings head table and the event table's
-    /// names, probabilities and name index each own their last page. The
-    /// commit writes only the fact's condition, which lies in the
-    /// condition column's last page.
-    const UNSHARED_PAGES: usize = 7;
+    /// Measured: 4 at every size. The commit writes the fact's condition,
+    /// which copies one page of the condition column, and declares a fresh
+    /// event, which copies the last page of the event table's names, of
+    /// its probabilities and of its name index.
+    const UNSHARED_PAGES: usize = 4;
     /// The nodes a view of the retracted pattern reads re-matching after a
     /// commit: none, since the delta moves no label.
     const REMATCH_VISITS: usize = 0;
@@ -297,6 +337,8 @@ fn bench_region_commits(c: &mut Criterion) {
     let mut group = c.benchmark_group("updates_region_commit");
     let mut match_visits: Vec<Vec<usize>> = Vec::new();
     let mut rematch_visits: Vec<Vec<usize>> = Vec::new();
+    let mut commit_allocations: Vec<Vec<u64>> = Vec::new();
+    let mut clone_allocations: Vec<u64> = Vec::new();
     for nodes in [2_011usize, 20_011, 100_011] {
         // `skeleton(s)` has 1 + 2s nodes; one keyword fact adds two.
         let mut tree = skeleton((nodes - 3) / 2);
@@ -312,10 +354,11 @@ fn bench_region_commits(c: &mut Criterion) {
             "a frame without postings is scanned"
         );
         let mut view = QueryEngine::new().prepare_doc_shared(&doc, Arc::new(query.clone()));
-        let (mut visits, mut rematches) = (Vec::new(), Vec::new());
+        let (mut visits, mut rematches, mut allocated) = (Vec::new(), Vec::new(), Vec::new());
         for _ in 0..3 {
             let before = doc.snapshot();
-            let delta = engine.apply_doc(&mut doc, &retract);
+            let (delta, allocs) = counting_allocations(|| engine.apply_doc(&mut doc, &retract));
+            allocated.push(allocs);
             let read_before = view.maintenance_stats().rematch_visited;
             assert_eq!(
                 view.maintain(&doc),
@@ -371,6 +414,18 @@ fn bench_region_commits(c: &mut Criterion) {
         assert!(
             rematch_visits.windows(2).all(|pair| pair[0] == pair[1]),
             "re-match visits grow with the document: {rematch_visits:?}"
+        );
+        commit_allocations.push(allocated);
+        assert!(
+            commit_allocations.windows(2).all(|pair| pair[0] == pair[1]),
+            "commit allocations grow with the document: {commit_allocations:?}"
+        );
+        let (frame, allocated) = counting_allocations(|| doc.tree().clone());
+        drop(frame);
+        clone_allocations.push(allocated);
+        assert!(
+            clone_allocations.windows(2).all(|pair| pair[0] == pair[1]),
+            "frame clone allocations grow with the document: {clone_allocations:?}"
         );
         group.bench_with_input(BenchmarkId::from_parameter(nodes), &doc, |b, doc| {
             b.iter(|| engine.apply_doc(&mut doc.fork(), &retract));

@@ -194,7 +194,7 @@ impl ProbTree {
         subtree: &DataTree,
         root_condition: Condition,
     ) -> NodeId {
-        let (new_root, _) = self.tree.graft(parent, subtree);
+        let new_root = self.tree.graft(parent, subtree);
         if !root_condition.is_empty() {
             self.store_condition(new_root, root_condition);
         }

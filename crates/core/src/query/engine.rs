@@ -403,7 +403,8 @@ impl<'a> PreparedQuery<'a> {
     }
 
     /// The label footprint maintenance checks deltas against (`None` =
-    /// unbounded: every delta counts as meeting it, so every patch
+    /// unbounded, as for a pattern with a wildcard that has no labelled
+    /// node below it: every delta counts as meeting it, so every patch
     /// re-matches at the appended nodes).
     pub fn footprint(&self) -> Option<&BTreeSet<String>> {
         self.footprint.as_ref()
@@ -427,7 +428,7 @@ impl<'a> PreparedQuery<'a> {
     /// ([`Query::evaluate_appended`]), merges what it finds into the
     /// answer order, rebuilds the condition unions of answers holding a
     /// node some delta rewrote, and swaps the snapshot and the stamp. A
-    /// query without a footprint, such as a pattern with a wildcard,
+    /// query without a footprint, such as a pattern with a wildcard leaf,
     /// re-matches on every patch. Falls back to a full re-prepare against
     /// the current epoch when a pending delta meets the footprint and the
     /// query cannot re-match at the appended nodes, or the delta log no

@@ -125,9 +125,12 @@ pub trait Query: Send + Sync {
     /// an ancestor of such a node. It lets incremental maintenance
     /// ([`engine::PreparedQuery::maintain`]) skip the re-match: an update
     /// delta inserting and removing only labels outside the set provably
-    /// preserves the match set. A delta that meets the set, and every
-    /// delta when the footprint is `None` (the default, and the only sound
-    /// answer for label wildcards), is patched through
+    /// preserves the match set. A pattern's footprint is its labels, also
+    /// when a wildcard has a labelled pattern node below it, since the
+    /// wildcard then binds an ancestor of a labelled node. A delta that
+    /// meets the set, and every delta when the footprint is `None` (the
+    /// default, and the only sound answer for a pattern with a wildcard
+    /// that has no labelled node below it), is patched through
     /// [`Query::evaluate_appended`] where the query provides it, and
     /// re-prepared otherwise.
     fn label_footprint(&self) -> Option<std::collections::BTreeSet<String>> {

@@ -526,13 +526,25 @@ impl Query for PatternQuery {
         )
     }
 
-    /// A fully labeled pattern's answers bind only nodes carrying the
-    /// pattern's labels (plus their ancestors, kept by the parent
-    /// closure), so the label set is a sound maintenance footprint. One
-    /// wildcard makes the reachable label set unbounded — `None`, and
-    /// maintenance then re-matches at the appended nodes of every commit.
+    /// The labels of the labelled pattern nodes. A match binds each of
+    /// them to a node carrying its label, and a wildcard with a labelled
+    /// pattern node below it to an ancestor of such a node, so every node
+    /// of an answer (the parent closure adds only ancestors) is labelled
+    /// from the set or an ancestor of such a node. A wildcard with no
+    /// labelled node below it binds any node — `None`, and maintenance
+    /// then re-matches at the appended nodes of every commit. One reverse
+    /// pass finds it, since children come after their parents.
     fn label_footprint(&self) -> Option<BTreeSet<String>> {
-        self.nodes.iter().map(|n| n.label.clone()).collect()
+        let mut labelled_below = vec![false; self.nodes.len()];
+        for (i, node) in self.nodes.iter().enumerate().rev() {
+            if !labelled_below[i] && node.label.is_none() {
+                return None;
+            }
+            if let Some((parent, _)) = node.parent {
+                labelled_below[parent.0] = true;
+            }
+        }
+        Some(self.nodes.iter().filter_map(|n| n.label.clone()).collect())
     }
 
     /// Positive tree patterns (with joins) are locally monotone: a match

@@ -253,7 +253,7 @@ impl FormulaProbTree {
                 parts.push(Formula::Var(Var(w.index() as u32)));
             }
             let guard = Formula::And(parts);
-            let (new_root, _) = self.tree.graft(target, subtree);
+            let new_root = self.tree.graft(target, subtree);
             if guard != Formula::And(vec![]) {
                 self.formulas.insert(new_root, guard);
             }

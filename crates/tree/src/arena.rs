@@ -1,8 +1,8 @@
 //! Arena-backed rooted unordered labeled trees.
 //!
 //! Nodes live in copy-on-write [`Pages`] and are addressed by [`NodeId`].
-//! Cloning a tree shares its full pages, and a write copies only the page
-//! it lands on. Structural mutation is limited to adding children and
+//! Cloning a tree shares its pages, and a write copies only the page it
+//! lands on. Structural mutation is limited to adding children and
 //! detaching whole subtrees, which is exactly what prob-tree updates need.
 //! Detached nodes stay in the arena (their storage is reclaimed only by
 //! [`DataTree::compact`]) but are never reached by root-based traversals,
@@ -72,7 +72,7 @@ struct NodeData {
 /// on.
 ///
 /// **Sharing.** The arena is [`Pages`] of node records. A clone shares
-/// every full page with its source and copies the last one, so cloning and
+/// every page with its source and copies no record, so cloning and
 /// dropping a tree cost O(pages); adding a child or detaching a subtree
 /// copies the pages of the records it writes, when another clone still
 /// holds them.
@@ -182,7 +182,8 @@ impl DataTree {
         Self::with_capacity(label, 1)
     }
 
-    /// [`DataTree::new`] with arena room for `capacity` nodes.
+    /// [`DataTree::new`] with room for the arena's page pointers of
+    /// `capacity` nodes.
     pub(crate) fn with_capacity(label: impl Into<String>, capacity: usize) -> Self {
         let mut nodes = Pages::with_capacity(capacity.max(1));
         nodes.push(NodeData {
@@ -259,23 +260,25 @@ impl DataTree {
     }
 
     /// Grafts a copy of `other` (the whole tree) as a new child of
-    /// `parent`. Returns the id of the copied root and a mapping from
-    /// `other`'s node ids to the new ids in `self`.
-    pub fn graft(&mut self, parent: NodeId, other: &DataTree) -> (NodeId, HashMap<NodeId, NodeId>) {
-        let mut mapping = HashMap::new();
-        let new_root = self.add_child(parent, other.label(other.root()));
-        mapping.insert(other.root(), new_root);
-        // Breadth-first copy preserves parent-before-child ordering.
-        let mut queue = vec![other.root()];
-        while let Some(src) = queue.pop() {
-            let dst = mapping[&src];
-            for &child in other.children(src) {
-                let new_child = self.add_child(dst, other.label(child));
-                mapping.insert(child, new_child);
-                queue.push(child);
+    /// `parent` and returns the id of the copied root.
+    pub fn graft(&mut self, parent: NodeId, other: &DataTree) -> NodeId {
+        let copy = self.add_child(parent, other.label(other.root()));
+        self.copy_below(copy, other, other.root());
+        copy
+    }
+
+    /// Copies the strict descendants of `node` in `source` below `copy`.
+    /// The walk is depth-first: it adds a node's children before it visits
+    /// them, each carried on the stack with its copy's id, so every copy's
+    /// id exceeds its parent's.
+    fn copy_below(&mut self, copy: NodeId, source: &DataTree, node: NodeId) {
+        let mut stack = vec![(node, copy)];
+        while let Some((node, copy)) = stack.pop() {
+            for &child in source.children(node) {
+                let child_copy = self.add_child(copy, source.label(child));
+                stack.push((child, child_copy));
             }
         }
-        (new_root, mapping)
     }
 
     /// Detaches the subtree rooted at `node` from the tree. The root cannot
@@ -463,17 +466,7 @@ impl DataTree {
     /// independent tree.
     pub fn subtree_to_tree(&self, node: NodeId) -> DataTree {
         let mut out = DataTree::new(self.label(node));
-        let mut mapping = HashMap::new();
-        mapping.insert(node, out.root());
-        let mut stack = vec![node];
-        while let Some(n) = stack.pop() {
-            let new_parent = mapping[&n];
-            for &child in self.children(n) {
-                let new_child = out.add_child(new_parent, self.label(child));
-                mapping.insert(child, new_child);
-                stack.push(child);
-            }
-        }
+        out.copy_below(out.root(), self, node);
         out
     }
 
@@ -570,11 +563,16 @@ mod tests {
         let mut other = DataTree::new("X");
         let xr = other.root();
         other.add_child(xr, "Y");
-        let (new_root, mapping) = t.graft(c, &other);
+        let new_root = t.graft(c, &other);
         assert_eq!(t.label(new_root), "X");
-        assert_eq!(mapping.len(), 2);
-        assert_eq!(t.len(), 6);
         assert_eq!(t.parent(new_root), Some(c));
+        assert_eq!(t.len(), 6);
+        let [y] = t.children(new_root) else {
+            panic!("the copy of X has one child")
+        };
+        assert_eq!(t.label(*y), "Y");
+        assert_eq!(t.parent(*y), Some(new_root));
+        assert!(t.children(*y).is_empty());
     }
 
     #[test]

@@ -1,18 +1,15 @@
 //! Fixed-size pages shared through `Arc` and copied on write.
 //!
 //! [`Pages`] is a growable sequence addressed by index, like a `Vec`, that
-//! stores its elements in pages of [`PAGE`] slots. Every full page sits
-//! behind an `Arc`, so cloning a `Pages` copies one pointer per page and
-//! the clones share every full page until one of them writes it:
-//! [`Pages::make_mut`] copies the written page if another clone still holds
-//! it. The last, partly filled page is owned by its `Pages` and copied by a
-//! clone, so pushing never copies a page.
+//! stores its elements in pages of [`PAGE`] slots. Every page sits behind
+//! an `Arc`, so cloning a `Pages` copies one pointer per page and no
+//! element, and the clones share every page until one of them writes it:
+//! [`Pages::push`] and [`Pages::make_mut`] copy the page they write if
+//! another clone still holds it.
 //!
-//! A `Pages` of fewer than [`PAGE`] elements is one owned `Vec`: small
-//! trees (a possible world, an answer) pay nothing for the paging. The
-//! stores of a prob-tree frame — the node arena, the condition column and
-//! the event table — are `Pages`, so a commit copies the pages it writes
-//! and shares the rest with the frame it came from.
+//! The stores of a prob-tree frame — the node arena, the condition column
+//! and the event table — are `Pages`, so a commit copies the pages it
+//! writes and shares the rest with the frame it came from.
 
 use std::fmt;
 use std::ops::Index;
@@ -23,84 +20,72 @@ pub const PAGE: usize = 256;
 
 /// A copy-on-write sequence of fixed-size pages; see the module docs.
 pub struct Pages<T> {
-    /// Full pages, shared by every clone until one writes them.
-    full: Vec<Arc<[T]>>,
-    /// The last page, with fewer than [`PAGE`] elements.
-    tail: Vec<T>,
+    /// Every page but the last holds [`PAGE`] elements, and none is empty.
+    pages: Vec<Arc<Vec<T>>>,
 }
 
 impl<T> Pages<T> {
     /// An empty sequence.
     pub fn new() -> Self {
-        Pages {
-            full: Vec::new(),
-            tail: Vec::new(),
-        }
+        Pages { pages: Vec::new() }
     }
 
-    /// An empty sequence with room for `capacity` elements before the
-    /// first page fills.
+    /// An empty sequence with room for the page pointers of `capacity`
+    /// elements; each page grows as its elements arrive.
     pub fn with_capacity(capacity: usize) -> Self {
         Pages {
-            full: Vec::with_capacity(capacity / PAGE),
-            tail: Vec::with_capacity(capacity.min(PAGE)),
+            pages: Vec::with_capacity(capacity.div_ceil(PAGE)),
         }
     }
 
     /// Number of elements.
     #[inline]
     pub fn len(&self) -> usize {
-        self.full.len() * PAGE + self.tail.len()
+        self.pages
+            .last()
+            .map_or(0, |last| (self.pages.len() - 1) * PAGE + last.len())
     }
 
     /// Whether the sequence has no elements.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.full.is_empty() && self.tail.is_empty()
+        self.pages.is_empty()
     }
 
     /// The element at `index`, or `None` past the end.
     #[inline]
     pub fn get(&self, index: usize) -> Option<&T> {
-        match self.full.get(index / PAGE) {
-            Some(page) => Some(&page[index % PAGE]),
-            None => self.tail.get(index - self.full.len() * PAGE),
-        }
-    }
-
-    /// Appends `value`. A page that fills is frozen behind an `Arc`.
-    pub fn push(&mut self, value: T) {
-        self.tail.push(value);
-        if self.tail.len() == PAGE {
-            let page = std::mem::replace(&mut self.tail, Vec::with_capacity(PAGE));
-            self.full.push(page.into());
-        }
+        self.pages.get(index / PAGE)?.get(index % PAGE)
     }
 
     /// The elements in index order.
     pub fn iter(&self) -> impl Iterator<Item = &T> + '_ {
-        self.full
-            .iter()
-            .flat_map(|page| page.iter())
-            .chain(&self.tail)
+        self.pages.iter().flat_map(|page| page.iter())
     }
 
-    /// Pages of `self` that `base` does not hold: the full pages whose
-    /// allocation differs from `base`'s page at the same position, plus the
-    /// owned last page when it is not empty. A clone of `base` that was
-    /// only read reports at most one; each page a write copied adds one.
+    /// Pages of `self` that `base` does not hold: those whose allocation
+    /// differs from `base`'s page at the same position. A clone of `base`
+    /// that was only read reports 0; each page a write copied or a push
+    /// added adds one.
     pub fn unshared_pages(&self, base: &Pages<T>) -> usize {
-        let copied = self
-            .full
+        self.pages
             .iter()
             .enumerate()
-            .filter(|&(i, page)| base.full.get(i).is_none_or(|b| !Arc::ptr_eq(page, b)))
-            .count();
-        copied + usize::from(!self.tail.is_empty())
+            .filter(|&(i, page)| base.pages.get(i).is_none_or(|b| !Arc::ptr_eq(page, b)))
+            .count()
     }
 }
 
 impl<T: Clone> Pages<T> {
+    /// Appends `value`, copying the last page first if another clone
+    /// shares it.
+    pub fn push(&mut self, value: T) {
+        match self.pages.last_mut() {
+            Some(last) if last.len() < PAGE => Arc::make_mut(last).push(value),
+            _ => self.pages.push(Arc::new(vec![value])),
+        }
+    }
+
     /// Mutable access to the element at `index`, copying its page first if
     /// another clone shares it.
     ///
@@ -108,11 +93,7 @@ impl<T: Clone> Pages<T> {
     /// Panics if `index` is out of bounds.
     #[inline]
     pub fn make_mut(&mut self, index: usize) -> &mut T {
-        let full = self.full.len();
-        match self.full.get_mut(index / PAGE) {
-            Some(page) => &mut Arc::make_mut(page)[index % PAGE],
-            None => &mut self.tail[index - full * PAGE],
-        }
+        &mut Arc::make_mut(&mut self.pages[index / PAGE])[index % PAGE]
     }
 }
 
@@ -123,19 +104,15 @@ impl<T> Index<usize> for Pages<T> {
     /// Panics if `index` is out of bounds.
     #[inline]
     fn index(&self, index: usize) -> &T {
-        match self.full.get(index / PAGE) {
-            Some(page) => &page[index % PAGE],
-            None => &self.tail[index - self.full.len() * PAGE],
-        }
+        &self.pages[index / PAGE][index % PAGE]
     }
 }
 
-impl<T: Clone> Clone for Pages<T> {
-    /// Shares every full page and copies the last one: O(pages + [`PAGE`]).
+impl<T> Clone for Pages<T> {
+    /// Shares every page: O(pages), whatever `T` is.
     fn clone(&self) -> Self {
         Pages {
-            full: self.full.clone(),
-            tail: self.tail.clone(),
+            pages: self.pages.clone(),
         }
     }
 }
@@ -146,7 +123,7 @@ impl<T> Default for Pages<T> {
     }
 }
 
-impl<T> FromIterator<T> for Pages<T> {
+impl<T: Clone> FromIterator<T> for Pages<T> {
     fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
         let mut pages = Pages::new();
         for value in iter {
@@ -204,11 +181,11 @@ mod tests {
     fn a_clone_shares_full_pages_until_one_side_writes() {
         let (base, model) = filled(3 * PAGE + 1);
         let mut copy = base.clone();
-        assert_eq!(copy.unshared_pages(&base), 1, "only the owned last page");
+        assert_eq!(copy.unshared_pages(&base), 0, "a read-only clone");
         *copy.make_mut(PAGE + 3) = "x".to_owned();
-        assert_eq!(copy.unshared_pages(&base), 2);
+        assert_eq!(copy.unshared_pages(&base), 1);
         *copy.make_mut(PAGE + 4) = "y".to_owned();
-        assert_eq!(copy.unshared_pages(&base), 2, "one copy per page");
+        assert_eq!(copy.unshared_pages(&base), 1, "one copy per page");
         assert_matches(&base, &model);
         for _ in 0..PAGE {
             copy.push("z".to_owned());
@@ -216,9 +193,10 @@ mod tests {
         assert_eq!(
             copy.unshared_pages(&base),
             3,
-            "the copied page, the new full page and the last page"
+            "the written page, the last page the pushes copied and the page they added"
         );
-        assert_eq!(base.unshared_pages(&base), 1);
+        assert_matches(&base, &model);
+        assert_eq!(base.unshared_pages(&base), 0);
         let (small, _) = filled(PAGE - 1);
         assert_eq!(small.unshared_pages(&Pages::new()), 1);
         assert_eq!(Pages::<String>::new().unshared_pages(&small), 0);
@@ -241,9 +219,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Random pushes, writes, clones and drops over several pages: after
-        /// every operation each live clone equals its own `Vec` model, so no
-        /// write leaks into another clone.
+        /// Random pushes, writes, clones and drops over several pages: a
+        /// fresh clone shares every page, and after every operation each
+        /// live clone equals its own `Vec` model, so no write leaks into
+        /// another clone.
         #[test]
         fn every_clone_equals_its_own_model(
             start in prop::sample::select(vec![0usize, PAGE - 1, PAGE, PAGE + 1, 2 * PAGE + 5]),
@@ -256,6 +235,7 @@ mod tests {
                 match kind {
                     0 if live.len() < 4 => {
                         let copy = live[which].clone();
+                        prop_assert_eq!(copy.0.unshared_pages(&live[which].0), 0);
                         live.push(copy);
                     }
                     1 if live.len() > 1 => {

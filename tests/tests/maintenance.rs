@@ -26,6 +26,7 @@
 
 mod common;
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -264,13 +265,15 @@ fn warehouse_view_matches_a_fresh_prepare_after_every_round() {
 
 /// The warehouse scenario of
 /// `warehouse_view_matches_a_fresh_prepare_after_every_round`, after one
-/// certain `endpoint` claim, served to two views without a footprint:
-/// `*[endpoint]`, a wildcard with an `endpoint` child, and
-/// `service[* = *]`, two wildcard children joined on their label, which a
-/// service's `name` satisfies alone. Every round meets both views, so
-/// each patch re-matches at the nodes the round appends. Every round
-/// patches with no fallback, and each view holds answers and equals a
-/// fresh prepare after every round.
+/// certain `endpoint` claim, served to two wildcard views:
+/// `*[endpoint]`, a wildcard with an `endpoint` child, whose footprint is
+/// `{endpoint}`, and `service[* = *]`, two wildcard children joined on
+/// their label, which a service's `name` satisfies alone and which has no
+/// footprint. Every round meets the join view, so each of its patches
+/// re-matches at the nodes the round appends; the `*[endpoint]` view
+/// re-matches nothing on the rounds that claim `keyword` or `contact`
+/// facts. Every round patches with no fallback, and each view holds
+/// answers and equals a fresh prepare after every round.
 #[test]
 fn wildcard_and_join_views_patch_through_every_warehouse_round() {
     use pxml_core::update::{ProbabilisticUpdate, UpdateOperation};
@@ -305,11 +308,16 @@ fn wildcard_and_join_views_patch_through_every_warehouse_round() {
     let queries = [wildcard, join];
     let mut views: Vec<PreparedQuery<'static>> =
         queries.iter().map(|query| doc_view(&doc, query)).collect();
-    for view in &views {
-        assert!(view.footprint().is_none(), "wildcards have no footprint");
-    }
+    let endpoint = BTreeSet::from(["endpoint".to_owned()]);
+    assert_eq!(views[0].footprint(), Some(&endpoint));
+    assert_eq!(views[1].footprint(), None, "wildcard leaves bound nothing");
+    let mut off_footprint_rounds = 0;
     for (round, update) in script.steps().iter().enumerate() {
-        update_engine.apply_doc(&mut doc, update);
+        let delta = update_engine.apply_doc(&mut doc, update);
+        let claims_other_facts = ["keyword", "contact"]
+            .iter()
+            .any(|&label| delta.inserted_labels.contains(label));
+        let read_before = views[0].maintenance_stats().rematch_visited;
         for (view, query) in views.iter_mut().zip(&queries) {
             assert_eq!(
                 view.maintain(&doc),
@@ -319,7 +327,16 @@ fn wildcard_and_join_views_patch_through_every_warehouse_round() {
             assert_matches_fresh(view, &doc, query);
             assert!(!view.is_empty(), "round {round}, {query:?}");
         }
+        if claims_other_facts {
+            off_footprint_rounds += 1;
+            assert_eq!(
+                views[0].maintenance_stats().rematch_visited,
+                read_before,
+                "round {round}: `*[endpoint]` re-matched off its footprint"
+            );
+        }
     }
+    assert!(off_footprint_rounds > 0, "no round claimed another fact");
     for view in &views {
         let stats = view.maintenance_stats();
         assert_eq!(stats.fallbacks, 0);
