@@ -4,11 +4,13 @@
 //! representation can do asymptotically better on average. This bench
 //! measures the construction cost as the number of worlds grows; the
 //! companion table reports sizes and the doubly-exponential counting bound.
-
-use std::time::Duration;
+//!
+//! Set `PXML_BENCH_QUICK=1` (as CI's bench-smoke job does) for a fast
+//! smoke run with the small sizes and a tiny iteration budget.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
+use pxml_bench::{criterion_config, quick};
 use pxml_core::pwset::PossibleWorldSet;
 use pxml_core::semantics::pw_set_to_probtree;
 use pxml_tree::DataTree;
@@ -30,7 +32,12 @@ fn synthetic_pw_set(worlds: usize, world_size: usize) -> PossibleWorldSet {
 
 fn bench_pw_to_probtree(c: &mut Criterion) {
     let mut group = c.benchmark_group("e2_pw_set_to_probtree");
-    for worlds in [4usize, 16, 64, 256, 1024] {
+    let sizes: &[usize] = if quick() {
+        &[4, 16]
+    } else {
+        &[4, 16, 64, 256, 1024]
+    };
+    for &worlds in sizes {
         let pw = synthetic_pw_set(worlds, 8);
         group.bench_with_input(BenchmarkId::from_parameter(worlds), &pw, |b, pw| {
             b.iter(|| pw_set_to_probtree(pw).unwrap());
@@ -41,7 +48,12 @@ fn bench_pw_to_probtree(c: &mut Criterion) {
 
 fn bench_normalization(c: &mut Criterion) {
     let mut group = c.benchmark_group("e2_pw_set_normalization");
-    for worlds in [64usize, 256, 1024, 4096] {
+    let sizes: &[usize] = if quick() {
+        &[64, 256]
+    } else {
+        &[64, 256, 1024, 4096]
+    };
+    for &worlds in sizes {
         let pw = synthetic_pw_set(worlds, 8);
         group.bench_with_input(BenchmarkId::from_parameter(worlds), &pw, |b, pw| {
             b.iter(|| pw.normalized());
@@ -52,10 +64,7 @@ fn bench_normalization(c: &mut Criterion) {
 
 criterion_group! {
     name = benches;
-    config = Criterion::default()
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(400))
-        .measurement_time(Duration::from_millis(1500));
+    config = criterion_config(10);
     targets = bench_pw_to_probtree, bench_normalization
 }
 criterion_main!(benches);

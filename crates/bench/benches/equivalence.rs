@@ -6,14 +6,21 @@
 //! equivalent rewrite of it (reordered children, redundant literals), for a
 //! growing number of sections (each section adds two event variables), plus
 //! inequivalent pairs obtained by flipping one literal.
-
-use std::time::Duration;
+//!
+//! E11 — Section 5: semantic equivalence expands both possible-world sets,
+//! so its cost is exponential in the events. The workload compares a root
+//! with one `X` child per event (`π = ½`) against a copy of itself at 4–16
+//! events; `tables --exp e11` prints the verdicts.
+//!
+//! Set `PXML_BENCH_QUICK=1` (as CI's bench-smoke job does) for a fast
+//! smoke run with the small sizes and a tiny iteration budget.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use pxml_bench::rng;
+use pxml_bench::{criterion_config, quick, rng};
 use pxml_core::equivalence::{
-    structural_equivalent_exhaustive, structural_equivalent_randomized, EquivalenceConfig,
+    semantic_equivalent, structural_equivalent_exhaustive, structural_equivalent_randomized,
+    EquivalenceConfig,
 };
 use pxml_core::probtree::ProbTree;
 use pxml_events::{Condition, Literal};
@@ -44,7 +51,12 @@ fn document(sections: usize, reorder: bool, redundant: bool) -> ProbTree {
 
 fn bench_randomized(c: &mut Criterion) {
     let mut group = c.benchmark_group("e6_equivalence_randomized");
-    for sections in [2usize, 4, 6, 8, 16, 32, 64] {
+    let sizes: &[usize] = if quick() {
+        &[2, 8]
+    } else {
+        &[2, 4, 6, 8, 16, 32, 64]
+    };
+    for &sections in sizes {
         let a = document(sections, false, false);
         let b = document(sections, true, true);
         group.bench_with_input(
@@ -64,7 +76,8 @@ fn bench_randomized(c: &mut Criterion) {
 fn bench_exhaustive(c: &mut Criterion) {
     let mut group = c.benchmark_group("e6_equivalence_exhaustive");
     // The exhaustive check is 2^{|W|}: stop at 16 events.
-    for sections in [2usize, 4, 6, 8] {
+    let sizes: &[usize] = if quick() { &[2, 4] } else { &[2, 4, 6, 8] };
+    for &sections in sizes {
         let a = document(sections, false, false);
         let b = document(sections, true, true);
         group.bench_with_input(
@@ -80,7 +93,8 @@ fn bench_exhaustive(c: &mut Criterion) {
 
 fn bench_randomized_inequivalent(c: &mut Criterion) {
     let mut group = c.benchmark_group("e6_equivalence_randomized_inequivalent");
-    for sections in [8usize, 32] {
+    let sizes: &[usize] = if quick() { &[8] } else { &[8, 32] };
+    for &sections in sizes {
         let a = document(sections, false, false);
         let mut b = document(sections, true, true);
         // Flip one literal.
@@ -109,12 +123,30 @@ fn bench_randomized_inequivalent(c: &mut Criterion) {
     group.finish();
 }
 
+/// E11: semantic equivalence of a tree with `events` conditioned `X`
+/// children and its copy, which expands both PW sets.
+fn bench_semantic(c: &mut Criterion) {
+    let mut group = c.benchmark_group("e11_semantic_equivalence");
+    let sizes: &[usize] = if quick() { &[4, 8] } else { &[4, 8, 12, 16] };
+    for &events in sizes {
+        let mut tree = ProbTree::new("R");
+        let root = tree.tree().root();
+        for _ in 0..events {
+            let w = tree.events_mut().fresh(0.5);
+            tree.add_child(root, "X", Condition::of(Literal::pos(w)));
+        }
+        let pair = (tree.clone(), tree);
+        assert!(semantic_equivalent(&pair.0, &pair.1, 24).unwrap());
+        group.bench_with_input(BenchmarkId::from_parameter(events), &pair, |b, (t, u)| {
+            b.iter(|| semantic_equivalent(t, u, 24).unwrap());
+        });
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
-    config = Criterion::default()
-        .sample_size(15)
-        .warm_up_time(Duration::from_millis(400))
-        .measurement_time(Duration::from_millis(1500));
-    targets = bench_randomized, bench_exhaustive, bench_randomized_inequivalent
+    config = criterion_config(15);
+    targets = bench_randomized, bench_exhaustive, bench_randomized_inequivalent, bench_semantic
 }
 criterion_main!(benches);

@@ -63,7 +63,9 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use pxml_bench::{quick, rng, scaling_probtree, scaling_query, SCALING_SIZES, SEED};
+use pxml_bench::{
+    criterion_config, quick, rng, scaling_probtree, scaling_query, SCALING_SIZES, SEED,
+};
 use pxml_core::query::pattern::PatternQuery;
 use pxml_core::query::Query;
 use pxml_core::update::{ProbabilisticUpdate, UpdateEngine, UpdateOperation};
@@ -557,23 +559,9 @@ fn bench_semiring_overhead(c: &mut Criterion) {
     group.finish();
 }
 
-fn config() -> Criterion {
-    if quick() {
-        Criterion::default()
-            .sample_size(2)
-            .warm_up_time(Duration::from_millis(20))
-            .measurement_time(Duration::from_millis(80))
-    } else {
-        Criterion::default()
-            .sample_size(20)
-            .warm_up_time(Duration::from_millis(400))
-            .measurement_time(Duration::from_millis(1500))
-    }
-}
-
 criterion_group! {
     name = benches;
-    config = config();
+    config = criterion_config(20);
     targets = bench_query_scaling, bench_above_serve_tenant, bench_maintenance,
         bench_semiring_overhead
 }

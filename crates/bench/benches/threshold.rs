@@ -5,11 +5,9 @@
 //! Set `PXML_BENCH_QUICK=1` (as CI's bench-smoke job does) for a fast
 //! smoke run with the small family sizes and a tiny iteration budget.
 
-use std::time::Duration;
-
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use pxml_bench::quick;
+use pxml_bench::{criterion_config, quick};
 use pxml_core::threshold::{restrict_to_threshold, restriction_as_probtree};
 use pxml_workloads::paper::{theorem4_tree, theorem4_world_probability};
 
@@ -51,23 +49,9 @@ fn bench_threshold_reencoding(c: &mut Criterion) {
     group.finish();
 }
 
-fn config() -> Criterion {
-    if quick() {
-        Criterion::default()
-            .sample_size(2)
-            .warm_up_time(Duration::from_millis(20))
-            .measurement_time(Duration::from_millis(80))
-    } else {
-        Criterion::default()
-            .sample_size(10)
-            .warm_up_time(Duration::from_millis(400))
-            .measurement_time(Duration::from_millis(1500))
-    }
-}
-
 criterion_group! {
     name = benches;
-    config = config();
+    config = criterion_config(10);
     targets = bench_threshold_restriction, bench_threshold_reencoding
 }
 criterion_main!(benches);

@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use pxml_bench::{quick, rng, scaling_probtree, SCALING_SIZES};
+use pxml_bench::{criterion_config, quick, rng, scaling_probtree, SCALING_SIZES};
 use pxml_core::semantics::possible_worlds;
 use pxml_core::update::{
     ProbabilisticUpdate, StepScope, UpdateEngine, UpdateEngineConfig, UpdateOperation,
@@ -301,9 +301,10 @@ fn bench_update_scripts(c: &mut Criterion) {
 /// view of the retraction's own pattern, maintained after each such
 /// commit, patches: the delta moves no label, so it rebuilds the fact's
 /// answer's union and re-matches nothing
-/// (`MaintainStats::rematch_visited` stays put). Each of the three
-/// commits, and a clone of the settled frame, makes as many allocations
-/// at every size. Then, per size,
+/// (`MaintainStats::rematch_visited` stays put). The three commits make as
+/// many allocations as each other, since declaring their fresh events
+/// copies no event name, and each of them, and a clone of the settled
+/// frame, makes as many at every size. Then, per size,
 /// one commit is timed on an O(1) fork of the settled document (forks
 /// inherit its fixpoint status and postings), and so are its parts:
 /// cloning a frame, the match, and dropping a frame a commit derived. No
@@ -415,6 +416,10 @@ fn bench_region_commits(c: &mut Criterion) {
             rematch_visits.windows(2).all(|pair| pair[0] == pair[1]),
             "re-match visits grow with the document: {rematch_visits:?}"
         );
+        assert!(
+            allocated.windows(2).all(|pair| pair[0] == pair[1]),
+            "{nodes} nodes: commit allocations grow with the commits: {allocated:?}"
+        );
         commit_allocations.push(allocated);
         assert!(
             commit_allocations.windows(2).all(|pair| pair[0] == pair[1]),
@@ -469,23 +474,9 @@ fn bench_region_commits(c: &mut Criterion) {
     group.finish();
 }
 
-fn config() -> Criterion {
-    if quick() {
-        Criterion::default()
-            .sample_size(2)
-            .warm_up_time(Duration::from_millis(20))
-            .measurement_time(Duration::from_millis(80))
-    } else {
-        Criterion::default()
-            .sample_size(15)
-            .warm_up_time(Duration::from_millis(400))
-            .measurement_time(Duration::from_millis(1500))
-    }
-}
-
 criterion_group! {
     name = benches;
-    config = config();
+    config = criterion_config(15);
     targets = bench_insertions, bench_theorem3_deletion,
         bench_theorem3_insertion_contrast, bench_deletion_blowup_control,
         bench_nested_target_deletion,

@@ -2,11 +2,13 @@
 //! formulas as conditions, the Theorem 3 deletion becomes polynomial while
 //! boolean query evaluation requires SAT solving (and probability
 //! computation requires exponential model counting).
-
-use std::time::Duration;
+//!
+//! Set `PXML_BENCH_QUICK=1` (as CI's bench-smoke job does) for a fast
+//! smoke run with the small sizes and a tiny iteration budget.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
+use pxml_bench::{criterion_config, quick};
 use pxml_core::update::{UpdateEngine, UpdateEngineConfig};
 use pxml_core::variants::FormulaProbTree;
 use pxml_core::PatternQuery;
@@ -43,7 +45,8 @@ fn d0(t: &mut FormulaProbTree) {
 fn bench_conjunctive_deletion(c: &mut Criterion) {
     let mut group = c.benchmark_group("e10_deletion_conjunctive_model");
     let engine = UpdateEngine::with_config(UpdateEngineConfig::raw());
-    for n in [2usize, 4, 6, 8, 10] {
+    let sizes: &[usize] = if quick() { &[2, 4] } else { &[2, 4, 6, 8, 10] };
+    for &n in sizes {
         let tree = theorem3_tree(n);
         group.bench_with_input(BenchmarkId::from_parameter(n), &tree, |b, tree| {
             b.iter(|| engine.apply(tree, &d0_deletion(1.0)));
@@ -55,7 +58,12 @@ fn bench_conjunctive_deletion(c: &mut Criterion) {
 /// Deletion cost on the arbitrary-formula model (polynomial).
 fn bench_formula_deletion(c: &mut Criterion) {
     let mut group = c.benchmark_group("e10_deletion_formula_model");
-    for n in [2usize, 4, 6, 8, 10, 50, 200] {
+    let sizes: &[usize] = if quick() {
+        &[2, 50]
+    } else {
+        &[2, 4, 6, 8, 10, 50, 200]
+    };
+    for &n in sizes {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
             b.iter(|| {
                 let mut tree = theorem3_formula_tree(n);
@@ -71,7 +79,8 @@ fn bench_formula_deletion(c: &mut Criterion) {
 /// a SAT call per query (the expensive direction of the trade-off).
 fn bench_formula_query(c: &mut Criterion) {
     let mut group = c.benchmark_group("e10_boolean_query_formula_model");
-    for n in [4usize, 16, 64, 200] {
+    let sizes: &[usize] = if quick() { &[4, 16] } else { &[4, 16, 64, 200] };
+    for &n in sizes {
         let mut tree = theorem3_formula_tree(n);
         d0(&mut tree);
         let mut q_b = PatternQuery::anchored(Some("A"));
@@ -89,10 +98,7 @@ fn bench_formula_query(c: &mut Criterion) {
 
 criterion_group! {
     name = benches;
-    config = Criterion::default()
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(400))
-        .measurement_time(Duration::from_millis(1500));
+    config = criterion_config(10);
     targets = bench_conjunctive_deletion, bench_formula_deletion, bench_formula_query
 }
 criterion_main!(benches);

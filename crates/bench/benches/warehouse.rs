@@ -20,11 +20,10 @@
 //! smoke run; the invariant block runs (and asserts) in both modes.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use pxml_bench::quick;
+use pxml_bench::{criterion_config, quick};
 use pxml_core::update::{ProbabilisticUpdate, UpdateEngine, UpdateOperation};
 use pxml_core::{Document, PatternQuery, QueryEngine};
 use pxml_server::Warehouse;
@@ -245,10 +244,7 @@ fn bench_commit_path(c: &mut Criterion) {
 
 criterion_group! {
     name = benches;
-    config = Criterion::default()
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(400))
-        .measurement_time(Duration::from_millis(1500));
+    config = criterion_config(10);
     targets = bench_served_reads, bench_snapshot_pin, bench_commit_path
 }
 criterion_main!(benches);

@@ -21,11 +21,9 @@
 //! Set `PXML_BENCH_QUICK=1` (as CI does) for a fast smoke run with small
 //! iteration budgets.
 
-use std::time::Duration;
-
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use pxml_bench::quick;
+use pxml_bench::{criterion_config, quick};
 use pxml_core::semantics::{possible_worlds, possible_worlds_normalized};
 use pxml_core::worlds::{WorldEngine, WorldEngineConfig};
 use pxml_core::ProbTree;
@@ -202,23 +200,9 @@ fn bench_class_merge(c: &mut Criterion) {
     group.finish();
 }
 
-fn config() -> Criterion {
-    if quick() {
-        Criterion::default()
-            .sample_size(2)
-            .warm_up_time(Duration::from_millis(20))
-            .measurement_time(Duration::from_millis(80))
-    } else {
-        Criterion::default()
-            .sample_size(10)
-            .warm_up_time(Duration::from_millis(400))
-            .measurement_time(Duration::from_millis(1500))
-    }
-}
-
 criterion_group! {
     name = benches;
-    config = config();
+    config = criterion_config(10);
     targets = bench_engine_sparse, bench_dense_legacy_vs_engine,
         bench_factorized_many_components, bench_factorized_vs_joint_drain,
         bench_class_merge

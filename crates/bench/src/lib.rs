@@ -1,20 +1,26 @@
 //! # pxml-bench — the experiment harness
 //!
-//! One criterion bench target and/or one `tables` section per experiment,
+//! One criterion bench group and/or one `tables` section per experiment,
 //! each reproducing the complexity *shape* of a formal result of the paper
-//! or measuring an engine built on it: the benches carry E2–E8, E10 and
+//! or measuring an engine built on it: the benches carry E2–E12 and
 //! E14–E16, and `tables` prints E1–E13. Each bench and table names the
 //! result it reproduces.
 //!
 //! The `tables` binary (`cargo run --release -p pxml_bench --bin tables`)
-//! prints the size/count tables (exponential blow-ups are statements about
-//! *representation size*, which criterion does not capture); the criterion
-//! benches (`cargo bench`) measure running times.
+//! prints sizes, counts and verdicts and no timing (exponential blow-ups
+//! are statements about *representation size*, which criterion does not
+//! capture), so each table is deterministic and pinned in
+//! `crates/bench/tests/`. The criterion benches (`cargo bench`) own every
+//! running time: E2 `conciseness`, E3 and E14–E15 `query_scaling`, E4–E5
+//! `updates`, E6 and E11 `equivalence`, E7 `threshold`, E8–E9 `dtd`, E10
+//! `variants`, E12's shard build `worlds`, and E16 `warehouse`.
 
 #![forbid(unsafe_code)]
 
 use std::ffi::OsStr;
+use std::time::Duration;
 
+use criterion::Criterion;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -70,6 +76,23 @@ pub const SCALING_SIZES: [usize; 4] = [100, 500, 2_000, 8_000];
 )]
 pub fn quick() -> bool {
     is_truthy(std::env::var_os("PXML_BENCH_QUICK").as_deref())
+}
+
+/// The criterion settings of every bench target: `sample_size` samples
+/// over 1.5 s after a 0.4 s warm-up, or, under [`quick`], 2 samples over
+/// 80 ms after 20 ms.
+pub fn criterion_config(sample_size: usize) -> Criterion {
+    if quick() {
+        Criterion::default()
+            .sample_size(2)
+            .warm_up_time(Duration::from_millis(20))
+            .measurement_time(Duration::from_millis(80))
+    } else {
+        Criterion::default()
+            .sample_size(sample_size)
+            .warm_up_time(Duration::from_millis(400))
+            .measurement_time(Duration::from_millis(1500))
+    }
 }
 
 /// A flag's value read as a boolean: unset, `0`, `false`, `off` and `no`

@@ -283,8 +283,8 @@ impl ProbTree {
     /// Union of the conditions on the strict ancestors of `node`
     /// (`cond_ancestors` in Appendix A).
     pub fn ancestor_condition(&self, node: NodeId) -> Condition {
-        let ancestors = self.tree.ancestors(node);
-        Condition::union_of(ancestors.iter().filter_map(|&a| self.condition_ref(a)))
+        let ancestors = std::iter::successors(self.tree.parent(node), |&p| self.tree.parent(p));
+        Condition::union_of(ancestors.filter_map(|a| self.condition_ref(a)))
     }
 
     /// The value `V(T)` of the prob-tree in the world described by

@@ -164,9 +164,7 @@ impl Census {
                 if node.index() < touched.base_len {
                     census.removed_nodes += 1;
                     census.removed_literals += tree.condition_ref(node).map_or(0, Condition::len);
-                    census
-                        .removed_labels
-                        .insert(tree.tree().label(node).to_owned());
+                    add_label(&mut census.removed_labels, tree.tree().label(node));
                 }
             });
         }
@@ -178,9 +176,7 @@ impl Census {
                 census.visited += 1;
                 census.inserted_nodes += 1;
                 census.inserted_literals += tree.condition_ref(node).map_or(0, Condition::len);
-                census
-                    .inserted_labels
-                    .insert(tree.tree().label(node).to_owned());
+                add_label(&mut census.inserted_labels, tree.tree().label(node));
             });
         }
         for &(node, dropped) in &touched.rewritten {
@@ -214,6 +210,13 @@ impl Census {
                 - self.rewritten_literals
                 - self.removed_literals,
         )
+    }
+}
+
+/// Adds `label` to `labels`, copying it only if the set lacks it.
+fn add_label(labels: &mut BTreeSet<String>, label: &str) {
+    if !labels.contains(label) {
+        labels.insert(label.to_owned());
     }
 }
 

@@ -1,6 +1,7 @@
 //! Event variables and their probability distribution.
 
 use std::fmt;
+use std::sync::Arc;
 
 use pxml_tree::keyindex::{KeyIndex, Probe};
 use pxml_tree::Pages;
@@ -48,12 +49,14 @@ pub fn is_condition_name(name: &str) -> bool {
 ///
 /// Names, probabilities and the name index are copy-on-write [`Pages`]: a
 /// clone shares them with its source, and declaring an event or changing a
-/// probability copies the pages it writes. The name index is a
-/// [`KeyIndex`] of event ids keyed by the names column, so an insertion
-/// writes one bucket (a doubling re-files them all).
+/// probability copies the pages it writes. Each name is an `Arc<str>`, so
+/// copying a page of names bumps reference counts and allocates no name.
+/// The name index is a [`KeyIndex`] of event ids keyed by the names
+/// column, so an insertion writes one bucket (a doubling re-files them
+/// all).
 #[derive(Clone, Debug, Default)]
 pub struct EventTable {
-    names: Pages<String>,
+    names: Pages<Arc<str>>,
     probs: Pages<f64>,
     /// Event ids by name.
     index: KeyIndex<u32>,
@@ -84,13 +87,13 @@ impl EventTable {
         );
         let Probe::Vacant(at) = self
             .index
-            .probe(&name, |id| self.names[id as usize] == name)
+            .probe(&name, |id| *self.names[id as usize] == *name)
         else {
             panic!("event variable named {name:?} already exists");
         };
         let id = EventId(self.names.len() as u32);
         self.index.fill(at, id.0);
-        self.names.push(name);
+        self.names.push(name.into());
         self.probs.push(p);
         id
     }
@@ -144,7 +147,7 @@ impl EventTable {
     /// Looks an event up by name.
     pub fn by_name(&self, name: &str) -> Option<EventId> {
         self.index
-            .get(name, |id| self.names[id as usize] == name)
+            .get(name, |id| *self.names[id as usize] == *name)
             .map(EventId)
     }
 

@@ -44,13 +44,13 @@ impl fmt::Display for NodeId {
     }
 }
 
+/// A node record. A detached subtree's root has no parent, so a node is
+/// attached exactly when its parent chain ends at the tree's root.
 #[derive(Clone, Debug)]
 struct NodeData {
     label: String,
     parent: Option<NodeId>,
     children: Vec<NodeId>,
-    /// `false` once the node has been detached from the tree.
-    attached: bool,
 }
 
 /// An unordered labeled rooted tree (Definition 1 of the paper).
@@ -190,7 +190,6 @@ impl DataTree {
             label: label.into(),
             parent: None,
             children: Vec::new(),
-            attached: true,
         });
         DataTree {
             nodes,
@@ -224,23 +223,15 @@ impl DataTree {
         &self.nodes[node.index()].children
     }
 
-    /// Whether `node` is still reachable from the root.
+    /// Whether `node` is still reachable from the root: whether its parent
+    /// chain ends at the root rather than at a detached subtree's root.
+    /// O(depth).
     pub fn is_attached(&self, node: NodeId) -> bool {
-        if !self.nodes[node.index()].attached {
-            return false;
-        }
-        // Walk up: a node is attached iff every ancestor is attached and the
-        // walk terminates at the root.
         let mut cur = node;
-        loop {
-            if cur == self.root {
-                return true;
-            }
-            match self.nodes[cur.index()].parent {
-                Some(p) if self.nodes[p.index()].attached => cur = p,
-                _ => return false,
-            }
+        while let Some(parent) = self.nodes[cur.index()].parent {
+            cur = parent;
         }
+        cur == self.root
     }
 
     /// Adds a new child with `label` under `parent` and returns its id.
@@ -250,7 +241,6 @@ impl DataTree {
             label: label.into(),
             parent: Some(parent),
             children: Vec::new(),
-            attached: true,
         });
         self.nodes.make_mut(parent.index()).children.push(id);
         if let Some(postings) = &mut self.postings {
@@ -289,9 +279,7 @@ impl DataTree {
     /// Panics if `node` is the root.
     pub fn detach(&mut self, node: NodeId) {
         assert!(node != self.root, "cannot detach the root of a data tree");
-        let data = self.nodes.make_mut(node.index());
-        data.attached = false;
-        if let Some(parent) = data.parent.take() {
+        if let Some(parent) = self.nodes.make_mut(node.index()).parent.take() {
             self.nodes
                 .make_mut(parent.index())
                 .children
@@ -504,7 +492,12 @@ impl<'a> Iterator for PreOrder<'a> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
+    use proptest::prelude::*;
+
     use super::*;
+    use crate::testing::tree_strategy;
 
     fn sample() -> (DataTree, NodeId, NodeId, NodeId) {
         let mut t = DataTree::new("A");
@@ -684,5 +677,26 @@ mod tests {
         dedup.sort();
         dedup.dedup();
         assert_eq!(dedup.len(), 4);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_node_record_is_56_bytes() {
+        // Label and children (24 bytes each) and the parent (8).
+        assert_eq!(std::mem::size_of::<NodeData>(), 56);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        /// The parent-chain walk agrees with the traversal from the root on
+        /// trees that detach nodes and grow under detached ones.
+        #[test]
+        fn a_node_is_attached_exactly_when_the_root_reaches_it(tree in tree_strategy(40)) {
+            let reached: HashSet<NodeId> = tree.iter().collect();
+            for node in (0..tree.arena_len()).map(NodeId::from_index) {
+                prop_assert_eq!(tree.is_attached(node), reached.contains(&node), "{}", node);
+            }
+        }
     }
 }
